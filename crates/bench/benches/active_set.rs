@@ -147,8 +147,8 @@ fn bench(c: &mut Criterion) {
     // is noise; the gate uses the best speedup over several pairs. The
     // regime is all-cores-spinning with zero memory/NoC traffic, where
     // active-set bookkeeping once cost 0.58x — the floor pins the fix
-    // (spin-park fast path + deferred list compaction) at parity or
-    // better rather than chasing the noisy upside.
+    // (spin-park fast path) at parity or better rather than chasing the
+    // noisy upside.
     let contended_gl = &matrix
         .iter()
         .find(|(n, _)| *n == "contended GL")

@@ -16,32 +16,22 @@
 //! 2. **Deterministic order**: iteration visits members in ascending
 //!    index order, exactly the order of the dense `for i in 0..n` loop.
 //!
-//! Internally the set is a dense membership bitmap plus an unsorted
-//! insertion list: `insert` is O(1) amortized with flag-based dedup,
-//! `remove` is O(1) (the list entry goes stale and is dropped at the
-//! next compaction), and [`collect_sorted`](ActiveSet::collect_sorted)
-//! compacts and sorts on demand. In steady state no operation
-//! allocates (capacity is retained), which keeps the simulator's
-//! zero-allocation tick property (`tests/zero_alloc.rs`).
+//! The set is a plain bitset, one bit per index: `insert`, `remove` and
+//! `contains` are one word operation each, and iteration walks the
+//! words with `trailing_zeros`, which yields ascending order without a
+//! sort. A walk costs `n / 64` word loads plus one step per member (16
+//! words at 1024 tiles). No operation allocates, which keeps the
+//! simulator's zero-allocation tick property (`tests/zero_alloc.rs`).
 
 /// A deterministically-ordered set of component indices `0..n`.
 #[derive(Clone, Debug)]
 pub struct ActiveSet {
-    /// Membership bitmap: the single source of truth.
-    in_set: Vec<bool>,
-    /// Insertion list; may hold stale (removed) or duplicate entries
-    /// until the next compaction.
-    list: Vec<u32>,
-    /// Live member count (tracks the bitmap, not the list).
+    /// Membership bits, index `i` at bit `i % 64` of word `i / 64`.
+    words: Vec<u64>,
+    /// Size of the index domain (indices are `0..n`).
+    n: usize,
+    /// Member count.
     len: usize,
-    /// True while the list may hold stale entries (set by `remove`;
-    /// duplicates can only follow a remove, so this covers both).
-    dirty: bool,
-    /// True while the list is in ascending order (maintained on
-    /// insert). Together with `!dirty` this lets `collect_sorted` skip
-    /// compaction entirely — the dominant per-tick cost on short runs
-    /// whose sets are built once in index order and never churned.
-    sorted: bool,
 }
 
 impl ActiveSet {
@@ -49,11 +39,9 @@ impl ActiveSet {
     pub fn new(n: usize) -> ActiveSet {
         assert!(n <= u32::MAX as usize, "index domain too large");
         ActiveSet {
-            in_set: vec![false; n],
-            list: Vec::new(),
+            words: vec![0; n.div_ceil(64)],
+            n,
             len: 0,
-            dirty: false,
-            sorted: true,
         }
     }
 
@@ -70,101 +58,46 @@ impl ActiveSet {
     /// True when `i` is a live member.
     #[inline]
     pub fn contains(&self, i: usize) -> bool {
-        self.in_set[i]
+        assert!(i < self.n, "index {i} outside 0..{}", self.n);
+        self.words[i / 64] >> (i % 64) & 1 != 0
     }
 
     /// Inserts `i`; a no-op if already present.
     #[inline]
     pub fn insert(&mut self, i: usize) {
-        if !self.in_set[i] {
-            self.in_set[i] = true;
-            self.len += 1;
-            if self.sorted && self.list.last().is_some_and(|&last| i as u32 <= last) {
-                self.sorted = false;
-            }
-            self.list.push(i as u32);
-            // Keep the lazy list proportional to the live count so
-            // [`for_each_live`](Self::for_each_live) stays O(len) even
-            // for callers that maintain the set without ever draining
-            // it through `collect_sorted` (e.g. the dense scheduling
-            // path, or a set only consulted by `next_event`). At least
-            // half the entries are stale/duplicate when this fires, so
-            // the sweep amortizes to O(1) per insert.
-            if self.list.len() >= 32 && self.list.len() >= 2 * self.len {
-                self.compact();
-            }
-        }
+        assert!(i < self.n, "index {i} outside 0..{}", self.n);
+        let (w, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        self.len += (*w & bit == 0) as usize;
+        *w |= bit;
     }
 
-    /// Drops stale and duplicate list entries in place, keeping the
-    /// first live copy of each member (relative order preserved).
-    fn compact(&mut self) {
-        let in_set = &mut self.in_set;
-        self.list.retain(|&i| {
-            let keep = in_set[i as usize];
-            if keep {
-                // Clear the flag so a duplicate live entry is dropped.
-                in_set[i as usize] = false;
-            }
-            keep
-        });
-        for &i in &self.list {
-            self.in_set[i as usize] = true;
-        }
-        // Compaction keeps the first live copy of each member, so the
-        // list now mirrors the bitmap; relative order is preserved, so
-        // `sorted` stays whatever it was.
-        self.dirty = false;
-        debug_assert_eq!(self.list.len(), self.len, "list/bitmap divergence");
-    }
-
-    /// Removes `i`; a no-op if absent. O(1): the list entry goes stale
-    /// and is dropped by the next [`collect_sorted`](Self::collect_sorted).
+    /// Removes `i`; a no-op if absent.
     #[inline]
     pub fn remove(&mut self, i: usize) {
-        if self.in_set[i] {
-            self.in_set[i] = false;
-            self.len -= 1;
-            self.dirty = true;
-        }
+        assert!(i < self.n, "index {i} outside 0..{}", self.n);
+        let (w, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        self.len -= (*w & bit != 0) as usize;
+        *w &= !bit;
     }
 
-    /// Compacts the internal list and copies the live members into
-    /// `out` in ascending index order (the dense-scan order).
+    /// Copies the live members into `out` in ascending index order (the
+    /// dense-scan order).
     ///
     /// The snapshot semantics are deliberate: callers iterate `out`
     /// while freely calling [`insert`](Self::insert)/
     /// [`remove`](Self::remove) on the set mid-iteration.
-    pub fn collect_sorted(&mut self, out: &mut Vec<u32>) {
-        // Deferred-compaction fast path: a list with no stale entries
-        // that was built in ascending order IS the sorted live set —
-        // the per-tick common case on short runs (sets populated once
-        // in index order, never churned). The copy is all that remains.
-        if !self.dirty && self.sorted {
-            debug_assert_eq!(self.list.len(), self.len, "list/bitmap divergence");
-            out.clear();
-            out.extend_from_slice(&self.list);
-            return;
-        }
-        let in_set = &self.in_set;
-        self.list.retain(|&i| in_set[i as usize]);
-        self.list.sort_unstable();
-        self.list.dedup();
-        self.dirty = false;
-        self.sorted = true;
-        debug_assert_eq!(self.list.len(), self.len, "list/bitmap divergence");
+    pub fn collect_sorted(&self, out: &mut Vec<u32>) {
         out.clear();
-        out.extend_from_slice(&self.list);
+        self.for_each_live(|i| out.push(i as u32));
     }
 
-    /// Visits every live member in unspecified order, without
-    /// compacting. A member removed and re-inserted between compactions
-    /// is visited once per list entry, so callers must be order- and
-    /// duplicate-insensitive (e.g. a running `min`).
+    /// Visits every live member once, in ascending index order.
     pub fn for_each_live(&self, mut f: impl FnMut(usize)) {
-        for &i in &self.list {
-            if self.in_set[i as usize] {
-                f(i as usize);
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                f(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
             }
         }
     }
@@ -184,22 +117,22 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert!(s.contains(3) && s.contains(1) && !s.contains(0));
         s.remove(3);
+        s.remove(3); // absent: no-op
         assert_eq!(s.len(), 1);
         assert!(!s.contains(3));
     }
 
     #[test]
-    fn collect_sorted_is_ascending_and_compacts() {
+    fn collect_sorted_is_ascending_and_deduplicated() {
         let mut s = ActiveSet::new(16);
         for i in [9, 2, 11, 5, 2] {
             s.insert(i);
         }
         s.remove(5);
-        s.insert(5); // duplicate list entry, still one live member
-        let mut out = Vec::new();
+        s.insert(5);
+        let mut out = vec![77]; // stale contents are discarded
         s.collect_sorted(&mut out);
         assert_eq!(out, vec![2, 5, 9, 11]);
-        // Compaction dropped stale/duplicate entries.
         assert_eq!(s.len(), 4);
     }
 
@@ -222,53 +155,18 @@ mod tests {
     #[test]
     fn for_each_live_skips_removed() {
         let mut s = ActiveSet::new(8);
-        s.insert(1);
-        s.insert(4);
         s.insert(6);
+        s.insert(4);
+        s.insert(1);
         s.remove(4);
         let mut seen = Vec::new();
         s.for_each_live(|i| seen.push(i));
-        seen.sort_unstable();
         assert_eq!(seen, vec![1, 6]);
     }
 
     #[test]
-    fn uncompacted_churn_stays_bounded() {
-        // A caller that only ever inserts/removes (never collects) must
-        // not grow the lazy list without bound.
-        let mut s = ActiveSet::new(8);
-        for round in 0..10_000 {
-            for i in 0..8 {
-                s.insert(i);
-            }
-            for i in 0..8 {
-                s.remove(i);
-            }
-            if round % 1000 == 0 {
-                let mut seen = Vec::new();
-                s.for_each_live(|i| seen.push(i));
-                assert!(seen.is_empty());
-            }
-        }
-        assert!(s.list.len() <= 64, "lazy list grew to {}", s.list.len());
-        for i in 0..8 {
-            s.insert(i);
-        }
-        let mut out = Vec::new();
-        s.collect_sorted(&mut out);
-        assert_eq!(out, (0..8).collect::<Vec<u32>>());
-    }
-
-    #[test]
-    fn steady_state_reinsertion_does_not_grow() {
-        let mut s = ActiveSet::new(4);
-        let mut out = Vec::new();
-        for _ in 0..1000 {
-            s.insert(2);
-            s.collect_sorted(&mut out);
-            s.remove(2);
-            s.collect_sorted(&mut out);
-        }
-        assert!(s.list.capacity() <= 16, "list grew without bound");
+    #[should_panic(expected = "outside 0..65")]
+    fn index_past_the_domain_is_rejected_even_inside_the_last_word() {
+        ActiveSet::new(65).insert(65);
     }
 }

@@ -1,15 +1,17 @@
 //! Property tests for the foundations: mesh geometry, address math,
-//! histogram invariants and the deterministic RNG.
+//! histogram invariants, the deterministic RNG and the active-set bitset.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
 
+use sim_base::active::ActiveSet;
 use sim_base::check::forall;
 use sim_base::geom::Dir;
 use sim_base::ids::Addr;
 use sim_base::rng::SplitMix64;
 use sim_base::stats::Histogram;
 use sim_base::{Coord, Mesh2D};
+use std::collections::BTreeSet;
 
 #[test]
 fn mesh_id_coord_bijection() {
@@ -136,4 +138,67 @@ fn rng_bounded_is_in_range_and_deterministic() {
             assert_eq!(x, b.next_below(bound));
         }
     });
+}
+
+/// The bitset [`ActiveSet`] against a `BTreeSet` model, at domain sizes
+/// on both sides of the 64-bit word boundaries. `collect`/`for_each_live`
+/// must report the model's members in ascending order, also after the
+/// set was mutated while a collected snapshot of it was being walked (the
+/// simulator's ticks remove and re-insert members mid-iteration).
+#[test]
+fn active_set_matches_btreeset_model() {
+    for n in [1usize, 63, 64, 65, 1024] {
+        forall(&format!("active_set_matches_btreeset_model/{n}"), |r| {
+            let mut set = ActiveSet::new(n);
+            let mut model = BTreeSet::new();
+            let mut snap = Vec::new();
+            for _ in 0..400 {
+                // Favour the ends of the domain and the word boundaries.
+                let i = match r.next_below(4) {
+                    0 => [0, n - 1, 63 % n, 64 % n][r.next_below(4) as usize],
+                    _ => r.next_below(n as u64) as usize,
+                };
+                let op = r.next_below(8);
+                match op {
+                    0..=2 => {
+                        set.insert(i);
+                        model.insert(i);
+                    }
+                    3..=4 => {
+                        set.remove(i);
+                        model.remove(&i);
+                    }
+                    5 => {
+                        let mut seen = Vec::new();
+                        set.for_each_live(|m| seen.push(m));
+                        assert_eq!(seen, model.iter().copied().collect::<Vec<_>>());
+                    }
+                    6 => {}
+                    _ => {
+                        // Mutate while walking a snapshot: drop every
+                        // other member and add its successor.
+                        set.collect_sorted(&mut snap);
+                        for (k, &m) in snap.iter().enumerate() {
+                            let m = m as usize;
+                            if k % 2 == 0 {
+                                set.remove(m);
+                                model.remove(&m);
+                            } else if m + 1 < n {
+                                set.insert(m + 1);
+                                model.insert(m + 1);
+                            }
+                        }
+                    }
+                }
+                if op >= 6 {
+                    set.collect_sorted(&mut snap);
+                    let want: Vec<u32> = model.iter().map(|&m| m as u32).collect();
+                    assert_eq!(snap, want);
+                }
+                assert_eq!(set.len(), model.len());
+                assert_eq!(set.is_empty(), model.is_empty());
+                assert_eq!(set.contains(i), model.contains(&i));
+            }
+        });
+    }
 }

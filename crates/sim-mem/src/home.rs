@@ -416,6 +416,10 @@ pub struct HomeCtrl<S: TraceSink = NullSink> {
     l2: SetAssoc<bool>, // state = dirty-vs-memory
     dir: FxHashMap<LineAddr, DirState>,
     active: FxHashMap<LineAddr, HomeTx>,
+    /// Lower bound on the earliest `until` of an `L2Wait`/`MemWait`
+    /// phase in `active` (`Cycle::MAX` when there is none): a tick
+    /// before it has nothing to mature and skips the scan.
+    next_timer: Cycle,
     queue: FxHashMap<LineAddr, VecDeque<(CoreId, ProtoMsg)>>,
     l2_latency: u64,
     mem_latency: u64,
@@ -448,6 +452,7 @@ impl<S: TraceSink> HomeCtrl<S> {
             l2: SetAssoc::new(l2_cfg),
             dir: FxHashMap::default(),
             active: FxHashMap::default(),
+            next_timer: Cycle::MAX,
             queue: FxHashMap::default(),
             l2_latency: l2_cfg.total_latency() as u64,
             mem_latency: mem_latency as u64,
@@ -629,6 +634,14 @@ impl<S: TraceSink> HomeCtrl<S> {
         }
     }
 
+    /// Makes `kind` the active transaction on `line`, waiting in `phase`.
+    fn insert_tx(&mut self, line: LineAddr, kind: TxKind, phase: TxPhase) {
+        if let TxPhase::L2Wait { until } | TxPhase::MemWait { until } = phase {
+            self.next_timer = self.next_timer.min(until);
+        }
+        self.active.insert(line, HomeTx { kind, phase });
+    }
+
     /// Begins a transaction on an idle line.
     fn start_tx(
         &mut self,
@@ -651,13 +664,7 @@ impl<S: TraceSink> HomeCtrl<S> {
                             requester: src,
                         },
                     });
-                    self.active.insert(
-                        line,
-                        HomeTx {
-                            kind: TxKind::Read { requester: src },
-                            phase: TxPhase::WaitFwdDone,
-                        },
-                    );
+                    self.insert_tx(line, TxKind::Read { requester: src }, TxPhase::WaitFwdDone);
                 }
                 _ => self.data_path(line, TxKind::Read { requester: src }, now, mem),
             },
@@ -674,13 +681,11 @@ impl<S: TraceSink> HomeCtrl<S> {
                     if others.is_empty() {
                         // Only the requester shares it: grant after the
                         // directory/tag access.
-                        self.active.insert(
+                        self.insert_tx(
                             line,
-                            HomeTx {
-                                kind: TxKind::Upgrade { requester: src },
-                                phase: TxPhase::L2Wait {
-                                    until: now + self.l2_latency,
-                                },
+                            TxKind::Upgrade { requester: src },
+                            TxPhase::L2Wait {
+                                until: now + self.l2_latency,
                             },
                         );
                     } else {
@@ -691,12 +696,10 @@ impl<S: TraceSink> HomeCtrl<S> {
                                 msg: ProtoMsg::Inv(line),
                             });
                         }
-                        self.active.insert(
+                        self.insert_tx(
                             line,
-                            HomeTx {
-                                kind: TxKind::Upgrade { requester: src },
-                                phase: TxPhase::WaitInvAcks { left: others.len() },
-                            },
+                            TxKind::Upgrade { requester: src },
+                            TxPhase::WaitInvAcks { left: others.len() },
                         );
                     }
                 }
@@ -709,13 +712,11 @@ impl<S: TraceSink> HomeCtrl<S> {
                         self.stats.writebacks += 1;
                         self.absorb_data(line, data, mem);
                         self.set_dir(line, None, now);
-                        self.active.insert(
+                        self.insert_tx(
                             line,
-                            HomeTx {
-                                kind: TxKind::Wb { sender: src },
-                                phase: TxPhase::L2Wait {
-                                    until: now + self.l2_latency,
-                                },
+                            TxKind::Wb { sender: src },
+                            TxPhase::L2Wait {
+                                until: now + self.l2_latency,
                             },
                         );
                     }
@@ -753,13 +754,7 @@ impl<S: TraceSink> HomeCtrl<S> {
                         requester: src,
                     },
                 });
-                self.active.insert(
-                    line,
-                    HomeTx {
-                        kind: TxKind::Write { requester: src },
-                        phase: TxPhase::WaitFwdDone,
-                    },
-                );
+                self.insert_tx(line, TxKind::Write { requester: src }, TxPhase::WaitFwdDone);
             }
             Some(DirState::Shared(sharers)) if sharers.is_exact() => {
                 let mut others = sharers;
@@ -774,12 +769,10 @@ impl<S: TraceSink> HomeCtrl<S> {
                             msg: ProtoMsg::Inv(line),
                         });
                     }
-                    self.active.insert(
+                    self.insert_tx(
                         line,
-                        HomeTx {
-                            kind: TxKind::Write { requester: src },
-                            phase: TxPhase::WaitInvAcks { left: others.len() },
-                        },
+                        TxKind::Write { requester: src },
+                        TxPhase::WaitInvAcks { left: others.len() },
                     );
                 }
             }
@@ -804,12 +797,10 @@ impl<S: TraceSink> HomeCtrl<S> {
                 if left == 0 {
                     self.data_path(line, TxKind::Write { requester: src }, now, mem);
                 } else {
-                    self.active.insert(
+                    self.insert_tx(
                         line,
-                        HomeTx {
-                            kind: TxKind::Write { requester: src },
-                            phase: TxPhase::WaitInvAcks { left },
-                        },
+                        TxKind::Write { requester: src },
+                        TxPhase::WaitInvAcks { left },
                     );
                 }
             }
@@ -842,7 +833,7 @@ impl<S: TraceSink> HomeCtrl<S> {
                 until: now + self.l2_latency + self.mem_latency,
             }
         };
-        self.active.insert(line, HomeTx { kind, phase });
+        self.insert_tx(line, kind, phase);
     }
 
     /// All invalidation acks arrived: finish the write/upgrade.
@@ -892,7 +883,7 @@ impl<S: TraceSink> HomeCtrl<S> {
 
     /// Advances timer-based phases; call once per cycle.
     pub fn tick(&mut self, now: Cycle, mem: &mut Memory, out: &mut Vec<OutMsg>) {
-        if self.active.is_empty() {
+        if now < self.next_timer {
             return;
         }
         // Collect matured lines into the reused scratch buffer (the
@@ -964,6 +955,9 @@ impl<S: TraceSink> HomeCtrl<S> {
             self.complete(line, now, mem, out);
         }
         self.ready_scratch = ready;
+        // Timed phases only leave `active` above, so this is the one
+        // place the bound can rise.
+        self.next_timer = self.next_event(now).unwrap_or(Cycle::MAX);
     }
 
     /// Ends the active transaction on `line` and starts the next queued

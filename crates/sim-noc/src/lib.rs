@@ -21,6 +21,14 @@
 //! * **Timing** — `router_latency` cycles per router traversal plus
 //!   `link_latency` per link.
 //!
+//! Host cost: a flit carries its destination and the output port it
+//! takes at the router that currently buffers it, and each router keeps
+//! a request mask per output port — bit `s` of `req[o]` set ⇔ slot `s`
+//! is non-empty and its front flit routes to `o` (see [`router`]) — so
+//! arbitration inspects only the slots that ask for an output. Packets
+//! in flight are parked in a slab indexed by a slot the flit carries;
+//! the tick path does no hashing.
+//!
 //! Messages whose source and destination tile coincide (e.g. an L1 miss
 //! whose L2 home bank is local) bypass the network, are delivered on the
 //! next cycle and are *not* counted in traffic statistics — they never

@@ -21,21 +21,31 @@ pub struct Message<T> {
 }
 
 /// Internal per-packet bookkeeping while its flits are in the network.
+/// Parked in the packet slab next to the message, which supplies source,
+/// destination and class.
 #[derive(Clone, Debug)]
 pub(crate) struct PacketInfo {
-    pub dst: CoreId,
-    pub class: MsgClass,
+    pub pkt: u64,
     pub injected_at: Cycle,
     pub flits_total: u32,
     pub flits_arrived: u32,
 }
 
-/// One flit. Routing state is looked up from the packet table via `pkt`.
+/// One flit. It carries its own routing state, so moving it through a
+/// router never consults the packet table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct Flit {
-    /// Packet id.
+pub struct Flit {
+    /// Packet id (names the packet in trace events and wormhole locks).
     pub pkt: u64,
-    /// First flit of the packet (carries the route).
+    /// Slot of the packet in the network's packet slab.
+    pub slot: u32,
+    /// Destination tile.
+    pub dst: CoreId,
+    /// Output port ([`sim_base::geom::Dir::index`]) this flit takes at
+    /// the router whose input buffer holds it; set when it is pushed
+    /// there, once per hop.
+    pub out: u8,
+    /// First flit of the packet (claims the wormhole locks).
     pub is_head: bool,
     /// Last flit of the packet (releases the wormhole locks).
     pub is_tail: bool,

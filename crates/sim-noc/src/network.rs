@@ -1,11 +1,10 @@
 //! The mesh network: injection, routing, arbitration, delivery.
 
 use crate::msg::{flits_for, Flit, Message, PacketInfo};
-use crate::router::{Router, WormLock, NUM_PORTS, NUM_VCS};
+use crate::router::{Router, WormLock, NUM_SLOTS, NUM_VCS};
 use crate::stats::NocStats;
 use sim_base::active::ActiveSet;
 use sim_base::config::NocConfig;
-use sim_base::fxmap::FxHashMap;
 use sim_base::geom::Dir;
 use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
 use sim_base::{CoreId, Cycle, Mesh2D};
@@ -15,9 +14,9 @@ use std::collections::VecDeque;
 #[derive(Clone, Copy, Debug)]
 struct WireEntry {
     arrive: Cycle,
-    router: usize,
-    in_port: usize,
-    vc: usize,
+    /// Downstream router and the input slot the flit lands in.
+    router: u32,
+    slot: u8,
     flit: Flit,
 }
 
@@ -31,6 +30,10 @@ struct EjectEntry {
 /// Default number of cycles a packet may live before the deadlock
 /// watchdog trips.
 const DEFAULT_WATCHDOG: u64 = 1_000_000;
+
+/// Neighbour-table entry for a mesh port that leads off the mesh. No
+/// flit is ever routed there; using it as a router index panics.
+const NO_TILE: u32 = u32::MAX;
 
 /// Active-set occupancy counters (diagnostics only — never part of a
 /// report, so sparse and dense runs stay bit-identical).
@@ -75,10 +78,14 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     wire: VecDeque<WireEntry>,
     /// Flits crossing the final router toward delivery.
     eject: VecDeque<EjectEntry>,
-    /// Per-packet routing/bookkeeping state.
-    packets: FxHashMap<u64, PacketInfo>,
-    /// Payloads parked while their flits traverse the mesh.
-    payloads: FxHashMap<u64, Message<T>>,
+    /// Slab of packets whose flits are in the network, indexed by
+    /// [`Flit::slot`]: bookkeeping plus the parked message. `None`
+    /// entries are on `free_slots`, so the slab never outgrows the peak
+    /// in-flight count.
+    packets: Vec<Option<(PacketInfo, Message<T>)>>,
+    free_slots: Vec<u32>,
+    /// `neighbors[r][d]`: the tile across mesh port `d` of router `r`.
+    neighbors: Vec<[u32; 4]>,
     /// Same-tile messages bypassing the mesh: (deliver_at, message).
     bypass: VecDeque<(Cycle, Message<T>)>,
     /// Delivered messages per tile.
@@ -126,6 +133,15 @@ impl<T, S: TraceSink> Noc<T, S> {
         );
         assert!(cfg.link_bytes >= 1);
         let n = mesh.num_tiles();
+        let neighbors = mesh
+            .coords()
+            .map(|c| {
+                Dir::MESH.map(|d| {
+                    mesh.neighbor(c, d)
+                        .map_or(NO_TILE, |nb| mesh.id_of(nb).index() as u32)
+                })
+            })
+            .collect();
         Noc {
             mesh,
             cfg,
@@ -133,8 +149,9 @@ impl<T, S: TraceSink> Noc<T, S> {
             inject_q: (0..n).map(|_| Default::default()).collect(),
             wire: VecDeque::new(),
             eject: VecDeque::new(),
-            packets: FxHashMap::default(),
-            payloads: FxHashMap::default(),
+            packets: Vec::new(),
+            free_slots: Vec::new(),
+            neighbors,
             bypass: VecDeque::new(),
             delivered: (0..n).map(|_| VecDeque::new()).collect(),
             next_pkt: 0,
@@ -211,7 +228,12 @@ impl<T, S: TraceSink> Noc<T, S> {
 
     /// Messages currently in flight (including bypass).
     pub fn in_flight(&self) -> usize {
-        self.packets.len() + self.bypass.len()
+        self.packets.len() - self.free_slots.len() + self.bypass.len()
+    }
+
+    /// Read-only view of `tile`'s router, for tests and inspection.
+    pub fn router(&self, tile: CoreId) -> &Router {
+        &self.routers[tile.index()]
     }
 
     /// Injects a message. Same-tile messages bypass the mesh and arrive
@@ -242,16 +264,13 @@ impl<T, S: TraceSink> Noc<T, S> {
         );
         let pkt = self.next_pkt;
         self.next_pkt += 1;
-        self.packets.insert(
-            pkt,
-            PacketInfo {
-                dst: msg.dst,
-                class: msg.class,
-                injected_at: self.now,
-                flits_total: nflits,
-                flits_arrived: 0,
-            },
-        );
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.packets.push(None);
+            // Room for every slot to be free at once, so that freeing
+            // one never allocates.
+            self.free_slots.reserve(self.packets.len());
+            u32::try_from(self.packets.len() - 1).expect("packet slab outgrew u32 slots")
+        });
         self.tracer.emit(self.now, || Event::NocSend {
             pkt,
             src: msg.src,
@@ -259,18 +278,29 @@ impl<T, S: TraceSink> Noc<T, S> {
             class: msg.class,
             flits: nflits,
         });
-        let vc = msg.class.index();
-        let q = &mut self.inject_q[msg.src.index()][vc];
+        let out = self.route(msg.src.index(), msg.dst);
+        let q = &mut self.inject_q[msg.src.index()][msg.class.index()];
         for i in 0..nflits {
             q.push_back(Flit {
                 pkt,
+                slot,
+                dst: msg.dst,
+                out,
                 is_head: i == 0,
                 is_tail: i == nflits - 1,
             });
         }
         self.active_flits += nflits as usize;
         self.inject_tiles.insert(msg.src.index());
-        self.payloads.insert(pkt, msg);
+        self.packets[slot as usize] = Some((
+            PacketInfo {
+                pkt,
+                injected_at: self.now,
+                flits_total: nflits,
+                flits_arrived: 0,
+            },
+            msg,
+        ));
     }
 
     /// Pops one delivered message for `tile`, if any.
@@ -437,11 +467,12 @@ impl<T, S: TraceSink> Noc<T, S> {
         self.now = t;
     }
 
-    /// Next output direction for a packet at router `r`.
-    fn route(&self, r: usize, pkt: u64) -> Dir {
-        let dst = self.packets[&pkt].dst;
+    /// Output port ([`Dir::index`]) a flit bound for `dst` takes at
+    /// router `r`. Evaluated once per hop, as the flit enters `r`.
+    fn route(&self, r: usize, dst: CoreId) -> u8 {
         self.mesh
             .xy_next(self.mesh.coord_of(CoreId::from(r)), self.mesh.coord_of(dst))
+            .index() as u8
     }
 
     /// Advances the network one cycle.
@@ -458,9 +489,11 @@ impl<T, S: TraceSink> Noc<T, S> {
         }
         while self.wire.front().is_some_and(|w| w.arrive <= now) {
             let w = self.wire.pop_front().expect("checked non-empty");
-            self.routers[w.router].in_buf[w.in_port][w.vc].push_back(w.flit);
-            self.router_flits[w.router] += 1;
-            self.active_routers.insert(w.router);
+            let r = w.router as usize;
+            let out = self.route(r, w.flit.dst);
+            self.routers[r].push(w.slot as usize, Flit { out, ..w.flit });
+            self.router_flits[r] += 1;
+            self.active_routers.insert(r);
         }
         while self.eject.front().is_some_and(|e| e.arrive <= now) {
             let e = self.eject.pop_front().expect("checked non-empty");
@@ -481,13 +514,14 @@ impl<T, S: TraceSink> Noc<T, S> {
 
         // Deadlock watchdog (amortized).
         if now.is_multiple_of(4096) {
-            for (pkt, info) in &self.packets {
+            for (info, msg) in self.packets.iter().flatten() {
                 assert!(
                     now - info.injected_at <= self.watchdog,
-                    "NoC watchdog: packet {pkt} ({:?} → {:?}, class {:?}) stuck for {} cycles",
-                    self.payloads.get(pkt).map(|m| m.src),
-                    info.dst,
-                    info.class,
+                    "NoC watchdog: packet {} ({:?} → {:?}, class {:?}) stuck for {} cycles",
+                    info.pkt,
+                    msg.src,
+                    msg.dst,
+                    msg.class,
                     now - info.injected_at
                 );
             }
@@ -553,6 +587,7 @@ impl<T, S: TraceSink> Noc<T, S> {
         // Phase 3: per-router, per-output-port arbitration.
         for r in 0..self.routers.len() {
             debug_assert_eq!(self.router_flits[r] as usize, self.routers[r].buffered());
+            debug_assert!(self.routers[r].req_is_consistent(), "stale request mask");
             if self.router_flits[r] == 0 {
                 self.active_routers.remove(r);
                 continue;
@@ -573,12 +608,11 @@ impl<T, S: TraceSink> Noc<T, S> {
     fn inject_tile(&mut self, tile: usize) -> bool {
         let mut moved = 0u32;
         let mut empty = true;
-        let q3 = &mut self.inject_q[tile];
-        let bufs = &mut self.routers[tile].in_buf[Dir::Local.index()];
-        for (vc, q) in q3.iter_mut().enumerate() {
-            let buf = &mut bufs[vc];
-            while !q.is_empty() && (buf.len() as u32) < self.cfg.vc_buffer_flits {
-                buf.push_back(q.pop_front().expect("checked non-empty"));
+        let router = &mut self.routers[tile];
+        for (vc, q) in self.inject_q[tile].iter_mut().enumerate() {
+            while router.has_space(Dir::Local, vc, self.cfg.vc_buffer_flits) {
+                let Some(flit) = q.pop_front() else { break };
+                router.push(Dir::Local.index() * NUM_VCS + vc, flit);
                 moved += 1;
             }
             empty &= q.is_empty();
@@ -594,113 +628,74 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// `r` this cycle.
     fn arbitrate(&mut self, r: usize, out: Dir, now: Cycle) {
         let out_i = out.index();
-        // Build the candidate list lazily in round-robin order over the
-        // 15 (input port, vc) pairs.
-        let start = self.routers[r].rr[out_i];
-        for k in 0..(NUM_PORTS * NUM_VCS) {
-            let slot = (start + k) % (NUM_PORTS * NUM_VCS);
-            let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
-            let Some(&flit) = self.routers[r].in_buf[p][vc].front() else {
-                continue;
-            };
-            // Eligibility: continuation flits must match the wormhole
-            // lock; head flits need the lock free and the route to match.
-            match self.routers[r].out_lock[out_i][vc] {
-                Some(lock) => {
-                    if !(lock.in_port == p && lock.pkt == flit.pkt) {
-                        continue;
-                    }
-                    debug_assert!(!flit.is_head, "head flit under an existing lock");
-                }
-                None => {
-                    if !flit.is_head || self.route(r, flit.pkt) != out {
-                        continue;
-                    }
-                }
-            }
-            // Flow control: downstream space (mesh ports only).
-            if out != Dir::Local && self.routers[r].credits[out_i][vc] == 0 {
-                continue;
-            }
-            // Grant.
-            let flit = self.routers[r].in_buf[p][vc]
-                .pop_front()
-                .expect("head exists");
-            self.router_flits[r] -= 1;
-            self.routers[r].rr[out_i] = (slot + 1) % (NUM_PORTS * NUM_VCS);
-            // Wormhole lock maintenance.
-            self.routers[r].out_lock[out_i][vc] = if flit.is_tail {
-                None
-            } else {
-                Some(WormLock {
-                    pkt: flit.pkt,
-                    in_port: p,
-                })
-            };
-            // Credit return to the upstream router this flit came from.
-            if p != Dir::Local.index() {
-                let dir = Dir::ALL[p];
-                let up = self
-                    .mesh
-                    .neighbor(self.mesh.coord_of(CoreId::from(r)), dir)
-                    .expect("flit arrived from a real neighbor");
-                let up_r = self.mesh.id_of(up).index();
-                self.routers[up_r].credits[dir.opposite().index()][vc] += 1;
-            }
-            if out == Dir::Local {
-                self.eject.push_back(EjectEntry {
-                    arrive: now + self.cfg.router_latency as u64,
-                    flit,
-                });
-            } else {
-                self.routers[r].credits[out_i][vc] -= 1;
-                self.stats.flit_hops += 1;
-                self.tracer.emit(now, || Event::NocFlitHop {
-                    pkt: flit.pkt,
-                    at: CoreId::from(r),
-                    port: out,
-                });
-                let nb = self
-                    .mesh
-                    .neighbor(self.mesh.coord_of(CoreId::from(r)), out)
-                    .expect("XY routing never routes off the mesh");
-                self.wire.push_back(WireEntry {
-                    arrive: now + (self.cfg.router_latency + self.cfg.link_latency) as u64,
-                    router: self.mesh.id_of(nb).index(),
-                    in_port: out.opposite().index(),
-                    vc,
-                    flit,
-                });
-            }
-            return; // one flit per output port per cycle
+        let Some(slot) = self.routers[r].pick(out_i) else {
+            return;
+        };
+        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
+        let flit = self.routers[r].pop(slot);
+        self.router_flits[r] -= 1;
+        self.routers[r].rr[out_i] = (slot + 1) % NUM_SLOTS;
+        // Wormhole lock maintenance.
+        self.routers[r].out_lock[out_i][vc] = if flit.is_tail {
+            None
+        } else {
+            Some(WormLock {
+                pkt: flit.pkt,
+                in_port: p,
+            })
+        };
+        // Credit return to the upstream router this flit came from.
+        if p != Dir::Local.index() {
+            let up_r = self.neighbors[r][p] as usize;
+            self.routers[up_r].credits[Dir::ALL[p].opposite().index()][vc] += 1;
+        }
+        if out == Dir::Local {
+            self.eject.push_back(EjectEntry {
+                arrive: now + self.cfg.router_latency as u64,
+                flit,
+            });
+        } else {
+            self.routers[r].credits[out_i][vc] -= 1;
+            self.stats.flit_hops += 1;
+            self.tracer.emit(now, || Event::NocFlitHop {
+                pkt: flit.pkt,
+                at: CoreId::from(r),
+                port: out,
+            });
+            self.wire.push_back(WireEntry {
+                arrive: now + (self.cfg.router_latency + self.cfg.link_latency) as u64,
+                router: self.neighbors[r][out_i],
+                slot: (out.opposite().index() * NUM_VCS + vc) as u8,
+                flit,
+            });
         }
     }
 
     /// Accounts an ejected flit; on the tail, reassembles and delivers.
     fn finish_flit(&mut self, flit: Flit, now: Cycle) {
         self.active_flits -= 1;
-        let info = self
-            .packets
-            .get_mut(&flit.pkt)
-            .expect("packet state exists");
+        let entry = &mut self.packets[flit.slot as usize];
+        let (info, _) = entry.as_mut().expect("packet state exists");
         info.flits_arrived += 1;
         if flit.is_tail {
             debug_assert_eq!(
                 info.flits_arrived, info.flits_total,
                 "tail arrived before body"
             );
-            let info = self.packets.remove(&flit.pkt).expect("present");
-            let msg = self.payloads.remove(&flit.pkt).expect("payload parked");
-            self.stats.delivered.add(info.class, 1);
-            self.stats.latency[info.class.index()].record(now - info.injected_at);
+            let (info, msg) = entry.take().expect("checked above");
+            self.free_slots.push(flit.slot);
+            let latency = now - info.injected_at;
+            self.stats.delivered.add(msg.class, 1);
+            self.stats.latency[msg.class.index()].record(latency);
             self.tracer.emit(now, || Event::NocDeliver {
                 pkt: flit.pkt,
-                dst: info.dst,
-                class: info.class,
-                latency: now - info.injected_at,
+                dst: msg.dst,
+                class: msg.class,
+                latency,
             });
-            self.delivered[info.dst.index()].push_back(msg);
-            self.note_delivery(info.dst.index());
+            let dst = msg.dst.index();
+            self.delivered[dst].push_back(msg);
+            self.note_delivery(dst);
         }
     }
 }
@@ -898,7 +893,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "watchdog")]
+    fn packet_slab_recycles_slots() {
+        // 100 k messages in bursts with the network draining in between:
+        // the slab must stop growing at the peak in-flight count and end
+        // with every slot back on the free list.
+        let mut n = noc(4, 8);
+        let mut rng = sim_base::rng::SplitMix64::new(12);
+        let classes = [Request, Reply, Coherence];
+        let (mut sent, mut peak) = (0u32, 0);
+        while sent < 100_000 {
+            for _ in 0..rng.next_below(64) {
+                let src = rng.next_below(32) as usize;
+                let dst = (src + 1 + rng.next_below(31) as usize) % 32;
+                let class = classes[rng.next_below(3) as usize];
+                n.send(msg(src, dst, class, 64, sent));
+                sent += 1;
+            }
+            peak = peak.max(n.in_flight());
+            for _ in 0..rng.next_below(40) {
+                n.tick();
+            }
+            for tile in 0..32 {
+                while n.recv(CoreId::from(tile)).is_some() {}
+            }
+        }
+        run_until_idle(&mut n, 100_000);
+        assert_eq!(n.stats().delivered.total(), sent as u64);
+        assert_eq!(n.in_flight(), 0);
+        assert!(n.packets.iter().all(Option::is_none));
+        assert_eq!(n.free_slots.len(), n.packets.len());
+        assert!(
+            n.packets.len() <= peak,
+            "slab of {} slots for a peak of {peak} packets in flight",
+            n.packets.len()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "(core0 → core1, class Request) stuck for 4096 cycles")]
     fn watchdog_trips_on_stuck_traffic() {
         // A watchdog of 0 means any packet alive at the next check trips
         // it; flood enough traffic to still be draining then.

@@ -1,6 +1,7 @@
 //! Property tests for the NoC: arbitrary traffic must be delivered
-//! exactly once, per-pair-per-class FIFO order must hold, and the
-//! network must drain to idle under any buffer size.
+//! exactly once, per-pair-per-class FIFO order must hold, the network
+//! must drain to idle under any buffer size, and the request-mask
+//! arbiter must grant what a scan of all fifteen slots grants.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
@@ -9,9 +10,12 @@
 
 use sim_base::check::forall_cases;
 use sim_base::config::NocConfig;
+use sim_base::geom::Dir;
 use sim_base::rng::SplitMix64;
 use sim_base::stats::MsgClass;
 use sim_base::{CoreId, Mesh2D};
+use sim_noc::msg::Flit;
+use sim_noc::router::{Router, WormLock, NUM_PORTS, NUM_SLOTS, NUM_VCS};
 use sim_noc::{Message, Noc};
 
 #[derive(Clone, Debug)]
@@ -148,5 +152,150 @@ fn flit_hops_match_manhattan_distance() {
             noc.stats().latency_of(MsgClass::Request).max(),
             Some(hops as u64 * 4 + 3)
         );
+    });
+}
+
+/// The arbiter this crate had before request masks: ask all fifteen
+/// (input port, vc) slots in round-robin order from `rr[out]`, skipping
+/// empty slots and front flits that route elsewhere. Kept as the
+/// reference [`Router::pick`] is checked against.
+fn linear_scan_pick(r: &Router, out: usize) -> Option<usize> {
+    for k in 0..NUM_SLOTS {
+        let slot = (r.rr[out] + k) % NUM_SLOTS;
+        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
+        let Some(flit) = r.front(slot) else {
+            continue;
+        };
+        match r.out_lock[out][vc] {
+            Some(lock) => {
+                if !(lock.in_port == p && lock.pkt == flit.pkt) {
+                    continue;
+                }
+            }
+            None => {
+                if !flit.is_head || flit.out as usize != out {
+                    continue;
+                }
+            }
+        }
+        if out != Dir::Local.index() && r.credits[out][vc] == 0 {
+            continue;
+        }
+        return Some(slot);
+    }
+    None
+}
+
+/// Both arbiters on every output of `r`, from every round-robin start.
+fn assert_same_grants(mut r: Router) {
+    for out in 0..NUM_PORTS {
+        for start in 0..NUM_SLOTS {
+            r.rr[out] = start;
+            let granted = |slot: Option<usize>| slot.map(|s| (s, r.front(s).copied()));
+            assert_eq!(
+                granted(r.pick(out)),
+                granted(linear_scan_pick(&r, out)),
+                "output {out}, rr {start}, router {r:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn mask_arbiter_matches_linear_scan_on_random_router_states() {
+    const CAP: u32 = 4;
+    forall_cases("mask_arbiter_matches_linear_scan", 256, |rng| {
+        let mut r = Router::new(CAP);
+        let mut pkt = 0u64;
+        for slot in 0..NUM_SLOTS {
+            // 0..=CAP flits of back-to-back packets, one or five flits
+            // long (a line on 16-byte links); the first packet may
+            // already have sent its leading flits downstream.
+            let mut room = rng.next_below(CAP as u64 + 1);
+            let mut skip = rng.next_below(5);
+            while room > 0 {
+                pkt += 1;
+                let len = if rng.chance(0.5) { 1 } else { 5 };
+                let out = rng.next_below(NUM_PORTS as u64) as u8;
+                for i in skip.min(len - 1)..len {
+                    if room == 0 {
+                        break;
+                    }
+                    room -= 1;
+                    r.push(
+                        slot,
+                        Flit {
+                            pkt,
+                            slot: 0,
+                            dst: CoreId(0),
+                            out,
+                            is_head: i == 0,
+                            is_tail: i == len - 1,
+                        },
+                    );
+                }
+                skip = 0;
+            }
+        }
+        for out in 0..NUM_PORTS {
+            for vc in 0..NUM_VCS {
+                r.credits[out][vc] = rng.next_below(CAP as u64 + 1) as u32;
+                // Free, held by the packet continuing at the front of
+                // one of this vc's slots (a packet only ever locks the
+                // output its flits route to), or held by a packet whose
+                // next flit has yet to arrive.
+                let p = rng.next_below(NUM_PORTS as u64) as usize;
+                r.out_lock[out][vc] = match rng.next_below(3) {
+                    0 => None,
+                    1 => r
+                        .front(p * NUM_VCS + vc)
+                        .filter(|f| !f.is_head && f.out as usize == out)
+                        .map(|f| WormLock {
+                            pkt: f.pkt,
+                            in_port: p,
+                        }),
+                    _ => Some(WormLock {
+                        pkt: u64::MAX,
+                        in_port: p,
+                    }),
+                };
+            }
+        }
+        assert_same_grants(r);
+    });
+}
+
+#[test]
+fn mask_arbiter_matches_linear_scan_on_reachable_router_states() {
+    // Narrow links (five flits per line) and shallow buffers, so that
+    // wormhole locks, exhausted credits and blocked heads all occur.
+    forall_cases("mask_arbiter_matches_linear_scan_reachable", 24, |rng| {
+        let mesh = Mesh2D::new(1 + rng.next_below(3) as u16, 2 + rng.next_below(3) as u16);
+        let tiles = mesh.num_tiles();
+        let cfg = NocConfig {
+            link_bytes: 16,
+            vc_buffer_flits: 1 + rng.next_below(4) as u32,
+            ..NocConfig::default()
+        };
+        let mut noc: Noc<usize> = Noc::new(mesh, cfg);
+        for tag in 0..1 + rng.next_below(120) as usize {
+            let t = arb_traffic(rng, tiles);
+            noc.send(Message {
+                src: CoreId::from(t.src),
+                dst: CoreId::from(t.dst),
+                class: t.class,
+                payload_bytes: t.bytes,
+                payload: tag,
+            });
+        }
+        let mut guard = 0;
+        while !noc.is_idle() {
+            for tile in mesh.tiles() {
+                assert_same_grants(noc.router(tile).clone());
+            }
+            noc.tick();
+            guard += 1;
+            assert!(guard < 100_000, "network failed to drain");
+        }
     });
 }
