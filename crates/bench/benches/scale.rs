@@ -39,8 +39,10 @@ use workloads::synthetic;
 const CORE_COUNTS: [usize; 4] = [32, 64, 256, 1024];
 
 /// Ceiling on host seconds per simulated core-cycle at 1024 cores,
-/// relative to the 32-core machine (GL workload).
-const COST_RATIO_FLOOR: f64 = 3.0;
+/// relative to the 32-core machine (GL workload). Full runs read
+/// 0.88-1.01x; the margin is for shared-host noise on the sub-
+/// millisecond 32-core point.
+const COST_RATIO_FLOOR: f64 = 1.5;
 
 /// Ceiling on the growth of GL per-barrier cost from 32 to 1024 cores.
 const GL_FLATNESS_FLOOR: f64 = 3.0;

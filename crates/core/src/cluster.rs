@@ -53,6 +53,11 @@ pub struct ClusteredBarrierNetwork {
     first_arrival: Vec<Cycle>,
     last_arrival: Vec<Cycle>,
     stats: Vec<GlineStats>,
+    /// Memo: true only while [`next_event`](BarrierHw::next_event) is
+    /// `None`, so a tick moves nothing but the clocks. Conservative —
+    /// an arrival clears it and the next full tick re-derives it — so
+    /// the early-out in `tick` never skips work.
+    idle: bool,
 }
 
 impl ClusteredBarrierNetwork {
@@ -98,6 +103,7 @@ impl ClusteredBarrierNetwork {
             first_arrival: vec![0; n_ctx],
             last_arrival: vec![0; n_ctx],
             stats: vec![GlineStats::default(); n_ctx],
+            idle: false,
         }
     }
 
@@ -161,6 +167,7 @@ impl BarrierHw for ClusteredBarrierNetwork {
         let (cluster, local) = self.locate(core);
         let was_zero = self.clusters[cluster].net.bar_reg(local, ctx) == 0;
         self.clusters[cluster].net.write_bar_reg(local, ctx, value);
+        self.idle = false;
         if was_zero {
             if self.arrived[ctx] == 0 {
                 self.first_arrival[ctx] = self.now;
@@ -184,12 +191,20 @@ impl BarrierHw for ClusteredBarrierNetwork {
     }
 
     fn tick(&mut self) {
-        // Snapshot per-context outstanding before the tick to detect the
-        // cores released during this cycle. O(clusters × contexts), not
-        // O(cores): each flat sub-network tracks its own counter.
-        let before: Vec<u32> = (0..self.num_contexts)
-            .map(|ctx| self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum())
-            .collect();
+        if self.idle {
+            // Both levels quiescent and no handshake pending: the tick
+            // below would only advance the clocks (`skip_to` asserts the
+            // quiescence the memo claims).
+            self.skip_to(self.now + 1);
+            return;
+        }
+        // `outstanding` equals the sum of the sub-networks' counters
+        // here (see `all_released`), so the cores released during this
+        // cycle are its drop to the sum after the tick.
+        debug_assert!((0..self.num_contexts).all(|ctx| {
+            let sum: u32 = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
+            sum == self.outstanding[ctx]
+        }));
 
         // Level-1 networks advance first.
         for c in &mut self.clusters {
@@ -220,15 +235,14 @@ impl BarrierHw for ClusteredBarrierNetwork {
         // Episode accounting.
         #[allow(clippy::needless_range_loop)] // ctx indexes several parallel arrays
         for ctx in 0..self.num_contexts {
-            let after: u32 = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
-            let released = before[ctx].saturating_sub(after);
-            self.outstanding[ctx] = self.outstanding[ctx].saturating_sub(released);
+            self.outstanding[ctx] = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
             if self.arrived[ctx] as usize == self.mesh.num_tiles() && self.outstanding[ctx] == 0 {
                 self.stats[ctx].record(self.first_arrival[ctx], self.last_arrival[ctx], self.now);
                 self.arrived[ctx] = 0;
             }
         }
         self.now += 1;
+        self.idle = self.next_event().is_none();
     }
 
     fn now(&self) -> Cycle {

@@ -48,6 +48,15 @@ struct RowNet {
     release: GLine,
 }
 
+/// A horizontal slave controller with its place in the mesh, computed
+/// once at construction so the per-tick loops do no `coord_of` div/mod.
+#[derive(Clone, Debug)]
+struct RowSlave {
+    ctrl: SlaveH,
+    core: CoreId,
+    row: u16,
+}
+
 /// One independent barrier context: its own G-lines, controllers and
 /// `bar_reg` bank.
 #[derive(Clone, Debug)]
@@ -61,8 +70,9 @@ struct Context<S: TraceSink> {
     row_active: Vec<bool>,
     num_members: u32,
     bar_reg: Vec<u64>,
-    /// Horizontal slaves, indexed by core; `None` in column 0.
-    slave_h: Vec<Option<SlaveH>>,
+    /// Horizontal slaves — the member tiles outside column 0 — in
+    /// ascending core order.
+    slave_h: Vec<RowSlave>,
     /// One horizontal master per row.
     master_h: Vec<MasterH>,
     /// Vertical slaves for rows `1..R` (index `row - 1`).
@@ -84,6 +94,8 @@ struct Context<S: TraceSink> {
     /// identically to the direct computation, and a quiescent tick can
     /// early-return (a provable state- and trace-no-op).
     quiescent: bool,
+    /// Per-tick snapshot of the `MasterH` flags (reused allocation).
+    mh_flags: Vec<bool>,
 }
 
 impl<S: TraceSink> Context<S> {
@@ -142,7 +154,12 @@ impl<S: TraceSink> Context<S> {
             bar_reg: vec![0; num_cores],
             slave_h: mesh
                 .coords()
-                .map(|c| (c.col > 0 && members[mesh.id_of(c).index()]).then(SlaveH::new))
+                .filter(|&c| c.col > 0 && members[mesh.id_of(c).index()])
+                .map(|c| RowSlave {
+                    ctrl: SlaveH::new(),
+                    core: mesh.id_of(c),
+                    row: c.row,
+                })
                 .collect(),
             master_h: (0..mesh.rows)
                 .map(|r| {
@@ -167,6 +184,7 @@ impl<S: TraceSink> Context<S> {
             stats: GlineStats::default(),
             tracer,
             quiescent: false,
+            mh_flags: Vec::with_capacity(mesh.rows as usize),
         };
         ctx.quiescent = ctx.is_quiescent(mesh);
         ctx
@@ -215,35 +233,33 @@ impl<S: TraceSink> Context<S> {
         self.master_v.latch();
         // Snapshot MasterH flags: values produced up to the end of the
         // previous cycle, as seen by co-located vertical controllers.
-        let mh_flags: Vec<bool> = self.master_h.iter().map(MasterH::flag).collect();
+        self.mh_flags.clear();
+        self.mh_flags
+            .extend(self.master_h.iter().map(MasterH::flag));
 
         // --- transmit.
-        for core in mesh.tiles() {
-            let Coord { row, col } = mesh.coord_of(core);
-            if col > 0 {
-                if let Some(sh) = self.slave_h[core.index()].as_mut() {
-                    let arrived = self.bar_reg[core.index()] != 0;
-                    let before = sh.state();
-                    if sh.transmit(arrived) {
-                        let count = self.rows[row as usize].gather.assert_tx();
-                        self.tracer.emit(now, || Event::GlineAssert {
-                            ctx,
-                            kind: GlineKind::RowGather,
-                            row,
-                            count,
-                        });
-                    }
-                    let after = sh.state();
-                    if S::ENABLED && after != before {
-                        self.tracer.emit(now, || Event::CtrlTransition {
-                            ctx,
-                            core,
-                            ctrl: CtrlKind::SlaveH,
-                            from: before.label(),
-                            to: after.label(),
-                        });
-                    }
-                }
+        for s in &mut self.slave_h {
+            let (sh, core, row) = (&mut s.ctrl, s.core, s.row);
+            let arrived = self.bar_reg[core.index()] != 0;
+            let before = sh.state();
+            if sh.transmit(arrived) {
+                let count = self.rows[row as usize].gather.assert_tx();
+                self.tracer.emit(now, || Event::GlineAssert {
+                    ctx,
+                    kind: GlineKind::RowGather,
+                    row,
+                    count,
+                });
+            }
+            let after = sh.state();
+            if S::ENABLED && after != before {
+                self.tracer.emit(now, || Event::CtrlTransition {
+                    ctx,
+                    core,
+                    ctrl: CtrlKind::SlaveH,
+                    from: before.label(),
+                    to: after.label(),
+                });
             }
         }
         for r in 0..nrows {
@@ -278,12 +294,12 @@ impl<S: TraceSink> Context<S> {
                 });
             }
         }
-        for (r, &mh_flag) in mh_flags.iter().enumerate().skip(1) {
+        for r in 1..nrows {
             if !self.row_active[r] {
                 continue;
             }
             let before = self.slave_v[r - 1].state();
-            if self.slave_v[r - 1].transmit(mh_flag) {
+            if self.slave_v[r - 1].transmit(self.mh_flags[r]) {
                 let count = self.v_gather.assert_tx();
                 self.tracer.emit(now, || Event::GlineAssert {
                     ctx,
@@ -385,27 +401,23 @@ impl<S: TraceSink> Context<S> {
         }
 
         // --- receive.
-        for core in mesh.tiles() {
-            let Coord { row, col } = mesh.coord_of(core);
-            if col > 0 {
-                let sensed = self.rows[row as usize].release.sensed();
-                if let Some(sh) = self.slave_h[core.index()].as_mut() {
-                    let before = sh.state();
-                    let clear = sh.receive(sensed);
-                    let after = sh.state();
-                    if clear {
-                        self.clear_bar_reg(core, now);
-                    }
-                    if S::ENABLED && after != before {
-                        self.tracer.emit(now, || Event::CtrlTransition {
-                            ctx,
-                            core,
-                            ctrl: CtrlKind::SlaveH,
-                            from: before.label(),
-                            to: after.label(),
-                        });
-                    }
-                }
+        for k in 0..self.slave_h.len() {
+            let s = &mut self.slave_h[k];
+            let (sh, core) = (&mut s.ctrl, s.core);
+            let before = sh.state();
+            let clear = sh.receive(self.rows[s.row as usize].release.sensed());
+            let after = sh.state();
+            if clear {
+                self.clear_bar_reg(core, now);
+            }
+            if S::ENABLED && after != before {
+                self.tracer.emit(now, || Event::CtrlTransition {
+                    ctx,
+                    core,
+                    ctrl: CtrlKind::SlaveH,
+                    from: before.label(),
+                    to: after.label(),
+                });
             }
         }
         for r in 0..nrows {
@@ -451,7 +463,8 @@ impl<S: TraceSink> Context<S> {
         }
         {
             let before = self.master_v.state();
-            self.master_v.receive(self.v_gather.sensed(), mh_flags[0]);
+            self.master_v
+                .receive(self.v_gather.sensed(), self.mh_flags[0]);
             let after = self.master_v.state();
             if S::ENABLED && after != before {
                 let core = mesh.id_of(Coord::new(0, 0));
@@ -499,11 +512,9 @@ impl<S: TraceSink> Context<S> {
         if self.arrived == self.num_members && self.outstanding == 0 {
             return false;
         }
-        for core in mesh.tiles() {
-            if let Some(sh) = &self.slave_h[core.index()] {
-                if !sh.is_stable(self.bar_reg[core.index()] != 0) {
-                    return false;
-                }
+        for s in &self.slave_h {
+            if !s.ctrl.is_stable(self.bar_reg[s.core.index()] != 0) {
+                return false;
             }
         }
         for r in 0..mesh.rows as usize {

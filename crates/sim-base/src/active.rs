@@ -91,6 +91,13 @@ impl ActiveSet {
         self.for_each_live(|i| out.push(i as u32));
     }
 
+    /// The membership bits, index `i` at bit `i % 64` of word `i / 64`
+    /// (read-only: for callers that combine several sets word by word).
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Visits every live member once, in ascending index order.
     pub fn for_each_live(&self, mut f: impl FnMut(usize)) {
         for (w, &word) in self.words.iter().enumerate() {

@@ -23,6 +23,7 @@ pub mod energy;
 mod par;
 pub mod replay;
 pub mod runtime;
+mod sched;
 pub mod stats;
 pub mod system;
 

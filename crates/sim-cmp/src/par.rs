@@ -45,8 +45,9 @@
 //!   `S::ENABLED`, so no worker ever touches the `Rc` — the handle is
 //!   only carried to satisfy signatures.
 
-use crate::core::{Core, SpinPlan};
+use crate::core::Core;
 use crate::replay::CoreProg;
+use crate::sched::{step_core, Park};
 use crate::system::CoreSchedStats;
 use gline_core::{BarrierHw, CtxId, GlineShadow};
 use sim_base::shard::{EpochGate, SpinBarrier};
@@ -75,9 +76,7 @@ pub(crate) struct WorkerOut {
 pub(crate) struct Ptrs<B: BarrierHw, S: TraceSink> {
     pub(crate) cores: *mut Core,
     pub(crate) progs: *const CoreProg,
-    pub(crate) parked: *mut Option<(Cycle, Cycle)>,
-    pub(crate) spin_parked: *mut Option<(SpinPlan, Cycle)>,
-    pub(crate) miss_parked: *mut Option<Cycle>,
+    pub(crate) parks: *mut Park,
     pub(crate) lanes: TileLanes<S>,
     /// Frozen NoC delivery flags, one per tile (exact: the delivered
     /// queues only mutate in `mem.tick`, during the exchange phase).
@@ -150,12 +149,11 @@ pub(crate) fn worker_loop<B: BarrierHw, S: TraceSink>(ctx: &CycleCtx<B, S>, w: u
     }
 }
 
-/// Steps cores `lo..hi` for one cycle against the frozen snapshot —
-/// a verbatim mirror of the per-core body of
-/// [`System::tick`](crate::System::tick), with the memory system
-/// replaced by the tile's [lane](sim_mem::LaneMem), the barrier network
-/// by a write-latching [`GlineShadow`], the delivery predicate by the
-/// frozen flags, and the scheduler counters by the worker's delta.
+/// Steps cores `lo..hi` for one cycle against the frozen snapshot:
+/// the serial tick's [`step_core`], with the memory system replaced by
+/// the tile's [lane](sim_mem::LaneMem), the barrier network by a
+/// write-latching [`GlineShadow`], the delivery predicate by the frozen
+/// flags, and the scheduler counters by the worker's delta.
 ///
 /// # Safety
 ///
@@ -173,65 +171,17 @@ pub(crate) unsafe fn shard_phase<B: BarrierHw, S: TraceSink>(
     let tracer = &*p.tracer;
     if p.active_set {
         for i in lo..hi {
-            let core = &mut *p.cores.add(i);
-            let prog = &*p.progs.add(i);
-            let mut lane = p.lanes.lane(i);
-            let delivery = *p.flags.add(i);
-            let parked = &mut *p.parked.add(i);
-            let spin_parked = &mut *p.spin_parked.add(i);
-            let miss_parked = &mut *p.miss_parked.add(i);
-            if let Some((wake, _)) = *parked {
-                if now < wake {
-                    out.sched.parked_steps += 1;
-                    continue;
-                }
-                let (_, anchor) = parked.take().expect("checked above");
-                core.ff_stall(now - anchor);
-            }
-            if let Some((plan, anchor)) = *spin_parked {
-                // Same exactness argument as the serial loop: the
-                // probed line only changes when a message reaches this
-                // tile, and this cycle's deliveries were frozen into
-                // the flags before the phase began.
-                if !delivery {
-                    out.sched.spin_parked_steps += 1;
-                    continue;
-                }
-                *spin_parked = None;
-                core.ff_replay(plan, now, anchor, &mut lane);
-            }
-            if let Some(anchor) = *miss_parked {
-                if !delivery {
-                    out.sched.parked_steps += 1;
-                    continue;
-                }
-                *miss_parked = None;
-                core.ff_stall(now - anchor);
-            }
-            if core.halted() {
-                continue;
-            }
-            if core.waiting_on_unscheduled_resp(&lane) && !delivery {
-                debug_assert!(parked.is_none() && spin_parked.is_none());
-                *miss_parked = Some(now);
-                out.sched.parked_steps += 1;
-                continue;
-            }
-            if !S::ENABLED && !delivery {
-                if let Some(plan) = core.park_spin(prog, &lane, now) {
-                    debug_assert!(parked.is_none());
-                    *spin_parked = Some((plan, now));
-                    out.sched.spin_parked_steps += 1;
-                    continue;
-                }
-            }
-            out.sched.core_steps += 1;
-            core.step(prog, &mut lane, &mut gl, now, tracer);
-            if let Some(wake) = core.park_until(&lane) {
-                if wake > now + 1 {
-                    *parked = Some((wake, now + 1));
-                }
-            }
+            step_core(
+                &mut *p.cores.add(i),
+                &*p.progs.add(i),
+                &mut *p.parks.add(i),
+                &mut p.lanes.lane(i),
+                &mut gl,
+                *p.flags.add(i),
+                now,
+                tracer,
+                &mut out.sched,
+            );
         }
     } else {
         for i in lo..hi {
@@ -253,9 +203,7 @@ pub(crate) unsafe fn shard_phase<B: BarrierHw, S: TraceSink>(
 pub(crate) struct EpochPtrs<B: BarrierHw, S: TraceSink> {
     pub(crate) cores: *mut Core,
     pub(crate) progs: *const CoreProg,
-    pub(crate) parked: *mut Option<(Cycle, Cycle)>,
-    pub(crate) spin_parked: *mut Option<(SpinPlan, Cycle)>,
-    pub(crate) miss_parked: *mut Option<Cycle>,
+    pub(crate) parks: *mut Park,
     /// Whole-tile memory views (L1 + home + bank + epoch buffers).
     pub(crate) tiles: EpochTiles<S>,
     /// Per-tile activity flags for this epoch: an inactive tile is
@@ -352,7 +300,7 @@ pub(crate) fn epoch_worker_loop<B: BarrierHw, S: TraceSink>(ctx: &EpochCtx<B, S>
 }
 
 /// Free-runs tiles `lo..hi` for the posted window — the multi-cycle
-/// mirror of [`shard_phase`], with the per-cycle frozen delivery flags
+/// form of [`shard_phase`], with the per-cycle frozen delivery flags
 /// replaced by each tile's stamped inbox, the lane by a per-cycle view
 /// of the whole tile (core phase, home-timer phase, delivery phase, in
 /// the serial `tick`/`mem.tick` order), and the single-cycle latch by a
@@ -378,14 +326,11 @@ pub(crate) unsafe fn epoch_shard_phase<B: BarrierHw, S: TraceSink>(
     let end = p.start + p.window;
     for i in lo..hi {
         if !*p.tile_active.add(i) {
-            if p.active_set {
-                let parked = &*p.parked.add(i);
-                let miss_parked = &*p.miss_parked.add(i);
-                if parked.is_some() || miss_parked.is_some() {
-                    out.sched.parked_steps += p.window;
-                } else if (*p.spin_parked.add(i)).is_some() {
-                    out.sched.spin_parked_steps += p.window;
-                }
+            // Never parked under the dense scheduler.
+            match *p.parks.add(i) {
+                Park::None => {}
+                Park::Stall { .. } | Park::Miss { .. } => out.sched.parked_steps += p.window,
+                Park::Spin { .. } => out.sched.spin_parked_steps += p.window,
             }
             continue;
         }
@@ -395,75 +340,32 @@ pub(crate) unsafe fn epoch_shard_phase<B: BarrierHw, S: TraceSink>(
         // A fresh shadow per tile: `set_now` must be monotone, and each
         // tile walks the window on its own.
         let mut gl = GlineShadow::new(&*p.gline, std::mem::take(&mut out.scratch));
-        let parked = &mut *p.parked.add(i);
-        let spin_parked = &mut *p.spin_parked.add(i);
-        let miss_parked = &mut *p.miss_parked.add(i);
+        let park = &mut *p.parks.add(i);
         for now in p.start..end {
             gl.set_now(now);
-            // Phase A — the core, a verbatim mirror of the serial
-            // per-core ladder. The inbox front is this cycle's delivery
-            // predicate: pushes from this very cycle stamp `now` and
-            // mature at `now + 1`, so the predicate is stable across
-            // the whole cycle, exactly like the serial frozen flags.
+            // Phase A — the core. The inbox front is this cycle's
+            // delivery predicate: pushes from this very cycle stamp
+            // `now` and mature at `now + 1`, so the predicate is stable
+            // across the whole cycle, exactly like the serial frozen
+            // flags.
             let delivery = tile.has_delivery(now);
+            let mut lane = tile.lane(now);
             if p.active_set {
-                'core: {
-                    if let Some((wake, _)) = *parked {
-                        if now < wake {
-                            out.sched.parked_steps += 1;
-                            break 'core;
-                        }
-                        let (_, anchor) = parked.take().expect("checked above");
-                        core.ff_stall(now - anchor);
-                    }
-                    if let Some((plan, anchor)) = *spin_parked {
-                        if !delivery {
-                            out.sched.spin_parked_steps += 1;
-                            break 'core;
-                        }
-                        *spin_parked = None;
-                        let mut lane = tile.lane(now);
-                        core.ff_replay(plan, now, anchor, &mut lane);
-                    }
-                    if let Some(anchor) = *miss_parked {
-                        if !delivery {
-                            out.sched.parked_steps += 1;
-                            break 'core;
-                        }
-                        *miss_parked = None;
-                        core.ff_stall(now - anchor);
-                    }
-                    if core.halted() {
-                        break 'core;
-                    }
-                    let mut lane = tile.lane(now);
-                    if core.waiting_on_unscheduled_resp(&lane) && !delivery {
-                        debug_assert!(parked.is_none() && spin_parked.is_none());
-                        *miss_parked = Some(now);
-                        out.sched.parked_steps += 1;
-                        break 'core;
-                    }
-                    if !S::ENABLED && !delivery {
-                        if let Some(plan) = core.park_spin(prog, &lane, now) {
-                            debug_assert!(parked.is_none());
-                            *spin_parked = Some((plan, now));
-                            out.sched.spin_parked_steps += 1;
-                            break 'core;
-                        }
-                    }
-                    out.sched.core_steps += 1;
-                    core.step(prog, &mut lane, &mut gl, now, tracer);
-                    if let Some(wake) = core.park_until(&lane) {
-                        if wake > now + 1 {
-                            *parked = Some((wake, now + 1));
-                        }
-                    }
-                }
+                step_core(
+                    core,
+                    prog,
+                    park,
+                    &mut lane,
+                    &mut gl,
+                    delivery,
+                    now,
+                    tracer,
+                    &mut out.sched,
+                );
             } else {
                 if !core.halted() {
                     out.sched.core_steps += 1;
                 }
-                let mut lane = tile.lane(now);
                 core.step(prog, &mut lane, &mut gl, now, tracer);
             }
             tile.route(now, PHASE_CORE);

@@ -1,0 +1,335 @@
+//! Core-layer scheduling: the per-core park state, the one per-core
+//! step body every engine runs, and the wake index that lets the sparse
+//! serial tick visit only the cores that can act (`DESIGN.md` §10).
+
+use crate::core::{Core, SpinPlan};
+use crate::replay::CoreProg;
+use crate::system::CoreSchedStats;
+use gline_core::BarrierHw;
+use sim_base::trace::{TraceSink, Tracer};
+use sim_base::Cycle;
+use sim_mem::CoreMem;
+
+/// One core's park state under active-set scheduling. A parked core's
+/// steps are elided and settled in closed form at wake-up;
+/// [`System::report`](crate::System::report) folds the pending span in
+/// so mid-run reports stay bit-identical to the dense path's.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) enum Park {
+    /// Not parked: the core steps every cycle (or has halted).
+    #[default]
+    None,
+    /// Every step before `wake` is a pure stall charge (a `busy` block
+    /// or a response with a scheduled ready cycle). The span
+    /// `[anchor, wake)` is charged lazily at wake-up.
+    Stall { wake: Cycle, anchor: Cycle },
+    /// The core sits in a recognized memory-probing spin loop whose
+    /// probed line provably cannot change until a protocol message
+    /// reaches its tile. The elided span `[anchor, now)` is replayed in
+    /// closed form at wake-up — the cycle a message is about to land.
+    Spin { plan: SpinPlan, anchor: Cycle },
+    /// The core waits on a memory access whose response its L1 has not
+    /// scheduled yet. Every elided step is a pure breakdown charge; the
+    /// wake trigger is the same delivery predicate as `Spin`'s, because
+    /// only a message reaching the tile can install the response.
+    Miss { anchor: Cycle },
+}
+
+impl Park {
+    /// True when [`step_core`] gets past its park checks at cycle `now`
+    /// for a core in this state — the membership predicate of the
+    /// sparse tick's visit set (a halted core is never visited).
+    pub(crate) fn visits(&self, halted: bool, delivery: bool, now: Cycle) -> bool {
+        match *self {
+            Park::None => !halted,
+            Park::Stall { wake, .. } => now >= wake,
+            Park::Spin { .. } | Park::Miss { .. } => delivery,
+        }
+    }
+}
+
+impl std::fmt::Display for Park {
+    /// The park kind as the deadlock guard names it beside a core id.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Park::None => f.write_str("live"),
+            Park::Stall { wake, .. } => write!(f, "stall until {wake}"),
+            Park::Spin { .. } => f.write_str("spin"),
+            Park::Miss { .. } => f.write_str("miss"),
+        }
+    }
+}
+
+/// One core's share of one cycle under active-set scheduling: settle or
+/// extend its park, else step it and park it again if its next state
+/// change is provably more than a cycle out. The serial tick and both
+/// parallel engines run this one body — over the whole memory system
+/// or a tile lane, the barrier network or a write-latching shadow, the
+/// live or the frozen delivery predicate — which is what makes their
+/// reports and scheduler counters bit-identical.
+///
+/// `delivery` must be the tile's exact delivery predicate for `now`: a
+/// protocol message reaches the tile this cycle iff it is true. Returns
+/// whether the core is still live (neither parked nor halted).
+#[inline]
+#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicate and counters
+pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
+    core: &mut Core,
+    prog: &CoreProg,
+    park: &mut Park,
+    mem: &mut M,
+    gline: &mut G,
+    delivery: bool,
+    now: Cycle,
+    tracer: &Tracer<S>,
+    sched: &mut CoreSchedStats,
+) -> bool {
+    match *park {
+        Park::None => {}
+        Park::Stall { wake, anchor } => {
+            if now < wake {
+                sched.parked_steps += 1;
+                return false;
+            }
+            *park = Park::None;
+            core.ff_stall(now - anchor);
+        }
+        Park::Spin { plan, anchor } => {
+            // The probed line can only change when a protocol message
+            // reaches this tile, and deliveries for this cycle were
+            // queued by the previous cycle's NoC tick — so the check is
+            // exact and runs one cycle ahead of the mutation.
+            if !delivery {
+                sched.spin_parked_steps += 1;
+                return false;
+            }
+            // A message lands this cycle (after the cores step, exactly
+            // as it would have in a dense run): replay the elided span
+            // against the still-frozen line, then step this cycle live.
+            *park = Park::None;
+            core.ff_replay(plan, now, anchor, mem);
+        }
+        Park::Miss { anchor } => {
+            if !delivery {
+                sched.parked_steps += 1;
+                return false;
+            }
+            // The inbound message may carry (or unblock) the response;
+            // settle the elided charge-only span and step live.
+            *park = Park::None;
+            core.ff_stall(now - anchor);
+        }
+    }
+    if core.halted() {
+        return false;
+    }
+    // Park a core whose miss is still in flight: its L1 cannot schedule
+    // the response (and the core cannot do anything but charge its
+    // stall category) until a protocol message reaches this tile.
+    if !delivery && core.waiting_on_unscheduled_resp(mem) {
+        *park = Park::Miss { anchor: now };
+        sched.parked_steps += 1;
+        return false;
+    }
+    // Park instead of stepping when the core sits at a recognized
+    // memory-probing spin and no message is inbound: every elided step
+    // is a closed-form replay at wake-up. G-line spins are left to the
+    // whole-machine skip — `bar_reg` changes without L1 traffic, so
+    // they have no per-core wake trigger (which is why the park
+    // decision uses the memory-only matcher instead of the full
+    // classifier: a G-line plan would be discarded here, so computing
+    // it per tick is pure overhead).
+    if !S::ENABLED && !delivery {
+        if let Some(plan) = core.park_spin(prog, mem, now) {
+            *park = Park::Spin { plan, anchor: now };
+            sched.spin_parked_steps += 1;
+            return false;
+        }
+    }
+    sched.core_steps += 1;
+    core.step(prog, mem, gline, now, tracer);
+    // Park the core if its next state change is provably more than one
+    // cycle out; its skipped steps are pure stall charges, applied at
+    // wake-up.
+    if let Some(wake) = core.park_until(mem) {
+        if wake > now + 1 {
+            *park = Park::Stall {
+                wake,
+                anchor: now + 1,
+            };
+            return false;
+        }
+    }
+    !core.halted()
+}
+
+/// The wake index: one bit per core in exactly one of four sets — or in
+/// none once it has halted — mirroring the park array, which stays the
+/// single source of truth. The sparse serial tick reads it to visit
+/// only `live | ((spin | miss) & delivery_tiles)` plus the stall parks
+/// that are due, and counts everyone else's elided steps by popcount.
+///
+/// Only the sparse serial tick keeps the index in step (it resyncs the
+/// cores it visits). A whole-machine fast-forward follows up with
+/// [`unpark_all`](Self::unpark_all); every other path that changes park
+/// state or halts cores marks the index stale, and the next sparse tick
+/// rebuilds it in one O(cores) pass.
+#[derive(Debug)]
+pub(crate) struct WakeIndex {
+    /// The four sets, 64 cores per entry (core `i` at bit `i % 64` of
+    /// entry `i / 64`).
+    words: Vec<IndexWord>,
+    /// Cores in any set, i.e. not halted.
+    members: usize,
+    /// Lower bound on the earliest `wake` of any stall park: no stall
+    /// park is due while `now < next_wake`, so those ticks never look
+    /// at the stall set's members.
+    next_wake: Cycle,
+    fresh: bool,
+}
+
+/// 64 cores' worth of the index's four sets.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct IndexWord {
+    /// Neither parked nor halted.
+    pub(crate) live: u64,
+    pub(crate) stall: u64,
+    pub(crate) spin: u64,
+    pub(crate) miss: u64,
+}
+
+impl IndexWord {
+    fn any(&self) -> u64 {
+        self.live | self.stall | self.spin | self.miss
+    }
+}
+
+impl WakeIndex {
+    /// A stale index over `n` cores.
+    pub(crate) fn new(n: usize) -> WakeIndex {
+        WakeIndex {
+            words: vec![IndexWord::default(); n.div_ceil(64)],
+            members: 0,
+            next_wake: 0,
+            fresh: false,
+        }
+    }
+
+    pub(crate) fn is_fresh(&self) -> bool {
+        self.fresh
+    }
+
+    pub(crate) fn mark_stale(&mut self) {
+        self.fresh = false;
+    }
+
+    /// True when no core is in any set, i.e. every core has halted
+    /// (meaningful only while the index is fresh).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.members == 0
+    }
+
+    pub(crate) fn num_words(&self) -> usize {
+        self.words.len()
+    }
+
+    pub(crate) fn word(&self, w: usize) -> IndexWord {
+        self.words[w]
+    }
+
+    /// Moves core `i` to the set its park state and liveness call for.
+    pub(crate) fn place(&mut self, i: usize, park: &Park, halted: bool) {
+        let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        self.members -= (word.any() & bit != 0) as usize;
+        word.live &= !bit;
+        word.stall &= !bit;
+        word.spin &= !bit;
+        word.miss &= !bit;
+        match *park {
+            Park::None if halted => return,
+            Park::None => word.live |= bit,
+            Park::Stall { wake, .. } => {
+                word.stall |= bit;
+                self.next_wake = self.next_wake.min(wake);
+            }
+            Park::Spin { .. } => word.spin |= bit,
+            Park::Miss { .. } => word.miss |= bit,
+        }
+        self.members += 1;
+    }
+
+    /// Rebuilds the index from the park array and marks it fresh.
+    pub(crate) fn rebuild(&mut self, cores: &[Core], parks: &[Park]) {
+        self.words.fill(IndexWord::default());
+        self.members = 0;
+        self.next_wake = Cycle::MAX;
+        for (i, (core, park)) in cores.iter().zip(parks).enumerate() {
+            self.place(i, park, core.halted());
+        }
+        self.fresh = true;
+    }
+
+    /// Follows a whole-machine fast-forward, which settles and clears
+    /// every park without halting anyone: every parked core is live.
+    pub(crate) fn unpark_all(&mut self) {
+        for word in &mut self.words {
+            *word = IndexWord {
+                live: word.any(),
+                ..IndexWord::default()
+            };
+        }
+        self.next_wake = Cycle::MAX;
+    }
+
+    /// Opens a tick: true when a stall park may be due at `now`, in
+    /// which case the caller must run [`due_stalls`](Self::due_stalls)
+    /// over every word this tick (`next_wake` is re-derived from it).
+    pub(crate) fn begin_stall_scan(&mut self, now: Cycle) -> bool {
+        let scan = now >= self.next_wake;
+        if scan {
+            self.next_wake = Cycle::MAX;
+        }
+        scan
+    }
+
+    /// The stall parks of word `w` that are due at `now`, as a bit
+    /// mask; the wakes of the others are folded into `next_wake`.
+    pub(crate) fn due_stalls(&mut self, w: usize, parks: &[Park], now: Cycle) -> u64 {
+        let mut due = 0;
+        let mut bits = self.words[w].stall;
+        while bits != 0 {
+            let b = bits.trailing_zeros();
+            bits &= bits - 1;
+            match parks[w * 64 + b as usize] {
+                Park::Stall { wake, .. } if wake <= now => due |= 1 << b,
+                Park::Stall { wake, .. } => self.next_wake = self.next_wake.min(wake),
+                _ => unreachable!("stall bit set for a core that is not stall-parked"),
+            }
+        }
+        due
+    }
+
+    /// True when every bit agrees with the park array and `halted()`,
+    /// `members` counts the cores in a set, and `next_wake` bounds
+    /// every stall park's wake from below.
+    pub(crate) fn is_consistent(&self, cores: &[Core], parks: &[Park]) -> bool {
+        let bits_agree = cores
+            .iter()
+            .zip(parks)
+            .enumerate()
+            .all(|(i, (core, park))| {
+                let (word, bit) = (self.words[i / 64], 1u64 << (i % 64));
+                let got = [word.live, word.stall, word.spin, word.miss].map(|s| s & bit != 0);
+                match *park {
+                    Park::None => got == [!core.halted(), false, false, false],
+                    Park::Stall { wake, .. } => {
+                        got == [false, true, false, false] && wake >= self.next_wake
+                    }
+                    Park::Spin { .. } => got == [false, false, true, false],
+                    Park::Miss { .. } => got == [false, false, false, true],
+                }
+            });
+        let members: u32 = self.words.iter().map(|w| w.any().count_ones()).sum();
+        bits_agree && members as usize == self.members
+    }
+}

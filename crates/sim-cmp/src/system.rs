@@ -3,6 +3,7 @@
 use crate::core::{Core, FfClass, SpinPlan};
 use crate::par;
 use crate::replay::{CoreProg, Pre, RecGline, RecMem, Recorder};
+use crate::sched::{step_core, Park, WakeIndex};
 use crate::stats::SystemReport;
 use gline_core::{BarrierHw, BarrierNetwork};
 use sim_base::config::CmpConfig;
@@ -39,27 +40,12 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     /// Active-set micro-scheduling (see
     /// [`Self::set_active_set_enabled`]).
     active_set_enabled: bool,
-    /// Per-core park state: `Some((wake, anchor))` while the core's
-    /// steps are pure stall charges. The span `[anchor, wake)` is
-    /// charged lazily at wake-up; [`Self::report`] folds the pending
-    /// part in so mid-run reports stay bit-identical.
-    parked: Vec<Option<(Cycle, Cycle)>>,
-    /// Per-core spin park state: `Some((plan, anchor))` while the core
-    /// sits in a recognized memory-probing spin loop whose probed line
-    /// provably cannot change (no protocol message is queued for its
-    /// tile). The elided span `[anchor, now)` is replayed in closed
-    /// form at wake-up — the cycle a message is about to reach the
-    /// tile — and [`Self::report`] folds the pending part in purely.
-    /// Disjoint from `parked` (a core is `Ready`/mid-spin here, stalled
-    /// there).
-    spin_parked: Vec<Option<(SpinPlan, Cycle)>>,
-    /// Per-core miss park state: `Some(anchor)` while the core waits on
-    /// a memory access whose response is still in flight (not yet
-    /// scheduled by its L1). Every elided step is a pure breakdown
-    /// charge; the wake trigger is the same delivery predicate as
-    /// `spin_parked`'s, because only a message reaching the tile can
-    /// install the response. Disjoint from both other park states.
-    miss_parked: Vec<Option<Cycle>>,
+    /// Per-core park state (all [`Park::None`] under the dense tick).
+    /// The single source of truth, shared with the parallel engines.
+    parks: Vec<Park>,
+    /// Bitset index over `parks` and the halted cores, kept in step by
+    /// the sparse serial tick only (see [`WakeIndex`]).
+    index: WakeIndex,
     /// Current fast-forward failure backoff (0 = none): after a failed
     /// attempt, skip attempts are suppressed for this many cycles,
     /// doubling per consecutive failure up to [`MAX_FF_BACKOFF`].
@@ -339,9 +325,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             ff_plans: vec![None; cfg.num_cores()],
             skip_stats: SkipStats::default(),
             active_set_enabled: true,
-            parked: vec![None; cfg.num_cores()],
-            spin_parked: vec![None; cfg.num_cores()],
-            miss_parked: vec![None; cfg.num_cores()],
+            parks: vec![Park::None; cfg.num_cores()],
+            index: WakeIndex::new(cfg.num_cores()),
             ff_backoff: 0,
             ff_resume_at: 0,
             sched: CoreSchedStats::default(),
@@ -514,6 +499,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
 
     /// True when every core has halted.
     pub fn all_halted(&self) -> bool {
+        if self.index.is_fresh() {
+            let halted = self.index.is_empty();
+            debug_assert_eq!(halted, self.cores.iter().all(Core::halted));
+            return halted;
+        }
         self.cores.iter().all(Core::halted)
     }
 
@@ -522,94 +512,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         let now = self.now;
         self.sched.ticks += 1;
         if self.active_set_enabled {
-            for i in 0..self.cores.len() {
-                if let Some((wake, _)) = self.parked[i] {
-                    if now < wake {
-                        self.sched.parked_steps += 1;
-                        continue;
-                    }
-                    let (_, anchor) = self.parked[i].take().expect("checked above");
-                    self.cores[i].ff_stall(now - anchor);
-                }
-                if let Some((plan, anchor)) = self.spin_parked[i] {
-                    // The probed line can only change when a protocol
-                    // message reaches this tile, and deliveries for this
-                    // cycle were queued by the previous cycle's NoC tick
-                    // — so the check is exact and runs one cycle ahead
-                    // of the mutation.
-                    if !self.mem.has_delivery_for(CoreId::from(i)) {
-                        self.sched.spin_parked_steps += 1;
-                        continue;
-                    }
-                    // A message lands this cycle (during `mem.tick`,
-                    // after the cores step, exactly as it would have in
-                    // a dense run): replay the elided span against the
-                    // still-frozen line, then step this cycle live.
-                    self.spin_parked[i] = None;
-                    self.cores[i].ff_replay(plan, now, anchor, &mut self.mem);
-                }
-                if let Some(anchor) = self.miss_parked[i] {
-                    if !self.mem.has_delivery_for(CoreId::from(i)) {
-                        self.sched.parked_steps += 1;
-                        continue;
-                    }
-                    // The inbound message may carry (or unblock) the
-                    // response; settle the elided charge-only span and
-                    // step live from here on.
-                    self.miss_parked[i] = None;
-                    self.cores[i].ff_stall(now - anchor);
-                }
-                let core = &mut self.cores[i];
-                if core.halted() {
-                    continue;
-                }
-                // Park a core whose miss is still in flight: its L1
-                // cannot schedule the response (and the core cannot do
-                // anything but charge its stall category) until a
-                // protocol message reaches this tile.
-                if core.waiting_on_unscheduled_resp(&self.mem)
-                    && !self.mem.has_delivery_for(CoreId::from(i))
-                {
-                    debug_assert!(self.parked[i].is_none() && self.spin_parked[i].is_none());
-                    self.miss_parked[i] = Some(now);
-                    self.sched.parked_steps += 1;
-                    continue;
-                }
-                // Park instead of stepping when the core sits at a
-                // recognized memory-probing spin and no message is
-                // inbound: every elided step is a closed-form replay at
-                // wake-up. G-line spins are left to the whole-machine
-                // skip — `bar_reg` changes without L1 traffic, so they
-                // have no per-core wake trigger (which is why the park
-                // decision uses the memory-only matcher instead of the
-                // full classifier: a G-line plan would be discarded
-                // here, so computing it per tick is pure overhead).
-                if !S::ENABLED && !self.mem.has_delivery_for(CoreId::from(i)) {
-                    if let Some(plan) = core.park_spin(&self.progs[i], &self.mem, now) {
-                        debug_assert!(self.parked[i].is_none());
-                        self.spin_parked[i] = Some((plan, now));
-                        self.sched.spin_parked_steps += 1;
-                        continue;
-                    }
-                }
-                self.sched.core_steps += 1;
-                core.step(
-                    &self.progs[i],
-                    &mut self.mem,
-                    &mut self.gline,
-                    now,
-                    &self.tracer,
-                );
-                // Park the core if its next state change is provably
-                // more than one cycle out; its skipped steps are pure
-                // stall charges, applied at wake-up.
-                if let Some(wake) = core.park_until(&self.mem) {
-                    if wake > now + 1 {
-                        self.parked[i] = Some((wake, now + 1));
-                    }
-                }
-            }
+            self.tick_cores_sparse(now);
         } else {
+            // Turning active sets off flushed the parks, which left the
+            // index stale; it stays so while cores halt behind its back.
+            debug_assert!(!self.index.is_fresh());
             for (core, prog) in self.cores.iter_mut().zip(&self.progs) {
                 if !core.halted() {
                     self.sched.core_steps += 1;
@@ -622,34 +529,81 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.now += 1;
     }
 
-    /// Charges every parked core's pending stall span and unparks it.
-    /// Called before a whole-machine fast-forward (whose closed-form
-    /// replay charges from `now` onward) and when active-set scheduling
-    /// is turned off mid-run.
-    fn flush_parks(&mut self) {
-        for i in 0..self.cores.len() {
-            if let Some((_, anchor)) = self.parked[i].take() {
-                self.cores[i].ff_stall(self.now - anchor);
+    /// The core phase of the sparse tick: runs [`step_core`] on exactly
+    /// the cores that get past its park checks this cycle, in ascending
+    /// order, and counts every other parked core's elided step by
+    /// popcount — O(cores / 64 + visited) instead of O(cores).
+    fn tick_cores_sparse(&mut self, now: Cycle) {
+        if !self.index.is_fresh() {
+            self.index.rebuild(&self.cores, &self.parks);
+        }
+        debug_assert!(self.index.is_consistent(&self.cores, &self.parks));
+        let scan_stalls = self.index.begin_stall_scan(now);
+        for w in 0..self.index.num_words() {
+            // Frozen during the core loop: delivery queues only change
+            // in `mem.tick`, so one word read serves all 64 cores.
+            let delivery = self.mem.delivery_words()[w];
+            let set = self.index.word(w);
+            let mut visit = set.live | ((set.spin | set.miss) & delivery);
+            if scan_stalls {
+                visit |= self.index.due_stalls(w, &self.parks, now);
             }
-            if let Some(anchor) = self.miss_parked[i].take() {
-                self.cores[i].ff_stall(self.now - anchor);
+            debug_assert_eq!(visit, self.dense_visit_word(w, now));
+            self.sched.parked_steps += ((set.stall | set.miss) & !visit).count_ones() as u64;
+            self.sched.spin_parked_steps += (set.spin & !visit).count_ones() as u64;
+            let mut bits = visit;
+            while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
+                bits ^= bit;
+                let i = w * 64 + bit.trailing_zeros() as usize;
+                let live = step_core(
+                    &mut self.cores[i],
+                    &self.progs[i],
+                    &mut self.parks[i],
+                    &mut self.mem,
+                    &mut self.gline,
+                    delivery & bit != 0,
+                    now,
+                    &self.tracer,
+                    &mut self.sched,
+                );
+                // A core that was live and still is keeps its bit.
+                if !(live && set.live & bit != 0) {
+                    self.index.place(i, &self.parks[i], self.cores[i].halted());
+                }
             }
         }
     }
 
-    /// Replays every spin-parked core's elided span up to `now` and
-    /// unparks it. Legal between ticks: every elided cycle provably saw
+    /// Word `w` of the sparse tick's visit set, recomputed core by core
+    /// from the park array (the debug cross-check of the index).
+    fn dense_visit_word(&self, w: usize, now: Cycle) -> u64 {
+        let hi = self.cores.len().min((w + 1) * 64);
+        (w * 64..hi).fold(0, |word, i| {
+            let delivery = self.mem.has_delivery_for(CoreId::from(i));
+            let visit = self.parks[i].visits(self.cores[i].halted(), delivery, now);
+            word | (visit as u64) << (i % 64)
+        })
+    }
+
+    /// Settles every parked core's pending span up to `now` and unparks
+    /// it: stall and miss parks are charged, spin parks replayed. Legal
+    /// between ticks — every elided cycle of a spin park provably saw
     /// the frozen probed line (a pending delivery unparks the core
     /// before the line can change), so the closed-form replay is exact.
     /// Called when active-set scheduling is turned off mid-run (the
-    /// dense loop steps every core). Whole-machine fast-forward does
-    /// NOT flush: it replays each spin-parked core from its own anchor
-    /// straight to the jump target, so failed attempts never disturb
-    /// the parks.
-    fn flush_spin_parks(&mut self) {
-        for i in 0..self.cores.len() {
-            if let Some((plan, anchor)) = self.spin_parked[i].take() {
-                self.cores[i].ff_replay(plan, self.now, anchor, &mut self.mem);
+    /// dense loop steps every core).
+    fn flush_parks(&mut self) {
+        self.index.mark_stale();
+        for (core, park) in self.cores.iter_mut().zip(&mut self.parks) {
+            match std::mem::take(park) {
+                Park::None => {}
+                Park::Stall { anchor, .. } | Park::Miss { anchor } => {
+                    core.ff_stall(self.now - anchor)
+                }
+                Park::Spin { plan, anchor } => {
+                    core.ff_replay(plan, self.now, anchor, &mut self.mem)
+                }
             }
         }
     }
@@ -691,7 +645,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             // The dense loop steps every core; settle pending park
             // charges and spin replays first.
             self.flush_parks();
-            self.flush_spin_parks();
         }
         self.active_set_enabled = on;
         self.mem.set_active_set_enabled(on);
@@ -787,7 +740,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         }
         for (i, core) in self.cores.iter().enumerate() {
             self.ff_plans[i] = None;
-            if let Some((plan, anchor)) = &self.spin_parked[i] {
+            if let Park::Spin { plan, anchor } = &self.parks[i] {
                 // Already a recognized spin, frozen since its anchor:
                 // no delivery has reached its tile (the park's wake
                 // trigger), and none will before `target` (the clamp on
@@ -826,18 +779,27 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         let k = target - self.now;
         self.skip_stats.skips += 1;
         self.skip_stats.cycles_skipped += k;
-        // Parked spans are charged lazily; settle stall and miss parks
-        // up to `now` before the closed-form replay charges
-        // `now..target`. Spin parks replay their whole `[anchor,
-        // target)` span in one step instead.
-        self.flush_parks();
-        for i in 0..self.cores.len() {
-            if let Some((plan, anchor)) = self.spin_parked[i].take() {
-                self.cores[i].ff_replay(plan, target, anchor, &mut self.mem);
-            } else if let Some(plan) = self.ff_plans[i] {
-                self.cores[i].ff_replay(plan, target, self.now, &mut self.mem);
-            } else if !self.cores[i].halted() {
-                self.cores[i].ff_stall(k);
+        // Parked spans are charged lazily: a stall or miss park settles
+        // `[anchor, now)` before the closed-form replay charges
+        // `now..target`; a spin park replays its whole `[anchor,
+        // target)` span in one step. Failed attempts return above, so
+        // they never disturb the parks.
+        self.index.unpark_all();
+        for (i, core) in self.cores.iter_mut().enumerate() {
+            match std::mem::take(&mut self.parks[i]) {
+                Park::Spin { plan, anchor } => {
+                    core.ff_replay(plan, target, anchor, &mut self.mem);
+                    continue;
+                }
+                Park::Stall { anchor, .. } | Park::Miss { anchor } => {
+                    core.ff_stall(self.now - anchor)
+                }
+                Park::None => {}
+            }
+            if let Some(plan) = self.ff_plans[i] {
+                core.ff_replay(plan, target, self.now, &mut self.mem);
+            } else if !core.halted() {
+                core.ff_stall(k);
             }
         }
         self.mem.skip_to(target);
@@ -856,19 +818,44 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         while !self.all_halted() {
             self.advance(start + max_cycles + 1);
             if self.now - start > max_cycles {
-                let stuck: Vec<String> = self
-                    .cores
-                    .iter()
-                    .filter(|c| !c.halted())
-                    .map(|c| format!("{:?}", c.id()))
-                    .collect();
-                return Err(format!(
-                    "system did not halt within {max_cycles} cycles; still running: {}",
-                    stuck.join(", ")
-                ));
+                return Err(self.deadlock_error(max_cycles));
             }
         }
         Ok(self.now - start)
+    }
+
+    /// Core `i`'s wait state as the scheduler sees it: its park, or —
+    /// for an unparked core (the dense tick never parks, and a
+    /// whole-machine skip unparks everyone) — the park [`step_core`]
+    /// would give it now.
+    fn wait_state(&self, i: usize) -> Park {
+        let (core, now) = (&self.cores[i], self.now);
+        let spin = || core.park_spin(&self.progs[i], &self.mem, now);
+        match self.parks[i] {
+            Park::None if core.waiting_on_unscheduled_resp(&self.mem) => Park::Miss { anchor: now },
+            Park::None => match (spin(), core.park_until(&self.mem)) {
+                (Some(plan), _) => Park::Spin { plan, anchor: now },
+                (None, Some(wake)) if wake > now => Park::Stall { wake, anchor: now },
+                _ => Park::None,
+            },
+            park => park,
+        }
+    }
+
+    /// The deadlock-guard error: every core that has not halted, each
+    /// with its [`wait_state`](Self::wait_state) — `live` (executing,
+    /// which includes spinning on `bar_reg`), `stall until <cycle>`,
+    /// `spin` (on a memory flag that no inbound message can change) or
+    /// `miss` (on an access whose response is still in flight).
+    fn deadlock_error(&self, max_cycles: u64) -> String {
+        let stuck: Vec<String> = (0..self.cores.len())
+            .filter(|&i| !self.cores[i].halted())
+            .map(|i| format!("{:?} ({})", self.cores[i].id(), self.wait_state(i)))
+            .collect();
+        format!(
+            "system did not halt within {max_cycles} cycles; still running: {}",
+            stuck.join(", ")
+        )
     }
 
     /// Like [`run`](Self::run), but invokes `observer` with a fresh
@@ -896,15 +883,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 next += every;
             }
             if self.now - start > max_cycles {
-                return Err(format!(
-                    "system did not halt within {max_cycles} cycles; still running: {}",
-                    self.cores
-                        .iter()
-                        .filter(|c| !c.halted())
-                        .map(|c| format!("{:?}", c.id()))
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ));
+                return Err(self.deadlock_error(max_cycles));
             }
         }
         Ok(self.now - start)
@@ -929,6 +908,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         assert_eq!(self.now, 0, "recording must start from a fresh machine");
         let mut rec = Recorder::new(self.cores.len());
         let mut writes: Vec<(u8, u64)> = Vec::new();
+        // Only a sparse tick builds the index, and none has run.
+        debug_assert!(!self.index.is_fresh());
         while !self.all_halted() {
             let now = self.now;
             self.sched.ticks += 1;
@@ -957,16 +938,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             self.gline.tick();
             self.now += 1;
             if self.now > max_cycles {
-                let stuck: Vec<String> = self
-                    .cores
-                    .iter()
-                    .filter(|c| !c.halted())
-                    .map(|c| format!("{:?}", c.id()))
-                    .collect();
-                return Err(format!(
-                    "system did not halt within {max_cycles} cycles; still running: {}",
-                    stuck.join(", ")
-                ));
+                return Err(self.deadlock_error(max_cycles));
             }
         }
         Ok((self.now, rec.finish()))
@@ -988,16 +960,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         let start = self.now;
         self.advance_until_with_workers(start + max_cycles + 1, workers);
         if self.now - start > max_cycles {
-            let stuck: Vec<String> = self
-                .cores
-                .iter()
-                .filter(|c| !c.halted())
-                .map(|c| format!("{:?}", c.id()))
-                .collect();
-            Err(format!(
-                "system did not halt within {max_cycles} cycles; still running: {}",
-                stuck.join(", ")
-            ))
+            Err(self.deadlock_error(max_cycles))
         } else {
             Ok(self.now - start)
         }
@@ -1019,6 +982,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             }
             return;
         }
+        // The shard workers park and halt cores behind the index's back.
+        self.index.mark_stale();
         match self.sync_protocol {
             SyncProtocol::Epoch => self.advance_until_epoch(until, w),
             SyncProtocol::PerCycle => self.advance_until_per_cycle(until, w),
@@ -1270,12 +1235,10 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             if core.halted() {
                 continue;
             }
-            if let Some((wake, _)) = self.parked[i] {
-                e0 = e0.min(wake.max(s));
-            } else if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-                continue;
-            } else {
-                return s;
+            match self.parks[i] {
+                Park::Stall { wake, .. } => e0 = e0.min(wake.max(s)),
+                Park::Spin { .. } | Park::Miss { .. } => {}
+                Park::None => return s,
             }
         }
         e0
@@ -1288,16 +1251,12 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     fn core_halt_bound(&self, i: usize) -> Cycle {
         let s = self.now;
         let core = &self.cores[i];
-        let base = if let Some((wake, _)) = self.parked[i] {
-            wake.max(s)
-        } else if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-            if self.mem.epoch_tile_has_work(i) {
-                s
-            } else {
+        let base = match self.parks[i] {
+            Park::Stall { wake, .. } => wake.max(s),
+            Park::Spin { .. } | Park::Miss { .. } if !self.mem.epoch_tile_has_work(i) => {
                 return Cycle::MAX;
             }
-        } else {
-            s
+            _ => s,
         };
         match &self.halt_bounds[i] {
             HaltBound::Exec(dist) => {
@@ -1350,10 +1309,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         if !self.active_set_enabled {
             return false;
         }
-        if self.spin_parked[i].is_some() || self.miss_parked[i].is_some() {
-            return true;
+        match self.parks[i] {
+            Park::None => false,
+            Park::Stall { wake, .. } => wake >= end,
+            Park::Spin { .. } | Park::Miss { .. } => true,
         }
-        matches!(self.parked[i], Some((wake, _)) if wake >= end)
     }
 
     /// The per-epoch pointer snapshot handed to the workers.
@@ -1366,9 +1326,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         par::EpochPtrs {
             cores: self.cores.as_mut_ptr(),
             progs: self.progs.as_ptr(),
-            parked: self.parked.as_mut_ptr(),
-            spin_parked: self.spin_parked.as_mut_ptr(),
-            miss_parked: self.miss_parked.as_mut_ptr(),
+            parks: self.parks.as_mut_ptr(),
             tiles: self.mem.epoch_tiles(),
             tile_active,
             gline: &self.gline,
@@ -1459,9 +1417,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         par::Ptrs {
             cores: self.cores.as_mut_ptr(),
             progs: self.progs.as_ptr(),
-            parked: self.parked.as_mut_ptr(),
-            spin_parked: self.spin_parked.as_mut_ptr(),
-            miss_parked: self.miss_parked.as_mut_ptr(),
+            parks: self.parks.as_mut_ptr(),
             lanes: self.mem.tile_lanes(),
             flags: flags.as_ptr(),
             gline: &self.gline,
@@ -1474,33 +1430,28 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Gathers the run's statistics.
     pub fn report(&self) -> SystemReport {
         let mut per_core: Vec<TimeBreakdown> = self.cores.iter().map(Core::breakdown).collect();
-        // Parked cores' stall spans are charged lazily at wake-up; fold
-        // the pending `[anchor, now)` span in so a mid-run report is
+        // Parked cores' spans are settled lazily at wake-up; fold the
+        // pending `[anchor, now)` span in so a mid-run report is
         // bit-identical to the dense path's (the charged category is
-        // frozen while parked).
-        for (i, p) in self.parked.iter().enumerate() {
-            if let Some((_, anchor)) = *p {
-                per_core[i].add(self.cores[i].category(), self.now - anchor);
-            }
-        }
-        for (i, p) in self.miss_parked.iter().enumerate() {
-            if let Some(anchor) = *p {
-                per_core[i].add(self.cores[i].category(), self.now - anchor);
-            }
-        }
-        // Same for spin-parked cores, whose pending spans also carry
-        // retires and L1 hits; `spin_pending_stats` previews exactly
-        // what the eventual replay will charge.
+        // frozen while parked). A spin park's span also carries retires
+        // and L1 hits; `spin_pending_stats` previews exactly what the
+        // eventual replay will charge.
         let mut pending_retired = 0;
         let mut pending_l1_hits = 0;
-        for (i, p) in self.spin_parked.iter().enumerate() {
-            if let Some((plan, anchor)) = p {
-                let (cat_a, a, cat_b, b, retired, hits) =
-                    self.cores[i].spin_pending_stats(plan, self.now - anchor);
-                per_core[i].add(cat_a, a);
-                per_core[i].add(cat_b, b);
-                pending_retired += retired;
-                pending_l1_hits += hits;
+        for (i, park) in self.parks.iter().enumerate() {
+            match park {
+                Park::None => {}
+                Park::Stall { anchor, .. } | Park::Miss { anchor } => {
+                    per_core[i].add(self.cores[i].category(), self.now - anchor);
+                }
+                Park::Spin { plan, anchor } => {
+                    let (cat_a, a, cat_b, b, retired, hits) =
+                        self.cores[i].spin_pending_stats(plan, self.now - anchor);
+                    per_core[i].add(cat_a, a);
+                    per_core[i].add(cat_b, b);
+                    pending_retired += retired;
+                    pending_l1_hits += hits;
+                }
             }
         }
         let mut total_time = TimeBreakdown::new();
@@ -1899,11 +1850,21 @@ halt",
 
     #[test]
     fn deadlock_guard_reports_stuck_cores() {
-        // A core spinning forever on its own flag never halts.
-        let prog = assemble("l: ld r1, 0(r0)\nbeq r0, r0, l").unwrap();
-        let mut sys = System::homogeneous(cfg(2), prog);
-        let err = sys.run(10_000).unwrap_err();
-        assert!(err.contains("core0") && err.contains("core1"), "{err}");
+        // A core spinning forever on its own flag never halts, and one
+        // in an over-long `busy` block not before the deadline. The
+        // error names each with its wait state, whichever scheduler ran.
+        let spin = assemble("l: ld r1, 0(r0)\nbeq r0, r0, l").unwrap();
+        let busy = assemble("busy 1000000\nhalt").unwrap();
+        for (skip, active_set) in [(true, true), (false, true), (false, false)] {
+            let mut sys = System::new(cfg(2), vec![spin.clone(), busy.clone()]);
+            sys.set_skip_enabled(skip);
+            sys.set_active_set_enabled(active_set);
+            let err = sys.run(10_000).unwrap_err();
+            assert!(
+                err.ends_with("still running: core0 (spin), core1 (stall until 1000000)"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

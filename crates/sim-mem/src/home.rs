@@ -964,15 +964,11 @@ impl<S: TraceSink> HomeCtrl<S> {
     /// request, if any.
     fn complete(&mut self, line: LineAddr, now: Cycle, mem: &mut Memory, out: &mut Vec<OutMsg>) {
         self.active.remove(&line);
-        if let Some(q) = self.queue.get_mut(&line) {
-            if let Some((src, msg)) = q.pop_front() {
-                if q.is_empty() {
-                    self.queue.remove(&line);
-                }
-                self.start_tx(src, msg, now, mem, out);
-            } else {
-                self.queue.remove(&line);
-            }
+        // A drained queue stays in the map, so a line that is contended
+        // again reuses its buffer instead of allocating a new one.
+        let next = self.queue.get_mut(&line).and_then(VecDeque::pop_front);
+        if let Some((src, msg)) = next {
+            self.start_tx(src, msg, now, mem, out);
         }
     }
 }

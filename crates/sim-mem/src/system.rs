@@ -326,6 +326,14 @@ impl<S: TraceSink> MemorySystem<S> {
         self.noc.has_delivery_for(tile)
     }
 
+    /// [`has_delivery_for`](Self::has_delivery_for) for every tile at
+    /// once, as bitset words (tile `i` at bit `i % 64` of word `i / 64`).
+    /// Frozen while the cores step: delivery queues only change in
+    /// [`tick`](Self::tick).
+    pub fn delivery_words(&self) -> &[u64] {
+        self.noc.delivery_tile_words()
+    }
+
     // --- fast-forward support: per-core L1 spin hooks -------------------
 
     /// True when `core`'s L1 has protocol work in flight (outstanding

@@ -330,6 +330,12 @@ impl<T, S: TraceSink> Noc<T, S> {
         !self.delivered[tile.index()].is_empty()
     }
 
+    /// [`has_delivery_for`](Self::has_delivery_for) for every tile at
+    /// once, as bitset words (tile `i` at bit `i % 64` of word `i / 64`).
+    pub fn delivery_tile_words(&self) -> &[u64] {
+        self.delivery_tiles.words()
+    }
+
     /// Snapshots the tiles with undelivered messages into `out`, in
     /// ascending tile order (the order a dense `for tile in 0..n` recv
     /// scan would find them).

@@ -10,10 +10,14 @@
 //! `--no-active-set`. These tests enforce that over every workload
 //! generator and barrier flavour, mirroring `skip_determinism.rs`.
 
+use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
+use sim_base::rng::SplitMix64;
 use sim_base::trace::{ChromeTraceSink, Tracer};
-use sim_cmp::runtime::BarrierKind;
+use sim_base::Mesh2D;
+use sim_cmp::runtime::{emit_lock, emit_unlock, BarrierEnv, BarrierKind};
 use sim_cmp::{System, SystemReport};
+use sim_isa::{ProgBuilder, Program, Reg};
 use workloads::common::Workload;
 use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
@@ -189,5 +193,204 @@ fn mid_run_toggle_active_set_invariant() {
         baseline.report(),
         toggled.report(),
         "mid-run toggle diverges"
+    );
+}
+
+const LOCK_BASE: u64 = 0x3000;
+const COUNTER_BASE: u64 = 0x3800;
+const SLOT_BASE: u64 = 0x4000;
+const LOCKS: u64 = 2;
+
+/// A random barrier/lock program set for `n` cores: per phase, a random
+/// stretch of private work, for a few cores a lock-protected counter
+/// increment, a store to the core's own slot, then a barrier of `kind`.
+fn random_sync_programs(n: usize, kind: BarrierKind, rng: &mut SplitMix64) -> Vec<Program> {
+    let env = BarrierEnv::new(kind, n, 0x1_0000);
+    let phases = 2 + rng.next_below(2);
+    let max_busy = 1 + rng.next_below(400) as u32;
+    (0..n)
+        .map(|c| {
+            let mut b = ProgBuilder::new();
+            for phase in 0..phases {
+                if rng.chance(0.7) {
+                    b.busy(1 + rng.next_below(max_busy as u64) as u32);
+                }
+                // About six lock users per phase whatever the machine
+                // size, so 256 cores do not serialize on one line.
+                if rng.chance(6.0 / n as f64) {
+                    let k = rng.next_below(LOCKS);
+                    emit_lock(&mut b, LOCK_BASE + k * 64, &format!("c{c}p{phase}"));
+                    b.li(Reg(1), (COUNTER_BASE + k * 64) as i64)
+                        .ld(Reg(2), 0, Reg(1))
+                        .addi(Reg(2), Reg(2), 1)
+                        .st(Reg(2), 0, Reg(1));
+                    emit_unlock(&mut b, LOCK_BASE + k * 64);
+                }
+                b.li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
+                    .li(Reg(2), (phase * 1000 + c as u64) as i64)
+                    .st(Reg(2), 0, Reg(1));
+                env.emit(&mut b, c, &format!("p{phase}"));
+            }
+            b.halt();
+            b.build()
+        })
+        .collect()
+}
+
+/// One stretch of a toggled run: scheduler settings and worker count
+/// for the next `len` cycles.
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    len: u64,
+    active_set: bool,
+    skip: bool,
+    workers: usize,
+}
+
+/// Drives `sys` to completion through `segments` (cycled), applying each
+/// segment's settings at its boundary.
+fn drive_segmented<B: BarrierHw>(sys: &mut System<B>, segments: &[Segment]) {
+    let mut i = 0;
+    while !sys.all_halted() {
+        let seg = segments[i % segments.len()];
+        sys.set_active_set_enabled(seg.active_set);
+        sys.set_skip_enabled(seg.skip);
+        sys.advance_until_with_workers(sys.now() + seg.len, seg.workers);
+        i += 1;
+        assert!(i < 1_000_000, "segmented run livelocked");
+    }
+}
+
+/// Runs one random case on barrier hardware built by `hw`: a run whose
+/// scheduler toggles and worker count change at random cycles must end
+/// in the same cycle, report and memory as the serial run over the same
+/// boundaries with everything left on — and, when only the worker count
+/// changed, with the same scheduler counters (the index is rebuilt
+/// after every parallel stretch there, and never in the reference).
+fn check_mid_run_toggles<B: BarrierHw>(
+    cfg: CmpConfig,
+    kind: BarrierKind,
+    rng: &mut SplitMix64,
+    hw: impl Fn() -> B,
+) {
+    let n = cfg.num_cores();
+    let progs = random_sync_programs(n, kind, rng);
+    // Half the cases toggle the worker count alone, so the scheduler
+    // counters stay comparable; the rest toggle any mix of the three.
+    let workers_only = rng.chance(0.5);
+    let segments: Vec<Segment> = (0..8)
+        .map(|_| Segment {
+            // Mostly thousands of cycles, sometimes a handful: short
+            // stretches land the boundary inside skip horizons.
+            len: if rng.chance(0.25) {
+                1 + rng.next_below(4)
+            } else {
+                1 + rng.next_below(3000)
+            },
+            active_set: workers_only || rng.chance(0.5),
+            skip: workers_only || rng.chance(0.5),
+            workers: if rng.chance(0.5) { 4 } else { 1 },
+        })
+        .collect();
+    let reference: Vec<Segment> = segments
+        .iter()
+        .map(|s| Segment {
+            active_set: true,
+            skip: true,
+            workers: 1,
+            ..*s
+        })
+        .collect();
+
+    let mut toggled = System::with_barrier_hw(cfg, progs.clone(), hw());
+    let mut serial = System::with_barrier_hw(cfg, progs, hw());
+    drive_segmented(&mut toggled, &segments);
+    drive_segmented(&mut serial, &reference);
+
+    let what = format!("{n} cores ({:?}), {kind:?}, {segments:?}", cfg.mesh);
+    assert_eq!(serial.now(), toggled.now(), "{what}: cycles");
+    assert_eq!(serial.report(), toggled.report(), "{what}: reports");
+    for k in 0..LOCKS {
+        for base in [LOCK_BASE, COUNTER_BASE] {
+            let a = base + k * 64;
+            assert_eq!(serial.peek_word(a), toggled.peek_word(a), "{what}: {a:#x}");
+        }
+    }
+    for c in 0..n as u64 {
+        let a = SLOT_BASE + c * 64;
+        assert_eq!(serial.peek_word(a), toggled.peek_word(a), "{what}: {a:#x}");
+    }
+    if workers_only {
+        assert_eq!(
+            serial.core_sched_stats(),
+            toggled.core_sched_stats(),
+            "{what}: core scheduler counters"
+        );
+    }
+}
+
+/// Random barrier/lock programs on random meshes — including 65 and 256
+/// cores, so the index's word boundaries and the clustered network are
+/// hit — stay bit-identical when active sets, skipping and the worker
+/// count are toggled mid-run at random cycles. Every switch away from
+/// the sparse serial tick leaves the wake index stale, so this is what
+/// exercises its rebuild.
+#[test]
+fn mid_run_toggles_on_random_meshes_invariant() {
+    const MESHES: [(u16, u16); 8] = [
+        (1, 3),
+        (5, 13), // 65 cores: one bit in the second index word
+        (2, 4),
+        (16, 16), // 256 cores: four full words, clustered G-lines
+        (3, 5),
+        (8, 9), // 72 cores, clustered (9 columns)
+        (4, 8),
+        (1, 1),
+    ];
+    let mut case = 0;
+    sim_base::check::forall_cases("mid-run-toggles", 16, |rng| {
+        let (rows, cols) = MESHES[case % MESHES.len()];
+        case += 1;
+        let mut cfg = CmpConfig::icpp2010();
+        cfg.mesh = Mesh2D::new(rows, cols);
+        // A centralized barrier on hundreds of cores costs minutes.
+        let kinds: &[BarrierKind] = if cfg.num_cores() > 32 {
+            &[BarrierKind::Gl, BarrierKind::Dsw]
+        } else {
+            &BarrierKind::ALL
+        };
+        let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
+        if cfg.needs_clustered_gline() {
+            check_mid_run_toggles(cfg, kind, rng, || {
+                ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline)
+            });
+        } else {
+            check_mid_run_toggles(cfg, kind, rng, || BarrierNetwork::new(cfg.mesh, cfg.gline));
+        }
+    });
+}
+
+/// The sparse serial tick counts unvisited parked cores by popcount;
+/// the parallel engines still count core by core. On a 256-core DSW
+/// run (four index words, most cores spin- or miss-parked most of the
+/// time) the two must agree exactly.
+#[test]
+fn popcount_counters_match_per_core_counting_at_256_cores() {
+    let w = synthetic::build(256, BarrierKind::Dsw, 1);
+    let cfg = CmpConfig::icpp2010_with_cores(256);
+    let hw = || ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
+    let mut serial = w.into_system_with_hw(cfg, hw());
+    let mut par = w.into_system_with_hw(cfg, hw());
+    let cs = serial.run(50_000_000).expect("serial run must complete");
+    let cp = par
+        .run_with_workers(50_000_000, 4)
+        .expect("parallel run must complete");
+    assert_eq!(cs, cp, "cycle counts");
+    assert_eq!(serial.report(), par.report(), "reports");
+    let stats = serial.core_sched_stats();
+    assert_eq!(stats, par.core_sched_stats(), "core scheduler counters");
+    assert!(
+        stats.spin_parked_steps > stats.core_steps,
+        "not a parked-dominated run: {stats:?}"
     );
 }

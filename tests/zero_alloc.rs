@@ -1,47 +1,65 @@
 //! Hot-path allocation audit.
 //!
-//! The per-tick paths of the directory controllers (`sim-mem::home`) and
-//! the NoC (`sim-noc::network`) reuse struct-held scratch buffers and
+//! The per-tick paths of the whole machine — the core scheduler's wake
+//! index (`sim-cmp::sched`), the directory controllers
+//! (`sim-mem::home`), the NoC (`sim-noc::network`) and both G-line
+//! networks (`gline-core`) — reuse struct-held scratch buffers and
 //! capacity-retaining maps/queues, so a steady-state tick performs no
-//! heap allocation at all. This test pins that property with a counting
-//! global allocator: after a warm-up pass that sizes every buffer, an
-//! identical traffic pattern must run allocation-free.
+//! heap allocation at all. These tests pin that property with a
+//! counting global allocator: after a warm-up pass that sizes every
+//! buffer, an identical traffic pattern must run allocation-free.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
+use std::cell::Cell;
 
+use gline_core::{BarrierHw, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
 use sim_base::CoreId;
+use sim_cmp::runtime::BarrierKind;
+use sim_cmp::System;
 use sim_mem::{CoreReq, MemorySystem};
+use workloads::synthetic;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while it is measuring (`None`
+    /// otherwise). Per thread, so the tests of this file can run side
+    /// by side; const-initialized and without a destructor, so reading
+    /// it from the allocator never allocates.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
 
-// SAFETY: pure pass-through to `System`; the counter bump allocates
-// nothing and every layout contract is forwarded unchanged.
+fn note_alloc() {
+    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+}
+
+/// Runs `f` and returns how many heap allocations this thread made.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|a| a.set(Some(0)));
+    f();
+    ALLOCS.with(|a| a.replace(None)).expect("still measuring")
+}
+
+// SAFETY: pure pass-through to the system allocator; the counter bump
+// allocates nothing and every layout contract is forwarded unchanged.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller obligations are exactly `System.alloc`'s.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) != 0 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         // SAFETY: `layout` is forwarded verbatim from our caller.
-        unsafe { System.alloc(layout) }
+        unsafe { SystemAlloc.alloc(layout) }
     }
     // SAFETY: caller obligations are exactly `System.dealloc`'s.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: `ptr`/`layout` are forwarded verbatim from our caller.
-        unsafe { System.dealloc(ptr, layout) }
+        unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
     // SAFETY: caller obligations are exactly `System.realloc`'s.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) != 0 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
+        note_alloc();
         // SAFETY: arguments are forwarded verbatim from our caller.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -99,15 +117,65 @@ fn steady_state_ticks_do_not_allocate() {
 
     // Measured phase: identical address footprint, so no backing-store
     // growth — any allocation now comes from a per-tick hot path.
-    COUNTING.store(1, Ordering::SeqCst);
-    for round in 6..10 {
-        traffic_round(&mut mem, &cores, round);
-    }
-    COUNTING.store(0, Ordering::SeqCst);
-
-    let n = ALLOCS.load(Ordering::SeqCst);
+    let n = count_allocs(|| {
+        for round in 6..10 {
+            traffic_round(&mut mem, &cores, round);
+        }
+    });
     assert_eq!(
         n, 0,
         "steady-state home/NoC ticks performed {n} heap allocations"
+    );
+}
+
+/// Ticks `sys` through `warm` cycles of its barrier loop, then demands
+/// that the next `measured` cycles allocate nothing.
+fn assert_system_ticks_allocation_free<B: BarrierHw>(
+    mut sys: System<B>,
+    warm: u64,
+    measured: u64,
+    what: &str,
+) {
+    for _ in 0..warm {
+        sys.tick();
+    }
+    let n = count_allocs(|| {
+        for _ in 0..measured {
+            sys.tick();
+        }
+    });
+    assert!(!sys.all_halted(), "{what}: the loop ended while measuring");
+    assert_eq!(
+        n, 0,
+        "{what}: steady-state ticks performed {n} heap allocations"
+    );
+}
+
+/// The whole machine, cores included: a G-line barrier loop on the flat
+/// 4x8 network and on the clustered 16x16 one (whose every tick used to
+/// build a `Vec`), and a software-barrier loop whose cores park and
+/// wake through the wake index.
+#[test]
+fn steady_state_system_ticks_do_not_allocate() {
+    let flat = CmpConfig::icpp2010();
+    assert_system_ticks_allocation_free(
+        synthetic::build(32, BarrierKind::Gl, 100_000).into_system(flat),
+        2_000,
+        20_000,
+        "GL loop, 4x8",
+    );
+    let big = CmpConfig::icpp2010_with_cores(256);
+    assert_system_ticks_allocation_free(
+        synthetic::build(256, BarrierKind::Gl, 100_000)
+            .into_system_with_hw(big, ClusteredBarrierNetwork::new(big.mesh, big.gline)),
+        1_000,
+        3_000,
+        "GL loop, clustered 16x16",
+    );
+    assert_system_ticks_allocation_free(
+        synthetic::build(32, BarrierKind::Dsw, 100_000).into_system(flat),
+        20_000,
+        20_000,
+        "DSW loop, 4x8",
     );
 }
