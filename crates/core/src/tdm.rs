@@ -137,6 +137,16 @@ impl BarrierHw for TdmBarrierNetwork {
     fn now(&self) -> Cycle {
         self.now
     }
+
+    // `release_bound` (like `next_event` and `min_notify_latency`)
+    // keeps the trait's conservative default of 1: a slot's controllers
+    // advance only on that slot's cycles, so a bound would have to be
+    // argued from the slot rotation as well as the per-context arrival
+    // counts, and it would buy nothing — this model never reports
+    // quiescence, so a simulator can never jump the clock over it, and
+    // no workload runs it at a size where stepping the spinners shows.
+    // With the default a simulator simply never parks a `bar_reg`
+    // spinner on TDM hardware.
 }
 
 #[cfg(test)]

@@ -188,3 +188,132 @@ fn contexts_do_not_interfere() {
         }
     });
 }
+
+/// Drives `net` through several episodes per context, every member
+/// re-arriving a random delay after it saw its own release, and checks
+/// the [`BarrierHw::release_bound`] contract a simulator parks `bar_reg`
+/// spinners on, cycle by cycle:
+///
+/// * read at the top of a cycle — before that cycle's arrivals — a
+///   bound of 2 or more means no `bar_reg` clears in that cycle's
+///   `tick()`, whoever arrives in between;
+/// * the bound is 1 from the cycle after a context's last member
+///   arrived until that context is `all_released`, and the hardware's
+///   propagation `floor` (so a spinner can park at all) whenever no
+///   context is in that window.
+fn check_release_bound<H: BarrierHw>(
+    net: &mut H,
+    masks: &[Vec<bool>],
+    floor: u64,
+    rng: &mut sim_base::rng::SplitMix64,
+) {
+    let n = net.num_cores();
+    let episodes = 2 + rng.next_below(3);
+    let spread = rng.next_below(60);
+    let mut delay = || rng.next_below(spread + 1);
+    // Per (context, member): episodes left to enter, and the cycle of
+    // its next arrival (`None` while it waits for its release).
+    let mut left: Vec<Vec<u64>> = masks.iter().map(|_| vec![episodes; n]).collect();
+    let mut next: Vec<Vec<Option<u64>>> = masks
+        .iter()
+        .map(|m| m.iter().map(|&member| member.then(&mut delay)).collect())
+        .collect();
+    let mut releasing = vec![false; masks.len()];
+    let set = |net: &H, ctx: usize, i: usize| net.bar_reg(CoreId::from(i), ctx) != 0;
+    let mut cycle = 0u64;
+    while left
+        .iter()
+        .zip(masks)
+        .any(|(l, m)| l.iter().zip(m).any(|(&l, &member)| member && l > 0))
+        || releasing.iter().any(|&r| r)
+    {
+        let bound = net.release_bound();
+        if releasing.iter().any(|&r| r) {
+            assert_eq!(bound, 1, "cycle {cycle}: a release is in flight");
+        } else {
+            assert_eq!(bound, floor, "cycle {cycle}: some member is still missing");
+        }
+        for (ctx, mask) in masks.iter().enumerate() {
+            for i in (0..n).filter(|&i| mask[i]) {
+                if next[ctx][i] == Some(cycle) {
+                    net.write_bar_reg(CoreId::from(i), ctx, 1);
+                    next[ctx][i] = None;
+                    left[ctx][i] -= 1;
+                }
+            }
+            if (0..n).all(|i| !mask[i] || set(net, ctx, i)) {
+                releasing[ctx] = true;
+            }
+        }
+        let before: Vec<Vec<bool>> = (0..masks.len())
+            .map(|ctx| (0..n).map(|i| set(net, ctx, i)).collect())
+            .collect();
+        net.tick();
+        for (ctx, mask) in masks.iter().enumerate() {
+            for i in (0..n).filter(|&i| mask[i]) {
+                if before[ctx][i] && !set(net, ctx, i) {
+                    assert!(
+                        bound <= 1,
+                        "cycle {cycle}: core {i}'s bar_reg (ctx {ctx}) cleared under a bound of {bound}"
+                    );
+                    // Released: next episode, if any, a random delay on.
+                    if left[ctx][i] > 0 {
+                        next[ctx][i] = Some(cycle + 1 + delay());
+                    }
+                }
+            }
+            if net.all_released(ctx) {
+                releasing[ctx] = false;
+            }
+        }
+        cycle += 1;
+        assert!(cycle < 100_000, "episodes never completed");
+    }
+    for ctx in 0..masks.len() {
+        assert_eq!(net.stats(ctx).barriers_completed, episodes, "ctx {ctx}");
+    }
+}
+
+#[test]
+fn release_bound_rules_out_clears_on_flat_networks() {
+    forall("release_bound_rules_out_clears_on_flat_networks", |rng| {
+        let rows = 1 + rng.next_below(8) as u16;
+        let cols = 1 + rng.next_below(8) as u16;
+        let mesh = Mesh2D::new(rows, cols);
+        let n = mesh.num_tiles();
+        let contexts = 1 + rng.next_below(3) as u32;
+        // Half the cases synchronize every core in every context, the
+        // rest draw a random participation mask per context.
+        let everyone = rng.chance(0.5);
+        let masks: Vec<Vec<bool>> = (0..contexts)
+            .map(|_| {
+                let mut mask: Vec<bool> = (0..n).map(|_| everyone || rng.chance(0.5)).collect();
+                if !mask.iter().any(|&m| m) {
+                    mask[rng.next_below(n as u64) as usize] = true;
+                }
+                mask
+            })
+            .collect();
+        let cfg = GlineConfig {
+            contexts,
+            ..GlineConfig::default()
+        };
+        let mut net = BarrierNetwork::with_members(mesh, cfg, masks.clone());
+        check_release_bound(&mut net, &masks, 4, rng);
+    });
+}
+
+#[test]
+fn release_bound_rules_out_clears_on_clustered_networks() {
+    sim_base::check::forall_cases(
+        "release_bound_rules_out_clears_on_clustered_networks",
+        12,
+        |rng| {
+            let dim = if rng.chance(0.5) { 16 } else { 32 };
+            let mesh = Mesh2D::new(dim, dim);
+            let mut net = ClusteredBarrierNetwork::new(mesh, GlineConfig::default());
+            let everyone = vec![vec![true; mesh.num_tiles()]];
+            check_release_bound(&mut net, &everyone, 7, rng);
+        },
+    );
+}

@@ -32,8 +32,11 @@
 //!                      (debugging escape hatch; the report is
 //!                      bit-identical either way)
 //!   --sched-stats      print scheduler diagnostics after the run:
-//!                      skip attempt/success/backoff counters and the
-//!                      mean active-set occupancy per subsystem
+//!                      clock jumps evaluated/taken (and, where the
+//!                      whole-machine classifier ran — --no-active-set
+//!                      or --workers N — its failure and backoff
+//!                      counters), the mean active-set occupancy per
+//!                      subsystem and the core steps run vs. elided
 //!   --workers N        advance the machine with N shard threads (the
 //!                      epoch-batched parallel engine; default from the
 //!                      SIMCMP_WORKERS environment variable, else 1 =
@@ -258,9 +261,18 @@ fn finish<B: BarrierHw, S: TraceSink>(
                 let mem = sys.mem_sched_stats();
                 let noc = sys.noc_sched_stats();
                 eprintln!(
-                    "skip: {} attempts, {} skips ({} cycles), {} backed off",
-                    skip.attempts, skip.skips, skip.cycles_skipped, skip.backed_off
+                    "skip: {} attempts, {} skips ({} cycles)",
+                    skip.attempts, skip.skips, skip.cycles_skipped
                 );
+                // Only the dense tick and the multi-worker engines run
+                // the whole-machine classifier and its backoff.
+                if skip.fail_blocked + skip.fail_near + skip.backed_off > 0 {
+                    eprintln!(
+                        "classifier: {} attempts blocked by a running core, {} by a near event, \
+                         {} cycles backed off",
+                        skip.fail_blocked, skip.fail_near, skip.backed_off
+                    );
+                }
                 eprintln!(
                     "active sets: {:.2} cores, {:.2} homes, {:.2} routers (mean per ticked cycle)",
                     core.mean_active_cores(),
@@ -268,8 +280,8 @@ fn finish<B: BarrierHw, S: TraceSink>(
                     noc.mean_active_routers()
                 );
                 eprintln!(
-                    "core parking: {} stall steps, {} spin steps elided",
-                    core.parked_steps, core.spin_parked_steps
+                    "core steps: {} run, {} stall steps and {} spin steps elided",
+                    core.core_steps, core.parked_steps, core.spin_parked_steps
                 );
                 let sync = sys.sync_stats();
                 if sync.par_cycles > 0 {

@@ -82,20 +82,35 @@ pub struct SpinPlan {
 }
 
 impl SpinPlan {
-    /// The latest cycle a whole-machine skip may jump to under this
-    /// plan. Exec-mode spins impose no bound of their own (their probed
-    /// value is frozen until an external event the skip clamps on);
-    /// replay-mode spins carry a recorded iteration budget, after which
-    /// the exit group must execute densely. For genuine recordings the
-    /// budget outlasts every delivery-free span, so the clamp never
-    /// binds — it exists so a hand-built trace file cannot drive the
-    /// replay cursor past its op.
+    /// The latest cycle a spin on this plan, running since `now`, may be
+    /// replayed to in closed form — where a park on it ends by itself
+    /// and a clock jump must stop. Exec-mode spins impose no bound of
+    /// their own (their probed value is frozen until their wake
+    /// trigger fires); replay-mode spins carry a recorded iteration
+    /// budget, after which the exit group must execute densely. For
+    /// genuine recordings the trigger always fires first, so the bound
+    /// never binds — it exists so a hand-built trace file cannot drive
+    /// the replay cursor past its op.
     pub(crate) fn max_target(&self, now: Cycle) -> Option<Cycle> {
         match self.kind {
             SpinKind::Gline { .. } | SpinKind::Mem { .. } => None,
             SpinKind::RGline { left } => Some(now + left),
             SpinKind::RMem { phase_b, left, .. } => Some(now + 2 * left - phase_b as u64),
         }
+    }
+
+    /// True when a park on this plan since `anchor` has used up its
+    /// recorded iteration budget by `now`: the core must be woken to
+    /// execute the spin's exit group.
+    pub(crate) fn expired(&self, anchor: Cycle, now: Cycle) -> bool {
+        self.max_target(anchor).is_some_and(|t| now >= t)
+    }
+
+    /// True for a spin on the core's own `bar_reg` (ended by a barrier
+    /// release), false for a memory-probing one (ended by an L1
+    /// delivery).
+    pub(crate) fn on_bar_reg(&self) -> bool {
+        matches!(self.kind, SpinKind::Gline { .. } | SpinKind::RGline { .. })
     }
 }
 
@@ -206,6 +221,13 @@ impl Core {
             Status::BusyUntil { until } => Some(until),
             _ => None,
         }
+    }
+
+    /// Barrier context the core's `barw`/`barr` address (execution
+    /// mode; a replay-driven core never leaves context 0 here, its
+    /// recorded writes carry their own).
+    pub(crate) fn bar_ctx(&self) -> usize {
+        self.bar_ctx
     }
 
     /// The core's id.
@@ -756,7 +778,7 @@ impl Core {
                     FfClass::Blocked
                 }
             },
-            Status::Ready => match self.replay_spin_a(trace, mem, false) {
+            Status::Ready => match self.replay_spin_a(trace, mem, true, true) {
                 Some(plan) => FfClass::Spin(plan),
                 None => FfClass::Blocked,
             },
@@ -764,20 +786,20 @@ impl Core {
     }
 
     /// Replay-mode spin plan with the core `Ready` at a compressed
-    /// spin's loop top. With `mem_only`, only memory-probing spins are
-    /// reported (the per-core park decision, which discards G-line
-    /// plans anyway).
+    /// spin's loop top; `on_mem` / `on_bar` select which kinds of spin
+    /// the caller can use (see [`park_spin`](Self::park_spin)).
     fn replay_spin_a<M: CoreMem>(
         &self,
         trace: &CoreTrace,
         mem: &M,
-        mem_only: bool,
+        on_mem: bool,
+        on_bar: bool,
     ) -> Option<SpinPlan> {
         if self.rp_spin == 0 || self.rp_phase_b {
             return None;
         }
         match trace.ops.get(self.rp_op)? {
-            TraceOp::GlineSpin { pc, .. } if !mem_only => Some(SpinPlan {
+            TraceOp::GlineSpin { pc, .. } if on_bar => Some(SpinPlan {
                 top: *pc as usize,
                 kind: SpinKind::RGline { left: self.rp_spin },
             }),
@@ -786,7 +808,7 @@ impl Core {
                 addr,
                 iter_retires,
                 ..
-            } => {
+            } if on_mem => {
                 // Future iterations must hit in the L1, exactly as the
                 // recorded ones did.
                 mem.spin_probe_load(self.id, *addr)?;
@@ -834,54 +856,42 @@ impl Core {
     }
 
     /// The per-tick park decision of the active-set scheduler: is this
-    /// core inside a *memory-probing* spin it can be parked on?
+    /// core inside a spin it can be parked on? `on_mem` admits the
+    /// memory-probing shapes (the caller sees no delivery inbound for
+    /// the tile), `on_bar` the `bar_reg` ones (the caller knows no
+    /// release can land this cycle); a spin whose wake trigger may fire
+    /// this cycle is not worth matching.
     ///
     /// This is [`ff_classify`](Self::ff_classify) restricted to the
-    /// plans the caller would keep — G-line spins are never parked
-    /// per-core (the barrier release that ends them is not an L1
-    /// delivery), so the full classifier wasted a barrier-register
-    /// read and a branch evaluation per spinning core per tick just to
-    /// produce a plan the caller discarded. Matching only the
-    /// memory-probing shapes is bit-identical and much cheaper on
-    /// G-line-bound workloads.
-    pub(crate) fn park_spin<M: CoreMem>(
+    /// spin outcomes: one fetch decides which matcher, if any, runs.
+    pub(crate) fn park_spin<B: BarrierHw + ?Sized, M: CoreMem>(
         &self,
         prog: &CoreProg,
         mem: &M,
+        gline: &B,
         now: Cycle,
+        on_mem: bool,
+        on_bar: bool,
     ) -> Option<SpinPlan> {
-        match prog {
-            CoreProg::Exec(p) => match self.status {
-                Status::Ready => match p.fetch(self.pc)? {
-                    Inst::Ld { .. } | Inst::Li { .. } => self.match_phase_a_mem(p, mem),
-                    _ => None,
-                },
+        let resolves_now = || mem.resp_ready_at(self.id).is_some_and(|r| r <= now);
+        match (prog, self.status) {
+            (CoreProg::Exec(p), Status::Ready) => match p.fetch(self.pc)? {
+                Inst::Ld { .. } | Inst::Li { .. } if on_mem => self.match_phase_a_mem(p, mem),
+                Inst::BarRead { .. } if on_bar => self.match_phase_a_bar(p, gline),
+                _ => None,
+            },
+            (CoreProg::Replay(t), Status::Ready) => self.replay_spin_a(t, mem, on_mem, on_bar),
+            (
+                _,
                 Status::WaitMem {
                     rd,
                     cat: TimeCat::Read,
-                } => {
-                    match mem.resp_ready_at(self.id) {
-                        Some(r) if r <= now => {}
-                        _ => return None,
-                    }
-                    self.match_phase_b(p, mem, rd)
-                }
-                _ => None,
+                },
+            ) if on_mem && resolves_now() => match prog {
+                CoreProg::Exec(p) => self.match_phase_b(p, mem, rd),
+                CoreProg::Replay(t) => self.replay_spin_b(t, mem),
             },
-            CoreProg::Replay(t) => match self.status {
-                Status::Ready => self.replay_spin_a(t, mem, true),
-                Status::WaitMem {
-                    rd: _,
-                    cat: TimeCat::Read,
-                } => {
-                    match mem.resp_ready_at(self.id) {
-                        Some(r) if r <= now => {}
-                        _ => return None,
-                    }
-                    self.replay_spin_b(t, mem)
-                }
-                _ => None,
-            },
+            _ => None,
         }
     }
 
@@ -892,46 +902,57 @@ impl Core {
         mem: &M,
         gline: &B,
     ) -> Option<SpinPlan> {
-        let top = self.pc;
-        match prog.fetch(top)? {
-            // `top: barr rd ; b<cond> …, top` — one iteration per cycle
-            // on a 2-wide core, no memory interaction.
-            Inst::BarRead { rd } if self.issue_width >= 2 => {
-                let Inst::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    target,
-                } = prog.fetch(top + 1)?
-                else {
-                    return None;
-                };
-                if target != top {
-                    return None;
-                }
-                let v = gline.bar_reg(self.id, self.bar_ctx);
-                let rv = |r: Reg| {
-                    if r.index() == 0 {
-                        0
-                    } else if r == rd {
-                        v
-                    } else {
-                        self.reg(r)
-                    }
-                };
-                cond.taken(rv(rs1), rv(rs2)).then_some(SpinPlan {
-                    top,
-                    kind: SpinKind::Gline { rd, value: v },
-                })
-            }
+        match prog.fetch(self.pc)? {
+            Inst::BarRead { .. } => self.match_phase_a_bar(prog, gline),
             _ => self.match_phase_a_mem(prog, mem),
         }
     }
 
-    /// The memory-probing subset of [`match_phase_a`](Self::match_phase_a):
-    /// flag-wait loops whose every iteration hits in the L1. Split out so
-    /// the per-core park decision can match these shapes without touching
-    /// the barrier network.
+    /// The `bar_reg` half of [`match_phase_a`](Self::match_phase_a):
+    /// `top: barr rd ; b<cond> …, top` — one iteration per cycle on a
+    /// 2-wide core, no memory interaction.
+    fn match_phase_a_bar<B: BarrierHw + ?Sized>(
+        &self,
+        prog: &Program,
+        gline: &B,
+    ) -> Option<SpinPlan> {
+        let top = self.pc;
+        let Inst::BarRead { rd } = prog.fetch(top)? else {
+            return None;
+        };
+        if self.issue_width < 2 {
+            return None;
+        }
+        let Inst::Branch {
+            cond,
+            rs1,
+            rs2,
+            target,
+        } = prog.fetch(top + 1)?
+        else {
+            return None;
+        };
+        if target != top {
+            return None;
+        }
+        let v = gline.bar_reg(self.id, self.bar_ctx);
+        let rv = |r: Reg| {
+            if r.index() == 0 {
+                0
+            } else if r == rd {
+                v
+            } else {
+                self.reg(r)
+            }
+        };
+        cond.taken(rv(rs1), rv(rs2)).then_some(SpinPlan {
+            top,
+            kind: SpinKind::Gline { rd, value: v },
+        })
+    }
+
+    /// The memory-probing half of [`match_phase_a`](Self::match_phase_a):
+    /// flag-wait loops whose every iteration hits in the L1.
     fn match_phase_a_mem<M: CoreMem>(&self, prog: &Program, mem: &M) -> Option<SpinPlan> {
         let top = self.pc;
         match prog.fetch(top)? {
@@ -1309,8 +1330,8 @@ impl Core {
     }
 
     /// Pure preview of what [`ff_replay`](Self::ff_replay) would charge
-    /// for `k` elided cycles of a memory-probing `plan`: `(category_a,
-    /// a_cycles, category_b, b_cycles, retired, l1_hits)`. Used by
+    /// for `k` elided cycles of `plan`: `(category_a, a_cycles,
+    /// category_b, b_cycles, retired, l1_hits)`. Used by
     /// `System::report` to fold a spin-parked core's pending span into
     /// a mid-run report without mutating anything; the numbers match
     /// the eventual replay exactly because the core's region and the
@@ -1331,8 +1352,10 @@ impl Core {
                 phase_b,
                 ..
             } => (iter_retires, phase_b),
+            // One `barr` + taken branch per cycle, no memory access.
             SpinKind::Gline { .. } | SpinKind::RGline { .. } => {
-                unreachable!("only memory-probing spins are parked per-core")
+                let cat = self.category();
+                return (cat, k, cat, 0, 2 * k, 0);
             }
         };
         let (a_cycles, b_cycles) = if phase_b {

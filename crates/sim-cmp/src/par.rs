@@ -23,8 +23,12 @@
 //! worker 0. Because every cross-shard effect is buffered and applied
 //! in a thread-independent order, the parallel engine is **bit-identical**
 //! to the serial one: same [`SystemReport`](crate::SystemReport), same
-//! architectural memory, same scheduler statistics — the property
-//! `tests/parallel_determinism.rs` proves.
+//! architectural memory — the property `tests/parallel_determinism.rs`
+//! proves. (The scheduler diagnostics differ: the shards see the
+//! barrier network through a frozen shadow, so they pass [`step_core`]
+//! a release predicate pinned to `true` and never park a `bar_reg`
+//! spinner, and the coordinator skips with the whole-machine
+//! classifier instead of the wake index.)
 //!
 //! # Safety model
 //!
@@ -153,7 +157,8 @@ pub(crate) fn worker_loop<B: BarrierHw, S: TraceSink>(ctx: &CycleCtx<B, S>, w: u
 /// the serial tick's [`step_core`], with the memory system replaced by
 /// the tile's [lane](sim_mem::LaneMem), the barrier network by a
 /// write-latching [`GlineShadow`], the delivery predicate by the frozen
-/// flags, and the scheduler counters by the worker's delta.
+/// flags, the release predicate by `true`, and the scheduler counters by
+/// the worker's delta.
 ///
 /// # Safety
 ///
@@ -178,6 +183,7 @@ pub(crate) unsafe fn shard_phase<B: BarrierHw, S: TraceSink>(
                 &mut p.lanes.lane(i),
                 &mut gl,
                 *p.flags.add(i),
+                true,
                 now,
                 tracer,
                 &mut out.sched,
@@ -326,11 +332,12 @@ pub(crate) unsafe fn epoch_shard_phase<B: BarrierHw, S: TraceSink>(
     let end = p.start + p.window;
     for i in lo..hi {
         if !*p.tile_active.add(i) {
-            // Never parked under the dense scheduler.
+            // Never parked under the dense scheduler; a tile with a
+            // `bar_reg` park is never inactive.
             match *p.parks.add(i) {
                 Park::None => {}
                 Park::Stall { .. } | Park::Miss { .. } => out.sched.parked_steps += p.window,
-                Park::Spin { .. } => out.sched.spin_parked_steps += p.window,
+                Park::Spin { .. } | Park::Bar { .. } => out.sched.spin_parked_steps += p.window,
             }
             continue;
         }
@@ -358,6 +365,7 @@ pub(crate) unsafe fn epoch_shard_phase<B: BarrierHw, S: TraceSink>(
                     &mut lane,
                     &mut gl,
                     delivery,
+                    true,
                     now,
                     tracer,
                     &mut out.sched,

@@ -1,6 +1,7 @@
 //! Core-layer scheduling: the per-core park state, the one per-core
 //! step body every engine runs, and the wake index that lets the sparse
-//! serial tick visit only the cores that can act (`DESIGN.md` §10).
+//! serial tick visit only the cores that can act — and the serial
+//! engine jump the clock when none can (`DESIGN.md` §9, §10).
 
 use crate::core::{Core, SpinPlan};
 use crate::replay::CoreProg;
@@ -33,18 +34,37 @@ pub(crate) enum Park {
     /// wake trigger is the same delivery predicate as `Spin`'s, because
     /// only a message reaching the tile can install the response.
     Miss { anchor: Cycle },
+    /// The core sits in a recognized spin on its own `bar_reg`, which
+    /// only a barrier release can clear. The wake trigger is the
+    /// machine-wide release predicate ("a `bar_reg` may clear in this
+    /// cycle's `gline.tick`", i.e. [`BarrierHw::release_bound`] `<= 1`);
+    /// the elided span is replayed in closed form like `Spin`'s.
+    Bar { plan: SpinPlan, anchor: Cycle },
 }
 
 impl Park {
+    /// The cycle at which the park ends by itself, whatever its wake
+    /// trigger does: a stall's wake, or the cycle a replay-mode spin
+    /// has used up its recorded iteration budget.
+    pub(crate) fn wake_at(&self) -> Option<Cycle> {
+        match *self {
+            Park::None | Park::Miss { .. } => None,
+            Park::Stall { wake, .. } => Some(wake),
+            Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => plan.max_target(anchor),
+        }
+    }
+
     /// True when [`step_core`] gets past its park checks at cycle `now`
     /// for a core in this state — the membership predicate of the
     /// sparse tick's visit set (a halted core is never visited).
-    pub(crate) fn visits(&self, halted: bool, delivery: bool, now: Cycle) -> bool {
-        match *self {
+    pub(crate) fn visits(&self, halted: bool, delivery: bool, release: bool, now: Cycle) -> bool {
+        let triggered = match *self {
             Park::None => !halted,
-            Park::Stall { wake, .. } => now >= wake,
+            Park::Stall { .. } => false,
             Park::Spin { .. } | Park::Miss { .. } => delivery,
-        }
+            Park::Bar { .. } => release,
+        };
+        triggered || self.wake_at().is_some_and(|t| now >= t)
     }
 }
 
@@ -56,6 +76,7 @@ impl std::fmt::Display for Park {
             Park::Stall { wake, .. } => write!(f, "stall until {wake}"),
             Park::Spin { .. } => f.write_str("spin"),
             Park::Miss { .. } => f.write_str("miss"),
+            Park::Bar { .. } => f.write_str("spin on bar_reg"),
         }
     }
 }
@@ -66,13 +87,17 @@ impl std::fmt::Display for Park {
 /// parallel engines run this one body — over the whole memory system
 /// or a tile lane, the barrier network or a write-latching shadow, the
 /// live or the frozen delivery predicate — which is what makes their
-/// reports and scheduler counters bit-identical.
+/// reports bit-identical.
 ///
 /// `delivery` must be the tile's exact delivery predicate for `now`: a
-/// protocol message reaches the tile this cycle iff it is true. Returns
-/// whether the core is still live (neither parked nor halted).
+/// protocol message reaches the tile this cycle iff it is true.
+/// `release` must be true unless no `bar_reg` can clear in this cycle's
+/// barrier-network tick; an engine that cannot re-evaluate that every
+/// cycle passes `true`, which settles any `bar_reg` park it meets and
+/// never creates one. Returns whether the core is still live (neither
+/// parked nor halted).
 #[inline]
-#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicate and counters
+#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates and counters
 pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     core: &mut Core,
     prog: &CoreProg,
@@ -80,6 +105,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     mem: &mut M,
     gline: &mut G,
     delivery: bool,
+    release: bool,
     now: Cycle,
     tracer: &Tracer<S>,
     sched: &mut CoreSchedStats,
@@ -99,7 +125,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
             // reaches this tile, and deliveries for this cycle were
             // queued by the previous cycle's NoC tick — so the check is
             // exact and runs one cycle ahead of the mutation.
-            if !delivery {
+            if !delivery && !plan.expired(anchor, now) {
                 sched.spin_parked_steps += 1;
                 return false;
             }
@@ -119,6 +145,16 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
             *park = Park::None;
             core.ff_stall(now - anchor);
         }
+        Park::Bar { plan, anchor } => {
+            // Only the core itself (parked) and a release (ruled out
+            // for this cycle's network tick) write its `bar_reg`.
+            if !release && !plan.expired(anchor, now) {
+                sched.spin_parked_steps += 1;
+                return false;
+            }
+            *park = Park::None;
+            core.ff_replay(plan, now, anchor, mem);
+        }
     }
     if core.halted() {
         return false;
@@ -131,17 +167,16 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         sched.parked_steps += 1;
         return false;
     }
-    // Park instead of stepping when the core sits at a recognized
-    // memory-probing spin and no message is inbound: every elided step
-    // is a closed-form replay at wake-up. G-line spins are left to the
-    // whole-machine skip — `bar_reg` changes without L1 traffic, so
-    // they have no per-core wake trigger (which is why the park
-    // decision uses the memory-only matcher instead of the full
-    // classifier: a G-line plan would be discarded here, so computing
-    // it per tick is pure overhead).
-    if !S::ENABLED && !delivery {
-        if let Some(plan) = core.park_spin(prog, mem, now) {
-            *park = Park::Spin { plan, anchor: now };
+    // Park instead of stepping when the core sits at a recognized spin
+    // whose wake trigger cannot fire this cycle: every elided step is a
+    // closed-form replay at wake-up. (A traced run must emit them.)
+    if !S::ENABLED {
+        if let Some(plan) = core.park_spin(prog, mem, gline, now, !delivery, !release) {
+            *park = if plan.on_bar_reg() {
+                Park::Bar { plan, anchor: now }
+            } else {
+                Park::Spin { plan, anchor: now }
+            };
             sched.spin_parked_steps += 1;
             return false;
         }
@@ -163,32 +198,38 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     !core.halted()
 }
 
-/// The wake index: one bit per core in exactly one of four sets — or in
+/// The wake index: one bit per core in exactly one of five sets — or in
 /// none once it has halted — mirroring the park array, which stays the
 /// single source of truth. The sparse serial tick reads it to visit
-/// only `live | ((spin | miss) & delivery_tiles)` plus the stall parks
-/// that are due, and counts everyone else's elided steps by popcount.
+/// only `live | ((spin | miss) & delivery_tiles) | (bar if a release
+/// may land)` plus the timed parks that are due, and counts everyone
+/// else's elided steps by popcount; the serial `advance` reads it to
+/// see that nobody is live and how far the clock may jump.
 ///
 /// Only the sparse serial tick keeps the index in step (it resyncs the
-/// cores it visits). A whole-machine fast-forward follows up with
-/// [`unpark_all`](Self::unpark_all); every other path that changes park
-/// state or halts cores marks the index stale, and the next sparse tick
-/// rebuilds it in one O(cores) pass.
+/// cores it visits; a clock jump touches no park, so it leaves the
+/// index as it is). Every other path that changes park state or halts
+/// cores marks the index stale, and the next sparse tick rebuilds it in
+/// one O(cores) pass.
 #[derive(Debug)]
 pub(crate) struct WakeIndex {
-    /// The four sets, 64 cores per entry (core `i` at bit `i % 64` of
-    /// entry `i / 64`).
+    /// The sets, 64 cores per entry (core `i` at bit `i % 64` of entry
+    /// `i / 64`).
     words: Vec<IndexWord>,
     /// Cores in any set, i.e. not halted.
     members: usize,
-    /// Lower bound on the earliest `wake` of any stall park: no stall
-    /// park is due while `now < next_wake`, so those ticks never look
-    /// at the stall set's members.
+    /// Cores in the live set.
+    live: usize,
+    /// Cores in the `bar` set.
+    bar: usize,
+    /// Lower bound on the earliest [`Park::wake_at`] of any park: no
+    /// timed park is due while `now < next_wake`, so those ticks never
+    /// look at the timed sets' members.
     next_wake: Cycle,
     fresh: bool,
 }
 
-/// 64 cores' worth of the index's four sets.
+/// 64 cores' worth of the index's sets.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct IndexWord {
     /// Neither parked nor halted.
@@ -196,11 +237,16 @@ pub(crate) struct IndexWord {
     pub(crate) stall: u64,
     pub(crate) spin: u64,
     pub(crate) miss: u64,
+    pub(crate) bar: u64,
+    /// The parks that have a [`Park::wake_at`]: every member of
+    /// `stall`, and the members of `spin | bar` whose plan carries a
+    /// replay iteration budget.
+    timed: u64,
 }
 
 impl IndexWord {
     fn any(&self) -> u64 {
-        self.live | self.stall | self.spin | self.miss
+        self.live | self.stall | self.spin | self.miss | self.bar
     }
 }
 
@@ -210,6 +256,8 @@ impl WakeIndex {
         WakeIndex {
             words: vec![IndexWord::default(); n.div_ceil(64)],
             members: 0,
+            live: 0,
+            bar: 0,
             next_wake: 0,
             fresh: false,
         }
@@ -229,6 +277,33 @@ impl WakeIndex {
         self.members == 0
     }
 
+    /// True when some core is neither parked nor halted.
+    pub(crate) fn any_live(&self) -> bool {
+        self.live != 0
+    }
+
+    /// True when some core is parked on its `bar_reg`.
+    pub(crate) fn any_bar(&self) -> bool {
+        self.bar != 0
+    }
+
+    /// Lower bound on the first cycle a timed park is due.
+    pub(crate) fn next_wake(&self) -> Cycle {
+        self.next_wake
+    }
+
+    /// How many cores are parked on a pure stall charge (stall or miss)
+    /// and how many in a spin (memory or `bar_reg`): what one elided
+    /// cycle adds to `parked_steps` / `spin_parked_steps`.
+    pub(crate) fn parked_counts(&self) -> (u64, u64) {
+        self.words.iter().fold((0, 0), |(stalled, spinning), w| {
+            (
+                stalled + (w.stall | w.miss).count_ones() as u64,
+                spinning + (w.spin | w.bar).count_ones() as u64,
+            )
+        })
+    }
+
     pub(crate) fn num_words(&self) -> usize {
         self.words.len()
     }
@@ -241,19 +316,35 @@ impl WakeIndex {
     pub(crate) fn place(&mut self, i: usize, park: &Park, halted: bool) {
         let (word, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
         self.members -= (word.any() & bit != 0) as usize;
-        word.live &= !bit;
-        word.stall &= !bit;
-        word.spin &= !bit;
-        word.miss &= !bit;
+        self.live -= (word.live & bit != 0) as usize;
+        self.bar -= (word.bar & bit != 0) as usize;
+        for set in [
+            &mut word.live,
+            &mut word.stall,
+            &mut word.spin,
+            &mut word.miss,
+            &mut word.bar,
+            &mut word.timed,
+        ] {
+            *set &= !bit;
+        }
         match *park {
             Park::None if halted => return,
-            Park::None => word.live |= bit,
-            Park::Stall { wake, .. } => {
-                word.stall |= bit;
-                self.next_wake = self.next_wake.min(wake);
+            Park::None => {
+                word.live |= bit;
+                self.live += 1;
             }
+            Park::Stall { .. } => word.stall |= bit,
             Park::Spin { .. } => word.spin |= bit,
             Park::Miss { .. } => word.miss |= bit,
+            Park::Bar { .. } => {
+                word.bar |= bit;
+                self.bar += 1;
+            }
+        }
+        if let Some(wake) = park.wake_at() {
+            word.timed |= bit;
+            self.next_wake = self.next_wake.min(wake);
         }
         self.members += 1;
     }
@@ -262,6 +353,8 @@ impl WakeIndex {
     pub(crate) fn rebuild(&mut self, cores: &[Core], parks: &[Park]) {
         self.words.fill(IndexWord::default());
         self.members = 0;
+        self.live = 0;
+        self.bar = 0;
         self.next_wake = Cycle::MAX;
         for (i, (core, park)) in cores.iter().zip(parks).enumerate() {
             self.place(i, park, core.halted());
@@ -269,22 +362,10 @@ impl WakeIndex {
         self.fresh = true;
     }
 
-    /// Follows a whole-machine fast-forward, which settles and clears
-    /// every park without halting anyone: every parked core is live.
-    pub(crate) fn unpark_all(&mut self) {
-        for word in &mut self.words {
-            *word = IndexWord {
-                live: word.any(),
-                ..IndexWord::default()
-            };
-        }
-        self.next_wake = Cycle::MAX;
-    }
-
-    /// Opens a tick: true when a stall park may be due at `now`, in
-    /// which case the caller must run [`due_stalls`](Self::due_stalls)
+    /// Opens a tick: true when a timed park may be due at `now`, in
+    /// which case the caller must run [`due_wakes`](Self::due_wakes)
     /// over every word this tick (`next_wake` is re-derived from it).
-    pub(crate) fn begin_stall_scan(&mut self, now: Cycle) -> bool {
+    pub(crate) fn begin_wake_scan(&mut self, now: Cycle) -> bool {
         let scan = now >= self.next_wake;
         if scan {
             self.next_wake = Cycle::MAX;
@@ -292,26 +373,26 @@ impl WakeIndex {
         scan
     }
 
-    /// The stall parks of word `w` that are due at `now`, as a bit
+    /// The timed parks of word `w` that are due at `now`, as a bit
     /// mask; the wakes of the others are folded into `next_wake`.
-    pub(crate) fn due_stalls(&mut self, w: usize, parks: &[Park], now: Cycle) -> u64 {
+    pub(crate) fn due_wakes(&mut self, w: usize, parks: &[Park], now: Cycle) -> u64 {
         let mut due = 0;
-        let mut bits = self.words[w].stall;
+        let mut bits = self.words[w].timed;
         while bits != 0 {
             let b = bits.trailing_zeros();
             bits &= bits - 1;
-            match parks[w * 64 + b as usize] {
-                Park::Stall { wake, .. } if wake <= now => due |= 1 << b,
-                Park::Stall { wake, .. } => self.next_wake = self.next_wake.min(wake),
-                _ => unreachable!("stall bit set for a core that is not stall-parked"),
+            match parks[w * 64 + b as usize].wake_at() {
+                Some(wake) if wake <= now => due |= 1 << b,
+                Some(wake) => self.next_wake = self.next_wake.min(wake),
+                None => unreachable!("timed bit set for a park that has no wake cycle"),
             }
         }
         due
     }
 
     /// True when every bit agrees with the park array and `halted()`,
-    /// `members` counts the cores in a set, and `next_wake` bounds
-    /// every stall park's wake from below.
+    /// `members`, `live` and `bar` count the cores in a set, in the
+    /// live one and in the `bar` one, and `next_wake` bounds every timed park's wake from below.
     pub(crate) fn is_consistent(&self, cores: &[Core], parks: &[Park]) -> bool {
         let bits_agree = cores
             .iter()
@@ -319,17 +400,29 @@ impl WakeIndex {
             .enumerate()
             .all(|(i, (core, park))| {
                 let (word, bit) = (self.words[i / 64], 1u64 << (i % 64));
-                let got = [word.live, word.stall, word.spin, word.miss].map(|s| s & bit != 0);
-                match *park {
-                    Park::None => got == [!core.halted(), false, false, false],
-                    Park::Stall { wake, .. } => {
-                        got == [false, true, false, false] && wake >= self.next_wake
-                    }
-                    Park::Spin { .. } => got == [false, false, true, false],
-                    Park::Miss { .. } => got == [false, false, false, true],
-                }
+                let got =
+                    [word.live, word.stall, word.spin, word.miss, word.bar].map(|s| s & bit != 0);
+                let want = match *park {
+                    Park::None => [!core.halted(), false, false, false, false],
+                    Park::Stall { .. } => [false, true, false, false, false],
+                    Park::Spin { .. } => [false, false, true, false, false],
+                    Park::Miss { .. } => [false, false, false, true, false],
+                    Park::Bar { .. } => [false, false, false, false, true],
+                };
+                let timed = park.wake_at();
+                got == want
+                    && (word.timed & bit != 0) == timed.is_some()
+                    && timed.is_none_or(|wake| wake >= self.next_wake)
             });
-        let members: u32 = self.words.iter().map(|w| w.any().count_ones()).sum();
-        bits_agree && members as usize == self.members
+        let count = |set: fn(&IndexWord) -> u64| -> usize {
+            self.words
+                .iter()
+                .map(|w| set(w).count_ones() as usize)
+                .sum()
+        };
+        bits_agree
+            && count(IndexWord::any) == self.members
+            && count(|w| w.live) == self.live
+            && count(|w| w.bar) == self.bar
     }
 }

@@ -30,8 +30,8 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     now: Cycle,
     /// Quiescence-aware cycle skipping (see [`Self::set_skip_enabled`]).
     skip_enabled: bool,
-    /// Per-core spin plans, reused across skip decisions (no per-cycle
-    /// allocation on the hot path).
+    /// Per-core spin plans of the whole-machine classifier
+    /// ([`Self::try_fast_forward`]), reused across its decisions.
     ff_plans: Vec<Option<SpinPlan>>,
     /// Fast-forward effectiveness counters (diagnostics only; not part
     /// of [`SystemReport`], so skip-on and skip-off reports stay
@@ -46,11 +46,13 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     /// Bitset index over `parks` and the halted cores, kept in step by
     /// the sparse serial tick only (see [`WakeIndex`]).
     index: WakeIndex,
-    /// Current fast-forward failure backoff (0 = none): after a failed
-    /// attempt, skip attempts are suppressed for this many cycles,
-    /// doubling per consecutive failure up to [`MAX_FF_BACKOFF`].
+    /// Current failure backoff of the whole-machine classifier (0 =
+    /// none): after a failed attempt, attempts are suppressed for this
+    /// many cycles, doubling per consecutive failure up to
+    /// [`MAX_FF_BACKOFF`]. The serial sparse engine never classifies,
+    /// so it never backs off.
     ff_backoff: u64,
-    /// First cycle at which fast-forward attempts resume.
+    /// First cycle at which classifier attempts resume.
     ff_resume_at: Cycle,
     /// Core-scheduler occupancy counters (diagnostics only).
     sched: CoreSchedStats,
@@ -94,32 +96,46 @@ enum HaltBound {
     },
 }
 
-/// Cap on the fast-forward failure backoff. In coherence-bound phases
-/// the machine is never quiescent, so attempts settle at one per
-/// `MAX_FF_BACKOFF` cycles and the attempt overhead vanishes; in
-/// bursty phases a successful skip resets the backoff to zero, and at
-/// most this many skippable cycles are ticked densely before the next
-/// attempt notices a quiescent span. The cap can sit this high because
-/// densely ticked cycles are cheap once the cores park (§10): a
-/// backed-off cycle with everything parked touches only the empty
-/// active sets, so the transition latency it buys costs microseconds.
+/// Cap on the whole-machine classifier's failure backoff (the dense
+/// `--no-active-set` tick and the multi-worker engines; see
+/// [`System::try_fast_forward`]). In coherence-bound phases the machine
+/// is never quiescent, so attempts settle at one per `MAX_FF_BACKOFF`
+/// cycles and the O(cores) attempt overhead vanishes; in bursty phases
+/// a successful skip resets the backoff to zero, and at most this many
+/// skippable cycles are ticked before the next attempt notices a
+/// quiescent span.
 const MAX_FF_BACKOFF: u64 = 512;
+
+/// Why the whole-machine classifier found no jump.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum FfFail {
+    /// A core is actively executing.
+    Blocked,
+    /// The earliest event is within a cycle.
+    Near,
+}
 
 /// How well the cycle-skipping scheduler is doing on a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SkipStats {
-    /// Fast-forward attempts (one per `advance` with skipping live).
+    /// Clock jumps evaluated: on the serial sparse engine, every
+    /// `advance` that found no core to step; elsewhere, every run of
+    /// the whole-machine classifier. `skips <= attempts`.
     pub attempts: u64,
     /// Attempts that jumped the clock.
     pub skips: u64,
     /// Total cycles elided across all jumps.
     pub cycles_skipped: u64,
-    /// Attempts aborted because a core was actively executing.
+    /// Classifier attempts aborted because a core was actively
+    /// executing (classifier paths only; the sparse engine sees a live
+    /// core in its index and evaluates nothing).
     pub fail_blocked: u64,
-    /// Attempts aborted because the earliest event was within a cycle.
+    /// Classifier attempts aborted because the earliest event was
+    /// within a cycle (classifier paths only).
     pub fail_near: u64,
-    /// Cycles on which an attempt was suppressed by the failure
-    /// backoff (the machine ticked densely instead).
+    /// Cycles on which a classifier attempt was suppressed by the
+    /// failure backoff (classifier paths only; always 0 on the serial
+    /// sparse engine, which has no backoff).
     pub backed_off: u64,
 }
 
@@ -140,6 +156,14 @@ pub struct CoreSchedStats {
 }
 
 impl CoreSchedStats {
+    /// Core-cycles accounted for: stepped plus elided. On every engine
+    /// and toggle combination this equals the report's
+    /// `total_time.total()` — every charged core-cycle is counted
+    /// exactly once, as a step or as a parked step.
+    pub fn core_cycles(&self) -> u64 {
+        self.core_steps + self.parked_steps + self.spin_parked_steps
+    }
+
     /// Mean number of cores stepped per tick.
     pub fn mean_active_cores(&self) -> f64 {
         if self.ticks == 0 {
@@ -529,28 +553,46 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.now += 1;
     }
 
+    /// Rebuilds the wake index if some other engine left it stale.
+    fn refresh_index(&mut self) {
+        if !self.index.is_fresh() {
+            self.index.rebuild(&self.cores, &self.parks);
+        }
+    }
+
+    /// The release predicate for the cycle about to be ticked: false
+    /// only when the barrier hardware rules out any `bar_reg` clearing
+    /// in this cycle's `gline.tick` — even if the last arrival is
+    /// written this very cycle, the release is its propagation floor
+    /// away. Evaluated once, before the cores step.
+    fn release_may_land(&self) -> bool {
+        self.gline.release_bound() <= 1
+    }
+
     /// The core phase of the sparse tick: runs [`step_core`] on exactly
     /// the cores that get past its park checks this cycle, in ascending
     /// order, and counts every other parked core's elided step by
     /// popcount — O(cores / 64 + visited) instead of O(cores).
     fn tick_cores_sparse(&mut self, now: Cycle) {
-        if !self.index.is_fresh() {
-            self.index.rebuild(&self.cores, &self.parks);
-        }
+        self.refresh_index();
         debug_assert!(self.index.is_consistent(&self.cores, &self.parks));
-        let scan_stalls = self.index.begin_stall_scan(now);
+        let release = self.release_may_land();
+        let scan_wakes = self.index.begin_wake_scan(now);
         for w in 0..self.index.num_words() {
             // Frozen during the core loop: delivery queues only change
             // in `mem.tick`, so one word read serves all 64 cores.
             let delivery = self.mem.delivery_words()[w];
             let set = self.index.word(w);
             let mut visit = set.live | ((set.spin | set.miss) & delivery);
-            if scan_stalls {
-                visit |= self.index.due_stalls(w, &self.parks, now);
+            if release {
+                visit |= set.bar;
             }
-            debug_assert_eq!(visit, self.dense_visit_word(w, now));
+            if scan_wakes {
+                visit |= self.index.due_wakes(w, &self.parks, now);
+            }
+            debug_assert_eq!(visit, self.dense_visit_word(w, release, now));
             self.sched.parked_steps += ((set.stall | set.miss) & !visit).count_ones() as u64;
-            self.sched.spin_parked_steps += (set.spin & !visit).count_ones() as u64;
+            self.sched.spin_parked_steps += ((set.spin | set.bar) & !visit).count_ones() as u64;
             let mut bits = visit;
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
@@ -563,6 +605,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                     &mut self.mem,
                     &mut self.gline,
                     delivery & bit != 0,
+                    release,
                     now,
                     &self.tracer,
                     &mut self.sched,
@@ -577,11 +620,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
 
     /// Word `w` of the sparse tick's visit set, recomputed core by core
     /// from the park array (the debug cross-check of the index).
-    fn dense_visit_word(&self, w: usize, now: Cycle) -> u64 {
+    fn dense_visit_word(&self, w: usize, release: bool, now: Cycle) -> u64 {
         let hi = self.cores.len().min((w + 1) * 64);
         (w * 64..hi).fold(0, |word, i| {
             let delivery = self.mem.has_delivery_for(CoreId::from(i));
-            let visit = self.parks[i].visits(self.cores[i].halted(), delivery, now);
+            let visit = self.parks[i].visits(self.cores[i].halted(), delivery, release, now);
             word | (visit as u64) << (i % 64)
         })
     }
@@ -589,8 +632,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Settles every parked core's pending span up to `now` and unparks
     /// it: stall and miss parks are charged, spin parks replayed. Legal
     /// between ticks — every elided cycle of a spin park provably saw
-    /// the frozen probed line (a pending delivery unparks the core
-    /// before the line can change), so the closed-form replay is exact.
+    /// the frozen probed line or `bar_reg` (a pending delivery, or a
+    /// release that may land, unparks the core before either can
+    /// change), so the closed-form replay is exact.
     /// Called when active-set scheduling is turned off mid-run (the
     /// dense loop steps every core).
     fn flush_parks(&mut self) {
@@ -601,7 +645,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 Park::Stall { anchor, .. } | Park::Miss { anchor } => {
                     core.ff_stall(self.now - anchor)
                 }
-                Park::Spin { plan, anchor } => {
+                Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
                     core.ff_replay(plan, self.now, anchor, &mut self.mem)
                 }
             }
@@ -689,41 +733,121 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.sync
     }
 
-    /// Advances one cycle — or, if skipping is permitted and the whole
-    /// machine is quiescent, jumps to the next event (clamped to
-    /// `horizon`, which callers use for deadline and progress-boundary
-    /// alignment). Failed skip attempts are throttled with an
-    /// exponential backoff so coherence-bound phases do not pay the
-    /// attempt cost every cycle.
+    /// Advances one cycle — or, if skipping is permitted and no
+    /// component can act before then, jumps the clock to the next event
+    /// (clamped to `horizon`, which callers use for deadline and
+    /// progress-boundary alignment).
+    ///
+    /// The sparse engine reads the jump off its wake index
+    /// ([`jump_target`](Self::jump_target)); the dense
+    /// `--no-active-set` tick keeps no index and asks the
+    /// whole-machine classifier instead.
     fn advance(&mut self, horizon: Cycle) {
         if S::ENABLED || !self.skip_enabled || horizon <= self.now + 1 {
             self.tick();
-            return;
-        }
-        if self.now < self.ff_resume_at {
-            self.skip_stats.backed_off += 1;
-            self.tick();
-            return;
-        }
-        if self.try_fast_forward(horizon) {
-            self.ff_backoff = 0;
+        } else if !self.active_set_enabled {
+            self.advance_classified(horizon, Self::tick);
+        } else if let Some(target) = self.jump_target(horizon) {
+            self.jump_to(target);
         } else {
-            self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-            self.ff_resume_at = self.now + self.ff_backoff;
             self.tick();
         }
     }
 
-    /// Attempts a fast-forward jump. Returns `false` (machine untouched)
-    /// when any component may change state within the next cycle; on
-    /// `true` the clock has jumped to the earliest next event and every
-    /// component has been advanced in closed form.
-    fn try_fast_forward(&mut self, horizon: Cycle) -> bool {
-        let mut target = horizon;
-        if target <= self.now + 1 {
-            return false;
+    /// The cycle the sparse engine may jump the clock to, or `None`
+    /// when this cycle must be ticked. Every core the index does not
+    /// hold live is parked on a wake trigger, so the machine is
+    /// quiescent until the earliest of: a timed park's wake (a stall's
+    /// end or a replay spin's budget, lower-bounded by the index), the
+    /// memory system's next event (a pending delivery — the trigger of
+    /// the spin and miss parks — reads as "now"), and the barrier
+    /// network's (it is frozen until a core writes a `bar_reg`, so the
+    /// release predicate holds its value across the span). The index
+    /// tests are O(1) (member counts); the component clocks are not:
+    /// `mem.next_event()` walks the busy-home set and the barrier
+    /// network its contexts, so a call is O(busy homes + tiles / 64 +
+    /// barrier contexts), and the jump itself adds the O(cores / 64)
+    /// popcount in [`jump_to`](Self::jump_to).
+    fn jump_target(&mut self, horizon: Cycle) -> Option<Cycle> {
+        self.refresh_index();
+        let now = self.now;
+        let mut target = horizon.min(self.index.next_wake());
+        if self.index.any_live() || target <= now + 1 {
+            return None;
         }
         self.skip_stats.attempts += 1;
+        target = target.min(self.mem.next_event().unwrap_or(Cycle::MAX));
+        if target <= now + 1 {
+            return None;
+        }
+        target = target.min(self.gline.next_event().unwrap_or(Cycle::MAX));
+        if target <= now + 1 {
+            return None;
+        }
+        if self.index.any_bar() && self.release_may_land() {
+            return None;
+        }
+        Some(target)
+    }
+
+    /// Jumps the clock to `target` (from [`jump_target`](Self::jump_target))
+    /// without touching a park: anchors keep the lazy charging exact,
+    /// and the elided steps are counted by popcount, exactly as the
+    /// `target - now` no-visit ticks would have.
+    fn jump_to(&mut self, target: Cycle) {
+        #[cfg(debug_assertions)]
+        self.check_jump(target);
+        let k = target - self.now;
+        self.skip_stats.skips += 1;
+        self.skip_stats.cycles_skipped += k;
+        let (stalled, spinning) = self.index.parked_counts();
+        self.sched.parked_steps += k * stalled;
+        self.sched.spin_parked_steps += k * spinning;
+        self.mem.skip_to(target);
+        self.gline.skip_to(target);
+        self.now = target;
+    }
+
+    /// Debug cross-check of a jump: the per-core visit predicate agrees
+    /// that nobody steps this cycle, and the whole-machine classifier —
+    /// which re-derives every core's state from the machine, not from
+    /// its park — finds no core blocked (a parked spinner still
+    /// classifies as one) and no event before `target`.
+    #[cfg(debug_assertions)]
+    fn check_jump(&mut self, target: Cycle) {
+        let release = self.release_may_land();
+        for w in 0..self.index.num_words() {
+            assert_eq!(self.dense_visit_word(w, release, self.now), 0);
+        }
+        assert_eq!(self.ff_target(target), Ok(target));
+        for (i, core) in self.cores.iter().enumerate() {
+            if let Park::Spin { .. } | Park::Bar { .. } = self.parks[i] {
+                let class = core.ff_classify(&self.progs[i], &self.mem, &self.gline, self.now);
+                assert!(matches!(class, FfClass::Spin(_)), "core {i}: {class:?}");
+            }
+        }
+    }
+
+    /// [`advance`](Self::advance) for the engines that keep no fresh
+    /// wake index — the dense tick and the per-cycle sharded tick, each
+    /// passed as `tick`: run the whole-machine classifier, throttled by
+    /// an exponential backoff so coherence-bound phases do not pay its
+    /// O(cores) cost every cycle.
+    fn advance_classified(&mut self, horizon: Cycle, tick: impl FnOnce(&mut Self)) {
+        if self.now < self.ff_resume_at {
+            self.skip_stats.backed_off += 1;
+            tick(self);
+        } else if !self.try_fast_forward(horizon) {
+            tick(self);
+        }
+    }
+
+    /// The whole-machine classifier's jump target: `horizon` clamped by
+    /// the component clocks, every parked spin's replay budget and
+    /// every unparked core's [`Core::ff_classify`] (whose spin plans
+    /// land in `ff_plans`), or why there is no jump.
+    fn ff_target(&mut self, horizon: Cycle) -> Result<Cycle, FfFail> {
+        let mut target = horizon;
         // Clamp on the component clocks first: while protocol traffic is
         // in flight the hierarchy reports an event within a cycle or two,
         // and bailing here skips the per-core classification entirely —
@@ -735,28 +859,24 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             target = target.min(t);
         }
         if target <= self.now + 1 {
-            self.skip_stats.fail_near += 1;
-            return false;
+            return Err(FfFail::Near);
         }
         for (i, core) in self.cores.iter().enumerate() {
             self.ff_plans[i] = None;
-            if let Park::Spin { plan, anchor } = &self.parks[i] {
+            if let Park::Spin { plan, anchor } | Park::Bar { plan, anchor } = &self.parks[i] {
                 // Already a recognized spin, frozen since its anchor:
-                // no delivery has reached its tile (the park's wake
-                // trigger), and none will before `target` (the clamp on
-                // `mem.next_event` above). Replayed from its own anchor
-                // on success; a replay-mode plan additionally bounds the
-                // jump by its recorded iteration budget.
+                // its wake trigger has not fired, and will not before
+                // `target` (the clamps on the component clocks above).
+                // Replayed from its own anchor on success; a replay-mode
+                // plan additionally bounds the jump by its recorded
+                // iteration budget.
                 if let Some(t) = plan.max_target(*anchor) {
                     target = target.min(t);
                 }
                 continue;
             }
             match core.ff_classify(&self.progs[i], &self.mem, &self.gline, self.now) {
-                FfClass::Blocked => {
-                    self.skip_stats.fail_blocked += 1;
-                    return false;
-                }
+                FfClass::Blocked => return Err(FfFail::Blocked),
                 FfClass::NoConstraint => {}
                 FfClass::WakeAt(t) => target = target.min(t),
                 FfClass::Spin(plan) => {
@@ -773,22 +893,53 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             }
         }
         if target <= self.now + 1 {
-            self.skip_stats.fail_near += 1;
+            return Err(FfFail::Near);
+        }
+        Ok(target)
+    }
+
+    /// Attempts a whole-machine fast-forward: classifies every core,
+    /// and if none is executing jumps the clock to the earliest next
+    /// event, settling every park and advancing every component in
+    /// closed form. Returns `false` (machine untouched, backoff
+    /// doubled) when any component may change state within the next
+    /// cycle.
+    ///
+    /// This is the skip mechanism of the engines without a fresh wake
+    /// index: the dense tick, which never parks, and the multi-worker
+    /// engines, whose shards park cores behind the index's back.
+    fn try_fast_forward(&mut self, horizon: Cycle) -> bool {
+        if horizon <= self.now + 1 {
             return false;
         }
+        self.skip_stats.attempts += 1;
+        let target = match self.ff_target(horizon) {
+            Ok(target) => target,
+            Err(fail) => {
+                match fail {
+                    FfFail::Blocked => self.skip_stats.fail_blocked += 1,
+                    FfFail::Near => self.skip_stats.fail_near += 1,
+                }
+                self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
+                self.ff_resume_at = self.now + self.ff_backoff;
+                return false;
+            }
+        };
+        self.ff_backoff = 0;
         let k = target - self.now;
         self.skip_stats.skips += 1;
         self.skip_stats.cycles_skipped += k;
         // Parked spans are charged lazily: a stall or miss park settles
         // `[anchor, now)` before the closed-form replay charges
         // `now..target`; a spin park replays its whole `[anchor,
-        // target)` span in one step. Failed attempts return above, so
-        // they never disturb the parks.
-        self.index.unpark_all();
+        // target)` span in one step. Either way the `k` elided steps of
+        // every running core are counted here, once.
+        self.index.mark_stale();
         for (i, core) in self.cores.iter_mut().enumerate() {
             match std::mem::take(&mut self.parks[i]) {
-                Park::Spin { plan, anchor } => {
+                Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
                     core.ff_replay(plan, target, anchor, &mut self.mem);
+                    self.sched.spin_parked_steps += k;
                     continue;
                 }
                 Park::Stall { anchor, .. } | Park::Miss { anchor } => {
@@ -798,8 +949,10 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             }
             if let Some(plan) = self.ff_plans[i] {
                 core.ff_replay(plan, target, self.now, &mut self.mem);
+                self.sched.spin_parked_steps += k;
             } else if !core.halted() {
                 core.ff_stall(k);
+                self.sched.parked_steps += k;
             }
         }
         self.mem.skip_to(target);
@@ -826,14 +979,15 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
 
     /// Core `i`'s wait state as the scheduler sees it: its park, or —
     /// for an unparked core (the dense tick never parks, and a
-    /// whole-machine skip unparks everyone) — the park [`step_core`]
-    /// would give it now.
+    /// classifier skip unparks everyone) — the park [`step_core`] would
+    /// give it were no wake trigger about to fire.
     fn wait_state(&self, i: usize) -> Park {
         let (core, now) = (&self.cores[i], self.now);
-        let spin = || core.park_spin(&self.progs[i], &self.mem, now);
+        let spin = || core.park_spin(&self.progs[i], &self.mem, &self.gline, now, true, true);
         match self.parks[i] {
             Park::None if core.waiting_on_unscheduled_resp(&self.mem) => Park::Miss { anchor: now },
             Park::None => match (spin(), core.park_until(&self.mem)) {
+                (Some(plan), _) if plan.on_bar_reg() => Park::Bar { plan, anchor: now },
                 (Some(plan), _) => Park::Spin { plan, anchor: now },
                 (None, Some(wake)) if wake > now => Park::Stall { wake, anchor: now },
                 _ => Park::None,
@@ -843,14 +997,24 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     }
 
     /// The deadlock-guard error: every core that has not halted, each
-    /// with its [`wait_state`](Self::wait_state) — `live` (executing,
-    /// which includes spinning on `bar_reg`), `stall until <cycle>`,
-    /// `spin` (on a memory flag that no inbound message can change) or
-    /// `miss` (on an access whose response is still in flight).
+    /// with its [`wait_state`](Self::wait_state) — `live` (executing),
+    /// `stall until <cycle>`, `spin` (on a memory flag that no inbound
+    /// message can change), `miss` (on an access whose response is
+    /// still in flight) or `spin on bar_reg, ctx <n>` (in a barrier
+    /// some member has not reached; a replay-driven core's trace does
+    /// not say which context it reads).
     fn deadlock_error(&self, max_cycles: u64) -> String {
         let stuck: Vec<String> = (0..self.cores.len())
             .filter(|&i| !self.cores[i].halted())
-            .map(|i| format!("{:?} ({})", self.cores[i].id(), self.wait_state(i)))
+            .map(|i| {
+                let (core, state) = (&self.cores[i], self.wait_state(i));
+                match (state, &self.progs[i]) {
+                    (Park::Bar { .. }, CoreProg::Exec(_)) => {
+                        format!("{:?} ({state}, ctx {})", core.id(), core.bar_ctx())
+                    }
+                    _ => format!("{:?} ({state})", core.id()),
+                }
+            })
             .collect();
         format!(
             "system did not halt within {max_cycles} cycles; still running: {}",
@@ -947,8 +1111,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Like [`run`](Self::run), but advances each cycle with `workers`
     /// shard threads — the sharded-tick parallel engine (`DESIGN.md`
     /// §11). Results are **bit-identical** to [`run`](Self::run): same
-    /// [`SystemReport`], same architectural memory, same scheduler and
-    /// skip statistics (`tests/parallel_determinism.rs`).
+    /// [`SystemReport`], same architectural memory
+    /// (`tests/parallel_determinism.rs`); only the scheduler
+    /// diagnostics ([`skip_stats`](Self::skip_stats),
+    /// [`core_sched_stats`](Self::core_sched_stats)) tell the engines
+    /// apart.
     ///
     /// `workers` is clamped to `1..=num_cores`; a clamped value of 1 —
     /// or a traced system, whose event stream is defined by the serial
@@ -1042,14 +1209,15 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.sync.wakeups += ctx.gate.counters().wakeups;
     }
 
-    /// [`advance`](Self::advance) with the dense tick replaced by an
-    /// epoch free-run. The skip machinery is shared verbatim; what the
-    /// serial engine does cycle by cycle, this driver does one epoch at
-    /// a time, reproducing the skip statistics exactly:
+    /// [`advance_classified`](Self::advance_classified) with the tick
+    /// replaced by an epoch free-run. The classifier is shared
+    /// verbatim; what the per-cycle drivers do cycle by cycle, this one
+    /// does one epoch at a time, reproducing their skip statistics
+    /// exactly:
     ///
-    /// * the serial loop never counts `backed_off` on a cycle it ticks
-    ///   because the horizon is within one cycle, so a backed-off epoch
-    ///   that ends exactly at the horizon counts one cycle fewer;
+    /// * the per-cycle loop never counts `backed_off` on a cycle it
+    ///   ticks because the horizon is within one cycle, so a backed-off
+    ///   epoch that ends exactly at the horizon counts one cycle fewer;
     /// * a failed fast-forward is followed by a single dense cycle (a
     ///   width-1 epoch), never counted as backed off.
     fn advance_epoch(
@@ -1068,11 +1236,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             self.skip_stats.backed_off += if self.now == horizon { w - 1 } else { w };
             return;
         }
-        if self.try_fast_forward(horizon) {
-            self.ff_backoff = 0;
-        } else {
-            self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-            self.ff_resume_at = self.now + self.ff_backoff;
+        if !self.try_fast_forward(horizon) {
             self.run_epoch(ectx, scratch, self.now + 1);
         }
     }
@@ -1220,8 +1384,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
 
     /// The earliest cycle at which *any* tile could inject a message
     /// into the NoC this epoch ([`Cycle::MAX`] = none can). A tile with
-    /// pending local work can send immediately; a live core likewise; a
-    /// stall-parked core not before its wake; a spin- or miss-parked
+    /// pending local work can send immediately; a live core likewise
+    /// (as is a `bar_reg` spinner, which this engine settles on sight);
+    /// a stall-parked core not before its wake; a spin- or miss-parked
     /// core on a workless tile cannot act at all until a delivery
     /// reaches it — and the other window clamps guarantee none does.
     fn earliest_send_cycle(&self) -> Cycle {
@@ -1238,7 +1403,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             match self.parks[i] {
                 Park::Stall { wake, .. } => e0 = e0.min(wake.max(s)),
                 Park::Spin { .. } | Park::Miss { .. } => {}
-                Park::None => return s,
+                Park::None | Park::Bar { .. } => return s,
             }
         }
         e0
@@ -1310,7 +1475,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             return false;
         }
         match self.parks[i] {
-            Park::None => false,
+            // A `bar_reg` park left by the serial engine is settled by
+            // the tile's first step of the window.
+            Park::None | Park::Bar { .. } => false,
             Park::Stall { wake, .. } => wake >= end,
             Park::Spin { .. } | Park::Miss { .. } => true,
         }
@@ -1338,11 +1505,12 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     }
 
     /// [`advance`](Self::advance) with the dense tick replaced by a
-    /// sharded parallel tick. The skip path is untouched: quiescence
-    /// probing and closed-form replay run on the coordinator while the
-    /// workers sit parked at the release barrier — parking *is* the
-    /// AND-reduction of the per-shard quiescence votes, because a
-    /// parked worker has published all its state to the coordinator.
+    /// sharded parallel tick. The skip path is the classifier's:
+    /// quiescence probing and closed-form replay run on the coordinator
+    /// while the workers sit parked at the release barrier — parking
+    /// *is* the AND-reduction of the per-shard quiescence votes,
+    /// because a parked worker has published all its state to the
+    /// coordinator.
     fn advance_parallel(
         &mut self,
         ctx: &par::CycleCtx<B, S>,
@@ -1352,19 +1520,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     ) {
         if S::ENABLED || !self.skip_enabled || horizon <= self.now + 1 {
             self.tick_parallel(ctx, sense, flags);
-            return;
-        }
-        if self.now < self.ff_resume_at {
-            self.skip_stats.backed_off += 1;
-            self.tick_parallel(ctx, sense, flags);
-            return;
-        }
-        if self.try_fast_forward(horizon) {
-            self.ff_backoff = 0;
         } else {
-            self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-            self.ff_resume_at = self.now + self.ff_backoff;
-            self.tick_parallel(ctx, sense, flags);
+            self.advance_classified(horizon, |sys| sys.tick_parallel(ctx, sense, flags));
         }
     }
 
@@ -1444,7 +1601,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 Park::Stall { anchor, .. } | Park::Miss { anchor } => {
                     per_core[i].add(self.cores[i].category(), self.now - anchor);
                 }
-                Park::Spin { plan, anchor } => {
+                Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
                     let (cat_a, a, cat_b, b, retired, hits) =
                         self.cores[i].spin_pending_stats(plan, self.now - anchor);
                     per_core[i].add(cat_a, a);
@@ -1865,6 +2022,29 @@ halt",
                 "{err}"
             );
         }
+        // A G-line barrier whose last member never arrives: the cores
+        // that did arrive are named as `bar_reg` spinners with the
+        // context they wait in, not as live.
+        let n = 4;
+        let mut c = cfg(n);
+        c.gline.contexts = 2;
+        let arrive =
+            assemble("barctx 1\nli r1, 1\nbarw r1\nw: barr r2\nbne r2, r0, w\nhalt").unwrap();
+        let mut progs = vec![arrive; n];
+        progs[n - 1] = spin.clone();
+        for (skip, active_set) in [(true, true), (false, true), (true, false), (false, false)] {
+            let mut sys = System::new(c, progs.clone());
+            sys.set_skip_enabled(skip);
+            sys.set_active_set_enabled(active_set);
+            let err = sys.run(10_000).unwrap_err();
+            assert!(
+                err.ends_with(
+                    "still running: core0 (spin on bar_reg, ctx 1), core1 (spin on bar_reg, ctx 1), \
+                     core2 (spin on bar_reg, ctx 1), core3 (spin)"
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1907,12 +2087,15 @@ halt",
             let t = par.run_with_workers(10_000_000, workers).unwrap();
             assert_eq!(t0, t, "{workers} workers: cycle count diverged");
             assert_eq!(serial.report(), par.report(), "{workers} workers");
-            assert_eq!(serial.skip_stats(), par.skip_stats(), "{workers} workers");
-            assert_eq!(
-                serial.core_sched_stats(),
-                par.core_sched_stats(),
-                "{workers} workers"
-            );
+            // The scheduler diagnostics differ by engine, but each
+            // accounts for every charged core-cycle exactly once.
+            for sys in [&serial, &par] {
+                assert_eq!(
+                    sys.core_sched_stats().core_cycles(),
+                    sys.report().total_time.total(),
+                    "{workers} workers"
+                );
+            }
         }
     }
 

@@ -416,9 +416,11 @@ pub struct HomeCtrl<S: TraceSink = NullSink> {
     l2: SetAssoc<bool>, // state = dirty-vs-memory
     dir: FxHashMap<LineAddr, DirState>,
     active: FxHashMap<LineAddr, HomeTx>,
-    /// Lower bound on the earliest `until` of an `L2Wait`/`MemWait`
-    /// phase in `active` (`Cycle::MAX` when there is none): a tick
-    /// before it has nothing to mature and skips the scan.
+    /// The earliest `until` of an `L2Wait`/`MemWait` phase in `active`
+    /// (`Cycle::MAX` when there is none): a tick before it has nothing
+    /// to mature and skips the scan. Exact, not just a lower bound —
+    /// timed phases enter `active` only through `insert_tx`, which
+    /// lowers it, and leave only in `tick`, which recomputes it.
     next_timer: Cycle,
     queue: FxHashMap<LineAddr, VecDeque<(CoreId, ProtoMsg)>>,
     l2_latency: u64,
@@ -870,8 +872,16 @@ impl<S: TraceSink> HomeCtrl<S> {
     ///
     /// Used by the fast-forward scheduler: a cycle strictly before the
     /// returned value can never see this controller change state on
-    /// its own.
+    /// its own. O(1): the serial engine asks on every cycle in which no
+    /// core steps.
     pub fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        debug_assert_eq!(self.next_timer, self.earliest_timer());
+        (self.next_timer != Cycle::MAX).then_some(self.next_timer)
+    }
+
+    /// The earliest `until` of a timed phase, by scanning `active`
+    /// (`Cycle::MAX` when there is none).
+    fn earliest_timer(&self) -> Cycle {
         self.active
             .values()
             .filter_map(|tx| match tx.phase {
@@ -879,6 +889,7 @@ impl<S: TraceSink> HomeCtrl<S> {
                 _ => None,
             })
             .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     /// Advances timer-based phases; call once per cycle.
@@ -957,7 +968,7 @@ impl<S: TraceSink> HomeCtrl<S> {
         self.ready_scratch = ready;
         // Timed phases only leave `active` above, so this is the one
         // place the bound can rise.
-        self.next_timer = self.next_event(now).unwrap_or(Cycle::MAX);
+        self.next_timer = self.earliest_timer();
     }
 
     /// Ends the active transaction on `line` and starts the next queued

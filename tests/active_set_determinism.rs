@@ -38,6 +38,18 @@ fn assert_active_set_invariant(w: &Workload) {
     let rf: SystemReport = fast.report();
     let rs: SystemReport = slow.report();
     assert_eq!(rf, rs, "{}: reports diverge with active sets on", w.name);
+    assert_core_cycles_accounted(&fast, &format!("{} sparse", w.name));
+    assert_core_cycles_accounted(&slow, &format!("{} dense", w.name));
+}
+
+/// The scheduler counters account for every core-cycle the report
+/// charges, each exactly once — as a step or as an elided (parked) one.
+fn assert_core_cycles_accounted<B: BarrierHw>(sys: &System<B>, what: &str) {
+    assert_eq!(
+        sys.core_sched_stats().core_cycles(),
+        sys.report().total_time.total(),
+        "{what}: core steps + parked steps != charged core-cycles"
+    );
 }
 
 #[test]
@@ -237,6 +249,31 @@ fn random_sync_programs(n: usize, kind: BarrierKind, rng: &mut SplitMix64) -> Ve
         .collect()
 }
 
+/// GL-barrier programs with staggered arrival: before every barrier
+/// each core sits in a `busy` block of its own random length, so most
+/// of the run is spent with the early arrivers parked on their
+/// `bar_reg` and the clock jumping from one busy block's end to the
+/// next.
+fn staggered_gl_programs(n: usize, rng: &mut SplitMix64) -> Vec<Program> {
+    let env = BarrierEnv::new(BarrierKind::Gl, n, 0x1_0000);
+    let phases = 3 + rng.next_below(4);
+    let stagger = 1 + rng.next_below(40) as u32;
+    (0..n)
+        .map(|c| {
+            let mut b = ProgBuilder::new();
+            for phase in 0..phases {
+                b.busy((1 + rng.next_below(n.min(64) as u64) as u32) * stagger)
+                    .li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
+                    .li(Reg(2), (phase * 1000 + c as u64) as i64)
+                    .st(Reg(2), 0, Reg(1));
+                env.emit(&mut b, c, &format!("p{phase}"));
+            }
+            b.halt();
+            b.build()
+        })
+        .collect()
+}
+
 /// One stretch of a toggled run: scheduler settings and worker count
 /// for the next `len` cycles.
 #[derive(Clone, Copy, Debug)]
@@ -247,37 +284,23 @@ struct Segment {
     workers: usize,
 }
 
-/// Drives `sys` to completion through `segments` (cycled), applying each
-/// segment's settings at its boundary.
-fn drive_segmented<B: BarrierHw>(sys: &mut System<B>, segments: &[Segment]) {
-    let mut i = 0;
-    while !sys.all_halted() {
-        let seg = segments[i % segments.len()];
-        sys.set_active_set_enabled(seg.active_set);
-        sys.set_skip_enabled(seg.skip);
-        sys.advance_until_with_workers(sys.now() + seg.len, seg.workers);
-        i += 1;
-        assert!(i < 1_000_000, "segmented run livelocked");
-    }
-}
-
 /// Runs one random case on barrier hardware built by `hw`: a run whose
-/// scheduler toggles and worker count change at random cycles must end
-/// in the same cycle, report and memory as the serial run over the same
-/// boundaries with everything left on — and, when only the worker count
-/// changed, with the same scheduler counters (the index is rebuilt
-/// after every parallel stretch there, and never in the reference).
+/// scheduler toggles and worker count change at random cycles must pass
+/// through the same cycle and the same (mid-run) report at every
+/// boundary, and end in the same memory, as the serial run over the same
+/// boundaries with everything left on; both account for every charged
+/// core-cycle. Then the same programs under `run_with_progress`: the
+/// default engine's boundary reports must be the dense cycle-by-cycle
+/// engine's. `wait_dominated` asserts the case is what it was built to
+/// be: mostly parked spinners, with clock jumps.
 fn check_mid_run_toggles<B: BarrierHw>(
     cfg: CmpConfig,
-    kind: BarrierKind,
+    progs: Vec<Program>,
+    wait_dominated: bool,
     rng: &mut SplitMix64,
     hw: impl Fn() -> B,
 ) {
     let n = cfg.num_cores();
-    let progs = random_sync_programs(n, kind, rng);
-    // Half the cases toggle the worker count alone, so the scheduler
-    // counters stay comparable; the rest toggle any mix of the three.
-    let workers_only = rng.chance(0.5);
     let segments: Vec<Segment> = (0..8)
         .map(|_| Segment {
             // Mostly thousands of cycles, sometimes a handful: short
@@ -287,29 +310,36 @@ fn check_mid_run_toggles<B: BarrierHw>(
             } else {
                 1 + rng.next_below(3000)
             },
-            active_set: workers_only || rng.chance(0.5),
-            skip: workers_only || rng.chance(0.5),
+            active_set: rng.chance(0.5),
+            skip: rng.chance(0.5),
             workers: if rng.chance(0.5) { 4 } else { 1 },
-        })
-        .collect();
-    let reference: Vec<Segment> = segments
-        .iter()
-        .map(|s| Segment {
-            active_set: true,
-            skip: true,
-            workers: 1,
-            ..*s
         })
         .collect();
 
     let mut toggled = System::with_barrier_hw(cfg, progs.clone(), hw());
-    let mut serial = System::with_barrier_hw(cfg, progs, hw());
-    drive_segmented(&mut toggled, &segments);
-    drive_segmented(&mut serial, &reference);
-
-    let what = format!("{n} cores ({:?}), {kind:?}, {segments:?}", cfg.mesh);
-    assert_eq!(serial.now(), toggled.now(), "{what}: cycles");
-    assert_eq!(serial.report(), toggled.report(), "{what}: reports");
+    let mut serial = System::with_barrier_hw(cfg, progs.clone(), hw());
+    let what = format!("{n} cores ({:?}), {segments:?}", cfg.mesh);
+    let mut i = 0;
+    while !serial.all_halted() {
+        let seg = segments[i % segments.len()];
+        toggled.set_active_set_enabled(seg.active_set);
+        toggled.set_skip_enabled(seg.skip);
+        toggled.advance_until_with_workers(toggled.now() + seg.len, seg.workers);
+        serial.advance_until_with_workers(serial.now() + seg.len, 1);
+        assert_eq!(
+            serial.now(),
+            toggled.now(),
+            "{what}: cycles after segment {i}"
+        );
+        assert_eq!(
+            serial.report(),
+            toggled.report(),
+            "{what}: report after segment {i}"
+        );
+        i += 1;
+        assert!(i < 1_000_000, "segmented run livelocked");
+    }
+    assert!(toggled.all_halted(), "{what}: toggled run still going");
     for k in 0..LOCKS {
         for base in [LOCK_BASE, COUNTER_BASE] {
             let a = base + k * 64;
@@ -320,13 +350,31 @@ fn check_mid_run_toggles<B: BarrierHw>(
         let a = SLOT_BASE + c * 64;
         assert_eq!(serial.peek_word(a), toggled.peek_word(a), "{what}: {a:#x}");
     }
-    if workers_only {
-        assert_eq!(
-            serial.core_sched_stats(),
-            toggled.core_sched_stats(),
-            "{what}: core scheduler counters"
+    assert_core_cycles_accounted(&serial, &format!("{what}: serial"));
+    assert_core_cycles_accounted(&toggled, &format!("{what}: toggled"));
+    if wait_dominated {
+        let (sched, skip) = (serial.core_sched_stats(), serial.skip_stats());
+        assert!(
+            skip.skips > 0 && sched.spin_parked_steps > sched.core_steps,
+            "{what}: not a wait-dominated run: {sched:?}, {skip:?}"
         );
     }
+
+    let every = 1 + rng.next_below(700);
+    let boundary_reports = |dense: bool| {
+        let mut sys = System::with_barrier_hw(cfg, progs.clone(), hw());
+        sys.set_skip_enabled(!dense);
+        sys.set_active_set_enabled(!dense);
+        let mut reports = Vec::new();
+        sys.run_with_progress(50_000_000, every, |rep| reports.push(rep.clone()))
+            .expect("run completes");
+        reports
+    };
+    assert_eq!(
+        boundary_reports(false),
+        boundary_reports(true),
+        "{what}: progress reports every {every} cycles"
+    );
 }
 
 /// Random barrier/lock programs on random meshes — including 65 and 256
@@ -334,7 +382,10 @@ fn check_mid_run_toggles<B: BarrierHw>(
 /// hit — stay bit-identical when active sets, skipping and the worker
 /// count are toggled mid-run at random cycles. Every switch away from
 /// the sparse serial tick leaves the wake index stale, so this is what
-/// exercises its rebuild.
+/// exercises its rebuild. The second pass over the paper's 4×8 mesh,
+/// the 65-core and the clustered 256-core one runs staggered G-line
+/// barriers, so the toggles, worker switches and progress boundaries
+/// land while `bar_reg` parks and clock jumps are pending.
 #[test]
 fn mid_run_toggles_on_random_meshes_invariant() {
     const MESHES: [(u16, u16); 8] = [
@@ -350,30 +401,41 @@ fn mid_run_toggles_on_random_meshes_invariant() {
     let mut case = 0;
     sim_base::check::forall_cases("mid-run-toggles", 16, |rng| {
         let (rows, cols) = MESHES[case % MESHES.len()];
+        let staggered_gl =
+            case >= MESHES.len() && matches!((rows, cols), (4, 8) | (5, 13) | (16, 16));
         case += 1;
         let mut cfg = CmpConfig::icpp2010();
         cfg.mesh = Mesh2D::new(rows, cols);
-        // A centralized barrier on hundreds of cores costs minutes.
-        let kinds: &[BarrierKind] = if cfg.num_cores() > 32 {
-            &[BarrierKind::Gl, BarrierKind::Dsw]
+        let n = cfg.num_cores();
+        let progs = if staggered_gl {
+            staggered_gl_programs(n, rng)
         } else {
-            &BarrierKind::ALL
+            // A centralized barrier on hundreds of cores costs minutes.
+            let kinds: &[BarrierKind] = if n > 32 {
+                &[BarrierKind::Gl, BarrierKind::Dsw]
+            } else {
+                &BarrierKind::ALL
+            };
+            let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
+            random_sync_programs(n, kind, rng)
         };
-        let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
         if cfg.needs_clustered_gline() {
-            check_mid_run_toggles(cfg, kind, rng, || {
+            check_mid_run_toggles(cfg, progs, staggered_gl, rng, || {
                 ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline)
             });
         } else {
-            check_mid_run_toggles(cfg, kind, rng, || BarrierNetwork::new(cfg.mesh, cfg.gline));
+            check_mid_run_toggles(cfg, progs, staggered_gl, rng, || {
+                BarrierNetwork::new(cfg.mesh, cfg.gline)
+            });
         }
     });
 }
 
-/// The sparse serial tick counts unvisited parked cores by popcount;
-/// the parallel engines still count core by core. On a 256-core DSW
-/// run (four index words, most cores spin- or miss-parked most of the
-/// time) the two must agree exactly.
+/// The sparse serial tick and its clock jumps count unvisited parked
+/// cores by popcount; the parallel engines still count core by core.
+/// On a 256-core DSW run (four index words, most cores spin- or
+/// miss-parked most of the time) both must account for exactly the
+/// core-cycles the (identical) reports charge.
 #[test]
 fn popcount_counters_match_per_core_counting_at_256_cores() {
     let w = synthetic::build(256, BarrierKind::Dsw, 1);
@@ -387,8 +449,9 @@ fn popcount_counters_match_per_core_counting_at_256_cores() {
         .expect("parallel run must complete");
     assert_eq!(cs, cp, "cycle counts");
     assert_eq!(serial.report(), par.report(), "reports");
+    assert_core_cycles_accounted(&serial, "serial");
+    assert_core_cycles_accounted(&par, "4 workers");
     let stats = serial.core_sched_stats();
-    assert_eq!(stats, par.core_sched_stats(), "core scheduler counters");
     assert!(
         stats.spin_parked_steps > stats.core_steps,
         "not a parked-dominated run: {stats:?}"

@@ -7,15 +7,19 @@
 //! [`sim_cmp::SyncProtocol::PerCycle`]). The correctness contract is
 //! the strongest in the simulator: a parallel run is **bit-identical**
 //! to the serial engine — same [`sim_cmp::SystemReport`], same
-//! architectural memory, same skip and scheduler statistics — for
-//! *every* worker count, *both* protocols, every workload family,
-//! every barrier flavour, and every combination of the cycle-skipping
-//! and active-set schedulers. Traced systems fall back to the serial
+//! architectural memory — for *every* worker count, *both* protocols,
+//! every workload family, every barrier flavour, and every combination
+//! of the cycle-skipping and active-set schedulers. The scheduler
+//! diagnostics are not part of that contract (the serial engine jumps
+//! off its wake index and parks `bar_reg` spinners, the parallel ones
+//! classify the whole machine and do neither), but they are the same
+//! at every worker count, and on every engine they account for every
+//! charged core-cycle exactly once. Traced systems fall back to the serial
 //! engine (the event stream is defined by the serial interleaving),
 //! and both the worker count and the protocol may change between calls
 //! mid-run without perturbing the machine.
 
-use gline_core::ClusteredBarrierNetwork;
+use gline_core::{BarrierHw, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
 use sim_base::trace::{ChromeTraceSink, Tracer};
 use sim_cmp::runtime::BarrierKind;
@@ -29,35 +33,56 @@ use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 /// 8-core workloads) equal to the tile count.
 const WORKERS: [usize; 4] = [2, 3, 4, 8];
 
+/// The scheduler counters account for every core-cycle the report
+/// charges, each exactly once — as a step or as an elided (parked) one.
+fn assert_core_cycles_accounted<B: BarrierHw>(sys: &System<B>, what: &str) {
+    assert_eq!(
+        sys.core_sched_stats().core_cycles(),
+        sys.report().total_time.total(),
+        "{what}: core steps + parked steps != charged core-cycles"
+    );
+}
+
+/// Runs `serial` to completion, then each of `pars` with its worker
+/// count, and demands bit-identical cycles and reports, the accounting
+/// identity on every engine, and scheduler diagnostics that do not
+/// depend on the worker count. Returns the serial cycles and report.
+fn assert_parallel_runs_match<B: BarrierHw>(
+    name: &str,
+    mut serial: System<B>,
+    pars: impl IntoIterator<Item = (usize, System<B>)>,
+) -> (u64, SystemReport) {
+    let cs = serial.run(50_000_000).expect("serial run must complete");
+    let rs: SystemReport = serial.report();
+    assert_core_cycles_accounted(&serial, &format!("{name} serial"));
+    let mut diagnostics = None;
+    for (workers, mut par) in pars {
+        let cp = par
+            .run_with_workers(50_000_000, workers)
+            .expect("parallel run must complete");
+        assert_eq!(cs, cp, "{name} @ {workers} workers: cycle counts");
+        assert_eq!(rs, par.report(), "{name} @ {workers} workers: reports");
+        assert_core_cycles_accounted(&par, &format!("{name} @ {workers} workers"));
+        let got = (par.skip_stats(), par.core_sched_stats());
+        assert_eq!(
+            *diagnostics.get_or_insert(got),
+            got,
+            "{name} @ {workers} workers: scheduler diagnostics depend on the worker count"
+        );
+    }
+    (cs, rs)
+}
+
 /// Runs `w` serially and at every worker count, with `setup` applied
 /// to each system first, and demands bit-identical outcomes.
 fn assert_parallel_invariant_with(w: &Workload, setup: impl Fn(&mut System)) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
-    let mut serial = w.into_system(cfg);
-    setup(&mut serial);
-    let cs = serial.run(50_000_000).expect("serial run must complete");
-    let rs: SystemReport = serial.report();
-    for workers in WORKERS {
-        let mut par = w.into_system(cfg);
-        setup(&mut par);
-        let cp = par
-            .run_with_workers(50_000_000, workers)
-            .expect("parallel run must complete");
-        assert_eq!(cs, cp, "{} @ {workers} workers: cycle counts", w.name);
-        assert_eq!(rs, par.report(), "{} @ {workers} workers: reports", w.name);
-        assert_eq!(
-            serial.skip_stats(),
-            par.skip_stats(),
-            "{} @ {workers} workers: skip stats",
-            w.name
-        );
-        assert_eq!(
-            serial.core_sched_stats(),
-            par.core_sched_stats(),
-            "{} @ {workers} workers: core sched stats",
-            w.name
-        );
-    }
+    let build = || {
+        let mut sys = w.into_system(cfg);
+        setup(&mut sys);
+        sys
+    };
+    assert_parallel_runs_match(&w.name, build(), WORKERS.map(|workers| (workers, build())));
 }
 
 fn assert_parallel_invariant(w: &Workload) {
@@ -248,41 +273,18 @@ fn replay_parallel_invariant() {
         let ce = exec.run(50_000_000).expect("exec run must complete");
         let set = record_set(&w);
 
-        let mut serial = System::replay(cfg, &set);
-        let cs = serial.run(50_000_000).expect("serial replay must complete");
+        let (cs, rs) = assert_parallel_runs_match(
+            &format!("{} replay", w.name),
+            System::replay(cfg, &set),
+            [2usize, 4, 8].map(|workers| (workers, System::replay(cfg, &set))),
+        );
         assert_eq!(ce, cs, "{}: replay changed the cycle count", w.name);
         assert_eq!(
             exec.report(),
-            serial.report(),
+            rs,
             "{}: serial replay diverged from exec",
             w.name
         );
-
-        for workers in [2usize, 4, 8] {
-            let mut par = System::replay(cfg, &set);
-            let cp = par
-                .run_with_workers(50_000_000, workers)
-                .expect("parallel replay must complete");
-            assert_eq!(cs, cp, "{} replay @ {workers} workers: cycles", w.name);
-            assert_eq!(
-                serial.report(),
-                par.report(),
-                "{} replay @ {workers} workers: reports",
-                w.name
-            );
-            assert_eq!(
-                serial.skip_stats(),
-                par.skip_stats(),
-                "{} replay @ {workers} workers: skip stats",
-                w.name
-            );
-            assert_eq!(
-                serial.core_sched_stats(),
-                par.core_sched_stats(),
-                "{} replay @ {workers} workers: core sched stats",
-                w.name
-            );
-        }
     }
 }
 
@@ -358,25 +360,10 @@ fn clustered_256_core_parallel_invariant() {
     );
     let hw = || ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
 
-    let mut serial = w.into_system_with_hw(cfg, hw());
-    let cs = serial.run(50_000_000).expect("serial run must complete");
-
-    let mut par = w.into_system_with_hw(cfg, hw());
-    let cp = par
-        .run_with_workers(50_000_000, 4)
-        .expect("parallel run must complete");
-
-    assert_eq!(cs, cp, "256-core clustered: cycle counts");
-    assert_eq!(serial.report(), par.report(), "256-core clustered: reports");
-    assert_eq!(
-        serial.skip_stats(),
-        par.skip_stats(),
-        "256-core clustered: skip stats"
-    );
-    assert_eq!(
-        serial.core_sched_stats(),
-        par.core_sched_stats(),
-        "256-core clustered: core sched stats"
+    assert_parallel_runs_match(
+        "256-core clustered",
+        w.into_system_with_hw(cfg, hw()),
+        [(4, w.into_system_with_hw(cfg, hw()))],
     );
 }
 

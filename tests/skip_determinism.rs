@@ -16,15 +16,19 @@ use sim_base::config::{CmpConfig, GlineConfig};
 use sim_base::stats::MsgClass;
 use sim_base::{CoreId, Cycle, Mesh2D};
 use sim_cmp::runtime::BarrierKind;
-use sim_cmp::SystemReport;
+use sim_cmp::{CoreSchedStats, SkipStats, SystemReport};
 use sim_mem::{CoreReq, MemorySystem};
 use sim_noc::{Message, Noc};
 use workloads::common::Workload;
 use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
 /// Runs `w` twice — skip on and `--no-skip` — and demands bit-identical
-/// reports and a strictly useful scheduler (skips must not change the
-/// cycle count either, which the report comparison already covers).
+/// reports (skips must not change the cycle count either, which the
+/// report comparison already covers). On this, the serial sparse
+/// engine, a clock jump stands for that many ticks in which nobody is
+/// visited and touches no park, so the toggle moves the tick count by
+/// exactly the cycles skipped and no other scheduler counter; either
+/// way every charged core-cycle is accounted exactly once.
 fn assert_skip_invariant(w: &Workload) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
     let mut fast = w.into_system(cfg);
@@ -37,6 +41,30 @@ fn assert_skip_invariant(w: &Workload) {
     let rf: SystemReport = fast.report();
     let rs: SystemReport = slow.report();
     assert_eq!(rf, rs, "{}: reports diverge with skipping on", w.name);
+    let (on, off) = (fast.core_sched_stats(), slow.core_sched_stats());
+    let (jumps, none) = (fast.skip_stats(), slow.skip_stats());
+    assert_eq!(none, SkipStats::default(), "{}: --no-skip skipped", w.name);
+    assert!(jumps.skips <= jumps.attempts, "{}: {jumps:?}", w.name);
+    assert_eq!(
+        jumps.backed_off, 0,
+        "{}: the sparse engine backed off",
+        w.name
+    );
+    assert_eq!(
+        CoreSchedStats {
+            ticks: on.ticks + jumps.cycles_skipped,
+            ..on
+        },
+        off,
+        "{}: skipping moved more than ticks",
+        w.name
+    );
+    assert_eq!(
+        on.core_cycles(),
+        rf.total_time.total(),
+        "{}: core steps + parked steps != charged core-cycles",
+        w.name
+    );
 }
 
 #[test]

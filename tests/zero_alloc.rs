@@ -128,33 +128,32 @@ fn steady_state_ticks_do_not_allocate() {
     );
 }
 
-/// Ticks `sys` through `warm` cycles of its barrier loop, then demands
-/// that the next `measured` cycles allocate nothing.
+/// Advances `sys` through `warm` cycles of its barrier loop on the
+/// default engine (sparse ticks and clock jumps), then demands that the
+/// next `measured` cycles allocate nothing. Returns the clock jumps
+/// taken while measuring.
 fn assert_system_ticks_allocation_free<B: BarrierHw>(
     mut sys: System<B>,
     warm: u64,
     measured: u64,
     what: &str,
-) {
-    for _ in 0..warm {
-        sys.tick();
-    }
-    let n = count_allocs(|| {
-        for _ in 0..measured {
-            sys.tick();
-        }
-    });
+) -> u64 {
+    sys.advance_until_with_workers(warm, 1);
+    let jumps_before = sys.skip_stats().skips;
+    let n = count_allocs(|| sys.advance_until_with_workers(warm + measured, 1));
     assert!(!sys.all_halted(), "{what}: the loop ended while measuring");
     assert_eq!(
         n, 0,
         "{what}: steady-state ticks performed {n} heap allocations"
     );
+    sys.skip_stats().skips - jumps_before
 }
 
 /// The whole machine, cores included: a G-line barrier loop on the flat
 /// 4x8 network and on the clustered 16x16 one (whose every tick used to
-/// build a `Vec`), and a software-barrier loop whose cores park and
-/// wake through the wake index.
+/// build a `Vec`), a software-barrier loop whose cores park and wake
+/// through the wake index, and a G-line loop with staggered arrival,
+/// where the early cores park on `bar_reg` and the clock jumps.
 #[test]
 fn steady_state_system_ticks_do_not_allocate() {
     let flat = CmpConfig::icpp2010();
@@ -178,4 +177,11 @@ fn steady_state_system_ticks_do_not_allocate() {
         20_000,
         "DSW loop, 4x8",
     );
+    let jumps = assert_system_ticks_allocation_free(
+        synthetic::build_imbalanced(32, BarrierKind::Gl, 100_000, 1_000).into_system(flat),
+        100_000,
+        400_000,
+        "imbalanced GL loop, 4x8",
+    );
+    assert!(jumps > 100, "imbalanced GL loop: only {jumps} clock jumps");
 }
