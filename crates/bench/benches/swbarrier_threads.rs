@@ -3,24 +3,24 @@
 //! paper's Figure 5 (minus the G-lines your CPU doesn't have).
 
 use bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use swbarrier::{
     CentralizedBarrier, CombiningTreeBarrier, DisseminationBarrier, StaticTreeBarrier,
     ThreadBarrier, TournamentBarrier,
 };
 
-/// Measures whole barrier episodes: worker threads loop on `wait` while
-/// the measured thread participates for `iters` episodes.
+/// Measures whole barrier episodes: every thread, the measured one
+/// included, takes part in exactly `iters` of them. (A stop flag set by
+/// the measured thread cannot end the workers: one that leaves the last
+/// episode after the flag is up never joins the extra episode the others
+/// then wait in.)
 fn episodes(bar: Arc<dyn ThreadBarrier>, iters: u64) {
     let n = bar.num_threads();
-    let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (1..n)
         .map(|tid| {
             let bar = Arc::clone(&bar);
-            let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                for _ in 0..iters {
                     bar.wait(tid);
                 }
             })
@@ -29,9 +29,6 @@ fn episodes(bar: Arc<dyn ThreadBarrier>, iters: u64) {
     for _ in 0..iters {
         bar.wait(0);
     }
-    stop.store(true, Ordering::Relaxed);
-    // One more episode so workers observe the flag and exit.
-    bar.wait(0);
     for w in workers {
         w.join().unwrap();
     }

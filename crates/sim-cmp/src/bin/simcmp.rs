@@ -53,9 +53,12 @@
 //!                      or Perfetto)
 //!   --trace-last N     keep the last N events in a ring and print them
 //!                      to stderr after the run
-//!   --record-trace DIR run dense and cycle-exact, recording every
-//!                      core's issue groups; write the trace set
-//!                      (manifest.json + core<i>.trace) into DIR
+//!   --record-trace DIR record every core's issue groups while the
+//!                      program runs (on the serial engine, under the
+//!                      same --no-skip / --no-active-set settings as
+//!                      any run) and write the trace set
+//!                      (manifest.json + core<i>.trace) into DIR; the
+//!                      traces do not depend on those settings
 //!   --replay DIR       drive the cores from the trace set in DIR
 //!                      instead of program files (no PROGRAM.s
 //!                      arguments; --cores, if given, must match the
@@ -190,13 +193,15 @@ fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
     finish(&sys, outcome, opts);
 }
 
-/// Runs the system dense and cycle-exact while recording every core's
+/// Runs the system on the serial engine while recording every core's
 /// issue groups, prints the usual report, and writes the trace set into
 /// `dir`.
 fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workload: String) {
+    sys.set_skip_enabled(!opts.no_skip);
+    sys.set_active_set_enabled(!opts.no_active_set);
     if opts.workers > 1 {
         eprintln!(
-            "simcmp: --record-trace uses the dense serial engine (--workers {} ignored)",
+            "simcmp: --record-trace uses the serial engine (--workers {} ignored)",
             opts.workers
         );
     }

@@ -112,6 +112,31 @@ impl SpinPlan {
     pub(crate) fn on_bar_reg(&self) -> bool {
         matches!(self.kind, SpinKind::Gline { .. } | SpinKind::RGline { .. })
     }
+
+    /// Program counter of the first loop-body instruction.
+    pub(crate) fn top(&self) -> usize {
+        self.top
+    }
+
+    /// For a memory-probing spin, what the trace recorder needs to fold
+    /// a span of it: `(addr, iter_retires, phase_b)`.
+    pub(crate) fn mem_probe(&self) -> Option<(u64, u8, bool)> {
+        match self.kind {
+            SpinKind::Gline { .. } | SpinKind::RGline { .. } => None,
+            SpinKind::Mem {
+                addr,
+                iter_retires,
+                phase_b,
+                ..
+            }
+            | SpinKind::RMem {
+                addr,
+                iter_retires,
+                phase_b,
+                ..
+            } => Some((addr, iter_retires as u8, phase_b)),
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]

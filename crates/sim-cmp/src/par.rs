@@ -157,8 +157,8 @@ pub(crate) fn worker_loop<B: BarrierHw, S: TraceSink>(ctx: &CycleCtx<B, S>, w: u
 /// the serial tick's [`step_core`], with the memory system replaced by
 /// the tile's [lane](sim_mem::LaneMem), the barrier network by a
 /// write-latching [`GlineShadow`], the delivery predicate by the frozen
-/// flags, the release predicate by `true`, and the scheduler counters by
-/// the worker's delta.
+/// flags, the release predicate by `true`, the scheduler counters by the
+/// worker's delta, and no trace recorder (recording is serial).
 ///
 /// # Safety
 ///
@@ -187,6 +187,7 @@ pub(crate) unsafe fn shard_phase<B: BarrierHw, S: TraceSink>(
                 now,
                 tracer,
                 &mut out.sched,
+                None,
             );
         }
     } else {
@@ -369,6 +370,7 @@ pub(crate) unsafe fn epoch_shard_phase<B: BarrierHw, S: TraceSink>(
                     now,
                     tracer,
                     &mut out.sched,
+                    None,
                 );
             } else {
                 if !core.halted() {

@@ -4,12 +4,14 @@
 //! A core is driven either by an ISA [`Program`] (exec mode: fetch,
 //! decode, execute every cycle) or by a recorded [`CoreTrace`] (replay
 //! mode: consume pre-computed issue groups). [`CoreProg`] is that
-//! dispatch. Recording threads two observation wrappers through one
-//! dense serial run — [`RecMem`] captures the memory request each issue
+//! dispatch. Recording observes an ordinary serial run on whichever
+//! scheduler is selected: wherever a core really steps, two wrappers
+//! watch the step — [`RecMem`] captures the memory request the issue
 //! group hands to the hierarchy, [`RecGline`] the `barw` arrivals — and
-//! the [`Recorder`] folds the per-cycle observations into the
-//! [`sim_trace`] op stream, run-length compressing the two spin-loop
-//! shapes the skip scheduler recognizes:
+//! wherever the scheduler settles an elided spin span in closed form,
+//! [`CoreRec::fold_spin`] folds the same span into the trace. The
+//! [`Recorder`] turns both into the [`sim_trace`] op stream, run-length
+//! compressing the two spin-loop shapes the skip scheduler recognizes:
 //!
 //! * `top: barr ; b<cond> …, top` — one cycle, two retires, no machine
 //!   interaction → [`TraceOp::GlineSpin`];
@@ -25,7 +27,9 @@
 //! relies on. Anything else is recorded as plain [`Step`]s, which
 //! replay bit-identically regardless of what produced them.
 
+use crate::core::{Core, SpinPlan};
 use gline_core::{BarrierHw, CtxId, GlineStats};
+use sim_base::trace::{TraceSink, Tracer};
 use sim_base::{CoreId, Cycle};
 use sim_isa::inst::{Inst, Region};
 use sim_isa::Program;
@@ -141,15 +145,6 @@ impl<B: BarrierHw + ?Sized> BarrierHw for RecGline<'_, B> {
     }
 }
 
-/// Core state snapshot taken immediately before a recorded `step`.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Pre {
-    pub(crate) pc: u32,
-    pub(crate) retired: u64,
-    pub(crate) region: Region,
-    pub(crate) halted: bool,
-}
-
 /// One observed issue group, before spin compression.
 #[derive(Debug)]
 struct Obs {
@@ -175,6 +170,21 @@ impl Obs {
     /// No side effects a spin iteration could not have.
     fn plain(&self) -> bool {
         self.bar_writes.is_empty() && self.region.is_none()
+    }
+
+    /// The group a spin loop at `top` executes in one cycle: `retires`
+    /// instructions from `pc` on with `effect`, leaving the core at
+    /// `pc_after` — what a dense run would have observed in a cycle the
+    /// scheduler elided.
+    fn spin_group(pc: u32, pc_after: u32, retires: u8, effect: Effect) -> Obs {
+        Obs {
+            pc,
+            pc_after,
+            retires,
+            region: None,
+            bar_writes: Vec::new(),
+            effect,
+        }
     }
 }
 
@@ -250,10 +260,18 @@ struct HeldA {
 
 /// One core's compression state machine.
 #[derive(Debug, Default)]
-struct CoreRec {
+pub(crate) struct CoreRec {
     ops: Vec<TraceOp>,
     spin: Option<PendSpin>,
     held: Option<HeldA>,
+}
+
+/// The program a recorded core executes.
+fn exec_prog(prog: &CoreProg) -> &Program {
+    match prog {
+        CoreProg::Exec(p) => p,
+        CoreProg::Replay(_) => panic!("cannot re-record a replay-mode system"),
+    }
 }
 
 impl CoreRec {
@@ -274,39 +292,32 @@ impl CoreRec {
             }),
         }
     }
-}
 
-/// Folds per-cycle issue-group observations into per-core op streams.
-#[derive(Debug)]
-pub(crate) struct Recorder {
-    cores: Vec<CoreRec>,
-}
-
-impl Recorder {
-    pub(crate) fn new(n: usize) -> Recorder {
-        Recorder {
-            cores: (0..n).map(|_| CoreRec::default()).collect(),
-        }
-    }
-
-    /// Captures core `i`'s just-executed cycle. `pre` is the state
-    /// snapshot from before the step, `req` the memory request the step
-    /// issued (if any), `writes` its latched `barw` values (drained).
-    /// Pure-charge cycles (no retires, no new halt) record nothing:
-    /// replay derives stall lengths from the live memory hierarchy.
-    #[allow(clippy::too_many_arguments)] // one call site, mirrors the step() signature plus the pre-snapshot
-    pub(crate) fn record_step<M: CoreMem>(
+    /// Runs `core.step` for cycle `now` and captures the issue group it
+    /// executed: the memory request it made (if any), its latched
+    /// `barw` values, its retires and where it left the pc. Pure-charge
+    /// cycles (no retires, no new halt) record nothing: replay derives
+    /// stall lengths from the live memory hierarchy — which is why a
+    /// scheduler that elides them (stall parks, miss parks, clock
+    /// jumps) owes the recorder nothing.
+    pub(crate) fn step<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         &mut self,
-        i: usize,
-        prog: &Program,
-        pre: Pre,
-        core: &crate::core::Core,
-        rmem: &RecMem<'_, M>,
-        writes: &mut Vec<(u8, u64)>,
+        core: &mut Core,
+        prog: &CoreProg,
+        mem: &mut M,
+        gline: &mut G,
         now: Cycle,
+        tracer: &Tracer<S>,
     ) {
-        let retires = core.retired() - pre.retired;
-        let newly_halted = core.halted() && !pre.halted;
+        let p = exec_prog(prog);
+        let (pc, retired, region, halted) =
+            (core.pc(), core.retired(), core.cur_region(), core.halted());
+        let mut writes = Vec::new();
+        let mut rmem = RecMem::new(mem);
+        let mut rgl = RecGline::new(gline, &mut writes);
+        core.step(prog, &mut rmem, &mut rgl, now, tracer);
+        let retires = core.retired() - retired;
+        let newly_halted = core.halted() && !halted;
         if retires == 0 && !newly_halted {
             debug_assert!(writes.is_empty(), "barrier write on a pure-charge cycle");
             return;
@@ -323,24 +334,22 @@ impl Recorder {
                 None => Effect::None,
             },
         };
-        let region = (core.cur_region() != pre.region).then(|| core.cur_region());
         let obs = Obs {
-            pc: pre.pc,
+            pc: pc as u32,
             pc_after: core.pc() as u32,
             retires: retires.min(u8::MAX as u64) as u8,
-            region,
-            bar_writes: std::mem::take(writes),
+            region: (core.cur_region() != region).then(|| core.cur_region()),
+            bar_writes: writes,
             effect,
         };
-        self.observe(i, obs, prog);
+        self.observe(obs, p);
     }
 
-    fn observe(&mut self, i: usize, obs: Obs, prog: &Program) {
-        let c = &mut self.cores[i];
+    fn observe(&mut self, obs: Obs, prog: &Program) {
         // A held phase-A completes into a spin iteration iff this group
         // is its resolve phase: one retire (the back-branch), no
         // effects, jumping from the branch slot back to the loop top.
-        if let Some(h) = c.held.take() {
+        if let Some(h) = self.held.take() {
             let b_pc = h.step.pc as usize + h.ir as usize - 1;
             if obs.retires == 1
                 && obs.effect == Effect::None
@@ -348,16 +357,11 @@ impl Recorder {
                 && obs.pc as usize == b_pc
                 && obs.pc_after == h.step.pc
             {
-                match &mut c.spin {
-                    Some(PendSpin::Mem {
-                        pc,
-                        addr,
-                        ir,
-                        iters,
-                    }) if *pc == h.step.pc && *addr == h.addr && *ir == h.ir => *iters += 1,
-                    _ => {
-                        c.flush_spin();
-                        c.spin = Some(PendSpin::Mem {
+                match self.pending_mem_iters(h.step.pc, h.addr, h.ir) {
+                    Some(iters) => *iters += 1,
+                    None => {
+                        self.flush_spin();
+                        self.spin = Some(PendSpin::Mem {
                             pc: h.step.pc,
                             addr: h.addr,
                             ir: h.ir,
@@ -370,15 +374,15 @@ impl Recorder {
             // Not a spin iteration after all (the loop exited, or the
             // shape was a false positive): the held group is a plain
             // step, and this group classifies fresh below.
-            c.flush_spin();
-            c.ops.push(TraceOp::Step(h.step));
+            self.flush_spin();
+            self.ops.push(TraceOp::Step(h.step));
         }
         if gline_iter_shape(&obs, prog) {
-            match &mut c.spin {
+            match &mut self.spin {
                 Some(PendSpin::Gline { pc, iters }) if *pc == obs.pc => *iters += 1,
                 _ => {
-                    c.flush_spin();
-                    c.spin = Some(PendSpin::Gline {
+                    self.flush_spin();
+                    self.spin = Some(PendSpin::Gline {
                         pc: obs.pc,
                         iters: 1,
                     });
@@ -387,15 +391,108 @@ impl Recorder {
             return;
         }
         if let Some((addr, ir)) = mem_a_shape(&obs, prog) {
-            c.held = Some(HeldA {
+            self.held = Some(HeldA {
                 step: obs.into_step(),
                 addr,
                 ir,
             });
             return;
         }
-        c.flush_spin();
-        c.ops.push(TraceOp::Step(obs.into_step()));
+        self.flush_spin();
+        self.ops.push(TraceOp::Step(obs.into_step()));
+    }
+
+    /// The iteration count of the pending `MemSpin`, if it is this very
+    /// loop's.
+    fn pending_mem_iters(&mut self, top: u32, probed: u64, retires: u8) -> Option<&mut u64> {
+        match &mut self.spin {
+            Some(PendSpin::Mem {
+                pc,
+                addr,
+                ir,
+                iters,
+            }) if *pc == top && *addr == probed && *ir == retires => Some(iters),
+            _ => None,
+        }
+    }
+
+    /// Folds in `k` consecutive cycles of `plan`'s spin loop that the
+    /// scheduler elided and settled in closed form
+    /// ([`Core::ff_replay`]), leaving the state machine exactly where
+    /// `k` observed cycles would have.
+    pub(crate) fn fold_spin(&mut self, prog: &CoreProg, plan: &SpinPlan, k: u64) {
+        self.fold_spin_cycles(exec_prog(prog), plan.top() as u32, plan.mem_probe(), k);
+    }
+
+    /// [`fold_spin`](Self::fold_spin) on the plan's shape: the loop's
+    /// first pc and, for a memory-probing spin, `(addr, iter_retires,
+    /// phase_b)` — `None` is a spin on `bar_reg`.
+    fn fold_spin_cycles(
+        &mut self,
+        prog: &Program,
+        top: u32,
+        probe: Option<(u64, u8, bool)>,
+        k: u64,
+    ) {
+        debug_assert!(k >= 1, "fold of an empty span");
+        let Some((addr, ir, mut phase_b)) = probe else {
+            // Every cycle is one whole `barr` + taken-branch iteration:
+            // the first goes through `observe` (it may open the op or
+            // continue a pending one), the rest only count.
+            self.observe(Obs::spin_group(top, top, 2, Effect::None), prog);
+            match &mut self.spin {
+                Some(PendSpin::Gline { iters, .. }) => *iters += k - 1,
+                _ => unreachable!("a parked bar_reg spin has the G-line spin shape"),
+            }
+            return;
+        };
+        // Cycles alternate between the issue phase and the resolve
+        // phase. Observe them one by one until a resolve has folded into
+        // this loop's pending op — at most three: a span that starts on
+        // the resolve half of an iteration whose load issued in a wider
+        // group has no held phase-A, and that resolve is a plain step.
+        let b_pc = top + ir as u32 - 1;
+        let issue = || Obs::spin_group(top, b_pc, ir - 1, Effect::Load { addr });
+        let mut left = k;
+        let mut folded = false;
+        while left > 0 && !folded {
+            if phase_b {
+                self.observe(Obs::spin_group(b_pc, top, 1, Effect::None), prog);
+                folded = self.pending_mem_iters(top, addr, ir).is_some();
+            } else {
+                self.observe(issue(), prog);
+            }
+            phase_b = !phase_b;
+            left -= 1;
+        }
+        // From there every issue/resolve pair is one more iteration, and
+        // an odd cycle left over is an issue phase waiting for its
+        // resolve.
+        if let Some(iters) = self.pending_mem_iters(top, addr, ir) {
+            *iters += left / 2;
+        }
+        if left % 2 == 1 {
+            self.observe(issue(), prog);
+        }
+    }
+}
+
+/// Per-core op streams of a run being recorded.
+#[derive(Debug)]
+pub(crate) struct Recorder {
+    cores: Vec<CoreRec>,
+}
+
+impl Recorder {
+    pub(crate) fn new(n: usize) -> Recorder {
+        Recorder {
+            cores: (0..n).map(|_| CoreRec::default()).collect(),
+        }
+    }
+
+    /// Core `i`'s state machine.
+    pub(crate) fn core(&mut self, i: usize) -> &mut CoreRec {
+        &mut self.cores[i]
     }
 
     /// Flushes every core's pending state and returns the traces.
@@ -415,5 +512,180 @@ impl Recorder {
                 }
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sim_isa::assemble;
+
+    /// `ld ; b` loop at pc 1, entered through a `li` at pc 0.
+    const LD_LOOP: &str = "li r1, 0x100\ntop: ld r2, 0(r1)\nbeq r2, r0, top\nhalt";
+    /// `li ; ld ; b` loop (the CSW/DSW flag wait) at pc 1.
+    const LI_LD_LOOP: &str = "nop\ntop: li r1, 0x100\nld r2, 0(r1)\nbeq r2, r0, top\nhalt";
+    /// `barr ; b` loop at pc 2.
+    const BAR_LOOP: &str = "li r1, 1\nbarw r1\ntop: barr r2\nbne r2, r0, top\nhalt";
+    const ADDR: u64 = 0x100;
+    const SPANS: [u64; 6] = [1, 2, 3, 4, 7, 1000];
+
+    /// What a recorder has observed before, or observes after, the span
+    /// under test.
+    type Context<'a> = &'a dyn Fn() -> Vec<Obs>;
+
+    /// What a dense run observes in the `j`-th cycle of a memory spin at
+    /// pc 1 that starts on its resolve phase iff `phase_b`.
+    fn mem_cycle(ir: u8, phase_b: bool, j: u64) -> Obs {
+        let (top, b_pc) = (1, ir as u32);
+        if (j % 2 == 1) != phase_b {
+            Obs::spin_group(b_pc, top, 1, Effect::None)
+        } else {
+            Obs::spin_group(top, b_pc, ir - 1, Effect::Load { addr: ADDR })
+        }
+    }
+
+    /// Feeds `before` to two recorders, then `k` spin cycles — one by
+    /// one through `observe` to the first, in closed form to the second
+    /// — then `after`, and demands the same trace. `probe` is the memory
+    /// spin's `(iter_retires, phase_b)`, `None` for the `barr` loop.
+    fn check_fold(
+        src: &str,
+        probe: Option<(u8, bool)>,
+        before: Context<'_>,
+        after: Context<'_>,
+        what: &str,
+    ) {
+        let prog = assemble(src).unwrap();
+        for k in SPANS {
+            let (mut dense, mut folded) = (Recorder::new(1), Recorder::new(1));
+            for rec in [&mut dense, &mut folded] {
+                for obs in before() {
+                    rec.core(0).observe(obs, &prog);
+                }
+            }
+            for j in 0..k {
+                let obs = match probe {
+                    Some((ir, phase_b)) => mem_cycle(ir, phase_b, j),
+                    None => Obs::spin_group(2, 2, 2, Effect::None),
+                };
+                dense.core(0).observe(obs, &prog);
+            }
+            let (top, shape) = match probe {
+                Some((ir, phase_b)) => (1, Some((ADDR, ir, phase_b))),
+                None => (2, None),
+            };
+            folded.core(0).fold_spin_cycles(&prog, top, shape, k);
+            for rec in [&mut dense, &mut folded] {
+                for obs in after() {
+                    rec.core(0).observe(obs, &prog);
+                }
+            }
+            let (dense, folded) = (dense.finish(), folded.finish());
+            assert_eq!(dense, folded, "{what}, k = {k}");
+            assert!(!dense[0].ops.is_empty());
+        }
+    }
+
+    fn nothing() -> Vec<Obs> {
+        Vec::new()
+    }
+
+    /// The loop exits: the resolve phase falls through into `halt`.
+    fn exit_from_b(ir: u8) -> Vec<Obs> {
+        vec![Obs::spin_group(ir as u32, ir as u32 + 1, 2, Effect::Halt)]
+    }
+
+    #[test]
+    fn bar_reg_fold_matches_cycle_by_cycle() {
+        let entry = || vec![Obs::spin_group(0, 2, 2, Effect::None)];
+        check_fold(BAR_LOOP, None, &entry, &nothing, "fresh");
+        let pending = || {
+            let mut obs = entry();
+            obs.extend((0..3).map(|_| Obs::spin_group(2, 2, 2, Effect::None)));
+            obs
+        };
+        check_fold(BAR_LOOP, None, &pending, &nothing, "continues a pending op");
+        let exit = || vec![Obs::spin_group(2, 4, 2, Effect::None)];
+        check_fold(BAR_LOOP, None, &pending, &exit, "pending op, then the exit");
+    }
+
+    #[test]
+    fn mem_fold_matches_cycle_by_cycle() {
+        for (src, ir) in [(LD_LOOP, 2u8), (LI_LD_LOOP, 3)] {
+            let held_a = move || vec![mem_cycle(ir, false, 0)];
+            let pending = move || (0..4).map(|j| mem_cycle(ir, false, j)).collect::<Vec<_>>();
+            let pending_held_a = move || (0..5).map(|j| mem_cycle(ir, false, j)).collect();
+            // The load issued together with the instruction before the
+            // loop: not a phase-A shape, so nothing is held.
+            let wide_entry = move || {
+                vec![Obs::spin_group(
+                    0,
+                    ir as u32,
+                    ir,
+                    Effect::Load { addr: ADDR },
+                )]
+            };
+            let exit = move || exit_from_b(ir);
+            let cases: [(&str, bool, Context<'_>); 6] = [
+                ("issue-phase start, fresh", false, &nothing),
+                ("issue-phase start, pending op", false, &pending),
+                ("resolve-phase start, held phase-A", true, &held_a),
+                (
+                    "resolve-phase start, pending op and held phase-A",
+                    true,
+                    &pending_held_a,
+                ),
+                ("resolve-phase start, no held phase-A", true, &wide_entry),
+                ("resolve-phase start, nothing observed yet", true, &nothing),
+            ];
+            for (what, phase_b, before) in cases {
+                let what = format!("{what}, {ir}-retire loop");
+                check_fold(src, Some((ir, phase_b)), before, &nothing, &what);
+                // Half the spans end at the loop top, where a real core
+                // could not run the exit group next; the two recorders
+                // must agree on whatever they are fed all the same.
+                check_fold(
+                    src,
+                    Some((ir, phase_b)),
+                    before,
+                    &exit,
+                    &format!("{what}, exit"),
+                );
+            }
+        }
+    }
+
+    /// The closed form really is closed: a long span costs no more trace
+    /// than a short one, and lands in one run-length op.
+    #[test]
+    fn fold_is_run_length_compressed() {
+        let prog = assemble(LI_LD_LOOP).unwrap();
+        let mut rec = Recorder::new(1);
+        rec.core(0)
+            .fold_spin_cycles(&prog, 1, Some((ADDR, 3, false)), 2_000_001);
+        rec.core(0)
+            .fold_spin_cycles(&prog, 1, Some((ADDR, 3, true)), 1);
+        let ops = &rec.finish()[0].ops;
+        assert_eq!(
+            ops[..],
+            [TraceOp::MemSpin {
+                pc: 1,
+                addr: ADDR,
+                iter_retires: 3,
+                iters: 1_000_001
+            }]
+        );
+        let prog = assemble(BAR_LOOP).unwrap();
+        let mut rec = Recorder::new(1);
+        rec.core(0).fold_spin_cycles(&prog, 2, None, 5);
+        rec.core(0).fold_spin_cycles(&prog, 2, None, 1_000_000);
+        let ops = &rec.finish()[0].ops;
+        assert_eq!(
+            ops[..],
+            [TraceOp::GlineSpin {
+                pc: 2,
+                iters: 1_000_005
+            }]
+        );
     }
 }

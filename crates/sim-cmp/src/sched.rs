@@ -4,7 +4,7 @@
 //! engine jump the clock when none can (`DESIGN.md` §9, §10).
 
 use crate::core::{Core, SpinPlan};
-use crate::replay::CoreProg;
+use crate::replay::{CoreProg, CoreRec};
 use crate::system::CoreSchedStats;
 use gline_core::BarrierHw;
 use sim_base::trace::{TraceSink, Tracer};
@@ -94,10 +94,13 @@ impl std::fmt::Display for Park {
 /// `release` must be true unless no `bar_reg` can clear in this cycle's
 /// barrier-network tick; an engine that cannot re-evaluate that every
 /// cycle passes `true`, which settles any `bar_reg` park it meets and
-/// never creates one. Returns whether the core is still live (neither
-/// parked nor halted).
+/// never creates one. `rec` is the core's trace recorder when the run
+/// is being recorded (the serial engine only): it watches the step, if
+/// one runs, and is told of every spin span settled in closed form —
+/// the only elided cycles that retire anything. Returns whether the
+/// core is still live (neither parked nor halted).
 #[inline]
-#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates and counters
+#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates, counters and recorder
 pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     core: &mut Core,
     prog: &CoreProg,
@@ -109,6 +112,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     now: Cycle,
     tracer: &Tracer<S>,
     sched: &mut CoreSchedStats,
+    mut rec: Option<&mut CoreRec>,
 ) -> bool {
     match *park {
         Park::None => {}
@@ -133,7 +137,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
             // as it would have in a dense run): replay the elided span
             // against the still-frozen line, then step this cycle live.
             *park = Park::None;
-            core.ff_replay(plan, now, anchor, mem);
+            settle_spin(core, prog, plan, now, anchor, mem, rec.as_deref_mut());
         }
         Park::Miss { anchor } => {
             if !delivery {
@@ -153,7 +157,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
                 return false;
             }
             *park = Park::None;
-            core.ff_replay(plan, now, anchor, mem);
+            settle_spin(core, prog, plan, now, anchor, mem, rec.as_deref_mut());
         }
     }
     if core.halted() {
@@ -182,7 +186,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         }
     }
     sched.core_steps += 1;
-    core.step(prog, mem, gline, now, tracer);
+    step_observed(core, prog, mem, gline, now, tracer, rec);
     // Park the core if its next state change is provably more than one
     // cycle out; its skipped steps are pure stall charges, applied at
     // wake-up.
@@ -196,6 +200,42 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         }
     }
     !core.halted()
+}
+
+/// [`Core::step`], watched by the core's trace recorder if there is one.
+#[inline]
+pub(crate) fn step_observed<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
+    core: &mut Core,
+    prog: &CoreProg,
+    mem: &mut M,
+    gline: &mut G,
+    now: Cycle,
+    tracer: &Tracer<S>,
+    rec: Option<&mut CoreRec>,
+) {
+    match rec {
+        None => core.step(prog, mem, gline, now, tracer),
+        Some(rec) => rec.step(core, prog, mem, gline, now, tracer),
+    }
+}
+
+/// Settles the span `[anchor, target)` a core spent in `plan`'s spin
+/// loop without being stepped — [`Core::ff_replay`], with the same span
+/// folded into the core's trace recorder if there is one.
+#[inline]
+pub(crate) fn settle_spin<M: CoreMem>(
+    core: &mut Core,
+    prog: &CoreProg,
+    plan: SpinPlan,
+    target: Cycle,
+    anchor: Cycle,
+    mem: &mut M,
+    rec: Option<&mut CoreRec>,
+) {
+    if let Some(rec) = rec {
+        rec.fold_spin(prog, &plan, target - anchor);
+    }
+    core.ff_replay(plan, target, anchor, mem);
 }
 
 /// The wake index: one bit per core in exactly one of five sets — or in

@@ -2,8 +2,8 @@
 
 use crate::core::{Core, FfClass, SpinPlan};
 use crate::par;
-use crate::replay::{CoreProg, Pre, RecGline, RecMem, Recorder};
-use crate::sched::{step_core, Park, WakeIndex};
+use crate::replay::{CoreProg, Recorder};
+use crate::sched::{settle_spin, step_core, step_observed, Park, WakeIndex};
 use crate::stats::SystemReport;
 use gline_core::{BarrierHw, BarrierNetwork};
 use sim_base::config::CmpConfig;
@@ -70,6 +70,10 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     /// epoch window so the machine never free-runs past the last halt
     /// (the serial engines stop the clock there).
     halt_bounds: Vec<HaltBound>,
+    /// The trace recorder, installed for the length of a
+    /// [`run_recorded`](Self::run_recorded): consulted wherever a core
+    /// steps and wherever a spin span is settled in closed form.
+    recorder: Option<Recorder>,
 }
 
 /// The epoch driver's reusable coordinator-side buffers (tile/shard
@@ -358,6 +362,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             sync: SyncStats::default(),
             uses_gline,
             halt_bounds,
+            recorder: None,
         }
     }
 }
@@ -541,11 +546,20 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             // Turning active sets off flushed the parks, which left the
             // index stale; it stays so while cores halt behind its back.
             debug_assert!(!self.index.is_fresh());
-            for (core, prog) in self.cores.iter_mut().zip(&self.progs) {
+            for (i, (core, prog)) in self.cores.iter_mut().zip(&self.progs).enumerate() {
                 if !core.halted() {
                     self.sched.core_steps += 1;
                 }
-                core.step(prog, &mut self.mem, &mut self.gline, now, &self.tracer);
+                let rec = self.recorder.as_mut().map(|r| r.core(i));
+                step_observed(
+                    core,
+                    prog,
+                    &mut self.mem,
+                    &mut self.gline,
+                    now,
+                    &self.tracer,
+                    rec,
+                );
             }
         }
         self.mem.tick();
@@ -609,6 +623,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                     now,
                     &self.tracer,
                     &mut self.sched,
+                    self.recorder.as_mut().map(|r| r.core(i)),
                 );
                 // A core that was live and still is keeps its bit.
                 if !(live && set.live & bit != 0) {
@@ -639,14 +654,23 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// dense loop steps every core).
     fn flush_parks(&mut self) {
         self.index.mark_stale();
-        for (core, park) in self.cores.iter_mut().zip(&mut self.parks) {
+        for (i, (core, park)) in self.cores.iter_mut().zip(&mut self.parks).enumerate() {
             match std::mem::take(park) {
                 Park::None => {}
                 Park::Stall { anchor, .. } | Park::Miss { anchor } => {
                     core.ff_stall(self.now - anchor)
                 }
                 Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
-                    core.ff_replay(plan, self.now, anchor, &mut self.mem)
+                    let rec = self.recorder.as_mut().map(|r| r.core(i));
+                    settle_spin(
+                        core,
+                        &self.progs[i],
+                        plan,
+                        self.now,
+                        anchor,
+                        &mut self.mem,
+                        rec,
+                    )
                 }
             }
         }
@@ -936,9 +960,10 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         // every running core are counted here, once.
         self.index.mark_stale();
         for (i, core) in self.cores.iter_mut().enumerate() {
+            let (prog, rec) = (&self.progs[i], self.recorder.as_mut().map(|r| r.core(i)));
             match std::mem::take(&mut self.parks[i]) {
                 Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
-                    core.ff_replay(plan, target, anchor, &mut self.mem);
+                    settle_spin(core, prog, plan, target, anchor, &mut self.mem, rec);
                     self.sched.spin_parked_steps += k;
                     continue;
                 }
@@ -948,7 +973,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 Park::None => {}
             }
             if let Some(plan) = self.ff_plans[i] {
-                core.ff_replay(plan, target, self.now, &mut self.mem);
+                settle_spin(core, prog, plan, target, self.now, &mut self.mem, rec);
                 self.sched.spin_parked_steps += k;
             } else if !core.halted() {
                 core.ff_stall(k);
@@ -1055,9 +1080,13 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
 
     /// Like [`run`](Self::run), but records every core's executed issue
     /// groups into a [`CoreTrace`] stream as it goes, returning the
-    /// cycle count and one trace per core. The run is cycle-exact and
-    /// dense (no skipping, no parking): the recorder must observe every
-    /// executing cycle, and elided spans would hide them. A machine
+    /// cycle count and one trace per core. Recording observes the run,
+    /// it does not drive it: the machine advances on the serial engine
+    /// exactly as [`run`](Self::run) would — parking cores, jumping the
+    /// clock, honouring [`set_skip_enabled`](Self::set_skip_enabled) and
+    /// [`set_active_set_enabled`](Self::set_active_set_enabled) — and
+    /// the traces are the same under every combination of the two
+    /// (both off is the dense, every-core reference). A machine
     /// replaying those traces (see [`System::replay`]) reproduces this
     /// run's [`SystemReport`], architectural memory and event stream
     /// bit-identically.
@@ -1070,42 +1099,14 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// any core is itself replay-driven.
     pub fn run_recorded(&mut self, max_cycles: u64) -> Result<(Cycle, Vec<CoreTrace>), String> {
         assert_eq!(self.now, 0, "recording must start from a fresh machine");
-        let mut rec = Recorder::new(self.cores.len());
-        let mut writes: Vec<(u8, u64)> = Vec::new();
-        // Only a sparse tick builds the index, and none has run.
-        debug_assert!(!self.index.is_fresh());
-        while !self.all_halted() {
-            let now = self.now;
-            self.sched.ticks += 1;
-            for i in 0..self.cores.len() {
-                let CoreProg::Exec(prog) = &self.progs[i] else {
-                    panic!("cannot re-record a replay-mode system");
-                };
-                let core = &mut self.cores[i];
-                if !core.halted() {
-                    self.sched.core_steps += 1;
-                }
-                let pre = Pre {
-                    pc: core.pc() as u32,
-                    retired: core.retired(),
-                    region: core.cur_region(),
-                    halted: core.halted(),
-                };
-                let mut rmem = RecMem::new(&mut self.mem);
-                {
-                    let mut rgl = RecGline::new(&mut self.gline, &mut writes);
-                    core.step(&self.progs[i], &mut rmem, &mut rgl, now, &self.tracer);
-                }
-                rec.record_step(i, prog, pre, core, &rmem, &mut writes, now);
-            }
-            self.mem.tick();
-            self.gline.tick();
-            self.now += 1;
-            if self.now > max_cycles {
-                return Err(self.deadlock_error(max_cycles));
-            }
-        }
-        Ok((self.now, rec.finish()))
+        assert!(
+            !self.progs.iter().any(CoreProg::is_replay),
+            "cannot re-record a replay-mode system"
+        );
+        self.recorder = Some(Recorder::new(self.cores.len()));
+        let outcome = self.run(max_cycles);
+        let rec = self.recorder.take().expect("installed above");
+        outcome.map(|cycles| (cycles, rec.finish()))
     }
 
     /// Like [`run`](Self::run), but advances each cycle with `workers`

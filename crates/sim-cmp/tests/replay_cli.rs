@@ -210,3 +210,61 @@ fn record_replay_round_trip_is_bit_identical_and_stdout_stays_pure() {
     let _ = std::fs::remove_file(&prog);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every file of a trace directory, by name.
+fn dir_contents(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let name = e.file_name().into_string().unwrap();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn recording_honours_the_scheduler_flags_and_traces_do_not_depend_on_them() {
+    let prog = prog_file("rec_flags.s");
+    let record = |flags: &[&str]| {
+        let dir = tmp(&format!("rec_flags_dir{}", flags.concat()));
+        let mut args = vec!["--cores", "4", "--json", "--sched-stats"];
+        args.extend(flags);
+        args.extend(["--record-trace", dir.to_str().unwrap()]);
+        let out = simcmp(Some(&prog), &args);
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "recording {flags:?} failed: {stderr}");
+        let files = dir_contents(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        (files, out.stdout, stderr)
+    };
+    let (files, report, stderr) = record(&[]);
+    assert_eq!(files.len(), 5, "manifest + one trace per core");
+    assert!(
+        !stderr.contains(" 0 skips") && !stderr.contains(" 0 stall steps"),
+        "default recording neither jumped nor parked:\n{stderr}"
+    );
+    for flags in [
+        &["--no-skip"][..],
+        &["--no-active-set"],
+        &["--no-skip", "--no-active-set"],
+    ] {
+        let (f, r, stderr) = record(flags);
+        assert!(f == files, "{flags:?}: trace directory differs");
+        assert_eq!(r, report, "{flags:?}: --json report differs");
+        assert_eq!(
+            flags.contains(&"--no-skip"),
+            stderr.contains("skip: 0 attempts, 0 skips (0 cycles)"),
+            "{flags:?} dropped:\n{stderr}"
+        );
+        if flags.len() == 2 {
+            assert!(
+                stderr.contains("0 stall steps and 0 spin steps elided"),
+                "{flags:?}: not the dense tick:\n{stderr}"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&prog);
+}

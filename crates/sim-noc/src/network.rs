@@ -567,9 +567,7 @@ impl<T, S: TraceSink> Noc<T, S> {
                 continue;
             }
             self.sched.router_visits += 1;
-            for out in Dir::ALL {
-                self.arbitrate(r, out, now);
-            }
+            self.arbitrate_router(r, now);
             if self.router_flits[r] == 0 {
                 self.active_routers.remove(r);
             }
@@ -599,9 +597,7 @@ impl<T, S: TraceSink> Noc<T, S> {
                 continue;
             }
             self.sched.router_visits += 1;
-            for out in Dir::ALL {
-                self.arbitrate(r, out, now);
-            }
+            self.arbitrate_router(r, now);
             if self.router_flits[r] == 0 {
                 self.active_routers.remove(r);
             }
@@ -628,6 +624,19 @@ impl<T, S: TraceSink> Noc<T, S> {
             self.active_routers.insert(tile);
         }
         empty
+    }
+
+    /// One arbitration visit of router `r`: every output some slot
+    /// requests, in port order. The request mask is read when the
+    /// output's turn comes, not once per visit — a grant hands its
+    /// slot's request bit to the flit behind, which may ask for a later
+    /// output of this same visit.
+    fn arbitrate_router(&mut self, r: usize, now: Cycle) {
+        for out in Dir::ALL {
+            if self.routers[r].requested(out.index()) {
+                self.arbitrate(r, out, now);
+            }
+        }
     }
 
     /// Picks and forwards at most one flit through output `out` of router

@@ -116,6 +116,12 @@ impl Router {
         flit
     }
 
+    /// True when some slot's front flit routes to output port `out`;
+    /// [`pick`](Self::pick) grants nothing otherwise.
+    pub fn requested(&self, out: usize) -> bool {
+        self.req[out] != 0
+    }
+
     /// True when every request mask equals the mask recomputed from the
     /// buffer fronts.
     pub(crate) fn req_is_consistent(&self) -> bool {

@@ -1,7 +1,8 @@
 //! Property tests for the NoC: arbitrary traffic must be delivered
 //! exactly once, per-pair-per-class FIFO order must hold, the network
 //! must drain to idle under any buffer size, and the request-mask
-//! arbiter must grant what a scan of all fifteen slots grants.
+//! arbiter must grant what a scan of all fifteen slots grants — output
+//! by output and over a whole router visit.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
@@ -201,6 +202,48 @@ fn assert_same_grants(mut r: Router) {
     }
 }
 
+/// One arbitration visit of `r` as `Noc` performs it — every output in
+/// port order, each grant applied (pop, round-robin pointer, wormhole
+/// lock, credit) before the next output is asked — returning the
+/// `(output, slot)` grants.
+fn visit(r: &mut Router, pick: impl Fn(&Router, usize) -> Option<usize>) -> Vec<(usize, usize)> {
+    let mut grants = Vec::new();
+    for out in Dir::ALL.map(Dir::index) {
+        let Some(slot) = pick(r, out) else { continue };
+        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
+        let flit = r.pop(slot);
+        r.rr[out] = (slot + 1) % NUM_SLOTS;
+        r.out_lock[out][vc] = (!flit.is_tail).then_some(WormLock {
+            pkt: flit.pkt,
+            in_port: p,
+        });
+        if out != Dir::Local.index() {
+            r.credits[out][vc] -= 1;
+        }
+        grants.push((out, slot));
+    }
+    grants
+}
+
+/// Both arbiters over one whole visit of `r`: the mask arbiter asks only
+/// the outputs that are requested when their turn comes, and must still
+/// grant exactly what scanning every slot for every output grants.
+/// Returns whether one slot fed two outputs — its front flit left, and
+/// the flit behind it took a later output of the same visit.
+fn assert_same_visit(r: &Router) -> bool {
+    let masked = visit(&mut r.clone(), |r, out| {
+        r.requested(out).then(|| r.pick(out)).flatten()
+    });
+    assert_eq!(
+        masked,
+        visit(&mut r.clone(), linear_scan_pick),
+        "router {r:?}"
+    );
+    let mut slots: Vec<usize> = masked.iter().map(|&(_, slot)| slot).collect();
+    slots.sort_unstable();
+    slots.windows(2).any(|w| w[0] == w[1])
+}
+
 #[test]
 fn mask_arbiter_matches_linear_scan_on_random_router_states() {
     const CAP: u32 = 4;
@@ -267,6 +310,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
 
 #[test]
 fn mask_arbiter_matches_linear_scan_on_reachable_router_states() {
+    let mut slot_fed_two_outputs = 0;
     // Narrow links (five flits per line) and shallow buffers, so that
     // wormhole locks, exhausted credits and blocked heads all occur.
     forall_cases("mask_arbiter_matches_linear_scan_reachable", 24, |rng| {
@@ -292,10 +336,60 @@ fn mask_arbiter_matches_linear_scan_on_reachable_router_states() {
         while !noc.is_idle() {
             for tile in mesh.tiles() {
                 assert_same_grants(noc.router(tile).clone());
+                slot_fed_two_outputs += assert_same_visit(noc.router(tile)) as u32;
             }
             noc.tick();
             guard += 1;
             assert!(guard < 100_000, "network failed to drain");
         }
+    });
+    assert!(
+        slot_fed_two_outputs > 0,
+        "no visit had a slot's consecutive flits leave through two outputs"
+    );
+}
+
+/// Two single-flit messages injected back to back share the local input
+/// slot of their source router. If the first leaves through an output
+/// whose turn comes before the second's, both leave in the same cycle —
+/// the first grant hands the slot's request to the flit behind it;
+/// otherwise the second waits for the next cycle.
+#[test]
+fn consecutive_flits_of_one_slot_take_two_outputs_in_one_tick() {
+    forall_cases("consecutive_flits_two_outputs", 48, |rng| {
+        let mesh = Mesh2D::new(3 + rng.next_below(3) as u16, 3 + rng.next_below(3) as u16);
+        // An interior tile, so that all four neighbours exist.
+        let (row, col) = (
+            1 + rng.next_below(mesh.rows as u64 - 2) as u16,
+            1 + rng.next_below(mesh.cols as u64 - 2) as u16,
+        );
+        let src = mesh.id_of(sim_base::geom::Coord { row, col });
+        let first = Dir::MESH[rng.next_below(4) as usize];
+        let second = Dir::MESH[(first.index() + 1 + rng.next_below(3) as usize) % 4];
+        assert_ne!(first, second);
+        let class = arb_class(rng);
+        let mut noc: Noc<u8> = Noc::new(mesh, NocConfig::default());
+        for dir in [first, second] {
+            let dst = mesh.neighbor(mesh.coord_of(src), dir).expect("interior");
+            noc.send(Message {
+                src,
+                dst: mesh.id_of(dst),
+                class,
+                payload_bytes: 0,
+                payload: 0,
+            });
+        }
+        while !noc.is_idle() {
+            noc.tick();
+        }
+        // One hop each: router + link + ejection = 7 cycles, plus one
+        // for the flit that had to wait a cycle for its slot's front.
+        let waited = (second.index() < first.index()) as u64;
+        let latency = noc.stats().latency_of(class);
+        assert_eq!(
+            (latency.min(), latency.max()),
+            (Some(7), Some(7 + waited)),
+            "{first:?} then {second:?}"
+        );
     });
 }

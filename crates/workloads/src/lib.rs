@@ -25,6 +25,7 @@ pub mod common;
 pub mod em3d;
 pub mod livermore;
 pub mod ocean;
+pub mod random;
 pub mod synthetic;
 pub mod unstructured;
 

@@ -15,10 +15,13 @@ use sim_base::config::CmpConfig;
 use sim_base::rng::SplitMix64;
 use sim_base::trace::{ChromeTraceSink, Tracer};
 use sim_base::Mesh2D;
-use sim_cmp::runtime::{emit_lock, emit_unlock, BarrierEnv, BarrierKind};
+use sim_cmp::runtime::BarrierKind;
 use sim_cmp::{System, SystemReport};
-use sim_isa::{ProgBuilder, Program, Reg};
+use sim_isa::Program;
 use workloads::common::Workload;
+use workloads::random::{
+    random_sync_programs, staggered_gl_programs, COUNTER_BASE, LOCKS, LOCK_BASE, SLOT_BASE,
+};
 use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
 /// Runs `w` twice — active sets on and `--no-active-set` — and demands
@@ -206,72 +209,6 @@ fn mid_run_toggle_active_set_invariant() {
         toggled.report(),
         "mid-run toggle diverges"
     );
-}
-
-const LOCK_BASE: u64 = 0x3000;
-const COUNTER_BASE: u64 = 0x3800;
-const SLOT_BASE: u64 = 0x4000;
-const LOCKS: u64 = 2;
-
-/// A random barrier/lock program set for `n` cores: per phase, a random
-/// stretch of private work, for a few cores a lock-protected counter
-/// increment, a store to the core's own slot, then a barrier of `kind`.
-fn random_sync_programs(n: usize, kind: BarrierKind, rng: &mut SplitMix64) -> Vec<Program> {
-    let env = BarrierEnv::new(kind, n, 0x1_0000);
-    let phases = 2 + rng.next_below(2);
-    let max_busy = 1 + rng.next_below(400) as u32;
-    (0..n)
-        .map(|c| {
-            let mut b = ProgBuilder::new();
-            for phase in 0..phases {
-                if rng.chance(0.7) {
-                    b.busy(1 + rng.next_below(max_busy as u64) as u32);
-                }
-                // About six lock users per phase whatever the machine
-                // size, so 256 cores do not serialize on one line.
-                if rng.chance(6.0 / n as f64) {
-                    let k = rng.next_below(LOCKS);
-                    emit_lock(&mut b, LOCK_BASE + k * 64, &format!("c{c}p{phase}"));
-                    b.li(Reg(1), (COUNTER_BASE + k * 64) as i64)
-                        .ld(Reg(2), 0, Reg(1))
-                        .addi(Reg(2), Reg(2), 1)
-                        .st(Reg(2), 0, Reg(1));
-                    emit_unlock(&mut b, LOCK_BASE + k * 64);
-                }
-                b.li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
-                    .li(Reg(2), (phase * 1000 + c as u64) as i64)
-                    .st(Reg(2), 0, Reg(1));
-                env.emit(&mut b, c, &format!("p{phase}"));
-            }
-            b.halt();
-            b.build()
-        })
-        .collect()
-}
-
-/// GL-barrier programs with staggered arrival: before every barrier
-/// each core sits in a `busy` block of its own random length, so most
-/// of the run is spent with the early arrivers parked on their
-/// `bar_reg` and the clock jumping from one busy block's end to the
-/// next.
-fn staggered_gl_programs(n: usize, rng: &mut SplitMix64) -> Vec<Program> {
-    let env = BarrierEnv::new(BarrierKind::Gl, n, 0x1_0000);
-    let phases = 3 + rng.next_below(4);
-    let stagger = 1 + rng.next_below(40) as u32;
-    (0..n)
-        .map(|c| {
-            let mut b = ProgBuilder::new();
-            for phase in 0..phases {
-                b.busy((1 + rng.next_below(n.min(64) as u64) as u32) * stagger)
-                    .li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
-                    .li(Reg(2), (phase * 1000 + c as u64) as i64)
-                    .st(Reg(2), 0, Reg(1));
-                env.emit(&mut b, c, &format!("p{phase}"));
-            }
-            b.halt();
-            b.build()
-        })
-        .collect()
 }
 
 /// One stretch of a toggled run: scheduler settings and worker count
