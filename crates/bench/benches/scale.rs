@@ -59,15 +59,15 @@ struct Run {
     cost_per_core_cycle: f64,
 }
 
-fn run_one(n: usize, kind: BarrierKind, iters: u64, workers: usize) -> Run {
+fn run_one(n: usize, kind: BarrierKind, iters: u64) -> Run {
     let w = synthetic::build(n, kind, iters);
     let cfg = CmpConfig::icpp2010_with_cores(n);
     cfg.validate().expect("sweep configs are valid");
     let (cycles, wall_s) = if cfg.needs_clustered_gline() {
         let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-        drive(w.into_system_with_hw(cfg, hw), kind, iters, workers)
+        drive(w.into_system_with_hw(cfg, hw), kind, iters)
     } else {
-        drive(w.into_system(cfg), kind, iters, workers)
+        drive(w.into_system(cfg), kind, iters)
     };
     Run {
         cycles,
@@ -77,19 +77,9 @@ fn run_one(n: usize, kind: BarrierKind, iters: u64, workers: usize) -> Run {
     }
 }
 
-fn drive<B: BarrierHw>(
-    mut sys: System<B>,
-    kind: BarrierKind,
-    iters: u64,
-    workers: usize,
-) -> (u64, f64) {
+fn drive<B: BarrierHw>(mut sys: System<B>, kind: BarrierKind, iters: u64) -> (u64, f64) {
     let start = Instant::now();
-    let cycles = if workers > 1 {
-        sys.run_with_workers(20_000_000_000, workers)
-    } else {
-        sys.run(20_000_000_000)
-    }
-    .expect("sweep workload completes");
+    let cycles = sys.run(20_000_000_000).expect("sweep workload completes");
     if kind == BarrierKind::Gl {
         assert_eq!(
             sys.report().gl_barriers,
@@ -102,10 +92,10 @@ fn drive<B: BarrierHw>(
 
 /// Min-of-`reps` wall clock; the simulated cycle counts are
 /// deterministic, so only the host timing varies.
-fn best_of(n: usize, kind: BarrierKind, iters: u64, workers: usize, reps: usize) -> Run {
-    let mut best = run_one(n, kind, iters, workers);
+fn best_of(n: usize, kind: BarrierKind, iters: u64, reps: usize) -> Run {
+    let mut best = run_one(n, kind, iters);
     for _ in 1..reps {
-        let r = run_one(n, kind, iters, workers);
+        let r = run_one(n, kind, iters);
         assert_eq!(best.cycles, r.cycles, "{n}-core run must be deterministic");
         if r.wall_s < best.wall_s {
             best = r;
@@ -120,14 +110,13 @@ fn bench(c: &mut Criterion) {
     // simulated-cycle counts and hold at any scale.
     let test_mode = std::env::args().any(|a| a == "--test");
     let (iters, reps) = if test_mode { (2, 1) } else { (16, 3) };
-    let workers = 1; // serial engine: the sweep gates single-thread cost
 
     let mut entries = Vec::new();
     let mut gl_by_cores = Vec::new();
     let mut dsw_by_cores = Vec::new();
     for &n in &CORE_COUNTS {
-        let gl = best_of(n, BarrierKind::Gl, iters, workers, reps);
-        let dsw = best_of(n, BarrierKind::Dsw, iters, workers, reps);
+        let gl = best_of(n, BarrierKind::Gl, iters, reps);
+        let dsw = best_of(n, BarrierKind::Dsw, iters, reps);
         eprintln!(
             "[scale] {n:>4} cores: GL {:>7.1} cyc/barrier ({:.2e} s/core-cycle), \
              DSW {:>9.1} cyc/barrier ({:.2e} s/core-cycle)",
@@ -173,7 +162,7 @@ fn bench(c: &mut Criterion) {
 
     let json = Json::obj([
         ("benchmark", Json::from("many-core scaling sweep")),
-        ("host", bench::sweep::host_json(workers)),
+        ("host", bench::sweep::host_json(1)),
         ("iters", Json::from(iters)),
         (
             "barriers_per_run",
@@ -225,7 +214,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for &n in &[32usize, 256] {
         g.bench_with_input(BenchmarkId::new("gl_sweep", n), &n, |b, &n| {
-            b.iter(|| run_one(n, BarrierKind::Gl, 2, 1).cycles)
+            b.iter(|| run_one(n, BarrierKind::Gl, 2).cycles)
         });
     }
     g.finish();

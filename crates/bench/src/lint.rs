@@ -25,11 +25,6 @@
 //!   them is nondeterministic. Escape with
 //!   `// simlint: allow(ptr-order)` where the cast provably never
 //!   influences simulation behavior (e.g. layout assertions in tests).
-//! * **phase-protocol** — the sharded engines' raw-aliasing entry
-//!   points (`tile_lanes(` / `epoch_tiles(` / `shard_phase(` /
-//!   `epoch_shard_phase(` / `.ptrs.get()` / `.outs[`) may appear only
-//!   in the files that *are* the phase protocol; everything else must
-//!   go through the safe serial API.
 //!
 //! Escapes are per-line: `// simlint: allow(<rule>)` on the offending
 //! line or in the comment block directly above it. Every escape should
@@ -68,24 +63,6 @@ impl fmt::Display for Finding {
         )
     }
 }
-
-/// Files that *are* the shard-phase protocol: the only places the
-/// raw-aliasing entry points may appear.
-const PHASE_PROTOCOL_FILES: &[&str] = &[
-    "crates/sim-cmp/src/par.rs",
-    "crates/sim-cmp/src/system.rs",
-    "crates/sim-mem/src/system.rs",
-];
-
-/// Tokens that mark raw-aliasing access to sharded simulation state.
-const PHASE_PROTOCOL_TOKENS: &[&str] = &[
-    "tile_lanes(",
-    "epoch_tiles(",
-    "shard_phase(",
-    "epoch_shard_phase(",
-    ".ptrs.get()",
-    ".outs[",
-];
 
 /// Crates exempt from the wall-clock rule: `bench` measures host time
 /// by design, and `sim-check`'s wedge watchdog runs host-side (its
@@ -328,12 +305,8 @@ fn path_has_prefix(file: &Path, prefix: &str) -> bool {
     file.to_string_lossy().replace('\\', "/").contains(prefix)
 }
 
-fn path_is(file: &Path, suffix: &str) -> bool {
-    file.to_string_lossy().replace('\\', "/").ends_with(suffix)
-}
-
 /// Lints one file's source text. `file` is used for reporting and for
-/// the per-file rule scoping (exemptions, protocol allowlist).
+/// the per-file rule scoping (exemptions).
 pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
     let stripped = strip_comments_and_strings(src);
     let code: Vec<&str> = stripped.lines().collect();
@@ -349,7 +322,6 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
     };
 
     let wall_clock_applies = !WALL_CLOCK_EXEMPT.iter().any(|p| path_has_prefix(file, p));
-    let is_protocol_file = PHASE_PROTOCOL_FILES.iter().any(|p| path_is(file, p));
 
     for (i, line) in code.iter().enumerate() {
         // safety-comment
@@ -409,23 +381,6 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
                  hashing by them is nondeterministic"
                     .into(),
             );
-        }
-
-        // phase-protocol
-        if !is_protocol_file {
-            for tok in PHASE_PROTOCOL_TOKENS {
-                if line.contains(tok) {
-                    push(
-                        i,
-                        "phase-protocol",
-                        format!(
-                            "`{tok}` is a shard-phase protocol entry point; only the \
-                             protocol files themselves may touch it"
-                        ),
-                    );
-                    break;
-                }
-            }
         }
     }
     findings
@@ -560,20 +515,8 @@ mod tests {
     }
 
     #[test]
-    fn phase_protocol_tokens_only_in_protocol_files() {
-        let src = "let l = mem.tile_lanes();\n";
-        assert_eq!(
-            rules(&lint("crates/sim-noc/src/a.rs", src)),
-            ["phase-protocol"]
-        );
-        assert!(lint("crates/sim-cmp/src/par.rs", src).is_empty());
-        assert!(lint("crates/sim-mem/src/system.rs", src).is_empty());
-    }
-
-    #[test]
     fn tokens_inside_comments_and_strings_do_not_fire() {
-        let src =
-            "// mentions unsafe and HashMap and Instant::now\nlet s = \"shard_phase( HashMap\";\n";
+        let src = "// mentions unsafe and HashMap and Instant::now\nlet s = \"unsafe HashMap\";\n";
         assert!(lint("crates/sim-cmp/src/a.rs", src).is_empty());
     }
 }

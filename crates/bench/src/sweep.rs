@@ -14,10 +14,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Default worker count: the host's available parallelism (1 if
-/// unknown). Shared with the simulator's sharded-tick engine so every
-/// "how parallel is this host" answer in the workspace agrees.
+/// unknown).
 pub fn default_workers() -> usize {
-    sim_base::shard::available_workers()
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Parses a `--jobs N` flag out of `args`, defaulting to
@@ -39,7 +40,7 @@ pub fn host_json(workers_used: usize) -> sim_base::json::Json {
     sim_base::json::Json::obj([
         (
             "available_cores",
-            sim_base::json::Json::from(sim_base::shard::available_workers() as u64),
+            sim_base::json::Json::from(default_workers() as u64),
         ),
         (
             "workers_used",
@@ -63,9 +64,8 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    // One clamp rule for the whole workspace: at least one worker,
-    // never more than there are items to divide.
-    let workers = sim_base::shard::clamp_workers(workers, jobs.len());
+    // At least one worker, never more than there are jobs to divide.
+    let workers = workers.clamp(1, jobs.len().max(1));
     if workers == 1 {
         return jobs.iter().map(&run).collect();
     }

@@ -2,24 +2,21 @@
 //!
 //! The replay engine's contract is *bit-identity*: replaying a recorded
 //! run on any engine configuration — quiescence skipping on or off,
-//! active-set scheduling on or off, any worker count — must reproduce
-//! the exec-mode run exactly. This module turns "exactly" into
-//! comparators that, on mismatch, pinpoint the **first divergence** as
-//! a structured `(cycle, core, field)` report instead of dumping two
-//! multi-kilobyte structs and leaving the diff to the reader:
+//! active-set scheduling on or off — must reproduce the exec-mode run
+//! exactly. This module turns "exactly" into comparators that, on
+//! mismatch, pinpoint the **first divergence** as a structured
+//! `(cycle, core, field)` report instead of dumping two multi-kilobyte
+//! structs and leaving the diff to the reader:
 //!
 //! * [`compare_reports`] — field-by-field [`SystemReport`] comparison
 //!   (per-core time breakdowns, traffic classes, cache counters, ...).
 //! * [`compare_memory`] — architectural memory comparison over a caller
 //!   -chosen address set (a report can collide while memory diverges,
 //!   and vice versa).
-//! * [`compare_events`] — full event-trace comparison for serially
-//!   traced runs (the parallel engine is gated on disabled tracing, so
-//!   event lockstep applies to the serial engines; parallel engines are
-//!   held to report + memory identity).
+//! * [`compare_events`] — full event-trace comparison for traced runs.
 //!
 //! `tests/replay_lockstep.rs` drives these across the workload-family ×
-//! scheduler-toggle × worker-count matrix. The design follows the
+//! scheduler-toggle matrix. The design follows the
 //! validation harness of gpucachesim (`validate/` crate): run the
 //! reference and the candidate through the same observable extraction,
 //! then compare structurally rather than textually.

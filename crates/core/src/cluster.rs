@@ -286,26 +286,22 @@ impl BarrierHw for ClusteredBarrierNetwork {
         self.now = t;
     }
 
-    fn min_notify_latency(&self) -> u64 {
-        // 2 cycles in-cluster gather to the root, the 4-cycle level-2
-        // floor with its first cycle overlapping the root announcement,
-        // and 2 more for the gated release cascade (release-column +
-        // release-row): the module-level 7-cycle constant. No core can
-        // observe any effect of an arrival sooner.
-        7
-    }
-
     fn release_bound(&self) -> u64 {
-        // Same shape as the flat network's bound: while a context still
-        // misses arrivals, even an immediate last arrival needs the full
-        // two-level propagation floor before any `bar_reg` can clear;
-        // once every core has arrived the cascade may be in flight.
+        // Same shape as the flat network's bound: once every core has
+        // arrived the cascade may be in flight (1). While a context
+        // still misses arrivals, even an immediate last arrival needs
+        // the full two-level propagation floor before any `bar_reg`
+        // can clear: 2 cycles in-cluster gather to the root, the
+        // 4-cycle level-2 floor with its first cycle overlapping the
+        // root announcement, and 2 more for the gated release cascade
+        // (release-column + release-row) — the module-level 7-cycle
+        // constant.
         (0..self.num_contexts)
             .map(|ctx| {
                 if self.arrived[ctx] as usize >= self.mesh.num_tiles() {
                     1
                 } else {
-                    BarrierHw::min_notify_latency(self)
+                    7
                 }
             })
             .min()

@@ -72,6 +72,7 @@
 //! assert_eq!(cycles, 4);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -79,13 +80,11 @@ pub mod cluster;
 pub mod controller;
 pub mod line;
 pub mod network;
-pub mod shadow;
 pub mod stats;
 pub mod tdm;
 
 pub use cluster::ClusteredBarrierNetwork;
 pub use line::{GLine, Sensed};
 pub use network::{BarrierHw, BarrierNetwork, CtxId};
-pub use shadow::GlineShadow;
 pub use stats::GlineStats;
 pub use tdm::TdmBarrierNetwork;

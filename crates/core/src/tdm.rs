@@ -138,8 +138,8 @@ impl BarrierHw for TdmBarrierNetwork {
         self.now
     }
 
-    // `release_bound` (like `next_event` and `min_notify_latency`)
-    // keeps the trait's conservative default of 1: a slot's controllers
+    // `release_bound` (like `next_event`) keeps the trait's
+    // conservative default of 1: a slot's controllers
     // advance only on that slot's cycles, so a bound would have to be
     // argued from the slot rotation as well as the per-context arrival
     // counts, and it would buy nothing — this model never reports

@@ -25,10 +25,8 @@
 //! * [`active`] — the deterministic active-set scheduling primitive
 //!   behind the sparse (work-list) tick paths of the NoC, the memory
 //!   hierarchy and the core scheduler.
-//! * [`shard`] — sharding primitives for the parallel tick engine: a
-//!   sense-reversing thread barrier, worker-count derivation/clamping,
-//!   and the deterministic tile partition.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
@@ -41,7 +39,6 @@ pub mod geom;
 pub mod ids;
 pub mod json;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod trace;
 

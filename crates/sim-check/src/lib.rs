@@ -1,35 +1,22 @@
 //! # sim-check — in-tree concurrency model checker
 //!
-//! A loom-style exhaustive-interleaving explorer for the workspace's
-//! sharding primitives (`DESIGN.md` §14). The workspace builds fully
-//! offline, so instead of `loom` this crate carries its own explorer:
-//! model threads run serialized under a replaying scheduler, every
-//! synchronization operation is a scheduling point, and a depth-first
-//! search with sleep-set (DPOR-family) pruning visits every
-//! Mazurkiewicz trace of the model — finding deadlocks (including lost
-//! wakeups), vector-clock data races, and assertion failures, each
-//! reported with the exact interleaving that produced it.
+//! A loom-style exhaustive-interleaving explorer (`DESIGN.md` §14). The
+//! workspace builds fully offline, so instead of `loom` this crate
+//! carries its own explorer: model threads run serialized under a
+//! replaying scheduler, every synchronization operation is a scheduling
+//! point, and a depth-first search with sleep-set (DPOR-family) pruning
+//! visits every Mazurkiewicz trace of the model — finding deadlocks
+//! (including lost wakeups), vector-clock data races, and assertion
+//! failures, each reported with the exact interleaving that produced
+//! it.
 //!
-//! What is verified (see `tests/`):
-//!
-//! 1. **No data race on tile-disjoint lanes** — the shard-phase
-//!    protocol models guard every shared location with a
-//!    [`RaceCell`](sync::RaceCell); the only happens-before edges are
-//!    the ones the real engine has (the phase barrier / epoch gate).
-//! 2. **Epoch doorbell wakeups are never lost** — a lost wakeup leaves
-//!    a waiter blocked forever, which the explorer reports as a
-//!    deadlock; the seeded-broken [`models`] variants prove the
-//!    detector sees the bug classes that matter.
-//! 3. **Phase protocols linearize to the serial order** — the models
-//!    merge worker outputs exactly as the engine's exchange/apply
-//!    phases do and assert the result equals the serial reference.
-//!
-//! The models in [`models`] are line-by-line mirrors of
-//! `sim_base::shard::{SpinBarrier, EpochGate}` and the
-//! `CycleCtx`/`EpochCtx` protocols in `sim-cmp::par`, written against
-//! the modeled primitives in [`sync`]. **When the originals change,
-//! change the mirrors** — the mirror-source correspondence is part of
-//! the review checklist for any `sim-base::shard`/`sim-cmp::par` PR.
+//! The simulator itself is single-threaded and `unsafe`-free, so
+//! nothing in it needs this checker today. What `tests/` holds is the
+//! explorer's own regression suite: the modeled primitives in [`sync`]
+//! against `std`'s, and two fixture algorithms in [`models`] — a
+//! sense-reversing thread barrier and a doorbell gate — checked
+//! exhaustively at 2–4 threads, each with a seeded-broken variant the
+//! explorer must catch.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,10 +1,10 @@
-//! Model mirror of `sim_base::shard::EpochGate`.
+//! A doorbell-and-latch rendezvous (explorer fixture).
 
 use crate::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex};
 use std::sync::atomic::Ordering;
 
 /// One worker's doorbell: ring sequence number plus a condvar to park
-/// on — the model twin of the private `Doorbell` in `sim_base::shard`.
+/// on.
 #[derive(Debug)]
 struct ModelDoorbell {
     seq: AtomicU64,
@@ -22,10 +22,9 @@ impl ModelDoorbell {
     }
 }
 
-/// The epoch engine's rendezvous, transcribed onto the modeled
-/// primitives: per-worker doorbells plus one join latch. Op-for-op
-/// identical to `EpochGate` (minus the diagnostic counters); the spin
-/// budget is a parameter instead of the hardwired `SPIN_LIMIT`.
+/// A coordinator/worker rendezvous written against the modeled
+/// primitives: per-worker doorbells plus one join latch. The spin
+/// budget is a parameter.
 #[derive(Debug)]
 pub struct ModelEpochGate {
     doorbells: Vec<ModelDoorbell>,
@@ -37,8 +36,8 @@ pub struct ModelEpochGate {
     /// Seeded bug: ring a doorbell *without* taking its mutex. The
     /// notify can then land in the window between a worker's
     /// sequence check (made under the mutex) and its wait — a textbook
-    /// lost wakeup, and exactly the bug class the real `ring` documents
-    /// its lock against.
+    /// lost wakeup, and exactly the bug class `ring` takes its lock
+    /// against.
     unlocked_ring: bool,
 }
 
@@ -70,8 +69,8 @@ impl ModelEpochGate {
         }
     }
 
-    /// Mirror of `EpochGate::open_epoch`: arms the join latch for the
-    /// rung workers, then rings their doorbells.
+    /// Opens a round: arms the join latch for the rung workers, then
+    /// rings their doorbells.
     pub fn open_epoch(&self, active: &[bool]) {
         debug_assert_eq!(active.len(), self.doorbells.len() + 1);
         let rung = active[1..].iter().filter(|&&a| a).count();
@@ -103,7 +102,7 @@ impl ModelEpochGate {
         }
     }
 
-    /// Mirror of `EpochGate::wait_for_ring`: spin briefly, then park
+    /// A worker's wait for its doorbell: spin briefly, then park
     /// under the doorbell mutex with a re-check loop. Returns `true`
     /// when the gate has been closed.
     pub fn wait_for_ring(&self, w: usize, last_seen: &mut u64) -> bool {
@@ -125,8 +124,7 @@ impl ModelEpochGate {
         self.stop.load(Ordering::Acquire)
     }
 
-    /// Mirror of `EpochGate::arrive`: the rung worker's arrival at the
-    /// join latch.
+    /// The rung worker's arrival at the join latch.
     pub fn arrive(&self) {
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             let _g = self.join_lock.lock();
@@ -134,7 +132,7 @@ impl ModelEpochGate {
         }
     }
 
-    /// Mirror of `EpochGate::join`: the coordinator's wait for every
+    /// The coordinator's wait for every
     /// rung worker (`rung == 0` ⇒ free).
     pub fn join(&self, rung: usize) {
         if rung == 0 {
@@ -152,8 +150,7 @@ impl ModelEpochGate {
         drop(g);
     }
 
-    /// Mirror of `EpochGate::close`: raises the stop flag and rings
-    /// every doorbell.
+    /// Closes the gate: raises the stop flag and rings every doorbell.
     pub fn close(&self) {
         self.stop.store(true, Ordering::Release);
         for db in &self.doorbells {

@@ -1,38 +1,31 @@
-//! Model mirrors of the workspace's sharding primitives and protocols.
+//! Explorer fixtures: two small synchronization algorithms written
+//! against the [modeled primitives](crate::sync), so the explorer can
+//! walk every interleaving of a real algorithm — its operations, its
+//! memory orderings, its lock scopes:
 //!
-//! Each model is a line-by-line transcription of its original against
-//! the [modeled primitives](crate::sync), so the explorer can walk
-//! every interleaving of the *actual algorithm* — same operations, same
-//! memory orderings, same lock scopes:
+//! * [`ModelSpinBarrier`] — a sense-reversing centralized thread
+//!   barrier whose waiters spin briefly and then park on a condvar;
+//! * [`ModelEpochGate`] — per-worker doorbells (an un-rung worker stays
+//!   parked) plus one join latch per round.
 //!
-//! * [`ModelSpinBarrier`] ↔ `sim_base::shard::SpinBarrier`
-//! * [`ModelEpochGate`] ↔ `sim_base::shard::EpochGate`
-//! * [`run_cycle_protocol`] ↔ the `CycleCtx` compute/exchange phase
-//!   protocol of `sim-cmp::par::worker_loop` +
-//!   `System::run_with_workers`
-//! * [`run_epoch_protocol`] ↔ the `EpochCtx` free-run/apply protocol of
-//!   `sim-cmp::par::epoch_worker_loop` + `System::run_epochs_parallel`
+//! They began as op-for-op mirrors of the thread barrier and epoch gate
+//! of the simulator's multi-worker engine. That engine has been
+//! removed; the models stay because they are what the explorer is
+//! tested on — they no longer mirror live code, and nothing needs to be
+//! kept in step with them.
 //!
-//! The only deliberate deviations: the spin budget is a constructor
-//! parameter (the real `SPIN_LIMIT = 64` would add 64 scheduling points
-//! per park for no extra coverage — every distinct spin/park outcome is
-//! already reachable with a budget of 0 or 1), and the crossing/wakeup
-//! counters are dropped (diagnostics, not synchronization).
+//! The spin budget is a constructor parameter: every distinct spin/park
+//! outcome is already reachable with a budget of 0 or 1, and a larger
+//! one only adds scheduling points.
 //!
-//! Each primitive also has a **deliberately broken** constructor
-//! seeding a real-world bug class; `tests/broken.rs` proves the
-//! explorer detects both. That is the regression corpus guarding the
-//! checker itself: if a refactor of the explorer stopped finding these,
-//! the suite fails.
-//!
-//! **When `sim_base::shard` or `sim-cmp::par` change, change these
-//! mirrors in the same PR** — the correspondence is a review-checklist
-//! item (`DESIGN.md` §14).
+//! Each fixture also has a **deliberately broken** constructor seeding
+//! a real-world bug class; `tests/broken.rs` proves the explorer
+//! detects both. That is the regression corpus guarding the checker
+//! itself: if a refactor of the explorer stopped finding these, the
+//! suite fails.
 
 mod epoch_gate;
-mod shard_phase;
 mod spin_barrier;
 
 pub use epoch_gate::ModelEpochGate;
-pub use shard_phase::{run_cycle_protocol, run_cycle_protocol_once, run_epoch_protocol};
 pub use spin_barrier::ModelSpinBarrier;

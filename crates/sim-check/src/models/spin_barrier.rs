@@ -1,12 +1,10 @@
-//! Model mirror of `sim_base::shard::SpinBarrier`.
+//! A sense-reversing centralized thread barrier (explorer fixture).
 
 use crate::sync::{AtomicBool, AtomicUsize, Condvar, Mutex};
 use std::sync::atomic::Ordering;
 
-/// The sense-reversing centralized barrier, transcribed onto the
-/// modeled primitives. Field-for-field and op-for-op identical to
-/// `SpinBarrier` (minus the diagnostic counters); the spin budget is a
-/// parameter instead of the hardwired `SPIN_LIMIT` so scenarios can
+/// The sense-reversing centralized barrier, written against the
+/// modeled primitives. The spin budget is a parameter so scenarios can
 /// cover both the spin-exit and the park-exit paths cheaply.
 #[derive(Debug)]
 pub struct ModelSpinBarrier {
@@ -50,8 +48,8 @@ impl ModelSpinBarrier {
         }
     }
 
-    /// Mirror of `SpinBarrier::wait`: same orderings, same lock scope,
-    /// same spin-then-park structure.
+    /// Crosses the barrier: the last arrival flips the sense and wakes
+    /// the others, who spin briefly and then park.
     pub fn wait(&self, local_sense: &mut bool) {
         let sense = !*local_sense;
         *local_sense = sense;

@@ -1,6 +1,6 @@
 //! Regression corpus for the checker itself: two deliberately seeded
-//! bugs — each a real-world bug class in the primitive it mirrors —
-//! that the explorer **must** detect. If a refactor of the scheduler,
+//! bugs — each a real-world bug class of its primitive — that the
+//! explorer **must** detect. If a refactor of the scheduler,
 //! the sleep sets, or the modeled primitives ever stops finding these,
 //! this suite fails and the checker can no longer be trusted.
 //!
@@ -13,12 +13,9 @@
 //!   parking worker's sequence check and its wait: a textbook lost
 //!   wakeup. Also surfaces as a deadlock.
 //!
-//! Both are checked twice: directly on the primitive (the minimal
-//! scenario that exposes them) and through the full phase-protocol
-//! mirrors, proving the protocol scenarios would catch a regression in
-//! the underlying primitive too.
+//! Each is checked on the minimal scenario that exposes it.
 
-use sim_check::models::{run_cycle_protocol, run_epoch_protocol, ModelEpochGate, ModelSpinBarrier};
+use sim_check::models::{ModelEpochGate, ModelSpinBarrier};
 use sim_check::sync::spawn;
 use sim_check::{Explorer, Report, ViolationKind};
 use std::sync::Arc;
@@ -71,20 +68,6 @@ fn broken_barrier_late_reset_deadlocks() {
 }
 
 #[test]
-fn broken_barrier_detected_through_cycle_protocol() {
-    // The same bug injected under the full compute/exchange phase
-    // protocol: one cycle already crosses the barrier three times
-    // (release, join, stop-release), which is enough episodes to
-    // trigger the wipe.
-    let r = Explorer::default().check(|| run_cycle_protocol(2, 2, 1, 0, true));
-    expect_deadlock(&r, "broken barrier (cycle protocol)");
-    eprintln!(
-        "broken barrier via protocol: caught after {} executions",
-        r.executions
-    );
-}
-
-#[test]
 fn broken_gate_unlocked_ring_loses_wakeup() {
     // Coordinator + one worker, one epoch, spin budget 0 (the worker
     // always parks — the lost notify has maximal opportunity).
@@ -108,18 +91,6 @@ fn broken_gate_unlocked_ring_loses_wakeup() {
     expect_deadlock(&r, "broken gate (direct)");
     eprintln!(
         "broken gate direct: caught after {} executions",
-        r.executions
-    );
-}
-
-#[test]
-fn broken_gate_detected_through_epoch_protocol() {
-    // The same bug under the full free-run/apply protocol: one rung
-    // worker, one epoch.
-    let r = Explorer::default().check(|| run_epoch_protocol(2, 2, &[vec![false, true]], 0, true));
-    expect_deadlock(&r, "broken gate (epoch protocol)");
-    eprintln!(
-        "broken gate via protocol: caught after {} executions",
         r.executions
     );
 }

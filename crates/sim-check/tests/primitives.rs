@@ -1,7 +1,6 @@
-//! Exhaustive model checking of the real sharding primitives
-//! (`sim_base::shard::{SpinBarrier, EpochGate}`, via their op-for-op
-//! mirrors in `sim_check::models`): every interleaving at 2–4
-//! participants, zero violations required.
+//! Exhaustive model checking of the explorer's fixture algorithms
+//! (`sim_check::models`): every interleaving at 2–4 participants, zero
+//! violations required.
 //!
 //! The properties:
 //!

@@ -27,36 +27,23 @@
 //!                      tick every cycle (debugging escape hatch; the
 //!                      report is bit-identical either way, traced runs
 //!                      always tick every cycle)
-//!   --no-active-set    disable active-set micro-scheduling and visit
-//!                      every router/home/core each ticked cycle
-//!                      (debugging escape hatch; the report is
-//!                      bit-identical either way)
+//!   --no-active-set    disable active-set micro-scheduling: visit
+//!                      every router/home/core every cycle and never
+//!                      jump the clock (the dense reference engine; the
+//!                      report is bit-identical either way)
 //!   --sched-stats      print scheduler diagnostics after the run:
-//!                      clock jumps evaluated/taken (and, where the
-//!                      whole-machine classifier ran — --no-active-set
-//!                      or --workers N — its failure and backoff
-//!                      counters), the mean active-set occupancy per
-//!                      subsystem and the core steps run vs. elided
-//!   --workers N        advance the machine with N shard threads (the
-//!                      epoch-batched parallel engine; default from the
-//!                      SIMCMP_WORKERS environment variable, else 1 =
-//!                      serial). Reports are bit-identical for every
-//!                      worker count; traced runs always use the
-//!                      serial engine
-//!   --per-cycle-sync   use the legacy per-cycle rendezvous protocol
-//!                      (two barrier crossings per ticked cycle)
-//!                      instead of epoch batching; bit-identical, just
-//!                      slower on contended workloads (only meaningful
-//!                      with --workers > 1)
+//!                      clock jumps evaluated/taken, the mean
+//!                      active-set occupancy per subsystem and the core
+//!                      steps run vs. elided
 //!   --trace FILE       record every event and write a Chrome
 //!                      trace_event JSON file (open in about://tracing
 //!                      or Perfetto)
 //!   --trace-last N     keep the last N events in a ring and print them
 //!                      to stderr after the run
 //!   --record-trace DIR record every core's issue groups while the
-//!                      program runs (on the serial engine, under the
-//!                      same --no-skip / --no-active-set settings as
-//!                      any run) and write the trace set
+//!                      program runs (under the same --no-skip /
+//!                      --no-active-set settings as any run) and write
+//!                      the trace set
 //!                      (manifest.json + core<i>.trace) into DIR; the
 //!                      traces do not depend on those settings
 //!   --replay DIR       drive the cores from the trace set in DIR
@@ -153,8 +140,6 @@ struct Opts {
     no_skip: bool,
     no_active_set: bool,
     sched_stats: bool,
-    workers: usize,
-    per_cycle_sync: bool,
 }
 
 /// Runs the system to completion and prints the report. Monomorphized
@@ -163,48 +148,29 @@ struct Opts {
 fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
     sys.set_skip_enabled(!opts.no_skip);
     sys.set_active_set_enabled(!opts.no_active_set);
-    if opts.per_cycle_sync {
-        sys.set_sync_protocol(sim_cmp::SyncProtocol::PerCycle);
-    }
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
     }
     let outcome = match opts.progress {
-        Some(every) => {
-            if opts.workers > 1 {
-                eprintln!(
-                    "simcmp: --progress uses the serial engine (--workers {} ignored)",
-                    opts.workers
-                );
-            }
-            sys.run_with_progress(opts.max_cycles, every, |rep| {
-                eprintln!(
-                    "[cycle {:>10}] {} instructions, {} NoC messages, {} GL barriers",
-                    rep.cycles,
-                    rep.instructions,
-                    rep.traffic.total(),
-                    rep.gl_barriers
-                );
-            })
-        }
-        None if opts.workers > 1 => sys.run_with_workers(opts.max_cycles, opts.workers),
+        Some(every) => sys.run_with_progress(opts.max_cycles, every, |rep| {
+            eprintln!(
+                "[cycle {:>10}] {} instructions, {} NoC messages, {} GL barriers",
+                rep.cycles,
+                rep.instructions,
+                rep.traffic.total(),
+                rep.gl_barriers
+            );
+        }),
         None => sys.run(opts.max_cycles),
     };
     finish(&sys, outcome, opts);
 }
 
-/// Runs the system on the serial engine while recording every core's
-/// issue groups, prints the usual report, and writes the trace set into
-/// `dir`.
+/// Runs the system while recording every core's issue groups, prints
+/// the usual report, and writes the trace set into `dir`.
 fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workload: String) {
     sys.set_skip_enabled(!opts.no_skip);
     sys.set_active_set_enabled(!opts.no_active_set);
-    if opts.workers > 1 {
-        eprintln!(
-            "simcmp: --record-trace uses the serial engine (--workers {} ignored)",
-            opts.workers
-        );
-    }
     if opts.progress.is_some() {
         eprintln!("simcmp: --record-trace ignores --progress");
     }
@@ -269,15 +235,6 @@ fn finish<B: BarrierHw, S: TraceSink>(
                     "skip: {} attempts, {} skips ({} cycles)",
                     skip.attempts, skip.skips, skip.cycles_skipped
                 );
-                // Only the dense tick and the multi-worker engines run
-                // the whole-machine classifier and its backoff.
-                if skip.fail_blocked + skip.fail_near + skip.backed_off > 0 {
-                    eprintln!(
-                        "classifier: {} attempts blocked by a running core, {} by a near event, \
-                         {} cycles backed off",
-                        skip.fail_blocked, skip.fail_near, skip.backed_off
-                    );
-                }
                 eprintln!(
                     "active sets: {:.2} cores, {:.2} homes, {:.2} routers (mean per ticked cycle)",
                     core.mean_active_cores(),
@@ -288,18 +245,6 @@ fn finish<B: BarrierHw, S: TraceSink>(
                     "core steps: {} run, {} stall steps and {} spin steps elided",
                     core.core_steps, core.parked_steps, core.spin_parked_steps
                 );
-                let sync = sys.sync_stats();
-                if sync.par_cycles > 0 {
-                    eprintln!(
-                        "sync: {} epochs (mean {:.1} cycles), {:.2} crossings/kcycle, \
-                         {} shard-epochs skipped, {} wakeups",
-                        sync.epochs,
-                        sync.mean_epoch_len(),
-                        sync.crossings_per_kilocycle(),
-                        sync.shard_epochs_skipped,
-                        sync.wakeups
-                    );
-                }
             }
             for &a in &opts.peeks {
                 println!("[0x{a:x}] = {}", sys.peek_word(a));
@@ -318,8 +263,7 @@ fn main() {
         eprintln!("usage: simcmp PROGRAM.s [PROGRAM2.s …] [--cores N] [--mesh RxC]");
         eprintln!("              [--gl-transmitters N] [--max-cycles N]");
         eprintln!("              [--poke ADDR=VAL]… [--peek ADDR]… [--json] [--breakdown]");
-        eprintln!("              [--no-skip] [--no-active-set] [--sched-stats] [--workers N]");
-        eprintln!("              [--per-cycle-sync]");
+        eprintln!("              [--no-skip] [--no-active-set] [--sched-stats]");
         eprintln!("              [--trace FILE] [--trace-last N]");
         eprintln!("              [--record-trace DIR | --replay DIR]");
         std::process::exit(if args.is_empty() { 1 } else { 0 });
@@ -337,13 +281,6 @@ fn main() {
     let mut no_skip = false;
     let mut no_active_set = false;
     let mut sched_stats = false;
-    let mut per_cycle_sync = false;
-    // The env default lets CI run the whole suite under the parallel
-    // engine without touching every invocation.
-    let mut workers = std::env::var("SIMCMP_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1usize);
     let mut mesh: Option<(u16, u16)> = None;
     let mut gl_transmitters: Option<u32> = None;
     let mut trace_file: Option<String> = None;
@@ -401,14 +338,6 @@ fn main() {
             "--no-skip" => no_skip = true,
             "--no-active-set" => no_active_set = true,
             "--sched-stats" => sched_stats = true,
-            "--per-cycle-sync" => per_cycle_sync = true,
-            "--workers" => {
-                workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&w| w >= 1)
-                    .unwrap_or_else(|| die("--workers needs a thread count >= 1"));
-            }
             "--progress" => {
                 progress = Some(
                     it.next()
@@ -479,8 +408,6 @@ fn main() {
             no_skip,
             no_active_set,
             sched_stats,
-            workers,
-            per_cycle_sync,
         };
         if cfg.needs_clustered_gline() {
             if trace_file.is_some() || trace_last.is_some() {
@@ -552,8 +479,6 @@ fn main() {
         no_skip,
         no_active_set,
         sched_stats,
-        workers,
-        per_cycle_sync,
     };
 
     if cfg.needs_clustered_gline() {

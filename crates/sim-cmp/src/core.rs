@@ -54,23 +54,6 @@ enum Status {
     Halted,
 }
 
-/// How a core constrains a fast-forward (cycle-skip) decision. See
-/// [`Core::ff_classify`].
-#[derive(Clone, Copy, Debug)]
-pub enum FfClass {
-    /// The core imposes no wake-up of its own: it is halted, or it waits
-    /// on a miss whose completion the memory system already schedules.
-    NoConstraint,
-    /// The core's state changes at this cycle (busy block expires, or a
-    /// memory response becomes ready).
-    WakeAt(Cycle),
-    /// The core is inside a recognized spin loop and can be replayed in
-    /// closed form over any skipped span.
-    Spin(SpinPlan),
-    /// The core does real work this cycle — no skipping.
-    Blocked,
-}
-
 /// A recognized spin loop, captured at a skip decision point. All of the
 /// loop's per-cycle effects (retires, breakdown charges, L1 hits) are
 /// closed-form, so [`Core::ff_replay`] applies `k` cycles of it in O(1).
@@ -235,11 +218,6 @@ impl Core {
         self.region
     }
 
-    /// Replay cursor position (epoch halt-bound computation).
-    pub(crate) fn rp_op(&self) -> usize {
-        self.rp_op
-    }
-
     /// End of the current `busy` block, if the core is inside one.
     pub(crate) fn busy_until(&self) -> Option<Cycle> {
         match self.status {
@@ -310,12 +288,11 @@ impl Core {
         }
     }
 
-    /// Runs one cycle. Interacts with the memory hierarchy (the whole
-    /// [`sim_mem::MemorySystem`] serially, or a [`sim_mem::LaneMem`]
-    /// shard view in the parallel engine — anything implementing
-    /// [`CoreMem`]) and the G-line barrier hardware (flat, clustered or
-    /// TDM — anything implementing [`BarrierHw`]); must be called
-    /// before their `tick`s.
+    /// Runs one cycle. Interacts with the memory hierarchy (the
+    /// [`sim_mem::MemorySystem`], or the trace recorder's view of it —
+    /// anything implementing [`CoreMem`]) and the G-line barrier
+    /// hardware (flat, clustered or TDM — anything implementing
+    /// [`BarrierHw`]); must be called before their `tick`s.
     pub fn step<B: BarrierHw + ?Sized, M: CoreMem, S: TraceSink>(
         &mut self,
         prog: &CoreProg,
@@ -720,96 +697,6 @@ impl Core {
     // blocks skipping.
     // ------------------------------------------------------------------
 
-    /// How this core constrains a skip decision at cycle `now` (i.e.
-    /// immediately before the `step` for cycle `now` would run).
-    pub fn ff_classify<B: BarrierHw + ?Sized, M: CoreMem>(
-        &self,
-        prog: &CoreProg,
-        mem: &M,
-        gline: &B,
-        now: Cycle,
-    ) -> FfClass {
-        match prog {
-            CoreProg::Exec(p) => self.ff_classify_exec(p, mem, gline, now),
-            CoreProg::Replay(t) => self.ff_classify_replay(t, mem, now),
-        }
-    }
-
-    fn ff_classify_exec<B: BarrierHw + ?Sized, M: CoreMem>(
-        &self,
-        prog: &Program,
-        mem: &M,
-        gline: &B,
-        now: Cycle,
-    ) -> FfClass {
-        match self.status {
-            Status::Halted => FfClass::NoConstraint,
-            Status::BusyUntil { until } => {
-                if until <= now {
-                    // Resumes issue this very cycle.
-                    FfClass::Blocked
-                } else {
-                    FfClass::WakeAt(until)
-                }
-            }
-            Status::WaitMem { rd, cat } => match mem.resp_ready_at(self.id) {
-                // Miss in flight: the memory system's own `next_event`
-                // (home timers, NoC arrivals) provides the wake-up.
-                None => FfClass::NoConstraint,
-                Some(r) if r > now => FfClass::WakeAt(r),
-                Some(_) => {
-                    // The response resolves this cycle. If it is a load
-                    // feeding a taken branch back into a recognized spin
-                    // loop, the core is mid-iteration of that spin.
-                    if cat == TimeCat::Read {
-                        if let Some(plan) = self.match_phase_b(prog, mem, rd) {
-                            return FfClass::Spin(plan);
-                        }
-                    }
-                    FfClass::Blocked
-                }
-            },
-            Status::Ready => match self.match_phase_a(prog, mem, gline) {
-                Some(plan) => FfClass::Spin(plan),
-                None => FfClass::Blocked,
-            },
-        }
-    }
-
-    /// Replay-mode skip classification: the trace cursor already says
-    /// whether the core is inside a compressed spin, so no program
-    /// inspection is needed — only the live-memory preconditions
-    /// (L1-resident line, frozen value) that make closed-form replay
-    /// sound.
-    fn ff_classify_replay<M: CoreMem>(&self, trace: &CoreTrace, mem: &M, now: Cycle) -> FfClass {
-        match self.status {
-            Status::Halted => FfClass::NoConstraint,
-            Status::BusyUntil { until } => {
-                if until <= now {
-                    FfClass::Blocked
-                } else {
-                    FfClass::WakeAt(until)
-                }
-            }
-            Status::WaitMem { rd: _, cat } => match mem.resp_ready_at(self.id) {
-                None => FfClass::NoConstraint,
-                Some(r) if r > now => FfClass::WakeAt(r),
-                Some(_) => {
-                    if cat == TimeCat::Read {
-                        if let Some(plan) = self.replay_spin_b(trace, mem) {
-                            return FfClass::Spin(plan);
-                        }
-                    }
-                    FfClass::Blocked
-                }
-            },
-            Status::Ready => match self.replay_spin_a(trace, mem, true, true) {
-                Some(plan) => FfClass::Spin(plan),
-                None => FfClass::Blocked,
-            },
-        }
-    }
-
     /// Replay-mode spin plan with the core `Ready` at a compressed
     /// spin's loop top; `on_mem` / `on_bar` select which kinds of spin
     /// the caller can use (see [`park_spin`](Self::park_spin)).
@@ -885,10 +772,8 @@ impl Core {
     /// memory-probing shapes (the caller sees no delivery inbound for
     /// the tile), `on_bar` the `bar_reg` ones (the caller knows no
     /// release can land this cycle); a spin whose wake trigger may fire
-    /// this cycle is not worth matching.
-    ///
-    /// This is [`ff_classify`](Self::ff_classify) restricted to the
-    /// spin outcomes: one fetch decides which matcher, if any, runs.
+    /// this cycle is not worth matching. One fetch decides which
+    /// matcher, if any, runs.
     pub(crate) fn park_spin<B: BarrierHw + ?Sized, M: CoreMem>(
         &self,
         prog: &CoreProg,
@@ -920,22 +805,9 @@ impl Core {
         }
     }
 
-    /// Recognizes a spin loop with the core `Ready` at the loop top.
-    fn match_phase_a<B: BarrierHw + ?Sized, M: CoreMem>(
-        &self,
-        prog: &Program,
-        mem: &M,
-        gline: &B,
-    ) -> Option<SpinPlan> {
-        match prog.fetch(self.pc)? {
-            Inst::BarRead { .. } => self.match_phase_a_bar(prog, gline),
-            _ => self.match_phase_a_mem(prog, mem),
-        }
-    }
-
-    /// The `bar_reg` half of [`match_phase_a`](Self::match_phase_a):
-    /// `top: barr rd ; b<cond> …, top` — one iteration per cycle on a
-    /// 2-wide core, no memory interaction.
+    /// Recognizes a `bar_reg` spin with the core `Ready` at the loop
+    /// top: `top: barr rd ; b<cond> …, top` — one iteration per cycle
+    /// on a 2-wide core, no memory interaction.
     fn match_phase_a_bar<B: BarrierHw + ?Sized>(
         &self,
         prog: &Program,
@@ -976,8 +848,8 @@ impl Core {
         })
     }
 
-    /// The memory-probing half of [`match_phase_a`](Self::match_phase_a):
-    /// flag-wait loops whose every iteration hits in the L1.
+    /// Recognizes a memory-probing spin with the core `Ready` at the
+    /// loop top: flag-wait loops whose every iteration hits in the L1.
     fn match_phase_a_mem<M: CoreMem>(&self, prog: &Program, mem: &M) -> Option<SpinPlan> {
         let top = self.pc;
         match prog.fetch(top)? {
@@ -1195,8 +1067,8 @@ impl Core {
     /// Replays `k = target - now` cycles of a recognized spin loop in
     /// O(1), leaving the core (and its L1, via `mem`) in exactly the
     /// state `k` normal `step`s would have produced.
-    /// Callers guarantee the run is untraced (traced runs disable both
-    /// cycle skipping and the parallel path, the only routes here).
+    /// Callers guarantee the run is untraced (a traced run never parks
+    /// a spinner, the only route here).
     pub fn ff_replay<M: CoreMem>(
         &mut self,
         plan: SpinPlan,
@@ -1205,10 +1077,9 @@ impl Core {
         mem: &mut M,
     ) {
         let k = target - now;
-        // Whole-machine skips always have k >= 2 (a 1-cycle skip is
-        // just a tick), but a per-core spin park may be woken by an L1
-        // delivery after a single elided cycle; the arithmetic below is
-        // exact for k = 1 too (one phase-A or phase-B cycle).
+        // A spin park may be woken by an L1 delivery after a single
+        // elided cycle; the arithmetic below is exact for k = 1 too
+        // (one phase-A or phase-B cycle).
         debug_assert!(k >= 1, "replay of an empty span");
         match plan.kind {
             SpinKind::Gline { rd, value } => {

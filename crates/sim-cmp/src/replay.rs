@@ -21,7 +21,7 @@
 //! Compression keys on machine-visible observables (retires, effect,
 //! pc movement) *and* on the static program shape, so a compressed
 //! `MemSpin` is exactly a loop the exec-mode recognizer
-//! (`Core::ff_classify`) would accept: its `li` overlay is
+//! (`Core::park_spin`) would accept: its `li` overlay is
 //! iteration-invariant and its exit can only be triggered by a protocol
 //! delivery — the property the replay engine's per-core spin parking
 //! relies on. Anything else is recorded as plain [`Step`]s, which

@@ -1,7 +1,7 @@
-//! Core-layer scheduling: the per-core park state, the one per-core
-//! step body every engine runs, and the wake index that lets the sparse
-//! serial tick visit only the cores that can act — and the serial
-//! engine jump the clock when none can (`DESIGN.md` §9, §10).
+//! Core-layer scheduling: the per-core park state, the per-core step
+//! body of the sparse tick, and the wake index that lets that tick
+//! visit only the cores that can act — and the engine jump the clock
+//! when none can (`DESIGN.md` §9, §10).
 
 use crate::core::{Core, SpinPlan};
 use crate::replay::{CoreProg, CoreRec};
@@ -83,22 +83,16 @@ impl std::fmt::Display for Park {
 
 /// One core's share of one cycle under active-set scheduling: settle or
 /// extend its park, else step it and park it again if its next state
-/// change is provably more than a cycle out. The serial tick and both
-/// parallel engines run this one body — over the whole memory system
-/// or a tile lane, the barrier network or a write-latching shadow, the
-/// live or the frozen delivery predicate — which is what makes their
-/// reports bit-identical.
+/// change is provably more than a cycle out.
 ///
 /// `delivery` must be the tile's exact delivery predicate for `now`: a
 /// protocol message reaches the tile this cycle iff it is true.
 /// `release` must be true unless no `bar_reg` can clear in this cycle's
-/// barrier-network tick; an engine that cannot re-evaluate that every
-/// cycle passes `true`, which settles any `bar_reg` park it meets and
-/// never creates one. `rec` is the core's trace recorder when the run
-/// is being recorded (the serial engine only): it watches the step, if
-/// one runs, and is told of every spin span settled in closed form —
-/// the only elided cycles that retire anything. Returns whether the
-/// core is still live (neither parked nor halted).
+/// barrier-network tick. `rec` is the core's trace recorder when the
+/// run is being recorded: it watches the step, if one runs, and is told
+/// of every spin span settled in closed form — the only elided cycles
+/// that retire anything. Returns whether the core is still live
+/// (neither parked nor halted).
 #[inline]
 #[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates, counters and recorder
 pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
@@ -240,17 +234,17 @@ pub(crate) fn settle_spin<M: CoreMem>(
 
 /// The wake index: one bit per core in exactly one of five sets — or in
 /// none once it has halted — mirroring the park array, which stays the
-/// single source of truth. The sparse serial tick reads it to visit
+/// single source of truth. The sparse tick reads it to visit
 /// only `live | ((spin | miss) & delivery_tiles) | (bar if a release
 /// may land)` plus the timed parks that are due, and counts everyone
-/// else's elided steps by popcount; the serial `advance` reads it to
+/// else's elided steps by popcount; `advance` reads it to
 /// see that nobody is live and how far the clock may jump.
 ///
-/// Only the sparse serial tick keeps the index in step (it resyncs the
-/// cores it visits; a clock jump touches no park, so it leaves the
-/// index as it is). Every other path that changes park state or halts
-/// cores marks the index stale, and the next sparse tick rebuilds it in
-/// one O(cores) pass.
+/// The sparse tick keeps the index in step (it resyncs the cores it
+/// visits; a clock jump touches no park, so it leaves the index as it
+/// is). Turning active sets off flushes the parks and marks the index
+/// stale — the dense tick halts cores behind its back — and the next
+/// sparse tick rebuilds it in one O(cores) pass.
 #[derive(Debug)]
 pub(crate) struct WakeIndex {
     /// The sets, 64 cores per entry (core `i` at bit `i % 64` of entry

@@ -1,7 +1,6 @@
 //! The assembled machine.
 
-use crate::core::{Core, FfClass, SpinPlan};
-use crate::par;
+use crate::core::Core;
 use crate::replay::{CoreProg, Recorder};
 use crate::sched::{settle_spin, step_core, step_observed, Park, WakeIndex};
 use crate::stats::SystemReport;
@@ -30,9 +29,6 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     now: Cycle,
     /// Quiescence-aware cycle skipping (see [`Self::set_skip_enabled`]).
     skip_enabled: bool,
-    /// Per-core spin plans of the whole-machine classifier
-    /// ([`Self::try_fast_forward`]), reused across its decisions.
-    ff_plans: Vec<Option<SpinPlan>>,
     /// Fast-forward effectiveness counters (diagnostics only; not part
     /// of [`SystemReport`], so skip-on and skip-off reports stay
     /// bit-identical).
@@ -40,106 +36,33 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     /// Active-set micro-scheduling (see
     /// [`Self::set_active_set_enabled`]).
     active_set_enabled: bool,
-    /// Per-core park state (all [`Park::None`] under the dense tick).
-    /// The single source of truth, shared with the parallel engines.
+    /// Per-core park state (all [`Park::None`] under the dense tick):
+    /// the single source of truth for who is parked on what.
     parks: Vec<Park>,
     /// Bitset index over `parks` and the halted cores, kept in step by
-    /// the sparse serial tick only (see [`WakeIndex`]).
+    /// the sparse tick (see [`WakeIndex`]).
     index: WakeIndex,
-    /// Current failure backoff of the whole-machine classifier (0 =
-    /// none): after a failed attempt, attempts are suppressed for this
-    /// many cycles, doubling per consecutive failure up to
-    /// [`MAX_FF_BACKOFF`]. The serial sparse engine never classifies,
-    /// so it never backs off.
-    ff_backoff: u64,
-    /// First cycle at which classifier attempts resume.
-    ff_resume_at: Cycle,
     /// Core-scheduler occupancy counters (diagnostics only).
     sched: CoreSchedStats,
-    /// Which rendezvous protocol the parallel engine uses (see
-    /// [`Self::set_sync_protocol`]).
-    sync_protocol: SyncProtocol,
-    /// Parallel-engine synchronization counters (diagnostics only).
-    sync: SyncStats,
-    /// True when any program can touch the barrier network. When false
-    /// (software barriers), the epoch window never needs the G-line
-    /// visibility clamp.
-    uses_gline: bool,
-    /// Per-core halt-distance tables: a lower bound, from each pc, on
-    /// the dynamic instructions left before `halt` retires. Bounds the
-    /// epoch window so the machine never free-runs past the last halt
-    /// (the serial engines stop the clock there).
-    halt_bounds: Vec<HaltBound>,
     /// The trace recorder, installed for the length of a
     /// [`run_recorded`](Self::run_recorded): consulted wherever a core
     /// steps and wherever a spin span is settled in closed form.
     recorder: Option<Recorder>,
 }
 
-/// The epoch driver's reusable coordinator-side buffers (tile/shard
-/// activity flags and the merged barrier-write latch).
-#[derive(Debug, Default)]
-struct EpochScratch {
-    active: Vec<bool>,
-    shard_active: Vec<bool>,
-    latch: Vec<(Cycle, CoreId, gline_core::CtxId, u64)>,
-}
-
-/// Per-core halt-distance data (see [`System`]'s `halt_bounds` field).
-#[derive(Clone, Debug)]
-enum HaltBound {
-    /// Execution mode: minimum dynamic instructions to reach *and
-    /// retire* `halt` from each pc (`u32::MAX` = halt unreachable, the
-    /// core can run forever). `Jalr` poisons the whole table to 1 (its
-    /// target is data-dependent).
-    Exec(Vec<u32>),
-    /// Replay mode: each remaining trace op takes at least one cycle.
-    Replay {
-        /// Total op count of the core's trace.
-        ops: usize,
-    },
-}
-
-/// Cap on the whole-machine classifier's failure backoff (the dense
-/// `--no-active-set` tick and the multi-worker engines; see
-/// [`System::try_fast_forward`]). In coherence-bound phases the machine
-/// is never quiescent, so attempts settle at one per `MAX_FF_BACKOFF`
-/// cycles and the O(cores) attempt overhead vanishes; in bursty phases
-/// a successful skip resets the backoff to zero, and at most this many
-/// skippable cycles are ticked before the next attempt notices a
-/// quiescent span.
-const MAX_FF_BACKOFF: u64 = 512;
-
-/// Why the whole-machine classifier found no jump.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FfFail {
-    /// A core is actively executing.
-    Blocked,
-    /// The earliest event is within a cycle.
-    Near,
-}
-
 /// How well the cycle-skipping scheduler is doing on a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SkipStats {
-    /// Clock jumps evaluated: on the serial sparse engine, every
-    /// `advance` that found no core to step; elsewhere, every run of
-    /// the whole-machine classifier. `skips <= attempts`.
+    /// Clock jumps evaluated: every `advance` that found no core to
+    /// step. `skips <= attempts`.
     pub attempts: u64,
     /// Attempts that jumped the clock.
     pub skips: u64,
     /// Total cycles elided across all jumps.
     pub cycles_skipped: u64,
-    /// Classifier attempts aborted because a core was actively
-    /// executing (classifier paths only; the sparse engine sees a live
-    /// core in its index and evaluates nothing).
-    pub fail_blocked: u64,
-    /// Classifier attempts aborted because the earliest event was
-    /// within a cycle (classifier paths only).
-    pub fail_near: u64,
-    /// Cycles on which a classifier attempt was suppressed by the
-    /// failure backoff (classifier paths only; always 0 on the serial
-    /// sparse engine, which has no backoff).
+    /// Always 0: the wake-driven engine has no failure backoff. Kept
+    /// only because `benchmark/src/sut.rs` reads it, until a
+    /// `benchmark` PR retires `sim_cmp.skip_backed_off`.
     pub backed_off: u64,
 }
 
@@ -160,8 +83,8 @@ pub struct CoreSchedStats {
 }
 
 impl CoreSchedStats {
-    /// Core-cycles accounted for: stepped plus elided. On every engine
-    /// and toggle combination this equals the report's
+    /// Core-cycles accounted for: stepped plus elided. On every
+    /// toggle combination this equals the report's
     /// `total_time.total()` — every charged core-cycle is counted
     /// exactly once, as a step or as a parked step.
     pub fn core_cycles(&self) -> u64 {
@@ -174,86 +97,6 @@ impl CoreSchedStats {
             0.0
         } else {
             self.core_steps as f64 / self.ticks as f64
-        }
-    }
-}
-
-// Shard merges for the parallel engine: every field is an independent
-// event count, so the merge is fieldwise addition — associative,
-// commutative, with `default()` as identity (property-tested below).
-impl std::ops::AddAssign for CoreSchedStats {
-    fn add_assign(&mut self, o: CoreSchedStats) {
-        self.ticks += o.ticks;
-        self.core_steps += o.core_steps;
-        self.parked_steps += o.parked_steps;
-        self.spin_parked_steps += o.spin_parked_steps;
-    }
-}
-
-impl std::ops::AddAssign for SkipStats {
-    fn add_assign(&mut self, o: SkipStats) {
-        self.attempts += o.attempts;
-        self.skips += o.skips;
-        self.cycles_skipped += o.cycles_skipped;
-        self.fail_blocked += o.fail_blocked;
-        self.fail_near += o.fail_near;
-        self.backed_off += o.backed_off;
-    }
-}
-
-/// Which rendezvous protocol [`System::run_with_workers`] uses
-/// (`DESIGN.md` §11 and §13). Both are bit-identical to the serial
-/// engine; they differ only in wall-clock cost.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SyncProtocol {
-    /// Epoch-batched free-runs: one rendezvous per multi-cycle window,
-    /// idle shards skip the window entirely (the default).
-    #[default]
-    Epoch,
-    /// The original sharded tick: two barrier crossings per cycle.
-    PerCycle,
-}
-
-/// Parallel-engine synchronization counters (diagnostics only; not part
-/// of [`SystemReport`](crate::SystemReport), so serial and parallel
-/// reports stay bit-identical). All fields except `wakeups` are
-/// deterministic for a given machine, worker count and protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SyncStats {
-    /// Epochs executed (epoch protocol only).
-    pub epochs: u64,
-    /// Cycles advanced inside parallel-engine ticks or epochs (skipped
-    /// cycles and serial fallbacks excluded) — the denominator for
-    /// crossings-per-kilocycle.
-    pub par_cycles: u64,
-    /// Barrier / gate crossings: full rendezvous that every live
-    /// participant had to reach.
-    pub crossings: u64,
-    /// Times a participant gave up spinning and parked on the OS
-    /// (timing-dependent; zero on an unloaded host with short waits).
-    pub wakeups: u64,
-    /// Shard-epochs skipped because every tile in the shard was idle
-    /// (the shard's worker was never woken for that window).
-    pub shard_epochs_skipped: u64,
-}
-
-impl SyncStats {
-    /// Mean epoch window length in cycles (0 when no epochs ran).
-    pub fn mean_epoch_len(&self) -> f64 {
-        if self.epochs == 0 {
-            0.0
-        } else {
-            self.par_cycles as f64 / self.epochs as f64
-        }
-    }
-
-    /// Barrier crossings per thousand simulated cycles advanced by the
-    /// parallel engine (0 when it never ran).
-    pub fn crossings_per_kilocycle(&self) -> f64 {
-        if self.par_cycles == 0 {
-            0.0
-        } else {
-            self.crossings as f64 * 1000.0 / self.par_cycles as f64
         }
     }
 }
@@ -339,8 +182,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 core.prime_replay(t);
             }
         }
-        let uses_gline = progs.iter().any(prog_uses_gline);
-        let halt_bounds = progs.iter().map(halt_bound_table).collect();
         System {
             cfg,
             cores,
@@ -350,78 +191,14 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             tracer,
             now: 0,
             skip_enabled: true,
-            ff_plans: vec![None; cfg.num_cores()],
             skip_stats: SkipStats::default(),
             active_set_enabled: true,
             parks: vec![Park::None; cfg.num_cores()],
             index: WakeIndex::new(cfg.num_cores()),
-            ff_backoff: 0,
-            ff_resume_at: 0,
             sched: CoreSchedStats::default(),
-            sync_protocol: SyncProtocol::default(),
-            sync: SyncStats::default(),
-            uses_gline,
-            halt_bounds,
             recorder: None,
         }
     }
-}
-
-/// True when the program can touch the barrier network (epoch window
-/// G-line clamp gate; see [`System`]'s `uses_gline`).
-fn prog_uses_gline(prog: &CoreProg) -> bool {
-    match prog {
-        CoreProg::Exec(p) => p
-            .insts()
-            .iter()
-            .any(|i| matches!(i, sim_isa::Inst::BarWrite { .. })),
-        CoreProg::Replay(t) => t.ops.iter().any(|op| match op {
-            sim_trace::TraceOp::GlineSpin { .. } => true,
-            sim_trace::TraceOp::Step(s) => !s.bar_writes.is_empty(),
-            sim_trace::TraceOp::MemSpin { .. } => false,
-        }),
-    }
-}
-
-/// Builds one core's [`HaltBound`] table. For execution mode this is a
-/// shortest-path fixpoint over the static CFG: `dist[pc]` is the least
-/// number of dynamic instructions that must retire, starting at `pc`,
-/// before `halt` does (counting the halt itself). Running off the end
-/// of the program halts too, so out-of-range successors count zero.
-fn halt_bound_table(prog: &CoreProg) -> HaltBound {
-    use sim_isa::Inst;
-    let p = match prog {
-        CoreProg::Replay(t) => return HaltBound::Replay { ops: t.ops.len() },
-        CoreProg::Exec(p) => p,
-    };
-    let insts = p.insts();
-    if insts.iter().any(|i| matches!(i, Inst::Jalr { .. })) {
-        // An indirect jump's target is data-dependent: no static bound
-        // beyond "at least one more instruction".
-        return HaltBound::Exec(vec![1; insts.len()]);
-    }
-    let mut dist = vec![u32::MAX; insts.len()];
-    // Bellman-Ford style relaxation; the graph is tiny (micro-kernels).
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (pc, inst) in insts.iter().enumerate().rev() {
-            let succ = |t: usize| -> u32 { dist.get(t).copied().unwrap_or(0) };
-            let best = match *inst {
-                Inst::Halt => 0,
-                Inst::Jal { target, .. } => succ(target),
-                Inst::Branch { target, .. } => succ(pc + 1).min(succ(target)),
-                Inst::Jalr { .. } => unreachable!("poisoned above"),
-                _ => succ(pc + 1),
-            };
-            let d = best.saturating_add(1);
-            if d < dist[pc] {
-                dist[pc] = d;
-                changed = true;
-            }
-        }
-    }
-    HaltBound::Exec(dist)
 }
 
 impl System {
@@ -567,7 +344,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.now += 1;
     }
 
-    /// Rebuilds the wake index if some other engine left it stale.
+    /// Rebuilds the wake index if the dense tick left it stale.
     fn refresh_index(&mut self) {
         if !self.index.is_fresh() {
             self.index.rebuild(&self.cores, &self.parks);
@@ -738,39 +515,16 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.mem.noc_sched_stats()
     }
 
-    /// Selects the parallel engine's rendezvous protocol (epoch-batched
-    /// by default). Machine results are bit-identical under either
-    /// protocol, any worker count, and any mid-run switch — only
-    /// wall-clock and the [`sync_stats`](Self::sync_stats) counters
-    /// differ (`--per-cycle-sync` in the CLI).
-    pub fn set_sync_protocol(&mut self, p: SyncProtocol) {
-        self.sync_protocol = p;
-    }
-
-    /// The parallel engine's rendezvous protocol.
-    pub fn sync_protocol(&self) -> SyncProtocol {
-        self.sync_protocol
-    }
-
-    /// Parallel-engine synchronization counters for this run so far.
-    pub fn sync_stats(&self) -> SyncStats {
-        self.sync
-    }
-
     /// Advances one cycle — or, if skipping is permitted and no
     /// component can act before then, jumps the clock to the next event
     /// (clamped to `horizon`, which callers use for deadline and
-    /// progress-boundary alignment).
-    ///
-    /// The sparse engine reads the jump off its wake index
-    /// ([`jump_target`](Self::jump_target)); the dense
-    /// `--no-active-set` tick keeps no index and asks the
-    /// whole-machine classifier instead.
+    /// progress-boundary alignment). The jump is read off the wake
+    /// index ([`jump_target`](Self::jump_target)); the dense
+    /// `--no-active-set` tick keeps no index, so it never jumps — it is
+    /// the every-component, every-cycle oracle.
     fn advance(&mut self, horizon: Cycle) {
-        if S::ENABLED || !self.skip_enabled || horizon <= self.now + 1 {
+        if S::ENABLED || !self.skip_enabled || !self.active_set_enabled || horizon <= self.now + 1 {
             self.tick();
-        } else if !self.active_set_enabled {
-            self.advance_classified(horizon, Self::tick);
         } else if let Some(target) = self.jump_target(horizon) {
             self.jump_to(target);
         } else {
@@ -832,158 +586,30 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.now = target;
     }
 
-    /// Debug cross-check of a jump: the per-core visit predicate agrees
-    /// that nobody steps this cycle, and the whole-machine classifier —
-    /// which re-derives every core's state from the machine, not from
-    /// its park — finds no core blocked (a parked spinner still
-    /// classifies as one) and no event before `target`.
+    /// Debug cross-check of a jump, independent of the index: the
+    /// per-core visit predicate agrees that nobody steps this cycle;
+    /// `target` is no later than the component clocks' next events and
+    /// every timed park's wake, recomputed core by core from the park
+    /// array; and every parked spinner still sits in the spin it was
+    /// parked on (re-matched from the machine, not from its park).
     #[cfg(debug_assertions)]
-    fn check_jump(&mut self, target: Cycle) {
+    fn check_jump(&self, target: Cycle) {
+        let now = self.now;
         let release = self.release_may_land();
         for w in 0..self.index.num_words() {
-            assert_eq!(self.dense_visit_word(w, release, self.now), 0);
+            assert_eq!(self.dense_visit_word(w, release, now), 0);
         }
-        assert_eq!(self.ff_target(target), Ok(target));
+        let next = self.parks.iter().filter_map(Park::wake_at);
+        let next = next
+            .chain(self.mem.next_event())
+            .chain(self.gline.next_event());
+        assert!(next.min().is_none_or(|t| target <= t), "jump to {target}");
         for (i, core) in self.cores.iter().enumerate() {
-            if let Park::Spin { .. } | Park::Bar { .. } = self.parks[i] {
-                let class = core.ff_classify(&self.progs[i], &self.mem, &self.gline, self.now);
-                assert!(matches!(class, FfClass::Spin(_)), "core {i}: {class:?}");
+            if let Park::Spin { plan, .. } | Park::Bar { plan, .. } = self.parks[i] {
+                let again = core.park_spin(&self.progs[i], &self.mem, &self.gline, now, true, true);
+                assert_eq!(again.map(|p| p.top()), Some(plan.top()), "core {i}");
             }
         }
-    }
-
-    /// [`advance`](Self::advance) for the engines that keep no fresh
-    /// wake index — the dense tick and the per-cycle sharded tick, each
-    /// passed as `tick`: run the whole-machine classifier, throttled by
-    /// an exponential backoff so coherence-bound phases do not pay its
-    /// O(cores) cost every cycle.
-    fn advance_classified(&mut self, horizon: Cycle, tick: impl FnOnce(&mut Self)) {
-        if self.now < self.ff_resume_at {
-            self.skip_stats.backed_off += 1;
-            tick(self);
-        } else if !self.try_fast_forward(horizon) {
-            tick(self);
-        }
-    }
-
-    /// The whole-machine classifier's jump target: `horizon` clamped by
-    /// the component clocks, every parked spin's replay budget and
-    /// every unparked core's [`Core::ff_classify`] (whose spin plans
-    /// land in `ff_plans`), or why there is no jump.
-    fn ff_target(&mut self, horizon: Cycle) -> Result<Cycle, FfFail> {
-        let mut target = horizon;
-        // Clamp on the component clocks first: while protocol traffic is
-        // in flight the hierarchy reports an event within a cycle or two,
-        // and bailing here skips the per-core classification entirely —
-        // the common case on coherence-bound phases.
-        if let Some(t) = self.mem.next_event() {
-            target = target.min(t);
-        }
-        if let Some(t) = self.gline.next_event() {
-            target = target.min(t);
-        }
-        if target <= self.now + 1 {
-            return Err(FfFail::Near);
-        }
-        for (i, core) in self.cores.iter().enumerate() {
-            self.ff_plans[i] = None;
-            if let Park::Spin { plan, anchor } | Park::Bar { plan, anchor } = &self.parks[i] {
-                // Already a recognized spin, frozen since its anchor:
-                // its wake trigger has not fired, and will not before
-                // `target` (the clamps on the component clocks above).
-                // Replayed from its own anchor on success; a replay-mode
-                // plan additionally bounds the jump by its recorded
-                // iteration budget.
-                if let Some(t) = plan.max_target(*anchor) {
-                    target = target.min(t);
-                }
-                continue;
-            }
-            match core.ff_classify(&self.progs[i], &self.mem, &self.gline, self.now) {
-                FfClass::Blocked => return Err(FfFail::Blocked),
-                FfClass::NoConstraint => {}
-                FfClass::WakeAt(t) => target = target.min(t),
-                FfClass::Spin(plan) => {
-                    // A replay-mode spin cannot be skipped past its
-                    // recorded iteration budget: clamp the jump so the
-                    // closed-form replay never overruns the op (for
-                    // genuine recordings an external wake always lands
-                    // first, so the clamp is a hand-built-trace guard).
-                    if let Some(t) = plan.max_target(self.now) {
-                        target = target.min(t);
-                    }
-                    self.ff_plans[i] = Some(plan);
-                }
-            }
-        }
-        if target <= self.now + 1 {
-            return Err(FfFail::Near);
-        }
-        Ok(target)
-    }
-
-    /// Attempts a whole-machine fast-forward: classifies every core,
-    /// and if none is executing jumps the clock to the earliest next
-    /// event, settling every park and advancing every component in
-    /// closed form. Returns `false` (machine untouched, backoff
-    /// doubled) when any component may change state within the next
-    /// cycle.
-    ///
-    /// This is the skip mechanism of the engines without a fresh wake
-    /// index: the dense tick, which never parks, and the multi-worker
-    /// engines, whose shards park cores behind the index's back.
-    fn try_fast_forward(&mut self, horizon: Cycle) -> bool {
-        if horizon <= self.now + 1 {
-            return false;
-        }
-        self.skip_stats.attempts += 1;
-        let target = match self.ff_target(horizon) {
-            Ok(target) => target,
-            Err(fail) => {
-                match fail {
-                    FfFail::Blocked => self.skip_stats.fail_blocked += 1,
-                    FfFail::Near => self.skip_stats.fail_near += 1,
-                }
-                self.ff_backoff = (self.ff_backoff * 2).clamp(1, MAX_FF_BACKOFF);
-                self.ff_resume_at = self.now + self.ff_backoff;
-                return false;
-            }
-        };
-        self.ff_backoff = 0;
-        let k = target - self.now;
-        self.skip_stats.skips += 1;
-        self.skip_stats.cycles_skipped += k;
-        // Parked spans are charged lazily: a stall or miss park settles
-        // `[anchor, now)` before the closed-form replay charges
-        // `now..target`; a spin park replays its whole `[anchor,
-        // target)` span in one step. Either way the `k` elided steps of
-        // every running core are counted here, once.
-        self.index.mark_stale();
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            let (prog, rec) = (&self.progs[i], self.recorder.as_mut().map(|r| r.core(i)));
-            match std::mem::take(&mut self.parks[i]) {
-                Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
-                    settle_spin(core, prog, plan, target, anchor, &mut self.mem, rec);
-                    self.sched.spin_parked_steps += k;
-                    continue;
-                }
-                Park::Stall { anchor, .. } | Park::Miss { anchor } => {
-                    core.ff_stall(self.now - anchor)
-                }
-                Park::None => {}
-            }
-            if let Some(plan) = self.ff_plans[i] {
-                settle_spin(core, prog, plan, target, self.now, &mut self.mem, rec);
-                self.sched.spin_parked_steps += k;
-            } else if !core.halted() {
-                core.ff_stall(k);
-                self.sched.parked_steps += k;
-            }
-        }
-        self.mem.skip_to(target);
-        self.gline.skip_to(target);
-        self.now = target;
-        true
     }
 
     /// Runs until every core halts. Returns the cycle count.
@@ -1003,9 +629,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     }
 
     /// Core `i`'s wait state as the scheduler sees it: its park, or —
-    /// for an unparked core (the dense tick never parks, and a
-    /// classifier skip unparks everyone) — the park [`step_core`] would
-    /// give it were no wake trigger about to fire.
+    /// for an unparked core (the dense tick never parks) — the park
+    /// [`step_core`] would give it were no wake trigger about to fire.
     fn wait_state(&self, i: usize) -> Park {
         let (core, now) = (&self.cores[i], self.now);
         let spin = || core.park_spin(&self.progs[i], &self.mem, &self.gline, now, true, true);
@@ -1081,9 +706,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Like [`run`](Self::run), but records every core's executed issue
     /// groups into a [`CoreTrace`] stream as it goes, returning the
     /// cycle count and one trace per core. Recording observes the run,
-    /// it does not drive it: the machine advances on the serial engine
-    /// exactly as [`run`](Self::run) would — parking cores, jumping the
-    /// clock, honouring [`set_skip_enabled`](Self::set_skip_enabled) and
+    /// it does not drive it: the machine advances exactly as
+    /// [`run`](Self::run) would — parking cores, jumping the clock,
+    /// honouring [`set_skip_enabled`](Self::set_skip_enabled) and
     /// [`set_active_set_enabled`](Self::set_active_set_enabled) — and
     /// the traces are the same under every combination of the two
     /// (both off is the dense, every-core reference). A machine
@@ -1109,479 +734,12 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         outcome.map(|cycles| (cycles, rec.finish()))
     }
 
-    /// Like [`run`](Self::run), but advances each cycle with `workers`
-    /// shard threads — the sharded-tick parallel engine (`DESIGN.md`
-    /// §11). Results are **bit-identical** to [`run`](Self::run): same
-    /// [`SystemReport`], same architectural memory
-    /// (`tests/parallel_determinism.rs`); only the scheduler
-    /// diagnostics ([`skip_stats`](Self::skip_stats),
-    /// [`core_sched_stats`](Self::core_sched_stats)) tell the engines
-    /// apart.
-    ///
-    /// `workers` is clamped to `1..=num_cores`; a clamped value of 1 —
-    /// or a traced system, whose event stream is defined by the serial
-    /// interleaving — falls back to the serial engine.
-    ///
-    /// # Errors
-    /// Same deadlock guard as [`run`](Self::run).
-    pub fn run_with_workers(&mut self, max_cycles: u64, workers: usize) -> Result<Cycle, String> {
-        let start = self.now;
-        self.advance_until_with_workers(start + max_cycles + 1, workers);
-        if self.now - start > max_cycles {
-            Err(self.deadlock_error(max_cycles))
-        } else {
-            Ok(self.now - start)
-        }
-    }
-
-    /// Advances the machine with `workers` shard threads until every
-    /// core halts or the clock reaches `until` (whichever comes first;
-    /// skips clamp to `until` exactly like [`run`](Self::run)'s
-    /// deadline horizon). The worker pool lives only for this call, so
-    /// the worker count — and the [`SyncProtocol`] — may differ from
-    /// one call to the next: the machine state cannot tell the
-    /// difference.
-    pub fn advance_until_with_workers(&mut self, until: Cycle, workers: usize) {
-        let n = self.cores.len();
-        let w = sim_base::shard::clamp_workers(workers, n);
-        if S::ENABLED || w <= 1 {
-            while !self.all_halted() && self.now < until {
-                self.advance(until);
-            }
-            return;
-        }
-        // The shard workers park and halt cores behind the index's back.
-        self.index.mark_stale();
-        match self.sync_protocol {
-            SyncProtocol::Epoch => self.advance_until_epoch(until, w),
-            SyncProtocol::PerCycle => self.advance_until_per_cycle(until, w),
-        }
-    }
-
-    /// The per-cycle protocol's scope: one pool of workers, two barrier
-    /// crossings per ticked cycle.
-    fn advance_until_per_cycle(&mut self, until: Cycle, w: usize) {
-        let n = self.cores.len();
-        let shards = sim_base::shard::shard_ranges(n, w);
-        let mut flags: Vec<bool> = Vec::with_capacity(n);
-        self.mem.delivery_flags(&mut flags);
-        let init = self.cycle_ptrs(&flags);
-        let ctx = par::CycleCtx::new(shards, init);
-        let mut sense = false;
-        std::thread::scope(|scope| {
-            for wk in 1..w {
-                let ctx = &ctx;
-                scope.spawn(move || par::worker_loop(ctx, wk));
-            }
-            while !self.all_halted() && self.now < until {
-                self.advance_parallel(&ctx, &mut sense, &mut flags, until);
-            }
-            ctx.stop.store(true, std::sync::atomic::Ordering::Release);
-            // Wake the workers one last time so they observe the stop
-            // flag (the release-barrier wait is the wake edge).
-            ctx.barrier.wait(&mut sense);
-        });
-        self.sync.crossings += ctx.barrier.counters().crossings;
-        self.sync.wakeups += ctx.barrier.counters().wakeups;
-    }
-
-    /// The epoch protocol's scope (`DESIGN.md` §13): one pool of
-    /// workers parked on per-shard doorbells, one gate crossing per
-    /// multi-cycle epoch, idle shards never woken.
-    fn advance_until_epoch(&mut self, until: Cycle, w: usize) {
-        let n = self.cores.len();
-        let shards = sim_base::shard::shard_ranges(n, w);
-        let mut scratch = EpochScratch::default();
-        // Throwaway snapshot — workers never read `ptrs` before the
-        // first `run_epoch` refresh.
-        let init = self.epoch_ptrs(std::ptr::null(), self.now, 0);
-        let ctx = par::EpochCtx::new(shards, init);
-        std::thread::scope(|scope| {
-            for wk in 1..w {
-                let ctx = &ctx;
-                scope.spawn(move || par::epoch_worker_loop(ctx, wk));
-            }
-            while !self.all_halted() && self.now < until {
-                self.advance_epoch(&ctx, &mut scratch, until);
-            }
-            ctx.gate.close();
-        });
-        self.sync.crossings += ctx.gate.counters().crossings;
-        self.sync.wakeups += ctx.gate.counters().wakeups;
-    }
-
-    /// [`advance_classified`](Self::advance_classified) with the tick
-    /// replaced by an epoch free-run. The classifier is shared
-    /// verbatim; what the per-cycle drivers do cycle by cycle, this one
-    /// does one epoch at a time, reproducing their skip statistics
-    /// exactly:
-    ///
-    /// * the per-cycle loop never counts `backed_off` on a cycle it
-    ///   ticks because the horizon is within one cycle, so a backed-off
-    ///   epoch that ends exactly at the horizon counts one cycle fewer;
-    /// * a failed fast-forward is followed by a single dense cycle (a
-    ///   width-1 epoch), never counted as backed off.
-    fn advance_epoch(
-        &mut self,
-        ectx: &par::EpochCtx<B, S>,
-        scratch: &mut EpochScratch,
-        horizon: Cycle,
-    ) {
-        if !self.skip_enabled || horizon <= self.now + 1 {
-            self.run_epoch(ectx, scratch, horizon);
-            return;
-        }
-        if self.now < self.ff_resume_at {
-            let limit = horizon.min(self.ff_resume_at);
-            let w = self.run_epoch(ectx, scratch, limit);
-            self.skip_stats.backed_off += if self.now == horizon { w - 1 } else { w };
-            return;
-        }
-        if !self.try_fast_forward(horizon) {
-            self.run_epoch(ectx, scratch, self.now + 1);
-        }
-    }
-
-    /// Runs one epoch: pre-drains matured NoC deliveries into the tile
-    /// inboxes, sizes the free-run window (see
-    /// [`epoch_window`](Self::epoch_window)), classifies tiles and
-    /// shards, free-runs the active shards in parallel (this thread
-    /// doubles as worker 0 and also settles the skipped shards'
-    /// closed-form park accounting), then serializes the apply phase —
-    /// latched barrier writes in `(cycle, core)` order, outbox
-    /// injections in the serial global send order, one `mem`/`gline`
-    /// tick per window cycle. Returns the window length.
-    fn run_epoch(
-        &mut self,
-        ectx: &par::EpochCtx<B, S>,
-        scratch: &mut EpochScratch,
-        limit: Cycle,
-    ) -> u64 {
-        let s = self.now;
-        debug_assert!(limit > s, "empty epoch");
-        self.mem.epoch_predrain();
-        let w = self.epoch_window(limit);
-        let end = s + w;
-        scratch.active.clear();
-        for i in 0..self.cores.len() {
-            scratch.active.push(!self.epoch_tile_idle(i, end));
-        }
-        scratch.shard_active.clear();
-        for &(lo, hi) in &ectx.shards {
-            scratch
-                .shard_active
-                .push(scratch.active[lo..hi].iter().any(|&a| a));
-        }
-        let rung = scratch.shard_active[1..].iter().filter(|&&a| a).count();
-        // SAFETY: every worker is parked (no epoch is open), so the
-        // snapshot write is exclusive; the raw pointers are re-derived
-        // here and die at the gate join below.
-        unsafe {
-            *ectx.ptrs.get() = self.epoch_ptrs(scratch.active.as_ptr(), s, w);
-        }
-        ectx.gate.open_epoch(&scratch.shard_active);
-        for (k, &(lo, hi)) in ectx.shards.iter().enumerate() {
-            if k == 0 || !scratch.shard_active[k] {
-                // SAFETY: shard 0 is this thread's; a skipped shard's
-                // worker was never rung, so its range and out slot are
-                // also exclusively ours. Between open and join, `self`
-                // is only touched through the snapshot.
-                unsafe {
-                    par::epoch_shard_phase(&*ectx.ptrs.get(), lo, hi, &mut *ectx.outs[k].get());
-                }
-            }
-        }
-        ectx.gate.join(rung);
-        scratch.latch.clear();
-        let mut home_visits = 0;
-        let mut delivery_visits = 0;
-        for out in &ectx.outs {
-            // SAFETY: every rung worker has arrived; the outs are ours.
-            let out = unsafe { &mut *out.get() };
-            scratch.latch.append(&mut out.latch);
-            self.sched += out.sched;
-            out.sched = CoreSchedStats::default();
-            home_visits += std::mem::take(&mut out.home_visits);
-            delivery_visits += std::mem::take(&mut out.delivery_visits);
-        }
-        // Ascending-shard append order is ascending-tile order, so a
-        // stable sort by cycle alone yields the serial core loop's
-        // `(cycle, core)` replay order.
-        scratch.latch.sort_by_key(|&(c, _, _, _)| c);
-        self.mem.epoch_collect_injections();
-        let mut cursor = 0;
-        for c in s..end {
-            while scratch
-                .latch
-                .get(cursor)
-                .is_some_and(|&(wc, _, _, _)| wc == c)
-            {
-                let (_, core, bctx, v) = scratch.latch[cursor];
-                self.gline.write_bar_reg(core, bctx, v);
-                cursor += 1;
-            }
-            self.mem.epoch_apply_tick(c + 1 == end);
-            self.gline.tick();
-        }
-        debug_assert_eq!(cursor, scratch.latch.len(), "latched write outside window");
-        self.mem.epoch_sync_homes(&scratch.active);
-        self.mem
-            .add_epoch_sched_visits(home_visits, delivery_visits);
-        self.sched.ticks += w;
-        self.now = end;
-        self.sync.epochs += 1;
-        self.sync.par_cycles += w;
-        self.sync.shard_epochs_skipped +=
-            scratch.shard_active.iter().filter(|&&a| !a).count() as u64;
-        w
-    }
-
-    /// Sizes the free-run window starting at `now`: the largest span in
-    /// which no cross-tile effect can land (`DESIGN.md` §13 gives the
-    /// full safety argument). Every clamp is an *exclusive* end bound:
-    ///
-    /// * `limit` — the caller's horizon (deadline, backoff boundary).
-    /// * G-line visibility: barrier state is shared by wire, but the
-    ///   only cross-core observable is a core's own `bar_reg` clearing
-    ///   (arrivals by others are invisible until the release). So the
-    ///   window only has to stop before the earliest possible *clear*,
-    ///   which [`BarrierHw::release_bound`] lower-bounds: the hardware's
-    ///   propagation floor while any member is still missing — even if
-    ///   the last arrival lands on the window's first cycle — collapsing
-    ///   to 1 once every member has arrived and the release wave may be
-    ///   in flight. Arrival writes inside the window are latched and
-    ///   applied in the serialized phase, so gather progress mid-window
-    ///   is safe. Software-barrier programs never touch the network
-    ///   (`uses_gline` is false) and skip the clamp.
-    /// * In-flight NoC deliveries: a message maturing at the end of
-    ///   cycle `m` is handled at `m + 1`, which must be the first cycle
-    ///   of some later epoch (its pre-drain picks it up).
-    /// * New sends: nothing sent at or after `e0` (the earliest cycle
-    ///   any tile can inject) can be *handled* before
-    ///   `e0 + min_remote_delivery_latency + 1`.
-    /// * Halt: the serial run loop stops the clock one cycle after the
-    ///   last halt retires; the window must not overrun the earliest
-    ///   cycle that could be.
-    fn epoch_window(&mut self, limit: Cycle) -> u64 {
-        let s = self.now;
-        let mut end = limit;
-        if self.uses_gline {
-            end = end.min(s + self.gline.release_bound().max(1));
-        }
-        if let Some(m) = self.mem.earliest_delivery_maturation() {
-            end = end.min(m + 1);
-        }
-        let e0 = self.earliest_send_cycle();
-        if e0 != Cycle::MAX {
-            end = end.min(e0.saturating_add(self.mem.min_remote_delivery_latency() + 1));
-        }
-        let t = self.all_halt_bound();
-        if t != Cycle::MAX {
-            end = end.min(t + 1);
-        }
-        debug_assert!(end > s, "window clamped to nothing");
-        end - s
-    }
-
-    /// The earliest cycle at which *any* tile could inject a message
-    /// into the NoC this epoch ([`Cycle::MAX`] = none can). A tile with
-    /// pending local work can send immediately; a live core likewise
-    /// (as is a `bar_reg` spinner, which this engine settles on sight);
-    /// a stall-parked core not before its wake; a spin- or miss-parked
-    /// core on a workless tile cannot act at all until a delivery
-    /// reaches it — and the other window clamps guarantee none does.
-    fn earliest_send_cycle(&self) -> Cycle {
-        let s = self.now;
-        let mut e0 = Cycle::MAX;
-        for i in 0..self.cores.len() {
-            if self.mem.epoch_tile_has_work(i) {
-                return s;
-            }
-            let core = &self.cores[i];
-            if core.halted() {
-                continue;
-            }
-            match self.parks[i] {
-                Park::Stall { wake, .. } => e0 = e0.min(wake.max(s)),
-                Park::Spin { .. } | Park::Miss { .. } => {}
-                Park::None | Park::Bar { .. } => return s,
-            }
-        }
-        e0
-    }
-
-    /// A lower bound on the cycle at which core `i`'s `halt` retires
-    /// ([`Cycle::MAX`] = provably cannot this epoch): the earliest
-    /// cycle the core can step again, plus its halt-distance table's
-    /// instruction count at the current pc, at full issue width.
-    fn core_halt_bound(&self, i: usize) -> Cycle {
-        let s = self.now;
-        let core = &self.cores[i];
-        let base = match self.parks[i] {
-            Park::Stall { wake, .. } => wake.max(s),
-            Park::Spin { .. } | Park::Miss { .. } if !self.mem.epoch_tile_has_work(i) => {
-                return Cycle::MAX;
-            }
-            _ => s,
-        };
-        match &self.halt_bounds[i] {
-            HaltBound::Exec(dist) => {
-                let d = dist.get(core.pc()).copied().unwrap_or(1);
-                if d == u32::MAX {
-                    return Cycle::MAX;
-                }
-                let iw = u64::from(self.cfg.core.issue_width).max(1);
-                base + u64::from(d).div_ceil(iw) - 1
-            }
-            HaltBound::Replay { ops } => {
-                let rem = ops.saturating_sub(core.rp_op()).max(1) as u64;
-                base + rem - 1
-            }
-        }
-    }
-
-    /// The earliest cycle by which every core could have halted
-    /// ([`Cycle::MAX`] = some core provably cannot this epoch). The
-    /// serial run loop ticks every cycle up to and including the actual
-    /// last halt, which this bounds from below.
-    fn all_halt_bound(&self) -> Cycle {
-        let mut t = self.now;
-        for i in 0..self.cores.len() {
-            if self.cores[i].halted() {
-                continue;
-            }
-            let b = self.core_halt_bound(i);
-            if b == Cycle::MAX {
-                return Cycle::MAX;
-            }
-            t = t.max(b);
-        }
-        t
-    }
-
-    /// True when tile `i` provably does nothing in `[now, end)`: no
-    /// pending tile work (inbox, busy home) and a core that cannot step
-    /// — halted, parked past the window, or parked on a delivery that
-    /// the window clamps guarantee cannot arrive. The dense scheduler
-    /// never parks, so there only a halted core idles its tile.
-    fn epoch_tile_idle(&self, i: usize, end: Cycle) -> bool {
-        if self.mem.epoch_tile_has_work(i) {
-            return false;
-        }
-        let core = &self.cores[i];
-        if core.halted() {
-            return true;
-        }
-        if !self.active_set_enabled {
-            return false;
-        }
-        match self.parks[i] {
-            // A `bar_reg` park left by the serial engine is settled by
-            // the tile's first step of the window.
-            Park::None | Park::Bar { .. } => false,
-            Park::Stall { wake, .. } => wake >= end,
-            Park::Spin { .. } | Park::Miss { .. } => true,
-        }
-    }
-
-    /// The per-epoch pointer snapshot handed to the workers.
-    fn epoch_ptrs(
-        &mut self,
-        tile_active: *const bool,
-        start: Cycle,
-        window: u64,
-    ) -> par::EpochPtrs<B, S> {
-        par::EpochPtrs {
-            cores: self.cores.as_mut_ptr(),
-            progs: self.progs.as_ptr(),
-            parks: self.parks.as_mut_ptr(),
-            tiles: self.mem.epoch_tiles(),
-            tile_active,
-            gline: &self.gline,
-            tracer: &self.tracer,
-            start,
-            window,
-            active_set: self.active_set_enabled,
-        }
-    }
-
-    /// [`advance`](Self::advance) with the dense tick replaced by a
-    /// sharded parallel tick. The skip path is the classifier's:
-    /// quiescence probing and closed-form replay run on the coordinator
-    /// while the workers sit parked at the release barrier — parking
-    /// *is* the AND-reduction of the per-shard quiescence votes,
-    /// because a parked worker has published all its state to the
-    /// coordinator.
-    fn advance_parallel(
-        &mut self,
-        ctx: &par::CycleCtx<B, S>,
-        sense: &mut bool,
-        flags: &mut Vec<bool>,
-        horizon: Cycle,
-    ) {
-        if S::ENABLED || !self.skip_enabled || horizon <= self.now + 1 {
-            self.tick_parallel(ctx, sense, flags);
-        } else {
-            self.advance_classified(horizon, |sys| sys.tick_parallel(ctx, sense, flags));
-        }
-    }
-
-    /// One sharded-tick cycle: freeze the delivery flags, publish the
-    /// cycle's pointer snapshot, run the compute phase (this thread
-    /// doubles as worker 0), then serialize the exchange — latched
-    /// barrier arrivals in ascending core order, outbox flushes in
-    /// ascending tile order, shared component ticks — exactly the
-    /// serial [`tick`](Self::tick)'s effect order.
-    fn tick_parallel(
-        &mut self,
-        ctx: &par::CycleCtx<B, S>,
-        sense: &mut bool,
-        flags: &mut Vec<bool>,
-    ) {
-        self.sched.ticks += 1;
-        self.mem.delivery_flags(flags);
-        // SAFETY: every worker is parked at the release barrier, so the
-        // snapshot write is exclusive; the raw pointers are re-derived
-        // here and die at the join barrier below.
-        unsafe {
-            *ctx.ptrs.get() = self.cycle_ptrs(flags);
-        }
-        ctx.barrier.wait(sense); // release: compute phase begins
-        let (lo, hi) = ctx.shards[0];
-        // SAFETY: shard 0 is this thread's; between the barriers `self`
-        // is only touched through the snapshot, like any other worker.
-        unsafe {
-            par::shard_phase(&*ctx.ptrs.get(), lo, hi, &mut *ctx.outs[0].get());
-        }
-        ctx.barrier.wait(sense); // join: all shard effects are visible
-        for out in &ctx.outs {
-            // SAFETY: workers are parked again; the outs are ours.
-            let out = unsafe { &mut *out.get() };
-            for (_, core, bctx, v) in out.latch.drain(..) {
-                self.gline.write_bar_reg(core, bctx, v);
-            }
-            self.sched += out.sched;
-            out.sched = CoreSchedStats::default();
-        }
-        self.mem.flush_shard_outboxes();
-        self.mem.tick();
-        self.gline.tick();
-        self.now += 1;
-        self.sync.par_cycles += 1;
-    }
-
-    /// The per-cycle pointer snapshot handed to the workers.
-    fn cycle_ptrs(&mut self, flags: &[bool]) -> par::Ptrs<B, S> {
-        par::Ptrs {
-            cores: self.cores.as_mut_ptr(),
-            progs: self.progs.as_ptr(),
-            parks: self.parks.as_mut_ptr(),
-            lanes: self.mem.tile_lanes(),
-            flags: flags.as_ptr(),
-            gline: &self.gline,
-            tracer: &self.tracer,
-            now: self.now,
-            active_set: self.active_set_enabled,
+    /// Advances the machine until every core halts or the clock reaches
+    /// `until` (whichever comes first; skips clamp to `until` exactly
+    /// like [`run`](Self::run)'s deadline horizon).
+    pub fn advance_until(&mut self, until: Cycle) {
+        while !self.all_halted() && self.now < until {
+            self.advance(until);
         }
     }
 
@@ -2049,61 +1207,9 @@ halt",
     }
 
     #[test]
-    fn parallel_deadlock_guard_matches_serial() {
-        let prog = assemble("l: ld r1, 0(r0)\nbeq r0, r0, l").unwrap();
-        let mut serial = System::homogeneous(cfg(4), prog.clone());
-        let mut par = System::homogeneous(cfg(4), prog);
-        let want = serial.run(10_000).unwrap_err();
-        let got = par.run_with_workers(10_000, 2).unwrap_err();
-        assert_eq!(want, got);
-        assert_eq!(serial.now(), par.now());
-    }
-
-    #[test]
-    fn parallel_run_is_bit_identical_to_serial() {
-        // A quick in-crate smoke; the exhaustive sweep lives in
-        // tests/parallel_determinism.rs.
-        let build = || {
-            let n = 8;
-            let env = BarrierEnv::new(BarrierKind::Csw, n, 4096);
-            let progs: Vec<Program> = (0..n)
-                .map(|c| {
-                    let mut b = ProgBuilder::new();
-                    for it in 0..3 {
-                        b.li(Reg(1), (0x4000 + c * 64) as i64)
-                            .li(Reg(2), it as i64)
-                            .st(Reg(2), 0, Reg(1));
-                        env.emit(&mut b, c, &format!("i{it}"));
-                    }
-                    b.halt();
-                    b.build()
-                })
-                .collect();
-            System::new(cfg(n), progs)
-        };
-        let mut serial = build();
-        let t0 = serial.run(10_000_000).unwrap();
-        for workers in [2, 3, 8] {
-            let mut par = build();
-            let t = par.run_with_workers(10_000_000, workers).unwrap();
-            assert_eq!(t0, t, "{workers} workers: cycle count diverged");
-            assert_eq!(serial.report(), par.report(), "{workers} workers");
-            // The scheduler diagnostics differ by engine, but each
-            // accounts for every charged core-cycle exactly once.
-            for sys in [&serial, &par] {
-                assert_eq!(
-                    sys.core_sched_stats().core_cycles(),
-                    sys.report().total_time.total(),
-                    "{workers} workers"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn record_then_replay_is_bit_identical() {
         // In-crate smoke across all three barrier kinds; the exhaustive
-        // workload × toggle × worker sweep lives in
+        // workload × toggle sweep lives in
         // tests/replay_lockstep.rs.
         for kind in BarrierKind::ALL {
             let n = 8;
@@ -2166,59 +1272,6 @@ halt",
                 dense.report(),
                 "{kind:?}: dense replay report"
             );
-        }
-    }
-
-    #[test]
-    fn sched_stat_merges_are_associative_and_commutative() {
-        let sk = |s: u64| SkipStats {
-            attempts: s,
-            skips: s.wrapping_mul(3) % 7,
-            cycles_skipped: s * 11,
-            fail_blocked: s % 2,
-            fail_near: s % 5,
-            backed_off: s * 2,
-        };
-        let cs = |s: u64| CoreSchedStats {
-            ticks: s,
-            core_steps: s * 13,
-            parked_steps: s % 3,
-            spin_parked_steps: s * 7 % 11,
-        };
-        for (a, b, c) in [(1u64, 2, 3), (0, 9, 4), (17, 0, 0), (5, 5, 5)] {
-            // Commutative.
-            let (mut ab, mut ba) = (sk(a), sk(b));
-            ab += sk(b);
-            ba += sk(a);
-            assert_eq!(ab, ba);
-            let (mut cab, mut cba) = (cs(a), cs(b));
-            cab += cs(b);
-            cba += cs(a);
-            assert_eq!(cab, cba);
-            // Associative.
-            let mut left = sk(a);
-            left += sk(b);
-            left += sk(c);
-            let mut bc = sk(b);
-            bc += sk(c);
-            let mut right = sk(a);
-            right += bc;
-            assert_eq!(left, right);
-            let mut cleft = cs(a);
-            cleft += cs(b);
-            cleft += cs(c);
-            let mut cbc = cs(b);
-            cbc += cs(c);
-            let mut cright = cs(a);
-            cright += cbc;
-            assert_eq!(cleft, cright);
-            // Default is the identity.
-            let mut id = sk(a);
-            id += SkipStats::default();
-            assert_eq!(id, sk(a));
-            let mut cid = cs(a);
-            cid += CoreSchedStats::default();
-            assert_eq!(cid, cs(a));
         }
     }
 }

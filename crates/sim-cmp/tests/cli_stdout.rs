@@ -24,17 +24,21 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-fn run(args: &[&str], env_workers: Option<&str>) -> (String, String) {
+/// Runs `simcmp` on [`PROGRAM`] with `args`.
+fn simcmp(args: &[&str]) -> std::process::Output {
     let prog = tmp("prog.s");
     std::fs::write(&prog, PROGRAM).unwrap();
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_simcmp"));
-    cmd.arg(&prog).args(args);
-    match env_workers {
-        Some(w) => cmd.env("SIMCMP_WORKERS", w),
-        None => cmd.env_remove("SIMCMP_WORKERS"),
-    };
-    let out = cmd.output().expect("simcmp runs");
+    let out = Command::new(env!("CARGO_BIN_EXE_simcmp"))
+        .arg(&prog)
+        .args(args)
+        .output()
+        .expect("simcmp runs");
     let _ = std::fs::remove_file(&prog);
+    out
+}
+
+fn run(args: &[&str]) -> (String, String) {
+    let out = simcmp(args);
     assert!(out.status.success(), "simcmp exited with {}", out.status);
     (
         String::from_utf8(out.stdout).expect("stdout is UTF-8"),
@@ -44,7 +48,7 @@ fn run(args: &[&str], env_workers: Option<&str>) -> (String, String) {
 
 #[test]
 fn json_with_sched_stats_keeps_stdout_pure() {
-    let (stdout, stderr) = run(&["--cores", "4", "--json", "--sched-stats"], None);
+    let (stdout, stderr) = run(&["--cores", "4", "--json", "--sched-stats"]);
     // The whole of stdout must be one valid JSON document — no
     // diagnostics interleaved before, after, or inside it.
     let rep = parse(stdout.trim()).unwrap_or_else(|e| {
@@ -58,11 +62,13 @@ fn json_with_sched_stats_keeps_stdout_pure() {
     );
 }
 
+/// The multi-worker engine is gone and so are its flags: asking for it
+/// is a usage error, not a silently serial run.
 #[test]
-fn parallel_engine_emits_identical_report_json() {
-    let (serial, _) = run(&["--cores", "8", "--json"], None);
-    let (flagged, _) = run(&["--cores", "8", "--json", "--workers", "4"], None);
-    let (envved, _) = run(&["--cores", "8", "--json"], Some("4"));
-    assert_eq!(serial, flagged, "--workers 4 changed the report");
-    assert_eq!(serial, envved, "SIMCMP_WORKERS=4 changed the report");
+fn removed_worker_flag_is_an_unknown_option() {
+    let out = simcmp(&["--cores", "8", "--json", "--workers", "4"]);
+    assert_eq!(out.status.code(), Some(1), "{}", out.status);
+    assert!(out.stdout.is_empty(), "a report was printed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown option --workers"), "{stderr}");
 }

@@ -1,33 +1,18 @@
-//! The core-facing memory interface, and its shard-local implementation
-//! for the parallel tick engine.
+//! The core-facing memory interface.
 //!
 //! A core pipeline only ever touches its *own* tile's L1: issuing
 //! requests, polling responses, and probing the spin-classification
 //! hooks. [`CoreMem`] captures exactly that surface, so the core model
-//! can run against either
-//!
-//! * the whole [`MemorySystem`](crate::MemorySystem) (the serial
-//!   engine — requests flush to the NoC immediately), or
-//! * a [`LaneMem`] — one tile's L1 plus a private outbox, carved out of
-//!   the memory system by [`TileLanes`] for the duration of a parallel
-//!   compute phase (see `DESIGN.md` §11). Outbound protocol messages
-//!   buffer in the outbox and are injected into the NoC by
-//!   [`MemorySystem::flush_shard_outboxes`] during the serialized
-//!   exchange phase, in ascending tile order — the same order the
-//!   serial core loop produces, which is what keeps packet ids and
-//!   hence the whole NoC bit-identical.
+//! can run against the whole [`MemorySystem`](crate::MemorySystem) or
+//! against a wrapper that watches what the core asks of it (the trace
+//! recorder in `sim-cmp`).
 
-use crate::l1::{L1Ctrl, OutMsg};
 use crate::proto::{CoreReq, CoreResp};
-use sim_base::trace::TraceSink;
 use sim_base::{CoreId, Cycle};
 
 /// What a core pipeline needs from the memory hierarchy. Implemented by
-/// [`MemorySystem`](crate::MemorySystem) (serial engine) and [`LaneMem`]
-/// (one shard's view during a parallel compute phase).
-///
-/// The `core` argument always names the calling core; `LaneMem` asserts
-/// it matches the lane's tile (a core never reaches across tiles).
+/// [`MemorySystem`](crate::MemorySystem); the `core` argument always
+/// names the calling core (a core never reaches across tiles).
 pub trait CoreMem {
     /// Issues a data access for `core` (one outstanding each).
     fn request(&mut self, core: CoreId, req: CoreReq);
@@ -40,165 +25,12 @@ pub trait CoreMem {
     fn l1_busy(&self, core: CoreId) -> bool;
     /// `core`'s pending response if it is a load: `(ready, value)`.
     fn peek_resp_load(&self, core: CoreId) -> Option<(Cycle, u64)>;
-    /// See [`L1Ctrl::spin_probe_load`].
+    /// See [`L1Ctrl::spin_probe_load`](crate::l1::L1Ctrl::spin_probe_load).
     fn spin_probe_load(&self, core: CoreId, addr: u64) -> Option<u64>;
-    /// See [`L1Ctrl::line_value`].
+    /// See [`L1Ctrl::line_value`](crate::l1::L1Ctrl::line_value).
     fn spin_line_value(&self, core: CoreId, addr: u64) -> Option<u64>;
-    /// See [`L1Ctrl::spin_replay`].
+    /// See [`L1Ctrl::spin_replay`](crate::l1::L1Ctrl::spin_replay).
     fn spin_replay(&mut self, core: CoreId, addr: u64, hits: u64, final_ready: Option<Cycle>);
-    /// See [`L1Ctrl::take_resp_for_replay`].
+    /// See [`L1Ctrl::take_resp_for_replay`](crate::l1::L1Ctrl::take_resp_for_replay).
     fn take_resp_for_replay(&mut self, core: CoreId) -> Option<CoreResp>;
-}
-
-/// One tile's shard-local view of the memory system: its L1 and a
-/// private outbox, valid for a single parallel compute phase.
-///
-/// Every [`CoreMem`] operation is tile-local; the one side effect that
-/// would escape the tile — injecting protocol messages into the NoC —
-/// is deferred into `out`, to be flushed deterministically at the
-/// exchange barrier.
-#[derive(Debug)]
-pub struct LaneMem<'a, S: TraceSink> {
-    l1: &'a mut L1Ctrl<S>,
-    out: &'a mut Vec<OutMsg>,
-    tile: CoreId,
-    now: Cycle,
-}
-
-impl<'a, S: TraceSink> LaneMem<'a, S> {
-    /// Assembles a lane from its parts (shared with the epoch engine's
-    /// per-tile views, which construct a fresh lane per free-run cycle).
-    pub(crate) fn new(
-        l1: &'a mut L1Ctrl<S>,
-        out: &'a mut Vec<OutMsg>,
-        tile: CoreId,
-        now: Cycle,
-    ) -> LaneMem<'a, S> {
-        LaneMem { l1, out, tile, now }
-    }
-}
-
-impl<S: TraceSink> CoreMem for LaneMem<'_, S> {
-    fn request(&mut self, core: CoreId, req: CoreReq) {
-        debug_assert_eq!(core, self.tile, "cross-tile request through a lane");
-        self.l1.request(req, self.now, self.out);
-    }
-
-    fn poll(&mut self, core: CoreId) -> Option<CoreResp> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.poll(self.now)
-    }
-
-    fn resp_ready_at(&self, core: CoreId) -> Option<Cycle> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.resp_ready_at()
-    }
-
-    fn l1_busy(&self, core: CoreId) -> bool {
-        debug_assert_eq!(core, self.tile);
-        self.l1.miss_outstanding() || self.l1.has_deferred()
-    }
-
-    fn peek_resp_load(&self, core: CoreId) -> Option<(Cycle, u64)> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.peek_resp_load()
-    }
-
-    fn spin_probe_load(&self, core: CoreId, addr: u64) -> Option<u64> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.spin_probe_load(addr)
-    }
-
-    fn spin_line_value(&self, core: CoreId, addr: u64) -> Option<u64> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.line_value(addr)
-    }
-
-    fn spin_replay(&mut self, core: CoreId, addr: u64, hits: u64, final_ready: Option<Cycle>) {
-        debug_assert_eq!(core, self.tile);
-        self.l1.spin_replay(addr, hits, final_ready);
-    }
-
-    fn take_resp_for_replay(&mut self, core: CoreId) -> Option<CoreResp> {
-        debug_assert_eq!(core, self.tile);
-        self.l1.take_resp_for_replay()
-    }
-}
-
-/// Raw access to every tile's lane, handed to the parallel engine once
-/// per cycle (see [`MemorySystem::tile_lanes`](crate::MemorySystem::tile_lanes)).
-///
-/// This is the aliasing seam of the sharded-tick engine: the pointers
-/// alias the memory system's L1 array and per-tile outboxes, and
-/// [`lane`](Self::lane) conjures disjoint `&mut` views from them.
-///
-/// # Safety contract
-///
-/// * The `TileLanes` must not outlive the `&mut MemorySystem` borrow it
-///   was created from, and the memory system must not be used through
-///   any other path while lanes are live.
-/// * [`lane`](Self::lane)`(i, …)` may be called for each `i` **at most
-///   once per compute phase**, from any thread, with distinct `i`
-///   handed to concurrent callers — the engine's shard partition
-///   (disjoint contiguous tile ranges) guarantees this.
-#[derive(Clone, Copy, Debug)]
-pub struct TileLanes<S: TraceSink> {
-    l1s: *mut L1Ctrl<S>,
-    pending: *mut Vec<OutMsg>,
-    n: usize,
-    now: Cycle,
-}
-
-// SAFETY: the pointers target `Vec` storage owned by `MemorySystem`,
-// which outlives the phase (the engine joins every worker before the
-// owner moves); sending the handle moves only the pointers, never the
-// storage.
-unsafe impl<S: TraceSink> Send for TileLanes<S> {}
-// SAFETY: the contract above restricts every dereference to disjoint
-// indices synchronized by the engine's phase barrier (which provides
-// the happens-before edges between phases), so shared references never
-// race.
-unsafe impl<S: TraceSink> Sync for TileLanes<S> {}
-
-impl<S: TraceSink> TileLanes<S> {
-    pub(crate) fn new(
-        l1s: *mut L1Ctrl<S>,
-        pending: *mut Vec<OutMsg>,
-        n: usize,
-        now: Cycle,
-    ) -> TileLanes<S> {
-        TileLanes {
-            l1s,
-            pending,
-            n,
-            now,
-        }
-    }
-
-    /// Number of tiles (= lanes).
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the machine has no tiles (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Materializes tile `i`'s lane.
-    ///
-    /// # Safety
-    ///
-    /// Caller must uphold the struct-level contract: lanes for the same
-    /// `i` must never coexist, and the backing `MemorySystem` must be
-    /// otherwise unborrowed for the lane's lifetime.
-    pub unsafe fn lane(&self, i: usize) -> LaneMem<'_, S> {
-        assert!(i < self.n, "lane index out of range");
-        LaneMem {
-            l1: &mut *self.l1s.add(i),
-            out: &mut *self.pending.add(i),
-            tile: CoreId::from(i),
-            now: self.now,
-        }
-    }
 }

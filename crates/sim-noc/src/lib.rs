@@ -35,6 +35,7 @@
 //! cross a link, matching how the paper counts "messages across the
 //! network".
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

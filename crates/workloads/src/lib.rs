@@ -18,6 +18,7 @@
 //! of simulated cycles; the *structure* — memory access pattern, barrier
 //! density, lock usage — is preserved, which is what Figures 5–7 measure.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

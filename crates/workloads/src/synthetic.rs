@@ -90,10 +90,9 @@ pub fn build_imbalanced(n_cores: usize, kind: BarrierKind, iters: u64, stagger: 
 /// own cache line — `work` iterations, all L1 hits after the cold
 /// miss). Unlike [`build`]'s empty barrier loop, the cores here are
 /// *live* most of the time: the load/branch shape matches no spin
-/// pattern, so no core parks and no cycle skips, which makes this the
-/// workload where a parallel engine has actual per-cycle work to
-/// divide (the `parallel_engine` bench's contended shape). `stagger`
-/// adds `c * stagger` busy cycles before each barrier (0 = balanced).
+/// pattern, so no core parks and no cycle skips — the regime where the
+/// active sets are fullest. `stagger` adds `c * stagger` busy cycles
+/// before each barrier (0 = balanced).
 pub fn build_compute(
     n_cores: usize,
     kind: BarrierKind,
@@ -139,11 +138,10 @@ pub fn build_compute(
     }
 }
 
-/// The parallel-engine bench matrix: for every barrier implementation,
-/// the compute-bearing contended variant (balanced arrival, every core
-/// live — the regime where sharding the tick pays) and the
-/// compute-bearing imbalanced variant (staggered arrival — shard load
-/// imbalance plus wait time). Labels follow [`barrier_matrix`]'s
+/// The live-core matrix: for every barrier implementation, the
+/// compute-bearing contended variant (balanced arrival, every core
+/// live) and the compute-bearing imbalanced variant (staggered arrival
+/// — compute plus wait time). Labels follow [`barrier_matrix`]'s
 /// convention and are stable and unique within this matrix.
 pub fn compute_matrix(
     n_cores: usize,

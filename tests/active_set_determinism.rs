@@ -26,13 +26,28 @@ use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
 /// Runs `w` twice — active sets on and `--no-active-set` — and demands
 /// bit-identical reports. Cycle skipping stays enabled in both runs
-/// (its own invariance is covered by `skip_determinism.rs`); here it
-/// exercises the composition of parking with whole-machine
-/// fast-forwarding.
+/// (its own invariance is covered by `skip_determinism.rs`): the sparse
+/// run composes parking with clock jumps, the dense run must never
+/// jump.
 fn assert_active_set_invariant(w: &Workload) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
-    let mut fast = w.into_system(cfg);
-    let mut slow = w.into_system(cfg);
+    if cfg.needs_clustered_gline() {
+        let hw = || ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
+        assert_sparse_matches_dense(
+            w,
+            w.into_system_with_hw(cfg, hw()),
+            w.into_system_with_hw(cfg, hw()),
+        );
+    } else {
+        assert_sparse_matches_dense(w, w.into_system(cfg), w.into_system(cfg));
+    }
+}
+
+fn assert_sparse_matches_dense<B: BarrierHw>(
+    w: &Workload,
+    mut fast: System<B>,
+    mut slow: System<B>,
+) {
     slow.set_active_set_enabled(false);
     assert!(fast.active_set_enabled() && !slow.active_set_enabled());
     let cf = fast.run(50_000_000).expect("fast run must complete");
@@ -41,6 +56,12 @@ fn assert_active_set_invariant(w: &Workload) {
     let rf: SystemReport = fast.report();
     let rs: SystemReport = slow.report();
     assert_eq!(rf, rs, "{}: reports diverge with active sets on", w.name);
+    assert_eq!(
+        slow.skip_stats().skips,
+        0,
+        "{}: the dense tick jumped",
+        w.name
+    );
     assert_core_cycles_accounted(&fast, &format!("{} sparse", w.name));
     assert_core_cycles_accounted(&slow, &format!("{} dense", w.name));
 }
@@ -85,6 +106,32 @@ fn barrier_matrix_active_set_invariant() {
     for (_, w) in synthetic::barrier_matrix(8, 2, 200) {
         assert_active_set_invariant(&w);
     }
+}
+
+#[test]
+fn compute_matrix_active_set_invariant() {
+    // Cores live nearly every cycle: the regime where the sets are
+    // fullest and parking has the least to elide.
+    for (_, w) in synthetic::compute_matrix(8, 2, 40, 200) {
+        assert_active_set_invariant(&w);
+    }
+}
+
+/// A 256-core (16×16) machine exceeds the flat G-line transmitter
+/// budget, so the two-level [`ClusteredBarrierNetwork`] carries the
+/// barriers — and the wake-driven engine must stay bit-identical to the
+/// dense tick on it too. This is the largest determinism case in the
+/// suite: every O(active) path of the many-core scaling work (clustered
+/// episode accounting, `bar_reg` parking on the clustered release
+/// bound, four wake-index words) runs against its dense oracle here.
+#[test]
+fn clustered_256_core_active_set_invariant() {
+    let w = synthetic::build(256, BarrierKind::Gl, 2);
+    assert!(
+        CmpConfig::icpp2010_with_cores(256).needs_clustered_gline(),
+        "16x16 must exceed the flat G-line budget"
+    );
+    assert_active_set_invariant(&w);
 }
 
 #[test]
@@ -211,25 +258,24 @@ fn mid_run_toggle_active_set_invariant() {
     );
 }
 
-/// One stretch of a toggled run: scheduler settings and worker count
-/// for the next `len` cycles.
+/// One stretch of a toggled run: scheduler settings for the next `len`
+/// cycles.
 #[derive(Clone, Copy, Debug)]
 struct Segment {
     len: u64,
     active_set: bool,
     skip: bool,
-    workers: usize,
 }
 
 /// Runs one random case on barrier hardware built by `hw`: a run whose
-/// scheduler toggles and worker count change at random cycles must pass
-/// through the same cycle and the same (mid-run) report at every
-/// boundary, and end in the same memory, as the serial run over the same
-/// boundaries with everything left on; both account for every charged
-/// core-cycle. Then the same programs under `run_with_progress`: the
-/// default engine's boundary reports must be the dense cycle-by-cycle
-/// engine's. `wait_dominated` asserts the case is what it was built to
-/// be: mostly parked spinners, with clock jumps.
+/// scheduler toggles change at random cycles must pass through the same
+/// cycle and the same (mid-run) report at every boundary, and end in
+/// the same memory, as the run over the same boundaries with everything
+/// left on; both account for every charged core-cycle, and the clock
+/// never jumps while active sets are off. Then the same programs under
+/// `run_with_progress`: the default engine's boundary reports must be
+/// the dense cycle-by-cycle engine's. `wait_dominated` asserts the case
+/// is what it was built to be: mostly parked spinners, with clock jumps.
 fn check_mid_run_toggles<B: BarrierHw>(
     cfg: CmpConfig,
     progs: Vec<Program>,
@@ -249,7 +295,6 @@ fn check_mid_run_toggles<B: BarrierHw>(
             },
             active_set: rng.chance(0.5),
             skip: rng.chance(0.5),
-            workers: if rng.chance(0.5) { 4 } else { 1 },
         })
         .collect();
 
@@ -261,8 +306,13 @@ fn check_mid_run_toggles<B: BarrierHw>(
         let seg = segments[i % segments.len()];
         toggled.set_active_set_enabled(seg.active_set);
         toggled.set_skip_enabled(seg.skip);
-        toggled.advance_until_with_workers(toggled.now() + seg.len, seg.workers);
-        serial.advance_until_with_workers(serial.now() + seg.len, 1);
+        let skips = toggled.skip_stats().skips;
+        toggled.advance_until(toggled.now() + seg.len);
+        serial.advance_until(serial.now() + seg.len);
+        assert!(
+            (seg.active_set && seg.skip) || toggled.skip_stats().skips == skips,
+            "{what}: clock jumped in segment {i}"
+        );
         assert_eq!(
             serial.now(),
             toggled.now(),
@@ -316,13 +366,13 @@ fn check_mid_run_toggles<B: BarrierHw>(
 
 /// Random barrier/lock programs on random meshes — including 65 and 256
 /// cores, so the index's word boundaries and the clustered network are
-/// hit — stay bit-identical when active sets, skipping and the worker
-/// count are toggled mid-run at random cycles. Every switch away from
-/// the sparse serial tick leaves the wake index stale, so this is what
-/// exercises its rebuild. The second pass over the paper's 4×8 mesh,
-/// the 65-core and the clustered 256-core one runs staggered G-line
-/// barriers, so the toggles, worker switches and progress boundaries
-/// land while `bar_reg` parks and clock jumps are pending.
+/// hit — stay bit-identical when active sets and skipping are toggled
+/// mid-run at random cycles. Every switch away from the sparse tick
+/// leaves the wake index stale, so this is what exercises its rebuild.
+/// The second pass over the paper's 4×8 mesh, the 65-core and the
+/// clustered 256-core one runs staggered G-line barriers, so the
+/// toggles and progress boundaries land while `bar_reg` parks and clock
+/// jumps are pending.
 #[test]
 fn mid_run_toggles_on_random_meshes_invariant() {
     const MESHES: [(u16, u16); 8] = [
@@ -368,27 +418,21 @@ fn mid_run_toggles_on_random_meshes_invariant() {
     });
 }
 
-/// The sparse serial tick and its clock jumps count unvisited parked
-/// cores by popcount; the parallel engines still count core by core.
-/// On a 256-core DSW run (four index words, most cores spin- or
-/// miss-parked most of the time) both must account for exactly the
-/// core-cycles the (identical) reports charge.
+/// The sparse tick and its clock jumps count unvisited parked cores by
+/// popcount; the dense tick counts core by core. On a 256-core DSW run
+/// (four index words, most cores spin- or miss-parked most of the time)
+/// the sparse counters must account for exactly the core-cycles the
+/// report charges — the same total the dense tick steps one by one
+/// (`clustered_256_core_active_set_invariant` runs that oracle at this
+/// size).
 #[test]
 fn popcount_counters_match_per_core_counting_at_256_cores() {
     let w = synthetic::build(256, BarrierKind::Dsw, 1);
     let cfg = CmpConfig::icpp2010_with_cores(256);
-    let hw = || ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-    let mut serial = w.into_system_with_hw(cfg, hw());
-    let mut par = w.into_system_with_hw(cfg, hw());
-    let cs = serial.run(50_000_000).expect("serial run must complete");
-    let cp = par
-        .run_with_workers(50_000_000, 4)
-        .expect("parallel run must complete");
-    assert_eq!(cs, cp, "cycle counts");
-    assert_eq!(serial.report(), par.report(), "reports");
-    assert_core_cycles_accounted(&serial, "serial");
-    assert_core_cycles_accounted(&par, "4 workers");
-    let stats = serial.core_sched_stats();
+    let mut sparse = w.into_system_with_hw(cfg, ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline));
+    sparse.run(50_000_000).expect("run must complete");
+    assert_core_cycles_accounted(&sparse, "sparse");
+    let stats = sparse.core_sched_stats();
     assert!(
         stats.spin_parked_steps > stats.core_steps,
         "not a parked-dominated run: {stats:?}"

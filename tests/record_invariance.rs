@@ -1,4 +1,4 @@
-//! Recording observes the serial engine, it does not drive it
+//! Recording observes the run, it does not drive it
 //! (`DESIGN.md` §12).
 //!
 //! [`System::run_recorded`] runs the machine through the same `advance`
@@ -80,6 +80,9 @@ fn assert_recording_invariant<B: BarrierHw>(
             assert_eq!(got, want, "{label}: trace of core {}", want.core);
         }
         assert_eq!(t.len(), traces.len(), "{label}: trace count");
+        if !active_set {
+            assert_eq!(sys.skip_stats().skips, 0, "{label}: the dense tick jumped");
+        }
         if waits && skip && active_set {
             let (fast, dense) = (sys.core_sched_stats(), oracle.core_sched_stats());
             assert!(

@@ -24,8 +24,7 @@ use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
 /// Runs `w` twice — skip on and `--no-skip` — and demands bit-identical
 /// reports (skips must not change the cycle count either, which the
-/// report comparison already covers). On this, the serial sparse
-/// engine, a clock jump stands for that many ticks in which nobody is
+/// report comparison already covers). A clock jump stands for that many ticks in which nobody is
 /// visited and touches no park, so the toggle moves the tick count by
 /// exactly the cycles skipped and no other scheduler counter; either
 /// way every charged core-cycle is accounted exactly once.
@@ -45,11 +44,6 @@ fn assert_skip_invariant(w: &Workload) {
     let (jumps, none) = (fast.skip_stats(), slow.skip_stats());
     assert_eq!(none, SkipStats::default(), "{}: --no-skip skipped", w.name);
     assert!(jumps.skips <= jumps.attempts, "{}: {jumps:?}", w.name);
-    assert_eq!(
-        jumps.backed_off, 0,
-        "{}: the sparse engine backed off",
-        w.name
-    );
     assert_eq!(
         CoreSchedStats {
             ticks: on.ticks + jumps.cycles_skipped,

@@ -138,9 +138,9 @@ fn assert_system_ticks_allocation_free<B: BarrierHw>(
     measured: u64,
     what: &str,
 ) -> u64 {
-    sys.advance_until_with_workers(warm, 1);
+    sys.advance_until(warm);
     let jumps_before = sys.skip_stats().skips;
-    let n = count_allocs(|| sys.advance_until_with_workers(warm + measured, 1));
+    let n = count_allocs(|| sys.advance_until(warm + measured));
     assert!(!sys.all_halted(), "{what}: the loop ended while measuring");
     assert_eq!(
         n, 0,
