@@ -20,7 +20,9 @@
 //! `contains` are one word operation each, and iteration walks the
 //! words with `trailing_zeros`, which yields ascending order without a
 //! sort. A walk costs `n / 64` word loads plus one step per member (16
-//! words at 1024 tiles). No operation allocates, which keeps the
+//! words at 1024 tiles). The tick paths walk a set while changing it
+//! ([`ActiveSet::word_members`] copies one word at a time), so no work
+//! list is ever materialised. No operation allocates, which keeps the
 //! simulator's zero-allocation tick property (`tests/zero_alloc.rs`).
 
 /// A deterministically-ordered set of component indices `0..n`.
@@ -80,17 +82,6 @@ impl ActiveSet {
         *w &= !bit;
     }
 
-    /// Copies the live members into `out` in ascending index order (the
-    /// dense-scan order).
-    ///
-    /// The snapshot semantics are deliberate: callers iterate `out`
-    /// while freely calling [`insert`](Self::insert)/
-    /// [`remove`](Self::remove) on the set mid-iteration.
-    pub fn collect_sorted(&self, out: &mut Vec<u32>) {
-        out.clear();
-        self.for_each_live(|i| out.push(i as u32));
-    }
-
     /// The membership bits, index `i` at bit `i % 64` of word `i / 64`
     /// (read-only: for callers that combine several sets word by word).
     #[inline]
@@ -98,15 +89,56 @@ impl ActiveSet {
         &self.words
     }
 
+    /// Number of 64-index words the domain spans.
+    #[inline]
+    pub fn num_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The live members among indices `64 * w..64 * w + 64`, ascending.
+    ///
+    /// The iterator owns a copy of the word, so a caller walking the
+    /// set word by word may [`insert`](Self::insert)/
+    /// [`remove`](Self::remove) freely as it goes: members of the word
+    /// being walked are visited as they stood when its walk began, and
+    /// later words as they stand when their turn comes — ascending
+    /// order, no scratch list. (The tick paths only ever remove the
+    /// member in hand, so for them the walk is an exact snapshot.)
+    #[inline]
+    pub fn word_members(&self, w: usize) -> WordMembers {
+        WordMembers {
+            base: w * 64,
+            bits: self.words[w],
+        }
+    }
+
     /// Visits every live member once, in ascending index order.
     pub fn for_each_live(&self, mut f: impl FnMut(usize)) {
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                f(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
+        for w in 0..self.num_words() {
+            self.word_members(w).for_each(&mut f);
         }
+    }
+}
+
+/// The members of one word of an [`ActiveSet`], ascending
+/// ([`ActiveSet::word_members`]).
+#[derive(Clone, Debug)]
+pub struct WordMembers {
+    base: usize,
+    bits: u64,
+}
+
+impl Iterator for WordMembers {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.bits == 0 {
+            return None;
+        }
+        let i = self.base + self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(i)
     }
 }
 
@@ -129,34 +161,44 @@ mod tests {
         assert!(!s.contains(3));
     }
 
+    fn members(s: &ActiveSet) -> Vec<usize> {
+        let mut out = Vec::new();
+        s.for_each_live(|i| out.push(i));
+        out
+    }
+
     #[test]
-    fn collect_sorted_is_ascending_and_deduplicated() {
+    fn iteration_is_ascending_and_deduplicated() {
         let mut s = ActiveSet::new(16);
         for i in [9, 2, 11, 5, 2] {
             s.insert(i);
         }
         s.remove(5);
         s.insert(5);
-        let mut out = vec![77]; // stale contents are discarded
-        s.collect_sorted(&mut out);
-        assert_eq!(out, vec![2, 5, 9, 11]);
+        assert_eq!(members(&s), vec![2, 5, 9, 11]);
         assert_eq!(s.len(), 4);
     }
 
     #[test]
-    fn mid_iteration_removal_is_safe() {
-        let mut s = ActiveSet::new(8);
-        for i in 0..8 {
+    fn a_word_walk_survives_mutation_and_sees_later_words_live() {
+        let mut s = ActiveSet::new(130);
+        for i in [0, 5, 63, 64, 129] {
             s.insert(i);
         }
-        let mut out = Vec::new();
-        s.collect_sorted(&mut out);
-        for &i in &out {
-            s.remove(i as usize);
+        let mut seen = Vec::new();
+        for w in 0..s.num_words() {
+            for i in s.word_members(w) {
+                seen.push(i);
+                s.remove(i);
+                if i == 0 {
+                    s.insert(6); // this word: walked as it stood
+                    s.remove(64); // a later word: gone by its turn
+                    s.insert(70);
+                }
+            }
         }
-        assert!(s.is_empty());
-        s.collect_sorted(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(seen, vec![0, 5, 63, 70, 129]);
+        assert_eq!(members(&s), vec![6]);
     }
 
     #[test]

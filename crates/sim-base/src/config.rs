@@ -76,6 +76,10 @@ impl CacheConfig {
     }
 }
 
+/// Largest [`NocConfig::vc_buffer_flits`]: the routers index their
+/// input-VC rings with bytes.
+pub const MAX_VC_BUFFER_FLITS: u32 = u8::MAX as u32;
+
 /// Network-on-chip parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NocConfig {
@@ -237,6 +241,15 @@ impl CmpConfig {
         }
         validate_cache("l1", &self.l1)?;
         validate_cache("l2", &self.l2)?;
+        if self.noc.link_bytes == 0 {
+            return Err("noc.link_bytes must be at least 1".into());
+        }
+        if !(1..=MAX_VC_BUFFER_FLITS).contains(&self.noc.vc_buffer_flits) {
+            return Err(format!(
+                "noc.vc_buffer_flits must be between 1 and {MAX_VC_BUFFER_FLITS} (got {})",
+                self.noc.vc_buffer_flits
+            ));
+        }
         if self.gline.line_latency == 0 {
             return Err("gline.line_latency must be at least 1".into());
         }
@@ -494,6 +507,34 @@ mod tests {
         c = CmpConfig::icpp2010();
         c.l2.size_bytes = 100;
         assert!(c.validate().unwrap_err().contains("l2.size_bytes"));
+    }
+
+    #[test]
+    fn noc_fields_the_routers_cannot_build_are_named_not_asserted() {
+        let json_with = |field: &str, value: u32| {
+            let s = CmpConfig::icpp2010().to_json().pretty();
+            let old = match field {
+                "link_bytes" => "\"link_bytes\": 75",
+                _ => "\"vc_buffer_flits\": 4",
+            };
+            assert!(s.contains(old), "{s}");
+            let s = s.replace(old, &format!("\"{field}\": {value}"));
+            CmpConfig::from_json(&crate::json::parse(&s).unwrap())
+        };
+        for (field, value) in [
+            ("vc_buffer_flits", 0),
+            ("vc_buffer_flits", MAX_VC_BUFFER_FLITS + 1),
+            ("link_bytes", 0),
+        ] {
+            let e = json_with(field, value).unwrap_err();
+            assert!(
+                e.contains(&format!("noc.{field}")),
+                "{field} = {value}: {e}"
+            );
+        }
+        let cfg = json_with("vc_buffer_flits", MAX_VC_BUFFER_FLITS).unwrap();
+        assert_eq!(cfg.noc.vc_buffer_flits, MAX_VC_BUFFER_FLITS);
+        assert_eq!(json_with("link_bytes", 1).unwrap().noc.link_bytes, 1);
     }
 
     #[test]

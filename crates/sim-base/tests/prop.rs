@@ -175,25 +175,28 @@ fn active_set_matches_btreeset_model() {
                     }
                     6 => {}
                     _ => {
-                        // Mutate while walking a snapshot: drop every
-                        // other member and add its successor.
-                        set.collect_sorted(&mut snap);
-                        for (k, &m) in snap.iter().enumerate() {
-                            let m = m as usize;
-                            if k % 2 == 0 {
-                                set.remove(m);
-                                model.remove(&m);
-                            } else if m + 1 < n {
-                                set.insert(m + 1);
-                                model.insert(m + 1);
+                        // Mutate while walking the words: drop every
+                        // other member visited and add its successor.
+                        let mut k = 0;
+                        for w in 0..set.num_words() {
+                            for m in set.word_members(w) {
+                                assert!(model.contains(&m), "visited a non-member");
+                                if k % 2 == 0 {
+                                    set.remove(m);
+                                    model.remove(&m);
+                                } else if m + 1 < n {
+                                    set.insert(m + 1);
+                                    model.insert(m + 1);
+                                }
+                                k += 1;
                             }
                         }
                     }
                 }
                 if op >= 6 {
-                    set.collect_sorted(&mut snap);
-                    let want: Vec<u32> = model.iter().map(|&m| m as u32).collect();
-                    assert_eq!(snap, want);
+                    snap.clear();
+                    set.for_each_live(|m| snap.push(m));
+                    assert_eq!(snap, model.iter().copied().collect::<Vec<_>>());
                 }
                 assert_eq!(set.len(), model.len());
                 assert_eq!(set.is_empty(), model.is_empty());

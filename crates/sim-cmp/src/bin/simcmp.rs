@@ -17,6 +17,11 @@
 //!   --gl-transmitters N  transmitters per G-line (default 7; sets the
 //!                      flat-network limit and the clustered network's
 //!                      cluster dimension N+1)
+//!   --config FILE      machine parameters from a JSON file (the
+//!                      sections mesh, core, l1, l2, noc, mem, gline of
+//!                      `CmpConfig`) in place of the paper's Table 1;
+//!                      its mesh stands unless --cores or --mesh is
+//!                      given, and --gl-transmitters still overrides
 //!   --max-cycles N     deadlock guard (default 100_000_000)
 //!   --poke ADDR=VAL    pre-load a memory word (repeatable; hex or dec)
 //!   --peek ADDR        print a memory word after the run (repeatable)
@@ -87,15 +92,28 @@ fn parse_mesh(s: &str) -> Option<(u16, u16)> {
     (r > 0 && c > 0).then_some((r, c))
 }
 
-/// Builds the run configuration from the geometry flags, exiting with a
-/// named-field diagnostic instead of a panic on an inconsistent request.
+/// Reads a `--config` file, exiting with the parser's or the
+/// validator's named-field diagnostic if it does not hold a machine.
+fn read_config(path: &str) -> CmpConfig {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+    sim_base::json::parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|v| CmpConfig::from_json(&v))
+        .unwrap_or_else(|e| die(&format!("--config {path}: {e}")))
+}
+
+/// Builds the run configuration from the `--config` file (Table 1
+/// without one) and the geometry flags, exiting with a named-field
+/// diagnostic instead of a panic on an inconsistent request.
 fn build_config(
+    base: Option<CmpConfig>,
     cores: usize,
     cores_explicit: bool,
     mesh: Option<(u16, u16)>,
     gl_transmitters: Option<u32>,
 ) -> CmpConfig {
-    let mut cfg = match mesh {
+    let mut cfg = base.unwrap_or_else(CmpConfig::icpp2010);
+    match mesh {
         Some((r, c)) => {
             let n = r as usize * c as usize;
             if cores_explicit && n != cores {
@@ -103,12 +121,11 @@ fn build_config(
                     "--mesh {r}x{c} is {n} cores but the run has {cores} cores"
                 ));
             }
-            let mut cfg = CmpConfig::icpp2010();
             cfg.mesh = Mesh2D::new(r, c);
-            cfg
         }
-        None => CmpConfig::icpp2010_with_cores(cores),
-    };
+        None if cores_explicit || base.is_none() => cfg.mesh = Mesh2D::squarest(cores),
+        None => {}
+    }
     if let Some(t) = gl_transmitters {
         cfg.gline.max_transmitters = t;
     }
@@ -261,7 +278,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!("usage: simcmp PROGRAM.s [PROGRAM2.s …] [--cores N] [--mesh RxC]");
-        eprintln!("              [--gl-transmitters N] [--max-cycles N]");
+        eprintln!("              [--gl-transmitters N] [--config FILE] [--max-cycles N]");
         eprintln!("              [--poke ADDR=VAL]… [--peek ADDR]… [--json] [--breakdown]");
         eprintln!("              [--no-skip] [--no-active-set] [--sched-stats]");
         eprintln!("              [--trace FILE] [--trace-last N]");
@@ -283,6 +300,7 @@ fn main() {
     let mut sched_stats = false;
     let mut mesh: Option<(u16, u16)> = None;
     let mut gl_transmitters: Option<u32> = None;
+    let mut base: Option<CmpConfig> = None;
     let mut trace_file: Option<String> = None;
     let mut trace_last: Option<usize> = None;
     let mut record_dir: Option<String> = None;
@@ -312,6 +330,12 @@ fn main() {
                         .and_then(|v| v.parse().ok())
                         .unwrap_or_else(|| die("--gl-transmitters needs a number")),
                 );
+            }
+            "--config" => {
+                let path = it
+                    .next()
+                    .unwrap_or_else(|| die("--config needs a file name"));
+                base = Some(read_config(&path));
             }
             "--max-cycles" => {
                 max_cycles = it
@@ -396,7 +420,7 @@ fn main() {
                 "--cores {cores} but the trace set holds {n} cores"
             ));
         }
-        let cfg = build_config(n, true, mesh, gl_transmitters);
+        let cfg = build_config(base, n, true, mesh, gl_transmitters);
         let opts = Opts {
             max_cycles,
             pokes,
@@ -455,7 +479,7 @@ fn main() {
         })
         .collect();
 
-    let cfg = build_config(cores, cores_explicit, mesh, gl_transmitters);
+    let cfg = build_config(base, cores, cores_explicit, mesh, gl_transmitters);
     let cores = cfg.num_cores();
     let progs = if progs.len() == 1 {
         vec![progs[0].clone(); cores]

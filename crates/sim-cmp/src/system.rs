@@ -478,9 +478,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     }
 
     /// Enables or disables active-set micro-scheduling across the whole
-    /// machine — core parking here, busy-bank work lists in the memory
-    /// hierarchy, router/injection/delivery work lists in the NoC (on
-    /// by default). A component outside its subsystem's active set
+    /// machine — core parking here, due-timer bank ticking in the
+    /// memory hierarchy, router/injection/delivery work lists and direct
+    /// injection in the NoC (on by default). A component outside its subsystem's active set
     /// provably cannot transition this cycle, so reports, architectural
     /// memory and event traces are bit-identical either way; disabling
     /// is an escape hatch for debugging (`--no-active-set` in the CLI)
@@ -541,11 +541,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// the spin and miss parks — reads as "now"), and the barrier
     /// network's (it is frozen until a core writes a `bar_reg`, so the
     /// release predicate holds its value across the span). The index
-    /// tests are O(1) (member counts); the component clocks are not:
-    /// `mem.next_event()` walks the busy-home set and the barrier
-    /// network its contexts, so a call is O(busy homes + tiles / 64 +
-    /// barrier contexts), and the jump itself adds the O(cores / 64)
-    /// popcount in [`jump_to`](Self::jump_to).
+    /// tests are O(1) (member counts) and so is `mem.next_event()` (the
+    /// NoC reads its arrival queues' fronts, the home banks' earliest
+    /// timer is cached); the barrier network walks its contexts, so a
+    /// call is O(barrier contexts), and the jump itself adds the
+    /// O(cores / 64) popcount in [`jump_to`](Self::jump_to).
     fn jump_target(&mut self, horizon: Cycle) -> Option<Cycle> {
         self.refresh_index();
         let now = self.now;

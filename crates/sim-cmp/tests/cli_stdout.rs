@@ -72,3 +72,41 @@ fn removed_worker_flag_is_an_unknown_option() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown option --workers"), "{stderr}");
 }
+
+/// A `--config` file is the whole machine: its mesh sets the core
+/// count, and a router parameter the simulator cannot build — here the
+/// three `noc` values that used to reach an `assert!` in the NoC's
+/// constructor — is a usage error naming the field, not a panic.
+#[test]
+fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
+    use sim_base::config::CmpConfig;
+    use sim_base::json::ToJson;
+    let path = tmp("machine.json");
+    let mut cfg = CmpConfig::icpp2010_with_cores(8);
+    cfg.noc.vc_buffer_flits = 2;
+    cfg.noc.link_bytes = 16;
+    std::fs::write(&path, cfg.to_json().pretty()).unwrap();
+    let (stdout, _) = run(&["--config", path.to_str().unwrap(), "--json"]);
+    let rep = parse(stdout.trim()).expect("report JSON");
+    let cores = rep.get("per_core").and_then(|c| c.as_arr()).map(<[_]>::len);
+    assert_eq!(cores, Some(8), "{stdout}");
+
+    for (field, bad) in [
+        ("vc_buffer_flits", 0),
+        ("vc_buffer_flits", 256),
+        ("link_bytes", 0),
+    ] {
+        let mut cfg = CmpConfig::icpp2010();
+        match field {
+            "link_bytes" => cfg.noc.link_bytes = bad,
+            _ => cfg.noc.vc_buffer_flits = bad,
+        }
+        std::fs::write(&path, cfg.to_json().pretty()).unwrap();
+        let out = simcmp(&["--config", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "noc.{field} = {bad}: {stderr}");
+        assert!(stderr.contains(&format!("noc.{field}")), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    let _ = std::fs::remove_file(&path);
+}

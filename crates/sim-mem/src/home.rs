@@ -865,16 +865,17 @@ impl<S: TraceSink> HomeCtrl<S> {
         }
     }
 
-    /// The earliest future cycle at which a timer-driven transaction
-    /// phase matures, or `None` when every active phase is
-    /// message-driven (invalidation acks, forwards) — those wake-ups
-    /// are carried by the network and accounted there.
+    /// The earliest cycle at which a timer-driven transaction phase
+    /// matures, or `None` when every active phase is message-driven
+    /// (invalidation acks, forwards) — those wake-ups are carried by
+    /// the network and accounted there.
     ///
-    /// Used by the fast-forward scheduler: a cycle strictly before the
-    /// returned value can never see this controller change state on
-    /// its own. O(1): the serial engine asks on every cycle in which no
-    /// core steps.
-    pub fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+    /// A [`tick`](Self::tick) strictly before the returned value is a
+    /// no-op, so the memory system ticks this bank only from then on,
+    /// and keeps the minimum over its banks as its own next event.
+    /// O(1): it is asked after every message the bank handles.
+    #[inline]
+    pub fn next_event(&self) -> Option<Cycle> {
         debug_assert_eq!(self.next_timer, self.earliest_timer());
         (self.next_timer != Cycle::MAX).then_some(self.next_timer)
     }

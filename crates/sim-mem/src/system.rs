@@ -19,8 +19,12 @@ use sim_noc::{Message, Noc, NocSchedStats, NocStats};
 pub struct MemSchedStats {
     /// Ticks performed.
     pub ticks: u64,
-    /// Home banks visited with a transaction in flight.
+    /// Home banks ticked: on the sparse path the banks whose earliest
+    /// timer was due, on the dense path every bank with a transaction
+    /// in flight.
     pub home_visits: u64,
+    /// Home banks with a transaction in flight, summed over the ticks.
+    pub busy_home_ticks: u64,
     /// Tiles visited that had at least one delivered message.
     pub delivery_visits: u64,
 }
@@ -31,7 +35,7 @@ impl MemSchedStats {
         if self.ticks == 0 {
             0.0
         } else {
-            self.home_visits as f64 / self.ticks as f64
+            self.busy_home_ticks as f64 / self.ticks as f64
         }
     }
 }
@@ -55,12 +59,18 @@ pub struct MemorySystem<S: TraceSink = NullSink> {
     mems: Vec<Memory>,
     now: Cycle,
     out_scratch: Vec<OutMsg>,
-    /// Home banks with a transaction in flight — the per-tick work
-    /// list. Maintained on every state edge (message handled, bank
-    /// ticked) in both scheduling modes, so it is always exact.
+    /// Home banks with a transaction in flight. Maintained on every
+    /// state edge (message handled, bank ticked) in both scheduling
+    /// modes, so it is always exact.
     busy_homes: ActiveSet,
-    /// Scratch for snapshotting a work list during a tick.
-    sched_scratch: Vec<u32>,
+    /// The earliest cycle a home-bank timer matures: exactly the
+    /// minimum of the banks' [`HomeCtrl::next_event`], `Cycle::MAX`
+    /// when no bank holds a timed phase. A bank's timer is lowered only
+    /// by a message it handles ([`deliver_tile`](Self::deliver_tile)
+    /// lowers this with it) and raised only by its own tick, which
+    /// happens only when this is due (the tick then recomputes it) — so
+    /// before it, no bank has anything to do.
+    home_due: Cycle,
     /// Gate for the sparse tick path (`--no-active-set` escape hatch).
     active_set_enabled: bool,
     sched: MemSchedStats,
@@ -93,7 +103,7 @@ impl<S: TraceSink> MemorySystem<S> {
             now: 0,
             out_scratch: Vec::new(),
             busy_homes: ActiveSet::new(n),
-            sched_scratch: Vec::new(),
+            home_due: Cycle::MAX,
             active_set_enabled: true,
             sched: MemSchedStats::default(),
         }
@@ -155,57 +165,72 @@ impl<S: TraceSink> MemorySystem<S> {
     pub fn tick(&mut self) {
         let now = self.now;
         self.sched.ticks += 1;
-        if self.active_set_enabled {
-            // Home timers: only banks with a transaction in flight (an
-            // idle bank's tick early-returns on exactly this guard).
-            // Bank-to-bank interaction only happens through the NoC, a
-            // cycle later, so visiting the busy subset in ascending
-            // order is bit-identical to the dense scan.
-            if !self.busy_homes.is_empty() {
-                let mut homes = std::mem::take(&mut self.sched_scratch);
-                self.busy_homes.collect_sorted(&mut homes);
-                for &i in &homes {
-                    let i = i as usize;
-                    self.sched.home_visits += 1;
-                    self.homes[i].tick(now, &mut self.mems[i], &mut self.out_scratch);
-                    self.flush_out(CoreId::from(i));
-                    self.sync_home(i);
-                }
-                self.sched_scratch = homes;
+        self.sched.busy_home_ticks += self.busy_homes.len() as u64;
+        debug_assert_eq!(self.home_due, self.earliest_home_timer());
+        // Home timers. Bank-to-bank interaction only happens through
+        // the NoC, a cycle later, so ticking any subset that contains
+        // the banks with a due timer, in ascending order, is
+        // bit-identical to ticking them all.
+        let timer_due = self.home_due <= now;
+        if !self.active_set_enabled {
+            // Dense reference path (`--no-active-set`): every bank,
+            // every cycle.
+            for i in 0..self.homes.len() {
+                self.sched.home_visits += self.homes[i].is_busy() as u64;
+                self.tick_home(i, now);
             }
-            // Deliveries: only tiles the NoC holds messages for.
-            // Handling a message can send new ones, but they mature in
-            // a later NoC tick, so the snapshot is exact.
-            if self.noc.has_deliveries() {
-                let mut tiles = std::mem::take(&mut self.sched_scratch);
-                self.noc.collect_delivery_tiles(&mut tiles);
-                for &i in &tiles {
-                    if self.deliver_tile(i as usize, now) {
-                        self.sched.delivery_visits += 1;
+        } else if timer_due {
+            // Nothing to do before the earliest timer, and then only in
+            // the banks it is due in (every other bank's tick
+            // early-returns on exactly this guard).
+            for w in 0..self.busy_homes.num_words() {
+                for i in self.busy_homes.word_members(w) {
+                    if self.homes[i].next_event().is_some_and(|t| t <= now) {
+                        self.sched.home_visits += 1;
+                        self.tick_home(i, now);
                     }
                 }
-                self.sched_scratch = tiles;
             }
-        } else {
-            // Dense reference path (`--no-active-set`): every bank and
-            // tile, every cycle. Work-list membership is still
-            // maintained so the sparse path can be re-enabled mid-run.
-            for i in 0..self.homes.len() {
-                if self.homes[i].is_busy() {
-                    self.sched.home_visits += 1;
-                }
-                self.homes[i].tick(now, &mut self.mems[i], &mut self.out_scratch);
-                self.flush_out(CoreId::from(i));
-                self.sync_home(i);
-            }
+        }
+        if timer_due {
+            // Only a bank's own tick raises its timer, and only a due
+            // one does: the one place `home_due` can rise (both paths
+            // maintain it, so they can be toggled mid-run).
+            self.home_due = self.earliest_home_timer();
+        }
+        // Deliveries. Handling a message can send new ones, but they
+        // mature in a later NoC tick, so the sparse path's word walk
+        // over the tiles the NoC holds messages for is an exact
+        // snapshot of what the dense scan finds.
+        if !self.active_set_enabled {
             for i in 0..self.l1s.len() {
-                if self.deliver_tile(i, now) {
-                    self.sched.delivery_visits += 1;
+                self.sched.delivery_visits += self.deliver_tile(i, now) as u64;
+            }
+        } else if self.noc.has_deliveries() {
+            for w in 0..self.noc.delivery_tiles().num_words() {
+                for i in self.noc.delivery_tiles().word_members(w) {
+                    self.sched.delivery_visits += self.deliver_tile(i, now) as u64;
                 }
             }
         }
         self.noc.tick();
         self.now += 1;
+    }
+
+    /// Ticks home bank `i` and sends what it produced.
+    fn tick_home(&mut self, i: usize, now: Cycle) {
+        self.homes[i].tick(now, &mut self.mems[i], &mut self.out_scratch);
+        self.flush_out(CoreId::from(i));
+        self.sync_home(i);
+    }
+
+    /// The earliest home-bank timer, bank by bank (what `home_due`
+    /// caches). Only busy banks hold timers.
+    fn earliest_home_timer(&self) -> Cycle {
+        let mut due = Cycle::MAX;
+        self.busy_homes
+            .for_each_live(|i| due = due.min(self.homes[i].next_event().unwrap_or(Cycle::MAX)));
+        due
     }
 
     /// Drains and handles every delivered message for tile `i`.
@@ -224,6 +249,10 @@ impl<S: TraceSink> MemorySystem<S> {
                     &mut self.out_scratch,
                 );
                 self.sync_home(i);
+                // Handling may have started a timed phase.
+                if let Some(t) = self.homes[i].next_event() {
+                    self.home_due = self.home_due.min(t);
+                }
             } else {
                 self.l1s[i].handle(m.payload, now, &mut self.out_scratch);
             }
@@ -248,19 +277,18 @@ impl<S: TraceSink> MemorySystem<S> {
     ///
     /// Used by the fast-forward scheduler: every tick strictly before
     /// the returned cycle is a provable no-op (no home timer matures,
-    /// no message is delivered, no flit arrives anywhere). Only busy
-    /// banks are consulted — an idle bank owns no timer — which keeps
-    /// the cost of a *failed* skip attempt proportional to the number
-    /// of in-flight transactions, not the machine size.
+    /// no message is delivered, no flit arrives anywhere). O(1): the
+    /// NoC reads the fronts of its arrival queues and the banks'
+    /// earliest timer is kept in `home_due`, so a *failed* skip attempt
+    /// costs the same on any machine size with any number of
+    /// transactions in flight.
     pub fn next_event(&self) -> Option<Cycle> {
-        let mut next = self.noc.next_event();
-        self.busy_homes.for_each_live(|i| {
-            next = match (next, self.homes[i].next_event(self.now)) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-        });
-        next
+        debug_assert_eq!(self.home_due, self.earliest_home_timer());
+        let due = (self.home_due != Cycle::MAX).then_some(self.home_due);
+        match (self.noc.next_event(), due) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Enables or disables active-set micro-scheduling here and in the
@@ -314,7 +342,7 @@ impl<S: TraceSink> MemorySystem<S> {
     /// Frozen while the cores step: delivery queues only change in
     /// [`tick`](Self::tick).
     pub fn delivery_words(&self) -> &[u64] {
-        self.noc.delivery_tile_words()
+        self.noc.delivery_tiles().words()
     }
 
     // --- fast-forward support: per-core L1 spin hooks -------------------
@@ -770,6 +798,107 @@ mod tests {
         assert!(events.iter().any(|e| matches!(e, Event::NocSend { .. })));
         // Cycles are monotone within the ring.
         assert!(recs.windows(2).all(|w| w[0].0 <= w[1].0));
+    }
+
+    /// What a tick can change that anything outside can see: traffic
+    /// and directory counters, messages in flight or waiting, busy
+    /// banks, and every core's L1 (hit/miss counts, work in flight, the
+    /// pending response). Clocks and scheduler counters are left out.
+    fn observable(s: &MemorySystem) -> String {
+        let cores: Vec<_> = (0..s.l1s.len())
+            .map(CoreId::from)
+            .map(|c| (s.l1_stats(c), s.l1_busy(c), s.resp_ready_at(c)))
+            .collect();
+        format!(
+            "{:?} {} {} {:?} {} {cores:?}",
+            s.noc_stats(),
+            s.noc.in_flight(),
+            s.noc.has_deliveries(),
+            s.home_stats(),
+            s.busy_homes.len(),
+        )
+    }
+
+    /// Random request streams into a system whose active-set scheduling
+    /// is toggled mid-run, in lockstep with an always-dense oracle.
+    /// Before every tick `home_due` must be the minimum of the banks'
+    /// timers (the tick's debug assertion, checked in release too), and
+    /// whenever the dense tick changes observable state, `next_event()`
+    /// must have named that cycle or an earlier one (`<= now + 1`, the
+    /// bound under which the scheduler ticks instead of jumping).
+    #[test]
+    fn home_due_is_exact_and_next_event_never_late_under_toggles() {
+        use sim_base::check::forall_cases;
+        let (mut matured, mut quiet) = (0u64, 0u64);
+        forall_cases("home_due_exact_under_toggles", 12, |rng| {
+            let cores = [2, 4, 8][rng.next_below(3) as usize];
+            let cfg = CmpConfig::icpp2010_with_cores(cores);
+            let (mut sut, mut oracle) = (MemorySystem::new(&cfg), MemorySystem::new(&cfg));
+            oracle.set_active_set_enabled(false);
+            // A few contended lines (queues, invalidations, forwards)
+            // and a long tail of cold ones (400-cycle memory timers).
+            let pool = 1 + rng.next_below(6);
+            let load = [0.02, 0.2, 0.9][rng.next_below(3) as usize];
+            let mut cycle = 0;
+            while cycle < 2500 || sut.next_event().is_some() {
+                for c in (0..cores).map(CoreId::from) {
+                    assert_eq!(sut.poll(c), oracle.poll(c), "cycle {cycle}, {c:?}");
+                    if cycle < 2500 && sut.ready(c) && sut.resp_ready_at(c).is_none() {
+                        if !rng.chance(load) {
+                            continue;
+                        }
+                        let line = if rng.chance(0.8) {
+                            rng.next_below(pool)
+                        } else {
+                            64 + rng.next_below(4096)
+                        };
+                        let addr = line * 64 + 8 * rng.next_below(2);
+                        let req = match rng.next_below(3) {
+                            0 => CoreReq::Load { addr },
+                            1 => CoreReq::Store { addr, value: cycle },
+                            _ => CoreReq::Amo {
+                                addr,
+                                op: AmoOp::Add,
+                                operand: 1,
+                            },
+                        };
+                        sut.request(c, req);
+                        oracle.request(c, req);
+                    }
+                }
+                if rng.chance(1.0 / 48.0) {
+                    sut.set_active_set_enabled(!sut.active_set_enabled());
+                }
+                assert_eq!(sut.home_due, sut.earliest_home_timer(), "cycle {cycle}");
+                assert_eq!(
+                    oracle.home_due,
+                    oracle.earliest_home_timer(),
+                    "cycle {cycle}"
+                );
+                let (next, now) = (sut.next_event(), sut.now());
+                assert_eq!(next, oracle.next_event(), "cycle {cycle}");
+                let before = observable(&oracle);
+                matured += (sut.home_due <= now) as u64;
+                sut.tick();
+                oracle.tick();
+                let after = observable(&oracle);
+                assert_eq!(observable(&sut), after, "cycle {cycle}");
+                if before != after {
+                    assert!(
+                        next.is_some_and(|t| t <= now + 1),
+                        "state changed in cycle {now}, next_event {next:?}"
+                    );
+                } else {
+                    quiet += 1;
+                }
+                cycle += 1;
+                assert!(cycle < 200_000, "memory system failed to drain");
+            }
+            assert!(sut.is_idle() && oracle.is_idle());
+            assert_eq!(sut.home_due, Cycle::MAX);
+        });
+        assert!(matured > 100, "only {matured} ticks matured a home timer");
+        assert!(quiet > 100, "only {quiet} ticks changed nothing");
     }
 
     #[test]

@@ -25,9 +25,15 @@
 //! takes at the router that currently buffers it, and each router keeps
 //! a request mask per output port — bit `s` of `req[o]` set ⇔ slot `s`
 //! is non-empty and its front flit routes to `o` (see [`router`]) — so
-//! arbitration inspects only the slots that ask for an output. Packets
-//! in flight are parked in a slab indexed by a slot the flit carries;
-//! the tick path does no hashing.
+//! arbitration inspects only the slots that ask for an output. A
+//! router's fifteen input buffers are rings in one flat allocation made
+//! at construction. Packets in flight are parked in a slab indexed by a
+//! slot the flit carries, which is also how a flit names its packet;
+//! the tick path does no hashing and no allocation. The sparse tick
+//! walks its work lists (tiles with queued flits, routers with buffered
+//! ones) word by word in place, and `send` puts a flit straight into
+//! the local input VC when the tick's injection phase would; the dense
+//! tick visits everything and takes no shortcut — it is the oracle.
 //!
 //! Messages whose source and destination tile coincide (e.g. an L1 miss
 //! whose L2 home bank is local) bypass the network, are delivered on the

@@ -35,9 +35,9 @@ pub(crate) struct PacketInfo {
 /// router never consults the packet table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
-    /// Packet id (names the packet in trace events and wormhole locks).
-    pub pkt: u64,
-    /// Slot of the packet in the network's packet slab.
+    /// Slot of the packet in the network's packet slab. It names the
+    /// packet for as long as one of its flits is in flight (wormhole
+    /// locks compare it; trace events read the packet id through it).
     pub slot: u32,
     /// Destination tile.
     pub dst: CoreId,

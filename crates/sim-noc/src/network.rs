@@ -5,7 +5,7 @@ use crate::router::{Router, WormLock, NUM_SLOTS, NUM_VCS};
 use crate::stats::NocStats;
 use sim_base::active::ActiveSet;
 use sim_base::config::NocConfig;
-use sim_base::geom::Dir;
+use sim_base::geom::{Coord, Dir};
 use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
 use sim_base::{CoreId, Cycle, Mesh2D};
 use std::collections::VecDeque;
@@ -86,6 +86,8 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     free_slots: Vec<u32>,
     /// `neighbors[r][d]`: the tile across mesh port `d` of router `r`.
     neighbors: Vec<[u32; 4]>,
+    /// `(row, col)` of every tile, so that routing a hop divides nothing.
+    coords: Vec<Coord>,
     /// Same-tile messages bypassing the mesh: (deliver_at, message).
     bypass: VecDeque<(Cycle, Message<T>)>,
     /// Delivered messages per tile.
@@ -94,9 +96,6 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     now: Cycle,
     /// Flits anywhere in the system (fast-path check).
     active_flits: usize,
-    /// Flits buffered in each router's input VCs (mirrors
-    /// [`Router::buffered`], maintained on enqueue/dequeue edges).
-    router_flits: Vec<u32>,
     /// Routers with buffered flits — the phase-3 arbitration work list.
     active_routers: ActiveSet,
     /// Tiles with a non-empty NI injection queue — the phase-2 work list.
@@ -106,8 +105,6 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     delivery_tiles: ActiveSet,
     /// Total undelivered messages across all tiles.
     delivered_count: usize,
-    /// Scratch for snapshotting an active set during a tick.
-    sched_scratch: Vec<u32>,
     /// Gate for the sparse tick paths (`--no-active-set` escape hatch).
     active_set_enabled: bool,
     sched: NocSchedStats,
@@ -127,11 +124,7 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// Builds a traced NoC: sends, per-flit link hops and deliveries are
     /// emitted into `tracer`.
     pub fn traced(mesh: Mesh2D, cfg: NocConfig, tracer: Tracer<S>) -> Noc<T, S> {
-        assert!(
-            cfg.vc_buffer_flits >= 1,
-            "VC buffers need at least one flit"
-        );
-        assert!(cfg.link_bytes >= 1);
+        assert!(cfg.link_bytes >= 1, "links are at least one byte wide");
         let n = mesh.num_tiles();
         let neighbors = mesh
             .coords()
@@ -152,17 +145,16 @@ impl<T, S: TraceSink> Noc<T, S> {
             packets: Vec::new(),
             free_slots: Vec::new(),
             neighbors,
+            coords: mesh.coords().collect(),
             bypass: VecDeque::new(),
             delivered: (0..n).map(|_| VecDeque::new()).collect(),
             next_pkt: 0,
             now: 0,
             active_flits: 0,
-            router_flits: vec![0; n],
             active_routers: ActiveSet::new(n),
             inject_tiles: ActiveSet::new(n),
             delivery_tiles: ActiveSet::new(n),
             delivered_count: 0,
-            sched_scratch: Vec::new(),
             active_set_enabled: true,
             sched: NocSchedStats::default(),
             watchdog: DEFAULT_WATCHDOG,
@@ -278,20 +270,32 @@ impl<T, S: TraceSink> Noc<T, S> {
             class: msg.class,
             flits: nflits,
         });
-        let out = self.route(msg.src.index(), msg.dst);
-        let q = &mut self.inject_q[msg.src.index()][msg.class.index()];
+        let (src, vc) = (msg.src.index(), msg.class.index());
+        let out = self.route(src, msg.dst);
+        let local = Dir::Local.index() * NUM_VCS + vc;
+        let (router, q) = (&mut self.routers[src], &mut self.inject_q[src][vc]);
         for i in 0..nflits {
-            q.push_back(Flit {
-                pkt,
+            let flit = Flit {
                 slot,
                 dst: msg.dst,
                 out,
                 is_head: i == 0,
                 is_tail: i == nflits - 1,
-            });
+            };
+            // Direct injection: with nothing queued ahead of it and room
+            // in the local input VC, phase 2 of this cycle's tick would
+            // move the flit there before anything reads that VC (it
+            // only drains in phase 3), so put it there now. The dense
+            // tick takes no shortcut and queues every flit.
+            if self.active_set_enabled && q.is_empty() && router.has_space(local) {
+                router.push(local, flit);
+                self.active_routers.insert(src);
+            } else {
+                q.push_back(flit);
+                self.inject_tiles.insert(src);
+            }
         }
         self.active_flits += nflits as usize;
-        self.inject_tiles.insert(msg.src.index());
         self.packets[slot as usize] = Some((
             PacketInfo {
                 pkt,
@@ -304,6 +308,7 @@ impl<T, S: TraceSink> Noc<T, S> {
     }
 
     /// Pops one delivered message for `tile`, if any.
+    #[inline]
     pub fn recv(&mut self, tile: CoreId) -> Option<Message<T>> {
         let q = &mut self.delivered[tile.index()];
         let msg = q.pop_front();
@@ -317,6 +322,7 @@ impl<T, S: TraceSink> Noc<T, S> {
     }
 
     /// True when any delivered message is waiting to be received.
+    #[inline]
     pub fn has_deliveries(&self) -> bool {
         self.delivered_count > 0
     }
@@ -330,17 +336,13 @@ impl<T, S: TraceSink> Noc<T, S> {
         !self.delivered[tile.index()].is_empty()
     }
 
-    /// [`has_delivery_for`](Self::has_delivery_for) for every tile at
-    /// once, as bitset words (tile `i` at bit `i % 64` of word `i / 64`).
-    pub fn delivery_tile_words(&self) -> &[u64] {
-        self.delivery_tiles.words()
-    }
-
-    /// Snapshots the tiles with undelivered messages into `out`, in
-    /// ascending tile order (the order a dense `for tile in 0..n` recv
-    /// scan would find them).
-    pub fn collect_delivery_tiles(&mut self, out: &mut Vec<u32>) {
-        self.delivery_tiles.collect_sorted(out);
+    /// The tiles with undelivered messages — exactly those
+    /// [`has_delivery_for`](Self::has_delivery_for) names. Walked word
+    /// by word in ascending tile order, the order a dense
+    /// `for tile in 0..n` recv scan finds them.
+    #[inline]
+    pub fn delivery_tiles(&self) -> &ActiveSet {
+        &self.delivery_tiles
     }
 
     /// Records a message delivery to `tile`'s queue bookkeeping.
@@ -403,16 +405,31 @@ impl<T, S: TraceSink> Noc<T, S> {
 
     /// Output port ([`Dir::index`]) a flit bound for `dst` takes at
     /// router `r`. Evaluated once per hop, as the flit enters `r`.
+    #[inline]
     fn route(&self, r: usize, dst: CoreId) -> u8 {
         self.mesh
-            .xy_next(self.mesh.coord_of(CoreId::from(r)), self.mesh.coord_of(dst))
+            .xy_next(self.coords[r], self.coords[dst.index()])
             .index() as u8
     }
 
     /// Advances the network one cycle.
+    #[inline]
     pub fn tick(&mut self) {
-        let now = self.now;
         self.sched.ticks += 1;
+        if self.is_idle() {
+            // Fast path: nothing anywhere, so nothing arrives either.
+            self.now += 1;
+        } else {
+            self.tick_loaded();
+        }
+    }
+
+    /// [`tick`](Self::tick) with a message somewhere in the network.
+    /// Out of line, so that the idle tick stays a handful of
+    /// instructions in its caller.
+    #[inline(never)]
+    fn tick_loaded(&mut self) {
+        let now = self.now;
 
         // Phase 1: bypass + wire + ejection arrivals scheduled for `now`.
         while self.bypass.front().is_some_and(|(t, _)| *t <= now) {
@@ -426,7 +443,6 @@ impl<T, S: TraceSink> Noc<T, S> {
             let r = w.router as usize;
             let out = self.route(r, w.flit.dst);
             self.routers[r].push(w.slot as usize, Flit { out, ..w.flit });
-            self.router_flits[r] += 1;
             self.active_routers.insert(r);
         }
         while self.eject.front().is_some_and(|e| e.arrive <= now) {
@@ -434,7 +450,7 @@ impl<T, S: TraceSink> Noc<T, S> {
             self.finish_flit(e.flit, now);
         }
 
-        // Fast path: nothing anywhere.
+        // Only same-tile messages, or the last flit just left.
         if self.active_flits == 0 {
             self.now += 1;
             return;
@@ -467,40 +483,31 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// Phases 2 and 3 over the active-set work lists: only tiles with
     /// queued flits and routers with buffered flits are visited. These
     /// are exactly the components the dense scan does work on (its
-    /// guards skip the rest), and both work lists iterate in ascending
-    /// index order, so the two paths are bit-identical.
+    /// guards skip the rest), and both work lists are walked in
+    /// ascending index order, so the two paths are bit-identical.
     fn tick_sparse(&mut self, now: Cycle) {
-        // Phase 2: NI injection into the local input VCs.
+        // Phase 2: NI injection into the local input VCs — what direct
+        // injection in `send` left queued. Injecting inserts into no
+        // tile's queue, so the word walk is an exact snapshot.
         if !self.inject_tiles.is_empty() {
-            let mut tiles = std::mem::take(&mut self.sched_scratch);
-            self.inject_tiles.collect_sorted(&mut tiles);
-            for &tile in &tiles {
-                self.sched.inject_visits += 1;
-                if self.inject_tile(tile as usize) {
-                    self.inject_tiles.remove(tile as usize);
+            for w in 0..self.inject_tiles.num_words() {
+                for tile in self.inject_tiles.word_members(w) {
+                    self.sched.inject_visits += 1;
+                    if self.inject_tile(tile) {
+                        self.inject_tiles.remove(tile);
+                    }
                 }
             }
-            self.sched_scratch = tiles;
         }
         // Phase 3: per-router, per-output-port arbitration. Arbitration
         // moves flits onto wires and ejection pipelines — never directly
         // into another router's input buffer — so membership cannot grow
-        // mid-iteration and the snapshot is exact.
-        let mut routers = std::mem::take(&mut self.sched_scratch);
-        self.active_routers.collect_sorted(&mut routers);
-        for &r in &routers {
-            let r = r as usize;
-            if self.router_flits[r] == 0 {
-                self.active_routers.remove(r);
-                continue;
-            }
-            self.sched.router_visits += 1;
-            self.arbitrate_router(r, now);
-            if self.router_flits[r] == 0 {
-                self.active_routers.remove(r);
+        // mid-walk and the walk is exact here too.
+        for w in 0..self.active_routers.num_words() {
+            for r in self.active_routers.word_members(w) {
+                self.visit_router(r, now);
             }
         }
-        self.sched_scratch = routers;
     }
 
     /// Phases 2 and 3 as a dense every-tile/every-router scan (the
@@ -518,17 +525,21 @@ impl<T, S: TraceSink> Noc<T, S> {
         }
         // Phase 3: per-router, per-output-port arbitration.
         for r in 0..self.routers.len() {
-            debug_assert_eq!(self.router_flits[r] as usize, self.routers[r].buffered());
             debug_assert!(self.routers[r].req_is_consistent(), "stale request mask");
-            if self.router_flits[r] == 0 {
-                self.active_routers.remove(r);
-                continue;
-            }
+            self.visit_router(r, now);
+        }
+    }
+
+    /// Phase 3 for router `r`: arbitrates it if it buffers a flit, and
+    /// takes it off the work list once it buffers none.
+    #[inline]
+    fn visit_router(&mut self, r: usize, now: Cycle) {
+        if self.routers[r].buffered() > 0 {
             self.sched.router_visits += 1;
             self.arbitrate_router(r, now);
-            if self.router_flits[r] == 0 {
-                self.active_routers.remove(r);
-            }
+        }
+        if self.routers[r].buffered() == 0 {
+            self.active_routers.remove(r);
         }
     }
 
@@ -536,19 +547,17 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// local input VCs while they have space. Returns true when every
     /// injection queue of the tile is now empty.
     fn inject_tile(&mut self, tile: usize) -> bool {
-        let mut moved = 0u32;
         let mut empty = true;
         let router = &mut self.routers[tile];
         for (vc, q) in self.inject_q[tile].iter_mut().enumerate() {
-            while router.has_space(Dir::Local, vc, self.cfg.vc_buffer_flits) {
+            let local = Dir::Local.index() * NUM_VCS + vc;
+            while router.has_space(local) {
                 let Some(flit) = q.pop_front() else { break };
-                router.push(Dir::Local.index() * NUM_VCS + vc, flit);
-                moved += 1;
+                router.push(local, flit);
             }
             empty &= q.is_empty();
         }
-        if moved > 0 {
-            self.router_flits[tile] += moved;
+        if router.buffered() > 0 {
             self.active_routers.insert(tile);
         }
         empty
@@ -569,39 +578,31 @@ impl<T, S: TraceSink> Noc<T, S> {
 
     /// Picks and forwards at most one flit through output `out` of router
     /// `r` this cycle.
+    #[inline]
     fn arbitrate(&mut self, r: usize, out: Dir, now: Cycle) {
         let out_i = out.index();
-        let Some(slot) = self.routers[r].pick(out_i) else {
+        let router = &mut self.routers[r];
+        let Some(slot) = router.pick(out_i) else {
             return;
         };
-        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
-        let flit = self.routers[r].pop(slot);
-        self.router_flits[r] -= 1;
-        self.routers[r].rr[out_i] = (slot + 1) % NUM_SLOTS;
+        let (in_port, vc) = (Dir::ALL[slot / NUM_VCS], slot % NUM_VCS);
+        let flit = router.pop(slot);
+        router.rr[out_i] = ((slot + 1) % NUM_SLOTS) as u8;
         // Wormhole lock maintenance.
-        self.routers[r].out_lock[out_i][vc] = if flit.is_tail {
-            None
-        } else {
-            Some(WormLock {
-                pkt: flit.pkt,
-                in_port: p,
-            })
-        };
-        // Credit return to the upstream router this flit came from.
-        if p != Dir::Local.index() {
-            let up_r = self.neighbors[r][p] as usize;
-            self.routers[up_r].credits[Dir::ALL[p].opposite().index()][vc] += 1;
-        }
+        router.out_lock[out_i][vc] = (!flit.is_tail).then_some(WormLock {
+            slot: flit.slot,
+            in_port,
+        });
         if out == Dir::Local {
             self.eject.push_back(EjectEntry {
                 arrive: now + self.cfg.router_latency as u64,
                 flit,
             });
         } else {
-            self.routers[r].credits[out_i][vc] -= 1;
+            router.credits[out_i][vc] -= 1;
             self.stats.flit_hops += 1;
             self.tracer.emit(now, || Event::NocFlitHop {
-                pkt: flit.pkt,
+                pkt: self.pkt_of(flit),
                 at: CoreId::from(r),
                 port: out,
             });
@@ -612,6 +613,20 @@ impl<T, S: TraceSink> Noc<T, S> {
                 flit,
             });
         }
+        // Credit return to the upstream router this flit came from.
+        if in_port != Dir::Local {
+            let up_r = self.neighbors[r][in_port.index()] as usize;
+            self.routers[up_r].credits[in_port.opposite().index()][vc] += 1;
+        }
+    }
+
+    /// Id of the packet `flit` belongs to (for trace events: the slab
+    /// slot a flit carries names its packet while it is in flight).
+    fn pkt_of(&self, flit: Flit) -> u64 {
+        let (info, _) = self.packets[flit.slot as usize]
+            .as_ref()
+            .expect("flit of a packet that left the slab");
+        info.pkt
     }
 
     /// Accounts an ejected flit; on the tail, reassembles and delivers.
@@ -631,7 +646,7 @@ impl<T, S: TraceSink> Noc<T, S> {
             self.stats.delivered.add(msg.class, 1);
             self.stats.latency[msg.class.index()].record(latency);
             self.tracer.emit(now, || Event::NocDeliver {
-                pkt: flit.pkt,
+                pkt: info.pkt,
                 dst: msg.dst,
                 class: msg.class,
                 latency,

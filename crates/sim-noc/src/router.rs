@@ -12,10 +12,17 @@
 //! [`Router::push`] and [`Router::pop`] are the only ways to change a
 //! buffer, and they keep that invariant, so [`Router::pick`] inspects
 //! exactly the slots that ask for an output instead of all fifteen.
+//!
+//! Host layout: the fifteen buffers are fixed-capacity rings in one
+//! flat allocation made at construction (slot `s` owns
+//! `buf[s * cap..(s + 1) * cap]`), and heads, lengths, credits and
+//! round-robin pointers are bytes, so the bookkeeping of a router is
+//! about three host cache lines and a hop reads one more for the flit.
 
 use crate::msg::Flit;
+use sim_base::config::MAX_VC_BUFFER_FLITS;
 use sim_base::geom::Dir;
-use std::collections::VecDeque;
+use sim_base::CoreId;
 
 /// Number of virtual channels (= virtual networks = message classes).
 pub const NUM_VCS: usize = 3;
@@ -30,52 +37,85 @@ pub const NUM_SLOTS: usize = NUM_PORTS * NUM_VCS;
 /// which input port its flits come from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WormLock {
-    /// Packet holding the output.
-    pub pkt: u64,
+    /// Packet holding the output, named by its slab slot
+    /// ([`Flit::slot`]) — unique while any of its flits is in flight.
+    pub slot: u32,
     /// Input port the packet's flits arrive on.
-    pub in_port: usize,
+    pub in_port: Dir,
 }
 
 /// Router state. The [`crate::network::Noc`] drives arbitration; this
 /// struct owns the buffers, credits and locks.
 #[derive(Clone, Debug)]
 pub struct Router {
-    /// Input buffers by slot. Private: only `push`/`pop` may change
-    /// them, or `req` goes stale.
-    in_buf: [VecDeque<Flit>; NUM_SLOTS],
+    /// Ring storage of the input buffers, `cap` flits per slot.
+    /// Private: only `push`/`pop` may change a buffer, or `req` goes
+    /// stale.
+    buf: Box<[Flit]>,
+    /// Capacity of each ring (`vc_buffer_flits`).
+    cap: u8,
+    /// Ring index of each slot's front flit.
+    head: [u8; NUM_SLOTS],
+    /// Flits buffered in each slot.
+    len: [u8; NUM_SLOTS],
+    /// Flits buffered in all slots together.
+    flits: u16,
     /// Request mask per output port (see the module docs).
     req: [u16; NUM_PORTS],
     /// Credits available toward the downstream router on each output
     /// port/vc. Local output (ejection) is uncredited (always accepted).
-    pub credits: [[u32; NUM_VCS]; NUM_PORTS],
+    pub credits: [[u8; NUM_VCS]; NUM_PORTS],
     /// Current wormhole binding per output (port, vc).
     pub out_lock: [[Option<WormLock>; NUM_VCS]; NUM_PORTS],
     /// Round-robin pointer per output port: the slot asked first.
-    pub rr: [usize; NUM_PORTS],
+    pub rr: [u8; NUM_PORTS],
 }
 
 impl Router {
-    /// A router whose mesh output ports start with `buf_flits` credits.
+    /// A router with `buf_flits` flits of buffer per input VC, whose
+    /// mesh output ports start with as many credits.
+    ///
+    /// # Panics
+    /// If `buf_flits` is 0 or above [`MAX_VC_BUFFER_FLITS`] (ring
+    /// indices are bytes); `CmpConfig::validate` rejects both first.
     pub fn new(buf_flits: u32) -> Router {
+        assert!(
+            (1..=MAX_VC_BUFFER_FLITS).contains(&buf_flits),
+            "VC buffers hold 1..={MAX_VC_BUFFER_FLITS} flits, not {buf_flits}"
+        );
+        let cap = buf_flits as u8;
+        let blank = Flit {
+            slot: 0,
+            dst: CoreId(0),
+            out: 0,
+            is_head: false,
+            is_tail: false,
+        };
         Router {
-            in_buf: Default::default(),
+            buf: vec![blank; NUM_SLOTS * cap as usize].into_boxed_slice(),
+            cap,
+            head: [0; NUM_SLOTS],
+            len: [0; NUM_SLOTS],
+            flits: 0,
             req: [0; NUM_PORTS],
-            credits: [[buf_flits; NUM_VCS]; NUM_PORTS],
+            credits: [[cap; NUM_VCS]; NUM_PORTS],
             out_lock: [[None; NUM_VCS]; NUM_PORTS],
             rr: [0; NUM_PORTS],
         }
     }
 
     /// Total buffered flits (for idle fast-pathing).
+    #[inline]
     pub fn buffered(&self) -> usize {
-        self.in_buf.iter().map(VecDeque::len).sum()
+        self.flits as usize
     }
 
-    /// True if input `port`/`vc` has buffer space for one more flit.
-    /// (Inter-router space is governed by the upstream credit counters;
-    /// only local injection asks the buffer itself.)
-    pub fn has_space(&self, port: Dir, vc: usize, cap: u32) -> bool {
-        (self.in_buf[port.index() * NUM_VCS + vc].len() as u32) < cap
+    /// True if `slot` has buffer space for one more flit. (Inter-router
+    /// space is governed by the upstream credit counters; only local
+    /// injection asks the buffer itself.)
+    #[inline]
+    pub fn has_space(&self, slot: usize) -> bool {
+        self.len[slot] < self.cap
     }
 
     /// Number of output (port, vc) pairs currently bound by a wormhole
@@ -89,28 +129,55 @@ impl Router {
             .count()
     }
 
+    /// Ring index of the `i`-th flit of `slot`, counted from the front
+    /// (`i <= cap`; `i == len` is where a push lands).
+    #[inline]
+    fn ring(&self, slot: usize, i: u8) -> u8 {
+        // Head and `i` are at most `cap`, so one conditional subtract
+        // wraps the sum (in `u16`: `cap` may be 255).
+        let (sum, cap) = (self.head[slot] as u16 + i as u16, self.cap as u16);
+        (if sum >= cap { sum - cap } else { sum }) as u8
+    }
+
+    /// Index in `buf` of the `i`-th flit of `slot`.
+    #[inline]
+    fn at(&self, slot: usize, i: u8) -> usize {
+        slot * self.cap as usize + self.ring(slot, i) as usize
+    }
+
     /// The flit at the front of `slot`, if any.
+    #[inline]
     pub fn front(&self, slot: usize) -> Option<&Flit> {
-        self.in_buf[slot].front()
+        (self.len[slot] > 0).then(|| &self.buf[self.at(slot, 0)])
     }
 
     /// Appends `flit` to `slot`. `flit.out` must be the output port it
     /// takes at this router.
+    ///
+    /// # Panics
+    /// If the slot is full: a credit or `has_space` was not honoured.
+    #[inline]
     pub fn push(&mut self, slot: usize, flit: Flit) {
-        if self.in_buf[slot].is_empty() {
+        assert!(self.has_space(slot), "push into a full slot");
+        if self.len[slot] == 0 {
             self.req[flit.out as usize] |= 1 << slot;
         }
-        self.in_buf[slot].push_back(flit);
+        self.buf[self.at(slot, self.len[slot])] = flit;
+        self.len[slot] += 1;
+        self.flits += 1;
     }
 
     /// Removes the front flit of `slot`; the flit behind it, if any,
     /// takes over the slot's request bit.
+    #[inline]
     pub fn pop(&mut self, slot: usize) -> Flit {
-        let flit = self.in_buf[slot]
-            .pop_front()
-            .expect("pop from an empty slot");
+        assert!(self.len[slot] > 0, "pop from an empty slot");
+        let flit = self.buf[self.at(slot, 0)];
+        self.head[slot] = self.ring(slot, 1);
+        self.len[slot] -= 1;
+        self.flits -= 1;
         self.req[flit.out as usize] &= !(1 << slot);
-        if let Some(next) = self.in_buf[slot].front() {
+        if let Some(next) = self.front(slot) {
             self.req[next.out as usize] |= 1 << slot;
         }
         flit
@@ -118,16 +185,17 @@ impl Router {
 
     /// True when some slot's front flit routes to output port `out`;
     /// [`pick`](Self::pick) grants nothing otherwise.
+    #[inline]
     pub fn requested(&self, out: usize) -> bool {
         self.req[out] != 0
     }
 
     /// True when every request mask equals the mask recomputed from the
     /// buffer fronts.
-    pub(crate) fn req_is_consistent(&self) -> bool {
+    pub fn req_is_consistent(&self) -> bool {
         let mut want = [0u16; NUM_PORTS];
-        for (slot, buf) in self.in_buf.iter().enumerate() {
-            if let Some(f) = buf.front() {
+        for slot in 0..NUM_SLOTS {
+            if let Some(f) = self.front(slot) {
                 want[f.out as usize] |= 1 << slot;
             }
         }
@@ -138,8 +206,15 @@ impl Router {
     /// first one in round-robin order from `rr[out]` that requests it,
     /// passes the wormhole rule (a continuation flit must hold the
     /// lock, a head flit needs it free) and has downstream credit.
+    #[inline]
     pub fn pick(&self, out: usize) -> Option<usize> {
         let req = self.req[out] as u32;
+        if req & req.wrapping_sub(1) == 0 {
+            // At most one requester: wherever the pointer stands, it is
+            // the first in round-robin order.
+            let slot = req.trailing_zeros() as usize;
+            return (req != 0 && self.can_grant(slot, out)).then_some(slot);
+        }
         let before_rr = (1u32 << self.rr[out]) - 1;
         for mut mask in [req & !before_rr, req & before_rr] {
             while mask != 0 {
@@ -153,14 +228,13 @@ impl Router {
         None
     }
 
+    #[inline]
     fn can_grant(&self, slot: usize, out: usize) -> bool {
         let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
-        let flit = self.in_buf[slot]
-            .front()
-            .expect("request bit without a front flit");
+        let flit = self.front(slot).expect("request bit without a front flit");
         let lock_ok = match self.out_lock[out][vc] {
             Some(lock) => {
-                let holds = lock.in_port == p && lock.pkt == flit.pkt;
+                let holds = lock.in_port.index() == p && lock.slot == flit.slot;
                 debug_assert!(!(holds && flit.is_head), "head flit under its own lock");
                 holds
             }
@@ -174,12 +248,10 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim_base::CoreId;
 
-    fn flit(pkt: u64, out: Dir) -> Flit {
+    fn flit(pkt: u32, out: Dir) -> Flit {
         Flit {
-            pkt,
-            slot: 0,
+            slot: pkt,
             dst: CoreId(0),
             out: out.index() as u8,
             is_head: true,
@@ -191,7 +263,7 @@ mod tests {
     fn fresh_router_is_idle_with_full_credits() {
         let r = Router::new(4);
         assert_eq!(r.buffered(), 0);
-        assert!(r.has_space(Dir::Local, 0, 4));
+        assert!(r.has_space(Dir::Local.index() * NUM_VCS));
         for p in 0..NUM_PORTS {
             assert_eq!(r.pick(p), None);
             for v in 0..NUM_VCS {
@@ -209,12 +281,13 @@ mod tests {
         r.push(7, flit(2, Dir::South));
         assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (Some(7), None));
-        assert_eq!(r.pop(7).pkt, 1);
+        assert_eq!(r.pop(7).slot, 1);
         assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (None, Some(7)));
-        assert_eq!(r.pop(7).pkt, 2);
+        assert_eq!(r.pop(7).slot, 2);
         assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (None, None));
+        assert_eq!(r.buffered(), 0);
     }
 
     #[test]
@@ -227,5 +300,35 @@ mod tests {
             r.rr[east] = rr;
             assert_eq!(r.pick(east), Some(want), "rr = {rr}");
         }
+    }
+
+    #[test]
+    fn a_slot_holds_exactly_its_capacity_and_wraps() {
+        let mut r = Router::new(2);
+        for round in 0..5u32 {
+            r.push(14, flit(2 * round, Dir::West));
+            r.push(14, flit(2 * round + 1, Dir::West));
+            assert!(!r.has_space(14) && r.has_space(13));
+            assert_eq!(r.pop(14).slot, 2 * round);
+            // Offset the ring by one each round, so it wraps.
+            r.push(14, flit(99, Dir::West));
+            assert_eq!(r.pop(14).slot, 2 * round + 1);
+            assert_eq!(r.pop(14).slot, 99);
+        }
+        assert_eq!(r.buffered(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "push into a full slot")]
+    fn overfilling_a_slot_is_caught() {
+        let mut r = Router::new(1);
+        r.push(0, flit(1, Dir::East));
+        r.push(0, flit(2, Dir::East));
+    }
+
+    #[test]
+    #[should_panic(expected = "VC buffers hold 1..=255 flits, not 256")]
+    fn capacity_beyond_the_ring_index_is_rejected() {
+        Router::new(256);
     }
 }

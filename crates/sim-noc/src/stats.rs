@@ -4,7 +4,7 @@
 use sim_base::stats::{Histogram, MsgClass, TrafficBreakdown};
 
 /// Statistics of a [`crate::Noc`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NocStats {
     /// Messages injected, by class (the paper's Figure-7 counters).
     pub sent: TrafficBreakdown,

@@ -1,8 +1,10 @@
 //! Property tests for the NoC: arbitrary traffic must be delivered
 //! exactly once, per-pair-per-class FIFO order must hold, the network
-//! must drain to idle under any buffer size, and the request-mask
-//! arbiter must grant what a scan of all fifteen slots grants — output
-//! by output and over a whole router visit.
+//! must drain to idle under any buffer size, the request-mask arbiter
+//! must grant what a scan of all fifteen slots grants — output by
+//! output and over a whole router visit — the flat input rings must
+//! behave as fifteen `VecDeque`s, and the sparse tick (work lists,
+//! direct injection) must move in lockstep with the dense one.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
@@ -18,6 +20,7 @@ use sim_base::{CoreId, Mesh2D};
 use sim_noc::msg::Flit;
 use sim_noc::router::{Router, WormLock, NUM_PORTS, NUM_SLOTS, NUM_VCS};
 use sim_noc::{Message, Noc};
+use std::collections::VecDeque;
 
 #[derive(Clone, Debug)]
 struct Traffic {
@@ -162,14 +165,14 @@ fn flit_hops_match_manhattan_distance() {
 /// reference [`Router::pick`] is checked against.
 fn linear_scan_pick(r: &Router, out: usize) -> Option<usize> {
     for k in 0..NUM_SLOTS {
-        let slot = (r.rr[out] + k) % NUM_SLOTS;
+        let slot = (r.rr[out] as usize + k) % NUM_SLOTS;
         let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
         let Some(flit) = r.front(slot) else {
             continue;
         };
         match r.out_lock[out][vc] {
             Some(lock) => {
-                if !(lock.in_port == p && lock.pkt == flit.pkt) {
+                if !(lock.in_port.index() == p && lock.slot == flit.slot) {
                     continue;
                 }
             }
@@ -191,7 +194,7 @@ fn linear_scan_pick(r: &Router, out: usize) -> Option<usize> {
 fn assert_same_grants(mut r: Router) {
     for out in 0..NUM_PORTS {
         for start in 0..NUM_SLOTS {
-            r.rr[out] = start;
+            r.rr[out] = start as u8;
             let granted = |slot: Option<usize>| slot.map(|s| (s, r.front(s).copied()));
             assert_eq!(
                 granted(r.pick(out)),
@@ -212,10 +215,10 @@ fn visit(r: &mut Router, pick: impl Fn(&Router, usize) -> Option<usize>) -> Vec<
         let Some(slot) = pick(r, out) else { continue };
         let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
         let flit = r.pop(slot);
-        r.rr[out] = (slot + 1) % NUM_SLOTS;
+        r.rr[out] = ((slot + 1) % NUM_SLOTS) as u8;
         r.out_lock[out][vc] = (!flit.is_tail).then_some(WormLock {
-            pkt: flit.pkt,
-            in_port: p,
+            slot: flit.slot,
+            in_port: Dir::ALL[p],
         });
         if out != Dir::Local.index() {
             r.credits[out][vc] -= 1;
@@ -249,7 +252,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
     const CAP: u32 = 4;
     forall_cases("mask_arbiter_matches_linear_scan", 256, |rng| {
         let mut r = Router::new(CAP);
-        let mut pkt = 0u64;
+        let mut pkt = 0u32;
         for slot in 0..NUM_SLOTS {
             // 0..=CAP flits of back-to-back packets, one or five flits
             // long (a line on 16-byte links); the first packet may
@@ -268,8 +271,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
                     r.push(
                         slot,
                         Flit {
-                            pkt,
-                            slot: 0,
+                            slot: pkt,
                             dst: CoreId(0),
                             out,
                             is_head: i == 0,
@@ -282,7 +284,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
         }
         for out in 0..NUM_PORTS {
             for vc in 0..NUM_VCS {
-                r.credits[out][vc] = rng.next_below(CAP as u64 + 1) as u32;
+                r.credits[out][vc] = rng.next_below(CAP as u64 + 1) as u8;
                 // Free, held by the packet continuing at the front of
                 // one of this vc's slots (a packet only ever locks the
                 // output its flits route to), or held by a packet whose
@@ -294,12 +296,12 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
                         .front(p * NUM_VCS + vc)
                         .filter(|f| !f.is_head && f.out as usize == out)
                         .map(|f| WormLock {
-                            pkt: f.pkt,
-                            in_port: p,
+                            slot: f.slot,
+                            in_port: Dir::ALL[p],
                         }),
                     _ => Some(WormLock {
-                        pkt: u64::MAX,
-                        in_port: p,
+                        slot: u32::MAX,
+                        in_port: Dir::ALL[p],
                     }),
                 };
             }
@@ -392,4 +394,133 @@ fn consecutive_flits_of_one_slot_take_two_outputs_in_one_tick() {
             "{first:?} then {second:?}"
         );
     });
+}
+
+/// The fifteen input rings of a [`Router`] against fifteen `VecDeque`s,
+/// at every capacity from 1 to 8: random pushes (refused by
+/// `has_space` exactly when the reference is full) and pops, long
+/// enough for every ring to wrap many times. After each operation the
+/// fronts, the occupancy and the request masks must agree.
+#[test]
+fn flat_rings_match_vecdeque_reference() {
+    for cap in 1..=8u32 {
+        forall_cases(&format!("flat_rings_match_vecdeque/{cap}"), 24, |rng| {
+            let mut r = Router::new(cap);
+            let mut model: [VecDeque<Flit>; NUM_SLOTS] = Default::default();
+            let mut next = 0u32;
+            for _ in 0..600 {
+                // A few hot slots, so that they fill up and wrap.
+                let slots = if rng.chance(0.7) { 3 } else { NUM_SLOTS };
+                let slot = rng.next_below(slots as u64) as usize;
+                assert_eq!(r.has_space(slot), model[slot].len() < cap as usize);
+                if rng.chance(0.55) {
+                    if r.has_space(slot) {
+                        let flit = Flit {
+                            slot: next,
+                            dst: CoreId(rng.next_below(64) as u16),
+                            out: rng.next_below(NUM_PORTS as u64) as u8,
+                            is_head: rng.chance(0.5),
+                            is_tail: rng.chance(0.5),
+                        };
+                        next += 1;
+                        r.push(slot, flit);
+                        model[slot].push_back(flit);
+                    }
+                } else if let Some(want) = model[slot].pop_front() {
+                    assert_eq!(r.pop(slot), want);
+                }
+                assert!(r.req_is_consistent(), "stale request mask: {r:?}");
+                assert_eq!(r.buffered(), model.iter().map(VecDeque::len).sum::<usize>());
+                for (s, q) in model.iter().enumerate() {
+                    assert_eq!(r.front(s), q.front(), "slot {s}");
+                }
+                for out in 0..NUM_PORTS {
+                    let asked = model
+                        .iter()
+                        .any(|q| q.front().is_some_and(|f| f.out as usize == out));
+                    assert_eq!(r.requested(out), asked, "output {out}");
+                }
+            }
+            assert!(next > 8 * cap, "the rings never wrapped");
+        });
+    }
+}
+
+/// The sparse tick — work lists walked by word, flits injected
+/// straight into the local input VC by `send` — against the dense
+/// every-router tick, which queues every flit at the network interface
+/// and takes no shortcut: random paced traffic into both, and after
+/// every cycle the same messages must have been delivered to the same
+/// tiles in the same order, with the same statistics and the same
+/// `next_event()`. Narrow links make most packets multi-flit, buffers
+/// go down to one flit, some messages stay on their tile, and a tile
+/// often sends several messages in one cycle.
+#[test]
+fn sparse_tick_matches_dense_tick_in_lockstep() {
+    let mut direct = 0u64;
+    forall_cases("sparse_tick_matches_dense_tick", 40, |rng| {
+        let mesh = Mesh2D::new(1 + rng.next_below(4) as u16, 1 + rng.next_below(5) as u16);
+        let tiles = mesh.num_tiles();
+        let cfg = NocConfig {
+            link_bytes: [16, 32, 75][rng.next_below(3) as usize],
+            vc_buffer_flits: 1 + rng.next_below(4) as u32,
+            ..NocConfig::default()
+        };
+        let mut sparse: Noc<usize> = Noc::new(mesh, cfg);
+        let mut dense: Noc<usize> = Noc::new(mesh, cfg);
+        dense.set_active_set_enabled(false);
+        // Mean messages per cycle, from a trickle to past saturation.
+        let rate = [0.05, 0.4, 1.4, 4.0][rng.next_below(4) as usize];
+        let (mut tag, mut cycle) = (0, 0);
+        while cycle < 400 || !sparse.is_idle() {
+            if cycle < 400 && rng.chance(rate / 3.0) {
+                // A burst from one tile, then perhaps one more sender.
+                let mut src = rng.next_below(tiles as u64) as usize;
+                for _ in 0..1 + rng.next_below(5) {
+                    if rng.chance(0.2) {
+                        src = rng.next_below(tiles as u64) as usize;
+                    }
+                    let t = Traffic {
+                        src,
+                        ..arb_traffic(rng, tiles)
+                    };
+                    for noc in [&mut sparse, &mut dense] {
+                        noc.send(Message {
+                            src: CoreId::from(t.src),
+                            dst: CoreId::from(t.dst),
+                            class: t.class,
+                            payload_bytes: t.bytes,
+                            payload: tag,
+                        });
+                    }
+                    tag += 1;
+                }
+                let local = Dir::Local.index() * NUM_VCS;
+                direct += (local..local + NUM_VCS)
+                    .filter(|&s| sparse.router(CoreId::from(src)).front(s).is_some())
+                    .count() as u64;
+            }
+            assert_eq!(sparse.next_event(), dense.next_event(), "cycle {cycle}");
+            sparse.tick();
+            dense.tick();
+            assert_eq!(sparse.stats(), dense.stats(), "cycle {cycle}");
+            for tile in mesh.tiles() {
+                assert_eq!(sparse.has_delivery_for(tile), dense.has_delivery_for(tile));
+                while let Some(m) = sparse.recv(tile) {
+                    assert_eq!(Some(m), dense.recv(tile), "cycle {cycle}, tile {tile}");
+                }
+                assert_eq!(dense.recv(tile), None, "cycle {cycle}, tile {tile}");
+            }
+            cycle += 1;
+            assert!(cycle < 200_000, "network failed to drain");
+        }
+        assert!(dense.is_idle());
+        assert_eq!(sparse.in_flight(), 0);
+        assert!(sparse.sched_stats().inject_visits <= dense.sched_stats().inject_visits);
+        assert_eq!(
+            sparse.sched_stats().router_visits,
+            dense.sched_stats().router_visits
+        );
+    });
+    assert!(direct > 0, "no send was injected directly");
 }
