@@ -32,7 +32,7 @@
 //!
 //! The `simlint` binary (`cargo run -p bench --bin simlint -- --deny`)
 //! walks the workspace and reports findings; CI runs it as a hard gate.
-//! See `DESIGN.md` §14 for how the rules relate to the model checker.
+//! See `DESIGN.md` §12 for how the rules relate to the model checker.
 
 use std::fmt;
 use std::fs;

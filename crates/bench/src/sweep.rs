@@ -31,24 +31,6 @@ pub fn workers_from_args(args: &[String]) -> usize {
         .unwrap_or_else(default_workers)
 }
 
-/// Host-parallelism provenance for `BENCH_*.json` outputs: how many
-/// cores the host advertised and how many workers the producing process
-/// actually used. Benchmark JSON is meaningless for cross-host
-/// comparison without this, so every writer embeds it under a `host`
-/// key.
-pub fn host_json(workers_used: usize) -> sim_base::json::Json {
-    sim_base::json::Json::obj([
-        (
-            "available_cores",
-            sim_base::json::Json::from(default_workers() as u64),
-        ),
-        (
-            "workers_used",
-            sim_base::json::Json::from(workers_used as u64),
-        ),
-    ])
-}
-
 /// Runs `run` over every job and returns the results **in job order**.
 ///
 /// With `workers <= 1` (or a single job) this is a plain serial map —

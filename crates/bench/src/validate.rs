@@ -1,4 +1,4 @@
-//! Lockstep cross-engine validation (DESIGN.md §12).
+//! Lockstep cross-engine validation (DESIGN.md §11).
 //!
 //! The replay engine's contract is *bit-identity*: replaying a recorded
 //! run on any engine configuration — quiescence skipping on or off,

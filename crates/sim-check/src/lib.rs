@@ -1,6 +1,6 @@
 //! # sim-check — in-tree concurrency model checker
 //!
-//! A loom-style exhaustive-interleaving explorer (`DESIGN.md` §14). The
+//! A loom-style exhaustive-interleaving explorer (`DESIGN.md` §12). The
 //! workspace builds fully offline, so instead of `loom` this crate
 //! carries its own explorer: model threads run serialized under a
 //! replaying scheduler, every synchronization operation is a scheduling

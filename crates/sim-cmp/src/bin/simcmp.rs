@@ -28,14 +28,10 @@
 //!   --json             print the full report as JSON
 //!   --breakdown        print the per-category cycle breakdown
 //!   --progress N       print a status line every N cycles
-//!   --no-skip          disable quiescence-aware cycle skipping and
-//!                      tick every cycle (debugging escape hatch; the
-//!                      report is bit-identical either way, traced runs
-//!                      always tick every cycle)
-//!   --no-active-set    disable active-set micro-scheduling: visit
-//!                      every router/home/core every cycle and never
-//!                      jump the clock (the dense reference engine; the
-//!                      report is bit-identical either way)
+//!   --no-active-set    run the dense reference engine: visit every
+//!                      router/home/core every cycle and never jump the
+//!                      clock (the report is bit-identical either way;
+//!                      traced runs never jump either)
 //!   --sched-stats      print scheduler diagnostics after the run:
 //!                      clock jumps evaluated/taken, the mean
 //!                      active-set occupancy per subsystem and the core
@@ -46,11 +42,10 @@
 //!   --trace-last N     keep the last N events in a ring and print them
 //!                      to stderr after the run
 //!   --record-trace DIR record every core's issue groups while the
-//!                      program runs (under the same --no-skip /
-//!                      --no-active-set settings as any run) and write
-//!                      the trace set
-//!                      (manifest.json + core<i>.trace) into DIR; the
-//!                      traces do not depend on those settings
+//!                      program runs (on the default engine or, with
+//!                      --no-active-set, the dense one) and write the
+//!                      trace set (manifest.json + core<i>.trace) into
+//!                      DIR; the traces are the same on both
 //!   --replay DIR       drive the cores from the trace set in DIR
 //!                      instead of program files (no PROGRAM.s
 //!                      arguments; --cores, if given, must match the
@@ -154,7 +149,6 @@ struct Opts {
     breakdown: bool,
     progress: Option<u64>,
     cores: usize,
-    no_skip: bool,
     no_active_set: bool,
     sched_stats: bool,
 }
@@ -163,7 +157,6 @@ struct Opts {
 /// per barrier hardware and trace sink so the untraced path stays
 /// zero-cost.
 fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
-    sys.set_skip_enabled(!opts.no_skip);
     sys.set_active_set_enabled(!opts.no_active_set);
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
@@ -186,7 +179,6 @@ fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
 /// Runs the system while recording every core's issue groups, prints
 /// the usual report, and writes the trace set into `dir`.
 fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workload: String) {
-    sys.set_skip_enabled(!opts.no_skip);
     sys.set_active_set_enabled(!opts.no_active_set);
     if opts.progress.is_some() {
         eprintln!("simcmp: --record-trace ignores --progress");
@@ -280,7 +272,7 @@ fn main() {
         eprintln!("usage: simcmp PROGRAM.s [PROGRAM2.s …] [--cores N] [--mesh RxC]");
         eprintln!("              [--gl-transmitters N] [--config FILE] [--max-cycles N]");
         eprintln!("              [--poke ADDR=VAL]… [--peek ADDR]… [--json] [--breakdown]");
-        eprintln!("              [--no-skip] [--no-active-set] [--sched-stats]");
+        eprintln!("              [--progress N] [--no-active-set] [--sched-stats]");
         eprintln!("              [--trace FILE] [--trace-last N]");
         eprintln!("              [--record-trace DIR | --replay DIR]");
         std::process::exit(if args.is_empty() { 1 } else { 0 });
@@ -295,7 +287,6 @@ fn main() {
     let mut json = false;
     let mut breakdown = false;
     let mut progress: Option<u64> = None;
-    let mut no_skip = false;
     let mut no_active_set = false;
     let mut sched_stats = false;
     let mut mesh: Option<(u16, u16)> = None;
@@ -313,7 +304,8 @@ fn main() {
                 cores = it
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--cores needs a number"));
+                    .filter(|n| (1..=u16::MAX as usize).contains(n))
+                    .unwrap_or_else(|| die("--cores needs a number between 1 and 65535"));
                 cores_explicit = true;
             }
             "--mesh" => {
@@ -359,14 +351,14 @@ fn main() {
             }
             "--json" => json = true,
             "--breakdown" => breakdown = true,
-            "--no-skip" => no_skip = true,
             "--no-active-set" => no_active_set = true,
             "--sched-stats" => sched_stats = true,
             "--progress" => {
                 progress = Some(
                     it.next()
                         .and_then(|v| parse_num(&v))
-                        .unwrap_or_else(|| die("--progress needs a cycle count")),
+                        .filter(|&every| every > 0)
+                        .unwrap_or_else(|| die("--progress needs a nonzero cycle count")),
                 );
             }
             "--trace" => {
@@ -429,7 +421,6 @@ fn main() {
             breakdown,
             progress,
             cores: n,
-            no_skip,
             no_active_set,
             sched_stats,
         };
@@ -438,7 +429,8 @@ fn main() {
                 clustered_trace_unsupported(&cfg);
             }
             let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-            run_system(System::replay_with_barrier_hw(cfg, &set, hw), &opts);
+            let sys = System::replay_traced_with_barrier_hw(cfg, &set, hw, Tracer::default());
+            run_system(sys, &opts);
         } else if let Some(path) = trace_file {
             let tracer = Tracer::new(ChromeTraceSink::new());
             run_system(System::replay_traced(cfg, &set, tracer.clone()), &opts);
@@ -500,7 +492,6 @@ fn main() {
         breakdown,
         progress,
         cores,
-        no_skip,
         no_active_set,
         sched_stats,
     };

@@ -513,7 +513,7 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Trace-driven replay (`DESIGN.md` §12): consume recorded issue
+    // Trace-driven replay (`DESIGN.md` §11): consume recorded issue
     // groups against the live memory hierarchy and barrier network.
     // The status machine — stall resolution, busy blocks, the
     // one-cycle-one-charge accounting — mirrors `step_inner` exactly;

@@ -1,5 +1,5 @@
 //! Trace recording and the exec/replay program dispatch (`DESIGN.md`
-//! §12).
+//! §11).
 //!
 //! A core is driven either by an ISA [`Program`] (exec mode: fetch,
 //! decode, execute every cycle) or by a recorded [`CoreTrace`] (replay

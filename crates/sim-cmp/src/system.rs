@@ -27,10 +27,8 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     gline: B,
     tracer: Tracer<S>,
     now: Cycle,
-    /// Quiescence-aware cycle skipping (see [`Self::set_skip_enabled`]).
-    skip_enabled: bool,
-    /// Fast-forward effectiveness counters (diagnostics only; not part
-    /// of [`SystemReport`], so skip-on and skip-off reports stay
+    /// Clock-jump effectiveness counters (diagnostics only; not part
+    /// of [`SystemReport`], so default and dense reports stay
     /// bit-identical).
     skip_stats: SkipStats,
     /// Active-set micro-scheduling (see
@@ -83,8 +81,8 @@ pub struct CoreSchedStats {
 }
 
 impl CoreSchedStats {
-    /// Core-cycles accounted for: stepped plus elided. On every
-    /// toggle combination this equals the report's
+    /// Core-cycles accounted for: stepped plus elided. On both
+    /// engine configurations this equals the report's
     /// `total_time.total()` — every charged core-cycle is counted
     /// exactly once, as a step or as a parked step.
     pub fn core_cycles(&self) -> u64 {
@@ -108,17 +106,6 @@ impl<B: BarrierHw> System<B> {
     /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
     pub fn with_barrier_hw(cfg: CmpConfig, progs: Vec<Program>, hw: B) -> System<B> {
         System::traced_with_barrier_hw(cfg, progs, hw, Tracer::default())
-    }
-
-    /// Builds a replay-mode machine around explicit barrier hardware:
-    /// every core is driven by its recorded trace from `set`, and the
-    /// initial memory image is `set.pokes`.
-    ///
-    /// # Panics
-    /// Panics unless `set` holds one valid trace per core (see
-    /// [`sim_trace::CoreTrace::validate`]) and the core counts agree.
-    pub fn replay_with_barrier_hw(cfg: CmpConfig, set: &TraceSet, hw: B) -> System<B> {
-        System::replay_traced_with_barrier_hw(cfg, set, hw, Tracer::default())
     }
 }
 
@@ -144,11 +131,14 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         )
     }
 
-    /// Replay-mode [`traced_with_barrier_hw`](Self::traced_with_barrier_hw).
+    /// Replay-mode [`traced_with_barrier_hw`](Self::traced_with_barrier_hw):
+    /// every core is driven by its recorded trace from `set`, and the
+    /// initial memory image is `set.pokes`. Pass `Tracer::default()`
+    /// for an untraced replay on explicit barrier hardware.
     ///
     /// # Panics
-    /// Panics unless `set` holds one valid trace per core and the core
-    /// counts agree.
+    /// Panics unless `set` holds one valid trace per core (see
+    /// [`sim_trace::CoreTrace::validate`]) and the core counts agree.
     pub fn replay_traced_with_barrier_hw(
         cfg: CmpConfig,
         set: &TraceSet,
@@ -190,7 +180,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             gline: hw,
             tracer,
             now: 0,
-            skip_enabled: true,
             skip_stats: SkipStats::default(),
             active_set_enabled: true,
             parks: vec![Park::None; cfg.num_cores()],
@@ -225,18 +214,6 @@ impl System {
     /// [`sim_trace::CoreTrace::validate`]) and the core counts agree.
     pub fn replay(cfg: CmpConfig, set: &TraceSet) -> System {
         System::replay_traced(cfg, set, Tracer::default())
-    }
-
-    /// Builds the machine with per-context barrier participation masks
-    /// (see [`gline_core::BarrierNetwork::with_members`]); programs
-    /// select contexts with the `barctx` instruction.
-    pub fn with_barrier_masks(
-        cfg: CmpConfig,
-        progs: Vec<Program>,
-        masks: Vec<Vec<bool>>,
-    ) -> System {
-        let hw = BarrierNetwork::with_members(cfg.mesh, cfg.gline, masks);
-        System::with_barrier_hw(cfg, progs, hw)
     }
 }
 
@@ -453,38 +430,21 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         }
     }
 
-    /// Enables or disables quiescence-aware cycle skipping (on by
-    /// default). When every core is provably parked — stalled on the
-    /// memory hierarchy, inside a `busy` block, or spinning in a
-    /// recognized wait loop — [`run`](Self::run) jumps the clock to the
-    /// next event instead of ticking cycle by cycle, replaying the
-    /// skipped span's statistics in closed form. Reports are
-    /// bit-identical either way; disabling is an escape hatch for
-    /// debugging (`--no-skip` in the CLI). Traced systems always take
-    /// the cycle-exact path regardless of this flag, so event streams
-    /// are never elided.
-    pub fn set_skip_enabled(&mut self, on: bool) {
-        self.skip_enabled = on;
-    }
-
-    /// Whether quiescence-aware cycle skipping is enabled.
-    pub fn skip_enabled(&self) -> bool {
-        self.skip_enabled
-    }
-
-    /// Fast-forward effectiveness counters for this run so far.
+    /// Clock-jump effectiveness counters for this run so far.
     pub fn skip_stats(&self) -> SkipStats {
         self.skip_stats
     }
 
-    /// Enables or disables active-set micro-scheduling across the whole
-    /// machine — core parking here, due-timer bank ticking in the
-    /// memory hierarchy, router/injection/delivery work lists and direct
-    /// injection in the NoC (on by default). A component outside its subsystem's active set
-    /// provably cannot transition this cycle, so reports, architectural
-    /// memory and event traces are bit-identical either way; disabling
-    /// is an escape hatch for debugging (`--no-active-set` in the CLI)
-    /// and the reference path for `tests/active_set_determinism.rs`.
+    /// Switches between the machine's two configurations: the default
+    /// wake-driven engine (`on`) — core parking and clock jumps here,
+    /// due-timer bank ticking in the memory hierarchy, router/injection/
+    /// delivery work lists and direct injection in the NoC — and the
+    /// dense oracle, which visits every component every cycle and never
+    /// jumps (`--no-active-set` in the CLI). A component outside its
+    /// subsystem's active set provably cannot transition this cycle, so
+    /// reports, architectural memory and event traces are bit-identical
+    /// either way, also when switched mid-run; the oracle is the
+    /// reference path for `tests/active_set_determinism.rs`.
     pub fn set_active_set_enabled(&mut self, on: bool) {
         if !on {
             // The dense loop steps every core; settle pending park
@@ -515,15 +475,16 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         self.mem.noc_sched_stats()
     }
 
-    /// Advances one cycle — or, if skipping is permitted and no
-    /// component can act before then, jumps the clock to the next event
-    /// (clamped to `horizon`, which callers use for deadline and
-    /// progress-boundary alignment). The jump is read off the wake
-    /// index ([`jump_target`](Self::jump_target)); the dense
+    /// Advances one cycle — or, if no component can act before then,
+    /// jumps the clock to the next event (clamped to `horizon`, which
+    /// callers use for deadline and progress-boundary alignment). The
+    /// jump is read off the wake index
+    /// ([`jump_target`](Self::jump_target)); the dense
     /// `--no-active-set` tick keeps no index, so it never jumps — it is
-    /// the every-component, every-cycle oracle.
+    /// the every-component, every-cycle oracle — and a traced run ticks
+    /// every cycle so no event is elided.
     fn advance(&mut self, horizon: Cycle) {
-        if S::ENABLED || !self.skip_enabled || !self.active_set_enabled || horizon <= self.now + 1 {
+        if S::ENABLED || !self.active_set_enabled || horizon <= self.now + 1 {
             self.tick();
         } else if let Some(target) = self.jump_target(horizon) {
             self.jump_to(target);
@@ -707,11 +668,10 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// groups into a [`CoreTrace`] stream as it goes, returning the
     /// cycle count and one trace per core. Recording observes the run,
     /// it does not drive it: the machine advances exactly as
-    /// [`run`](Self::run) would — parking cores, jumping the clock,
-    /// honouring [`set_skip_enabled`](Self::set_skip_enabled) and
-    /// [`set_active_set_enabled`](Self::set_active_set_enabled) — and
-    /// the traces are the same under every combination of the two
-    /// (both off is the dense, every-core reference). A machine
+    /// [`run`](Self::run) would — parking cores and jumping the clock,
+    /// or stepping every core under the dense oracle
+    /// ([`set_active_set_enabled`](Self::set_active_set_enabled)) — and
+    /// the traces are the same either way. A machine
     /// replaying those traces (see [`System::replay`]) reproduces this
     /// run's [`SystemReport`], architectural memory and event stream
     /// bit-identically.
@@ -1082,7 +1042,8 @@ mod tests {
             (0..n).map(|i| i < 4).collect(),
             (0..n).map(|i| i >= 4).collect(),
         ];
-        let mut sys = System::with_barrier_masks(c, progs, masks);
+        let hw = BarrierNetwork::with_members(c.mesh, c.gline, masks);
+        let mut sys = System::with_barrier_hw(c, progs, hw);
         sys.run(1_000_000).unwrap();
         // 20 episodes in ctx 0 (by 4 cores) + 2 in ctx 1: the gl_barriers
         // counter counts per-core arrivals-episodes entered.
@@ -1168,12 +1129,11 @@ halt",
     fn deadlock_guard_reports_stuck_cores() {
         // A core spinning forever on its own flag never halts, and one
         // in an over-long `busy` block not before the deadline. The
-        // error names each with its wait state, whichever scheduler ran.
+        // error names each with its wait state, on either engine.
         let spin = assemble("l: ld r1, 0(r0)\nbeq r0, r0, l").unwrap();
         let busy = assemble("busy 1000000\nhalt").unwrap();
-        for (skip, active_set) in [(true, true), (false, true), (false, false)] {
+        for active_set in [true, false] {
             let mut sys = System::new(cfg(2), vec![spin.clone(), busy.clone()]);
-            sys.set_skip_enabled(skip);
             sys.set_active_set_enabled(active_set);
             let err = sys.run(10_000).unwrap_err();
             assert!(
@@ -1191,9 +1151,8 @@ halt",
             assemble("barctx 1\nli r1, 1\nbarw r1\nw: barr r2\nbne r2, r0, w\nhalt").unwrap();
         let mut progs = vec![arrive; n];
         progs[n - 1] = spin.clone();
-        for (skip, active_set) in [(true, true), (false, true), (true, false), (false, false)] {
+        for active_set in [true, false] {
             let mut sys = System::new(c, progs.clone());
-            sys.set_skip_enabled(skip);
             sys.set_active_set_enabled(active_set);
             let err = sys.run(10_000).unwrap_err();
             assert!(
@@ -1209,8 +1168,7 @@ halt",
     #[test]
     fn record_then_replay_is_bit_identical() {
         // In-crate smoke across all three barrier kinds; the exhaustive
-        // workload × toggle sweep lives in
-        // tests/replay_lockstep.rs.
+        // workload × engine sweep lives in tests/replay_lockstep.rs.
         for kind in BarrierKind::ALL {
             let n = 8;
             let build = || {
@@ -1251,8 +1209,8 @@ halt",
                 );
             }
             // Compressed spins must actually appear (the traces would be
-            // huge otherwise) and replay must also hold with the
-            // schedulers off.
+            // huge otherwise) and replay must also hold on the dense
+            // oracle.
             let compressed = set.cores.iter().any(|t| {
                 t.ops.iter().any(|op| {
                     matches!(
@@ -1263,7 +1221,6 @@ halt",
             });
             assert!(compressed, "{kind:?}: no spin was run-length compressed");
             let mut dense = System::replay(cfg(n), &set);
-            dense.set_skip_enabled(false);
             dense.set_active_set_enabled(false);
             let t2 = dense.run(10_000_000).unwrap();
             assert_eq!(t0, t2, "{kind:?}: dense replay diverged");

@@ -5,6 +5,7 @@
 
 use sim_base::json::parse;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const PROGRAM: &str = "\
     li r1, 0x8000\n\
@@ -24,9 +25,11 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// Runs `simcmp` on [`PROGRAM`] with `args`.
+/// Runs `simcmp` on [`PROGRAM`] with `args`. Tests run as parallel
+/// threads, so every call writes a program file of its own.
 fn simcmp(args: &[&str]) -> std::process::Output {
-    let prog = tmp("prog.s");
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let prog = tmp(&format!("prog{}.s", CALLS.fetch_add(1, Ordering::Relaxed)));
     std::fs::write(&prog, PROGRAM).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_simcmp"))
         .arg(&prog)
@@ -62,15 +65,35 @@ fn json_with_sched_stats_keeps_stdout_pure() {
     );
 }
 
-/// The multi-worker engine is gone and so are its flags: asking for it
-/// is a usage error, not a silently serial run.
+/// The multi-worker engine and the never-jumping sparse tick are gone
+/// and so are their flags: asking for either is a usage error, not a
+/// silently default run.
 #[test]
 fn removed_worker_flag_is_an_unknown_option() {
-    let out = simcmp(&["--cores", "8", "--json", "--workers", "4"]);
-    assert_eq!(out.status.code(), Some(1), "{}", out.status);
-    assert!(out.stdout.is_empty(), "a report was printed");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown option --workers"), "{stderr}");
+    for removed in [&["--workers", "4"][..], &["--no-skip"]] {
+        let mut args = vec!["--cores", "8", "--json"];
+        args.extend(removed);
+        let out = simcmp(&args);
+        assert_eq!(out.status.code(), Some(1), "{}", out.status);
+        assert!(out.stdout.is_empty(), "a report was printed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let unknown = format!("unknown option {}", removed[0]);
+        assert!(stderr.contains(&unknown), "{stderr}");
+    }
+}
+
+/// A core count no mesh can hold and a zero progress interval used to
+/// reach an `assert!` in `Mesh2D::squarest` / `run_with_progress`; each
+/// is a usage error naming its flag.
+#[test]
+fn out_of_range_cores_and_progress_are_named_usage_errors() {
+    for (flag, value) in [("--cores", "0"), ("--cores", "70000"), ("--progress", "0")] {
+        let out = simcmp(&[flag, value]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
+    }
 }
 
 /// A `--config` file is the whole machine: its mesh sets the core

@@ -226,7 +226,7 @@ fn dir_contents(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
 }
 
 #[test]
-fn recording_honours_the_scheduler_flags_and_traces_do_not_depend_on_them() {
+fn recording_honours_the_engine_flag_and_traces_do_not_depend_on_it() {
     let prog = prog_file("rec_flags.s");
     let record = |flags: &[&str]| {
         let dir = tmp(&format!("rec_flags_dir{}", flags.concat()));
@@ -246,25 +246,14 @@ fn recording_honours_the_scheduler_flags_and_traces_do_not_depend_on_them() {
         !stderr.contains(" 0 skips") && !stderr.contains(" 0 stall steps"),
         "default recording neither jumped nor parked:\n{stderr}"
     );
-    for flags in [
-        &["--no-skip"][..],
-        &["--no-active-set"],
-        &["--no-skip", "--no-active-set"],
-    ] {
-        let (f, r, stderr) = record(flags);
-        assert!(f == files, "{flags:?}: trace directory differs");
-        assert_eq!(r, report, "{flags:?}: --json report differs");
-        // Either flag stops the clock jumps; only `--no-active-set`
-        // (the dense tick) also stops the parking.
-        assert!(
-            stderr.contains("skip: 0 attempts, 0 skips (0 cycles)"),
-            "{flags:?} dropped:\n{stderr}"
-        );
-        assert_eq!(
-            flags.contains(&"--no-active-set"),
-            stderr.contains("0 stall steps and 0 spin steps elided"),
-            "{flags:?}: dense tick iff --no-active-set:\n{stderr}"
-        );
-    }
+    let (f, r, stderr) = record(&["--no-active-set"]);
+    assert!(f == files, "--no-active-set: trace directory differs");
+    assert_eq!(r, report, "--no-active-set: --json report differs");
+    // The dense tick neither jumps the clock nor parks a core.
+    assert!(
+        stderr.contains("skip: 0 attempts, 0 skips (0 cycles)")
+            && stderr.contains("0 stall steps and 0 spin steps elided"),
+        "--no-active-set dropped:\n{stderr}"
+    );
     let _ = std::fs::remove_file(&prog);
 }

@@ -8,7 +8,7 @@
 //! — because everything between issue groups is a pure stall whose
 //! length the memory hierarchy and barrier network reproduce on their
 //! own. This crate defines that sequence as a compact, versioned
-//! on-disk format (`DESIGN.md` §12):
+//! on-disk format (`DESIGN.md` §11):
 //!
 //! * [`TraceOp`] — one issue group ([`Step`]) or a run-length
 //!   compressed spin loop ([`TraceOp::GlineSpin`], [`TraceOp::MemSpin`]).

@@ -1,14 +1,16 @@
-//! Determinism of active-set micro-scheduling.
+//! Determinism of the engine: default vs. oracle.
 //!
-//! The active-set scheduler (see `DESIGN.md` §10) visits only routers
+//! The default engine (see `DESIGN.md` §9, §10) visits only routers
 //! with buffered flits, home banks with live transactions, and cores
-//! that are not parked on a known wake cycle — instead of scanning
-//! every component every cycle. Its correctness contract mirrors the
-//! cycle-skipping scheduler's: a run with active sets enabled is
-//! **bit-identical** — same [`sim_cmp::SystemReport`], same
-//! architectural memory, same event trace — to the same run with
-//! `--no-active-set`. These tests enforce that over every workload
-//! generator and barrier flavour, mirroring `skip_determinism.rs`.
+//! that are not parked on a known wake cycle, and jumps the clock when
+//! nothing can act — instead of scanning every component every cycle.
+//! Its single correctness contract: a default run is **bit-identical**
+//! — same [`sim_cmp::SystemReport`], same architectural memory, same
+//! event trace — to the same run on the dense `--no-active-set` oracle,
+//! which steps everything every cycle and never jumps. These tests
+//! enforce that over every workload generator and barrier flavour; the
+//! component-level `next_event` contracts the jumps rest on are in
+//! `skip_determinism.rs`.
 
 use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
@@ -16,7 +18,7 @@ use sim_base::rng::SplitMix64;
 use sim_base::trace::{ChromeTraceSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
-use sim_cmp::{System, SystemReport};
+use sim_cmp::{SkipStats, System, SystemReport};
 use sim_isa::Program;
 use workloads::common::Workload;
 use workloads::random::{
@@ -24,11 +26,9 @@ use workloads::random::{
 };
 use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 
-/// Runs `w` twice — active sets on and `--no-active-set` — and demands
-/// bit-identical reports. Cycle skipping stays enabled in both runs
-/// (its own invariance is covered by `skip_determinism.rs`): the sparse
-/// run composes parking with clock jumps, the dense run must never
-/// jump.
+/// Runs `w` twice — default and `--no-active-set` — and demands
+/// bit-identical reports: the sparse run composes parking with clock
+/// jumps, the dense run must never jump.
 fn assert_active_set_invariant(w: &Workload) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
     if cfg.needs_clustered_gline() {
@@ -57,9 +57,20 @@ fn assert_sparse_matches_dense<B: BarrierHw>(
     let rs: SystemReport = slow.report();
     assert_eq!(rf, rs, "{}: reports diverge with active sets on", w.name);
     assert_eq!(
-        slow.skip_stats().skips,
-        0,
+        slow.skip_stats(),
+        SkipStats::default(),
         "{}: the dense tick jumped",
+        w.name
+    );
+    // A clock jump stands for that many ticks in which nobody is
+    // visited, so the two engines differ in ticks by exactly the cycles
+    // skipped, and the oracle ticks every cycle.
+    let (sparse, dense) = (fast.core_sched_stats(), slow.core_sched_stats());
+    assert_eq!(dense.ticks, cs, "{}: the dense tick count", w.name);
+    assert_eq!(
+        sparse.ticks + fast.skip_stats().cycles_skipped,
+        dense.ticks,
+        "{}: ticks + cycles skipped != cycles",
         w.name
     );
     assert_core_cycles_accounted(&fast, &format!("{} sparse", w.name));
@@ -102,7 +113,7 @@ fn synthetic_imbalanced_active_set_invariant() {
 
 #[test]
 fn barrier_matrix_active_set_invariant() {
-    // The exact matrix the active_set bench measures.
+    // Every barrier family in both contention shapes.
     for (_, w) in synthetic::barrier_matrix(8, 2, 200) {
         assert_active_set_invariant(&w);
     }
@@ -186,7 +197,7 @@ fn architectural_memory_identical_with_active_set() {
 
 /// Traced runs keep active sets enabled (parked cores are in known
 /// wait states and emit no events, so parking is trace-transparent,
-/// unlike cycle skipping which tracing disables). The full event
+/// unlike clock jumps, which tracing disables). The full event
 /// stream must still be identical to a `--no-active-set` traced run.
 #[test]
 fn event_trace_identical_with_active_set() {
@@ -258,20 +269,19 @@ fn mid_run_toggle_active_set_invariant() {
     );
 }
 
-/// One stretch of a toggled run: scheduler settings for the next `len`
-/// cycles.
+/// One stretch of a toggled run: the engine for the next `len` cycles.
 #[derive(Clone, Copy, Debug)]
 struct Segment {
     len: u64,
     active_set: bool,
-    skip: bool,
 }
 
-/// Runs one random case on barrier hardware built by `hw`: a run whose
-/// scheduler toggles change at random cycles must pass through the same
-/// cycle and the same (mid-run) report at every boundary, and end in
-/// the same memory, as the run over the same boundaries with everything
-/// left on; both account for every charged core-cycle, and the clock
+/// Runs one random case on barrier hardware built by `hw`: a run that
+/// switches between the default engine and the oracle at random cycles
+/// must pass through the same cycle and the same (mid-run) report at
+/// every boundary, and end in the same memory, as the run over the same
+/// boundaries on the default engine; both account for every charged
+/// core-cycle, and the clock
 /// never jumps while active sets are off. Then the same programs under
 /// `run_with_progress`: the default engine's boundary reports must be
 /// the dense cycle-by-cycle engine's. `wait_dominated` asserts the case
@@ -294,7 +304,6 @@ fn check_mid_run_toggles<B: BarrierHw>(
                 1 + rng.next_below(3000)
             },
             active_set: rng.chance(0.5),
-            skip: rng.chance(0.5),
         })
         .collect();
 
@@ -305,12 +314,11 @@ fn check_mid_run_toggles<B: BarrierHw>(
     while !serial.all_halted() {
         let seg = segments[i % segments.len()];
         toggled.set_active_set_enabled(seg.active_set);
-        toggled.set_skip_enabled(seg.skip);
         let skips = toggled.skip_stats().skips;
         toggled.advance_until(toggled.now() + seg.len);
         serial.advance_until(serial.now() + seg.len);
         assert!(
-            (seg.active_set && seg.skip) || toggled.skip_stats().skips == skips,
+            seg.active_set || toggled.skip_stats().skips == skips,
             "{what}: clock jumped in segment {i}"
         );
         assert_eq!(
@@ -350,7 +358,6 @@ fn check_mid_run_toggles<B: BarrierHw>(
     let every = 1 + rng.next_below(700);
     let boundary_reports = |dense: bool| {
         let mut sys = System::with_barrier_hw(cfg, progs.clone(), hw());
-        sys.set_skip_enabled(!dense);
         sys.set_active_set_enabled(!dense);
         let mut reports = Vec::new();
         sys.run_with_progress(50_000_000, every, |rep| reports.push(rep.clone()))
@@ -366,8 +373,8 @@ fn check_mid_run_toggles<B: BarrierHw>(
 
 /// Random barrier/lock programs on random meshes — including 65 and 256
 /// cores, so the index's word boundaries and the clustered network are
-/// hit — stay bit-identical when active sets and skipping are toggled
-/// mid-run at random cycles. Every switch away from the sparse tick
+/// hit — stay bit-identical when the engine is switched mid-run at
+/// random cycles. Every switch away from the sparse tick
 /// leaves the wake index stale, so this is what exercises its rebuild.
 /// The second pass over the paper's 4×8 mesh, the 65-core and the
 /// clustered 256-core one runs staggered G-line barriers, so the

@@ -7,6 +7,7 @@ use gline_cmp::base::stats::TimeCat;
 use gline_cmp::bench_workloads::{em3d, livermore, ocean, synthetic, unstructured};
 use gline_cmp::cmp::runtime::{BarrierEnv, BarrierKind};
 use gline_cmp::cmp::System;
+use gline_cmp::gline::ClusteredBarrierNetwork;
 use gline_cmp::isa::{ProgBuilder, Reg};
 
 fn cfg(n: usize) -> CmpConfig {
@@ -131,6 +132,59 @@ fn gl_latency_flat_in_core_count() {
     assert!(
         spread < 3.0,
         "GL latency must be ~constant: {per_barrier:?}"
+    );
+}
+
+/// Cycles per barrier of the synthetic benchmark on `n` cores (on the
+/// clustered G-line network beyond the flat 8×8 budget).
+fn scaled_cycles_per_barrier(n: usize, kind: BarrierKind) -> f64 {
+    let iters = 2;
+    let w = synthetic::build(n, kind, iters);
+    let c = cfg(n);
+    let cycles = if c.needs_clustered_gline() {
+        let hw = ClusteredBarrierNetwork::new(c.mesh, c.gline);
+        w.into_system_with_hw(c, hw).run(20_000_000_000)
+    } else {
+        w.into_system(c).run(20_000_000_000)
+    };
+    synthetic::cycles_per_barrier(cycles.unwrap(), iters)
+}
+
+/// Figure 5 pushed past the paper's 32 cores (its §5 future work): per
+/// barrier, GL may grow at most 3x from 32 to 1024 cores and across any
+/// step on the way — the clustered network's extra release latency —
+/// where the hierarchical software barrier pays orders of magnitude.
+#[test]
+fn gl_stays_flat_to_1024_cores_while_dsw_grows() {
+    let gl: Vec<f64> = [32, 64, 256, 1024]
+        .iter()
+        .map(|&n| scaled_cycles_per_barrier(n, BarrierKind::Gl))
+        .collect();
+    for step in gl.windows(2) {
+        assert!(
+            step[1] <= 3.0 * step[0],
+            "GL per-barrier cost jumped: {gl:?}"
+        );
+    }
+    assert!(gl[3] <= 3.0 * gl[0], "GL must stay near-flat: {gl:?}");
+    let dsw = scaled_cycles_per_barrier(256, BarrierKind::Dsw);
+    assert!(
+        dsw >= 10.0 * gl[2],
+        "at 256 cores DSW must cost >= 10x GL per barrier: {dsw} vs {gl:?}"
+    );
+}
+
+/// The 1024-core end of the gap: DSW costs at least 10x GL per barrier.
+/// A debug build spends ~20 s on the DSW run, so tier-1 stops at 256
+/// cores above and CI's many-core job runs this one in release.
+#[test]
+#[ignore = "1024-core DSW run; run with --release -- --ignored"]
+fn dsw_costs_10x_gl_at_1024_cores() {
+    let gl = scaled_cycles_per_barrier(1024, BarrierKind::Gl);
+    let dsw = scaled_cycles_per_barrier(1024, BarrierKind::Dsw);
+    assert!(
+        dsw >= 10.0 * gl,
+        "at 1024 cores DSW must cost >= 10x GL per barrier: {dsw} vs {gl}"
     );
 }
 

@@ -1,18 +1,19 @@
 //! Recording observes the run, it does not drive it
-//! (`DESIGN.md` §12).
+//! (`DESIGN.md` §11).
 //!
 //! [`System::run_recorded`] runs the machine through the same `advance`
 //! as a plain `run` — parking cores, jumping the clock — with a recorder
 //! watching every executed step and every spin span the scheduler
 //! settles in closed form. So whatever the scheduler elides, the
-//! recorder must fold back in: under all four skip × active-set
-//! combinations a recording run returns the same cycles, the same
-//! [`SystemReport`] and the same traces, op for op. Both toggles off is
-//! the dense every-core reference; the default combination must really
-//! jump and park, or the comparison would prove nothing.
+//! recorder must fold back in: on the default engine a recording run
+//! returns the same cycles, the same [`SystemReport`] and the same
+//! traces, op for op, as on the dense every-core `--no-active-set`
+//! oracle; the default engine must really jump and park, or the
+//! comparison would prove nothing.
 
 use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
+use sim_base::trace::Tracer;
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
@@ -37,13 +38,13 @@ const fn sized(full: u64, quick: u64) -> u64 {
     }
 }
 
-/// Records `progs` on `cfg` under every skip × active-set combination
-/// and holds each against the dense reference, a plain run against the
-/// recording, and a replay of the recorded set against both. `waits`
-/// says some core waits for another somewhere in the run (everything
-/// here but back-to-back G-line barriers, where all cores stay live for
-/// the few hundred cycles the run lasts): the default combination must
-/// then have parked cores and jumped the clock.
+/// Records `progs` on `cfg` on the default engine and holds it against
+/// the dense reference recording, a plain run against the recording,
+/// and a replay of the recorded set against both. `waits` says some
+/// core waits for another somewhere in the run (everything here but
+/// back-to-back G-line barriers, where all cores stay live for the few
+/// hundred cycles the run lasts): the default engine must then have
+/// parked cores and jumped the clock.
 fn assert_recording_invariant<B: BarrierHw>(
     what: &str,
     cfg: CmpConfig,
@@ -59,37 +60,30 @@ fn assert_recording_invariant<B: BarrierHw>(
         }
         sys
     };
-    let record = |skip: bool, active_set: bool| {
+    let record = |active_set: bool| {
         let mut sys = build();
-        sys.set_skip_enabled(skip);
         sys.set_active_set_enabled(active_set);
         let (cycles, traces) = sys
             .run_recorded(MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{what} skip={skip} active_set={active_set}: {e}"));
+            .unwrap_or_else(|e| panic!("{what} active_set={active_set}: {e}"));
         (cycles, sys.report(), traces, sys)
     };
 
-    let (cycles, report, traces, oracle) = record(false, false);
+    let (cycles, report, traces, oracle) = record(false);
     assert_eq!(oracle.skip_stats().skips, 0, "{what}: the oracle jumped");
-    for (skip, active_set) in [(true, false), (false, true), (true, true)] {
-        let label = format!("{what} skip={skip} active_set={active_set}");
-        let (c, r, t, sys) = record(skip, active_set);
-        assert_eq!(c, cycles, "{label}: cycles");
-        assert_eq!(r, report, "{label}: report");
-        for (got, want) in t.iter().zip(&traces) {
-            assert_eq!(got, want, "{label}: trace of core {}", want.core);
-        }
-        assert_eq!(t.len(), traces.len(), "{label}: trace count");
-        if !active_set {
-            assert_eq!(sys.skip_stats().skips, 0, "{label}: the dense tick jumped");
-        }
-        if waits && skip && active_set {
-            let (fast, dense) = (sys.core_sched_stats(), oracle.core_sched_stats());
-            assert!(
-                sys.skip_stats().skips > 0 && fast.core_steps < dense.core_steps,
-                "{label}: recording fell back to the dense tick: {fast:?} vs {dense:?}"
-            );
-        }
+    let (c, r, t, sys) = record(true);
+    assert_eq!(c, cycles, "{what}: cycles");
+    assert_eq!(r, report, "{what}: report");
+    for (got, want) in t.iter().zip(&traces) {
+        assert_eq!(got, want, "{what}: trace of core {}", want.core);
+    }
+    assert_eq!(t.len(), traces.len(), "{what}: trace count");
+    if waits {
+        let (fast, dense) = (sys.core_sched_stats(), oracle.core_sched_stats());
+        assert!(
+            sys.skip_stats().skips > 0 && fast.core_steps < dense.core_steps,
+            "{what}: recording fell back to the dense tick: {fast:?} vs {dense:?}"
+        );
     }
 
     let mut plain = build();
@@ -105,7 +99,7 @@ fn assert_recording_invariant<B: BarrierHw>(
         pokes: pokes.to_vec(),
         workload: what.to_string(),
     };
-    let mut replay = System::replay_with_barrier_hw(cfg, &set, hw());
+    let mut replay = System::replay_traced_with_barrier_hw(cfg, &set, hw(), Tracer::default());
     assert_eq!(replay.run(MAX_CYCLES), Ok(cycles), "{what}: replay");
     assert_eq!(replay.report(), report, "{what}: replay report");
 }

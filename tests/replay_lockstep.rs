@@ -1,10 +1,10 @@
 //! Lockstep cross-engine validation: the replay engine's bit-identity
-//! contract (DESIGN.md §12), driven across the full workload-family ×
-//! scheduler-toggle matrix.
+//! contract (DESIGN.md §11), driven across the full workload-family ×
+//! engine matrix.
 //!
 //! Each workload is run once in exec mode (the reference), recorded via
-//! [`run_recorded`], and then replayed under every combination of
-//! quiescence skipping (on/off) and active-set scheduling (on/off).
+//! [`run_recorded`], and then replayed on the default engine and on the
+//! dense `--no-active-set` oracle.
 //! Every replay must reproduce the reference [`SystemReport`] **and**
 //! the final architectural memory exactly; on mismatch,
 //! [`bench::validate`] reports the first divergence as a structured
@@ -75,21 +75,16 @@ fn replay_is_bit_identical_across_toggles() {
         compare_reports(&exec_report, &rec_report)
             .unwrap_or_else(|d| panic!("{name}: recording perturbed the run: {d}"));
 
-        for skip in [true, false] {
-            for active in [true, false] {
-                let label = format!("{name} skip={skip} active_set={active}");
-                let mut sys = System::replay(cfg(), &set);
-                sys.set_skip_enabled(skip);
-                sys.set_active_set_enabled(active);
-                sys.run(MAX_CYCLES)
-                    .unwrap_or_else(|e| panic!("{label}: {e}"));
-                compare_reports(&exec_report, &sys.report())
-                    .unwrap_or_else(|d| panic!("{label}: {d}"));
-                compare_memory(&exec_sys, &sys, addrs(w))
-                    .unwrap_or_else(|d| panic!("{label}: {d}"));
-                if !active {
-                    assert_eq!(sys.skip_stats().skips, 0, "{label}: the dense tick jumped");
-                }
+        for active in [true, false] {
+            let label = format!("{name} active_set={active}");
+            let mut sys = System::replay(cfg(), &set);
+            sys.set_active_set_enabled(active);
+            sys.run(MAX_CYCLES)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            compare_reports(&exec_report, &sys.report()).unwrap_or_else(|d| panic!("{label}: {d}"));
+            compare_memory(&exec_sys, &sys, addrs(w)).unwrap_or_else(|d| panic!("{label}: {d}"));
+            if !active {
+                assert_eq!(sys.skip_stats().skips, 0, "{label}: the dense tick jumped");
             }
         }
     }

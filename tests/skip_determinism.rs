@@ -1,142 +1,21 @@
-//! Determinism of the quiescence-aware cycle-skipping scheduler.
+//! The component contract the clock jumps rest on: `next_event` never
+//! under-reports.
 //!
-//! The skip scheduler (see `DESIGN.md`, "Quiescence model") jumps the
-//! clock over provably-dead spans and replays their statistics in closed
-//! form. Its single correctness contract: a run with skipping enabled is
-//! **bit-identical** — same [`sim_cmp::SystemReport`], same architectural
-//! memory — to the same run ticked cycle by cycle. These tests enforce
-//! that over every workload generator and barrier flavour, plus the
-//! component-level `next_event` contract ("never under-report": a
-//! component must not change observable state before the cycle its
-//! `next_event` names).
+//! The default engine (see `DESIGN.md` §9) jumps the clock to the
+//! earliest `next_event` its components report, so a component must not
+//! change observable state before the cycle its `next_event` names —
+//! otherwise a jump could cross the change. One property test per
+//! component: NoC, memory hierarchy, barrier network. (That whole runs
+//! are bit-identical with and without jumps is
+//! `active_set_determinism.rs`'s job.)
 
 use gline_core::BarrierNetwork;
 use sim_base::check::forall_cases;
 use sim_base::config::{CmpConfig, GlineConfig};
 use sim_base::stats::MsgClass;
 use sim_base::{CoreId, Cycle, Mesh2D};
-use sim_cmp::runtime::BarrierKind;
-use sim_cmp::{CoreSchedStats, SkipStats, SystemReport};
 use sim_mem::{CoreReq, MemorySystem};
 use sim_noc::{Message, Noc};
-use workloads::common::Workload;
-use workloads::{em3d, livermore, ocean, synthetic, unstructured};
-
-/// Runs `w` twice — skip on and `--no-skip` — and demands bit-identical
-/// reports (skips must not change the cycle count either, which the
-/// report comparison already covers). A clock jump stands for that many ticks in which nobody is
-/// visited and touches no park, so the toggle moves the tick count by
-/// exactly the cycles skipped and no other scheduler counter; either
-/// way every charged core-cycle is accounted exactly once.
-fn assert_skip_invariant(w: &Workload) {
-    let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
-    let mut fast = w.into_system(cfg);
-    let mut slow = w.into_system(cfg);
-    slow.set_skip_enabled(false);
-    assert!(fast.skip_enabled() && !slow.skip_enabled());
-    let cf = fast.run(50_000_000).expect("fast run must complete");
-    let cs = slow.run(50_000_000).expect("slow run must complete");
-    assert_eq!(cf, cs, "{}: cycle counts diverge", w.name);
-    let rf: SystemReport = fast.report();
-    let rs: SystemReport = slow.report();
-    assert_eq!(rf, rs, "{}: reports diverge with skipping on", w.name);
-    let (on, off) = (fast.core_sched_stats(), slow.core_sched_stats());
-    let (jumps, none) = (fast.skip_stats(), slow.skip_stats());
-    assert_eq!(none, SkipStats::default(), "{}: --no-skip skipped", w.name);
-    assert!(jumps.skips <= jumps.attempts, "{}: {jumps:?}", w.name);
-    assert_eq!(
-        CoreSchedStats {
-            ticks: on.ticks + jumps.cycles_skipped,
-            ..on
-        },
-        off,
-        "{}: skipping moved more than ticks",
-        w.name
-    );
-    assert_eq!(
-        on.core_cycles(),
-        rf.total_time.total(),
-        "{}: core steps + parked steps != charged core-cycles",
-        w.name
-    );
-}
-
-#[test]
-fn synthetic_all_barrier_kinds_skip_invariant() {
-    for kind in BarrierKind::ALL {
-        assert_skip_invariant(&synthetic::build(8, kind, 6));
-    }
-}
-
-#[test]
-fn synthetic_paper_mesh_skip_invariant() {
-    assert_skip_invariant(&synthetic::build(32, BarrierKind::Gl, 4));
-    assert_skip_invariant(&synthetic::build(32, BarrierKind::Csw, 2));
-}
-
-#[test]
-fn synthetic_imbalanced_skip_invariant() {
-    // The barrier-wait-heavy shape (staggered arrival, long spins): the
-    // regime where the scheduler elides most cycles, so the bit-identity
-    // claim is doing the most work.
-    for kind in BarrierKind::ALL {
-        assert_skip_invariant(&synthetic::build_imbalanced(8, kind, 3, 300));
-    }
-    assert_skip_invariant(&synthetic::build_imbalanced(32, BarrierKind::Csw, 2, 500));
-}
-
-#[test]
-fn ocean_skip_invariant() {
-    for kind in [BarrierKind::Gl, BarrierKind::Csw] {
-        assert_skip_invariant(&ocean::build(8, kind, ocean::OceanParams::scaled(10, 2)));
-    }
-}
-
-#[test]
-fn em3d_skip_invariant() {
-    for kind in [BarrierKind::Gl, BarrierKind::Dsw] {
-        assert_skip_invariant(&em3d::build(8, kind, em3d::Em3dParams::scaled(24, 2)));
-    }
-}
-
-#[test]
-fn livermore_kernels_skip_invariant() {
-    let p = livermore::KernelParams::scaled(32, 2);
-    assert_skip_invariant(&livermore::kernel2(4, BarrierKind::Gl, p));
-    assert_skip_invariant(&livermore::kernel3(4, BarrierKind::Csw, p));
-    assert_skip_invariant(&livermore::kernel6(4, BarrierKind::Gl, p));
-}
-
-#[test]
-fn unstructured_skip_invariant() {
-    // Locks + barriers: exercises the lock-test spin recognizer.
-    let p = unstructured::UnstructuredParams::scaled(12, 24, 2);
-    for kind in [BarrierKind::Gl, BarrierKind::Csw] {
-        assert_skip_invariant(&unstructured::build(4, kind, p));
-    }
-}
-
-#[test]
-fn architectural_memory_identical_with_skip() {
-    let w = ocean::build(8, BarrierKind::Gl, ocean::OceanParams::scaled(10, 2));
-    let cfg = CmpConfig::icpp2010_with_cores(8);
-    let mut fast = w.into_system(cfg);
-    let mut slow = w.into_system(cfg);
-    slow.set_skip_enabled(false);
-    fast.run(50_000_000).unwrap();
-    slow.run(50_000_000).unwrap();
-    for (addr, _) in ocean::expected(ocean::OceanParams::scaled(10, 2), 8)
-        .iter()
-        .enumerate()
-    {
-        let a = ocean::point_addr(ocean::OceanParams::scaled(10, 2), addr / 10, addr % 10);
-        assert_eq!(fast.peek_word(a), slow.peek_word(a));
-    }
-}
-
-// ---------------------------------------------------------------------
-// `next_event` never under-reports.
-// ---------------------------------------------------------------------
 
 /// NoC: whenever a delivery becomes receivable during the tick of cycle
 /// `c`, the `next_event` reported *before* that tick must have been
