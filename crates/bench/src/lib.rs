@@ -2,17 +2,17 @@
 //!
 //! Regenerates every table and figure of the paper's evaluation
 //! (§4, Tables 1–2, Figures 2 and 5–7) on the reproduction stack. The
-//! [`experiments`] module is shared by the `figures` binary and the
-//! Criterion benches.
+//! [`experiments`] module holds one function per artifact and backs the
+//! `figures` binary; [`sweep`] fans its independent simulations across
+//! host threads. [`lint`] is the `simlint` determinism linter. Host cost
+//! is measured by the `glbench` package under `benchmark/`, not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod experiments;
-pub mod harness;
 pub mod lint;
 pub mod sweep;
-pub mod validate;
 
 pub use experiments::{Scale, BENCH_CORES};
 pub use sweep::sweep;

@@ -17,9 +17,8 @@
 //!   escape with `// simlint: allow(std-hashmap)` plus a rationale.
 //! * **wall-clock** — no `Instant::now` / `SystemTime` / `thread_rng`
 //!   in simulation paths; simulated time comes from the cycle counter.
-//!   The `bench` crate (which measures real time by design) and
-//!   `sim-check` (whose wedge watchdog is host-side tooling) are
-//!   exempt.
+//!   Only `sim-check` (whose wedge watchdog is host-side tooling) is
+//!   exempt; any other host-time read needs a per-line escape.
 //! * **ptr-order** — no pointer-to-integer casts in simulation code:
 //!   addresses differ run to run, so ordering, hashing, or branching on
 //!   them is nondeterministic. Escape with
@@ -64,10 +63,9 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Crates exempt from the wall-clock rule: `bench` measures host time
-/// by design, and `sim-check`'s wedge watchdog runs host-side (its
-/// *modeled* scenarios never see a clock).
-const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/", "crates/sim-check/"];
+/// Crates exempt from the wall-clock rule: `sim-check`'s wedge watchdog
+/// runs host-side (its *modeled* scenarios never see a clock).
+const WALL_CLOCK_EXEMPT: &[&str] = &["crates/sim-check/"];
 
 /// Replaces the contents of comments and string/char literals with
 /// spaces, preserving the line structure, so rules can scan code text
@@ -502,7 +500,7 @@ mod tests {
     fn wall_clock_flagged_outside_exempt_crates() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(rules(&lint("crates/sim-cmp/src/a.rs", src)), ["wall-clock"]);
-        assert!(lint("crates/bench/src/a.rs", src).is_empty());
+        assert_eq!(rules(&lint("crates/bench/src/a.rs", src)), ["wall-clock"]);
         assert!(lint("crates/sim-check/src/a.rs", src).is_empty());
     }
 

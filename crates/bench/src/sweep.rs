@@ -21,16 +21,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Parses a `--jobs N` flag out of `args`, defaulting to
-/// [`default_workers`]. `--jobs 1` forces the serial path.
-pub fn workers_from_args(args: &[String]) -> usize {
-    args.iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(default_workers)
-}
-
 /// Runs `run` over every job and returns the results **in job order**.
 ///
 /// With `workers <= 1` (or a single job) this is a plain serial map —
@@ -111,12 +101,5 @@ mod tests {
     fn empty_job_list() {
         let jobs: [u8; 0] = [];
         assert_eq!(sweep(&jobs, 4, |&j| j), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn workers_flag_parsing() {
-        let args: Vec<String> = ["--jobs", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(workers_from_args(&args), 3);
-        assert_eq!(workers_from_args(&[]), default_workers());
     }
 }

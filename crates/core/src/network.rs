@@ -1186,6 +1186,18 @@ mod tests {
         assert_eq!(net.num_glines(), 10); // paper: 10 for a 16-core CMP
         let net = BarrierNetwork::new(Mesh2D::new(4, 8), cfg());
         assert_eq!(net.num_glines(), 10);
+        // Aspect ratio at 32 cores: 2×(rows+1) makes wide meshes cheaper
+        // in wires than tall ones, at the same 4-cycle latency (budget
+        // relaxed so the 16-wide rows fit).
+        let wide = GlineConfig {
+            max_transmitters: 15,
+            ..cfg()
+        };
+        for (rows, cols, glines) in [(2, 16, 6), (16, 2, 34), (8, 4, 18)] {
+            let mut net = BarrierNetwork::new(Mesh2D::new(rows, cols), wide);
+            assert_eq!(net.num_glines(), glines, "{rows}x{cols}");
+            assert_eq!(net.run_single_barrier(&all_zero(32)), 4, "{rows}x{cols}");
+        }
     }
 
     #[test]
@@ -1217,6 +1229,22 @@ mod tests {
         let lat = net.run_single_barrier(&all_zero(100));
         // Two-cycle lines double each of the 4 line traversals.
         assert_eq!(lat, 8);
+        // With the budget relaxed so every latency fits, the episode is
+        // 4 line traversals of `line_latency` cycles each.
+        for line_latency in 1..=4 {
+            let gcfg = GlineConfig {
+                line_latency,
+                max_transmitters: 9,
+                ..cfg()
+            };
+            let mut net = BarrierNetwork::new(mesh, gcfg);
+            let lat = net.run_single_barrier(&all_zero(100));
+            assert_eq!(
+                lat,
+                4 * u64::from(line_latency),
+                "line_latency {line_latency}"
+            );
+        }
     }
 
     #[test]

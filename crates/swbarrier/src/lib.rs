@@ -5,7 +5,7 @@
 //! "Synchronization without Contention" — implemented for actual Rust
 //! threads with cache-line-padded state, so the library is directly
 //! usable on commodity multicores and benchmarkable against the
-//! simulated machine (see the `swbarrier_threads` bench).
+//! simulated machine (see `examples/thread_barriers.rs` at the repo root).
 //!
 //! All barriers implement [`ThreadBarrier`]: construct for `n` threads,
 //! give each thread a distinct id in `0..n`, and call

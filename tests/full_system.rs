@@ -287,3 +287,41 @@ fn heterogeneous_programs_share_one_barrier() {
     sys.run(10_000_000).unwrap();
     assert_eq!(sys.report().gl_barriers, 3);
 }
+
+/// Ablation: narrower NoC links never make the software barrier faster —
+/// every protocol message serializes into more flits.
+#[test]
+fn narrower_links_never_speed_up_dsw() {
+    let cycles: Vec<u64> = [75, 38, 19]
+        .iter()
+        .map(|&link| {
+            let mut c = cfg(16);
+            c.noc.link_bytes = link;
+            let w = synthetic::build(16, BarrierKind::Dsw, 10);
+            w.into_system(c).run(1_000_000_000).unwrap()
+        })
+        .collect();
+    assert!(
+        cycles.windows(2).all(|w| w[0] <= w[1]),
+        "DSW cycles at 75/38/19-byte links must not fall: {cycles:?}"
+    );
+}
+
+/// Ablation: a wider issue never makes Kernel 2 slower.
+#[test]
+fn wider_issue_never_slows_kernel2() {
+    let p = livermore::KernelParams::scaled(512, 10);
+    let cycles: Vec<u64> = [1, 2, 4]
+        .iter()
+        .map(|&width| {
+            let mut c = cfg(8);
+            c.core.issue_width = width;
+            let w = livermore::kernel2(8, BarrierKind::Gl, p);
+            w.into_system(c).run(1_000_000_000).unwrap()
+        })
+        .collect();
+    assert!(
+        cycles.windows(2).all(|w| w[0] >= w[1]),
+        "Kernel 2 cycles at 1/2/4-wide issue must not rise: {cycles:?}"
+    );
+}

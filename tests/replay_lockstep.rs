@@ -6,14 +6,12 @@
 //! [`run_recorded`], and then replayed on the default engine and on the
 //! dense `--no-active-set` oracle.
 //! Every replay must reproduce the reference [`SystemReport`] **and**
-//! the final architectural memory exactly; on mismatch,
-//! [`bench::validate`] reports the first divergence as a structured
-//! `(cycle, core, field)` triple. The traced comparison pins exec vs
+//! the final architectural memory exactly (compared word by word, so a
+//! failure names the address). The traced comparison pins exec vs
 //! replay event for event.
 //!
 //! [`run_recorded`]: gline_cmp::cmp::System::run_recorded
 
-use bench::validate::{compare_events, compare_memory, compare_reports};
 use gline_cmp::base::config::CmpConfig;
 use gline_cmp::base::trace::{ChromeTraceSink, Tracer};
 use gline_cmp::bench_workloads::common::{Workload, BARRIER_BASE, DATA_BASE};
@@ -72,8 +70,10 @@ fn replay_is_bit_identical_across_toggles() {
     for (name, w) in &matrix() {
         let (exec_report, exec_sys) = exec_reference(w);
         let (set, rec_report) = record(w);
-        compare_reports(&exec_report, &rec_report)
-            .unwrap_or_else(|d| panic!("{name}: recording perturbed the run: {d}"));
+        assert_eq!(
+            exec_report, rec_report,
+            "{name}: recording perturbed the run"
+        );
 
         for active in [true, false] {
             let label = format!("{name} active_set={active}");
@@ -81,8 +81,14 @@ fn replay_is_bit_identical_across_toggles() {
             sys.set_active_set_enabled(active);
             sys.run(MAX_CYCLES)
                 .unwrap_or_else(|e| panic!("{label}: {e}"));
-            compare_reports(&exec_report, &sys.report()).unwrap_or_else(|d| panic!("{label}: {d}"));
-            compare_memory(&exec_sys, &sys, addrs(w)).unwrap_or_else(|d| panic!("{label}: {d}"));
+            assert_eq!(exec_report, sys.report(), "{label}");
+            for a in addrs(w) {
+                assert_eq!(
+                    exec_sys.peek_word(a),
+                    sys.peek_word(a),
+                    "{label}: mem[{a:#x}]"
+                );
+            }
             if !active {
                 assert_eq!(sys.skip_stats().skips, 0, "{label}: the dense tick jumped");
             }
@@ -116,9 +122,7 @@ fn replay_event_trace_matches_exec_serially() {
             !exec_events.is_empty(),
             "{name}: traced exec run recorded no events"
         );
-        compare_events(&exec_events, &replay_events)
-            .unwrap_or_else(|d| panic!("{name}: event traces diverged: {d}"));
-        compare_reports(&exec_sys.report(), &replay_sys.report())
-            .unwrap_or_else(|d| panic!("{name} (traced): {d}"));
+        assert_eq!(exec_events, replay_events, "{name}: event traces diverged");
+        assert_eq!(exec_sys.report(), replay_sys.report(), "{name} (traced)");
     }
 }
