@@ -36,6 +36,15 @@ impl Default for CoreConfig {
     }
 }
 
+/// The cache line size in bytes (Table 1), at both levels: the
+/// coherence protocol moves whole 64-byte lines, so it is fixed rather
+/// than a free parameter of [`CacheConfig`].
+pub const LINE_BYTES: u64 = 64;
+
+/// Largest [`CacheConfig::ways`]: the cache arrays count a set's
+/// resident lines in a byte.
+pub const MAX_CACHE_WAYS: u32 = u8::MAX as u32;
+
 /// Geometry and timing of one cache level.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CacheConfig {
@@ -43,7 +52,8 @@ pub struct CacheConfig {
     pub size_bytes: u64,
     /// Associativity.
     pub ways: u32,
-    /// Line size in bytes.
+    /// Line size in bytes; [`CmpConfig::validate`] requires
+    /// [`LINE_BYTES`].
     pub line_bytes: u64,
     /// Access latency in cycles (for L2 this is the tag latency; see
     /// [`CacheConfig::extra_data_latency`]).
@@ -72,7 +82,7 @@ impl CacheConfig {
 
     /// Full hit latency (tag + data).
     pub fn total_latency(&self) -> u32 {
-        self.hit_latency + self.extra_data_latency
+        self.hit_latency.saturating_add(self.extra_data_latency)
     }
 }
 
@@ -179,14 +189,14 @@ impl CmpConfig {
             l1: CacheConfig {
                 size_bytes: 32 * 1024,
                 ways: 4,
-                line_bytes: 64,
+                line_bytes: LINE_BYTES,
                 hit_latency: 1,
                 extra_data_latency: 0,
             },
             l2: CacheConfig {
                 size_bytes: 256 * 1024,
                 ways: 4,
-                line_bytes: 64,
+                line_bytes: LINE_BYTES,
                 hit_latency: 6,
                 extra_data_latency: 2,
             },
@@ -220,8 +230,8 @@ impl CmpConfig {
     /// barrier hardware must be the two-level clustered composition
     /// (`max_transmitters` slave transmitters plus the master per line).
     pub fn needs_clustered_gline(&self) -> bool {
-        let dim = self.gline.max_transmitters + 1;
-        self.mesh.rows as u32 > dim || self.mesh.cols as u32 > dim
+        let dim = self.gline.max_transmitters as u64 + 1;
+        self.mesh.rows as u64 > dim || self.mesh.cols as u64 > dim
     }
 
     /// Structural consistency check, run automatically by
@@ -238,6 +248,12 @@ impl CmpConfig {
         }
         if self.core.issue_width == 0 {
             return Err("core.issue_width must be at least 1".into());
+        }
+        if !(self.core.freq_ghz.is_finite() && self.core.freq_ghz > 0.0) {
+            return Err(format!(
+                "core.freq_ghz must be a positive number (got {})",
+                self.core.freq_ghz
+            ));
         }
         validate_cache("l1", &self.l1)?;
         validate_cache("l2", &self.l2)?;
@@ -261,9 +277,9 @@ impl CmpConfig {
         }
         // Two G-line levels span at most (max_transmitters + 1)² tiles
         // per dimension; beyond that a third level would be required.
-        let dim = self.gline.max_transmitters + 1;
-        let span = dim * dim;
-        if self.mesh.rows as u32 > span || self.mesh.cols as u32 > span {
+        let dim = self.gline.max_transmitters as u64 + 1;
+        let span = dim.saturating_mul(dim);
+        if self.mesh.rows as u64 > span || self.mesh.cols as u64 > span {
             return Err(format!(
                 "{}x{} mesh needs more than two G-line levels at \
                  gline.max_transmitters = {} (limit {span} rows/cols; \
@@ -276,14 +292,17 @@ impl CmpConfig {
 }
 
 fn validate_cache(name: &str, c: &CacheConfig) -> Result<(), String> {
-    if c.line_bytes == 0 || !c.line_bytes.is_power_of_two() {
+    if c.line_bytes != LINE_BYTES {
         return Err(format!(
-            "{name}.line_bytes must be a nonzero power of two (got {})",
+            "{name}.line_bytes must be {LINE_BYTES}, the coherence protocol's line (got {})",
             c.line_bytes
         ));
     }
-    if c.ways == 0 {
-        return Err(format!("{name}.ways must be at least 1"));
+    if !(1..=MAX_CACHE_WAYS).contains(&c.ways) {
+        return Err(format!(
+            "{name}.ways must be between 1 and {MAX_CACHE_WAYS} (got {})",
+            c.ways
+        ));
     }
     if c.size_bytes == 0 || !c.size_bytes.is_multiple_of(c.line_bytes) {
         return Err(format!(
@@ -306,6 +325,13 @@ fn validate_cache(name: &str, c: &CacheConfig) -> Result<(), String> {
              (adjust {name}.size_bytes or {name}.ways)"
         ));
     }
+    // The cache arrays number their sets' chunks with a `u32`.
+    if sets > u32::MAX as u64 {
+        return Err(format!(
+            "{name}: set count {sets} exceeds {} (shrink {name}.size_bytes)",
+            u32::MAX
+        ));
+    }
     Ok(())
 }
 
@@ -314,6 +340,25 @@ fn field(v: &Json, key: &str) -> Result<f64, String> {
     v.get(key)
         .and_then(Json::as_f64)
         .ok_or_else(|| format!("missing numeric field {key:?}"))
+}
+
+/// Reads integer field `key` of section `section`. Fractional,
+/// negative and out-of-range values are named errors, never clamped.
+fn uint(v: &Json, section: &str, key: &str, max: u64) -> Result<u64, String> {
+    let x = v
+        .get(key)
+        .ok_or_else(|| format!("missing numeric field \"{section}.{key}\""))?;
+    match x.as_u64() {
+        Some(n) if n <= max => Ok(n),
+        _ => Err(format!(
+            "{section}.{key} must be an integer between 0 and {max} (got {x})"
+        )),
+    }
+}
+
+/// [`uint`] for a `u32` field.
+fn uint32(v: &Json, section: &str, key: &str) -> Result<u32, String> {
+    uint(v, section, key, u32::MAX.into()).map(|n| n as u32)
 }
 
 impl ToJson for CmpConfig {
@@ -371,13 +416,13 @@ fn cache_json(c: &CacheConfig) -> Json {
     ])
 }
 
-fn cache_from_json(v: &Json) -> Result<CacheConfig, String> {
+fn cache_from_json(v: &Json, name: &str) -> Result<CacheConfig, String> {
     Ok(CacheConfig {
-        size_bytes: field(v, "size_bytes")? as u64,
-        ways: field(v, "ways")? as u32,
-        line_bytes: field(v, "line_bytes")? as u64,
-        hit_latency: field(v, "hit_latency")? as u32,
-        extra_data_latency: field(v, "extra_data_latency")? as u32,
+        size_bytes: uint(v, name, "size_bytes", u64::MAX)?,
+        ways: uint32(v, name, "ways")?,
+        line_bytes: uint(v, name, "line_bytes", u64::MAX)?,
+        hit_latency: uint32(v, name, "hit_latency")?,
+        extra_data_latency: uint32(v, name, "extra_data_latency")?,
     })
 }
 
@@ -389,8 +434,8 @@ impl CmpConfig {
         let core = sub("core")?;
         let noc = sub("noc")?;
         let gline = sub("gline")?;
-        let rows = field(mesh, "rows")? as u16;
-        let cols = field(mesh, "cols")? as u16;
+        let rows = uint(mesh, "mesh", "rows", u16::MAX.into())? as u16;
+        let cols = uint(mesh, "mesh", "cols", u16::MAX.into())? as u16;
         if rows == 0 || cols == 0 {
             // Checked before `Mesh2D::new`, which would panic.
             return Err(format!(
@@ -401,24 +446,24 @@ impl CmpConfig {
             mesh: Mesh2D::new(rows, cols),
             core: CoreConfig {
                 freq_ghz: field(core, "freq_ghz")?,
-                issue_width: field(core, "issue_width")? as u8,
+                issue_width: uint(core, "core", "issue_width", u8::MAX.into())? as u8,
             },
-            l1: cache_from_json(sub("l1")?)?,
-            l2: cache_from_json(sub("l2")?)?,
+            l1: cache_from_json(sub("l1")?, "l1")?,
+            l2: cache_from_json(sub("l2")?, "l2")?,
             noc: NocConfig {
-                link_bytes: field(noc, "link_bytes")? as u32,
-                router_latency: field(noc, "router_latency")? as u32,
-                link_latency: field(noc, "link_latency")? as u32,
-                vc_buffer_flits: field(noc, "vc_buffer_flits")? as u32,
-                header_bytes: field(noc, "header_bytes")? as u32,
+                link_bytes: uint32(noc, "noc", "link_bytes")?,
+                router_latency: uint32(noc, "noc", "router_latency")?,
+                link_latency: uint32(noc, "noc", "link_latency")?,
+                vc_buffer_flits: uint32(noc, "noc", "vc_buffer_flits")?,
+                header_bytes: uint32(noc, "noc", "header_bytes")?,
             },
             mem: MemConfig {
-                latency: field(sub("mem")?, "latency")? as u32,
+                latency: uint32(sub("mem")?, "mem", "latency")?,
             },
             gline: GlineConfig {
-                line_latency: field(gline, "line_latency")? as u32,
-                max_transmitters: field(gline, "max_transmitters")? as u32,
-                contexts: field(gline, "contexts")? as u32,
+                line_latency: uint32(gline, "gline", "line_latency")?,
+                max_transmitters: uint32(gline, "gline", "max_transmitters")?,
+                contexts: uint32(gline, "gline", "contexts")?,
             },
         };
         cfg.validate()?;
@@ -535,6 +580,51 @@ mod tests {
         let cfg = json_with("vc_buffer_flits", MAX_VC_BUFFER_FLITS).unwrap();
         assert_eq!(cfg.noc.vc_buffer_flits, MAX_VC_BUFFER_FLITS);
         assert_eq!(json_with("link_bytes", 1).unwrap().noc.link_bytes, 1);
+    }
+
+    #[test]
+    fn integer_fields_are_rejected_by_name_never_clamped() {
+        let table1 = CmpConfig::icpp2010().to_json().pretty();
+        for (old, new, named) in [
+            (
+                "\"issue_width\": 2",
+                "\"issue_width\": 300",
+                "core.issue_width",
+            ),
+            (
+                "\"issue_width\": 2",
+                "\"issue_width\": 1.5",
+                "core.issue_width",
+            ),
+            ("\"ways\": 4", "\"ways\": -4", "l1.ways"),
+            ("\"rows\": 4", "\"rows\": 65536", "mesh.rows"),
+            ("\"latency\": 400", "\"latency\": 4294967296", "mem.latency"),
+            ("\"contexts\": 1", "\"contexts\": \"1\"", "gline.contexts"),
+        ] {
+            assert!(table1.contains(old), "{old}");
+            let s = table1.replacen(old, new, 1);
+            let e = CmpConfig::from_json(&crate::json::parse(&s).unwrap()).unwrap_err();
+            assert!(e.contains(named), "{new}: {e}");
+        }
+    }
+
+    #[test]
+    fn lines_are_the_protocols_64_bytes_and_ways_fit_the_fill_counter() {
+        let mut c = CmpConfig::icpp2010();
+        c.l1.line_bytes = 128;
+        assert!(c.validate().unwrap_err().contains("l1.line_bytes"));
+        c = CmpConfig::icpp2010();
+        c.l2.line_bytes = 32;
+        assert!(c.validate().unwrap_err().contains("l2.line_bytes"));
+        c = CmpConfig::icpp2010();
+        c.l2.ways = MAX_CACHE_WAYS + 1;
+        c.l2.size_bytes = LINE_BYTES * c.l2.ways as u64;
+        assert!(c.validate().unwrap_err().contains("l2.ways"));
+        c.l2.ways = 128;
+        c.l2.size_bytes = LINE_BYTES * 128 * 8;
+        assert_eq!(c.validate(), Ok(()));
+        c.core.freq_ghz = f64::NAN;
+        assert!(c.validate().unwrap_err().contains("core.freq_ghz"));
     }
 
     #[test]

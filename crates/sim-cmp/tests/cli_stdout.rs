@@ -97,9 +97,13 @@ fn out_of_range_cores_and_progress_are_named_usage_errors() {
 }
 
 /// A `--config` file is the whole machine: its mesh sets the core
-/// count, and a router parameter the simulator cannot build — here the
-/// three `noc` values that used to reach an `assert!` in the NoC's
-/// constructor — is a usage error naming the field, not a panic.
+/// count, and a field the simulator cannot build is a usage error
+/// naming the field, not a panic or a silent clamp. The cases: the three
+/// `noc` values that used to reach an `assert!` in the NoC's
+/// constructor, an `issue_width` that used to saturate to 255, line
+/// sizes other than the protocol's 64 bytes (128-byte L1 lines used to
+/// index past `LineData`), and nesting deep enough to overflow the
+/// parser's stack.
 #[test]
 fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
     use sim_base::config::CmpConfig;
@@ -114,22 +118,29 @@ fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
     let cores = rep.get("per_core").and_then(|c| c.as_arr()).map(<[_]>::len);
     assert_eq!(cores, Some(8), "{stdout}");
 
-    for (field, bad) in [
-        ("vc_buffer_flits", 0),
-        ("vc_buffer_flits", 256),
-        ("link_bytes", 0),
-    ] {
+    let with = |edit: fn(&mut CmpConfig)| {
         let mut cfg = CmpConfig::icpp2010();
-        match field {
-            "link_bytes" => cfg.noc.link_bytes = bad,
-            _ => cfg.noc.vc_buffer_flits = bad,
-        }
-        std::fs::write(&path, cfg.to_json().pretty()).unwrap();
+        edit(&mut cfg);
+        cfg.to_json().pretty()
+    };
+    let table1 = with(|_| {});
+    let issue_300 = table1.replace("\"issue_width\": 2", "\"issue_width\": 300");
+    assert_ne!(issue_300, table1);
+    for (text, named) in [
+        (with(|c| c.noc.vc_buffer_flits = 0), "noc.vc_buffer_flits"),
+        (with(|c| c.noc.vc_buffer_flits = 256), "noc.vc_buffer_flits"),
+        (with(|c| c.noc.link_bytes = 0), "noc.link_bytes"),
+        (issue_300, "core.issue_width"),
+        (with(|c| c.l1.line_bytes = 128), "l1.line_bytes"),
+        (with(|c| c.l2.line_bytes = 32), "l2.line_bytes"),
+        ("[".repeat(50_000), "nesting"),
+    ] {
+        std::fs::write(&path, &text).unwrap();
         let out = simcmp(&["--config", path.to_str().unwrap()]);
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "noc.{field} = {bad}: {stderr}");
-        assert!(stderr.contains(&format!("noc.{field}")), "{stderr}");
-        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(out.status.code(), Some(1), "{named}: {stderr}");
+        assert!(stderr.contains(named), "{named}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{named}: {stderr}");
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -3,6 +3,7 @@
 use crate::reg::Reg;
 use sim_base::fxmap::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Binary ALU operation selector, shared by the register-register and
 /// register-immediate forms.
@@ -322,20 +323,18 @@ impl Inst {
 }
 
 /// An assembled program: instructions plus the label map (kept for
-/// disassembly and debugging).
+/// disassembly and debugging). Both are immutable and shared, so a clone
+/// — one per core of an SPMD machine — copies two pointers.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Program {
-    insts: Vec<Inst>,
-    labels: FxHashMap<String, usize>,
+    insts: Arc<[Inst]>,
+    labels: Arc<FxHashMap<String, usize>>,
 }
 
 impl Program {
     /// Wraps raw instructions (no labels).
     pub fn from_insts(insts: Vec<Inst>) -> Program {
-        Program {
-            insts,
-            labels: FxHashMap::default(),
-        }
+        Program::with_labels(insts, FxHashMap::default())
     }
 
     /// Wraps instructions with a label map; validates label targets.
@@ -343,7 +342,10 @@ impl Program {
         for (name, &idx) in &labels {
             assert!(idx <= insts.len(), "label {name} points past the end");
         }
-        Program { insts, labels }
+        Program {
+            insts: insts.into(),
+            labels: Arc::new(labels),
+        }
     }
 
     /// The instruction at `pc`, or `None` past the end (treated as halt).

@@ -2,9 +2,14 @@
 //!
 //! Used for both the L1s (state = MESI state) and the L2 banks
 //! (state = dirty bit). The array stores the line data inline.
+//!
+//! Sets are filled on demand: construction allocates one `u32` per set
+//! and nothing else, and a set's first fill carves a chunk of `ways`
+//! contiguous entries from the array's one pool. A 1,024-tile machine
+//! has over a million sets, and a run touches a few thousand of them.
 
 use crate::proto::LineData;
-use sim_base::config::CacheConfig;
+use sim_base::config::{CacheConfig, MAX_CACHE_WAYS};
 use sim_base::ids::LineAddr;
 
 /// One resident line.
@@ -22,63 +27,111 @@ pub struct Entry<S> {
 /// most recently used way.
 #[derive(Clone, Debug)]
 pub struct SetAssoc<S> {
-    sets: Vec<Vec<Entry<S>>>,
+    /// Per set: 0 = never filled, else 1 + the index of its chunk.
+    sets: Vec<u32>,
+    /// Per chunk: how many of its entries are resident (a prefix).
+    fill: Vec<u8>,
+    /// Chunk `c` is `pool[c * ways..(c + 1) * ways]`; entries past its
+    /// fill count are stale copies, never read.
+    pool: Vec<Entry<S>>,
     ways: usize,
     set_mask: u64,
 }
 
-impl<S> SetAssoc<S> {
-    /// Builds the array from a [`CacheConfig`].
+impl<S: Clone> SetAssoc<S> {
+    /// Builds the array from a [`CacheConfig`]. No set is allocated
+    /// until its first fill.
+    ///
+    /// # Panics
+    /// Panics on a geometry [`CmpConfig::validate`] rejects.
+    ///
+    /// [`CmpConfig::validate`]: sim_base::config::CmpConfig::validate
     pub fn new(cfg: &CacheConfig) -> SetAssoc<S> {
         let sets = cfg.num_sets();
+        assert!(
+            cfg.ways <= MAX_CACHE_WAYS,
+            "{} ways overflow the fill counter",
+            cfg.ways
+        );
         SetAssoc {
-            sets: (0..sets)
-                .map(|_| Vec::with_capacity(cfg.ways as usize))
-                .collect(),
+            sets: vec![0; sets as usize],
+            fill: Vec::new(),
+            pool: Vec::new(),
             ways: cfg.ways as usize,
             set_mask: sets - 1,
         }
     }
 
+    /// The chunk holding `line`'s set, if the set was ever filled.
     #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 & self.set_mask) as usize
+    fn chunk(&self, line: LineAddr) -> Option<usize> {
+        let slot = self.sets[(line.0 & self.set_mask) as usize];
+        slot.checked_sub(1).map(|c| c as usize)
+    }
+
+    /// The resident entries of chunk `c`, MRU first.
+    #[inline]
+    fn resident(&self, c: usize) -> &[Entry<S>] {
+        let base = c * self.ways;
+        &self.pool[base..base + self.fill[c] as usize]
+    }
+
+    #[inline]
+    fn resident_mut(&mut self, c: usize) -> &mut [Entry<S>] {
+        let base = c * self.ways;
+        &mut self.pool[base..base + self.fill[c] as usize]
+    }
+
+    /// `line`'s resident set, MRU first (empty if never filled).
+    #[inline]
+    fn set(&self, line: LineAddr) -> &[Entry<S>] {
+        self.chunk(line).map_or(&[], |c| self.resident(c))
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&f| f as usize).sum()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.fill.iter().all(|&f| f == 0)
+    }
+
+    /// Number of sets ever filled, each holding one chunk of the pool
+    /// for the array's lifetime (a set emptied by removals keeps it).
+    pub fn filled_sets(&self) -> usize {
+        self.fill.len()
     }
 
     /// Immutable lookup without touching LRU order.
     pub fn probe(&self, line: LineAddr) -> Option<&Entry<S>> {
-        self.sets[self.set_of(line)].iter().find(|e| e.line == line)
+        self.set(line).iter().find(|e| e.line == line)
     }
 
     /// Mutable lookup that also promotes the line to MRU.
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut Entry<S>> {
-        let set = self.set_of(line);
-        let pos = self.sets[set].iter().position(|e| e.line == line)?;
-        let e = self.sets[set].remove(pos);
-        self.sets[set].insert(0, e);
-        Some(&mut self.sets[set][0])
+        let c = self.chunk(line)?;
+        let set = self.resident_mut(c);
+        let pos = set.iter().position(|e| e.line == line)?;
+        set[..=pos].rotate_right(1);
+        Some(&mut set[0])
     }
 
     /// Removes a line, returning it if present.
     pub fn remove(&mut self, line: LineAddr) -> Option<Entry<S>> {
-        let set = self.set_of(line);
-        let pos = self.sets[set].iter().position(|e| e.line == line)?;
-        Some(self.sets[set].remove(pos))
+        let c = self.chunk(line)?;
+        let set = self.resident_mut(c);
+        let pos = set.iter().position(|e| e.line == line)?;
+        set[pos..].rotate_left(1);
+        let e = set[set.len() - 1].clone();
+        self.fill[c] -= 1;
+        Some(e)
     }
 
     /// True when inserting `line` would require evicting something.
     pub fn set_full(&self, line: LineAddr) -> bool {
-        self.sets[self.set_of(line)].len() >= self.ways
+        self.set(line).len() >= self.ways
     }
 
     /// The LRU victim of `line`'s set that satisfies `evictable`, if an
@@ -88,34 +141,49 @@ impl<S> SetAssoc<S> {
         line: LineAddr,
         evictable: impl Fn(&Entry<S>) -> bool,
     ) -> Option<LineAddr> {
-        let set = &self.sets[self.set_of(line)];
+        let set = self.set(line);
         if set.len() < self.ways {
             return None;
         }
         set.iter().rev().find(|e| evictable(e)).map(|e| e.line)
     }
 
-    /// Inserts a line as MRU.
+    /// Inserts a line as MRU. The set's first fill carves its chunk.
     ///
     /// # Panics
     /// Panics if the set is full (the caller must evict first) or the
     /// line is already present.
     pub fn insert(&mut self, line: LineAddr, state: S, data: LineData) {
-        let set = self.set_of(line);
+        let entry = Entry { line, state, data };
+        let c = match self.chunk(line) {
+            Some(c) => c,
+            None => {
+                let c = self.fill.len();
+                self.sets[(line.0 & self.set_mask) as usize] =
+                    u32::try_from(c + 1).expect("chunk index fits the set slot");
+                self.fill.push(0);
+                self.pool.resize(self.pool.len() + self.ways, entry.clone());
+                c
+            }
+        };
+        let n = self.fill[c] as usize;
+        assert!(n < self.ways, "insert into a full set (evict first)");
         assert!(
-            self.sets[set].len() < self.ways,
-            "insert into a full set (evict first)"
-        );
-        assert!(
-            !self.sets[set].iter().any(|e| e.line == line),
+            !self.resident(c).iter().any(|e| e.line == line),
             "line {line:?} already resident"
         );
-        self.sets[set].insert(0, Entry { line, state, data });
+        let base = c * self.ways;
+        self.pool[base + n] = entry;
+        self.pool[base..=base + n].rotate_right(1);
+        self.fill[c] += 1;
     }
 
     /// Iterates over all resident entries (set by set, MRU first).
     pub fn iter(&self) -> impl Iterator<Item = &Entry<S>> {
-        self.sets.iter().flatten()
+        self.sets
+            .iter()
+            .filter_map(|&slot| slot.checked_sub(1))
+            .flat_map(|c| self.resident(c as usize))
     }
 }
 

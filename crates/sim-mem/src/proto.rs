@@ -1,12 +1,13 @@
 //! Protocol message and core-interface types.
 
+use sim_base::config::LINE_BYTES;
 use sim_base::ids::LineAddr;
 use sim_base::stats::MsgClass;
 use sim_base::CoreId;
 use sim_isa::inst::AmoOp;
 
-/// Words per 64-byte cache line.
-pub const WORDS_PER_LINE: usize = 8;
+/// 64-bit words per cache line.
+pub const WORDS_PER_LINE: usize = (LINE_BYTES / 8) as usize;
 
 /// A cache line's data.
 pub type LineData = [u64; WORDS_PER_LINE];

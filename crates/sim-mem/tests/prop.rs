@@ -1,19 +1,26 @@
 //! Property tests for the memory hierarchy: the coherent system must be
 //! indistinguishable from a flat memory under serialized access, atomics
 //! must never lose updates under concurrency, and the directory must
-//! keep single-writer/multi-reader invariants.
+//! keep single-writer/multi-reader invariants. Below them, the cache
+//! array must match a true-LRU model set for set; above them, no config
+//! file, however mangled, may make building the hierarchy panic.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
 
 #![allow(clippy::needless_range_loop)] // indexing parallel arrays
 
+use std::collections::VecDeque;
+
 use sim_base::check::forall_cases;
-use sim_base::config::CmpConfig;
+use sim_base::config::{CacheConfig, CmpConfig, LINE_BYTES};
 use sim_base::fxmap::FxHashMap;
+use sim_base::ids::LineAddr;
+use sim_base::json::{self, ToJson};
 use sim_base::rng::SplitMix64;
 use sim_base::CoreId;
 use sim_isa::inst::AmoOp;
+use sim_mem::cache::{Entry, SetAssoc};
 use sim_mem::{CoreReq, CoreResp, MemorySystem};
 
 #[derive(Clone, Debug)]
@@ -229,4 +236,207 @@ fn disjoint_concurrent_writes_all_land() {
             }
         }
     });
+}
+
+/// One resident line of the cache-array model: (line, state, data word).
+type ModelEntry = (u64, u8, u64);
+
+/// `SetAssoc` against a per-set `VecDeque` true-LRU model (front = MRU):
+/// random probe/lookup/insert/remove/set_full/pick_victim sequences with
+/// random `evictable` predicates, 1–8 ways, 1–16 sets, and a line pool
+/// three times the capacity, so sets fill, overflow, empty and refill.
+/// After every operation the resident entries must match the model in
+/// `iter()` order (sets ascending, MRU first), and exactly the sets ever
+/// filled must hold a chunk.
+#[test]
+fn set_assoc_matches_true_lru_model() {
+    forall_cases("set_assoc_matches_true_lru_model", 64, |rng| {
+        let ways = 1 + rng.next_below(8) as usize;
+        let sets = 1usize << rng.next_below(5);
+        let cfg = CacheConfig {
+            size_bytes: (sets * ways) as u64 * LINE_BYTES,
+            ways: ways as u32,
+            line_bytes: LINE_BYTES,
+            hit_latency: 1,
+            extra_data_latency: 0,
+        };
+        let mut cache: SetAssoc<u8> = SetAssoc::new(&cfg);
+        let mut model: Vec<VecDeque<ModelEntry>> = vec![VecDeque::new(); sets];
+        let mut filled = vec![false; sets];
+        let pool = 3 * (sets * ways) as u64;
+        for step in 0..300u64 {
+            let l = rng.next_below(pool);
+            let s = (l % sets as u64) as usize;
+            let set = &mut model[s];
+            let pos = set.iter().position(|e| e.0 == l);
+            let line = LineAddr(l);
+            match rng.next_below(6) {
+                0 => assert_eq!(cache.probe(line).map(view), pos.map(|p| set[p])),
+                1 => {
+                    let got = cache.lookup(line).map(|e| {
+                        e.state = e.state.wrapping_add(1);
+                        view(e)
+                    });
+                    let want = pos.map(|p| {
+                        let mut e = set.remove(p).expect("position is in range");
+                        e.1 = e.1.wrapping_add(1);
+                        set.push_front(e);
+                        e
+                    });
+                    assert_eq!(got, want, "lookup {l}");
+                }
+                2 => {
+                    let got = cache.remove(line).map(|e| view(&e));
+                    assert_eq!(got, pos.and_then(|p| set.remove(p)), "remove {l}");
+                }
+                3 => assert_eq!(cache.set_full(line), set.len() >= ways, "set_full {l}"),
+                4 => {
+                    // Evictable iff the state's bit is set in a random mask.
+                    let mask = rng.next_u64();
+                    let ok = |state: u8| mask >> (state % 64) & 1 == 1;
+                    let want = if set.len() < ways {
+                        None
+                    } else {
+                        set.iter().rev().find(|e| ok(e.1)).map(|e| e.0)
+                    };
+                    let got = cache.pick_victim(line, |e| ok(e.state));
+                    assert_eq!(got.map(|v| v.0), want, "pick_victim {l}");
+                }
+                _ if pos.is_none() => {
+                    // A fill, evicting the LRU line first if the set is full.
+                    if set.len() == ways {
+                        let victim = cache.pick_victim(line, |_| true).expect("full set");
+                        let lru = set.pop_back().expect("full set");
+                        assert_eq!(victim.0, lru.0, "LRU victim for {l}");
+                        assert_eq!(cache.remove(victim).map(|e| view(&e)), Some(lru));
+                    }
+                    let state = rng.next_below(256) as u8;
+                    cache.insert(line, state, [step; 8]);
+                    set.push_front((l, state, step));
+                    filled[s] = true;
+                }
+                _ => {}
+            }
+            let want: Vec<ModelEntry> = model.iter().flatten().copied().collect();
+            let got: Vec<ModelEntry> = cache.iter().map(view).collect();
+            assert_eq!(got, want, "after step {step}");
+            assert_eq!(cache.len(), want.len());
+            assert_eq!(cache.is_empty(), want.is_empty());
+            let ever = filled.iter().filter(|&&f| f).count();
+            assert_eq!(cache.filled_sets(), ever, "one chunk per set ever filled");
+        }
+    });
+}
+
+fn view(e: &Entry<u8>) -> ModelEntry {
+    (e.line.0, e.state, e.data[0])
+}
+
+/// Values a number in a config file is swapped for: the boundaries of
+/// every integer width a field is stored in, zero, fractions, negatives
+/// and exponents.
+const ODD_NUMBERS: &str = "0 1 2 3 7 63 64 65 128 255 256 300 65535 65536 \
+    4294967295 4294967296 18446744073709551615 18446744073709551616 \
+    -1 -0 0.5 2.0 1e3 1e300 -1e300";
+
+/// Byte ranges of the number tokens in `text`.
+fn number_spans(text: &str) -> Vec<(usize, usize)> {
+    let b = text.as_bytes();
+    let mut spans = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i] == b'-' || b[i].is_ascii_digit() {
+            let start = i;
+            i += 1;
+            while i < b.len() && matches!(b[i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
+                i += 1;
+            }
+            spans.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}
+
+/// One random edit of a config file: truncation, a byte flip, a number
+/// swapped for one of [`ODD_NUMBERS`] or a nearby value, or a change of
+/// nesting (a bracket dropped, a number wrapped in an array or object, or
+/// replaced by nested arrays that may cross the parser's depth limit).
+fn mutate(text: &str, rng: &mut SplitMix64) -> String {
+    let mut t = text.to_string();
+    if t.is_empty() {
+        return t;
+    }
+    let pick = |rng: &mut SplitMix64, n: usize| rng.next_below(n as u64) as usize;
+    let brackets: Vec<usize> = t
+        .match_indices(['{', '}', '[', ']'])
+        .map(|(i, _)| i)
+        .collect();
+    let numbers = number_spans(&t);
+    match rng.next_below(8) {
+        0 => t.truncate(pick(rng, t.len())),
+        1 => {
+            let mut bytes = t.into_bytes();
+            let at = pick(rng, bytes.len());
+            bytes[at] = rng.next_below(128) as u8;
+            t = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+        }
+        2 if !brackets.is_empty() => {
+            t.remove(brackets[pick(rng, brackets.len())]);
+        }
+        _ if !numbers.is_empty() => {
+            let (a, b) = numbers[pick(rng, numbers.len())];
+            let n: u64 = t[a..b].parse().unwrap_or(1);
+            let with = match rng.next_below(8) {
+                0 => format!("[{}]", &t[a..b]),
+                1 => format!("{{\"n\": {}}}", &t[a..b]),
+                2 => {
+                    let depth = 1 + pick(rng, 2 * json::MAX_DEPTH);
+                    format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+                }
+                3 | 4 => {
+                    let odd: Vec<&str> = ODD_NUMBERS.split_whitespace().collect();
+                    odd[pick(rng, odd.len())].to_string()
+                }
+                // Nearby values, which often still validate.
+                5 => n.saturating_mul(2).to_string(),
+                6 => (n / 2).to_string(),
+                _ => n.saturating_add(1).to_string(),
+            };
+            t.replace_range(a..b, &with);
+        }
+        _ => {}
+    }
+    t
+}
+
+/// Never-panic: Table 1's config JSON under one to three random edits,
+/// run through `parse → CmpConfig::from_json → MemorySystem::new`, must
+/// give `Ok` or a named `Err` at each step. A config that validates is
+/// built when its cache-set slots fit a small host budget (an edit can
+/// legitimately ask for a multi-gigabyte machine).
+#[test]
+fn mangled_config_json_never_panics() {
+    let table1 = CmpConfig::icpp2010().to_json().pretty();
+    let mut built = 0;
+    forall_cases("mangled_config_json_never_panics", 2048, |rng| {
+        let mut text = table1.clone();
+        for _ in 0..1 + rng.next_below(3) {
+            text = mutate(&text, rng);
+        }
+        let Ok(doc) = json::parse(&text) else { return };
+        let Ok(cfg) = CmpConfig::from_json(&doc) else {
+            return;
+        };
+        let slots = cfg.num_cores() as u64 * (cfg.l1.num_sets() + cfg.l2.num_sets());
+        if cfg.num_cores() <= 4096 && slots <= 1 << 22 {
+            drop(MemorySystem::new(&cfg));
+            built += 1;
+        }
+    });
+    assert!(
+        built > 100,
+        "only {built} mangled configs reached MemorySystem::new"
+    );
 }

@@ -10,7 +10,7 @@
 //! which steps everything every cycle and never jumps. These tests
 //! enforce that over every workload generator and barrier flavour; the
 //! component-level `next_event` contracts the jumps rest on are in
-//! `skip_determinism.rs`.
+//! `next_event_contract.rs`.
 
 use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;

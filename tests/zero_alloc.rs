@@ -8,17 +8,23 @@
 //! heap allocation at all. These tests pin that property with a
 //! counting global allocator: after a warm-up pass that sizes every
 //! buffer, an identical traffic pattern must run allocation-free.
+//!
+//! The same allocator pins what construction costs: a machine allocates
+//! per tile, not per cache set, and per-core programs are shared rather
+//! than copied.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
 use gline_core::{BarrierHw, ClusteredBarrierNetwork};
+use sim_base::config::CacheConfig;
 use sim_base::config::CmpConfig;
 use sim_base::CoreId;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
+use sim_isa::{Inst, Program};
 use sim_mem::{CoreReq, MemorySystem};
-use workloads::synthetic;
+use workloads::{synthetic, Workload};
 
 struct CountingAlloc;
 
@@ -110,15 +116,19 @@ fn steady_state_ticks_do_not_allocate() {
 
     // Warm-up: size every scratch buffer, map and queue. Several passes
     // so both the store→load and load→store directions of each line's
-    // coherence dance have happened at least once.
-    for round in 0..6 {
+    // coherence dance have happened at least once. Eight rounds, so every
+    // core has touched all eight lines: the first fill of a cache set
+    // carves its chunk of ways and may grow the cache's pool, once per
+    // set, like the backing store's first write of a line.
+    for round in 0..8 {
         traffic_round(&mut mem, &cores, round);
     }
 
     // Measured phase: identical address footprint, so no backing-store
-    // growth — any allocation now comes from a per-tick hot path.
+    // growth and no first fill of a set — any allocation now comes from
+    // a per-tick hot path.
     let n = count_allocs(|| {
-        for round in 6..10 {
+        for round in 8..12 {
             traffic_round(&mut mem, &cores, round);
         }
     });
@@ -184,4 +194,54 @@ fn steady_state_system_ticks_do_not_allocate() {
         "imbalanced GL loop, 4x8",
     );
     assert!(jumps > 100, "imbalanced GL loop: only {jumps} clock jumps");
+}
+
+/// Building the memory system allocates per tile, never per cache set:
+/// quadrupling every L2 bank (1,024 → 4,096 sets) adds no allocation,
+/// because a set's storage is carved only on its first fill.
+#[test]
+fn memory_system_construction_allocates_per_tile_not_per_set() {
+    let cfg = CmpConfig::icpp2010_with_cores(1024);
+    let big_l2 = CmpConfig {
+        l2: CacheConfig {
+            size_bytes: 1024 * 1024,
+            ..cfg.l2
+        },
+        ..cfg
+    };
+    assert_eq!(big_l2.validate(), Ok(()));
+    assert_eq!(big_l2.l2.num_sets(), 4 * cfg.l2.num_sets());
+    let build = |cfg: &CmpConfig| count_allocs(|| drop(MemorySystem::new(cfg)));
+    let (small, big) = (build(&cfg), build(&big_l2));
+    assert_eq!(small, big, "allocations grew with the L2 set count");
+    let per_tile = small as f64 / cfg.num_cores() as f64;
+    assert!(
+        per_tile <= 8.0,
+        "{small} allocations for {} tiles ({per_tile:.1} per tile)",
+        cfg.num_cores()
+    );
+}
+
+/// Instantiating a workload shares its programs with the machine: the
+/// allocation count depends on neither the iteration count (8 vs. 64)
+/// nor the programs themselves — 1,024 copies of a DSW barrier loop,
+/// labels and all, cost what 1,024 one-instruction programs cost.
+#[test]
+fn workload_instantiation_shares_programs() {
+    let cfg = CmpConfig::icpp2010_with_cores(1024);
+    let instantiate = |w: &Workload| {
+        let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
+        count_allocs(|| drop(w.into_system_with_hw(cfg, hw)))
+    };
+    let dsw = |iters| instantiate(&synthetic::build(1024, BarrierKind::Dsw, iters));
+    let (short, long) = (dsw(8), dsw(64));
+    assert_eq!(short, long, "allocations grew with the iteration count");
+    let halt = Workload {
+        name: "halt".into(),
+        progs: vec![Program::from_insts(vec![Inst::Halt]); 1024],
+        pokes: Vec::new(),
+        barriers_per_core: 0,
+        kind: BarrierKind::Dsw,
+    };
+    assert_eq!(short, instantiate(&halt), "programs were copied per core");
 }
