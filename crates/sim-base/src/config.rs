@@ -260,6 +260,21 @@ impl CmpConfig {
         if self.noc.link_bytes == 0 {
             return Err("noc.link_bytes must be at least 1".into());
         }
+        // A flit lands in a later tick than the one that sent it.
+        if self.noc.router_latency == 0 {
+            return Err("noc.router_latency must be at least 1".into());
+        }
+        if self
+            .noc
+            .router_latency
+            .checked_add(self.noc.link_latency)
+            .is_none()
+        {
+            return Err(format!(
+                "noc.router_latency + noc.link_latency must fit 32 bits (got {} + {})",
+                self.noc.router_latency, self.noc.link_latency
+            ));
+        }
         if !(1..=MAX_VC_BUFFER_FLITS).contains(&self.noc.vc_buffer_flits) {
             return Err(format!(
                 "noc.vc_buffer_flits must be between 1 and {MAX_VC_BUFFER_FLITS} (got {})",
@@ -560,6 +575,8 @@ mod tests {
             let s = CmpConfig::icpp2010().to_json().pretty();
             let old = match field {
                 "link_bytes" => "\"link_bytes\": 75",
+                "router_latency" => "\"router_latency\": 3",
+                "link_latency" => "\"link_latency\": 1",
                 _ => "\"vc_buffer_flits\": 4",
             };
             assert!(s.contains(old), "{s}");
@@ -570,6 +587,8 @@ mod tests {
             ("vc_buffer_flits", 0),
             ("vc_buffer_flits", MAX_VC_BUFFER_FLITS + 1),
             ("link_bytes", 0),
+            ("router_latency", 0),
+            ("link_latency", u32::MAX),
         ] {
             let e = json_with(field, value).unwrap_err();
             assert!(
@@ -580,6 +599,13 @@ mod tests {
         let cfg = json_with("vc_buffer_flits", MAX_VC_BUFFER_FLITS).unwrap();
         assert_eq!(cfg.noc.vc_buffer_flits, MAX_VC_BUFFER_FLITS);
         assert_eq!(json_with("link_bytes", 1).unwrap().noc.link_bytes, 1);
+        assert_eq!(
+            json_with("router_latency", 1).unwrap().noc.router_latency,
+            1
+        );
+        // A zero-cycle link is fine: the router stage keeps arrivals in
+        // a later tick.
+        assert_eq!(json_with("link_latency", 0).unwrap().noc.link_latency, 0);
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //!                      traced runs never jump either)
 //!   --sched-stats      print scheduler diagnostics after the run:
 //!                      clock jumps evaluated/taken, the mean
-//!                      active-set occupancy per subsystem and the core
-//!                      steps run vs. elided
+//!                      active-set occupancy per subsystem, the core
+//!                      steps run vs. elided, and the NoC's router
+//!                      visits vs. flits passed through idle routers
 //!   --trace FILE       record every event and write a Chrome
 //!                      trace_event JSON file (open in about://tracing
 //!                      or Perfetto)
@@ -253,6 +254,10 @@ fn finish<B: BarrierHw, S: TraceSink>(
                 eprintln!(
                     "core steps: {} run, {} stall steps and {} spin steps elided",
                     core.core_steps, core.parked_steps, core.spin_parked_steps
+                );
+                eprintln!(
+                    "noc: {} router visits, {} flits passed through idle routers",
+                    noc.router_visits, noc.transits
                 );
             }
             for &a in &opts.peeks {

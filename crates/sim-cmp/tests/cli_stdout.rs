@@ -58,10 +58,26 @@ fn json_with_sched_stats_keeps_stdout_pure() {
         panic!("stdout is not pure JSON ({e}):\n{stdout}");
     });
     assert!(rep.get("cycles").is_some(), "report JSON has cycles");
-    // The diagnostics still appear — on stderr.
+    // Nothing but the report: stdout is exactly what --json alone prints.
+    let (plain, _) = run(&["--cores", "4", "--json"]);
+    assert_eq!(stdout, plain, "--sched-stats changed stdout");
+    // The diagnostics still appear — on stderr, the NoC's included.
     assert!(
         stderr.contains("skip:") && stderr.contains("active sets:"),
         "sched-stats diagnostics missing from stderr:\n{stderr}"
+    );
+    let noc = stderr
+        .lines()
+        .find(|l| l.starts_with("noc: "))
+        .unwrap_or_else(|| panic!("no noc: line on stderr:\n{stderr}"));
+    let words: Vec<&str> = noc.split_whitespace().collect();
+    assert!(
+        matches!(
+            words[..],
+            ["noc:", v, "router", "visits,", t, "flits", "passed", "through", "idle", "routers"]
+                if v.parse::<u64>().is_ok() && t.parse::<u64>().is_ok()
+        ),
+        "{noc}"
     );
 }
 
@@ -100,7 +116,10 @@ fn out_of_range_cores_and_progress_are_named_usage_errors() {
 /// count, and a field the simulator cannot build is a usage error
 /// naming the field, not a panic or a silent clamp. The cases: the three
 /// `noc` values that used to reach an `assert!` in the NoC's
-/// constructor, an `issue_width` that used to saturate to 255, line
+/// constructor, a zero router latency (a stale-arrival panic in debug
+/// builds, silently one cycle in release ones), router and link
+/// latencies whose sum overflows 32 bits, an `issue_width` that used to
+/// saturate to 255, line
 /// sizes other than the protocol's 64 bytes (128-byte L1 lines used to
 /// index past `LineData`), and nesting deep enough to overflow the
 /// parser's stack.
@@ -130,6 +149,11 @@ fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
         (with(|c| c.noc.vc_buffer_flits = 0), "noc.vc_buffer_flits"),
         (with(|c| c.noc.vc_buffer_flits = 256), "noc.vc_buffer_flits"),
         (with(|c| c.noc.link_bytes = 0), "noc.link_bytes"),
+        (with(|c| c.noc.router_latency = 0), "noc.router_latency"),
+        (
+            with(|c| (c.noc.router_latency, c.noc.link_latency) = (u32::MAX, 2)),
+            "noc.link_latency",
+        ),
         (issue_300, "core.issue_width"),
         (with(|c| c.l1.line_bytes = 128), "l1.line_bytes"),
         (with(|c| c.l2.line_bytes = 32), "l2.line_bytes"),

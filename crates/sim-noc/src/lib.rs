@@ -32,8 +32,13 @@
 //! the tick path does no hashing and no allocation. The sparse tick
 //! walks its work lists (tiles with queued flits, routers with buffered
 //! ones) word by word in place, and `send` puts a flit straight into
-//! the local input VC when the tick's injection phase would; the dense
-//! tick visits everything and takes no shortcut — it is the oracle.
+//! the local input VC when the tick's injection phase would. A flit
+//! that lands on a router holding nothing else, and would win its
+//! output there this cycle without anyone seeing the difference, is
+//! granted as it lands instead of being buffered for the arbitration
+//! phase (the pass-through; five rules on `Noc::try_transit`). A flit
+//! is 8 bytes and a flit on a link 24. The dense tick visits everything
+//! and takes no shortcut — it is the oracle.
 //!
 //! Messages whose source and destination tile coincide (e.g. an L1 miss
 //! whose L2 home bank is local) bypass the network, are delivered on the

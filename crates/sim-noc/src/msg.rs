@@ -31,8 +31,8 @@ pub(crate) struct PacketInfo {
     pub flits_arrived: u32,
 }
 
-/// One flit. It carries its own routing state, so moving it through a
-/// router never consults the packet table.
+/// One flit: 8 bytes. It carries its own routing state, so moving it
+/// through a router never consults the packet table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// Slot of the packet in the network's packet slab. It names the
@@ -45,10 +45,40 @@ pub struct Flit {
     /// the router whose input buffer holds it; set when it is pushed
     /// there, once per hop.
     pub out: u8,
-    /// First flit of the packet (claims the wormhole locks).
-    pub is_head: bool,
-    /// Last flit of the packet (releases the wormhole locks).
-    pub is_tail: bool,
+    /// [`Flit::HEAD`] and [`Flit::TAIL`].
+    flags: u8,
+}
+
+impl Flit {
+    /// Flag bit of a packet's first flit (claims the wormhole locks).
+    const HEAD: u8 = 1;
+    /// Flag bit of a packet's last flit (releases the wormhole locks).
+    const TAIL: u8 = 2;
+
+    /// A flit of the packet in slab slot `slot`, bound for `dst`, that
+    /// takes output port `out` at the router it is pushed into.
+    #[inline]
+    pub fn new(slot: u32, dst: CoreId, out: u8, is_head: bool, is_tail: bool) -> Flit {
+        let flags = (is_head as u8 * Flit::HEAD) | (is_tail as u8 * Flit::TAIL);
+        Flit {
+            slot,
+            dst,
+            out,
+            flags,
+        }
+    }
+
+    /// First flit of its packet.
+    #[inline]
+    pub fn is_head(&self) -> bool {
+        self.flags & Flit::HEAD != 0
+    }
+
+    /// Last flit of its packet.
+    #[inline]
+    pub fn is_tail(&self) -> bool {
+        self.flags & Flit::TAIL != 0
+    }
 }
 
 /// Number of flits a message occupies on `link_bytes`-wide links with a
@@ -79,5 +109,15 @@ mod tests {
         );
         // Narrow links: 64-byte line + 8-byte header on 16-byte links.
         assert_eq!(flits_for(64, 8, 16), 5);
+    }
+
+    #[test]
+    fn a_flit_is_eight_bytes_with_head_and_tail_as_flag_bits() {
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
+        for (head, tail) in [(false, false), (true, false), (false, true), (true, true)] {
+            let f = Flit::new(u32::MAX, CoreId(7), 4, head, tail);
+            assert_eq!((f.is_head(), f.is_tail()), (head, tail));
+            assert_eq!((f.slot, f.dst, f.out), (u32::MAX, CoreId(7), 4));
+        }
     }
 }

@@ -10,12 +10,14 @@ use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
 use sim_base::{CoreId, Cycle, Mesh2D};
 use std::collections::VecDeque;
 
-/// A flit in flight on a link (plus the upstream router pipeline).
+/// A flit in flight on a link (plus the upstream router pipeline):
+/// 24 bytes.
 #[derive(Clone, Copy, Debug)]
 struct WireEntry {
     arrive: Cycle,
-    /// Downstream router and the input slot the flit lands in.
-    router: u32,
+    /// Downstream router (a tile id, so 16 bits like [`CoreId`]) and the
+    /// input slot the flit lands in.
+    router: u16,
     slot: u8,
     flit: Flit,
 }
@@ -42,8 +44,13 @@ pub struct NocSchedStats {
     /// Ticks performed.
     pub ticks: u64,
     /// Routers visited by phase-3 arbitration (routers with buffered
-    /// flits; the dense scan visits the same ones after its guard).
+    /// flits; the dense scan finds the same ones after its guard).
     pub router_visits: u64,
+    /// Flits that phase 1 passed straight through an idle router (the
+    /// sparse tick only). Each is a phase-3 visit the dense tick makes
+    /// and the sparse one does not, so dense `router_visits` equals
+    /// sparse `router_visits + transits`.
+    pub transits: u64,
     /// Tiles visited by phase-2 injection (tiles with queued flits).
     pub inject_visits: u64,
 }
@@ -125,6 +132,9 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// emitted into `tracer`.
     pub fn traced(mesh: Mesh2D, cfg: NocConfig, tracer: Tracer<S>) -> Noc<T, S> {
         assert!(cfg.link_bytes >= 1, "links are at least one byte wide");
+        // An arrival is handled in a later tick than the one that sent
+        // it; a zero-cycle router would make it stale.
+        assert!(cfg.router_latency >= 1, "a router takes at least one cycle");
         let n = mesh.num_tiles();
         let neighbors = mesh
             .coords()
@@ -198,7 +208,8 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// When disabled, [`tick`](Self::tick) falls back to the dense
     /// every-router/every-tile scan; results are bit-identical either
     /// way (the work lists merely skip components the dense scan would
-    /// also skip with its own guards).
+    /// also skip with its own guards, and a flit passed through an idle
+    /// router leaves the state the dense scan's visit would).
     pub fn set_active_set_enabled(&mut self, on: bool) {
         self.active_set_enabled = on;
     }
@@ -226,6 +237,116 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// Read-only view of `tile`'s router, for tests and inspection.
     pub fn router(&self, tile: CoreId) -> &Router {
         &self.routers[tile.index()]
+    }
+
+    /// Checks the network's bookkeeping against its contents, between
+    /// ticks, and names the first invariant that does not hold and where:
+    ///
+    /// * for every mesh output (router, port, vc), its credits plus the
+    ///   flits buffered in the downstream input slot it feeds plus the
+    ///   flits on the wire toward that slot equal `vc_buffer_flits`;
+    /// * the flit count equals the flits buffered, on wires, in ejection
+    ///   and queued at network interfaces;
+    /// * every packet-slab slot is live or on the free list, never both;
+    /// * every router's request masks and requested-outputs byte match
+    ///   its buffer fronts;
+    /// * the router work list holds every router that buffers a flit,
+    ///   and the injection work list is exactly the tiles with queued
+    ///   flits.
+    ///
+    /// It allocates nothing, so debug builds run it on the tick path.
+    pub fn check_conservation(&self) -> Result<(), String> {
+        let cap = self.cfg.vc_buffer_flits as usize;
+        // Wire entries are counted only toward outputs short of credits:
+        // if those account for the whole wire, no other output has any.
+        let mut counted = 0;
+        for (r, router) in self.routers.iter().enumerate() {
+            for out in Dir::MESH {
+                let nb = self.neighbors[r][out.index()];
+                if nb == NO_TILE {
+                    continue;
+                }
+                for vc in 0..NUM_VCS {
+                    let slot = out.opposite().index() * NUM_VCS + vc;
+                    let held = router.credits[out.index()][vc] as usize
+                        + self.routers[nb as usize].slot_flits(slot);
+                    let wired = if held < cap {
+                        self.wire
+                            .iter()
+                            .filter(|w| w.router as u32 == nb && w.slot as usize == slot)
+                            .count()
+                    } else {
+                        0
+                    };
+                    if held + wired != cap {
+                        return Err(format!(
+                            "credits: router {r} output {out:?} vc {vc} has {} credits, \
+                             router {nb} buffers {} and {wired} are on the wire, not {cap}",
+                            router.credits[out.index()][vc],
+                            self.routers[nb as usize].slot_flits(slot),
+                        ));
+                    }
+                    counted += wired;
+                }
+            }
+        }
+        if counted != self.wire.len() {
+            return Err(format!(
+                "credits: {} flits on wires, {counted} of them toward outputs short of credits",
+                self.wire.len()
+            ));
+        }
+        let buffered: usize = self.routers.iter().map(Router::buffered).sum();
+        let queued: usize = self.inject_q.iter().flatten().map(VecDeque::len).sum();
+        let (wired, ejecting) = (self.wire.len(), self.eject.len());
+        if buffered + wired + ejecting + queued != self.active_flits {
+            return Err(format!(
+                "flits: {} counted, but {buffered} buffered + {wired} on wires + \
+                 {ejecting} ejecting + {queued} queued",
+                self.active_flits
+            ));
+        }
+        let free = self.packets.iter().filter(|p| p.is_none()).count();
+        if free != self.free_slots.len() {
+            return Err(format!(
+                "packet slab: {free} free slots, {} on the free list",
+                self.free_slots.len()
+            ));
+        }
+        for (i, &slot) in self.free_slots.iter().enumerate() {
+            if self.packets[slot as usize].is_some() {
+                return Err(format!("packet slab: slot {slot} is live and free"));
+            }
+            if self.free_slots[..i].contains(&slot) {
+                return Err(format!(
+                    "packet slab: slot {slot} is on the free list twice"
+                ));
+            }
+        }
+        for (r, router) in self.routers.iter().enumerate() {
+            if !router.req_is_consistent() {
+                return Err(format!(
+                    "router {r}: request masks do not match the buffer fronts"
+                ));
+            }
+            if router.buffered() > 0 && !self.active_routers.contains(r) {
+                return Err(format!(
+                    "router {r} buffers {} flits but is not on the router work list",
+                    router.buffered()
+                ));
+            }
+        }
+        for (tile, q) in self.inject_q.iter().enumerate() {
+            let queued = q.iter().any(|q| !q.is_empty());
+            if queued != self.inject_tiles.contains(tile) {
+                return Err(format!(
+                    "tile {tile}: injection queue {} but {} the injection work list",
+                    if queued { "non-empty" } else { "empty" },
+                    if queued { "not on" } else { "on" },
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Injects a message. Same-tile messages bypass the mesh and arrive
@@ -275,13 +396,7 @@ impl<T, S: TraceSink> Noc<T, S> {
         let local = Dir::Local.index() * NUM_VCS + vc;
         let (router, q) = (&mut self.routers[src], &mut self.inject_q[src][vc]);
         for i in 0..nflits {
-            let flit = Flit {
-                slot,
-                dst: msg.dst,
-                out,
-                is_head: i == 0,
-                is_tail: i == nflits - 1,
-            };
+            let flit = Flit::new(slot, msg.dst, out, i == 0, i == nflits - 1);
             // Direct injection: with nothing queued ahead of it and room
             // in the local input VC, phase 2 of this cycle's tick would
             // move the flit there before anything reads that VC (it
@@ -438,12 +553,25 @@ impl<T, S: TraceSink> Noc<T, S> {
             self.delivered[dst].push_back(msg);
             self.note_delivery(dst);
         }
+        // A traced NoC buffers every flit, so that its events keep the
+        // dense tick's in-cycle order.
+        let transit = !S::ENABLED && self.active_set_enabled;
+        if transit {
+            // Rule 2 of `try_transit`: count every landing of this cycle
+            // before granting any.
+            for w in self.wire.iter().take_while(|w| w.arrive <= now) {
+                self.routers[w.router as usize].note_landing(now);
+            }
+        }
         while self.wire.front().is_some_and(|w| w.arrive <= now) {
             let w = self.wire.pop_front().expect("checked non-empty");
-            let r = w.router as usize;
-            let out = self.route(r, w.flit.dst);
-            self.routers[r].push(w.slot as usize, Flit { out, ..w.flit });
-            self.active_routers.insert(r);
+            let (r, slot) = (w.router as usize, w.slot as usize);
+            let mut flit = w.flit;
+            flit.out = self.route(r, flit.dst);
+            if !(transit && self.try_transit(r, slot, flit, now)) {
+                self.routers[r].push(slot, flit);
+                self.active_routers.insert(r);
+            }
         }
         while self.eject.front().is_some_and(|e| e.arrive <= now) {
             let e = self.eject.pop_front().expect("checked non-empty");
@@ -462,7 +590,8 @@ impl<T, S: TraceSink> Noc<T, S> {
             self.tick_dense(now);
         }
 
-        // Deadlock watchdog (amortized).
+        // Deadlock watchdog and, in debug builds, the conservation check
+        // (amortized).
         if now.is_multiple_of(4096) {
             for (info, msg) in self.packets.iter().flatten() {
                 assert!(
@@ -475,6 +604,7 @@ impl<T, S: TraceSink> Noc<T, S> {
                     now - info.injected_at
                 );
             }
+            debug_assert_eq!(self.check_conservation(), Ok(()), "cycle {now}");
         }
 
         self.now += 1;
@@ -564,32 +694,84 @@ impl<T, S: TraceSink> Noc<T, S> {
     }
 
     /// One arbitration visit of router `r`: every output some slot
-    /// requests, in port order. The request mask is read when the
-    /// output's turn comes, not once per visit — a grant hands its
-    /// slot's request bit to the flit behind, which may ask for a later
-    /// output of this same visit.
+    /// requests, in port order, found in the byte of requested outputs.
+    /// The byte is read again after each output, not once per visit — a
+    /// grant hands its slot's request bit to the flit behind, which may
+    /// ask for a later output of this same visit.
     fn arbitrate_router(&mut self, r: usize, now: Cycle) {
-        for out in Dir::ALL {
-            if self.routers[r].requested(out.index()) {
-                self.arbitrate(r, out, now);
+        let mut from = 0;
+        loop {
+            let later = self.routers[r].requested_outputs() >> from;
+            if later == 0 {
+                return;
             }
+            let out = from + later.trailing_zeros() as usize;
+            self.arbitrate(r, out, now);
+            from = out + 1;
         }
     }
 
     /// Picks and forwards at most one flit through output `out` of router
     /// `r` this cycle.
     #[inline]
-    fn arbitrate(&mut self, r: usize, out: Dir, now: Cycle) {
-        let out_i = out.index();
+    fn arbitrate(&mut self, r: usize, out: usize, now: Cycle) {
         let router = &mut self.routers[r];
-        let Some(slot) = router.pick(out_i) else {
+        let Some(slot) = router.pick(out) else {
             return;
         };
-        let (in_port, vc) = (Dir::ALL[slot / NUM_VCS], slot % NUM_VCS);
         let flit = router.pop(slot);
+        self.grant(r, slot, flit, now);
+    }
+
+    /// Phase 1's pass-through: grants the flit landing in input `slot` of
+    /// router `r` at once, leaving exactly the state this cycle's phase 3
+    /// would, and returns true; or returns false and changes nothing.
+    /// Phase 3 would grant it, and nothing else of this cycle would see
+    /// the difference, when
+    ///
+    /// 1. the router buffers no flit, so nothing competes for its output
+    ///    or takes a later output of the same visit;
+    /// 2. no other flit lands here this cycle (counted beforehand by
+    ///    `note_landing`: round-robin order decides between two);
+    /// 3. the tile's NI queue is empty, so phase 2 adds no rival;
+    /// 4. the flit wins its output now (lock free or its packet's, and
+    ///    a credit on a mesh port). Credits only rise before the
+    ///    router's own visit, so one seen now is there in phase 3;
+    /// 5. returning its credit now is invisible upstream: phase 3 visits
+    ///    the upstream router after this one anyway, or that router
+    ///    already holds a credit on the VC, so one more changes no grant.
+    #[inline]
+    fn try_transit(&mut self, r: usize, slot: usize, flit: Flit, now: Cycle) -> bool {
+        let router = &self.routers[r];
+        if router.buffered() > 0 || !router.lands_alone(now) || self.inject_tiles.contains(r) {
+            return false;
+        }
+        if !router.admits(slot, flit.out as usize, &flit) {
+            return false;
+        }
+        let (in_port, vc) = (slot / NUM_VCS, slot % NUM_VCS);
+        let up = self.neighbors[r][in_port] as usize;
+        let back = Dir::ALL[in_port].opposite().index();
+        if up < r && self.routers[up].credits[back][vc] == 0 {
+            return false;
+        }
+        self.sched.transits += 1;
+        self.grant(r, slot, flit, now);
+        true
+    }
+
+    /// Sends `flit`, just taken from input `slot` of router `r`, through
+    /// its output port: round-robin pointer, wormhole lock, then the
+    /// ejection pipeline or a downstream credit and the link, then the
+    /// credit return to the upstream router it came from.
+    #[inline]
+    fn grant(&mut self, r: usize, slot: usize, flit: Flit, now: Cycle) {
+        let (out_i, out) = (flit.out as usize, Dir::ALL[flit.out as usize]);
+        let (in_port, vc) = (Dir::ALL[slot / NUM_VCS], slot % NUM_VCS);
+        let router = &mut self.routers[r];
         router.rr[out_i] = ((slot + 1) % NUM_SLOTS) as u8;
         // Wormhole lock maintenance.
-        router.out_lock[out_i][vc] = (!flit.is_tail).then_some(WormLock {
+        router.out_lock[out_i][vc] = (!flit.is_tail()).then_some(WormLock {
             slot: flit.slot,
             in_port,
         });
@@ -607,8 +789,9 @@ impl<T, S: TraceSink> Noc<T, S> {
                 port: out,
             });
             self.wire.push_back(WireEntry {
-                arrive: now + (self.cfg.router_latency + self.cfg.link_latency) as u64,
-                router: self.neighbors[r][out_i],
+                arrive: now + self.cfg.router_latency as u64 + self.cfg.link_latency as u64,
+                // A tile id: it came from a `CoreId`, so it fits.
+                router: self.neighbors[r][out_i] as u16,
                 slot: (out.opposite().index() * NUM_VCS + vc) as u8,
                 flit,
             });
@@ -635,7 +818,7 @@ impl<T, S: TraceSink> Noc<T, S> {
         let entry = &mut self.packets[flit.slot as usize];
         let (info, _) = entry.as_mut().expect("packet state exists");
         info.flits_arrived += 1;
-        if flit.is_tail {
+        if flit.is_tail() {
             debug_assert_eq!(
                 info.flits_arrived, info.flits_total,
                 "tail arrived before body"
@@ -684,6 +867,12 @@ mod tests {
             c += 1;
             assert!(c < max, "network did not drain in {max} cycles");
         }
+    }
+
+    #[test]
+    fn per_hop_records_are_small() {
+        assert_eq!(std::mem::size_of::<Flit>(), 8);
+        assert_eq!(std::mem::size_of::<WireEntry>(), 24);
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! > bit `s` of `req[o]` set ⇔ slot `s` is non-empty and its front flit
 //! > routes to `o`.
 //!
-//! [`Router::push`] and [`Router::pop`] are the only ways to change a
-//! buffer, and they keep that invariant, so [`Router::pick`] inspects
-//! exactly the slots that ask for an output instead of all fifteen.
+//! A byte of requested outputs summarises the masks: bit `o` set ⇔
+//! `req[o] != 0`. [`Router::push`] and [`Router::pop`] are the only ways
+//! to change a buffer, and they keep both, so a visit walks only the
+//! outputs that have a requester and [`Router::pick`] inspects exactly
+//! the slots that ask for an output instead of all fifteen.
 //!
-//! Host layout: the fifteen buffers are fixed-capacity rings in one
-//! flat allocation made at construction (slot `s` owns
+//! Host layout: the fifteen buffers are fixed-capacity rings of 8-byte
+//! flits in one flat allocation made at construction (slot `s` owns
 //! `buf[s * cap..(s + 1) * cap]`), and heads, lengths, credits and
 //! round-robin pointers are bytes, so the bookkeeping of a router is
 //! about three host cache lines and a hop reads one more for the flit.
@@ -22,7 +24,7 @@
 use crate::msg::Flit;
 use sim_base::config::MAX_VC_BUFFER_FLITS;
 use sim_base::geom::Dir;
-use sim_base::CoreId;
+use sim_base::{CoreId, Cycle};
 
 /// Number of virtual channels (= virtual networks = message classes).
 pub const NUM_VCS: usize = 3;
@@ -62,6 +64,12 @@ pub struct Router {
     flits: u16,
     /// Request mask per output port (see the module docs).
     req: [u16; NUM_PORTS],
+    /// Requested outputs: bit `o` set ⇔ `req[o] != 0`.
+    outs: u8,
+    /// Flits landing here in the current phase 1: `(cycle + 1) << 1`
+    /// after the first, with bit 0 set after a second. A cycle stamp,
+    /// so it is never cleared.
+    landed: Cycle,
     /// Credits available toward the downstream router on each output
     /// port/vc. Local output (ejection) is uncredited (always accepted).
     pub credits: [[u8; NUM_VCS]; NUM_PORTS],
@@ -84,13 +92,7 @@ impl Router {
             "VC buffers hold 1..={MAX_VC_BUFFER_FLITS} flits, not {buf_flits}"
         );
         let cap = buf_flits as u8;
-        let blank = Flit {
-            slot: 0,
-            dst: CoreId(0),
-            out: 0,
-            is_head: false,
-            is_tail: false,
-        };
+        let blank = Flit::new(0, CoreId(0), 0, false, false);
         Router {
             buf: vec![blank; NUM_SLOTS * cap as usize].into_boxed_slice(),
             cap,
@@ -98,6 +100,8 @@ impl Router {
             len: [0; NUM_SLOTS],
             flits: 0,
             req: [0; NUM_PORTS],
+            outs: 0,
+            landed: 0,
             credits: [[cap; NUM_VCS]; NUM_PORTS],
             out_lock: [[None; NUM_VCS]; NUM_PORTS],
             rr: [0; NUM_PORTS],
@@ -108,6 +112,12 @@ impl Router {
     #[inline]
     pub fn buffered(&self) -> usize {
         self.flits as usize
+    }
+
+    /// Flits buffered in input `slot`.
+    #[inline]
+    pub fn slot_flits(&self, slot: usize) -> usize {
+        self.len[slot] as usize
     }
 
     /// True if `slot` has buffer space for one more flit. (Inter-router
@@ -160,7 +170,7 @@ impl Router {
     pub fn push(&mut self, slot: usize, flit: Flit) {
         assert!(self.has_space(slot), "push into a full slot");
         if self.len[slot] == 0 {
-            self.req[flit.out as usize] |= 1 << slot;
+            self.request(slot, flit.out);
         }
         self.buf[self.at(slot, self.len[slot])] = flit;
         self.len[slot] += 1;
@@ -176,22 +186,40 @@ impl Router {
         self.head[slot] = self.ring(slot, 1);
         self.len[slot] -= 1;
         self.flits -= 1;
-        self.req[flit.out as usize] &= !(1 << slot);
+        let out = flit.out as usize;
+        self.req[out] &= !(1 << slot);
+        if self.req[out] == 0 {
+            self.outs &= !(1 << out);
+        }
         if let Some(next) = self.front(slot) {
-            self.req[next.out as usize] |= 1 << slot;
+            self.request(slot, next.out);
         }
         flit
+    }
+
+    /// Sets `slot`'s request bit for output `out`.
+    #[inline]
+    fn request(&mut self, slot: usize, out: u8) {
+        self.req[out as usize] |= 1 << slot;
+        self.outs |= 1 << out;
     }
 
     /// True when some slot's front flit routes to output port `out`;
     /// [`pick`](Self::pick) grants nothing otherwise.
     #[inline]
     pub fn requested(&self, out: usize) -> bool {
-        self.req[out] != 0
+        self.outs & (1 << out) != 0
     }
 
-    /// True when every request mask equals the mask recomputed from the
-    /// buffer fronts.
+    /// The requested outputs as a byte: bit `o` set ⇔
+    /// [`requested(o)`](Self::requested).
+    #[inline]
+    pub fn requested_outputs(&self) -> u8 {
+        self.outs
+    }
+
+    /// True when every request mask, and the byte of requested outputs,
+    /// equals what the buffer fronts say.
     pub fn req_is_consistent(&self) -> bool {
         let mut want = [0u16; NUM_PORTS];
         for slot in 0..NUM_SLOTS {
@@ -199,7 +227,26 @@ impl Router {
                 want[f.out as usize] |= 1 << slot;
             }
         }
-        want == self.req
+        let outs = (0..NUM_PORTS).fold(0u8, |m, o| m | (((want[o] != 0) as u8) << o));
+        want == self.req && outs == self.outs
+    }
+
+    /// Counts a flit landing here in cycle `now`; see
+    /// [`lands_alone`](Self::lands_alone).
+    #[inline]
+    pub(crate) fn note_landing(&mut self, now: Cycle) {
+        let stamp = (now + 1) << 1;
+        self.landed = if self.landed & !1 == stamp {
+            stamp | 1
+        } else {
+            stamp
+        };
+    }
+
+    /// True when exactly one flit was counted landing here in `now`.
+    #[inline]
+    pub(crate) fn lands_alone(&self, now: Cycle) -> bool {
+        self.landed == (now + 1) << 1
     }
 
     /// The slot whose front flit wins output port `out` this cycle: the
@@ -230,15 +277,24 @@ impl Router {
 
     #[inline]
     fn can_grant(&self, slot: usize, out: usize) -> bool {
-        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
         let flit = self.front(slot).expect("request bit without a front flit");
+        self.admits(slot, out, flit)
+    }
+
+    /// True when `flit`, at the front of input `slot`, may leave through
+    /// output `out` now: the wormhole rule (a continuation flit must
+    /// hold the lock, a head flit needs it free) and, on a mesh port, a
+    /// downstream credit.
+    #[inline]
+    pub(crate) fn admits(&self, slot: usize, out: usize, flit: &Flit) -> bool {
+        let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
         let lock_ok = match self.out_lock[out][vc] {
             Some(lock) => {
                 let holds = lock.in_port.index() == p && lock.slot == flit.slot;
-                debug_assert!(!(holds && flit.is_head), "head flit under its own lock");
+                debug_assert!(!(holds && flit.is_head()), "head flit under its own lock");
                 holds
             }
-            None => flit.is_head,
+            None => flit.is_head(),
         };
         // Flow control: downstream space (mesh ports only).
         lock_ok && (out == Dir::Local.index() || self.credits[out][vc] > 0)
@@ -250,13 +306,7 @@ mod tests {
     use super::*;
 
     fn flit(pkt: u32, out: Dir) -> Flit {
-        Flit {
-            slot: pkt,
-            dst: CoreId(0),
-            out: out.index() as u8,
-            is_head: true,
-            is_tail: true,
-        }
+        Flit::new(pkt, CoreId(0), out.index() as u8, true, true)
     }
 
     #[test]
@@ -281,13 +331,38 @@ mod tests {
         r.push(7, flit(2, Dir::South));
         assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (Some(7), None));
+        assert_eq!(r.requested_outputs(), 1 << east);
         assert_eq!(r.pop(7).slot, 1);
         assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (None, Some(7)));
+        assert_eq!(r.requested_outputs(), 1 << south);
+        r.push(2, flit(3, Dir::South));
+        assert_eq!(r.requested_outputs(), 1 << south);
         assert_eq!(r.pop(7).slot, 2);
         assert!(r.req_is_consistent());
+        assert_eq!(r.requested_outputs(), 1 << south, "slot 2 still asks");
+        assert_eq!(r.pop(2).slot, 3);
+        assert!(r.req_is_consistent());
         assert_eq!((r.pick(east), r.pick(south)), (None, None));
+        assert_eq!(r.requested_outputs(), 0);
         assert_eq!(r.buffered(), 0);
+    }
+
+    #[test]
+    fn landings_are_counted_per_cycle_without_clearing() {
+        let mut r = Router::new(4);
+        assert!(!r.lands_alone(0), "nothing landed yet");
+        r.note_landing(0);
+        assert!(r.lands_alone(0));
+        r.note_landing(0);
+        assert!(!r.lands_alone(0), "two flits land in cycle 0");
+        r.note_landing(0);
+        assert!(!r.lands_alone(0));
+        for now in [1, 2, 9, 1 << 40] {
+            assert!(!r.lands_alone(now), "a stale stamp counts in cycle {now}");
+            r.note_landing(now);
+            assert!(r.lands_alone(now), "cycle {now}");
+        }
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn linear_scan_pick(r: &Router, out: usize) -> Option<usize> {
                 }
             }
             None => {
-                if !flit.is_head || flit.out as usize != out {
+                if !flit.is_head() || flit.out as usize != out {
                     continue;
                 }
             }
@@ -216,7 +216,7 @@ fn visit(r: &mut Router, pick: impl Fn(&Router, usize) -> Option<usize>) -> Vec<
         let (p, vc) = (slot / NUM_VCS, slot % NUM_VCS);
         let flit = r.pop(slot);
         r.rr[out] = ((slot + 1) % NUM_SLOTS) as u8;
-        r.out_lock[out][vc] = (!flit.is_tail).then_some(WormLock {
+        r.out_lock[out][vc] = (!flit.is_tail()).then_some(WormLock {
             slot: flit.slot,
             in_port: Dir::ALL[p],
         });
@@ -268,16 +268,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
                         break;
                     }
                     room -= 1;
-                    r.push(
-                        slot,
-                        Flit {
-                            slot: pkt,
-                            dst: CoreId(0),
-                            out,
-                            is_head: i == 0,
-                            is_tail: i == len - 1,
-                        },
-                    );
+                    r.push(slot, Flit::new(pkt, CoreId(0), out, i == 0, i == len - 1));
                 }
                 skip = 0;
             }
@@ -294,7 +285,7 @@ fn mask_arbiter_matches_linear_scan_on_random_router_states() {
                     0 => None,
                     1 => r
                         .front(p * NUM_VCS + vc)
-                        .filter(|f| !f.is_head && f.out as usize == out)
+                        .filter(|f| !f.is_head() && f.out as usize == out)
                         .map(|f| WormLock {
                             slot: f.slot,
                             in_port: Dir::ALL[p],
@@ -415,13 +406,13 @@ fn flat_rings_match_vecdeque_reference() {
                 assert_eq!(r.has_space(slot), model[slot].len() < cap as usize);
                 if rng.chance(0.55) {
                     if r.has_space(slot) {
-                        let flit = Flit {
-                            slot: next,
-                            dst: CoreId(rng.next_below(64) as u16),
-                            out: rng.next_below(NUM_PORTS as u64) as u8,
-                            is_head: rng.chance(0.5),
-                            is_tail: rng.chance(0.5),
-                        };
+                        let flit = Flit::new(
+                            next,
+                            CoreId(rng.next_below(64) as u16),
+                            rng.next_below(NUM_PORTS as u64) as u8,
+                            rng.chance(0.5),
+                            rng.chance(0.5),
+                        );
                         next += 1;
                         r.push(slot, flit);
                         model[slot].push_back(flit);
@@ -447,17 +438,20 @@ fn flat_rings_match_vecdeque_reference() {
 }
 
 /// The sparse tick — work lists walked by word, flits injected
-/// straight into the local input VC by `send` — against the dense
-/// every-router tick, which queues every flit at the network interface
-/// and takes no shortcut: random paced traffic into both, and after
-/// every cycle the same messages must have been delivered to the same
-/// tiles in the same order, with the same statistics and the same
-/// `next_event()`. Narrow links make most packets multi-flit, buffers
-/// go down to one flit, some messages stay on their tile, and a tile
-/// often sends several messages in one cycle.
+/// straight into the local input VC by `send`, flits passed straight
+/// through idle routers on landing — against the dense every-router
+/// tick, which queues every flit at the network interface and takes no
+/// shortcut: random paced traffic into both, and after every cycle the
+/// same messages must have been delivered to the same tiles in the same
+/// order, with the same statistics and the same `next_event()`, and
+/// both must pass `check_conservation`. Every pass-through is a router
+/// visit the dense tick makes and the sparse one does not. Narrow links
+/// make most packets multi-flit, buffers go down to one flit, some
+/// messages stay on their tile, and a tile often sends several messages
+/// in one cycle.
 #[test]
 fn sparse_tick_matches_dense_tick_in_lockstep() {
-    let mut direct = 0u64;
+    let (mut direct, mut transits) = (0u64, 0u64);
     forall_cases("sparse_tick_matches_dense_tick", 40, |rng| {
         let mesh = Mesh2D::new(1 + rng.next_below(4) as u16, 1 + rng.next_below(5) as u16);
         let tiles = mesh.num_tiles();
@@ -503,6 +497,14 @@ fn sparse_tick_matches_dense_tick_in_lockstep() {
             assert_eq!(sparse.next_event(), dense.next_event(), "cycle {cycle}");
             sparse.tick();
             dense.tick();
+            for noc in [&sparse, &dense] {
+                if let Err(e) = noc.check_conservation() {
+                    panic!(
+                        "cycle {cycle}, active sets {}: {e}",
+                        noc.active_set_enabled()
+                    );
+                }
+            }
             assert_eq!(sparse.stats(), dense.stats(), "cycle {cycle}");
             for tile in mesh.tiles() {
                 assert_eq!(sparse.has_delivery_for(tile), dense.has_delivery_for(tile));
@@ -516,11 +518,12 @@ fn sparse_tick_matches_dense_tick_in_lockstep() {
         }
         assert!(dense.is_idle());
         assert_eq!(sparse.in_flight(), 0);
-        assert!(sparse.sched_stats().inject_visits <= dense.sched_stats().inject_visits);
-        assert_eq!(
-            sparse.sched_stats().router_visits,
-            dense.sched_stats().router_visits
-        );
+        let (s, d) = (sparse.sched_stats(), dense.sched_stats());
+        assert!(s.inject_visits <= d.inject_visits);
+        assert_eq!(d.transits, 0, "the dense tick passed a flit through");
+        assert_eq!(s.router_visits + s.transits, d.router_visits);
+        transits += s.transits;
     });
     assert!(direct > 0, "no send was injected directly");
+    assert!(transits > 0, "no flit passed through an idle router");
 }

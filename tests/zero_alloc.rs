@@ -141,29 +141,35 @@ fn steady_state_ticks_do_not_allocate() {
 /// Advances `sys` through `warm` cycles of its barrier loop on the
 /// default engine (sparse ticks and clock jumps), then demands that the
 /// next `measured` cycles allocate nothing. Returns the clock jumps
-/// taken while measuring.
+/// taken and the flits the NoC passed through idle routers while
+/// measuring.
 fn assert_system_ticks_allocation_free<B: BarrierHw>(
     mut sys: System<B>,
     warm: u64,
     measured: u64,
     what: &str,
-) -> u64 {
+) -> (u64, u64) {
     sys.advance_until(warm);
     let jumps_before = sys.skip_stats().skips;
+    let transits_before = sys.noc_sched_stats().transits;
     let n = count_allocs(|| sys.advance_until(warm + measured));
     assert!(!sys.all_halted(), "{what}: the loop ended while measuring");
     assert_eq!(
         n, 0,
         "{what}: steady-state ticks performed {n} heap allocations"
     );
-    sys.skip_stats().skips - jumps_before
+    (
+        sys.skip_stats().skips - jumps_before,
+        sys.noc_sched_stats().transits - transits_before,
+    )
 }
 
 /// The whole machine, cores included: a G-line barrier loop on the flat
 /// 4x8 network and on the clustered 16x16 one (whose every tick used to
 /// build a `Vec`), a software-barrier loop whose cores park and wake
-/// through the wake index, and a G-line loop with staggered arrival,
-/// where the early cores park on `bar_reg` and the clock jumps.
+/// through the wake index and whose flits pass through idle routers,
+/// and a G-line loop with staggered arrival, where the early cores park
+/// on `bar_reg` and the clock jumps.
 #[test]
 fn steady_state_system_ticks_do_not_allocate() {
     let flat = CmpConfig::icpp2010();
@@ -181,13 +187,17 @@ fn steady_state_system_ticks_do_not_allocate() {
         3_000,
         "GL loop, clustered 16x16",
     );
-    assert_system_ticks_allocation_free(
+    let (_, transits) = assert_system_ticks_allocation_free(
         synthetic::build(32, BarrierKind::Dsw, 100_000).into_system(flat),
         20_000,
         20_000,
         "DSW loop, 4x8",
     );
-    let jumps = assert_system_ticks_allocation_free(
+    assert!(
+        transits > 100,
+        "DSW loop: only {transits} flits passed through idle routers"
+    );
+    let (jumps, _) = assert_system_ticks_allocation_free(
         synthetic::build_imbalanced(32, BarrierKind::Gl, 100_000, 1_000).into_system(flat),
         100_000,
         400_000,
