@@ -167,6 +167,11 @@ impl MasterH {
         self.scnt
     }
 
+    /// Pulses expected (the member slaves in the row).
+    pub fn scnt_max(&self) -> u32 {
+        self.scnt_max
+    }
+
     /// Whether the local core has been counted (Mcnt).
     pub fn mcnt(&self) -> bool {
         self.mcnt
@@ -407,6 +412,11 @@ impl MasterV {
     /// Row-completion count so far (ScntV), for inspection/tests.
     pub fn scnt(&self) -> u32 {
         self.scnt
+    }
+
+    /// Pulses expected (the member rows other than row 0).
+    pub fn scnt_max(&self) -> u32 {
+        self.scnt_max
     }
 
     /// True while the gated root is waiting for an external release.

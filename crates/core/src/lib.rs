@@ -80,6 +80,8 @@ pub mod cluster;
 pub mod controller;
 pub mod line;
 pub mod network;
+#[cfg(test)]
+mod reference;
 pub mod stats;
 pub mod tdm;
 

@@ -13,8 +13,6 @@
 //!   1-cycle lines, or `latency - 1` cycles later for the slow-line
 //!   variant of the paper's future work.
 
-use std::collections::VecDeque;
-
 /// What the receiver of a G-line observes at the end of a cycle.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Sensed {
@@ -35,8 +33,14 @@ pub struct GLine {
     latency: u32,
     /// Transmitters asserted during the current (not yet propagated) cycle.
     pending: u32,
-    /// In-flight values for latency > 1: front is the oldest.
-    pipeline: VecDeque<Sensed>,
+    /// Values still on the wire: a ring of `latency - 1` entries whose
+    /// oldest sits at `head` (empty for the paper's 1-cycle lines, which
+    /// hand `pending` straight to `sensed`).
+    pipeline: Box<[Sensed]>,
+    head: usize,
+    /// Entries of `pipeline` carrying a signal, so [`is_idle`](Self::is_idle)
+    /// is O(1) whatever the latency.
+    in_flight: u32,
     /// What the receiver currently senses.
     sensed: Sensed,
     /// Total signal-cycles ever transmitted (energy proxy).
@@ -58,7 +62,9 @@ impl GLine {
             max_transmitters,
             latency,
             pending: 0,
-            pipeline: VecDeque::with_capacity(latency as usize),
+            pipeline: vec![Sensed::default(); latency as usize - 1].into_boxed_slice(),
+            head: 0,
+            in_flight: 0,
             sensed: Sensed::default(),
             energy_signals: 0,
         }
@@ -83,21 +89,23 @@ impl GLine {
         self.pending
     }
 
-    /// Ends the cycle: pushes the pending assertions through the latency
-    /// pipeline and updates the sensed value.
+    /// Ends the cycle: the pending assertions enter the wire and the
+    /// receiver senses what entered it `latency - 1` cycles ago.
+    #[inline]
     pub fn propagate(&mut self) {
         let s = Sensed {
             value: self.pending > 0,
             count: self.pending,
         };
         self.pending = 0;
-        self.pipeline.push_back(s);
-        // After `latency` stages the value is observable; keep exactly
-        // latency-1 in-flight entries after popping.
-        self.sensed = if self.pipeline.len() >= self.latency as usize {
-            self.pipeline.pop_front().unwrap()
+        self.sensed = if self.pipeline.is_empty() {
+            s
         } else {
-            Sensed::default()
+            let out = std::mem::replace(&mut self.pipeline[self.head], s);
+            self.head = (self.head + 1) % self.pipeline.len();
+            self.in_flight += s.value as u32;
+            self.in_flight -= out.value as u32;
+            out
         };
     }
 
@@ -123,18 +131,28 @@ impl GLine {
         self.energy_signals
     }
 
-    /// True when the line is electrically quiet: no pending assertion,
-    /// nothing sensed, and the latency pipeline is at its steady-state
-    /// depth holding only idle entries. Propagating such a line is a
-    /// state no-op (it pushes a default entry and pops a default entry),
-    /// so idle lines can be skipped over. During the initial pipeline
-    /// fill (`latency > 1` only) propagates still change the pipeline
-    /// depth, so the line reports busy.
+    /// True when no signal is pending or on the wire, so the next
+    /// [`propagate`](Self::propagate) senses nothing and leaves the line
+    /// as it is: idle lines can be skipped over. O(1). The value sensed
+    /// last is not part of it — its receiver consumed it in the cycle
+    /// that produced it, and the next `propagate` overwrites it before
+    /// anything reads it again.
+    #[inline]
     pub fn is_idle(&self) -> bool {
-        self.pending == 0
-            && self.sensed == Sensed::default()
-            && self.pipeline.len() == (self.latency - 1) as usize
-            && self.pipeline.iter().all(|s| *s == Sensed::default())
+        self.pending == 0 && self.in_flight == 0
+    }
+
+    /// Checks the in-flight count [`is_idle`](Self::is_idle) reads
+    /// against the signals actually on the wire (a scan of the ring).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let on_wire = self.pipeline.iter().filter(|s| s.value).count() as u32;
+        if self.in_flight != on_wire {
+            return Err(format!(
+                "in-flight count {} but {on_wire} signals on the wire",
+                self.in_flight
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -226,6 +244,27 @@ mod tests {
             l.propagate();
         }
         assert_eq!(l.energy_signals(), 5);
+    }
+
+    #[test]
+    fn idle_while_nothing_is_pending_or_on_the_wire() {
+        for latency in 1..=4 {
+            let mut l = GLine::new(6, latency);
+            assert!(l.is_idle(), "a fresh line is idle (latency {latency})");
+            l.assert_tx();
+            for _ in 1..latency {
+                assert!(!l.is_idle());
+                l.propagate();
+                assert_eq!(l.sensed(), Sensed::default());
+                l.check_invariants().unwrap();
+            }
+            assert!(!l.is_idle());
+            l.propagate();
+            assert_eq!(l.sensed().count, 1, "latency {latency}");
+            // Sensed this cycle, consumed by the receiver: nothing left.
+            assert!(l.is_idle(), "latency {latency}");
+            l.check_invariants().unwrap();
+        }
     }
 
     #[test]

@@ -29,12 +29,12 @@
 //! Figure-4 controller transitions, per-core arrivals/releases and the
 //! episode-completion event.
 
-use crate::controller::{MasterH, MasterV, SlaveH, SlaveV};
+use crate::controller::{MasterH, MasterV, SlaveH, SlaveHState, SlaveV};
 use crate::line::GLine;
 use crate::stats::GlineStats;
 use sim_base::config::GlineConfig;
 use sim_base::trace::{CtrlKind, Event, GlineKind, NullSink, TraceSink, Tracer};
-use sim_base::{Coord, CoreId, Cycle, Mesh2D};
+use sim_base::{ActiveSet, Coord, CoreId, Cycle, Mesh2D};
 
 /// Identifier of a barrier context (0-based). The baseline design of the
 /// paper has a single context; the future-work extension multiplexes
@@ -48,17 +48,13 @@ struct RowNet {
     release: GLine,
 }
 
-/// A horizontal slave controller with its place in the mesh, computed
-/// once at construction so the per-tick loops do no `coord_of` div/mod.
-#[derive(Clone, Debug)]
-struct RowSlave {
-    ctrl: SlaveH,
-    core: CoreId,
-    row: u16,
-}
-
 /// One independent barrier context: its own G-lines, controllers and
 /// `bar_reg` bank.
+///
+/// A tick costs what moves, not the core count: transmit walks only the
+/// signalling set, receive only the rows whose release line senses a
+/// pulse, and the rest — lines, row and column controllers — is
+/// O(rows).
 #[derive(Clone, Debug)]
 struct Context<S: TraceSink> {
     /// Index of this context within the network (for trace events).
@@ -70,9 +66,15 @@ struct Context<S: TraceSink> {
     row_active: Vec<bool>,
     num_members: u32,
     bar_reg: Vec<u64>,
-    /// Horizontal slaves — the member tiles outside column 0 — in
-    /// ascending core order.
-    slave_h: Vec<RowSlave>,
+    /// Horizontal slave controllers, indexed by core: row `r`'s slaves
+    /// are cores `r * cols + 1 .. (r + 1) * cols`. Only the member tiles
+    /// outside column 0 ever leave `Signaling`.
+    slave_h: Vec<SlaveH>,
+    /// The signalling set: the slaves in `Signaling` whose `bar_reg` is
+    /// set — arrivals whose gather pulse the next transmit sends. Every
+    /// other slave is stable until its row's release line senses a
+    /// pulse.
+    signalling: ActiveSet,
     /// One horizontal master per row.
     master_h: Vec<MasterH>,
     /// Vertical slaves for rows `1..R` (index `row - 1`).
@@ -152,15 +154,8 @@ impl<S: TraceSink> Context<S> {
         let mut ctx = Context {
             ctx_id,
             bar_reg: vec![0; num_cores],
-            slave_h: mesh
-                .coords()
-                .filter(|&c| c.col > 0 && members[mesh.id_of(c).index()])
-                .map(|c| RowSlave {
-                    ctrl: SlaveH::new(),
-                    core: mesh.id_of(c),
-                    row: c.row,
-                })
-                .collect(),
+            slave_h: vec![SlaveH::new(); num_cores],
+            signalling: ActiveSet::new(num_cores),
             master_h: (0..mesh.rows)
                 .map(|r| {
                     MasterH::new(
@@ -190,7 +185,7 @@ impl<S: TraceSink> Context<S> {
         ctx
     }
 
-    fn write_bar_reg(&mut self, core: CoreId, value: u64, now: Cycle) {
+    fn write_bar_reg(&mut self, mesh: Mesh2D, core: CoreId, value: u64, now: Cycle) {
         assert!(
             value != 0,
             "bar_reg arrival writes must be nonzero (paper §3.3)"
@@ -200,8 +195,8 @@ impl<S: TraceSink> Context<S> {
             "{core:?} is not a member of this barrier context"
         );
         let ctx = self.ctx_id;
-        let slot = &mut self.bar_reg[core.index()];
-        if *slot == 0 {
+        let i = core.index();
+        if self.bar_reg[i] == 0 {
             if self.arrived == 0 {
                 self.first_arrival = now;
             }
@@ -209,8 +204,13 @@ impl<S: TraceSink> Context<S> {
             self.outstanding += 1;
             self.last_arrival = now;
             self.tracer.emit(now, || Event::BarrierArrive { ctx, core });
+            // Outside column 0 the arrival is a slave's: its gather
+            // pulse goes out in the next transmit.
+            if !i.is_multiple_of(mesh.cols as usize) {
+                self.signalling.insert(i);
+            }
         }
-        *slot = value;
+        self.bar_reg[i] = value;
     }
 
     fn tick(&mut self, mesh: Mesh2D, now: Cycle) {
@@ -223,7 +223,7 @@ impl<S: TraceSink> Context<S> {
             debug_assert!(self.is_quiescent(mesh));
             return;
         }
-        let nrows = mesh.rows as usize;
+        let (nrows, cols) = (mesh.rows as usize, mesh.cols as usize);
         let ctx = self.ctx_id;
 
         // --- latch: registered cross-controller commands become visible.
@@ -237,29 +237,33 @@ impl<S: TraceSink> Context<S> {
         self.mh_flags
             .extend(self.master_h.iter().map(MasterH::flag));
 
-        // --- transmit.
-        for s in &mut self.slave_h {
-            let (sh, core, row) = (&mut s.ctrl, s.core, s.row);
-            let arrived = self.bar_reg[core.index()] != 0;
-            let before = sh.state();
-            if sh.transmit(arrived) {
-                let count = self.rows[row as usize].gather.assert_tx();
-                self.tracer.emit(now, || Event::GlineAssert {
-                    ctx,
-                    kind: GlineKind::RowGather,
-                    row,
-                    count,
-                });
-            }
-            let after = sh.state();
-            if S::ENABLED && after != before {
-                self.tracer.emit(now, || Event::CtrlTransition {
-                    ctx,
-                    core,
-                    ctrl: CtrlKind::SlaveH,
-                    from: before.label(),
-                    to: after.label(),
-                });
+        // --- transmit. Only the signalling slaves can pulse; walking
+        // the set in ascending core order keeps the event order of a
+        // scan over every slave.
+        for w in 0..self.signalling.num_words() {
+            for i in self.signalling.word_members(w) {
+                self.signalling.remove(i);
+                let (sh, core, row) = (&mut self.slave_h[i], CoreId::from(i), (i / cols) as u16);
+                let before = sh.state();
+                if sh.transmit(self.bar_reg[i] != 0) {
+                    let count = self.rows[row as usize].gather.assert_tx();
+                    self.tracer.emit(now, || Event::GlineAssert {
+                        ctx,
+                        kind: GlineKind::RowGather,
+                        row,
+                        count,
+                    });
+                }
+                let after = sh.state();
+                if S::ENABLED && after != before {
+                    self.tracer.emit(now, || Event::CtrlTransition {
+                        ctx,
+                        core,
+                        ctrl: CtrlKind::SlaveH,
+                        from: before.label(),
+                        to: after.label(),
+                    });
+                }
             }
         }
         for r in 0..nrows {
@@ -400,24 +404,30 @@ impl<S: TraceSink> Context<S> {
             }
         }
 
-        // --- receive.
-        for k in 0..self.slave_h.len() {
-            let s = &mut self.slave_h[k];
-            let (sh, core) = (&mut s.ctrl, s.core);
-            let before = sh.state();
-            let clear = sh.receive(self.rows[s.row as usize].release.sensed());
-            let after = sh.state();
-            if clear {
-                self.clear_bar_reg(core, now);
+        // --- receive. A slave only moves when its row's release line
+        // senses a pulse, so only those rows' slave ranges are visited.
+        for r in 0..nrows {
+            let release = self.rows[r].release.sensed();
+            if !release.value {
+                continue;
             }
-            if S::ENABLED && after != before {
-                self.tracer.emit(now, || Event::CtrlTransition {
-                    ctx,
-                    core,
-                    ctrl: CtrlKind::SlaveH,
-                    from: before.label(),
-                    to: after.label(),
-                });
+            for i in r * cols + 1..(r + 1) * cols {
+                let (sh, core) = (&mut self.slave_h[i], CoreId::from(i));
+                let before = sh.state();
+                let clear = sh.receive(release);
+                let after = sh.state();
+                if clear {
+                    self.clear_bar_reg(core, now);
+                }
+                if S::ENABLED && after != before {
+                    self.tracer.emit(now, || Event::CtrlTransition {
+                        ctx,
+                        core,
+                        ctrl: CtrlKind::SlaveH,
+                        from: before.label(),
+                        to: after.label(),
+                    });
+                }
             }
         }
         for r in 0..nrows {
@@ -489,6 +499,8 @@ impl<S: TraceSink> Context<S> {
         }
 
         self.quiescent = self.is_quiescent(mesh);
+        #[cfg(debug_assertions)]
+        self.debug_check(mesh);
     }
 
     /// True when a tick of this context is a provable no-op: every
@@ -496,8 +508,27 @@ impl<S: TraceSink> Context<S> {
     /// under its current (held) inputs. This is exactly the state of a
     /// partially-arrived barrier between events — waiters parked in
     /// `Waiting`, masters mid-count — where nothing moves until another
-    /// core writes its `bar_reg` (or a gated root is triggered).
+    /// core writes its `bar_reg` (or a gated root is triggered). O(rows):
+    /// a horizontal slave is unstable exactly while it is in the
+    /// signalling set.
     fn is_quiescent(&self, mesh: Mesh2D) -> bool {
+        self.signalling.is_empty() && self.rest_quiescent(mesh)
+    }
+
+    /// [`is_quiescent`](Self::is_quiescent) computed by asking every
+    /// horizontal slave instead of the signalling set (what
+    /// [`check_invariants`](Self::check_invariants) holds the memo to).
+    fn is_quiescent_full_scan(&self, mesh: Mesh2D) -> bool {
+        let cols = mesh.cols as usize;
+        let slaves_stable = (0..self.slave_h.len())
+            .filter(|i| !i.is_multiple_of(cols))
+            .all(|i| self.slave_h[i].is_stable(self.bar_reg[i] != 0));
+        slaves_stable && self.rest_quiescent(mesh)
+    }
+
+    /// The quiescence conditions besides the horizontal slaves': idle
+    /// lines, no pending episode, stable row and column controllers.
+    fn rest_quiescent(&self, mesh: Mesh2D) -> bool {
         let lines_idle = self
             .rows
             .iter()
@@ -511,11 +542,6 @@ impl<S: TraceSink> Context<S> {
         // never be pending between ticks; keep the guard anyway.
         if self.arrived == self.num_members && self.outstanding == 0 {
             return false;
-        }
-        for s in &self.slave_h {
-            if !s.ctrl.is_stable(self.bar_reg[s.core.index()] != 0) {
-                return false;
-            }
         }
         for r in 0..mesh.rows as usize {
             if !self.row_active[r] {
@@ -531,6 +557,79 @@ impl<S: TraceSink> Context<S> {
             }
         }
         self.master_v.is_stable(self.master_h[0].flag())
+    }
+
+    /// See [`BarrierNetwork::check_invariants`].
+    fn check_invariants(&self, mesh: Mesh2D) -> Result<(), String> {
+        let set = self.bar_reg.iter().filter(|&&v| v != 0).count() as u32;
+        if self.outstanding != set {
+            return Err(format!(
+                "outstanding is {} but {set} bar_regs are set",
+                self.outstanding
+            ));
+        }
+        let cols = mesh.cols as usize;
+        for (i, sh) in self.slave_h.iter().enumerate() {
+            let signalling = !i.is_multiple_of(cols)
+                && sh.state() == SlaveHState::Signaling
+                && self.bar_reg[i] != 0;
+            if self.signalling.contains(i) != signalling {
+                return Err(format!(
+                    "core {i} is {} the signalling set, its slave {} with bar_reg {}",
+                    if signalling { "missing from" } else { "in" },
+                    sh.state().label(),
+                    self.bar_reg[i]
+                ));
+            }
+        }
+        let lines = self
+            .rows
+            .iter()
+            .enumerate()
+            .flat_map(|(r, rn)| [("gather", r, &rn.gather), ("release", r, &rn.release)]);
+        for (kind, r, line) in lines {
+            line.check_invariants()
+                .map_err(|e| format!("row {r} {kind} line: {e}"))?;
+        }
+        self.v_gather
+            .check_invariants()
+            .map_err(|e| format!("column gather line: {e}"))?;
+        self.v_release
+            .check_invariants()
+            .map_err(|e| format!("column release line: {e}"))?;
+        for (r, mh) in self.master_h.iter().enumerate() {
+            if mh.scnt() > mh.scnt_max() {
+                return Err(format!(
+                    "row {r}'s master counted {} of {} slave pulses",
+                    mh.scnt(),
+                    mh.scnt_max()
+                ));
+            }
+        }
+        if self.master_v.scnt() > self.master_v.scnt_max() {
+            return Err(format!(
+                "the vertical master counted {} of {} row pulses",
+                self.master_v.scnt(),
+                self.master_v.scnt_max()
+            ));
+        }
+        let full = self.is_quiescent_full_scan(mesh);
+        if self.quiescent != full {
+            return Err(format!(
+                "the quiescence memo says {} but the full scan says {full}",
+                self.quiescent
+            ));
+        }
+        Ok(())
+    }
+
+    /// Debug builds check [`check_invariants`](Self::check_invariants)
+    /// after every non-quiescent tick and every arrival.
+    #[cfg(debug_assertions)]
+    fn debug_check(&self, mesh: Mesh2D) {
+        if let Err(e) = self.check_invariants(mesh) {
+            panic!("G-line context {}: {e}", self.ctx_id);
+        }
     }
 
     fn clear_bar_reg(&mut self, core: CoreId, now: Cycle) {
@@ -614,26 +713,8 @@ impl<S: TraceSink> BarrierNetwork<S> {
         gated: bool,
         tracer: Tracer<S>,
     ) -> BarrierNetwork<S> {
-        assert!(cfg.contexts >= 1, "at least one barrier context");
-        let contexts = (0..cfg.contexts)
-            .map(|i| {
-                Context::new(
-                    mesh,
-                    cfg,
-                    gated,
-                    vec![true; mesh.num_tiles()],
-                    i,
-                    tracer.clone(),
-                )
-            })
-            .collect();
-        BarrierNetwork {
-            mesh,
-            cfg,
-            contexts,
-            now: 0,
-            tracer,
-        }
+        let everyone = vec![vec![true; mesh.num_tiles()]; cfg.contexts as usize];
+        BarrierNetwork::build(mesh, cfg, gated, everyone, tracer)
     }
 
     /// [`BarrierNetwork::with_members`] with an explicit tracer.
@@ -643,11 +724,22 @@ impl<S: TraceSink> BarrierNetwork<S> {
         masks: Vec<Vec<bool>>,
         tracer: Tracer<S>,
     ) -> BarrierNetwork<S> {
+        BarrierNetwork::build(mesh, cfg, false, masks, tracer)
+    }
+
+    fn build(
+        mesh: Mesh2D,
+        cfg: GlineConfig,
+        gated: bool,
+        masks: Vec<Vec<bool>>,
+        tracer: Tracer<S>,
+    ) -> BarrierNetwork<S> {
+        assert!(cfg.contexts >= 1, "at least one barrier context");
         assert_eq!(masks.len(), cfg.contexts as usize, "one mask per context");
         let contexts = masks
             .into_iter()
             .enumerate()
-            .map(|(i, m)| Context::new(mesh, cfg, false, m, i as u32, tracer.clone()))
+            .map(|(i, m)| Context::new(mesh, cfg, gated, m, i as u32, tracer.clone()))
             .collect();
         BarrierNetwork {
             mesh,
@@ -698,8 +790,10 @@ impl<S: TraceSink> BarrierNetwork<S> {
     pub fn write_bar_reg(&mut self, core: CoreId, ctx: CtxId, value: u64) {
         let now = self.now;
         let c = &mut self.contexts[ctx];
-        c.write_bar_reg(core, value, now);
+        c.write_bar_reg(self.mesh, core, value, now);
         c.quiescent = c.is_quiescent(self.mesh);
+        #[cfg(debug_assertions)]
+        c.debug_check(self.mesh);
     }
 
     /// Reads core `core`'s `bar_reg` for context `ctx`. Cores spin on this
@@ -749,6 +843,24 @@ impl<S: TraceSink> BarrierNetwork<S> {
             });
         }
         c.quiescent = c.is_quiescent(self.mesh);
+        #[cfg(debug_assertions)]
+        c.debug_check(self.mesh);
+    }
+
+    /// Checks every context's bookkeeping against a full scan of its
+    /// state and names the first broken invariant: `outstanding` counts
+    /// the set `bar_reg`s; the signalling set holds exactly the
+    /// horizontal slaves in `Signaling` with `bar_reg` set; every line's
+    /// in-flight count matches its wire; no master has counted more
+    /// pulses than it expects; and the quiescence memo equals the
+    /// predicate computed from every slave. Debug builds run it after
+    /// every non-quiescent tick and every arrival.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        for c in &self.contexts {
+            c.check_invariants(self.mesh)
+                .map_err(|e| format!("context {}: {e}", c.ctx_id))?;
+        }
+        Ok(())
     }
 
     /// Advances the network by one clock cycle.
@@ -934,6 +1046,9 @@ impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::RefNetwork;
+    use sim_base::check::{forall, forall_cases};
+    use sim_base::rng::SplitMix64;
     use sim_base::trace::RingSink;
 
     fn cfg() -> GlineConfig {
@@ -1343,5 +1458,202 @@ mod tests {
         assert_eq!(ps.barriers_completed, ts.barriers_completed);
         assert_eq!(ps.latency.sum(), ts.latency.sum());
         assert_eq!(ps.signals, ts.signals);
+    }
+
+    #[test]
+    fn lone_slave_arrival_moves_the_network_for_one_line_latency() {
+        // The pulse is sensed and counted in the tick that sends it (one
+        // tick per cycle of line latency); nothing has to drain after.
+        for line_latency in 1..=3 {
+            let gcfg = GlineConfig {
+                line_latency,
+                ..cfg()
+            };
+            let mut net = BarrierNetwork::new(Mesh2D::new(2, 2), gcfg);
+            net.write_bar_reg(CoreId(1), 0, 1);
+            for tick in 0..line_latency {
+                assert_eq!(net.next_event(), Some(net.now() + 1), "tick {tick}");
+                net.tick();
+            }
+            assert_eq!(net.next_event(), None, "latency {line_latency}");
+            assert_eq!(net.contexts[0].master_h[0].scnt(), 1, "pulse counted");
+        }
+    }
+
+    #[test]
+    fn check_invariants_names_a_broken_signalling_set() {
+        let mut net = BarrierNetwork::new(Mesh2D::new(2, 4), cfg());
+        net.check_invariants().unwrap();
+        net.contexts[0].signalling.insert(5);
+        let err = net.check_invariants().unwrap_err();
+        assert!(err.contains("core 5 is in the signalling set"), "{err}");
+    }
+
+    /// Every observable of the event-driven network and the full-scan
+    /// reference must agree, and the event network's invariants hold.
+    fn assert_lockstep(
+        net: &BarrierNetwork<RingSink>,
+        reference: &RefNetwork<RingSink>,
+        seen: &mut usize,
+        when: &str,
+    ) {
+        net.check_invariants()
+            .unwrap_or_else(|e| panic!("{when}: {e}"));
+        assert_eq!(net.now(), reference.now(), "{when}");
+        for ctx in 0..net.num_contexts() {
+            for i in 0..net.mesh().num_tiles() {
+                let core = CoreId::from(i);
+                assert_eq!(
+                    net.bar_reg(core, ctx),
+                    reference.bar_reg(core, ctx),
+                    "{when}: bar_reg of core {i}, ctx {ctx}"
+                );
+            }
+            assert_eq!(net.outstanding(ctx), reference.outstanding(ctx), "{when}");
+            assert_eq!(net.root_ready(ctx), reference.root_ready(ctx), "{when}");
+            assert_eq!(net.stats(ctx), reference.stats(ctx), "{when}: ctx {ctx}");
+        }
+        assert_eq!(net.next_event(), reference.next_event(), "{when}");
+        assert_eq!(
+            BarrierHw::release_bound(net),
+            reference.release_bound(),
+            "{when}"
+        );
+        let events = |t: &Tracer<RingSink>| -> Vec<(Cycle, Event)> {
+            t.with_sink(|s| s.events().skip(*seen).cloned().collect())
+        };
+        let got = events(net.tracer());
+        assert_eq!(got, events(reference.tracer()), "{when}: event streams");
+        *seen += got.len();
+    }
+
+    /// One lockstep case: a random mesh (up to 8×8, or 10×10 on slow
+    /// lines), line latency, context count, participation masks and
+    /// gating; members arrive at random, re-arrive a random delay after
+    /// their release and now and then rewrite a set `bar_reg`; gated
+    /// roots are triggered a random delay after they report ready; and
+    /// while both networks are quiescent the event network may jump its
+    /// clock where the reference ticks through.
+    fn lockstep_case(rng: &mut SplitMix64) {
+        let (mesh, line_latency) = if rng.chance(0.1) {
+            (Mesh2D::new(10, 10), 2 + rng.next_below(2) as u32)
+        } else {
+            let (rows, cols) = (1 + rng.next_below(8), 1 + rng.next_below(8));
+            (
+                Mesh2D::new(rows as u16, cols as u16),
+                1 + rng.next_below(3) as u32,
+            )
+        };
+        let n = mesh.num_tiles();
+        let contexts = 1 + rng.next_below(3) as usize;
+        let gcfg = GlineConfig {
+            contexts: contexts as u32,
+            line_latency,
+            ..cfg()
+        };
+        let everyone = rng.chance(0.5);
+        let masks: Vec<Vec<bool>> = (0..contexts)
+            .map(|_| {
+                let mut mask: Vec<bool> = (0..n).map(|_| everyone || rng.chance(0.5)).collect();
+                if !mask.contains(&true) {
+                    mask[rng.next_below(n as u64) as usize] = true;
+                }
+                mask
+            })
+            .collect();
+        let gated = rng.chance(0.3);
+        let (t_net, t_ref) = (
+            Tracer::new(RingSink::new(usize::MAX)),
+            Tracer::new(RingSink::new(usize::MAX)),
+        );
+        let mut net = BarrierNetwork::build(mesh, gcfg, gated, masks.clone(), t_net);
+        let mut reference = RefNetwork::new(mesh, gcfg, gated, masks.clone(), t_ref);
+        let spread = rng.next_below(40);
+        // Per (context, core): the cycle of the next arrival, `None`
+        // for non-members and while waiting for a release.
+        let mut next: Vec<Vec<Option<Cycle>>> = masks
+            .iter()
+            .map(|m| {
+                m.iter()
+                    .map(|&member| member.then(|| rng.next_below(spread + 1)))
+                    .collect()
+            })
+            .collect();
+        let mut trigger_at: Vec<Option<Cycle>> = vec![None; contexts];
+        let horizon = 150 + rng.next_below(250);
+        let mut seen = 0;
+        while net.now() < horizon {
+            let now = net.now();
+            for ctx in 0..contexts {
+                for (i, due) in next[ctx].iter_mut().enumerate() {
+                    if due.is_some_and(|t| t <= now) {
+                        let v = 1 + rng.next_below(3);
+                        net.write_bar_reg(CoreId::from(i), ctx, v);
+                        reference.write_bar_reg(CoreId::from(i), ctx, v);
+                        *due = None;
+                    }
+                }
+                if rng.chance(0.05) {
+                    // A write to a set register is not an arrival.
+                    let i = rng.next_below(n as u64) as usize;
+                    if net.bar_reg(CoreId::from(i), ctx) != 0 {
+                        net.write_bar_reg(CoreId::from(i), ctx, 7);
+                        reference.write_bar_reg(CoreId::from(i), ctx, 7);
+                    }
+                }
+                if net.root_ready(ctx) {
+                    match trigger_at[ctx] {
+                        None => trigger_at[ctx] = Some(now + rng.next_below(3)),
+                        Some(t) if t <= now => {
+                            net.trigger_release(ctx);
+                            reference.trigger_release(ctx);
+                            trigger_at[ctx] = None;
+                        }
+                        Some(_) => {}
+                    }
+                }
+            }
+            assert_lockstep(&net, &reference, &mut seen, &format!("cycle {now}, inputs"));
+            let held: Vec<Vec<bool>> = (0..contexts)
+                .map(|ctx| {
+                    (0..n)
+                        .map(|i| net.bar_reg(CoreId::from(i), ctx) != 0)
+                        .collect()
+                })
+                .collect();
+            if net.next_event().is_none() && rng.chance(0.3) {
+                let k = 1 + rng.next_below(20);
+                net.skip_to(now + k);
+                for _ in 0..k {
+                    reference.tick();
+                }
+            } else {
+                net.tick();
+                reference.tick();
+            }
+            assert_lockstep(&net, &reference, &mut seen, &format!("cycle {now}, tick"));
+            for ctx in 0..contexts {
+                for i in 0..n {
+                    if held[ctx][i] && net.bar_reg(CoreId::from(i), ctx) == 0 {
+                        next[ctx][i] = Some(net.now() + rng.next_below(spread + 1));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_with_full_scan_reference() {
+        forall("lockstep_with_full_scan_reference", lockstep_case);
+    }
+
+    #[test]
+    #[ignore = "4,096 cases; CI runs it in release"]
+    fn lockstep_with_full_scan_reference_4096_cases() {
+        forall_cases(
+            "lockstep_with_full_scan_reference_4096_cases",
+            4096,
+            lockstep_case,
+        );
     }
 }

@@ -1,0 +1,422 @@
+//! The full-scan G-line network that [`crate::BarrierNetwork`] replaced,
+//! kept as the reference model of its lockstep property (the
+//! `network.rs` tests).
+//!
+//! Every tick walks every horizontal slave in transmit and in receive,
+//! a slow line is a `VecDeque` of in-flight values whose idleness is a
+//! scan, and quiescence asks every controller. It never skips a tick —
+//! a quiescent tick runs in full and changes nothing — so it shares no
+//! shortcut with the network it checks: not the signalling set, not the
+//! per-row receive, not the in-flight counts, not the quiescence memo.
+
+use crate::controller::{MasterH, MasterV, SlaveH, SlaveV};
+use crate::line::Sensed;
+use crate::stats::GlineStats;
+use sim_base::config::GlineConfig;
+use sim_base::trace::{CtrlKind, Event, GlineKind, TraceSink, Tracer};
+use sim_base::{Coord, CoreId, Cycle, Mesh2D};
+use std::collections::VecDeque;
+
+/// A G-line: what was asserted `latency - 1` cycles ago is sensed.
+struct Line {
+    pending: u32,
+    pipeline: VecDeque<Sensed>,
+    sensed: Sensed,
+    energy: u64,
+}
+
+impl Line {
+    fn new(latency: u32) -> Line {
+        Line {
+            pending: 0,
+            pipeline: VecDeque::from(vec![Sensed::default(); latency as usize - 1]),
+            sensed: Sensed::default(),
+            energy: 0,
+        }
+    }
+
+    fn assert_tx(&mut self) -> u32 {
+        self.pending += 1;
+        self.energy += 1;
+        self.pending
+    }
+
+    fn propagate(&mut self) {
+        self.pipeline.push_back(Sensed {
+            value: self.pending > 0,
+            count: self.pending,
+        });
+        self.pending = 0;
+        self.sensed = self.pipeline.pop_front().expect("one entry pushed");
+    }
+
+    fn is_idle(&self) -> bool {
+        self.pending == 0 && self.pipeline.iter().all(|s| !s.value)
+    }
+}
+
+struct Context<S: TraceSink> {
+    ctx_id: u32,
+    members: Vec<bool>,
+    row_active: Vec<bool>,
+    num_members: u32,
+    bar_reg: Vec<u64>,
+    /// `(controller, core, row)` for every member tile outside column 0,
+    /// in ascending core order.
+    slave_h: Vec<(SlaveH, CoreId, u16)>,
+    master_h: Vec<MasterH>,
+    slave_v: Vec<SlaveV>,
+    master_v: MasterV,
+    /// `(gather, release)` per row.
+    rows: Vec<(Line, Line)>,
+    v_gather: Line,
+    v_release: Line,
+    arrived: u32,
+    outstanding: u32,
+    first_arrival: Cycle,
+    last_arrival: Cycle,
+    stats: GlineStats,
+    tracer: Tracer<S>,
+}
+
+impl<S: TraceSink> Context<S> {
+    fn new(
+        mesh: Mesh2D,
+        cfg: GlineConfig,
+        gated: bool,
+        members: Vec<bool>,
+        ctx_id: u32,
+        tracer: Tracer<S>,
+    ) -> Context<S> {
+        let member = |r: u16, c: u16| members[mesh.id_of(Coord::new(r, c)).index()];
+        let row_active: Vec<bool> = (0..mesh.rows)
+            .map(|r| (0..mesh.cols).any(|c| member(r, c)))
+            .collect();
+        let active_upper_rows = row_active.iter().skip(1).filter(|&&a| a).count() as u32;
+        let lat = cfg.line_latency;
+        Context {
+            ctx_id,
+            num_members: members.iter().filter(|&&m| m).count() as u32,
+            bar_reg: vec![0; mesh.num_tiles()],
+            slave_h: mesh
+                .coords()
+                .filter(|&c| c.col > 0 && member(c.row, c.col))
+                .map(|c| (SlaveH::new(), mesh.id_of(c), c.row))
+                .collect(),
+            master_h: (0..mesh.rows)
+                .map(|r| {
+                    let slaves = (1..mesh.cols).filter(|&c| member(r, c)).count() as u32;
+                    MasterH::new(slaves, member(r, 0))
+                })
+                .collect(),
+            slave_v: (1..mesh.rows).map(|_| SlaveV::new()).collect(),
+            master_v: MasterV::new(active_upper_rows, gated, row_active[0]),
+            rows: (0..mesh.rows)
+                .map(|_| (Line::new(lat), Line::new(lat)))
+                .collect(),
+            v_gather: Line::new(lat),
+            v_release: Line::new(lat),
+            members,
+            row_active,
+            arrived: 0,
+            outstanding: 0,
+            first_arrival: 0,
+            last_arrival: 0,
+            stats: GlineStats::default(),
+            tracer,
+        }
+    }
+
+    fn transition(
+        &self,
+        now: Cycle,
+        core: CoreId,
+        ctrl: CtrlKind,
+        from: &'static str,
+        to: &'static str,
+    ) {
+        if S::ENABLED && from != to {
+            let ctx = self.ctx_id;
+            self.tracer.emit(now, || Event::CtrlTransition {
+                ctx,
+                core,
+                ctrl,
+                from,
+                to,
+            });
+        }
+    }
+
+    fn assert_event(&self, now: Cycle, kind: GlineKind, row: u16, count: u32) {
+        let ctx = self.ctx_id;
+        self.tracer.emit(now, || Event::GlineAssert {
+            ctx,
+            kind,
+            row,
+            count,
+        });
+    }
+
+    fn sense_event(&self, now: Cycle, kind: GlineKind, row: u16, s: Sensed) {
+        let ctx = self.ctx_id;
+        if s.value {
+            self.tracer.emit(now, || Event::GlineSense {
+                ctx,
+                kind,
+                row,
+                count: s.count,
+            });
+        }
+    }
+
+    fn clear_bar_reg(&mut self, core: CoreId, now: Cycle) {
+        if self.bar_reg[core.index()] != 0 {
+            self.bar_reg[core.index()] = 0;
+            self.outstanding -= 1;
+            let ctx = self.ctx_id;
+            self.tracer
+                .emit(now, || Event::BarrierRelease { ctx, core });
+        }
+    }
+
+    fn tick(&mut self, mesh: Mesh2D, now: Cycle) {
+        let nrows = mesh.rows as usize;
+        let head = |r: usize| mesh.id_of(Coord::new(r as u16, 0));
+        for mh in &mut self.master_h {
+            mh.latch();
+        }
+        self.master_v.latch();
+        let flags: Vec<bool> = self.master_h.iter().map(MasterH::flag).collect();
+
+        // Transmit: every slave, every active row, the column.
+        for k in 0..self.slave_h.len() {
+            let (core, row) = (self.slave_h[k].1, self.slave_h[k].2);
+            let before = self.slave_h[k].0.state().label();
+            if self.slave_h[k].0.transmit(self.bar_reg[core.index()] != 0) {
+                let count = self.rows[row as usize].0.assert_tx();
+                self.assert_event(now, GlineKind::RowGather, row, count);
+            }
+            let after = self.slave_h[k].0.state().label();
+            self.transition(now, core, CtrlKind::SlaveH, before, after);
+        }
+        for r in 0..nrows {
+            if !self.row_active[r] {
+                continue;
+            }
+            let before = self.master_h[r].state().label();
+            if self.master_h[r].transmit() {
+                let count = self.rows[r].1.assert_tx();
+                self.assert_event(now, GlineKind::RowRelease, r as u16, count);
+                if self.members[head(r).index()] {
+                    self.clear_bar_reg(head(r), now);
+                }
+            }
+            let after = self.master_h[r].state().label();
+            self.transition(now, head(r), CtrlKind::MasterH, before, after);
+        }
+        for r in (1..nrows).filter(|&r| self.row_active[r]) {
+            let before = self.slave_v[r - 1].state().label();
+            if self.slave_v[r - 1].transmit(flags[r]) {
+                let count = self.v_gather.assert_tx();
+                self.assert_event(now, GlineKind::ColGather, 0, count);
+            }
+            let after = self.slave_v[r - 1].state().label();
+            self.transition(now, head(r), CtrlKind::SlaveV, before, after);
+        }
+        let before = self.master_v.state().label();
+        if self.master_v.transmit() {
+            let count = self.v_release.assert_tx();
+            self.assert_event(now, GlineKind::ColRelease, 0, count);
+            if self.row_active[0] {
+                self.master_h[0].command_release();
+            }
+        }
+        let after = self.master_v.state().label();
+        self.transition(now, head(0), CtrlKind::MasterV, before, after);
+
+        // Propagate every line, and report what each receiver senses.
+        for (g, rel) in &mut self.rows {
+            g.propagate();
+            rel.propagate();
+        }
+        self.v_gather.propagate();
+        self.v_release.propagate();
+        for r in 0..nrows {
+            self.sense_event(now, GlineKind::RowGather, r as u16, self.rows[r].0.sensed);
+            self.sense_event(now, GlineKind::RowRelease, r as u16, self.rows[r].1.sensed);
+        }
+        self.sense_event(now, GlineKind::ColGather, 0, self.v_gather.sensed);
+        self.sense_event(now, GlineKind::ColRelease, 0, self.v_release.sensed);
+
+        // Receive: every slave, every active row, the column.
+        for k in 0..self.slave_h.len() {
+            let (core, row) = (self.slave_h[k].1, self.slave_h[k].2);
+            let before = self.slave_h[k].0.state().label();
+            if self.slave_h[k].0.receive(self.rows[row as usize].1.sensed) {
+                self.clear_bar_reg(core, now);
+            }
+            let after = self.slave_h[k].0.state().label();
+            self.transition(now, core, CtrlKind::SlaveH, before, after);
+        }
+        for r in (0..nrows).filter(|&r| self.row_active[r]) {
+            let own = head(r);
+            let arrived = self.members[own.index()] && self.bar_reg[own.index()] != 0;
+            let before = self.master_h[r].state().label();
+            self.master_h[r].receive(self.rows[r].0.sensed, arrived);
+            let after = self.master_h[r].state().label();
+            self.transition(now, own, CtrlKind::MasterH, before, after);
+        }
+        for r in (1..nrows).filter(|&r| self.row_active[r]) {
+            let before = self.slave_v[r - 1].state().label();
+            if self.slave_v[r - 1].receive(self.v_release.sensed) {
+                self.master_h[r].command_release();
+            }
+            let after = self.slave_v[r - 1].state().label();
+            self.transition(now, head(r), CtrlKind::SlaveV, before, after);
+        }
+        let before = self.master_v.state().label();
+        self.master_v.receive(self.v_gather.sensed, flags[0]);
+        let after = self.master_v.state().label();
+        self.transition(now, head(0), CtrlKind::MasterV, before, after);
+
+        if self.arrived == self.num_members && self.outstanding == 0 {
+            let (ctx, latency) = (self.ctx_id, now - self.last_arrival + 1);
+            self.tracer
+                .emit(now, || Event::BarrierComplete { ctx, latency });
+            self.stats
+                .record(self.first_arrival, self.last_arrival, now);
+            self.arrived = 0;
+        }
+    }
+
+    fn is_quiescent(&self, mesh: Mesh2D) -> bool {
+        let lines_idle = self.rows.iter().all(|(g, r)| g.is_idle() && r.is_idle())
+            && self.v_gather.is_idle()
+            && self.v_release.is_idle();
+        let slaves_stable = self
+            .slave_h
+            .iter()
+            .all(|(sh, core, _)| sh.is_stable(self.bar_reg[core.index()] != 0));
+        let rows_stable = (0..mesh.rows as usize)
+            .filter(|&r| self.row_active[r])
+            .all(|r| {
+                let own = mesh.id_of(Coord::new(r as u16, 0)).index();
+                let arrived = self.members[own] && self.bar_reg[own] != 0;
+                self.master_h[r].is_stable(arrived)
+                    && (r == 0 || self.slave_v[r - 1].is_stable(self.master_h[r].flag()))
+            });
+        lines_idle
+            && slaves_stable
+            && rows_stable
+            && self.master_v.is_stable(self.master_h[0].flag())
+            && !(self.arrived == self.num_members && self.outstanding == 0)
+    }
+
+    fn energy(&self) -> u64 {
+        let rows: u64 = self.rows.iter().map(|(g, r)| g.energy + r.energy).sum();
+        rows + self.v_gather.energy + self.v_release.energy
+    }
+}
+
+/// The full-scan reference network: the observable surface of
+/// [`crate::BarrierNetwork`] that the lockstep property compares.
+pub(crate) struct RefNetwork<S: TraceSink> {
+    mesh: Mesh2D,
+    contexts: Vec<Context<S>>,
+    now: Cycle,
+}
+
+impl<S: TraceSink> RefNetwork<S> {
+    pub(crate) fn new(
+        mesh: Mesh2D,
+        cfg: GlineConfig,
+        gated: bool,
+        masks: Vec<Vec<bool>>,
+        tracer: Tracer<S>,
+    ) -> RefNetwork<S> {
+        let contexts = masks
+            .into_iter()
+            .enumerate()
+            .map(|(i, m)| Context::new(mesh, cfg, gated, m, i as u32, tracer.clone()))
+            .collect();
+        RefNetwork {
+            mesh,
+            contexts,
+            now: 0,
+        }
+    }
+
+    pub(crate) fn write_bar_reg(&mut self, core: CoreId, ctx: usize, value: u64) {
+        let now = self.now;
+        let c = &mut self.contexts[ctx];
+        if c.bar_reg[core.index()] == 0 {
+            if c.arrived == 0 {
+                c.first_arrival = now;
+            }
+            c.arrived += 1;
+            c.outstanding += 1;
+            c.last_arrival = now;
+            let ctx = c.ctx_id;
+            c.tracer.emit(now, || Event::BarrierArrive { ctx, core });
+        }
+        c.bar_reg[core.index()] = value;
+    }
+
+    pub(crate) fn now(&self) -> Cycle {
+        self.now
+    }
+
+    pub(crate) fn tracer(&self) -> &Tracer<S> {
+        &self.contexts[0].tracer
+    }
+
+    pub(crate) fn bar_reg(&self, core: CoreId, ctx: usize) -> u64 {
+        self.contexts[ctx].bar_reg[core.index()]
+    }
+
+    pub(crate) fn outstanding(&self, ctx: usize) -> u32 {
+        self.contexts[ctx].outstanding
+    }
+
+    pub(crate) fn root_ready(&self, ctx: usize) -> bool {
+        self.contexts[ctx].master_v.root_ready()
+    }
+
+    pub(crate) fn trigger_release(&mut self, ctx: usize) {
+        let (now, root) = (self.now, self.mesh.id_of(Coord::new(0, 0)));
+        let c = &mut self.contexts[ctx];
+        let before = c.master_v.state().label();
+        c.master_v.trigger_release();
+        let after = c.master_v.state().label();
+        c.transition(now, root, CtrlKind::MasterV, before, after);
+    }
+
+    pub(crate) fn tick(&mut self) {
+        for c in &mut self.contexts {
+            c.tick(self.mesh, self.now);
+        }
+        self.now += 1;
+    }
+
+    pub(crate) fn stats(&self, ctx: usize) -> GlineStats {
+        let c = &self.contexts[ctx];
+        GlineStats {
+            signals: c.energy(),
+            ..c.stats.clone()
+        }
+    }
+
+    pub(crate) fn next_event(&self) -> Option<Cycle> {
+        let quiet = self.contexts.iter().all(|c| c.is_quiescent(self.mesh));
+        (!quiet).then_some(self.now + 1)
+    }
+
+    pub(crate) fn release_bound(&self) -> u64 {
+        let all_in = self.contexts.iter().any(|c| c.arrived >= c.num_members);
+        if all_in {
+            1
+        } else {
+            4
+        }
+    }
+}

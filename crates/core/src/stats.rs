@@ -4,7 +4,7 @@ use sim_base::stats::Histogram;
 use sim_base::Cycle;
 
 /// Per-context statistics of a [`crate::BarrierNetwork`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GlineStats {
     /// Barrier episodes completed (every core released).
     pub barriers_completed: u64,

@@ -54,8 +54,11 @@
 //!                      events are bit-identical to the recorded one
 //! ```
 //!
-//! Exit code 0 on success, 1 on assembly/trace errors, 2 on a run that
-//! does not halt.
+//! Exit code 0 on success, 1 on usage, assembly, config or trace
+//! errors, 2 on a run that does not halt: a program fault (`barw` of
+//! zero, `barctx` past the network's contexts, a jump outside the
+//! program, an unaligned `ld`/`st`/`amo*` — named with the faulting core
+//! and pc) or the `--max-cycles` deadlock guard.
 
 use gline_core::{BarrierHw, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;

@@ -19,10 +19,12 @@ use sim_base::stats::{TimeBreakdown, TimeCat};
 use sim_base::trace::{Event, TraceSink, Tracer};
 use sim_base::{CoreId, Cycle};
 use sim_isa::inst::{Inst, Region};
+use sim_isa::interp::ExecError;
 use sim_isa::reg::{Reg, NUM_REGS};
 use sim_isa::Program;
 use sim_mem::{CoreMem, CoreReq, CoreResp};
 use sim_trace::{CoreTrace, Effect, TraceOp};
+use std::fmt;
 
 /// The Figure-6 category a region's cycles default to when not stalled.
 fn region_cat(r: Region) -> TimeCat {
@@ -162,6 +164,29 @@ enum SpinKind {
     },
 }
 
+/// A program fault: the core that raised it stops at the faulting
+/// instruction, and the machine's run entry points return it as an
+/// error ([`System::run`](crate::System::run)).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fault {
+    /// The faulting core.
+    pub core: CoreId,
+    /// Index of the faulting instruction.
+    pub pc: usize,
+    /// What went wrong, in the reference interpreter's terms.
+    pub error: ExecError,
+}
+
+impl fmt::Display for Fault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?} faulted at pc {}: {}",
+            self.core, self.pc, self.error
+        )
+    }
+}
+
 /// One simulated core.
 #[derive(Clone, Debug)]
 pub struct Core {
@@ -184,6 +209,8 @@ pub struct Core {
     rp_spin: u64,
     /// Mid mem-spin iteration: the resolve/branch phase is pending.
     rp_phase_b: bool,
+    /// Set, and the core halted, by a program fault at `pc`.
+    fault: Option<ExecError>,
 }
 
 impl Core {
@@ -205,6 +232,7 @@ impl Core {
             rp_op: 0,
             rp_spin: 0,
             rp_phase_b: false,
+            fault: None,
         }
     }
 
@@ -238,9 +266,37 @@ impl Core {
         self.id
     }
 
-    /// True once `halt` has executed (or the program ran out).
+    /// True once `halt` has executed (or the program ran out, or it
+    /// faulted).
     pub fn halted(&self) -> bool {
         self.status == Status::Halted
+    }
+
+    /// The program fault that stopped this core, if one did.
+    pub fn fault(&self) -> Option<Fault> {
+        self.fault.map(|error| Fault {
+            core: self.id,
+            pc: self.pc,
+            error,
+        })
+    }
+
+    /// Stops the core at the current instruction with `error`.
+    fn raise(&mut self, error: ExecError) {
+        self.fault = Some(error);
+        self.status = Status::Halted;
+    }
+
+    /// A taken control transfer to `target`, which ends the issue group;
+    /// a target past the end of the program faults (the end itself halts
+    /// at the next fetch).
+    fn transfer(&mut self, prog: &Program, target: usize) {
+        if target > prog.len() {
+            self.raise(ExecError::BadPc { pc: target });
+        } else {
+            self.pc = target;
+            self.retired += 1;
+        }
     }
 
     /// Figure-6 cycle breakdown so far.
@@ -398,32 +454,30 @@ impl Core {
                     target,
                 } => {
                     if cond.taken(self.reg(rs1), self.reg(rs2)) {
-                        self.pc = target;
                         // A taken branch redirects fetch: end the issue
                         // group (no same-cycle issue past a taken branch).
-                        self.retired += 1;
-                        self.check_pc(prog);
+                        self.transfer(prog, target);
                         return;
                     }
                     self.pc += 1;
                 }
                 Inst::Jal { rd, target } => {
                     self.set_reg(rd, (self.pc + 1) as u64);
-                    self.pc = target;
-                    self.retired += 1;
-                    self.check_pc(prog);
+                    self.transfer(prog, target);
                     return;
                 }
                 Inst::Jalr { rd, rs1 } => {
                     let t = self.reg(rs1) as usize;
                     self.set_reg(rd, (self.pc + 1) as u64);
-                    self.pc = t;
-                    self.retired += 1;
-                    self.check_pc(prog);
+                    self.transfer(prog, t);
                     return;
                 }
                 Inst::Ld { rd, rs1, off } => {
                     let addr = self.reg(rs1).wrapping_add(off as u64);
+                    if !addr.is_multiple_of(8) {
+                        self.raise(ExecError::Unaligned { addr });
+                        return;
+                    }
                     mem.request(self.id, CoreReq::Load { addr });
                     self.status = Status::WaitMem {
                         rd,
@@ -436,6 +490,10 @@ impl Core {
                 }
                 Inst::St { rs2, rs1, off } => {
                     let addr = self.reg(rs1).wrapping_add(off as u64);
+                    if !addr.is_multiple_of(8) {
+                        self.raise(ExecError::Unaligned { addr });
+                        return;
+                    }
                     let value = self.reg(rs2);
                     mem.request(self.id, CoreReq::Store { addr, value });
                     self.status = Status::WaitMem {
@@ -449,6 +507,10 @@ impl Core {
                 }
                 Inst::Amo { op, rd, rs1, rs2 } => {
                     let addr = self.reg(rs1);
+                    if !addr.is_multiple_of(8) {
+                        self.raise(ExecError::Unaligned { addr });
+                        return;
+                    }
                     let operand = self.reg(rs2);
                     mem.request(self.id, CoreReq::Amo { addr, op, operand });
                     self.status = Status::WaitMem {
@@ -475,7 +537,10 @@ impl Core {
                 }
                 Inst::BarWrite { rs1 } => {
                     let v = self.reg(rs1);
-                    assert!(v != 0, "core {}: barw with a zero value", self.id);
+                    if v == 0 {
+                        self.raise(ExecError::ZeroBarrierWrite);
+                        return;
+                    }
                     gline.write_bar_reg(self.id, self.bar_ctx, v);
                     self.gl_barriers += 1;
                     self.pc += 1;
@@ -486,12 +551,11 @@ impl Core {
                     self.pc += 1;
                 }
                 Inst::BarCtx { ctx } => {
-                    assert!(
-                        (ctx as usize) < gline.num_contexts(),
-                        "core {}: barctx {ctx} but the network has {} context(s)",
-                        self.id,
-                        gline.num_contexts()
-                    );
+                    let contexts = gline.num_contexts();
+                    if ctx as usize >= contexts {
+                        self.raise(ExecError::BadBarrierContext { ctx, contexts });
+                        return;
+                    }
                     self.bar_ctx = ctx as usize;
                     self.pc += 1;
                 }
@@ -869,6 +933,10 @@ impl Core {
                     return None;
                 }
                 let addr = self.reg(rs1).wrapping_add(off as u64);
+                // An unaligned probe faults when stepped; never elide it.
+                if !addr.is_multiple_of(8) {
+                    return None;
+                }
                 let v = mem.spin_probe_load(self.id, addr)?;
                 let rv = |r: Reg| {
                     if r.index() == 0 {
@@ -913,6 +981,9 @@ impl Core {
                 // Address as seen after `li a, imm`.
                 let base = if rs1 == a { imm as u64 } else { self.reg(rs1) };
                 let addr = base.wrapping_add(off as u64);
+                if !addr.is_multiple_of(8) {
+                    return None;
+                }
                 let v = mem.spin_probe_load(self.id, addr)?;
                 // Branch registers as seen after the load (`rd` shadows
                 // `a` if they alias).
@@ -1273,15 +1344,6 @@ impl Core {
             a_cycles,
         )
     }
-
-    fn check_pc(&mut self, prog: &Program) {
-        assert!(
-            self.pc <= prog.len(),
-            "core {}: control transfer to bad pc {}",
-            self.id,
-            self.pc
-        );
-    }
 }
 
 #[cfg(test)]
@@ -1435,8 +1497,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "barw with a zero value")]
-    fn zero_barw_rejected() {
-        let _ = run_one("barw r0\nhalt", 100);
+    fn zero_barw_faults_and_stops_the_core() {
+        let (core, _) = run_one("nop\nbarw r0\nhalt", 100);
+        let fault = core.fault().expect("the core faulted");
+        assert_eq!((fault.pc, fault.error), (1, ExecError::ZeroBarrierWrite));
+        assert_eq!(core.retired(), 1, "the faulting barw does not retire");
+        assert_eq!(core.gl_barriers(), 0);
     }
 }

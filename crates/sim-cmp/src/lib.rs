@@ -27,7 +27,7 @@ mod sched;
 pub mod stats;
 pub mod system;
 
-pub use crate::core::Core;
+pub use crate::core::{Core, Fault};
 pub use energy::{EnergyEstimate, EnergyModel};
 pub use replay::CoreProg;
 pub use runtime::BarrierKind;

@@ -1,6 +1,6 @@
 //! The assembled machine.
 
-use crate::core::Core;
+use crate::core::{Core, Fault};
 use crate::replay::{CoreProg, Recorder};
 use crate::sched::{settle_spin, step_core, step_observed, Park, WakeIndex};
 use crate::stats::SystemReport;
@@ -46,6 +46,9 @@ pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
     /// [`run_recorded`](Self::run_recorded): consulted wherever a core
     /// steps and wherever a spin span is settled in closed form.
     recorder: Option<Recorder>,
+    /// The first program fault (lowest core of the first faulting
+    /// cycle); every run entry point stops on it.
+    fault: Option<Fault>,
 }
 
 /// How well the cycle-skipping scheduler is doing on a run.
@@ -186,6 +189,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             index: WakeIndex::new(cfg.num_cores()),
             sched: CoreSchedStats::default(),
             recorder: None,
+            fault: None,
         }
     }
 }
@@ -314,6 +318,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                     &self.tracer,
                     rec,
                 );
+                if let Some(f) = core.fault() {
+                    self.fault.get_or_insert(f);
+                }
             }
         }
         self.mem.tick();
@@ -382,6 +389,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                 // A core that was live and still is keeps its bit.
                 if !(live && set.live & bit != 0) {
                     self.index.place(i, &self.parks[i], self.cores[i].halted());
+                    if let Some(f) = self.cores[i].fault() {
+                        self.fault.get_or_insert(f);
+                    }
                 }
             }
         }
@@ -573,15 +583,22 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         }
     }
 
+    fn check_fault(&self) -> Result<(), String> {
+        self.fault.map_or(Ok(()), |f| Err(f.to_string()))
+    }
+
     /// Runs until every core halts. Returns the cycle count.
     ///
     /// # Errors
-    /// Returns an error naming the stuck cores if `max_cycles` elapses
-    /// first (deadlock / livelock guard).
+    /// Returns the [`Fault`] (core, pc and fault) as soon as a core
+    /// faults, and an error naming the stuck cores if `max_cycles`
+    /// elapses first (deadlock / livelock guard).
     pub fn run(&mut self, max_cycles: u64) -> Result<Cycle, String> {
         let start = self.now;
+        self.check_fault()?;
         while !self.all_halted() {
             self.advance(start + max_cycles + 1);
+            self.check_fault()?;
             if self.now - start > max_cycles {
                 return Err(self.deadlock_error(max_cycles));
             }
@@ -638,7 +655,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// long simulations (the report is cumulative, not a delta).
     ///
     /// # Errors
-    /// Same deadlock guard as [`run`](Self::run).
+    /// Same fault and deadlock errors as [`run`](Self::run).
     pub fn run_with_progress(
         &mut self,
         max_cycles: u64,
@@ -648,11 +665,13 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         assert!(every > 0);
         let start = self.now;
         let mut next = self.now + every;
+        self.check_fault()?;
         while !self.all_halted() {
             // Clamp skips to the observer boundary so the observer fires
             // at every `every`-cycle mark with the report as of exactly
             // that cycle, even when a jump would have crossed it.
             self.advance(next.min(start + max_cycles + 1));
+            self.check_fault()?;
             if self.now >= next {
                 observer(&self.report());
                 next += every;
@@ -677,7 +696,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// bit-identically.
     ///
     /// # Errors
-    /// Same deadlock guard as [`run`](Self::run).
+    /// Same fault and deadlock errors as [`run`](Self::run).
     ///
     /// # Panics
     /// Panics if the machine has already advanced (`now() != 0`) or if
@@ -697,10 +716,16 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Advances the machine until every core halts or the clock reaches
     /// `until` (whichever comes first; skips clamp to `until` exactly
     /// like [`run`](Self::run)'s deadline horizon).
-    pub fn advance_until(&mut self, until: Cycle) {
+    ///
+    /// # Errors
+    /// Stops at, and returns, a program fault like [`run`](Self::run).
+    pub fn advance_until(&mut self, until: Cycle) -> Result<(), String> {
+        self.check_fault()?;
         while !self.all_halted() && self.now < until {
             self.advance(until);
+            self.check_fault()?;
         }
+        Ok(())
     }
 
     /// Gathers the run's statistics.
@@ -1052,15 +1077,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "barctx")]
-    fn out_of_range_barctx_panics() {
-        let prog = sim_isa::assemble(
-            "barctx 3
-halt",
-        )
-        .unwrap();
+    fn out_of_range_barctx_faults() {
+        let prog = sim_isa::assemble("barctx 3\nhalt").unwrap();
         let mut sys = System::homogeneous(cfg(2), prog);
-        let _ = sys.run(100);
+        let err = sys.run(100).unwrap_err();
+        assert_eq!(
+            err,
+            "core0 faulted at pc 0: barctx 3 but the network has 1 context(s)"
+        );
+        assert!(sys.all_halted(), "a faulting core stops");
+        // The fault stays: a later run entry point returns it at once.
+        assert_eq!(sys.run(100).unwrap_err(), err);
     }
 
     #[test]

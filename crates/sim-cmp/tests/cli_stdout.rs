@@ -25,12 +25,17 @@ fn tmp(name: &str) -> std::path::PathBuf {
     p
 }
 
-/// Runs `simcmp` on [`PROGRAM`] with `args`. Tests run as parallel
-/// threads, so every call writes a program file of its own.
+/// Runs `simcmp` on [`PROGRAM`] with `args`.
 fn simcmp(args: &[&str]) -> std::process::Output {
+    simcmp_on(PROGRAM, args)
+}
+
+/// Runs `simcmp` on the assembly `source` with `args`. Tests run as
+/// parallel threads, so every call writes a program file of its own.
+fn simcmp_on(source: &str, args: &[&str]) -> std::process::Output {
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let prog = tmp(&format!("prog{}.s", CALLS.fetch_add(1, Ordering::Relaxed)));
-    std::fs::write(&prog, PROGRAM).unwrap();
+    std::fs::write(&prog, source).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_simcmp"))
         .arg(&prog)
         .args(args)
@@ -167,4 +172,52 @@ fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
         assert!(!stderr.contains("panicked"), "{named}: {stderr}");
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// A malformed program is a run that does not halt (exit 2) with the
+/// fault named — core, pc and what went wrong, in the reference
+/// interpreter's words — never a panic, and the dense engine names the
+/// same fault.
+#[test]
+fn program_faults_are_named_errors() {
+    for (source, fault) in [
+        (
+            "barw r0\nhalt\n",
+            "core0 faulted at pc 0: barw with a zero value",
+        ),
+        (
+            "barctx 3\nhalt\n",
+            "core0 faulted at pc 0: barctx 3 but the network has 1 context(s)",
+        ),
+        (
+            "li r1, 1000\njalr r0, r1\nhalt\n",
+            "core0 faulted at pc 1: control transfer to bad pc 1000",
+        ),
+        (
+            "li r1, 3\nld r2, 0(r1)\nhalt\n",
+            "core0 faulted at pc 1: unaligned access at 0x3",
+        ),
+        (
+            "li r1, 3\nst r1, 0(r1)\nhalt\n",
+            "core0 faulted at pc 1: unaligned access at 0x3",
+        ),
+    ] {
+        let mut stderrs = Vec::new();
+        for engine in [&[][..], &["--no-active-set"]] {
+            let mut args = vec!["--cores", "4", "--json"];
+            args.extend(engine);
+            let out = simcmp_on(source, &args);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(
+                out.status.code(),
+                Some(2),
+                "{source:?} {engine:?}: {stderr}"
+            );
+            assert!(out.stdout.is_empty(), "{source:?}: a report was printed");
+            assert!(stderr.contains(fault), "{source:?} {engine:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{source:?}: {stderr}");
+            stderrs.push(stderr);
+        }
+        assert_eq!(stderrs[0], stderrs[1], "{source:?}: the engines disagree");
+    }
 }

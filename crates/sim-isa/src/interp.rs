@@ -30,6 +30,17 @@ pub enum ExecError {
         /// The faulting instruction index.
         pc: usize,
     },
+    /// `barw` of a zero value: arrival at a barrier is a nonzero
+    /// `bar_reg` write (the paper's §3.3), so zero would announce
+    /// nothing.
+    ZeroBarrierWrite,
+    /// `barctx` named a barrier context the hardware does not have.
+    BadBarrierContext {
+        /// The context named.
+        ctx: u8,
+        /// Contexts the barrier hardware offers.
+        contexts: usize,
+    },
 }
 
 impl fmt::Display for ExecError {
@@ -38,6 +49,10 @@ impl fmt::Display for ExecError {
             ExecError::Unaligned { addr } => write!(f, "unaligned access at 0x{addr:x}"),
             ExecError::OutOfBounds { addr } => write!(f, "out-of-bounds access at 0x{addr:x}"),
             ExecError::BadPc { pc } => write!(f, "control transfer to bad pc {pc}"),
+            ExecError::ZeroBarrierWrite => f.write_str("barw with a zero value"),
+            ExecError::BadBarrierContext { ctx, contexts } => {
+                write!(f, "barctx {ctx} but the network has {contexts} context(s)")
+            }
         }
     }
 }
@@ -175,10 +190,12 @@ impl Machine {
             // context selection is a timing-level concern.
             Inst::Busy { .. } | Inst::Nop | Inst::SetRegion { .. } | Inst::BarCtx { .. } => {}
             Inst::BarWrite { rs1 } => {
-                self.bar_reg = self.reg(rs1);
-                if self.bar_reg != 0 {
-                    outcome = StepOutcome::AtBarrier;
+                let v = self.reg(rs1);
+                if v == 0 {
+                    return Err(ExecError::ZeroBarrierWrite);
                 }
+                self.bar_reg = v;
+                outcome = StepOutcome::AtBarrier;
             }
             Inst::BarRead { rd } => {
                 let v = self.bar_reg;
@@ -376,6 +393,15 @@ mod tests {
         let mut cmp = RefCmp::new(1, 4);
         let e = cmp.run(&[&p], 100).unwrap_err();
         assert_eq!(e, ExecError::OutOfBounds { addr: 800 });
+    }
+
+    #[test]
+    fn zero_barrier_write_faults() {
+        let p = assemble("li r1, 1\nbarw r0\nhalt").unwrap();
+        let mut cmp = RefCmp::new(1, 0);
+        let e = cmp.run(&[&p], 100).unwrap_err();
+        assert_eq!(e, ExecError::ZeroBarrierWrite);
+        assert_eq!(cmp.cores[0].pc, 1, "the core stops at the barw");
     }
 
     #[test]

@@ -315,8 +315,8 @@ fn check_mid_run_toggles<B: BarrierHw>(
         let seg = segments[i % segments.len()];
         toggled.set_active_set_enabled(seg.active_set);
         let skips = toggled.skip_stats().skips;
-        toggled.advance_until(toggled.now() + seg.len);
-        serial.advance_until(serial.now() + seg.len);
+        toggled.advance_until(toggled.now() + seg.len).unwrap();
+        serial.advance_until(serial.now() + seg.len).unwrap();
         assert!(
             seg.active_set || toggled.skip_stats().skips == skips,
             "{what}: clock jumped in segment {i}"

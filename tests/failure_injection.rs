@@ -88,23 +88,24 @@ fn noc_watchdog_fires() {
     }
 }
 
-/// Unaligned accesses fault in the memory system rather than silently
-/// truncating.
+/// Unaligned accesses fault rather than silently truncating: the run
+/// stops with an error naming the core, the pc and the fault.
 #[test]
-#[should_panic(expected = "unaligned")]
 fn unaligned_access_faults() {
     let prog = assemble("li r1, 4\nld r2, 0(r1)\nhalt").unwrap();
     let mut sys = System::homogeneous(CmpConfig::icpp2010_with_cores(2), prog);
-    let _ = sys.run(1000);
+    let err = sys.run(1000).unwrap_err();
+    assert_eq!(err, "core0 faulted at pc 1: unaligned access at 0x4");
+    assert!(sys.core(CoreId(1)).fault().is_some(), "both cores fault");
 }
 
 /// Program bugs that jump outside the text segment are caught.
 #[test]
-#[should_panic(expected = "bad pc")]
 fn wild_jump_caught() {
     let prog = assemble("li r1, 999\njalr r0, r1\nhalt").unwrap();
     let mut sys = System::homogeneous(CmpConfig::icpp2010_with_cores(1), prog);
-    let _ = sys.run(1000);
+    let err = sys.run(1000).unwrap_err();
+    assert_eq!(err, "core0 faulted at pc 1: control transfer to bad pc 999");
 }
 
 /// A barrier network survives cores re-entering immediately (no settle

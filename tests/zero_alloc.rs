@@ -149,10 +149,10 @@ fn assert_system_ticks_allocation_free<B: BarrierHw>(
     measured: u64,
     what: &str,
 ) -> (u64, u64) {
-    sys.advance_until(warm);
+    sys.advance_until(warm).unwrap();
     let jumps_before = sys.skip_stats().skips;
     let transits_before = sys.noc_sched_stats().transits;
-    let n = count_allocs(|| sys.advance_until(warm + measured));
+    let n = count_allocs(|| sys.advance_until(warm + measured).unwrap());
     assert!(!sys.all_halted(), "{what}: the loop ended while measuring");
     assert_eq!(
         n, 0,
