@@ -21,7 +21,7 @@
 //! cores at the default budget.
 
 use crate::network::{BarrierHw, BarrierNetwork, CtxId};
-use crate::stats::GlineStats;
+use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
 use sim_base::{Coord, CoreId, Cycle, Mesh2D};
 
@@ -48,10 +48,8 @@ pub struct ClusteredBarrierNetwork {
     num_contexts: usize,
     now: Cycle,
     // Episode bookkeeping per context.
-    arrived: Vec<u32>,
     outstanding: Vec<u32>,
-    first_arrival: Vec<Cycle>,
-    last_arrival: Vec<Cycle>,
+    episodes: Vec<Episodes>,
     stats: Vec<GlineStats>,
     /// Memo: true only while [`next_event`](BarrierHw::next_event) is
     /// `None`, so a tick moves nothing but the clocks. Conservative —
@@ -98,10 +96,8 @@ impl ClusteredBarrierNetwork {
             level2: BarrierNetwork::new(grid, cfg),
             num_contexts: n_ctx,
             now: 0,
-            arrived: vec![0; n_ctx],
             outstanding: vec![0; n_ctx],
-            first_arrival: vec![0; n_ctx],
-            last_arrival: vec![0; n_ctx],
+            episodes: vec![Episodes::new(mesh.num_tiles() as u32); n_ctx],
             stats: vec![GlineStats::default(); n_ctx],
             idle: false,
         }
@@ -169,12 +165,8 @@ impl BarrierHw for ClusteredBarrierNetwork {
         self.clusters[cluster].net.write_bar_reg(local, ctx, value);
         self.idle = false;
         if was_zero {
-            if self.arrived[ctx] == 0 {
-                self.first_arrival[ctx] = self.now;
-            }
-            self.arrived[ctx] += 1;
+            self.episodes[ctx].arrive(self.now);
             self.outstanding[ctx] += 1;
-            self.last_arrival[ctx] = self.now;
         }
     }
 
@@ -235,11 +227,10 @@ impl BarrierHw for ClusteredBarrierNetwork {
         // Episode accounting.
         #[allow(clippy::needless_range_loop)] // ctx indexes several parallel arrays
         for ctx in 0..self.num_contexts {
-            self.outstanding[ctx] = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
-            if self.arrived[ctx] as usize == self.mesh.num_tiles() && self.outstanding[ctx] == 0 {
-                self.stats[ctx].record(self.first_arrival[ctx], self.last_arrival[ctx], self.now);
-                self.arrived[ctx] = 0;
-            }
+            let outstanding = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
+            self.episodes[ctx].release(self.outstanding[ctx] - outstanding);
+            self.outstanding[ctx] = outstanding;
+            self.episodes[ctx].close(self.now, &mut self.stats[ctx]);
         }
         self.now += 1;
         self.idle = self.next_event().is_none();
@@ -298,7 +289,7 @@ impl BarrierHw for ClusteredBarrierNetwork {
         // constant.
         (0..self.num_contexts)
             .map(|ctx| {
-                if self.arrived[ctx] as usize >= self.mesh.num_tiles() {
+                if self.episodes[ctx].all_arrived() {
                     1
                 } else {
                     7

@@ -31,7 +31,7 @@
 
 use crate::controller::{MasterH, MasterV, SlaveH, SlaveHState, SlaveV};
 use crate::line::GLine;
-use crate::stats::GlineStats;
+use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
 use sim_base::trace::{CtrlKind, Event, GlineKind, NullSink, TraceSink, Tracer};
 use sim_base::{ActiveSet, Coord, CoreId, Cycle, Mesh2D};
@@ -64,7 +64,6 @@ struct Context<S: TraceSink> {
     members: Vec<bool>,
     /// Rows containing at least one member (only their controllers run).
     row_active: Vec<bool>,
-    num_members: u32,
     bar_reg: Vec<u64>,
     /// Horizontal slave controllers, indexed by core: row `r`'s slaves
     /// are cores `r * cols + 1 .. (r + 1) * cols`. Only the member tiles
@@ -83,11 +82,9 @@ struct Context<S: TraceSink> {
     rows: Vec<RowNet>,
     v_gather: GLine,
     v_release: GLine,
-    // Episode bookkeeping for statistics.
-    arrived: u32,
+    /// Set `bar_reg`s: cores that arrived and are not yet released.
     outstanding: u32,
-    first_arrival: Cycle,
-    last_arrival: Cycle,
+    episodes: Episodes,
     stats: GlineStats,
     tracer: Tracer<S>,
     /// Memoized [`is_quiescent`](Self::is_quiescent), recomputed at
@@ -169,13 +166,10 @@ impl<S: TraceSink> Context<S> {
             rows: row_nets,
             members,
             row_active,
-            num_members,
             v_gather: GLine::new(budget(rows.saturating_sub(1)), cfg.line_latency),
             v_release: GLine::new(budget(1), cfg.line_latency),
-            arrived: 0,
             outstanding: 0,
-            first_arrival: 0,
-            last_arrival: 0,
+            episodes: Episodes::new(num_members),
             stats: GlineStats::default(),
             tracer,
             quiescent: false,
@@ -197,12 +191,8 @@ impl<S: TraceSink> Context<S> {
         let ctx = self.ctx_id;
         let i = core.index();
         if self.bar_reg[i] == 0 {
-            if self.arrived == 0 {
-                self.first_arrival = now;
-            }
-            self.arrived += 1;
+            self.episodes.arrive(now);
             self.outstanding += 1;
-            self.last_arrival = now;
             self.tracer.emit(now, || Event::BarrierArrive { ctx, core });
             // Outside column 0 the arrival is a slave's: its gather
             // pulse goes out in the next transmit.
@@ -489,13 +479,9 @@ impl<S: TraceSink> Context<S> {
         }
 
         // --- episode accounting.
-        if self.arrived == self.num_members && self.outstanding == 0 {
-            let latency = now.saturating_sub(self.last_arrival).saturating_add(1);
+        if let Some(latency) = self.episodes.close(now, &mut self.stats) {
             self.tracer
                 .emit(now, || Event::BarrierComplete { ctx, latency });
-            self.stats
-                .record(self.first_arrival, self.last_arrival, now);
-            self.arrived = 0;
         }
 
         self.quiescent = self.is_quiescent(mesh);
@@ -540,7 +526,7 @@ impl<S: TraceSink> Context<S> {
         }
         // Episode accounting resets in the same tick it fires, so it can
         // never be pending between ticks; keep the guard anyway.
-        if self.arrived == self.num_members && self.outstanding == 0 {
+        if self.episodes.complete() {
             return false;
         }
         for r in 0..mesh.rows as usize {
@@ -637,6 +623,7 @@ impl<S: TraceSink> Context<S> {
             self.bar_reg[core.index()] = 0;
             debug_assert!(self.outstanding > 0);
             self.outstanding -= 1;
+            self.episodes.release(1);
             let ctx = self.ctx_id;
             self.tracer
                 .emit(now, || Event::BarrierRelease { ctx, core });
@@ -1037,7 +1024,7 @@ impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
         // barrier floor (`four_cycles_on_every_mesh_up_to_8x8`).
         self.contexts
             .iter()
-            .map(|c| if c.arrived >= c.num_members { 1 } else { 4 })
+            .map(|c| if c.episodes.all_arrived() { 1 } else { 4 })
             .min()
             .unwrap_or(1)
     }
@@ -1481,6 +1468,53 @@ mod tests {
     }
 
     #[test]
+    fn early_released_cores_rearriving_are_counted_in_the_next_episode() {
+        // On 3-cycle lines the wave releases column 0's cores two cycles
+        // before the rest. They re-arrive the cycle they are released,
+        // while the others are still set; the others take three cycles.
+        // The run must still count all 20 episodes, and the release
+        // bound must lift between them so spinners can park.
+        let gcfg = GlineConfig {
+            line_latency: 3,
+            ..cfg()
+        };
+        let mesh = Mesh2D::new(4, 8);
+        let n = mesh.num_tiles();
+        let mut net = BarrierNetwork::new(mesh, gcfg);
+        let mut arrivals = vec![0u32; n];
+        let mut due = vec![0; n];
+        let (mut early, mut parked) = (false, false);
+        while net.now() < 2000 {
+            for i in 0..n {
+                let idle = net.bar_reg(CoreId::from(i), 0) == 0;
+                if idle && due[i] <= net.now() && arrivals[i] < 20 {
+                    net.write_bar_reg(CoreId::from(i), 0, 1);
+                    arrivals[i] += 1;
+                    due[i] = Cycle::MAX;
+                }
+            }
+            let set: Vec<u32> = (0..n)
+                .filter(|&i| net.bar_reg(CoreId::from(i), 0) != 0)
+                .map(|i| arrivals[i])
+                .collect();
+            early |= set.iter().any(|&a| a != set[0]);
+            parked |= !set.is_empty() && BarrierHw::release_bound(&net) > 1;
+            net.tick();
+            for (i, t) in due.iter_mut().enumerate() {
+                if *t == Cycle::MAX && net.bar_reg(CoreId::from(i), 0) == 0 {
+                    *t = net.now() + if i % 8 == 0 { 0 } else { 3 };
+                }
+            }
+        }
+        assert!(early, "no core re-arrived ahead of the release wave");
+        assert!(parked, "the release bound never lifted");
+        let s = net.stats(0);
+        assert_eq!(s.barriers_completed, 20);
+        assert_eq!(s.latency.min(), s.latency.max(), "one latency per episode");
+        assert!(net.all_released(0));
+    }
+
+    #[test]
     fn check_invariants_names_a_broken_signalling_set() {
         let mut net = BarrierNetwork::new(Mesh2D::new(2, 4), cfg());
         net.check_invariants().unwrap();
@@ -1533,7 +1567,9 @@ mod tests {
     /// their release and now and then rewrite a set `bar_reg`; gated
     /// roots are triggered a random delay after they report ready; and
     /// while both networks are quiescent the event network may jump its
-    /// clock where the reference ticks through.
+    /// clock where the reference ticks through. After every tick each
+    /// context has counted exactly the episodes whose members have all
+    /// been released, a count the driver keeps itself.
     fn lockstep_case(rng: &mut SplitMix64) {
         let (mesh, line_latency) = if rng.chance(0.1) {
             (Mesh2D::new(10, 10), 2 + rng.next_below(2) as u32)
@@ -1580,6 +1616,9 @@ mod tests {
             })
             .collect();
         let mut trigger_at: Vec<Option<Cycle>> = vec![None; contexts];
+        // Per (context, core): releases seen. Episode k is complete once
+        // every member has been released k + 1 times.
+        let mut releases = vec![vec![0u64; n]; contexts];
         let horizon = 150 + rng.next_below(250);
         let mut seen = 0;
         while net.now() < horizon {
@@ -1635,9 +1674,19 @@ mod tests {
             for ctx in 0..contexts {
                 for i in 0..n {
                     if held[ctx][i] && net.bar_reg(CoreId::from(i), ctx) == 0 {
+                        releases[ctx][i] += 1;
                         next[ctx][i] = Some(net.now() + rng.next_below(spread + 1));
                     }
                 }
+                let complete = (0..n)
+                    .filter(|&i| masks[ctx][i])
+                    .map(|i| releases[ctx][i])
+                    .min();
+                assert_eq!(
+                    Some(net.stats(ctx).barriers_completed),
+                    complete,
+                    "cycle {now}: episodes counted in ctx {ctx}"
+                );
             }
         }
     }

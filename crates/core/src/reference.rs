@@ -55,6 +55,15 @@ impl Line {
     }
 }
 
+/// One barrier episode of the reference's bookkeeping.
+#[derive(Default)]
+struct Episode {
+    arrived: u32,
+    released: u32,
+    first: Cycle,
+    last: Cycle,
+}
+
 struct Context<S: TraceSink> {
     ctx_id: u32,
     members: Vec<bool>,
@@ -71,10 +80,15 @@ struct Context<S: TraceSink> {
     rows: Vec<(Line, Line)>,
     v_gather: Line,
     v_release: Line,
-    arrived: u32,
     outstanding: u32,
-    first_arrival: Cycle,
-    last_arrival: Cycle,
+    /// Per core, arrivals and releases so far: a core's `k`th arrival
+    /// and its `k`th release belong to episode `k`, whatever the cycle.
+    arrivals: Vec<u64>,
+    releases: Vec<u64>,
+    /// The episodes not yet closed, oldest first, after `closed` closed
+    /// ones.
+    episodes: VecDeque<Episode>,
+    closed: u64,
     stats: GlineStats,
     tracer: Tracer<S>,
 }
@@ -118,10 +132,11 @@ impl<S: TraceSink> Context<S> {
             v_release: Line::new(lat),
             members,
             row_active,
-            arrived: 0,
             outstanding: 0,
-            first_arrival: 0,
-            last_arrival: 0,
+            arrivals: vec![0; mesh.num_tiles()],
+            releases: vec![0; mesh.num_tiles()],
+            episodes: VecDeque::new(),
+            closed: 0,
             stats: GlineStats::default(),
             tracer,
         }
@@ -169,10 +184,37 @@ impl<S: TraceSink> Context<S> {
         }
     }
 
+    /// The oldest episode, once all of its arrivals are released.
+    fn complete(&self) -> Option<&Episode> {
+        self.episodes
+            .front()
+            .filter(|e| e.released == self.num_members)
+    }
+
+    fn arrive(&mut self, core: CoreId, now: Cycle) {
+        let k = (self.arrivals[core.index()] - self.closed) as usize;
+        self.arrivals[core.index()] += 1;
+        if self.episodes.len() <= k {
+            self.episodes.resize_with(k + 1, Episode::default);
+        }
+        let e = &mut self.episodes[k];
+        if e.arrived == 0 {
+            e.first = now;
+        }
+        e.arrived += 1;
+        e.last = now;
+        self.outstanding += 1;
+        let ctx = self.ctx_id;
+        self.tracer.emit(now, || Event::BarrierArrive { ctx, core });
+    }
+
     fn clear_bar_reg(&mut self, core: CoreId, now: Cycle) {
         if self.bar_reg[core.index()] != 0 {
             self.bar_reg[core.index()] = 0;
             self.outstanding -= 1;
+            let k = (self.releases[core.index()] - self.closed) as usize;
+            self.releases[core.index()] += 1;
+            self.episodes[k].released += 1;
             let ctx = self.ctx_id;
             self.tracer
                 .emit(now, || Event::BarrierRelease { ctx, core });
@@ -279,13 +321,13 @@ impl<S: TraceSink> Context<S> {
         let after = self.master_v.state().label();
         self.transition(now, head(0), CtrlKind::MasterV, before, after);
 
-        if self.arrived == self.num_members && self.outstanding == 0 {
-            let (ctx, latency) = (self.ctx_id, now - self.last_arrival + 1);
+        if let Some(&Episode { first, last, .. }) = self.complete() {
+            let (ctx, latency) = (self.ctx_id, now - last + 1);
             self.tracer
                 .emit(now, || Event::BarrierComplete { ctx, latency });
-            self.stats
-                .record(self.first_arrival, self.last_arrival, now);
-            self.arrived = 0;
+            self.stats.record(first, last, now);
+            self.episodes.pop_front();
+            self.closed += 1;
         }
     }
 
@@ -309,7 +351,7 @@ impl<S: TraceSink> Context<S> {
             && slaves_stable
             && rows_stable
             && self.master_v.is_stable(self.master_h[0].flag())
-            && !(self.arrived == self.num_members && self.outstanding == 0)
+            && self.complete().is_none()
     }
 
     fn energy(&self) -> u64 {
@@ -350,14 +392,7 @@ impl<S: TraceSink> RefNetwork<S> {
         let now = self.now;
         let c = &mut self.contexts[ctx];
         if c.bar_reg[core.index()] == 0 {
-            if c.arrived == 0 {
-                c.first_arrival = now;
-            }
-            c.arrived += 1;
-            c.outstanding += 1;
-            c.last_arrival = now;
-            let ctx = c.ctx_id;
-            c.tracer.emit(now, || Event::BarrierArrive { ctx, core });
+            c.arrive(core, now);
         }
         c.bar_reg[core.index()] = value;
     }
@@ -412,7 +447,11 @@ impl<S: TraceSink> RefNetwork<S> {
     }
 
     pub(crate) fn release_bound(&self) -> u64 {
-        let all_in = self.contexts.iter().any(|c| c.arrived >= c.num_members);
+        let all_in = self.contexts.iter().any(|c| {
+            c.episodes
+                .front()
+                .is_some_and(|e| e.arrived == c.num_members)
+        });
         if all_in {
             1
         } else {

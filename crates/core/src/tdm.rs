@@ -16,7 +16,7 @@
 //! which is exactly how a TDM arbiter would behave in hardware.
 
 use crate::network::{BarrierHw, BarrierNetwork, CtxId};
-use crate::stats::GlineStats;
+use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
 use sim_base::{CoreId, Cycle, Mesh2D};
 
@@ -31,10 +31,7 @@ pub struct TdmBarrierNetwork {
     now: Cycle,
     // Episode bookkeeping per logical barrier, in *real* cycles (the
     // inner networks count slot-cycles).
-    arrived: Vec<u32>,
-    outstanding: Vec<u32>,
-    first_arrival: Vec<Cycle>,
-    last_arrival: Vec<Cycle>,
+    episodes: Vec<Episodes>,
     stats: Vec<GlineStats>,
 }
 
@@ -51,10 +48,7 @@ impl TdmBarrierNetwork {
                 .map(|_| BarrierNetwork::new(mesh, single))
                 .collect(),
             now: 0,
-            arrived: vec![0; logical],
-            outstanding: vec![0; logical],
-            first_arrival: vec![0; logical],
-            last_arrival: vec![0; logical],
+            episodes: vec![Episodes::new(mesh.num_tiles() as u32); logical],
             stats: vec![GlineStats::default(); logical],
         }
     }
@@ -76,13 +70,6 @@ impl TdmBarrierNetwork {
         s.signals = self.slots[ctx].stats(0).signals;
         s
     }
-
-    fn outstanding_now(&self, ctx: CtxId) -> u32 {
-        self.mesh
-            .tiles()
-            .filter(|&t| self.slots[ctx].bar_reg(t, 0) != 0)
-            .count() as u32
-    }
 }
 
 impl BarrierHw for TdmBarrierNetwork {
@@ -102,12 +89,7 @@ impl BarrierHw for TdmBarrierNetwork {
         let was_zero = self.slots[ctx].bar_reg(core, 0) == 0;
         self.slots[ctx].write_bar_reg(core, 0, value);
         if was_zero {
-            if self.arrived[ctx] == 0 {
-                self.first_arrival[ctx] = self.now;
-            }
-            self.arrived[ctx] += 1;
-            self.outstanding[ctx] += 1;
-            self.last_arrival[ctx] = self.now;
+            self.episodes[ctx].arrive(self.now);
         }
     }
 
@@ -122,15 +104,10 @@ impl BarrierHw for TdmBarrierNetwork {
     fn tick(&mut self) {
         // Only the slot owner may drive (and sense) the wires this cycle.
         let ctx = (self.now % self.slots.len() as u64) as usize;
-        let before = self.outstanding_now(ctx);
+        let before = self.slots[ctx].outstanding(0);
         self.slots[ctx].tick();
-        let after = self.outstanding_now(ctx);
-        let released = before.saturating_sub(after);
-        self.outstanding[ctx] = self.outstanding[ctx].saturating_sub(released);
-        if self.arrived[ctx] as usize == self.mesh.num_tiles() && self.outstanding[ctx] == 0 {
-            self.stats[ctx].record(self.first_arrival[ctx], self.last_arrival[ctx], self.now);
-            self.arrived[ctx] = 0;
-        }
+        self.episodes[ctx].release(before - self.slots[ctx].outstanding(0));
+        self.episodes[ctx].close(self.now, &mut self.stats[ctx]);
         self.now += 1;
     }
 

@@ -122,8 +122,8 @@ mod tests {
         let progs: Vec<Program> = (0..n)
             .map(|c| {
                 let mut b = ProgBuilder::new();
-                for it in 0..iters {
-                    env.emit(&mut b, c, &format!("i{it}"));
+                for _ in 0..iters {
+                    env.emit(&mut b, c);
                 }
                 b.halt();
                 b.build()

@@ -143,27 +143,26 @@ impl BarrierEnv {
         self.node_count_addr(level, idx) + LINE
     }
 
-    /// Emits one barrier episode for `core`. `uniq` must be unique per
-    /// emission site (it namespaces the labels).
-    pub fn emit(&self, b: &mut ProgBuilder, core: usize, uniq: &str) {
+    /// Emits one barrier episode for `core`.
+    pub fn emit(&self, b: &mut ProgBuilder, core: usize) {
         assert!(core < self.n_cores);
         b.region(Region::Barrier);
         match self.kind {
-            BarrierKind::Gl => self.emit_gl(b, uniq),
-            BarrierKind::Csw => self.emit_csw(b, uniq),
-            BarrierKind::Dsw => self.emit_dsw(b, core, uniq),
+            BarrierKind::Gl => self.emit_gl(b),
+            BarrierKind::Csw => self.emit_csw(b),
+            BarrierKind::Dsw => self.emit_dsw(b, core),
         }
         b.region(Region::Normal);
     }
 
     /// Figure 3 of the paper: `mov 1, bar_reg; loop: bnz bar_reg, loop`.
-    fn emit_gl(&self, b: &mut ProgBuilder, uniq: &str) {
-        let spin = format!("gl_spin_{uniq}");
+    fn emit_gl(&self, b: &mut ProgBuilder) {
+        let spin = b.new_label();
         b.li(T1, 1)
             .barw(T1)
-            .label(&spin)
+            .bind(spin)
             .barr(T2)
-            .bne(T2, Reg::ZERO, &spin);
+            .bne(T2, Reg::ZERO, spin);
     }
 
     /// The paper's CSW: a *lock-based* centralized sense-reversal
@@ -171,61 +170,61 @@ impl BarrierEnv {
     /// shared counter — under simultaneous arrival the lock handoffs
     /// cause the O(n²) invalidation storm that makes CSW the worst
     /// performer of Figure 5.
-    fn emit_csw(&self, b: &mut ProgBuilder, uniq: &str) {
+    fn emit_csw(&self, b: &mut ProgBuilder) {
         if self.n_cores == 1 {
             return;
         }
         let counter = self.base;
         let flag = self.base + LINE;
         let lock = self.base + 2 * LINE;
-        let acq = format!("csw_acq_{uniq}");
-        let tst = format!("csw_tst_{uniq}");
-        let got = format!("csw_got_{uniq}");
-        let last = format!("csw_last_{uniq}");
-        let wait = format!("csw_wait_{uniq}");
-        let done = format!("csw_done_{uniq}");
+        let [acq, tst, got, last, wait, done] = [(); 6].map(|()| b.new_label());
         // sense = !sense
         b.alui(sim_isa::inst::AluOp::Xor, SENSE, SENSE, 1);
         // Acquire the central lock (test-and-test&set).
         b.li(T1, 1)
             .li(T5, lock as i64)
-            .label(&acq)
+            .bind(acq)
             .amoswap(T2, T1, T5)
-            .beq(T2, Reg::ZERO, &got)
-            .label(&tst)
+            .beq(T2, Reg::ZERO, got)
+            .bind(tst)
             .ld(T2, 0, T5)
-            .bne(T2, Reg::ZERO, &tst)
-            .jump(&acq)
-            .label(&got);
+            .bne(T2, Reg::ZERO, tst)
+            .jump(acq)
+            .bind(got);
         // count++ under the lock.
         b.li(T3, counter as i64)
             .ld(T2, 0, T3)
             .addi(T2, T2, 1)
             .li(T4, self.n_cores as i64)
-            .beq(T2, T4, &last)
+            .beq(T2, T4, last)
             .st(T2, 0, T3)
             .st(Reg::ZERO, 0, T5) // unlock
-            .jump(&wait);
+            .jump(wait);
         // Last arriver: reset the counter and release everyone.
-        b.label(&last)
+        b.bind(last)
             .st(Reg::ZERO, 0, T3)
             .li(T3, flag as i64)
             .st(SENSE, 0, T3)
             .st(Reg::ZERO, 0, T5) // unlock
-            .jump(&done);
+            .jump(done);
         // Busy-wait on the release flag (L1-local after one miss).
-        b.label(&wait)
+        b.bind(wait)
             .li(T3, flag as i64)
             .ld(T2, 0, T3)
-            .bne(T2, SENSE, &wait)
-            .label(&done);
+            .bne(T2, SENSE, wait)
+            .bind(done);
     }
 
-    fn emit_dsw(&self, b: &mut ProgBuilder, core: usize, uniq: &str) {
+    fn emit_dsw(&self, b: &mut ProgBuilder, core: usize) {
         if self.n_cores == 1 {
             return;
         }
         let nlev = self.levels.len();
+        // `wait.at(k)`: level k's flag spin. `rel.at(k + 1)`: the release
+        // of level k, falling through to `rel.at(k)`; `rel.at(0)` is the
+        // exit.
+        let wait = b.new_labels(nlev);
+        let rel = b.new_labels(nlev + 1);
         // sense = !sense
         b.alui(sim_isa::inst::AluOp::Xor, SENSE, SENSE, 1);
         // Climb: at each level, fetch&add the node counter; the last
@@ -233,60 +232,54 @@ impl BarrierEnv {
         for level in 0..nlev {
             let idx = core >> (level + 1);
             let arity = self.levels[level][idx];
-            let wait = format!("dsw_wait{level}_{uniq}");
             b.li(T1, 1)
                 .li(T3, self.node_count_addr(level, idx) as i64)
                 .amoadd(T2, T1, T3)
                 .li(T4, (arity - 1) as i64)
-                .bne(T2, T4, &wait);
+                .bne(T2, T4, wait.at(level));
         }
         // Root winner: release its whole path, top level first.
-        b.jump(&format!("dsw_rel{}_{uniq}", nlev as i64 - 1));
+        b.jump(rel.at(nlev));
         // Waiters: spin on the node flag, then release the levels they won.
         for level in 0..nlev {
             let idx = core >> (level + 1);
-            let wait = format!("dsw_wait{level}_{uniq}");
-            let spin = format!("dsw_spin{level}_{uniq}");
-            b.label(&wait)
-                .label(&spin)
+            b.bind(wait.at(level))
                 .li(T3, self.node_flag_addr(level, idx) as i64)
                 .ld(T2, 0, T3)
-                .bne(T2, SENSE, &spin)
-                .jump(&format!("dsw_rel{}_{uniq}", level as i64 - 1));
+                .bne(T2, SENSE, wait.at(level))
+                .jump(rel.at(level));
         }
-        // Release chains: rel_k releases node k (count reset before flag)
-        // and falls through to rel_{k-1}; rel_{-1} is the exit.
+        // Release chains: each level releases its node (count reset
+        // before flag) and falls through to the level below.
         for level in (0..nlev).rev() {
             let idx = core >> (level + 1);
-            b.label(&format!("dsw_rel{level}_{uniq}"))
+            b.bind(rel.at(level + 1))
                 .li(T3, self.node_count_addr(level, idx) as i64)
                 .st(Reg::ZERO, 0, T3)
                 .li(T3, self.node_flag_addr(level, idx) as i64)
                 .st(SENSE, 0, T3);
         }
-        b.label(&format!("dsw_rel-1_{uniq}"));
+        b.bind(rel.at(0));
     }
 }
 
 /// Emits a test-and-test&set lock acquisition on the word at
 /// `lock_addr`. Clobbers `r21`–`r23`.
-pub fn emit_lock(b: &mut ProgBuilder, lock_addr: u64, uniq: &str) {
+pub fn emit_lock(b: &mut ProgBuilder, lock_addr: u64) {
     assert_eq!(lock_addr % WORD_BYTES, 0);
-    let acq = format!("lk_acq_{uniq}");
-    let tst = format!("lk_tst_{uniq}");
-    let got = format!("lk_got_{uniq}");
+    let [acq, tst, got] = [(); 3].map(|()| b.new_label());
     b.region(Region::Lock)
         .li(T1, 1)
         .li(T3, lock_addr as i64)
-        .label(&acq)
+        .bind(acq)
         .amoswap(T2, T1, T3)
-        .beq(T2, Reg::ZERO, &got)
+        .beq(T2, Reg::ZERO, got)
         // Held: spin on a plain load (stays in L1 until invalidated).
-        .label(&tst)
+        .bind(tst)
         .ld(T2, 0, T3)
-        .bne(T2, Reg::ZERO, &tst)
-        .jump(&acq)
-        .label(&got)
+        .bne(T2, Reg::ZERO, tst)
+        .jump(acq)
+        .bind(got)
         .region(Region::Normal);
 }
 
@@ -333,7 +326,7 @@ mod tests {
             b.li(Reg(1), it as i64 + 1);
             b.li(Reg(2), out_addr as i64 + core as i64 * 8);
             b.st(Reg(1), 0, Reg(2));
-            env.emit(&mut b, core, &format!("it{it}"));
+            env.emit(&mut b, core);
         }
         b.halt();
         b.build()
@@ -389,7 +382,7 @@ mod tests {
     #[test]
     fn lock_emission_assembles() {
         let mut b = ProgBuilder::new();
-        emit_lock(&mut b, 256, "a");
+        emit_lock(&mut b, 256);
         emit_unlock(&mut b, 256);
         b.halt();
         let p = b.build();
@@ -406,16 +399,17 @@ mod tests {
         let progs: Vec<Program> = (0..n)
             .map(|_| {
                 let mut b = ProgBuilder::new();
+                let top = b.new_label();
                 b.li(Reg(10), 50);
-                b.label("loop");
-                emit_lock(&mut b, lock, "l");
+                b.bind(top);
+                emit_lock(&mut b, lock);
                 b.li(Reg(3), counter as i64)
                     .ld(Reg(4), 0, Reg(3))
                     .addi(Reg(4), Reg(4), 1)
                     .st(Reg(4), 0, Reg(3));
                 emit_unlock(&mut b, lock);
                 b.addi(Reg(10), Reg(10), -1);
-                b.bne(Reg(10), Reg::ZERO, "loop");
+                b.bne(Reg(10), Reg::ZERO, top);
                 b.halt();
                 b.build()
             })

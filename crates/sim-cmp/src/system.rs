@@ -844,7 +844,7 @@ mod tests {
                 b.li(Reg(1), c as i64 + 1)
                     .li(Reg(2), (0x1000 + c * 64) as i64)
                     .st(Reg(1), 0, Reg(2));
-                env.emit(&mut b, c, "x");
+                env.emit(&mut b, c);
                 b.li(Reg(4), 0);
                 for p in 0..n {
                     b.li(Reg(2), (0x1000 + p * 64) as i64)
@@ -890,7 +890,7 @@ mod tests {
                     b.li(Reg(1), it as i64 + 1)
                         .li(Reg(2), slot(c) as i64)
                         .st(Reg(1), 0, Reg(2));
-                    env.emit(&mut b, c, &format!("a{it}"));
+                    env.emit(&mut b, c);
                     // Phase 2: read my right neighbour's slot; it must be
                     // exactly it+1.
                     let nb = (c + 1) % n;
@@ -899,7 +899,7 @@ mod tests {
                         Reg(10),
                         Reg(3),
                     );
-                    env.emit(&mut b, c, &format!("b{it}"));
+                    env.emit(&mut b, c);
                 }
                 b.li(Reg(2), (0x8000 + c * 64) as i64)
                     .st(Reg(10), 0, Reg(2))
@@ -948,16 +948,17 @@ mod tests {
         let progs: Vec<Program> = (0..n)
             .map(|_| {
                 let mut b = ProgBuilder::new();
+                let top = b.new_label();
                 b.li(Reg(10), per_core);
-                b.label("loop");
-                emit_lock(&mut b, lock, "l");
+                b.bind(top);
+                emit_lock(&mut b, lock);
                 b.li(Reg(3), counter as i64)
                     .ld(Reg(4), 0, Reg(3))
                     .addi(Reg(4), Reg(4), 1)
                     .st(Reg(4), 0, Reg(3));
                 emit_unlock(&mut b, lock);
                 b.addi(Reg(10), Reg(10), -1)
-                    .bne(Reg(10), Reg::ZERO, "loop")
+                    .bne(Reg(10), Reg::ZERO, top)
                     .halt();
                 b.build()
             })
@@ -984,8 +985,8 @@ mod tests {
             let progs: Vec<Program> = (0..n)
                 .map(|c| {
                     let mut b = ProgBuilder::new();
-                    for it in 0..iters {
-                        env.emit(&mut b, c, &format!("i{it}"));
+                    for _ in 0..iters {
+                        env.emit(&mut b, c);
                     }
                     b.halt();
                     b.build()
@@ -1015,8 +1016,8 @@ mod tests {
         let progs: Vec<Program> = (0..n)
             .map(|c| {
                 let mut b = ProgBuilder::new();
-                for it in 0..5 {
-                    env.emit(&mut b, c, &format!("i{it}"));
+                for _ in 0..5 {
+                    env.emit(&mut b, c);
                 }
                 b.halt();
                 b.build()
@@ -1049,14 +1050,14 @@ mod tests {
                 let mut b = ProgBuilder::new();
                 b.barctx(group as u8);
                 let (episodes, work) = if group == 0 { (20, 5) } else { (2, 400) };
-                for ep in 0..episodes {
+                for _ in 0..episodes {
                     b.busy(work);
                     // Arrive and spin, group-local.
-                    let lbl = format!("w{ep}");
-                    b.li(Reg(1), 1).barw(Reg(1)).label(&lbl).barr(Reg(2)).bne(
+                    let spin = b.new_label();
+                    b.li(Reg(1), 1).barw(Reg(1)).bind(spin).barr(Reg(2)).bne(
                         Reg(2),
                         Reg::ZERO,
-                        &lbl,
+                        spin,
                     );
                 }
                 b.halt();
@@ -1101,12 +1102,12 @@ mod tests {
             (0..n)
                 .map(|_| {
                     let mut b = ProgBuilder::new();
-                    for ep in 0..5 {
-                        let lbl = format!("w{ep}");
-                        b.li(Reg(1), 1).barw(Reg(1)).label(&lbl).barr(Reg(2)).bne(
+                    for _ in 0..5 {
+                        let spin = b.new_label();
+                        b.li(Reg(1), 1).barw(Reg(1)).bind(spin).barr(Reg(2)).bne(
                             Reg(2),
                             Reg::ZERO,
-                            &lbl,
+                            spin,
                         );
                     }
                     b.halt();
@@ -1207,7 +1208,7 @@ mod tests {
                             b.li(Reg(1), (0x4000 + c * 64) as i64)
                                 .li(Reg(2), it as i64 + 1)
                                 .st(Reg(2), 0, Reg(1));
-                            env.emit(&mut b, c, &format!("i{it}"));
+                            env.emit(&mut b, c);
                         }
                         b.halt();
                         b.build()

@@ -70,7 +70,9 @@ fn parse_imm(tok: &str, line: usize) -> Result<i64, AsmError> {
         rest.parse::<i64>()
     };
     match v {
-        Ok(v) => Ok(if neg { -v } else { v }),
+        // A hex literal is a bit pattern, so `-0x8000000000000000`
+        // negates i64::MIN: wrap, as two's complement does.
+        Ok(v) => Ok(if neg { v.wrapping_neg() } else { v }),
         Err(_) => err(line, format!("bad immediate `{t}`")),
     }
 }
@@ -128,7 +130,8 @@ enum PendingTarget {
     Label(String),
 }
 
-/// Assembles source text into a [`Program`].
+/// Assembles source text into a [`Program`]. Label names are resolved
+/// here and not kept: the program holds only instructions.
 pub fn assemble(src: &str) -> Result<Program, AsmError> {
     let mut insts: Vec<Inst> = Vec::new();
     let mut labels: FxHashMap<String, usize> = FxHashMap::default();
@@ -331,7 +334,7 @@ pub fn assemble(src: &str) -> Result<Program, AsmError> {
             _ => unreachable!("fixup on a non-jump"),
         }
     }
-    Ok(Program::with_labels(insts, labels))
+    Ok(Program::from_insts(insts))
 }
 
 /// Disassembles a program back into assembly text. Branch/jump targets
@@ -488,6 +491,16 @@ mod tests {
             Some(Inst::Li {
                 rd: Reg(2),
                 imm: -16
+            })
+        );
+        // Negating the bit pattern of i64::MIN wraps instead of
+        // overflowing.
+        let p = assemble("li r1, -0x8000000000000000").unwrap();
+        assert_eq!(
+            p.fetch(0),
+            Some(Inst::Li {
+                rd: Reg(1),
+                imm: i64::MIN
             })
         );
     }

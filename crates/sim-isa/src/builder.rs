@@ -1,9 +1,11 @@
 //! Programmatic program construction.
 //!
 //! Workload generators build programs with [`ProgBuilder`] instead of
-//! string templates: labels are declared and referenced by name, and the
-//! builder checks at [`ProgBuilder::build`] time that every referenced
-//! label was defined.
+//! string templates. A branch target is a [`Label`]: a `Copy` handle made
+//! by [`ProgBuilder::new_label`], placed by [`ProgBuilder::bind`], and
+//! referenced by branches and jumps before or after it is placed. No
+//! label has a name, so emitting one costs no string and the finished
+//! [`Program`] is only its instructions.
 //!
 //! ```
 //! use sim_isa::{ProgBuilder, Reg};
@@ -11,11 +13,12 @@
 //! let r1 = Reg::r(1);
 //! let r2 = Reg::r(2);
 //! let mut b = ProgBuilder::new();
+//! let spin = b.new_label();
 //! b.li(r1, 1)
 //!     .barw(r1) // announce arrival
-//!     .label("spin")
+//!     .bind(spin)
 //!     .barr(r2)
-//!     .bne(r2, Reg::ZERO, "spin") // wait for the G-line release
+//!     .bne(r2, Reg::ZERO, spin) // wait for the G-line release
 //!     .halt();
 //! let prog = b.build();
 //! assert_eq!(prog.len(), 5);
@@ -23,20 +26,82 @@
 
 use crate::inst::{AluOp, AmoOp, BranchCond, Inst, Program, Region};
 use crate::reg::Reg;
-use sim_base::fxmap::FxHashMap;
+use std::fmt;
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Builder for [`Program`]s with named labels.
-#[derive(Debug, Default)]
+/// A branch target of one [`ProgBuilder`]. Using it with another builder
+/// panics.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Label {
+    builder: u32,
+    index: u32,
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "L{}", self.index)
+    }
+}
+
+/// `len` consecutive labels from one [`ProgBuilder::new_labels`] call,
+/// for code that picks its targets by index (one per tree level, say).
+#[derive(Clone, Copy, Debug)]
+pub struct Labels {
+    first: Label,
+    len: u32,
+}
+
+impl Labels {
+    /// The `i`th label of the block.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below the block's length.
+    pub fn at(self, i: usize) -> Label {
+        assert!(
+            i < self.len as usize,
+            "label {i} of a block of {}",
+            self.len
+        );
+        Label {
+            index: self.first.index + i as u32,
+            ..self.first
+        }
+    }
+}
+
+/// Not a position: the label has not been bound.
+const UNBOUND: usize = usize::MAX;
+
+/// Gives every builder its own identity, so that a [`Label`] cannot be
+/// used with a builder that did not make it.
+static NEXT_BUILDER: AtomicU32 = AtomicU32::new(0);
+
+/// Builder for [`Program`]s with forward and backward [`Label`]s.
+#[derive(Debug)]
 pub struct ProgBuilder {
+    id: u32,
     insts: Vec<Inst>,
-    labels: FxHashMap<String, usize>,
-    fixups: Vec<(usize, String)>,
+    /// Position of each label, [`UNBOUND`] until it is bound.
+    positions: Vec<usize>,
+    /// Each branch or jump emitted so far, with its target label.
+    fixups: Vec<(usize, Label)>,
+}
+
+impl Default for ProgBuilder {
+    fn default() -> ProgBuilder {
+        ProgBuilder::new()
+    }
 }
 
 impl ProgBuilder {
     /// An empty builder.
     pub fn new() -> ProgBuilder {
-        ProgBuilder::default()
+        ProgBuilder {
+            id: NEXT_BUILDER.fetch_add(1, Ordering::Relaxed),
+            insts: Vec::new(),
+            positions: Vec::new(),
+            fixups: Vec::new(),
+        }
     }
 
     /// Number of instructions emitted so far.
@@ -49,13 +114,50 @@ impl ProgBuilder {
         self.insts.is_empty()
     }
 
-    /// Defines `name` at the current position.
+    /// A fresh, unbound label.
+    pub fn new_label(&mut self) -> Label {
+        self.new_labels(1).first
+    }
+
+    /// `len` fresh, unbound labels.
+    pub fn new_labels(&mut self, len: usize) -> Labels {
+        let index = self.positions.len();
+        self.positions.resize(index + len, UNBOUND);
+        Labels {
+            first: Label {
+                builder: self.id,
+                index: u32::try_from(index).expect("too many labels"),
+            },
+            len: u32::try_from(len).expect("too many labels"),
+        }
+    }
+
+    /// The index of `label` in this builder.
     ///
     /// # Panics
-    /// Panics on duplicate definition.
-    pub fn label(&mut self, name: &str) -> &mut Self {
-        let prev = self.labels.insert(name.to_string(), self.insts.len());
-        assert!(prev.is_none(), "duplicate label `{name}`");
+    /// Panics if `label` was made by another builder.
+    fn index(&self, label: Label) -> usize {
+        assert_eq!(
+            label.builder, self.id,
+            "label {label} is from another builder"
+        );
+        label.index as usize
+    }
+
+    /// Places `label` at the current position.
+    ///
+    /// # Panics
+    /// Panics if `label` is already bound or was made by another builder.
+    pub fn bind(&mut self, label: Label) -> &mut Self {
+        let i = self.index(label);
+        let here = self.insts.len();
+        let pos = &mut self.positions[i];
+        assert!(
+            *pos == UNBOUND,
+            "label {label} bound twice, at {} and at {here}",
+            *pos
+        );
+        *pos = here;
         self
     }
 
@@ -63,6 +165,13 @@ impl ProgBuilder {
     pub fn inst(&mut self, i: Inst) -> &mut Self {
         self.insts.push(i);
         self
+    }
+
+    /// Emits a branch or jump to `label`, patched by [`ProgBuilder::build`].
+    fn branch_to(&mut self, i: Inst, label: Label) -> &mut Self {
+        self.index(label);
+        self.fixups.push((self.insts.len(), label));
+        self.inst(i)
     }
 
     /// `li rd, imm`.
@@ -130,47 +239,47 @@ impl ProgBuilder {
         })
     }
 
-    fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        self.fixups.push((self.insts.len(), label.to_string()));
-        self.inst(Inst::Branch {
-            cond,
-            rs1,
-            rs2,
-            target: usize::MAX,
-        })
+    fn branch(&mut self, cond: BranchCond, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
+        let target = usize::MAX;
+        self.branch_to(
+            Inst::Branch {
+                cond,
+                rs1,
+                rs2,
+                target,
+            },
+            label,
+        )
     }
 
     /// `beq rs1, rs2, label`.
-    pub fn beq(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn beq(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
         self.branch(BranchCond::Eq, rs1, rs2, label)
     }
 
     /// `bne rs1, rs2, label`.
-    pub fn bne(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bne(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
         self.branch(BranchCond::Ne, rs1, rs2, label)
     }
 
     /// `blt rs1, rs2, label`.
-    pub fn blt(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn blt(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
         self.branch(BranchCond::Lt, rs1, rs2, label)
     }
 
     /// `bge rs1, rs2, label`.
-    pub fn bge(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
+    pub fn bge(&mut self, rs1: Reg, rs2: Reg, label: Label) -> &mut Self {
         self.branch(BranchCond::Ge, rs1, rs2, label)
     }
 
     /// `jal rd, label`.
-    pub fn jal(&mut self, rd: Reg, label: &str) -> &mut Self {
-        self.fixups.push((self.insts.len(), label.to_string()));
-        self.inst(Inst::Jal {
-            rd,
-            target: usize::MAX,
-        })
+    pub fn jal(&mut self, rd: Reg, label: Label) -> &mut Self {
+        let target = usize::MAX;
+        self.branch_to(Inst::Jal { rd, target }, label)
     }
 
     /// Unconditional `j label`.
-    pub fn jump(&mut self, label: &str) -> &mut Self {
+    pub fn jump(&mut self, label: Label) -> &mut Self {
         self.jal(Reg::ZERO, label)
     }
 
@@ -214,26 +323,31 @@ impl ProgBuilder {
         self.inst(Inst::Nop)
     }
 
-    /// Resolves labels and produces the program.
+    /// Patches every branch and jump to its label's position and
+    /// produces the program.
     ///
     /// # Panics
-    /// Panics if any referenced label was never defined.
+    /// Panics, naming the label, if a branch or jump refers to a label
+    /// that was never bound.
     pub fn build(self) -> Program {
         let ProgBuilder {
             mut insts,
-            labels,
+            positions,
             fixups,
+            ..
         } = self;
-        for (idx, name) in fixups {
-            let target = *labels
-                .get(&name)
-                .unwrap_or_else(|| panic!("undefined label `{name}` referenced at {idx}"));
+        for (idx, label) in fixups {
+            let pos = positions[label.index as usize];
+            assert!(
+                pos != UNBOUND,
+                "label {label} is never bound (referenced at {idx})"
+            );
             match &mut insts[idx] {
-                Inst::Branch { target: t, .. } | Inst::Jal { target: t, .. } => *t = target,
-                _ => unreachable!(),
+                Inst::Branch { target, .. } | Inst::Jal { target, .. } => *target = pos,
+                _ => unreachable!("fixup on a non-jump"),
             }
         }
-        Program::with_labels(insts, labels)
+        Program::from_insts(insts)
     }
 }
 
@@ -253,10 +367,11 @@ mod tests {
         ";
         let from_text = assemble(src).unwrap();
         let mut b = ProgBuilder::new();
+        let top = b.new_label();
         b.li(Reg::r(1), 10)
-            .label("loop")
+            .bind(top)
             .addi(Reg::r(1), Reg::r(1), -1)
-            .bne(Reg::r(1), Reg::ZERO, "loop")
+            .bne(Reg::r(1), Reg::ZERO, top)
             .halt();
         assert_eq!(b.build().insts(), from_text.insts());
     }
@@ -264,7 +379,8 @@ mod tests {
     #[test]
     fn forward_references_resolve() {
         let mut b = ProgBuilder::new();
-        b.jump("end").nop().label("end").halt();
+        let end = b.new_label();
+        b.jump(end).nop().bind(end).halt();
         let p = b.build();
         assert_eq!(
             p.fetch(0),
@@ -276,18 +392,69 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "undefined label")]
-    fn missing_label_panics() {
+    fn label_blocks_are_distinct_labels() {
         let mut b = ProgBuilder::new();
-        b.jump("nowhere");
+        let rel = b.new_labels(3);
+        b.jump(rel.at(2)).bind(rel.at(0)).nop().bind(rel.at(2));
+        b.jump(rel.at(0)).bind(rel.at(1)).halt();
+        let p = b.build();
+        let target = |pc| match p.fetch(pc) {
+            Some(Inst::Jal { target, .. }) => target,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!((target(0), target(2)), (2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "label L0 is never bound (referenced at 0)")]
+    fn unbound_label_panics() {
+        let mut b = ProgBuilder::new();
+        let nowhere = b.new_label();
+        b.jump(nowhere);
         let _ = b.build();
     }
 
     #[test]
-    #[should_panic(expected = "duplicate label")]
-    fn duplicate_label_panics() {
+    fn unreferenced_unbound_label_is_harmless() {
         let mut b = ProgBuilder::new();
-        b.label("x").nop().label("x");
+        let _unused = b.new_label();
+        b.halt();
+        assert_eq!(b.build().insts(), [Inst::Halt]);
+    }
+
+    #[test]
+    #[should_panic(expected = "label L1 bound twice, at 0 and at 1")]
+    fn twice_bound_label_panics() {
+        let mut b = ProgBuilder::new();
+        let _first = b.new_label();
+        let x = b.new_label();
+        b.bind(x).nop().bind(x);
+    }
+
+    #[test]
+    #[should_panic(expected = "label L0 is from another builder")]
+    fn label_from_another_builder_panics() {
+        let mut other = ProgBuilder::new();
+        let foreign = other.new_label();
+        let mut b = ProgBuilder::new();
+        let _own = b.new_label();
+        b.jump(foreign);
+    }
+
+    #[test]
+    #[should_panic(expected = "is from another builder")]
+    fn binding_a_foreign_label_panics() {
+        let mut other = ProgBuilder::new();
+        let foreign = other.new_label();
+        let mut b = ProgBuilder::new();
+        b.bind(foreign);
+    }
+
+    #[test]
+    #[should_panic(expected = "label 3 of a block of 3")]
+    fn label_block_index_is_checked() {
+        let mut b = ProgBuilder::new();
+        let _ = b.new_labels(3).at(3);
     }
 
     #[test]

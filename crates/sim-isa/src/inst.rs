@@ -1,7 +1,6 @@
 //! Instruction and program types.
 
 use crate::reg::Reg;
-use sim_base::fxmap::FxHashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -322,61 +321,40 @@ impl Inst {
     }
 }
 
-/// An assembled program: instructions plus the label map (kept for
-/// disassembly and debugging). Both are immutable and shared, so a clone
-/// — one per core of an SPMD machine — copies two pointers.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Program {
-    insts: Arc<[Inst]>,
-    labels: Arc<FxHashMap<String, usize>>,
-}
+/// A program: its instructions, with branch targets already resolved to
+/// instruction indices. It keeps no label names (the assembler and the
+/// builder drop them once targets are patched, and the disassembler
+/// makes up `L<index>` names). The instructions are immutable and
+/// shared, so a clone — one per core of an SPMD machine — copies one
+/// pointer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Program(Arc<[Inst]>);
 
 impl Program {
-    /// Wraps raw instructions (no labels).
+    /// Wraps instructions.
     pub fn from_insts(insts: Vec<Inst>) -> Program {
-        Program::with_labels(insts, FxHashMap::default())
-    }
-
-    /// Wraps instructions with a label map; validates label targets.
-    pub fn with_labels(insts: Vec<Inst>, labels: FxHashMap<String, usize>) -> Program {
-        for (name, &idx) in &labels {
-            assert!(idx <= insts.len(), "label {name} points past the end");
-        }
-        Program {
-            insts: insts.into(),
-            labels: Arc::new(labels),
-        }
+        Program(insts.into())
     }
 
     /// The instruction at `pc`, or `None` past the end (treated as halt).
     #[inline]
     pub fn fetch(&self, pc: usize) -> Option<Inst> {
-        self.insts.get(pc).copied()
+        self.0.get(pc).copied()
     }
 
     /// All instructions.
     pub fn insts(&self) -> &[Inst] {
-        &self.insts
+        &self.0
     }
 
     /// Number of instructions.
     pub fn len(&self) -> usize {
-        self.insts.len()
+        self.0.len()
     }
 
     /// True when the program has no instructions.
     pub fn is_empty(&self) -> bool {
-        self.insts.is_empty()
-    }
-
-    /// The label map.
-    pub fn labels(&self) -> &FxHashMap<String, usize> {
-        &self.labels
-    }
-
-    /// Instruction index of a label.
-    pub fn label(&self, name: &str) -> Option<usize> {
-        self.labels.get(name).copied()
+        self.0.is_empty()
     }
 }
 
@@ -453,23 +431,12 @@ mod tests {
     }
 
     #[test]
-    fn program_fetch_and_labels() {
-        let mut labels = FxHashMap::default();
-        labels.insert("start".to_string(), 0);
-        let p = Program::with_labels(vec![Inst::Nop, Inst::Halt], labels);
+    fn program_fetch() {
+        let p = Program::from_insts(vec![Inst::Nop, Inst::Halt]);
         assert_eq!(p.fetch(0), Some(Inst::Nop));
         assert_eq!(p.fetch(5), None);
-        assert_eq!(p.label("start"), Some(0));
-        assert_eq!(p.label("missing"), None);
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "points past the end")]
-    fn bad_label_rejected() {
-        let mut labels = FxHashMap::default();
-        labels.insert("x".to_string(), 9);
-        let _ = Program::with_labels(vec![Inst::Halt], labels);
+        assert!(Program::default().is_empty());
     }
 }

@@ -27,6 +27,11 @@
 //! [`interp`] — architectural reference interpreters (single- and
 //! multi-core) used as golden models by the cycle-accurate simulator's
 //! tests.
+//!
+//! A [`Program`] is its instructions and nothing else: branch targets
+//! are absolute instruction indices, resolved once when the program is
+//! assembled or built. Label names live only as long as parsing (in
+//! [`assemble`]); the builder's labels are nameless [`Label`] handles.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,6 +44,6 @@ pub mod interp;
 pub mod reg;
 
 pub use asm::{assemble, disassemble, AsmError};
-pub use builder::ProgBuilder;
+pub use builder::{Label, Labels, ProgBuilder};
 pub use inst::{Inst, Program};
 pub use reg::Reg;

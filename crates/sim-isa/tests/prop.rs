@@ -8,7 +8,7 @@ use sim_base::check::{forall, forall_cases};
 use sim_base::rng::SplitMix64;
 use sim_isa::inst::{AluOp, AmoOp, BranchCond, Inst, Region};
 use sim_isa::interp::{Machine, RefCmp};
-use sim_isa::{assemble, disassemble, Program, Reg};
+use sim_isa::{assemble, disassemble, ProgBuilder, Program, Reg};
 
 fn arb_reg(rng: &mut SplitMix64) -> Reg {
     Reg(rng.next_below(32) as u8)
@@ -169,6 +169,180 @@ fn straightline_alu_programs_terminate_with_correct_sums() {
             assert_eq!(cmp.cores[0].reg(Reg::r(1)), vals.iter().sum::<u64>());
         },
     );
+}
+
+/// Builds one random program twice — with [`ProgBuilder`] label handles
+/// and as assembly text naming the same labels — with forward and
+/// backward branches and `jal`s, several labels on one position and
+/// labels at the end.
+fn builder_and_text(rng: &mut SplitMix64) -> (Program, String) {
+    let len = 1 + rng.next_below(40) as usize;
+    let n_labels = 1 + rng.next_below(6) as usize;
+    let mut b = ProgBuilder::new();
+    let labels: Vec<_> = (0..n_labels).map(|_| b.new_label()).collect();
+    let pos: Vec<usize> = (0..n_labels)
+        .map(|_| rng.next_below(len as u64 + 1) as usize)
+        .collect();
+    let mut text = String::new();
+    for pc in 0..=len {
+        for (k, _) in pos.iter().enumerate().filter(|&(_, &p)| p == pc) {
+            b.bind(labels[k]);
+            text.push_str(&format!("l{k}:\n"));
+        }
+        if pc == len {
+            break;
+        }
+        let k = rng.next_below(n_labels as u64) as usize;
+        let (rs1, rs2) = (arb_reg(rng), arb_reg(rng));
+        match rng.next_below(4) {
+            0 => {
+                let cond = [
+                    BranchCond::Eq,
+                    BranchCond::Ne,
+                    BranchCond::Lt,
+                    BranchCond::Ge,
+                ][rng.next_below(4) as usize];
+                match cond {
+                    BranchCond::Eq => b.beq(rs1, rs2, labels[k]),
+                    BranchCond::Ne => b.bne(rs1, rs2, labels[k]),
+                    BranchCond::Lt => b.blt(rs1, rs2, labels[k]),
+                    BranchCond::Ge => b.bge(rs1, rs2, labels[k]),
+                };
+                text.push_str(&format!("{} {rs1}, {rs2}, l{k}\n", cond.mnemonic()));
+            }
+            1 => {
+                b.jal(rs1, labels[k]);
+                text.push_str(&format!("jal {rs1}, l{k}\n"));
+            }
+            2 => {
+                b.jump(labels[k]);
+                text.push_str(&format!("j l{k}\n"));
+            }
+            _ => {
+                let inst = loop {
+                    let i = arb_inst(rng, len);
+                    if !matches!(i, Inst::Branch { .. } | Inst::Jal { .. }) {
+                        break i;
+                    }
+                };
+                b.inst(inst);
+                text.push_str(&disassemble(&Program::from_insts(vec![inst])));
+            }
+        }
+    }
+    (b.build(), text)
+}
+
+#[test]
+fn builder_labels_match_assembled_text() {
+    forall_cases("builder_labels_match_assembled_text", 256, |rng| {
+        let (built, text) = builder_and_text(rng);
+        let assembled = assemble(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(built.insts(), assembled.insts(), "{text}");
+    });
+}
+
+/// Whitespace- and comma-separated token spans of `s`.
+fn token_spans(s: &str) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (i, c) in s.char_indices() {
+        let sep = c.is_whitespace() || c == ',';
+        match (start, sep) {
+            (None, false) => start = Some(i),
+            (Some(s0), true) => {
+                spans.push((s0, i));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    if let Some(s0) = start {
+        spans.push((s0, s.len()));
+    }
+    spans
+}
+
+/// Tokens spliced into valid source: out-of-range numbers and registers,
+/// stray punctuation, duplicate and undefined labels.
+const SPLICES: [&str; 24] = [
+    "99999999999999999999",
+    "-99999999999999999999",
+    "0xFFFFFFFFFFFFFFFFF",
+    "-0x8000000000000000",
+    "-9223372036854775808",
+    "0x",
+    "-",
+    "4294967296",
+    "256",
+    "r32",
+    "r255",
+    "r256",
+    "r-1",
+    "r",
+    "(",
+    ")",
+    "()",
+    "0(r1",
+    ":",
+    "x:\nx:",
+    "beq r1, r2, nowhere",
+    "j",
+    "l0:",
+    "\u{e9}:",
+];
+
+/// A valid program to mangle: the G-line barrier loop, or a random one.
+fn mangle_base(rng: &mut SplitMix64) -> String {
+    if rng.chance(0.3) {
+        "li r10, 20\nloop: li r1, 1\nbarw r1\nspin: barr r2\nbne r2, r0, spin\n\
+         addi r10, r10, -1\nbne r10, r0, loop\nld r3, 8(r4)\namoadd r5, r6, (r7)\n\
+         busy 40\nbarctx 1\nregion barrier\nhalt\n"
+            .to_string()
+    } else {
+        builder_and_text(rng).1
+    }
+}
+
+#[test]
+fn assembler_never_panics_on_mangled_source() {
+    forall_cases("assembler_never_panics_on_mangled_source", 2048, |rng| {
+        let mut src = mangle_base(rng);
+        for _ in 0..1 + rng.next_below(3) {
+            match rng.next_below(3) {
+                // Truncation at any byte (lossily, mid-character too).
+                0 => {
+                    let cut = rng.next_below(src.len() as u64 + 1) as usize;
+                    src = String::from_utf8_lossy(&src.as_bytes()[..cut]).into_owned();
+                }
+                // A byte flip to any value.
+                1 if !src.is_empty() => {
+                    let mut bytes = src.into_bytes();
+                    let at = rng.next_below(bytes.len() as u64) as usize;
+                    bytes[at] = rng.next_below(256) as u8;
+                    src = String::from_utf8_lossy(&bytes).into_owned();
+                }
+                // A token replaced by a splice.
+                _ => {
+                    let spans = token_spans(&src);
+                    if spans.is_empty() {
+                        continue;
+                    }
+                    let (s, e) = spans[rng.next_below(spans.len() as u64) as usize];
+                    let splice = SPLICES[rng.next_below(SPLICES.len() as u64) as usize];
+                    src.replace_range(s..e, splice);
+                }
+            }
+        }
+        if let Err(e) = assemble(&src) {
+            let lines = src.lines().count();
+            assert!(
+                (1..=lines).contains(&e.line),
+                "error line {} outside 1..={lines}: {e}\n{src}",
+                e.line
+            );
+        }
+    });
 }
 
 #[test]

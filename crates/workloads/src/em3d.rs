@@ -115,8 +115,9 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: Em3dParams) -> Workload {
             let mine = chunk_range(p.nodes, n_cores, c);
             let mut b = ProgBuilder::new();
             let (it, t1, t2, acc) = (Reg(10), Reg(1), Reg(2), Reg(3));
+            let step = b.new_label();
             b.li(it, p.steps as i64);
-            b.label("step");
+            b.bind(step);
             // E half-step: e[i] = e[i] + Σ h[nbr].
             for i in mine.clone() {
                 b.li(t1, (e_vals + i as u64 * 8) as i64).ld(acc, 0, t1);
@@ -127,7 +128,7 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: Em3dParams) -> Workload {
                 }
                 b.li(t1, (e_vals + i as u64 * 8) as i64).st(acc, 0, t1);
             }
-            env.emit(&mut b, c, "e");
+            env.emit(&mut b, c);
             // H half-step: h[i] = h[i] + Σ e[nbr].
             for i in mine.clone() {
                 b.li(t1, (h_vals + i as u64 * 8) as i64).ld(acc, 0, t1);
@@ -138,8 +139,8 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: Em3dParams) -> Workload {
                 }
                 b.li(t1, (h_vals + i as u64 * 8) as i64).st(acc, 0, t1);
             }
-            env.emit(&mut b, c, "h");
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "step").halt();
+            env.emit(&mut b, c);
+            b.addi(it, it, -1).bne(it, Reg::ZERO, step).halt();
             b.build()
         })
         .collect();

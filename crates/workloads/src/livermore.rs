@@ -89,14 +89,15 @@ pub fn kernel2(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                 Reg(2),
                 Reg(3),
             );
+            let [outer, inner] = [(); 2].map(|()| b.new_label());
             b.li(it, p.iters as i64);
-            b.label("outer");
+            b.bind(outer);
             if !r.is_empty() {
                 b.li(px, (x + r.start as u64 * 8) as i64)
                     .li(pv, (v + r.start as u64 * 8) as i64)
                     .li(py, (y + r.start as u64 * 8) as i64)
                     .li(cnt, r.len() as i64)
-                    .label("inner")
+                    .bind(inner)
                     .ld(t1, 0, pv)
                     .ld(t2, 0, py)
                     .mul(t3, t1, t2)
@@ -107,10 +108,10 @@ pub fn kernel2(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                     .addi(pv, pv, 8)
                     .addi(py, py, 8)
                     .addi(cnt, cnt, -1)
-                    .bne(cnt, Reg::ZERO, "inner");
+                    .bne(cnt, Reg::ZERO, inner);
             }
-            env.emit(&mut b, c, "k2");
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "outer").halt();
+            env.emit(&mut b, c);
+            b.addi(it, it, -1).bne(it, Reg::ZERO, outer).halt();
             b.build()
         })
         .collect();
@@ -173,14 +174,15 @@ pub fn kernel3(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                 Reg(2),
                 Reg(3),
             );
+            let [outer, inner] = [(); 2].map(|()| b.new_label());
             b.li(it, p.iters as i64);
-            b.label("outer");
+            b.bind(outer);
             b.li(acc, 0);
             if !r.is_empty() {
                 b.li(pz, (z + r.start as u64 * 8) as i64)
                     .li(px, (x + r.start as u64 * 8) as i64)
                     .li(cnt, r.len() as i64)
-                    .label("inner")
+                    .bind(inner)
                     .ld(t1, 0, pz)
                     .ld(t2, 0, px)
                     .mul(t3, t1, t2)
@@ -188,10 +190,10 @@ pub fn kernel3(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                     .addi(pz, pz, 8)
                     .addi(px, px, 8)
                     .addi(cnt, cnt, -1)
-                    .bne(cnt, Reg::ZERO, "inner");
+                    .bne(cnt, Reg::ZERO, inner);
             }
-            env.emit(&mut b, c, "k3");
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "outer");
+            env.emit(&mut b, c);
+            b.addi(it, it, -1).bne(it, Reg::ZERO, outer);
             // Store the last iteration's partial once, after the loop.
             b.li(t1, (partials + c as u64 * 64) as i64)
                 .st(acc, 0, t1)
@@ -256,8 +258,9 @@ pub fn kernel6(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
             let my_range = chunk_range(p.elements, n_cores, c);
             let mut b = ProgBuilder::new();
             let (it, part, t1, t2, t3, sum) = (Reg(10), Reg(14), Reg(1), Reg(2), Reg(3), Reg(4));
+            let outer = b.new_label();
             b.li(it, p.iters as i64);
-            b.label("outer");
+            b.bind(outer);
             // w[0] = b[0] in my replica; my running partial starts at 0.
             b.li(t1, bvec as i64)
                 .ld(t2, 0, t1)
@@ -265,7 +268,6 @@ pub fn kernel6(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                 .st(t2, 0, t1)
                 .li(part, 0);
             for i in 1..p.elements {
-                let uniq = format!("i{i}");
                 // If k = i-1 is mine, fold w[i-1]·a[i-1] into my partial.
                 let k = i - 1;
                 if my_range.contains(&k) {
@@ -278,7 +280,7 @@ pub fn kernel6(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                 }
                 // Publish my partial, synchronize, reduce everyone's.
                 b.li(t1, (partials + c as u64 * 64) as i64).st(part, 0, t1);
-                env.emit(&mut b, c, &uniq);
+                env.emit(&mut b, c);
                 b.li(t1, (bvec + i as u64 * 8) as i64).ld(sum, 0, t1);
                 for peer in 0..n_cores {
                     b.li(t1, (partials + peer as u64 * 64) as i64)
@@ -287,7 +289,7 @@ pub fn kernel6(n_cores: usize, kind: BarrierKind, p: KernelParams) -> Workload {
                 }
                 b.li(t1, (my_w + i as u64 * 8) as i64).st(sum, 0, t1);
             }
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "outer").halt();
+            b.addi(it, it, -1).bne(it, Reg::ZERO, outer).halt();
             b.build()
         })
         .collect();

@@ -76,8 +76,9 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: OceanParams) -> Workload {
             let my_rows = chunk_range(interior, n_cores, c);
             let mut b = ProgBuilder::new();
             let (it, pr, cnt, t1, t2, acc) = (Reg(10), Reg(11), Reg(12), Reg(1), Reg(2), Reg(3));
+            let sweep = b.new_label();
             b.li(it, p.sweeps as i64);
-            b.label("sweep");
+            b.bind(sweep);
             for color in 0..2usize {
                 for row0 in my_rows.clone() {
                     let row = row0 + 1;
@@ -88,10 +89,10 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: OceanParams) -> Workload {
                     }
                     // Pointer-walk the row two columns at a time.
                     let npts = (p.grid - 1 - first_col).div_ceil(2);
-                    let lbl = format!("row{color}_{row}");
+                    let point = b.new_label();
                     b.li(pr, addr_of(p.grid, row, first_col) as i64)
                         .li(cnt, npts as i64);
-                    b.label(&lbl);
+                    b.bind(point);
                     // acc = (self + N + S + E + W) with a shift as the
                     // relaxation average; busy models the FP latency.
                     b.ld(acc, 0, pr)
@@ -110,11 +111,11 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: OceanParams) -> Workload {
                     b.st(t2, 0, pr)
                         .addi(pr, pr, 16)
                         .addi(cnt, cnt, -1)
-                        .bne(cnt, Reg::ZERO, &lbl);
+                        .bne(cnt, Reg::ZERO, point);
                 }
-                env.emit(&mut b, c, &format!("c{color}"));
+                env.emit(&mut b, c);
             }
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "sweep").halt();
+            b.addi(it, it, -1).bne(it, Reg::ZERO, sweep).halt();
             b.build()
         })
         .collect();

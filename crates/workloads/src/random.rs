@@ -39,7 +39,7 @@ pub fn random_sync_programs(n: usize, kind: BarrierKind, rng: &mut SplitMix64) -
                 // size, so 256 cores do not serialize on one line.
                 if rng.chance(6.0 / n as f64) {
                     let k = rng.next_below(LOCKS);
-                    emit_lock(&mut b, LOCK_BASE + k * 64, &format!("c{c}p{phase}"));
+                    emit_lock(&mut b, LOCK_BASE + k * 64);
                     b.li(Reg(1), (COUNTER_BASE + k * 64) as i64)
                         .ld(Reg(2), 0, Reg(1))
                         .addi(Reg(2), Reg(2), 1)
@@ -49,7 +49,7 @@ pub fn random_sync_programs(n: usize, kind: BarrierKind, rng: &mut SplitMix64) -
                 b.li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
                     .li(Reg(2), (phase * 1000 + c as u64) as i64)
                     .st(Reg(2), 0, Reg(1));
-                env.emit(&mut b, c, &format!("p{phase}"));
+                env.emit(&mut b, c);
             }
             b.halt();
             b.build()
@@ -74,7 +74,7 @@ pub fn staggered_gl_programs(n: usize, rng: &mut SplitMix64) -> Vec<Program> {
                     .li(Reg(1), (SLOT_BASE + c as u64 * 64) as i64)
                     .li(Reg(2), (phase * 1000 + c as u64) as i64)
                     .st(Reg(2), 0, Reg(1));
-                env.emit(&mut b, c, &format!("p{phase}"));
+                env.emit(&mut b, c);
             }
             b.halt();
             b.build()

@@ -22,13 +22,14 @@ pub fn build(n_cores: usize, kind: BarrierKind, iters: u64) -> Workload {
         .map(|c| {
             let mut b = ProgBuilder::new();
             let iter_reg = Reg(10);
+            let top = b.new_label();
             b.li(iter_reg, iters as i64);
-            b.label("loop");
-            for k in 0..BARRIERS_PER_ITER {
-                env.emit(&mut b, c, &format!("k{k}"));
+            b.bind(top);
+            for _ in 0..BARRIERS_PER_ITER {
+                env.emit(&mut b, c);
             }
             b.addi(iter_reg, iter_reg, -1);
-            b.bne(iter_reg, Reg::ZERO, "loop");
+            b.bne(iter_reg, Reg::ZERO, top);
             b.halt();
             b.build()
         })
@@ -62,16 +63,17 @@ pub fn build_imbalanced(n_cores: usize, kind: BarrierKind, iters: u64, stagger: 
         .map(|c| {
             let mut b = ProgBuilder::new();
             let iter_reg = Reg(10);
+            let top = b.new_label();
             b.li(iter_reg, iters as i64);
-            b.label("loop");
-            for k in 0..BARRIERS_PER_ITER {
+            b.bind(top);
+            for _ in 0..BARRIERS_PER_ITER {
                 if c > 0 {
                     b.busy(c as u32 * stagger);
                 }
-                env.emit(&mut b, c, &format!("k{k}"));
+                env.emit(&mut b, c);
             }
             b.addi(iter_reg, iter_reg, -1);
-            b.bne(iter_reg, Reg::ZERO, "loop");
+            b.bne(iter_reg, Reg::ZERO, top);
             b.halt();
             b.build()
         })
@@ -107,24 +109,25 @@ pub fn build_compute(
         .map(|c| {
             let mut b = ProgBuilder::new();
             let iter_reg = Reg(10);
+            let top = b.new_label();
             b.li(iter_reg, iters as i64);
-            b.label("loop");
-            for k in 0..BARRIERS_PER_ITER {
+            b.bind(top);
+            for _ in 0..BARRIERS_PER_ITER {
+                let inner = b.new_label();
                 b.li(Reg(5), work as i64).li(Reg(2), slot(c) as i64);
-                let inner = format!("c{k}");
-                b.label(&inner)
+                b.bind(inner)
                     .ld(Reg(3), 0, Reg(2))
                     .addi(Reg(3), Reg(3), 1)
                     .st(Reg(3), 0, Reg(2))
                     .addi(Reg(5), Reg(5), -1)
-                    .bne(Reg(5), Reg::ZERO, &inner);
+                    .bne(Reg(5), Reg::ZERO, inner);
                 if stagger > 0 && c > 0 {
                     b.busy(c as u32 * stagger);
                 }
-                env.emit(&mut b, c, &format!("k{k}"));
+                env.emit(&mut b, c);
             }
             b.addi(iter_reg, iter_reg, -1);
-            b.bne(iter_reg, Reg::ZERO, "loop");
+            b.bne(iter_reg, Reg::ZERO, top);
             b.halt();
             b.build()
         })

@@ -86,8 +86,9 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: UnstructuredParams) -> Worklo
             let mine = chunk_range(p.edges, n_cores, c);
             let mut b = ProgBuilder::new();
             let (it, t1, t2) = (Reg(10), Reg(1), Reg(2));
+            let sweep = b.new_label();
             b.li(it, p.sweeps as i64);
-            b.label("sweep");
+            b.bind(sweep);
             for e in mine.clone() {
                 let (na, nb) = edges[e];
                 // Per-edge "flux" computation.
@@ -96,10 +97,10 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: UnstructuredParams) -> Worklo
                 }
                 // Scatter into both endpoints under their locks, one at a
                 // time (no hold-and-wait → no deadlock).
-                for (side, node) in [(0, na), (1, nb)] {
+                for node in [na, nb] {
                     let lock_addr = locks + node as u64 * 64;
                     let val_addr = vals + node as u64 * 64;
-                    emit_lock(&mut b, lock_addr, &format!("e{e}s{side}"));
+                    emit_lock(&mut b, lock_addr);
                     b.li(t1, val_addr as i64)
                         .ld(t2, 0, t1)
                         .addi(t2, t2, 1)
@@ -107,8 +108,8 @@ pub fn build(n_cores: usize, kind: BarrierKind, p: UnstructuredParams) -> Worklo
                     emit_unlock(&mut b, lock_addr);
                 }
             }
-            env.emit(&mut b, c, "s");
-            b.addi(it, it, -1).bne(it, Reg::ZERO, "sweep").halt();
+            env.emit(&mut b, c);
+            b.addi(it, it, -1).bne(it, Reg::ZERO, sweep).halt();
             b.build()
         })
         .collect();

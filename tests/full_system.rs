@@ -6,8 +6,8 @@ use gline_cmp::base::config::CmpConfig;
 use gline_cmp::base::stats::TimeCat;
 use gline_cmp::bench_workloads::{em3d, livermore, ocean, synthetic, unstructured};
 use gline_cmp::cmp::runtime::{BarrierEnv, BarrierKind};
-use gline_cmp::cmp::System;
-use gline_cmp::gline::ClusteredBarrierNetwork;
+use gline_cmp::cmp::{System, SystemReport};
+use gline_cmp::gline::{BarrierHw, ClusteredBarrierNetwork};
 use gline_cmp::isa::{ProgBuilder, Reg};
 
 fn cfg(n: usize) -> CmpConfig {
@@ -135,6 +135,43 @@ fn gl_latency_flat_in_core_count() {
     );
 }
 
+/// On G-lines slower than one cycle the release wave frees row 0's and
+/// column 0's cores first, and a loop that re-arrives at once arrives
+/// again while the rest are still set. Every episode must be counted on
+/// the flat (4×8) and the clustered (16×16) network, on both engines.
+#[test]
+fn gl_episodes_counted_on_slow_lines() {
+    fn report<B: BarrierHw>(mut sys: System<B>, active_set: bool) -> SystemReport {
+        sys.set_active_set_enabled(active_set);
+        sys.run(1_000_000).unwrap();
+        sys.report()
+    }
+    let prog = gline_cmp::isa::assemble(
+        "li r10, 20\nloop: li r1, 1\nbarw r1\nspin: barr r2\nbne r2, r0, spin\n\
+         addi r10, r10, -1\nbne r10, r0, loop\nhalt",
+    )
+    .unwrap();
+    for n in [32, 256] {
+        for line_latency in 1..=4 {
+            let mut c = cfg(n);
+            c.gline.line_latency = line_latency;
+            let run = |active_set| {
+                let progs = vec![prog.clone(); n];
+                if c.needs_clustered_gline() {
+                    let hw = ClusteredBarrierNetwork::new(c.mesh, c.gline);
+                    report(System::with_barrier_hw(c, progs, hw), active_set)
+                } else {
+                    report(System::new(c, progs), active_set)
+                }
+            };
+            let (default, dense) = (run(true), run(false));
+            let at = format!("{n} cores, line_latency {line_latency}");
+            assert_eq!(default.gl_barriers, 20, "{at}");
+            assert_eq!(default, dense, "{at}: default vs dense tick");
+        }
+    }
+}
+
 /// Cycles per barrier of the synthetic benchmark on `n` cores (on the
 /// clustered G-line network beyond the flat 8×8 budget).
 fn scaled_cycles_per_barrier(n: usize, kind: BarrierKind) -> f64 {
@@ -220,11 +257,11 @@ fn imbalanced_work_diminishes_gl_advantage() {
         let progs: Vec<_> = (0..n)
             .map(|c| {
                 let mut b = ProgBuilder::new();
-                for it in 0..4 {
+                for _ in 0..4 {
                     // Core 0 is a straggler: 4000 cycles of work; the
                     // others do 50.
                     b.busy(if c == 0 { 4000 } else { 50 });
-                    env.emit(&mut b, c, &format!("i{it}"));
+                    env.emit(&mut b, c);
                 }
                 b.halt();
                 b.build()
@@ -277,7 +314,7 @@ fn heterogeneous_programs_share_one_barrier() {
                         .st(Reg(2), 0, Reg(1))
                         .ld(Reg(3), 0, Reg(1));
                 }
-                env.emit(&mut b, c, &format!("i{it}"));
+                env.emit(&mut b, c);
             }
             b.halt();
             b.build()

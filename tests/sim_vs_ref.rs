@@ -87,7 +87,7 @@ fn gen_program(core: usize, rng: &mut SplitMix64, env: &BarrierEnv) -> Program {
             }
             let _ = op;
         }
-        env.emit(&mut b, core, &format!("p{phase}"));
+        env.emit(&mut b, core);
         // After the barrier, read a *peer's* slot: deterministic because
         // the peer's phase writes are complete and it will overwrite
         // only in the next phase, which our next barrier... may overlap.

@@ -23,7 +23,7 @@ fn progs(kind: BarrierKind, n: usize, iters: u64) -> Vec<Program> {
                 b.li(Reg(1), 0x8000 + (it as i64 % 4) * 64)
                     .li(Reg(2), 1)
                     .amoadd(Reg(3), Reg(2), Reg(1));
-                env.emit(&mut b, c, &format!("i{it}"));
+                env.emit(&mut b, c);
             }
             b.halt();
             b.build()

@@ -10,8 +10,9 @@
 //! buffer, an identical traffic pattern must run allocation-free.
 //!
 //! The same allocator pins what construction costs: a machine allocates
-//! per tile, not per cache set, and per-core programs are shared rather
-//! than copied.
+//! per tile, not per cache set, per-core programs are shared rather than
+//! copied, and a workload's programs are built per program, not per
+//! label.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -24,6 +25,7 @@ use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
 use sim_isa::{Inst, Program};
 use sim_mem::{CoreReq, MemorySystem};
+use workloads::livermore::{self, KernelParams};
 use workloads::{synthetic, Workload};
 
 struct CountingAlloc;
@@ -234,8 +236,8 @@ fn memory_system_construction_allocates_per_tile_not_per_set() {
 
 /// Instantiating a workload shares its programs with the machine: the
 /// allocation count depends on neither the iteration count (8 vs. 64)
-/// nor the programs themselves — 1,024 copies of a DSW barrier loop,
-/// labels and all, cost what 1,024 one-instruction programs cost.
+/// nor the programs themselves — 1,024 copies of a DSW barrier loop
+/// cost what 1,024 one-instruction programs cost.
 #[test]
 fn workload_instantiation_shares_programs() {
     let cfg = CmpConfig::icpp2010_with_cores(1024);
@@ -254,4 +256,53 @@ fn workload_instantiation_shares_programs() {
         kind: BarrierKind::Dsw,
     };
     assert_eq!(short, instantiate(&halt), "programs were copied per core");
+}
+
+/// Building a workload allocates per program, not per label: a builder's
+/// labels are handles into one vector of positions, so a program costs
+/// the doubling growth of its instruction, position and fixup vectors
+/// and its shared slice, however many labels it binds. Measured: 20.1
+/// allocations per program for the synthetic DSW loop (69 branch targets
+/// each) and 35.6 for Kernel 6 (1,398). One `String` per label would add
+/// at least one allocation per target.
+#[test]
+fn workload_build_allocates_per_program_not_per_label() {
+    assert_builds_per_program("synthetic DSW, 256 cores", || {
+        synthetic::build(256, BarrierKind::Dsw, 8)
+    });
+    assert_builds_per_program("Kernel 6 DSW, 32 cores", || {
+        livermore::kernel6(32, BarrierKind::Dsw, KernelParams::scaled(128, 2))
+    });
+}
+
+/// Builds a workload and bounds its allocations per program, after
+/// checking its programs have enough distinct branch targets for one
+/// allocation per label to break the bound.
+fn assert_builds_per_program(name: &str, build: impl FnOnce() -> Workload) {
+    let mut w = None;
+    let allocs = count_allocs(|| w = Some(build()));
+    let progs = w.unwrap().progs;
+    let targets: usize = progs
+        .iter()
+        .map(|p| {
+            let mut t: Vec<usize> = p
+                .insts()
+                .iter()
+                .filter_map(|i| match *i {
+                    Inst::Branch { target, .. } | Inst::Jal { target, .. } => Some(target),
+                    _ => None,
+                })
+                .collect();
+            t.sort_unstable();
+            t.dedup();
+            t.len()
+        })
+        .sum();
+    let n = progs.len() as f64;
+    let (per_program, targets) = (allocs as f64 / n, targets as f64 / n);
+    assert!(targets >= 64.0, "{name}: only {targets:.1} branch targets");
+    assert!(
+        per_program <= 48.0,
+        "{name}: {per_program:.1} allocations per program ({targets:.1} branch targets)"
+    );
 }
