@@ -3,11 +3,12 @@
 //! Usage:
 //! ```text
 //! figures [--table1] [--table2] [--fig2] [--fig5] [--fig6] [--fig7]
-//!         [--all] [--full] [--json FILE] [--jobs N]
+//!         [--all] [--paper] [--json FILE] [--jobs N]
 //! ```
 //!
-//! With no selection flags, `--all` is implied. `--full` runs the larger
-//! workload sizes; the default quick sizes finish in minutes. `--json`
+//! With no selection flags, `--all` is implied. The benchmarks run at
+//! `workloads::eval`'s Quick sizes (seconds), or at the paper's with
+//! `--paper` (about an hour for Table 2 and Figures 6–7). `--json`
 //! additionally writes the raw experiment data as JSON. `--jobs N` sets
 //! the worker-thread count for the simulation sweeps (default: all host
 //! cores; the output is bit-identical for any N). An unknown flag, a
@@ -16,34 +17,11 @@
 
 use bench::experiments as exp;
 use bench::sweep::default_workers;
-use bench::Scale;
 use sim_base::json::{Json, ToJson};
-use std::io::Write;
+use workloads::eval::Scale;
 
-#[derive(Default)]
-struct JsonOut {
-    table2: Option<Vec<exp::Table2Row>>,
-    fig5: Option<Vec<exp::Fig5Row>>,
-    fig6_fig7: Option<Vec<exp::Fig67Row>>,
-}
-
-impl ToJson for JsonOut {
-    fn to_json(&self) -> Json {
-        fn rows<T: ToJson>(rows: &[T]) -> Json {
-            Json::arr(rows.iter().map(ToJson::to_json))
-        }
-        let mut fields = Vec::new();
-        if let Some(t) = &self.table2 {
-            fields.push(("table2", rows(t)));
-        }
-        if let Some(f) = &self.fig5 {
-            fields.push(("fig5", rows(f)));
-        }
-        if let Some(f) = &self.fig6_fig7 {
-            fields.push(("fig6_fig7", rows(f)));
-        }
-        Json::obj(fields)
-    }
+fn rows<T: ToJson>(rows: &[T]) -> Json {
+    Json::arr(rows.iter().map(ToJson::to_json))
 }
 
 fn die(msg: &str) -> ! {
@@ -68,7 +46,7 @@ fn main() {
                 .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
         };
         match arg.as_str() {
-            "--full" => scale = Scale::Full,
+            "--paper" => scale = Scale::Paper,
             "--json" => json_path = Some(value("--json", "a file path")),
             "--jobs" => {
                 let v = value("--jobs", "a worker count");
@@ -86,11 +64,11 @@ fn main() {
     let all = selected.is_empty() || selected.contains(&"--all");
     let has = |f: &str| all || selected.contains(&f);
     let workers = workers.unwrap_or_else(default_workers);
-    let mut json = JsonOut::default();
+    let mut json = Vec::new();
 
     println!(
         "gline-cmp evaluation harness — scale: {scale:?}, {workers} worker thread(s) \
-         (use --full for larger runs, --jobs N to set workers)\n"
+         (use --paper for the paper's input sizes, --jobs N to set workers)\n"
     );
 
     if has("--table1") {
@@ -99,34 +77,33 @@ fn main() {
     if has("--fig2") {
         println!("{}", exp::figure2());
     }
-    if has("--table2") {
-        eprintln!("[table2] running the benchmark suite under DSW…");
-        let rows = exp::table2(scale, workers);
-        println!("{}", exp::render_table2(&rows));
-        json.table2 = Some(rows);
+    let (want_table2, want_figs) = (has("--table2"), has("--fig6") || has("--fig7"));
+    if want_table2 || want_figs {
+        eprintln!("[table2/fig6/fig7] running the benchmark suite…");
+    }
+    let (table2, figs) = exp::table2_fig6_fig7(scale, workers, want_table2, want_figs);
+    if let Some(table2) = table2 {
+        println!("{}", exp::render_table2(&table2));
+        json.push(("table2", rows(&table2)));
     }
     if has("--fig5") {
         eprintln!("[fig5] sweeping core counts × barrier implementations…");
-        let rows = exp::fig5(scale, workers);
-        println!("{}", exp::render_fig5(&rows));
-        json.fig5 = Some(rows);
+        let fig5 = exp::fig5(scale, workers);
+        println!("{}", exp::render_fig5(&fig5));
+        json.push(("fig5", rows(&fig5)));
     }
-    if has("--fig6") || has("--fig7") {
-        eprintln!("[fig6/fig7] running the benchmark suite under DSW and GL…");
-        let rows = exp::fig6_fig7(scale, workers);
+    if let Some(figs) = figs {
         if has("--fig6") {
-            println!("{}", exp::render_fig6(&rows));
+            println!("{}", exp::render_fig6(&figs));
         }
         if has("--fig7") {
-            println!("{}", exp::render_fig7(&rows));
+            println!("{}", exp::render_fig7(&figs));
         }
-        json.fig6_fig7 = Some(rows);
+        json.push(("fig6_fig7", rows(&figs)));
     }
 
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(&path).expect("create json file");
-        f.write_all(json.to_json().pretty().as_bytes())
-            .expect("write json");
+        std::fs::write(&path, Json::obj(json).pretty()).expect("write json");
         eprintln!("wrote {path}");
     }
 }

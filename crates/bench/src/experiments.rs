@@ -1,7 +1,7 @@
-//! Experiment definitions: one function per table/figure of the paper.
-//!
-//! The multi-run experiments ([`table2`], [`fig5`], [`fig6_fig7`]) take
-//! a `workers` count and fan their independent simulations across host
+//! Experiment definitions: one function per table/figure of the paper,
+//! except that Table 2 and Figures 6–7 share their DSW runs. The
+//! multi-run experiments ([`table2_fig6_fig7`], [`fig5`]) take a
+//! `workers` count and fan their independent simulations across host
 //! cores via [`crate::sweep::sweep`]; results come back in job order,
 //! so the output is bit-identical to a `workers = 1` run.
 
@@ -12,28 +12,11 @@ use sim_base::stats::{MsgClass, TimeCat};
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::SystemReport;
 use workloads::common::Workload;
-use workloads::{em3d, livermore, ocean, synthetic, unstructured};
+use workloads::eval::{Bench, Scale};
+use workloads::synthetic;
 
 /// Core count used by the paper's Figure 6 / Figure 7 runs.
 pub const BENCH_CORES: usize = 32;
-
-/// How big to make the (scaled) workloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Minutes-scale runs for CI and quick reproduction.
-    Quick,
-    /// Larger runs, closer to the paper's inputs (slow).
-    Full,
-}
-
-impl Scale {
-    fn factor(self) -> u64 {
-        match self {
-            Scale::Quick => 1,
-            Scale::Full => 8,
-        }
-    }
-}
 
 /// Runs a workload to completion on `n` cores and reports.
 pub fn run_workload(w: &Workload, n: usize) -> SystemReport {
@@ -41,56 +24,6 @@ pub fn run_workload(w: &Workload, n: usize) -> SystemReport {
     sys.run(20_000_000_000).expect("workload completes");
     sys.report()
 }
-
-/// A named workload factory: `(n_cores, barrier kind) → Workload`.
-pub type WorkloadFactory = Box<dyn Fn(usize, BarrierKind) -> Workload>;
-
-/// The benchmark list of Table 2 / Figures 6–7 (kernels first, then the
-/// applications, matching the paper's figure order).
-pub fn benchmarks(scale: Scale) -> Vec<(&'static str, WorkloadFactory)> {
-    let f = scale.factor();
-    vec![
-        (
-            "Kernel 2",
-            Box::new(move |n, kind| {
-                livermore::kernel2(n, kind, livermore::KernelParams::scaled(1024, 40 * f))
-            }),
-        ),
-        (
-            "Kernel 3",
-            Box::new(move |n, kind| {
-                livermore::kernel3(n, kind, livermore::KernelParams::scaled(1024, 40 * f))
-            }),
-        ),
-        (
-            "Kernel 6",
-            Box::new(move |n, kind| {
-                livermore::kernel6(n, kind, livermore::KernelParams::scaled(128, 2 * f.min(2)))
-            }),
-        ),
-        (
-            "UNSTRUCTURED",
-            Box::new(move |n, kind| {
-                unstructured::build(
-                    n,
-                    kind,
-                    unstructured::UnstructuredParams::scaled(256, 768, 8 * f),
-                )
-            }),
-        ),
-        (
-            "OCEAN",
-            Box::new(move |n, kind| ocean::build(n, kind, ocean::OceanParams::scaled(66, 6 * f))),
-        ),
-        (
-            "EM3D",
-            Box::new(move |n, kind| em3d::build(n, kind, em3d::Em3dParams::scaled(1024, 20 * f))),
-        ),
-    ]
-}
-
-/// Index of the first application (earlier entries are kernels).
-pub const FIRST_APP: usize = 3;
 
 // ---------------------------------------------------------------------
 // Table 1
@@ -101,20 +34,17 @@ pub fn table1() -> String {
     let c = CmpConfig::icpp2010();
     let mut s = String::from("Table 1. CMP baseline configuration.\n");
     let rows = [
-        ("Number of cores".to_string(), format!("{}", c.num_cores())),
+        ("Number of cores", format!("{}", c.num_cores())),
         (
-            "Core".to_string(),
+            "Core",
             format!(
                 "{} GHz, in-order {}-way model",
                 c.core.freq_ghz, c.core.issue_width
             ),
         ),
+        ("Cache line size", format!("{} Bytes", c.l1.line_bytes)),
         (
-            "Cache line size".to_string(),
-            format!("{} Bytes", c.l1.line_bytes),
-        ),
-        (
-            "L1 I/D-Cache".to_string(),
+            "L1 I/D-Cache",
             format!(
                 "{}KB, {}-way, {} cycle",
                 c.l1.size_bytes / 1024,
@@ -123,7 +53,7 @@ pub fn table1() -> String {
             ),
         ),
         (
-            "L2 Cache (per core)".to_string(),
+            "L2 Cache (per core)",
             format!(
                 "{}KB, {}-way, {}+{} cycles",
                 c.l2.size_bytes / 1024,
@@ -132,22 +62,13 @@ pub fn table1() -> String {
                 c.l2.extra_data_latency
             ),
         ),
+        ("Memory access time", format!("{} cycles", c.mem.latency)),
         (
-            "Memory access time".to_string(),
-            format!("{} cycles", c.mem.latency),
-        ),
-        (
-            "Network configuration".to_string(),
+            "Network configuration",
             format!("2D-mesh ({}x{})", c.mesh.rows, c.mesh.cols),
         ),
-        (
-            "Link width".to_string(),
-            format!("{} bytes", c.noc.link_bytes),
-        ),
-        (
-            "G-lines per barrier".to_string(),
-            format!("{}", c.glines_per_barrier()),
-        ),
+        ("Link width", format!("{} bytes", c.noc.link_bytes)),
+        ("G-lines per barrier", format!("{}", c.glines_per_barrier())),
     ];
     for (k, v) in rows {
         s.push_str(&format!("  {k:<24} {v}\n"));
@@ -183,31 +104,6 @@ impl ToJson for Table2Row {
             ("cycles", Json::from(self.cycles)),
         ])
     }
-}
-
-/// Regenerates Table 2: per-benchmark barrier counts and periods,
-/// fanning the runs across `workers` threads.
-pub fn table2(scale: Scale, workers: usize) -> Vec<Table2Row> {
-    // Synthetic first, like the paper. Workloads are generated
-    // serially (cheap); only the simulations run in parallel.
-    let iters = 50 * scale.factor();
-    let mut names = vec!["Synthetic"];
-    let mut ws = vec![synthetic::build(BENCH_CORES, BarrierKind::Dsw, iters)];
-    for (name, build) in benchmarks(scale) {
-        names.push(name);
-        ws.push(build(BENCH_CORES, BarrierKind::Dsw));
-    }
-    let reps = sweep(&ws, workers, |w| run_workload(w, BENCH_CORES));
-    names
-        .into_iter()
-        .zip(ws.iter().zip(reps))
-        .map(|(name, (w, rep))| Table2Row {
-            benchmark: name.into(),
-            barriers: w.total_barriers(),
-            barrier_period: rep.cycles / w.total_barriers().max(1),
-            cycles: rep.cycles,
-        })
-        .collect()
 }
 
 /// Renders Table 2 rows.
@@ -301,7 +197,7 @@ impl ToJson for Fig5Row {
 /// barriers) swept over core counts × barrier kinds, fanned across
 /// `workers` threads.
 pub fn fig5(scale: Scale, workers: usize) -> Vec<Fig5Row> {
-    let iters = 25 * scale.factor();
+    let iters = scale.fig5_iters();
     const CORES: [usize; 6] = [1, 2, 4, 8, 16, 32];
     const KINDS: [BarrierKind; 3] = [BarrierKind::Csw, BarrierKind::Dsw, BarrierKind::Gl];
     let jobs: Vec<(usize, BarrierKind)> = CORES
@@ -309,8 +205,7 @@ pub fn fig5(scale: Scale, workers: usize) -> Vec<Fig5Row> {
         .flat_map(|&n| KINDS.iter().map(move |&k| (n, k)))
         .collect();
     let vals = sweep(&jobs, workers, |&(n, kind)| {
-        let w = synthetic::build(n, kind, iters);
-        let rep = run_workload(&w, n);
+        let rep = run_workload(&synthetic::build(n, kind, iters), n);
         synthetic::cycles_per_barrier(rep.cycles, iters)
     });
     CORES
@@ -356,22 +251,22 @@ pub struct Fig67Row {
     /// Is it a kernel (vs application)?
     pub kernel: bool,
     /// Figure 6: DSW stacked bar (category, fraction-of-DSW-total).
-    pub time_dsw: Vec<(String, f64)>,
+    pub time_dsw: Vec<(&'static str, f64)>,
     /// Figure 6: GL stacked bar, same normalization.
-    pub time_gl: Vec<(String, f64)>,
+    pub time_gl: Vec<(&'static str, f64)>,
     /// Normalized execution time of GL (1.0 = DSW).
     pub norm_time_gl: f64,
     /// Figure 7: DSW message classes (class, fraction-of-DSW-total).
-    pub traffic_dsw: Vec<(String, f64)>,
+    pub traffic_dsw: Vec<(&'static str, f64)>,
     /// Figure 7: GL message classes, same normalization.
-    pub traffic_gl: Vec<(String, f64)>,
+    pub traffic_gl: Vec<(&'static str, f64)>,
     /// Normalized network messages of GL (1.0 = DSW).
     pub norm_traffic_gl: f64,
 }
 
 /// Renders a stacked bar (`(label, fraction)` pairs) as a JSON object.
-fn bar_json(bar: &[(String, f64)]) -> Json {
-    Json::obj(bar.iter().map(|(k, v)| (k.as_str(), Json::from(*v))))
+fn bar_json(bar: &[(&str, f64)]) -> Json {
+    Json::obj(bar.iter().map(|&(k, v)| (k, Json::from(v))))
 }
 
 impl ToJson for Fig67Row {
@@ -389,121 +284,139 @@ impl ToJson for Fig67Row {
     }
 }
 
-/// Regenerates the data behind Figures 6 and 7 (one run per benchmark
-/// per barrier implementation on the 32-core machine), fanning the
-/// `benchmark × kind` runs across `workers` threads.
-pub fn fig6_fig7(scale: Scale, workers: usize) -> Vec<Fig67Row> {
-    let mut names = Vec::new();
-    let mut ws = Vec::new();
-    for (name, build) in benchmarks(scale) {
-        names.push(name);
-        ws.push(build(BENCH_CORES, BarrierKind::Dsw));
-        ws.push(build(BENCH_CORES, BarrierKind::Gl));
+/// Regenerates Table 2 (every benchmark under DSW) and the data behind
+/// Figures 6 and 7 (the six benchmarks other than Synthetic under DSW
+/// and GL) in one sweep across `workers` threads, each asked for by its
+/// flag. A DSW run that both need happens once.
+pub fn table2_fig6_fig7(
+    scale: Scale,
+    workers: usize,
+    table2: bool,
+    figs: bool,
+) -> (Option<Vec<Table2Row>>, Option<Vec<Fig67Row>>) {
+    let in_figs = |b: Bench| figs && b != Bench::Synthetic;
+    let mut jobs = Vec::new();
+    for b in Bench::ALL {
+        if table2 || in_figs(b) {
+            jobs.push((b, BarrierKind::Dsw));
+        }
+        if in_figs(b) {
+            jobs.push((b, BarrierKind::Gl));
+        }
     }
-    let reps = sweep(&ws, workers, |w| run_workload(w, BENCH_CORES));
-    let mut rows = Vec::new();
-    for (i, name) in names.into_iter().enumerate() {
-        let dsw = reps[i * 2].clone();
-        let gl = reps[i * 2 + 1].clone();
-        let bars = |rep: &SystemReport| -> Vec<(String, f64)> {
-            rep.figure6_bar(&dsw)
-                .iter()
-                .map(|(c, v)| (c.label().to_string(), *v))
-                .collect()
+    // Each job builds its own workload, so a paper-scale program lives
+    // only as long as its simulation.
+    let runs = sweep(&jobs, workers, |&(b, kind)| {
+        let w = b.build(BENCH_CORES, kind, scale);
+        (w.barriers_per_core, run_workload(&w, BENCH_CORES))
+    });
+    let run = |b: Bench, kind| {
+        let i = jobs.iter().position(|&j| j == (b, kind));
+        &runs[i.expect("every needed run is a job")]
+    };
+    let table2 = table2.then(|| {
+        let row = |b: Bench| {
+            let (barriers, rep) = run(b, BarrierKind::Dsw);
+            Table2Row {
+                benchmark: b.name().into(),
+                barriers: *barriers,
+                barrier_period: rep.cycles / barriers.max(&1),
+                cycles: rep.cycles,
+            }
         };
-        let traf = |rep: &SystemReport| -> Vec<(String, f64)> {
-            rep.figure7_bar(&dsw)
-                .iter()
-                .map(|(c, v)| (c.label().to_string(), *v))
-                .collect()
-        };
-        rows.push(Fig67Row {
-            benchmark: name.into(),
-            kernel: i < FIRST_APP,
-            time_dsw: bars(&dsw),
-            time_gl: bars(&gl),
-            norm_time_gl: gl.normalized_time(&dsw),
-            traffic_dsw: traf(&dsw),
-            traffic_gl: traf(&gl),
-            norm_traffic_gl: gl.normalized_traffic(&dsw),
-        });
-    }
-    rows
+        Bench::ALL.map(row).to_vec()
+    });
+    let figs = figs.then(|| {
+        let figs = Bench::ALL.into_iter().filter(|&b| in_figs(b));
+        figs.map(|b| {
+            let (dsw, gl) = (&run(b, BarrierKind::Dsw).1, &run(b, BarrierKind::Gl).1);
+            let bars = |r: &SystemReport| r.figure6_bar(dsw).map(|(c, v)| (c.label(), v)).to_vec();
+            let traf = |r: &SystemReport| r.figure7_bar(dsw).map(|(c, v)| (c.label(), v)).to_vec();
+            Fig67Row {
+                benchmark: b.name().into(),
+                kernel: b.is_kernel(),
+                time_dsw: bars(dsw),
+                time_gl: bars(gl),
+                norm_time_gl: gl.normalized_time(dsw),
+                traffic_dsw: traf(dsw),
+                traffic_gl: traf(gl),
+                norm_traffic_gl: gl.normalized_traffic(dsw),
+            }
+        })
+        .collect()
+    });
+    (table2, figs)
 }
 
-/// Mean of `f` over the kernel or application subset.
-fn subset_mean(rows: &[Fig67Row], kernel: bool, f: impl Fn(&Fig67Row) -> f64) -> f64 {
-    let sel: Vec<f64> = rows.iter().filter(|r| r.kernel == kernel).map(f).collect();
-    sel.iter().sum::<f64>() / sel.len().max(1) as f64
+/// A stacked bar: `(label, fraction of DSW's total)` per category.
+type Bar = [(&'static str, f64)];
+
+/// Renders Figure 6 or 7: the `labels` columns `w` wide of each
+/// benchmark's DSW and GL bars (`bars` picks them and GL's total), then
+/// the kernel and application means of that total in `what` of DSW,
+/// beside the `paper`'s.
+fn render_bars(
+    title: &str,
+    what: &str,
+    labels: &[&str],
+    w: usize,
+    rows: &[Fig67Row],
+    bars: impl Fn(&Fig67Row) -> (&Bar, &Bar, f64),
+    paper: [&str; 2],
+) -> String {
+    let mut s = format!("{title}\n  {:<14} {:>4}", "Benchmark", "impl");
+    for l in labels {
+        s.push_str(&format!(" {l:>w$}"));
+    }
+    s.push_str(&format!(" {:>w$}\n", "TOTAL"));
+    for r in rows {
+        let (dsw, gl, gl_total) = bars(r);
+        for (impl_name, bar, total) in [("DSW", dsw, 1.0), ("GL", gl, gl_total)] {
+            s.push_str(&format!("  {:<14} {:>4}", r.benchmark, impl_name));
+            for (_, v) in bar {
+                s.push_str(&format!(" {v:>w$.3}"));
+            }
+            s.push_str(&format!(" {total:>w$.3}\n"));
+        }
+    }
+    for (avg, kernel, paper) in [("AVG_K", true, paper[0]), ("AVG_A", false, paper[1])] {
+        let sel: Vec<f64> = rows
+            .iter()
+            .filter(|r| r.kernel == kernel)
+            .map(|r| bars(r).2)
+            .collect();
+        let mean = sel.iter().sum::<f64>() / sel.len().max(1) as f64;
+        s.push_str(&format!(
+            "  {avg}: GL = {mean:.3} of {what} (paper: {paper})\n"
+        ));
+    }
+    s
 }
 
 /// Renders Figure 6 (normalized execution time, stacked by category).
 pub fn render_fig6(rows: &[Fig67Row]) -> String {
-    let mut s =
-        String::from("Figure 6. Normalized execution time over a 32-core CMP (DSW = 1.00).\n");
-    s.push_str(&format!("  {:<14} {:>4}", "Benchmark", "impl"));
-    for c in TimeCat::ALL {
-        s.push_str(&format!(" {:>8}", c.label()));
-    }
-    s.push_str(&format!(" {:>8}\n", "TOTAL"));
-    for r in rows {
-        for (impl_name, bar, total) in [
-            ("DSW", &r.time_dsw, 1.0),
-            ("GL", &r.time_gl, r.norm_time_gl),
-        ] {
-            s.push_str(&format!("  {:<14} {:>4}", r.benchmark, impl_name));
-            for (_, v) in bar {
-                s.push_str(&format!(" {v:>8.3}"));
-            }
-            s.push_str(&format!(" {total:>8.3}\n"));
-        }
-    }
-    let avg_k = subset_mean(rows, true, |r| r.norm_time_gl);
-    let avg_a = subset_mean(rows, false, |r| r.norm_time_gl);
-    s.push_str(&format!(
-        "  AVG_K: GL = {:.3} of DSW (paper: 0.32, i.e. a 68% reduction)\n",
-        avg_k
-    ));
-    s.push_str(&format!(
-        "  AVG_A: GL = {:.3} of DSW (paper: 0.79, i.e. a 21% reduction)\n",
-        avg_a
-    ));
-    s
+    render_bars(
+        "Figure 6. Normalized execution time over a 32-core CMP (DSW = 1.00).",
+        "DSW",
+        &TimeCat::ALL.map(TimeCat::label),
+        8,
+        rows,
+        |r| (&r.time_dsw, &r.time_gl, r.norm_time_gl),
+        ["0.32, i.e. a 68% reduction", "0.79, i.e. a 21% reduction"],
+    )
 }
 
 /// Renders Figure 7 (normalized network messages, stacked by class).
 pub fn render_fig7(rows: &[Fig67Row]) -> String {
-    let mut s = String::from(
-        "Figure 7. Normalized messages across the network over a 32-core CMP (DSW = 1.00).\n",
-    );
-    s.push_str(&format!("  {:<14} {:>4}", "Benchmark", "impl"));
-    for c in MsgClass::ALL {
-        s.push_str(&format!(" {:>10}", c.label()));
-    }
-    s.push_str(&format!(" {:>10}\n", "TOTAL"));
-    for r in rows {
-        for (impl_name, bar, total) in [
-            ("DSW", &r.traffic_dsw, 1.0),
-            ("GL", &r.traffic_gl, r.norm_traffic_gl),
-        ] {
-            s.push_str(&format!("  {:<14} {:>4}", r.benchmark, impl_name));
-            for (_, v) in bar {
-                s.push_str(&format!(" {v:>10.3}"));
-            }
-            s.push_str(&format!(" {total:>10.3}\n"));
-        }
-    }
-    let avg_k = subset_mean(rows, true, |r| r.norm_traffic_gl);
-    let avg_a = subset_mean(rows, false, |r| r.norm_traffic_gl);
-    s.push_str(&format!(
-        "  AVG_K: GL = {:.3} of DSW traffic (paper: 0.26, i.e. a 74% reduction)\n",
-        avg_k
-    ));
-    s.push_str(&format!(
-        "  AVG_A: GL = {:.3} of DSW traffic (paper: 0.82, i.e. an 18% reduction)\n",
-        avg_a
-    ));
-    s
+    render_bars(
+        "Figure 7. Normalized messages across the network over a 32-core CMP (DSW = 1.00).",
+        "DSW traffic",
+        &MsgClass::ALL.map(MsgClass::label),
+        10,
+        rows,
+        |r| (&r.traffic_dsw, &r.traffic_gl, r.norm_traffic_gl),
+        ["0.26, i.e. a 74% reduction", "0.82, i.e. an 18% reduction"],
+    )
 }
 
 #[cfg(test)]
@@ -535,10 +448,36 @@ mod tests {
         assert!(f.contains("|  2 "), "{f}");
     }
 
+    /// The shape checks EXPERIMENTS.md reads off Figures 6–7 at Quick
+    /// scale. `#[ignore]`d (a few seconds in release, minutes in debug);
+    /// CI runs it with `cargo test --release -p bench --lib -- --ignored`.
     #[test]
-    fn benchmark_list_shape() {
-        let b = benchmarks(Scale::Quick);
-        assert_eq!(b.len(), 6);
-        assert_eq!(b[FIRST_APP].0, "UNSTRUCTURED");
+    #[ignore]
+    fn fig6_fig7_shape_checks_hold_at_quick_scale() {
+        let rows = table2_fig6_fig7(Scale::Quick, 2, false, true).1.unwrap();
+        let reduction = |name: &str| {
+            let row = rows.iter().find(|r| r.benchmark == name).expect(name);
+            1.0 - row.norm_time_gl
+        };
+        for r in &rows {
+            assert!(r.norm_time_gl < 1.0, "{}: GL not faster", r.benchmark);
+            assert!(r.norm_traffic_gl <= 1.0, "{}: GL traffic", r.benchmark);
+            let lock = r
+                .time_dsw
+                .iter()
+                .find(|&&(c, _)| c == TimeCat::Lock.label());
+            let has_lock = lock.expect("a Lock category").1 > 0.0;
+            assert_eq!(has_lock, r.benchmark == "UNSTRUCTURED", "{}", r.benchmark);
+        }
+        let (k2, k3, k6) = (
+            reduction("Kernel 2"),
+            reduction("Kernel 3"),
+            reduction("Kernel 6"),
+        );
+        assert!(k3 > k2 && k2 > k6, "kernels: K3 {k3}, K2 {k2}, K6 {k6}");
+        let em3d = reduction("EM3D");
+        for app in ["OCEAN", "UNSTRUCTURED"] {
+            assert!(em3d > reduction(app), "EM3D {em3d} vs {app}");
+        }
     }
 }

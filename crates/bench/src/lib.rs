@@ -1,7 +1,8 @@
 //! # bench — the evaluation harness
 //!
 //! Regenerates every table and figure of the paper's evaluation
-//! (§4, Tables 1–2, Figures 2 and 5–7) on the reproduction stack. The
+//! (§4, Tables 1–2, Figures 2 and 5–7) on the reproduction stack, at
+//! either scale of `workloads::eval`'s benchmark table. The
 //! [`experiments`] module holds one function per artifact and backs the
 //! `figures` binary; [`sweep`] fans its independent simulations across
 //! host threads. [`lint`] is the `simlint` determinism linter. Host cost
@@ -13,6 +14,3 @@
 pub mod experiments;
 pub mod lint;
 pub mod sweep;
-
-pub use experiments::{Scale, BENCH_CORES};
-pub use sweep::sweep;

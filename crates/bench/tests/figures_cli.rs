@@ -10,6 +10,7 @@ fn unknown_flags_and_missing_or_bad_values_exit_1_naming_the_flag() {
     for (args, named) in [
         (&["--fig8"][..], "unknown option --fig8"),
         (&["--fig5", "--fig-5"], "unknown option --fig-5"),
+        (&["--table1", "--full"], "unknown option --full"),
         (&["--table1", "--json"], "--json"),
         (&["--json", "--table1"], "--json"),
         (&["--table1", "--jobs", "abc"], "--jobs"),
@@ -27,21 +28,28 @@ fn unknown_flags_and_missing_or_bad_values_exit_1_naming_the_flag() {
     }
 }
 
+/// Table 1 and Figure 2 simulate nothing, at either scale: no
+/// benchmark runs unless its table or figure is selected.
 #[test]
 fn known_flags_still_run() {
-    let out = Command::new(env!("CARGO_BIN_EXE_figures"))
-        .args(["--table1", "--fig2", "--jobs", "1"])
-        .output()
-        .expect("figures runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        stdout.contains("Table 1.") && stdout.contains("Figure 2."),
-        "{stdout}"
-    );
-    assert!(!stdout.contains("Figure 5."), "{stdout}");
+    for scale in [&[][..], &["--paper"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_figures"))
+            .args(["--table1", "--fig2", "--jobs", "1"])
+            .args(scale)
+            .output()
+            .expect("figures runs");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert!(out.status.success(), "{scale:?}: {stderr}");
+        assert!(
+            stdout.contains("Table 1.") && stdout.contains("Figure 2."),
+            "{stdout}"
+        );
+        for simulated in ["Table 2.", "Figure 5.", "Figure 6.", "Figure 7."] {
+            assert!(!stdout.contains(simulated), "{scale:?}: {stdout}");
+        }
+        assert!(stderr.is_empty(), "{scale:?}: {stderr}");
+    }
 }

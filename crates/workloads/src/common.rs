@@ -55,12 +55,6 @@ impl Workload {
         }
         sys
     }
-
-    /// Total dynamic barrier count of a full run (`#Barriers` in the
-    /// paper's Table 2 counts episodes, not per-core arrivals).
-    pub fn total_barriers(&self) -> u64 {
-        self.barriers_per_core
-    }
 }
 
 /// A cache-line-granular bump allocator for laying out workload data.

@@ -44,14 +44,12 @@ impl Em3dParams {
         }
     }
 
-    /// Scaled-down configuration.
+    /// The paper's configuration at another size.
     pub fn scaled(nodes: usize, steps: u64) -> Em3dParams {
         Em3dParams {
             nodes,
-            degree: 2,
-            pct_remote: 0.15,
             steps,
-            seed: 0xE3D,
+            ..Em3dParams::paper()
         }
     }
 }

@@ -40,12 +40,12 @@ impl KernelParams {
         }
     }
 
-    /// A scaled configuration for tests and quick harness runs.
+    /// The paper's configuration at another size.
     pub fn scaled(elements: usize, iters: u64) -> KernelParams {
         KernelParams {
             elements,
             iters,
-            seed: 0xD1CE,
+            ..KernelParams::paper()
         }
     }
 }

@@ -39,13 +39,12 @@ impl OceanParams {
         }
     }
 
-    /// Scaled-down configuration.
+    /// The paper's configuration at another size.
     pub fn scaled(grid: usize, sweeps: u64) -> OceanParams {
         OceanParams {
             grid,
             sweeps,
-            fp_busy: 16,
-            seed: 0x0CEA,
+            ..OceanParams::paper()
         }
     }
 }

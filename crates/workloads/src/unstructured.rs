@@ -41,14 +41,13 @@ impl UnstructuredParams {
         }
     }
 
-    /// Scaled-down configuration.
+    /// The paper's configuration at another size.
     pub fn scaled(nodes: usize, edges: usize, sweeps: u64) -> UnstructuredParams {
         UnstructuredParams {
             nodes,
             edges,
             sweeps,
-            edge_busy: 24,
-            seed: 0x057,
+            ..UnstructuredParams::paper()
         }
     }
 }

@@ -8,11 +8,12 @@
 //! Run with: `cargo run --release --example barrier_showdown`
 
 use gline_cmp::base::config::CmpConfig;
+use gline_cmp::bench_workloads::eval::Scale;
 use gline_cmp::bench_workloads::synthetic;
 use gline_cmp::cmp::runtime::BarrierKind;
 
 fn main() {
-    let iters = 25;
+    let iters = Scale::Quick.fig5_iters();
     println!("synthetic benchmark: {iters} iterations x 4 consecutive barriers");
     println!(
         "{:>6} {:>12} {:>12} {:>12} {:>14}",

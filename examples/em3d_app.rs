@@ -8,20 +8,19 @@
 
 use gline_cmp::base::config::CmpConfig;
 use gline_cmp::base::stats::{MsgClass, TimeCat};
-use gline_cmp::bench_workloads::em3d;
+use gline_cmp::bench_workloads::eval::{Bench, Scale};
 use gline_cmp::cmp::runtime::BarrierKind;
 use gline_cmp::cmp::SystemReport;
 
 fn run(kind: BarrierKind) -> SystemReport {
-    let p = em3d::Em3dParams::scaled(1024, 20);
-    let w = em3d::build(32, kind, p);
+    let w = Bench::Em3d.build(32, kind, Scale::Quick);
     let mut sys = w.into_system(CmpConfig::icpp2010());
     sys.run(1_000_000_000).expect("EM3D completes");
     sys.report()
 }
 
 fn main() {
-    println!("EM3D, 1024+1024 nodes, degree 2, 15% remote, 20 time steps, 32 cores\n");
+    println!("EM3D at the evaluation's Quick size (degree 2, 15% remote), 32 cores\n");
     let dsw = run(BarrierKind::Dsw);
     let gl = run(BarrierKind::Gl);
 

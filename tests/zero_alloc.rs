@@ -25,7 +25,7 @@ use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
 use sim_isa::{Inst, Program};
 use sim_mem::{CoreReq, MemorySystem};
-use workloads::livermore::{self, KernelParams};
+use workloads::eval::{Bench, Scale};
 use workloads::{synthetic, Workload};
 
 struct CountingAlloc;
@@ -271,7 +271,7 @@ fn workload_build_allocates_per_program_not_per_label() {
         synthetic::build(256, BarrierKind::Dsw, 8)
     });
     assert_builds_per_program("Kernel 6 DSW, 32 cores", || {
-        livermore::kernel6(32, BarrierKind::Dsw, KernelParams::scaled(128, 2))
+        Bench::Kernel6.build(32, BarrierKind::Dsw, Scale::Quick)
     });
 }
 
