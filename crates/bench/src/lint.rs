@@ -17,8 +17,8 @@
 //!   escape with `// simlint: allow(std-hashmap)` plus a rationale.
 //! * **wall-clock** — no `Instant::now` / `SystemTime` / `thread_rng`
 //!   in simulation paths; simulated time comes from the cycle counter.
-//!   Only `sim-check` (whose wedge watchdog is host-side tooling) is
-//!   exempt; any other host-time read needs a per-line escape.
+//!   A host-time read (an example timing real threads, a benchmark
+//!   harness) needs a per-line escape.
 //! * **ptr-order** — no pointer-to-integer casts in simulation code:
 //!   addresses differ run to run, so ordering, hashing, or branching on
 //!   them is nondeterministic. Escape with
@@ -31,7 +31,7 @@
 //!
 //! The `simlint` binary (`cargo run -p bench --bin simlint -- --deny`)
 //! walks the workspace and reports findings; CI runs it as a hard gate.
-//! See `DESIGN.md` §12 for how the rules relate to the model checker.
+//! See `DESIGN.md` §12 for the rationale.
 
 use std::fmt;
 use std::fs;
@@ -62,10 +62,6 @@ impl fmt::Display for Finding {
         )
     }
 }
-
-/// Crates exempt from the wall-clock rule: `sim-check`'s wedge watchdog
-/// runs host-side (its *modeled* scenarios never see a clock).
-const WALL_CLOCK_EXEMPT: &[&str] = &["crates/sim-check/"];
 
 /// Replaces the contents of comments and string/char literals with
 /// spaces, preserving the line structure, so rules can scan code text
@@ -299,12 +295,7 @@ fn safety_comment_above(original: &[&str], idx: usize) -> bool {
     false
 }
 
-fn path_has_prefix(file: &Path, prefix: &str) -> bool {
-    file.to_string_lossy().replace('\\', "/").contains(prefix)
-}
-
-/// Lints one file's source text. `file` is used for reporting and for
-/// the per-file rule scoping (exemptions).
+/// Lints one file's source text. `file` is used for reporting.
 pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
     let stripped = strip_comments_and_strings(src);
     let code: Vec<&str> = stripped.lines().collect();
@@ -318,8 +309,6 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
             msg,
         });
     };
-
-    let wall_clock_applies = !WALL_CLOCK_EXEMPT.iter().any(|p| path_has_prefix(file, p));
 
     for (i, line) in code.iter().enumerate() {
         // safety-comment
@@ -350,18 +339,14 @@ pub fn lint_source(file: &Path, src: &str) -> Vec<Finding> {
         }
 
         // wall-clock
-        if wall_clock_applies {
-            for tok in ["Instant::now", "SystemTime", "thread_rng"] {
-                if line.contains(tok) && !allowed(&original, i, "wall-clock") {
-                    push(
-                        i,
-                        "wall-clock",
-                        format!(
-                            "`{tok}` in a simulation path; simulated time is the cycle counter"
-                        ),
-                    );
-                    break;
-                }
+        for tok in ["Instant::now", "SystemTime", "thread_rng"] {
+            if line.contains(tok) && !allowed(&original, i, "wall-clock") {
+                push(
+                    i,
+                    "wall-clock",
+                    format!("`{tok}` in a simulation path; simulated time is the cycle counter"),
+                );
+                break;
             }
         }
 
@@ -501,7 +486,7 @@ mod tests {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(rules(&lint("crates/sim-cmp/src/a.rs", src)), ["wall-clock"]);
         assert_eq!(rules(&lint("crates/bench/src/a.rs", src)), ["wall-clock"]);
-        assert!(lint("crates/sim-check/src/a.rs", src).is_empty());
+        assert_eq!(rules(&lint("examples/a.rs", src)), ["wall-clock"]);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl TdmBarrierNetwork {
         }
     }
 
-    /// Number of logical barriers sharing the wires.
-    pub fn logical_barriers(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Physical G-lines used — independent of the logical count (the
     /// whole point of TDM).
     pub fn num_glines(&self) -> u32 {

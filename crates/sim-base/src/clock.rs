@@ -1,59 +1,8 @@
-//! The global cycle counter.
+//! Simulated time.
 //!
 //! The whole CMP is simulated cycle-by-cycle under a single clock domain
-//! (the paper's 3 GHz cores, routers and G-lines all tick together). A
-//! `Cycle` is just a `u64`, but the [`Clock`] helper centralizes advancing
-//! and gives a place to hang watchdog logic.
+//! (the paper's 3 GHz cores, routers and G-lines all tick together), so
+//! a point in time is one `u64`.
 
 /// A point in simulated time, measured in core clock cycles.
 pub type Cycle = u64;
-
-/// The global clock. Starts at cycle 0; [`Clock::advance`] moves to the next
-/// cycle.
-#[derive(Clone, Debug, Default)]
-pub struct Clock {
-    now: Cycle,
-}
-
-impl Clock {
-    /// A clock at cycle 0.
-    pub fn new() -> Clock {
-        Clock { now: 0 }
-    }
-
-    /// The current cycle.
-    #[inline]
-    pub fn now(&self) -> Cycle {
-        self.now
-    }
-
-    /// Advances to the next cycle and returns it.
-    #[inline]
-    pub fn advance(&mut self) -> Cycle {
-        self.now += 1;
-        self.now
-    }
-
-    /// Advances by `n` cycles (used by fast-forward paths that know no
-    /// component has work queued).
-    #[inline]
-    pub fn advance_by(&mut self, n: u64) -> Cycle {
-        self.now += n;
-        self.now
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn clock_advances() {
-        let mut c = Clock::new();
-        assert_eq!(c.now(), 0);
-        assert_eq!(c.advance(), 1);
-        assert_eq!(c.advance(), 2);
-        assert_eq!(c.advance_by(10), 12);
-        assert_eq!(c.now(), 12);
-    }
-}

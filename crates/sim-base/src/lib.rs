@@ -7,7 +7,7 @@
 //!   addresses (word- and line-granular).
 //! * [`geom`] — 2D-mesh geometry: coordinates, enumeration orders,
 //!   Manhattan distances and XY-routing hop counts.
-//! * [`clock`] — the global cycle counter type and a small clock helper.
+//! * [`clock`] — the simulated-time type [`Cycle`].
 //! * [`config`] — every tunable of the simulated CMP, with the exact
 //!   ICPP 2010 Table 1 preset.
 //! * [`stats`] — counters, histograms and the execution-time /
@@ -43,7 +43,7 @@ pub mod stats;
 pub mod trace;
 
 pub use active::ActiveSet;
-pub use clock::{Clock, Cycle};
+pub use clock::Cycle;
 pub use config::CmpConfig;
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use geom::{Coord, Mesh2D};

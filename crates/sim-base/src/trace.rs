@@ -1,7 +1,7 @@
 //! Cycle-level event tracing.
 //!
 //! Every layer of the simulator (G-lines, controller FSMs, NoC, caches,
-//! cores, the real-thread barrier library) can emit typed [`Event`]s into
+//! cores) can emit typed [`Event`]s into
 //! a [`TraceSink`]. The sink is chosen *at compile time* through a generic
 //! parameter, so the default [`NullSink`] configuration monomorphizes to
 //! literally nothing: [`Tracer::emit`] takes the event as a closure and
@@ -17,9 +17,7 @@
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
 //! Components hold a [`Tracer`] (a shared handle, cheap to clone) so one
-//! sink observes the whole system in a single time-ordered stream. For
-//! real threads (the `swbarrier` crate) use [`SharedTracer`], the
-//! `Send + Sync` variant.
+//! sink observes the whole system in a single time-ordered stream.
 
 use crate::clock::Cycle;
 use crate::geom::Dir;
@@ -30,7 +28,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
 
 /// Which G-line of a barrier context an event refers to (the paper's
 /// `2 × (rows + 1)` wires: gather + release per row, gather + release for
@@ -245,20 +242,6 @@ pub enum Event {
         /// The new region.
         cat: TimeCat,
     },
-    /// A real thread arrived at a software barrier episode.
-    SwArrive {
-        /// Thread id within the barrier.
-        tid: u32,
-        /// Episode number (0-based).
-        episode: u64,
-    },
-    /// A real thread was released from a software barrier episode.
-    SwRelease {
-        /// Thread id within the barrier.
-        tid: u32,
-        /// Episode number (0-based).
-        episode: u64,
-    },
 }
 
 impl Event {
@@ -281,8 +264,6 @@ impl Event {
             Event::Retire { .. } => "core.retire",
             Event::Stall { .. } => "core.stall",
             Event::Region { .. } => "core.region",
-            Event::SwArrive { .. } => "sw.arrive",
-            Event::SwRelease { .. } => "sw.release",
         }
     }
 
@@ -307,7 +288,6 @@ impl Event {
             Event::NocSend { src, .. } => src.index() as u64,
             Event::NocDeliver { dst, .. } => dst.index() as u64,
             Event::NocFlitHop { at, .. } => at.index() as u64,
-            Event::SwArrive { tid, .. } | Event::SwRelease { tid, .. } => *tid as u64,
         }
     }
 
@@ -434,9 +414,6 @@ impl Event {
                 ("core", Json::from(core.index())),
                 ("cat", Json::from(cat.label())),
             ]),
-            Event::SwArrive { tid, episode } | Event::SwRelease { tid, episode } => {
-                Json::obj([("tid", Json::from(*tid)), ("episode", Json::from(*episode))])
-            }
         }
     }
 }
@@ -550,8 +527,6 @@ impl fmt::Display for Event {
                 write!(f, "core.stall {core:?} {} cycles={cycles}", cat.label())
             }
             Event::Region { core, cat } => write!(f, "core.region {core:?} {}", cat.label()),
-            Event::SwArrive { tid, episode } => write!(f, "sw.arrive t{tid} ep{episode}"),
-            Event::SwRelease { tid, episode } => write!(f, "sw.release t{tid} ep{episode}"),
         }
     }
 }
@@ -712,7 +687,6 @@ fn category_of(ev: &Event) -> &'static str {
         | Event::DirTransition { .. }
         | Event::L2Access { .. } => "mem",
         Event::Retire { .. } | Event::Stall { .. } | Event::Region { .. } => "core",
-        Event::SwArrive { .. } | Event::SwRelease { .. } => "sw",
     }
 }
 
@@ -775,55 +749,6 @@ impl<S: TraceSink> fmt::Debug for Tracer<S> {
 impl Default for Tracer<NullSink> {
     fn default() -> Self {
         Tracer::new(NullSink)
-    }
-}
-
-/// The `Send + Sync` tracer for real threads (`swbarrier`): same contract
-/// as [`Tracer`] but the sink sits behind a mutex, and timestamps are a
-/// global arrival order rather than simulated cycles.
-pub struct SharedTracer<S: TraceSink> {
-    sink: Arc<Mutex<S>>,
-}
-
-impl<S: TraceSink> SharedTracer<S> {
-    /// Wraps a sink.
-    pub fn new(sink: S) -> SharedTracer<S> {
-        SharedTracer {
-            sink: Arc::new(Mutex::new(sink)),
-        }
-    }
-
-    /// Emits an event; the closure only runs when the sink is enabled.
-    #[inline(always)]
-    pub fn emit(&self, stamp: Cycle, ev: impl FnOnce() -> Event) {
-        if S::ENABLED {
-            self.sink.lock().unwrap().emit(stamp, ev());
-        }
-    }
-
-    /// Runs `f` with exclusive access to the sink.
-    pub fn with_sink<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.sink.lock().unwrap())
-    }
-}
-
-impl<S: TraceSink> Clone for SharedTracer<S> {
-    fn clone(&self) -> Self {
-        SharedTracer {
-            sink: Arc::clone(&self.sink),
-        }
-    }
-}
-
-impl<S: TraceSink> fmt::Debug for SharedTracer<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "SharedTracer<{}>", std::any::type_name::<S>())
-    }
-}
-
-impl Default for SharedTracer<NullSink> {
-    fn default() -> Self {
-        SharedTracer::new(NullSink)
     }
 }
 
@@ -919,22 +844,5 @@ mod tests {
             to: "Waiting",
         };
         assert_eq!(e.to_string(), "ctrl ctx1 masterH core8 Accounting->Waiting");
-    }
-
-    #[test]
-    fn shared_tracer_works_across_threads() {
-        let t = SharedTracer::new(RingSink::new(64));
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let t = t.clone();
-                std::thread::spawn(move || {
-                    t.emit(i as Cycle, || Event::SwArrive { tid: i, episode: 0 });
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        t.with_sink(|s| assert_eq!(s.len(), 4));
     }
 }

@@ -130,11 +130,6 @@ impl BarrierEnv {
         }
     }
 
-    /// Number of combining-tree levels (0 for GL/CSW).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
-    }
-
     fn node_count_addr(&self, level: usize, idx: usize) -> u64 {
         self.base + (self.level_off[level] + idx) as u64 * 2 * LINE
     }

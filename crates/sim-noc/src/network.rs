@@ -471,12 +471,12 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// state, or `None` when it is completely empty.
     ///
     /// Returns `Some(now)` when receivers already have work (delivered
-    /// or matured-bypass messages) or an in-transit arrival matures this
-    /// very cycle, `Some(now + 1)` while flits are buffered in routers
-    /// or injection queues (arbitration makes progress every cycle), and
-    /// the earliest in-transit arrival when every flit is on a wire or
-    /// crossing the ejection pipeline — all ticks strictly before the
-    /// reported cycle are provable no-ops.
+    /// or matured-bypass messages), an in-transit arrival matures this
+    /// very cycle, or flits are buffered in routers or injection queues
+    /// (the tick of `now` arbitrates them), and the earliest in-transit
+    /// arrival when every flit is on a wire or crossing the ejection
+    /// pipeline — all ticks strictly before the reported cycle are
+    /// provable no-ops.
     pub fn next_event(&self) -> Option<Cycle> {
         if self.has_deliveries() || !self.bypass.is_empty() {
             // Bypass entries are stamped with their send cycle, so a
@@ -485,6 +485,11 @@ impl<T, S: TraceSink> Noc<T, S> {
         }
         if self.active_flits == 0 {
             return None;
+        }
+        if self.wire.len() + self.eject.len() < self.active_flits {
+            // Something is buffered in a router or injection queue, and
+            // the tick of `now` arbitrates it.
+            return Some(self.now);
         }
         // Earliest scheduled arrival. Both queues are FIFO in arrival
         // order (each adds a constant latency to its push cycle), so the
@@ -496,12 +501,6 @@ impl<T, S: TraceSink> Noc<T, S> {
             (a, b) => a.or(b),
         };
         debug_assert!(front.is_none_or(|f| f >= self.now), "stale arrival");
-        if self.wire.len() + self.eject.len() < self.active_flits {
-            // Something is buffered in a router or injection queue;
-            // arbitration may move it on the very next tick — unless an
-            // already-matured arrival changes state even sooner.
-            return Some(front.map_or(self.now + 1, |f| f.min(self.now + 1)));
-        }
         front
     }
 

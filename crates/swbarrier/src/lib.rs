@@ -1,7 +1,7 @@
 //! # swbarrier — software barrier algorithms for real threads
 //!
 //! The paper's software baselines (centralized sense-reversal, combining
-//! tree) and the other classic algorithms from Mellor-Crummey & Scott's
+//! tree) and the dissemination barrier from Mellor-Crummey & Scott's
 //! "Synchronization without Contention" — implemented for actual Rust
 //! threads with cache-line-padded state, so the library is directly
 //! usable on commodity multicores and benchmarkable against the
@@ -44,16 +44,10 @@ pub mod dissemination;
 pub mod pad;
 pub mod scoped;
 mod spin;
-pub mod static_tree;
-pub mod tournament;
-pub mod traced;
 
 pub use centralized::CentralizedBarrier;
 pub use combining::CombiningTreeBarrier;
 pub use dissemination::DisseminationBarrier;
-pub use static_tree::StaticTreeBarrier;
-pub use tournament::TournamentBarrier;
-pub use traced::TracedBarrier;
 
 /// A reusable N-thread barrier. Thread ids must be distinct and in
 /// `0..num_threads()`; every thread must participate in every episode.

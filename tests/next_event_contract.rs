@@ -5,9 +5,10 @@
 //! earliest `next_event` its components report, so a component must not
 //! change observable state before the cycle its `next_event` names —
 //! otherwise a jump could cross the change. One property test per
-//! component: NoC, memory hierarchy, barrier network. (That whole runs
-//! are bit-identical with and without jumps is
-//! `active_set_determinism.rs`'s job.)
+//! component (NoC, memory hierarchy, barrier network), plus the NoC's
+//! buffered-flit case pinned exactly. (That whole runs are
+//! bit-identical with and without jumps is `active_set_determinism.rs`'s
+//! job.)
 
 use gline_core::BarrierNetwork;
 use sim_base::check::forall_cases;
@@ -70,6 +71,41 @@ fn noc_next_event_never_under_reports() {
         }
         assert_eq!(noc.next_event(), None, "drained NoC must report quiescence");
     });
+}
+
+/// NoC: a flit buffered in a router or an injection queue is arbitrated
+/// by the tick of the current cycle, so `next_event` must name `now`
+/// itself — and a jump to `now + 1`, which would drop that cycle of
+/// arbitration, must be refused by `skip_to`'s debug check.
+#[test]
+fn noc_buffered_flit_is_an_event_this_cycle() {
+    let mesh = Mesh2D::new(4, 4);
+    // The default NoC puts the flits straight into the source router's
+    // local input VC; the dense one queues them at the injection port.
+    for active_set in [true, false] {
+        let mut noc: Noc<u64> = Noc::new(mesh, CmpConfig::icpp2010().noc);
+        noc.set_active_set_enabled(active_set);
+        noc.tick();
+        noc.send(Message {
+            src: CoreId::from(0),
+            dst: CoreId::from(15),
+            class: MsgClass::Request,
+            payload_bytes: 64,
+            payload: 0,
+        });
+        let now = noc.now();
+        assert_eq!(noc.next_event(), Some(now), "active set {active_set}");
+        #[cfg(debug_assertions)]
+        {
+            let jump = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                noc.skip_to(now + 1);
+            }));
+            assert!(
+                jump.is_err(),
+                "active set {active_set}: skip_to(now + 1) crossed a buffered flit"
+            );
+        }
+    }
 }
 
 /// Memory system: a core's response must never become ready before the
