@@ -19,11 +19,20 @@
 //! (release-column + release-row) — 7 cycles total once the last core
 //! arrives, constant in core count up to 64 clusters of 64 cores = 4096
 //! cores at the default budget.
+//!
+//! # Tracing
+//!
+//! Generic over a [`TraceSink`] like the flat network, but it traces
+//! only what a core sees: `BarrierArrive` and `BarrierRelease` per core
+//! with global core ids, and one `BarrierComplete` per episode. The
+//! sub-networks and the second level stay untraced, because their core
+//! ids and rows are cluster-local.
 
 use crate::network::{BarrierHw, BarrierNetwork, CtxId};
 use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
-use sim_base::{Coord, CoreId, Cycle, Mesh2D};
+use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
+use sim_base::{ActiveSet, Coord, CoreId, Cycle, Mesh2D};
 
 /// A cluster's place in the picture: its sub-network and its geometry.
 #[derive(Clone, Debug)]
@@ -39,7 +48,7 @@ struct Cluster {
 /// Implements the same [`BarrierHw`] interface as the flat network, so it
 /// is a drop-in replacement for meshes the flat network cannot span.
 #[derive(Clone, Debug)]
-pub struct ClusteredBarrierNetwork {
+pub struct ClusteredBarrierNetwork<S: TraceSink = NullSink> {
     mesh: Mesh2D,
     grid: Mesh2D,
     cluster_dim: u16,
@@ -56,6 +65,11 @@ pub struct ClusteredBarrierNetwork {
     /// an arrival clears it and the next full tick re-derives it — so
     /// the early-out in `tick` never skips work.
     idle: bool,
+    /// Per context, the global cores whose `bar_reg` is set: where a
+    /// traced tick looks for the cores it released. Kept only when
+    /// `S::ENABLED`.
+    held: Vec<ActiveSet>,
+    tracer: Tracer<S>,
 }
 
 impl ClusteredBarrierNetwork {
@@ -67,6 +81,14 @@ impl ClusteredBarrierNetwork {
     /// would need a third level; at the default budget this allows up to
     /// 4096 cores).
     pub fn new(mesh: Mesh2D, cfg: GlineConfig) -> ClusteredBarrierNetwork {
+        ClusteredBarrierNetwork::traced(mesh, cfg, Tracer::default())
+    }
+}
+
+impl<S: TraceSink> ClusteredBarrierNetwork<S> {
+    /// Builds a traced clustered network: every arrival, release and
+    /// completed episode is emitted into `tracer` (see the module doc).
+    pub fn traced(mesh: Mesh2D, cfg: GlineConfig, tracer: Tracer<S>) -> ClusteredBarrierNetwork<S> {
         let dim = (cfg.max_transmitters + 1) as u16;
         assert!(dim >= 1);
         let grid = Mesh2D::new(mesh.rows.div_ceil(dim), mesh.cols.div_ceil(dim));
@@ -100,6 +122,8 @@ impl ClusteredBarrierNetwork {
             episodes: vec![Episodes::new(mesh.num_tiles() as u32); n_ctx],
             stats: vec![GlineStats::default(); n_ctx],
             idle: false,
+            held: vec![ActiveSet::new(if S::ENABLED { mesh.num_tiles() } else { 0 }); n_ctx],
+            tracer,
         }
     }
 
@@ -135,6 +159,22 @@ impl ClusteredBarrierNetwork {
         s
     }
 
+    /// Emits a `BarrierRelease` for every held core of `ctx` whose
+    /// `bar_reg` this tick cleared, in ascending global id.
+    fn trace_releases(&mut self, ctx: CtxId) {
+        for w in 0..self.held[ctx].num_words() {
+            for i in self.held[ctx].word_members(w) {
+                let core = CoreId::from(i);
+                if self.bar_reg(core, ctx) == 0 {
+                    self.held[ctx].remove(i);
+                    let ctx = ctx as u32;
+                    self.tracer
+                        .emit(self.now, || Event::BarrierRelease { ctx, core });
+                }
+            }
+        }
+    }
+
     /// Maps a global core id to (cluster index, local core id).
     fn locate(&self, core: CoreId) -> (usize, CoreId) {
         let Coord { row, col } = self.mesh.coord_of(core);
@@ -146,7 +186,7 @@ impl ClusteredBarrierNetwork {
     }
 }
 
-impl BarrierHw for ClusteredBarrierNetwork {
+impl<S: TraceSink> BarrierHw for ClusteredBarrierNetwork<S> {
     fn num_cores(&self) -> usize {
         self.mesh.num_tiles()
     }
@@ -167,6 +207,12 @@ impl BarrierHw for ClusteredBarrierNetwork {
         if was_zero {
             self.episodes[ctx].arrive(self.now);
             self.outstanding[ctx] += 1;
+            if S::ENABLED {
+                self.held[ctx].insert(core.index());
+                let ctx = ctx as u32;
+                self.tracer
+                    .emit(self.now, || Event::BarrierArrive { ctx, core });
+            }
         }
     }
 
@@ -228,9 +274,17 @@ impl BarrierHw for ClusteredBarrierNetwork {
         #[allow(clippy::needless_range_loop)] // ctx indexes several parallel arrays
         for ctx in 0..self.num_contexts {
             let outstanding = self.clusters.iter().map(|c| c.net.outstanding(ctx)).sum();
-            self.episodes[ctx].release(self.outstanding[ctx] - outstanding);
+            let released = self.outstanding[ctx] - outstanding;
+            self.episodes[ctx].release(released);
             self.outstanding[ctx] = outstanding;
-            self.episodes[ctx].close(self.now, &mut self.stats[ctx]);
+            if S::ENABLED && released > 0 {
+                self.trace_releases(ctx);
+            }
+            if let Some(latency) = self.episodes[ctx].close(self.now, &mut self.stats[ctx]) {
+                let ctx = ctx as u32;
+                self.tracer
+                    .emit(self.now, || Event::BarrierComplete { ctx, latency });
+            }
         }
         self.now += 1;
         self.idle = self.next_event().is_none();
@@ -480,6 +534,40 @@ mod tests {
             net.tick();
         }
         assert!(net.all_released(0));
+    }
+
+    #[test]
+    fn traced_network_reports_global_core_events() {
+        use sim_base::trace::ChromeTraceSink;
+        let tracer = Tracer::new(ChromeTraceSink::new());
+        let mesh = Mesh2D::new(9, 9);
+        let mut net = ClusteredBarrierNetwork::traced(mesh, cfg(), tracer.clone());
+        for _ in 0..2 {
+            assert_eq!(net.run_single_barrier(&vec![0; 81]), 7);
+        }
+        let events = tracer.with_sink(|s| s.events().to_vec());
+        for name in ["barrier.arrive", "barrier.release"] {
+            let mut cores: Vec<usize> = events
+                .iter()
+                .filter_map(|(_, e)| match e {
+                    Event::BarrierArrive { core, .. } | Event::BarrierRelease { core, .. }
+                        if e.name() == name =>
+                    {
+                        Some(core.index())
+                    }
+                    _ => None,
+                })
+                .collect();
+            cores.sort_unstable();
+            let expect: Vec<usize> = (0..81).flat_map(|i| [i, i]).collect();
+            assert_eq!(cores, expect, "{name}: one per core per episode");
+        }
+        let completes: Vec<_> = events
+            .iter()
+            .filter(|(_, e)| matches!(e, Event::BarrierComplete { latency: 7, .. }))
+            .collect();
+        assert_eq!(completes.len(), 2);
+        assert_eq!(events.len(), 2 * (81 + 81 + 1), "nothing cluster-local");
     }
 
     #[test]

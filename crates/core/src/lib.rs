@@ -46,9 +46,9 @@
 //! * [`cluster::ClusteredBarrierNetwork`] — two-level composition of
 //!   G-line networks for meshes beyond the 7×7 electrical limit (the
 //!   paper's future-work scaling scheme).
-//! * [`tdm::TdmBarrierNetwork`] — several logical barriers time-sharing
-//!   one physical G-line set (the paper's future-work time
-//!   multiplexing), trading latency for wires.
+//! * [`hw::GlineHw`] — the network a machine configuration calls for:
+//!   flat within the transmitter budget, clustered beyond it. Both
+//!   networks and it implement [`BarrierHw`].
 //!
 //! ## Quick example
 //!
@@ -78,15 +78,15 @@
 
 pub mod cluster;
 pub mod controller;
+pub mod hw;
 pub mod line;
 pub mod network;
 #[cfg(test)]
 mod reference;
 pub mod stats;
-pub mod tdm;
 
 pub use cluster::ClusteredBarrierNetwork;
+pub use hw::GlineHw;
 pub use line::{GLine, Sensed};
 pub use network::{BarrierHw, BarrierNetwork, CtxId};
 pub use stats::GlineStats;
-pub use tdm::TdmBarrierNetwork;

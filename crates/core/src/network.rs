@@ -666,7 +666,7 @@ impl BarrierNetwork {
     /// transmitter budget at 1-cycle latency (8×8 at the default budget) — use
     /// [`crate::ClusteredBarrierNetwork`] or a higher `line_latency`.
     pub fn new(mesh: Mesh2D, cfg: GlineConfig) -> BarrierNetwork {
-        BarrierNetwork::with_gated_root(mesh, cfg, false)
+        BarrierNetwork::traced(mesh, cfg, Tracer::default())
     }
 
     /// Like [`BarrierNetwork::new`], but the release is gated at the root:
@@ -674,7 +674,8 @@ impl BarrierNetwork {
     /// for [`trigger_release`](Self::trigger_release). Building block for
     /// hierarchical composition.
     pub fn with_gated_root(mesh: Mesh2D, cfg: GlineConfig, gated: bool) -> BarrierNetwork {
-        BarrierNetwork::traced_with_gated_root(mesh, cfg, gated, Tracer::default())
+        let everyone = vec![vec![true; mesh.num_tiles()]; cfg.contexts as usize];
+        BarrierNetwork::build(mesh, cfg, gated, everyone, Tracer::default())
     }
 
     /// Builds the network with an explicit participation mask per
@@ -682,7 +683,7 @@ impl BarrierNetwork {
     /// context synchronizes only its member cores). `masks.len()` must
     /// equal `cfg.contexts`; every mask needs at least one member.
     pub fn with_members(mesh: Mesh2D, cfg: GlineConfig, masks: Vec<Vec<bool>>) -> BarrierNetwork {
-        BarrierNetwork::traced_with_members(mesh, cfg, masks, Tracer::default())
+        BarrierNetwork::build(mesh, cfg, false, masks, Tracer::default())
     }
 }
 
@@ -690,28 +691,8 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// Builds a traced network: every G-line assert/sense, controller
     /// transition and barrier event is emitted into `tracer`.
     pub fn traced(mesh: Mesh2D, cfg: GlineConfig, tracer: Tracer<S>) -> BarrierNetwork<S> {
-        BarrierNetwork::traced_with_gated_root(mesh, cfg, false, tracer)
-    }
-
-    /// [`BarrierNetwork::with_gated_root`] with an explicit tracer.
-    pub fn traced_with_gated_root(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        gated: bool,
-        tracer: Tracer<S>,
-    ) -> BarrierNetwork<S> {
         let everyone = vec![vec![true; mesh.num_tiles()]; cfg.contexts as usize];
-        BarrierNetwork::build(mesh, cfg, gated, everyone, tracer)
-    }
-
-    /// [`BarrierNetwork::with_members`] with an explicit tracer.
-    pub fn traced_with_members(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        masks: Vec<Vec<bool>>,
-        tracer: Tracer<S>,
-    ) -> BarrierNetwork<S> {
-        BarrierNetwork::build(mesh, cfg, false, masks, tracer)
+        BarrierNetwork::build(mesh, cfg, false, everyone, tracer)
     }
 
     fn build(
@@ -897,9 +878,10 @@ impl<S: TraceSink> BarrierNetwork<S> {
     }
 }
 
-/// Common interface of barrier hardware: the flat [`BarrierNetwork`] and
-/// the two-level [`crate::ClusteredBarrierNetwork`] both implement it, so
-/// simulators and benchmarks can swap one for the other.
+/// Common interface of barrier hardware: the flat [`BarrierNetwork`],
+/// the two-level [`crate::ClusteredBarrierNetwork`] and
+/// [`crate::GlineHw`], which holds whichever of the two a configuration
+/// calls for, all implement it.
 pub trait BarrierHw {
     /// Number of cores the hardware synchronizes.
     fn num_cores(&self) -> usize;

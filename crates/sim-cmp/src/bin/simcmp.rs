@@ -13,7 +13,8 @@
 //!                      core count is R*C; combined with --cores the two
 //!                      must agree). Meshes beyond the flat G-line budget
 //!                      automatically use the two-level clustered barrier
-//!                      network
+//!                      network, on every path: tracing, recording and
+//!                      replay included
 //!   --gl-transmitters N  transmitters per G-line (default 7; sets the
 //!                      flat-network limit and the clustered network's
 //!                      cluster dimension N+1)
@@ -60,11 +61,11 @@
 //! program, an unaligned `ld`/`st`/`amo*` — named with the faulting core
 //! and pc) or the `--max-cycles` deadlock guard.
 
-use gline_core::{BarrierHw, ClusteredBarrierNetwork};
+use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::json::ToJson;
 use sim_base::stats::TimeCat;
-use sim_base::trace::{ChromeTraceSink, RingSink, TraceSink, Tracer};
+use sim_base::trace::{ChromeTraceSink, NullSink, RingSink, TraceSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::System;
 use sim_isa::{assemble, Program};
@@ -132,18 +133,6 @@ fn build_config(
     cfg
 }
 
-/// Exit for trace requests on meshes that need the clustered network,
-/// which has no traced variant.
-fn clustered_trace_unsupported(cfg: &CmpConfig) -> ! {
-    let dim = cfg.gline.max_transmitters + 1;
-    die(&format!(
-        "{}x{} mesh exceeds the flat G-line budget (gline.max_transmitters = {}, \
-         max {dim}x{dim} flat) and event tracing supports only the flat network; \
-         drop --trace/--trace-last, raise --gl-transmitters, or shrink the mesh",
-        cfg.mesh.rows, cfg.mesh.cols, cfg.gline.max_transmitters
-    ));
-}
-
 /// Everything main() parsed that the run loop needs.
 struct Opts {
     max_cycles: u64,
@@ -157,10 +146,59 @@ struct Opts {
     sched_stats: bool,
 }
 
+/// What the cores run: program files, or a recorded trace set.
+enum Input {
+    Exec(Vec<Program>),
+    Replay(TraceSet),
+}
+
+/// Where the events of the run go: nowhere, a Chrome trace file
+/// (`--trace`) or a ring printed after the run (`--trace-last`).
+enum Sink {
+    None,
+    Chrome(String),
+    Ring(usize),
+}
+
+/// Builds the machine for `input` with every layer emitting into
+/// `tracer`.
+fn build<S: TraceSink>(cfg: CmpConfig, input: Input, tracer: Tracer<S>) -> System<GlineHw<S>, S> {
+    match input {
+        Input::Exec(progs) => System::traced(cfg, progs, tracer),
+        Input::Replay(set) => System::replay_traced(cfg, &set, tracer),
+    }
+}
+
+/// Builds and runs the machine over the requested sink, then writes or
+/// prints the events.
+fn run(cfg: CmpConfig, input: Input, sink: Sink, opts: &Opts) {
+    match sink {
+        Sink::None => run_system(build(cfg, input, Tracer::<NullSink>::default()), opts),
+        Sink::Chrome(path) => {
+            let tracer = Tracer::new(ChromeTraceSink::new());
+            run_system(build(cfg, input, tracer.clone()), opts);
+            let (count, out) = tracer.with_sink(|s| (s.events().len(), s.to_json_string()));
+            std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            eprintln!("wrote {count} events to {path}");
+        }
+        Sink::Ring(last) => {
+            let tracer = Tracer::new(RingSink::new(last));
+            run_system(build(cfg, input, tracer.clone()), opts);
+            tracer.with_sink(|s| {
+                eprintln!(
+                    "--- last {} of {} events ---\n{}",
+                    s.len(),
+                    s.total_seen(),
+                    s.dump()
+                );
+            });
+        }
+    }
+}
+
 /// Runs the system to completion and prints the report. Monomorphized
-/// per barrier hardware and trace sink so the untraced path stays
-/// zero-cost.
-fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
+/// per trace sink so the untraced path stays zero-cost.
+fn run_system<S: TraceSink>(mut sys: System<GlineHw<S>, S>, opts: &Opts) {
     sys.set_active_set_enabled(!opts.no_active_set);
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
@@ -182,7 +220,7 @@ fn run_system<B: BarrierHw, S: TraceSink>(mut sys: System<B, S>, opts: &Opts) {
 
 /// Runs the system while recording every core's issue groups, prints
 /// the usual report, and writes the trace set into `dir`.
-fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workload: String) {
+fn record_system(mut sys: System, opts: &Opts, dir: &str, workload: String) {
     sys.set_active_set_enabled(!opts.no_active_set);
     if opts.progress.is_some() {
         eprintln!("simcmp: --record-trace ignores --progress");
@@ -206,11 +244,7 @@ fn record_system<B: BarrierHw>(mut sys: System<B>, opts: &Opts, dir: &str, workl
 }
 
 /// Prints the report (or the deadlock diagnostic) for a finished run.
-fn finish<B: BarrierHw, S: TraceSink>(
-    sys: &System<B, S>,
-    outcome: Result<u64, String>,
-    opts: &Opts,
-) {
+fn finish<S: TraceSink>(sys: &System<GlineHw<S>, S>, outcome: Result<u64, String>, opts: &Opts) {
     match outcome {
         Ok(cycles) => {
             let rep = sys.report();
@@ -407,6 +441,11 @@ fn main() {
     if record_dir.is_some() && (trace_file.is_some() || trace_last.is_some()) {
         die("--record-trace cannot be combined with --trace/--trace-last");
     }
+    let sink = match (trace_file, trace_last) {
+        (Some(path), _) => Sink::Chrome(path),
+        (None, Some(last)) => Sink::Ring(last),
+        (None, None) => Sink::None,
+    };
 
     if let Some(dir) = replay_dir {
         if !files.is_empty() {
@@ -432,33 +471,7 @@ fn main() {
             no_active_set,
             sched_stats,
         };
-        if cfg.needs_clustered_gline() {
-            if trace_file.is_some() || trace_last.is_some() {
-                clustered_trace_unsupported(&cfg);
-            }
-            let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-            let sys = System::replay_traced_with_barrier_hw(cfg, &set, hw, Tracer::default());
-            run_system(sys, &opts);
-        } else if let Some(path) = trace_file {
-            let tracer = Tracer::new(ChromeTraceSink::new());
-            run_system(System::replay_traced(cfg, &set, tracer.clone()), &opts);
-            let (count, out) = tracer.with_sink(|s| (s.events().len(), s.to_json_string()));
-            std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            eprintln!("wrote {count} events to {path}");
-        } else if let Some(last) = trace_last {
-            let tracer = Tracer::new(RingSink::new(last));
-            run_system(System::replay_traced(cfg, &set, tracer.clone()), &opts);
-            tracer.with_sink(|s| {
-                eprintln!(
-                    "--- last {} of {} events ---\n{}",
-                    s.len(),
-                    s.total_seen(),
-                    s.dump()
-                );
-            });
-        } else {
-            run_system(System::replay(cfg, &set), &opts);
-        }
+        run(cfg, Input::Replay(set), sink, &opts);
         return;
     }
 
@@ -504,41 +517,9 @@ fn main() {
         sched_stats,
     };
 
-    if cfg.needs_clustered_gline() {
-        if trace_file.is_some() || trace_last.is_some() {
-            clustered_trace_unsupported(&cfg);
-        }
-        let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-        if let Some(dir) = record_dir {
-            record_system(
-                System::with_barrier_hw(cfg, progs, hw),
-                &opts,
-                &dir,
-                files.join(" "),
-            );
-        } else {
-            run_system(System::with_barrier_hw(cfg, progs, hw), &opts);
-        }
-    } else if let Some(dir) = record_dir {
+    if let Some(dir) = record_dir {
         record_system(System::new(cfg, progs), &opts, &dir, files.join(" "));
-    } else if let Some(path) = trace_file {
-        let tracer = Tracer::new(ChromeTraceSink::new());
-        run_system(System::traced(cfg, progs, tracer.clone()), &opts);
-        let (count, out) = tracer.with_sink(|s| (s.events().len(), s.to_json_string()));
-        std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-        eprintln!("wrote {count} events to {path}");
-    } else if let Some(n) = trace_last {
-        let tracer = Tracer::new(RingSink::new(n));
-        run_system(System::traced(cfg, progs, tracer.clone()), &opts);
-        tracer.with_sink(|s| {
-            eprintln!(
-                "--- last {} of {} events ---\n{}",
-                s.len(),
-                s.total_seen(),
-                s.dump()
-            );
-        });
     } else {
-        run_system(System::new(cfg, progs), &opts);
+        run(cfg, Input::Exec(progs), sink, &opts);
     }
 }

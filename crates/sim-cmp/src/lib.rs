@@ -20,7 +20,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod core;
-pub mod energy;
 pub mod replay;
 pub mod runtime;
 mod sched;
@@ -28,7 +27,6 @@ pub mod stats;
 pub mod system;
 
 pub use crate::core::{Core, Fault};
-pub use energy::{EnergyEstimate, EnergyModel};
 pub use replay::CoreProg;
 pub use runtime::BarrierKind;
 pub use stats::SystemReport;

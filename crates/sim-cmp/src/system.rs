@@ -4,7 +4,7 @@ use crate::core::{Core, Fault};
 use crate::replay::{CoreProg, Recorder};
 use crate::sched::{settle_spin, step_core, step_observed, Park, WakeIndex};
 use crate::stats::SystemReport;
-use gline_core::{BarrierHw, BarrierNetwork};
+use gline_core::{BarrierHw, GlineHw};
 use sim_base::config::CmpConfig;
 use sim_base::stats::TimeBreakdown;
 use sim_base::trace::{NullSink, TraceSink, Tracer};
@@ -14,12 +14,18 @@ use sim_mem::MemorySystem;
 use sim_trace::{CoreTrace, TraceSet};
 
 /// The full CMP: cores + memory hierarchy + NoC + G-line barrier
-/// hardware. Generic over the barrier network flavour (flat by default;
-/// also [`gline_core::TdmBarrierNetwork`] or
-/// [`gline_core::ClusteredBarrierNetwork`]) and over the trace sink
-/// (disabled by default; see [`sim_base::trace`]).
+/// hardware. The barrier hardware is the [`GlineHw`] the configuration
+/// calls for — the flat network within the G-line transmitter budget,
+/// the clustered one beyond it — so every constructor serves every
+/// mesh. Generic over the trace sink (disabled by default; see
+/// [`sim_base::trace`]), which every layer shares, the barrier network
+/// included.
+///
+/// `B` stays for [`with_barrier_hw`](System::with_barrier_hw), whose one
+/// reason to exist is that `benchmark/src/sut.rs` names
+/// `System<ClusteredBarrierNetwork>`.
 #[derive(Debug)]
-pub struct System<B: BarrierHw = BarrierNetwork, S: TraceSink = NullSink> {
+pub struct System<B: BarrierHw = GlineHw, S: TraceSink = NullSink> {
     cfg: CmpConfig,
     cores: Vec<Core>,
     progs: Vec<CoreProg>,
@@ -103,63 +109,22 @@ impl CoreSchedStats {
 }
 
 impl<B: BarrierHw> System<B> {
-    /// Builds the machine around explicit barrier hardware.
+    /// Builds the machine around explicit barrier hardware. Kept only
+    /// because `benchmark/src/sut.rs` names
+    /// `System<ClusteredBarrierNetwork>`; elsewhere it serves only tests
+    /// of participation masks ([`gline_core::BarrierNetwork::with_members`]).
+    /// Every other machine builds through [`System::new`], whose
+    /// hardware the configuration picks.
     ///
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
     pub fn with_barrier_hw(cfg: CmpConfig, progs: Vec<Program>, hw: B) -> System<B> {
-        System::traced_with_barrier_hw(cfg, progs, hw, Tracer::default())
+        let progs = progs.into_iter().map(CoreProg::Exec).collect();
+        System::assemble(cfg, progs, hw, Tracer::default())
     }
 }
 
 impl<B: BarrierHw, S: TraceSink> System<B, S> {
-    /// Builds the machine around explicit barrier hardware, with the
-    /// cores, memory hierarchy and NoC all emitting into `tracer`. The
-    /// barrier hardware traces only if it was itself built over the same
-    /// sink (see [`gline_core::BarrierNetwork::traced`]).
-    ///
-    /// # Panics
-    /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
-    pub fn traced_with_barrier_hw(
-        cfg: CmpConfig,
-        progs: Vec<Program>,
-        hw: B,
-        tracer: Tracer<S>,
-    ) -> System<B, S> {
-        System::assemble(
-            cfg,
-            progs.into_iter().map(CoreProg::Exec).collect(),
-            hw,
-            tracer,
-        )
-    }
-
-    /// Replay-mode [`traced_with_barrier_hw`](Self::traced_with_barrier_hw):
-    /// every core is driven by its recorded trace from `set`, and the
-    /// initial memory image is `set.pokes`. Pass `Tracer::default()`
-    /// for an untraced replay on explicit barrier hardware.
-    ///
-    /// # Panics
-    /// Panics unless `set` holds one valid trace per core (see
-    /// [`sim_trace::CoreTrace::validate`]) and the core counts agree.
-    pub fn replay_traced_with_barrier_hw(
-        cfg: CmpConfig,
-        set: &TraceSet,
-        hw: B,
-        tracer: Tracer<S>,
-    ) -> System<B, S> {
-        for t in &set.cores {
-            t.validate()
-                .unwrap_or_else(|e| panic!("core {}: invalid trace: {e}", t.core));
-        }
-        let progs = set.cores.iter().cloned().map(CoreProg::Replay).collect();
-        let mut sys = System::assemble(cfg, progs, hw, tracer);
-        for &(addr, value) in &set.pokes {
-            sys.mem.poke_word(addr, value);
-        }
-        sys
-    }
-
     fn assemble(cfg: CmpConfig, progs: Vec<CoreProg>, hw: B, tracer: Tracer<S>) -> System<B, S> {
         assert_eq!(progs.len(), cfg.num_cores(), "one program per core");
         assert_eq!(
@@ -221,20 +186,17 @@ impl System {
     }
 }
 
-impl<S: TraceSink> System<BarrierNetwork<S>, S> {
+impl<S: TraceSink> System<GlineHw<S>, S> {
     /// Builds the fully traced machine: every layer — cores, caches,
     /// directory, NoC and the G-line barrier network — emits into
     /// (clones of) `tracer`.
     ///
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores()`.
-    pub fn traced(
-        cfg: CmpConfig,
-        progs: Vec<Program>,
-        tracer: Tracer<S>,
-    ) -> System<BarrierNetwork<S>, S> {
-        let hw = BarrierNetwork::traced(cfg.mesh, cfg.gline, tracer.clone());
-        System::traced_with_barrier_hw(cfg, progs, hw, tracer)
+    pub fn traced(cfg: CmpConfig, progs: Vec<Program>, tracer: Tracer<S>) -> System<GlineHw<S>, S> {
+        let hw = GlineHw::traced(&cfg, tracer.clone());
+        let progs = progs.into_iter().map(CoreProg::Exec).collect();
+        System::assemble(cfg, progs, hw, tracer)
     }
 
     /// Replay-mode [`traced`](Self::traced): every layer emits into
@@ -247,9 +209,18 @@ impl<S: TraceSink> System<BarrierNetwork<S>, S> {
         cfg: CmpConfig,
         set: &TraceSet,
         tracer: Tracer<S>,
-    ) -> System<BarrierNetwork<S>, S> {
-        let hw = BarrierNetwork::traced(cfg.mesh, cfg.gline, tracer.clone());
-        System::replay_traced_with_barrier_hw(cfg, set, hw, tracer)
+    ) -> System<GlineHw<S>, S> {
+        for t in &set.cores {
+            t.validate()
+                .unwrap_or_else(|e| panic!("core {}: invalid trace: {e}", t.core));
+        }
+        let hw = GlineHw::traced(&cfg, tracer.clone());
+        let progs = set.cores.iter().cloned().map(CoreProg::Replay).collect();
+        let mut sys = System::assemble(cfg, progs, hw, tracer);
+        for &(addr, value) in &set.pokes {
+            sys.mem.poke_word(addr, value);
+        }
+        sys
     }
 }
 
@@ -760,7 +731,13 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             total_time += *b;
         }
         let noc = self.mem.noc_stats();
-        let gl = self.gline.stats(0);
+        let mut gl = self.gline.stats(0);
+        for ctx in 1..self.gline.num_contexts() {
+            let s = self.gline.stats(ctx);
+            gl.barriers_completed += s.barriers_completed;
+            gl.signals += s.signals;
+            gl.latency.merge(&s.latency);
+        }
         let mut l1_hits = 0;
         let mut l1_misses = 0;
         for i in 0..self.cores.len() {
@@ -1068,13 +1045,15 @@ mod tests {
             (0..n).map(|i| i < 4).collect(),
             (0..n).map(|i| i >= 4).collect(),
         ];
-        let hw = BarrierNetwork::with_members(c.mesh, c.gline, masks);
+        let hw = gline_core::BarrierNetwork::with_members(c.mesh, c.gline, masks);
         let mut sys = System::with_barrier_hw(c, progs, hw);
         sys.run(1_000_000).unwrap();
         // 20 episodes in ctx 0 (by 4 cores) + 2 in ctx 1: the gl_barriers
         // counter counts per-core arrivals-episodes entered.
         assert_eq!(sys.core(CoreId(0)).gl_barriers(), 20);
         assert_eq!(sys.core(CoreId(7)).gl_barriers(), 2);
+        // The report counts the episodes of every context.
+        assert_eq!(sys.report().gl_barriers, 22);
     }
 
     #[test]
@@ -1089,44 +1068,6 @@ mod tests {
         assert!(sys.all_halted(), "a faulting core stops");
         // The fault stays: a later run entry point returns it at once.
         assert_eq!(sys.run(100).unwrap_err(), err);
-    }
-
-    #[test]
-    fn system_runs_on_tdm_barrier_hardware() {
-        use gline_core::TdmBarrierNetwork;
-        // The same 5-episode barrier loop on flat vs TDM hardware (four
-        // logical barriers sharing one wire set; the program uses slot 0):
-        // TDM must be correct and strictly slower.
-        let n = 8;
-        let barrier_loop = || -> Vec<Program> {
-            (0..n)
-                .map(|_| {
-                    let mut b = ProgBuilder::new();
-                    for _ in 0..5 {
-                        let spin = b.new_label();
-                        b.li(Reg(1), 1).barw(Reg(1)).bind(spin).barr(Reg(2)).bne(
-                            Reg(2),
-                            Reg::ZERO,
-                            spin,
-                        );
-                    }
-                    b.halt();
-                    b.build()
-                })
-                .collect()
-        };
-        let c = cfg(n);
-        let hw = TdmBarrierNetwork::new(c.mesh, c.gline, 4);
-        let mut tdm = System::with_barrier_hw(c, barrier_loop(), hw);
-        let tdm_cycles = tdm.run(1_000_000).unwrap();
-        let mut flat = System::new(cfg(n), barrier_loop());
-        let flat_cycles = flat.run(1_000_000).unwrap();
-        assert!(
-            tdm_cycles > flat_cycles,
-            "TDM slots must cost latency: {tdm_cycles} vs {flat_cycles}"
-        );
-        assert_eq!(tdm.report().gl_barriers, 5);
-        assert_eq!(flat.report().gl_barriers, 5);
     }
 
     #[test]

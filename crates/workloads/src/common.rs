@@ -1,6 +1,6 @@
 //! Shared plumbing for workload generators.
 
-use gline_core::BarrierHw;
+use gline_core::{BarrierHw, GlineHw};
 use sim_base::config::CmpConfig;
 use sim_cmp::runtime::{BarrierEnv, BarrierKind};
 use sim_cmp::System;
@@ -29,20 +29,16 @@ pub struct Workload {
 }
 
 impl Workload {
-    /// Instantiates the workload on a machine. `cfg.num_cores()` must
-    /// match the core count the workload was generated for.
+    /// Instantiates the workload on a machine, with the G-line network
+    /// its mesh calls for. `cfg.num_cores()` must match the core count
+    /// the workload was generated for.
     pub fn into_system(&self, cfg: CmpConfig) -> System {
-        assert!(
-            !cfg.needs_clustered_gline(),
-            "mesh exceeds the flat G-line budget; use into_system_with_hw \
-             with a ClusteredBarrierNetwork"
-        );
-        self.into_system_with_hw(cfg, gline_core::BarrierNetwork::new(cfg.mesh, cfg.gline))
+        self.into_system_with_hw(cfg, GlineHw::new(&cfg))
     }
 
-    /// Instantiates the workload on a machine with explicit barrier
-    /// hardware — the clustered network for meshes beyond the flat
-    /// G-line budget, or any other [`BarrierHw`] implementation.
+    /// [`into_system`](Self::into_system) on explicit barrier hardware.
+    /// Kept only because `benchmark/src/sut.rs` builds
+    /// `System<ClusteredBarrierNetwork>` through it.
     pub fn into_system_with_hw<B: BarrierHw>(&self, cfg: CmpConfig, hw: B) -> System<B> {
         assert_eq!(
             cfg.num_cores(),

@@ -12,7 +12,7 @@
 //! component-level `next_event` contracts the jumps rest on are in
 //! `next_event_contract.rs`.
 
-use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
+use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::rng::SplitMix64;
 use sim_base::trace::{ChromeTraceSink, Tracer};
@@ -31,23 +31,7 @@ use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 /// jumps, the dense run must never jump.
 fn assert_active_set_invariant(w: &Workload) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
-    if cfg.needs_clustered_gline() {
-        let hw = || ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-        assert_sparse_matches_dense(
-            w,
-            w.into_system_with_hw(cfg, hw()),
-            w.into_system_with_hw(cfg, hw()),
-        );
-    } else {
-        assert_sparse_matches_dense(w, w.into_system(cfg), w.into_system(cfg));
-    }
-}
-
-fn assert_sparse_matches_dense<B: BarrierHw>(
-    w: &Workload,
-    mut fast: System<B>,
-    mut slow: System<B>,
-) {
+    let (mut fast, mut slow) = (w.into_system(cfg), w.into_system(cfg));
     slow.set_active_set_enabled(false);
     assert!(fast.active_set_enabled() && !slow.active_set_enabled());
     let cf = fast.run(50_000_000).expect("fast run must complete");
@@ -79,7 +63,7 @@ fn assert_sparse_matches_dense<B: BarrierHw>(
 
 /// The scheduler counters account for every core-cycle the report
 /// charges, each exactly once — as a step or as an elided (parked) one.
-fn assert_core_cycles_accounted<B: BarrierHw>(sys: &System<B>, what: &str) {
+fn assert_core_cycles_accounted(sys: &System, what: &str) {
     assert_eq!(
         sys.core_sched_stats().core_cycles(),
         sys.report().total_time.total(),
@@ -129,7 +113,7 @@ fn compute_matrix_active_set_invariant() {
 }
 
 /// A 256-core (16×16) machine exceeds the flat G-line transmitter
-/// budget, so the two-level [`ClusteredBarrierNetwork`] carries the
+/// budget, so the two-level clustered G-line network carries the
 /// barriers — and the wake-driven engine must stay bit-identical to the
 /// dense tick on it too. This is the largest determinism case in the
 /// suite: every O(active) path of the many-core scaling work (clustered
@@ -139,7 +123,10 @@ fn compute_matrix_active_set_invariant() {
 fn clustered_256_core_active_set_invariant() {
     let w = synthetic::build(256, BarrierKind::Gl, 2);
     assert!(
-        CmpConfig::icpp2010_with_cores(256).needs_clustered_gline(),
+        matches!(
+            GlineHw::new(&CmpConfig::icpp2010_with_cores(256)),
+            GlineHw::Clustered(_)
+        ),
         "16x16 must exceed the flat G-line budget"
     );
     assert_active_set_invariant(&w);
@@ -286,12 +273,11 @@ struct Segment {
 /// `run_with_progress`: the default engine's boundary reports must be
 /// the dense cycle-by-cycle engine's. `wait_dominated` asserts the case
 /// is what it was built to be: mostly parked spinners, with clock jumps.
-fn check_mid_run_toggles<B: BarrierHw>(
+fn check_mid_run_toggles(
     cfg: CmpConfig,
     progs: Vec<Program>,
     wait_dominated: bool,
     rng: &mut SplitMix64,
-    hw: impl Fn() -> B,
 ) {
     let n = cfg.num_cores();
     let segments: Vec<Segment> = (0..8)
@@ -307,8 +293,8 @@ fn check_mid_run_toggles<B: BarrierHw>(
         })
         .collect();
 
-    let mut toggled = System::with_barrier_hw(cfg, progs.clone(), hw());
-    let mut serial = System::with_barrier_hw(cfg, progs.clone(), hw());
+    let mut toggled = System::new(cfg, progs.clone());
+    let mut serial = System::new(cfg, progs.clone());
     let what = format!("{n} cores ({:?}), {segments:?}", cfg.mesh);
     let mut i = 0;
     while !serial.all_halted() {
@@ -357,7 +343,7 @@ fn check_mid_run_toggles<B: BarrierHw>(
 
     let every = 1 + rng.next_below(700);
     let boundary_reports = |dense: bool| {
-        let mut sys = System::with_barrier_hw(cfg, progs.clone(), hw());
+        let mut sys = System::new(cfg, progs.clone());
         sys.set_active_set_enabled(!dense);
         let mut reports = Vec::new();
         sys.run_with_progress(50_000_000, every, |rep| reports.push(rep.clone()))
@@ -413,15 +399,7 @@ fn mid_run_toggles_on_random_meshes_invariant() {
             let kind = kinds[rng.next_below(kinds.len() as u64) as usize];
             random_sync_programs(n, kind, rng)
         };
-        if cfg.needs_clustered_gline() {
-            check_mid_run_toggles(cfg, progs, staggered_gl, rng, || {
-                ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline)
-            });
-        } else {
-            check_mid_run_toggles(cfg, progs, staggered_gl, rng, || {
-                BarrierNetwork::new(cfg.mesh, cfg.gline)
-            });
-        }
+        check_mid_run_toggles(cfg, progs, staggered_gl, rng);
     });
 }
 
@@ -436,7 +414,7 @@ fn mid_run_toggles_on_random_meshes_invariant() {
 fn popcount_counters_match_per_core_counting_at_256_cores() {
     let w = synthetic::build(256, BarrierKind::Dsw, 1);
     let cfg = CmpConfig::icpp2010_with_cores(256);
-    let mut sparse = w.into_system_with_hw(cfg, ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline));
+    let mut sparse = w.into_system(cfg);
     sparse.run(50_000_000).expect("run must complete");
     assert_core_cycles_accounted(&sparse, "sparse");
     let stats = sparse.core_sched_stats();

@@ -7,7 +7,6 @@ use gline_cmp::base::stats::TimeCat;
 use gline_cmp::bench_workloads::{em3d, livermore, ocean, synthetic, unstructured};
 use gline_cmp::cmp::runtime::{BarrierEnv, BarrierKind};
 use gline_cmp::cmp::{System, SystemReport};
-use gline_cmp::gline::{BarrierHw, ClusteredBarrierNetwork};
 use gline_cmp::isa::{ProgBuilder, Reg};
 
 fn cfg(n: usize) -> CmpConfig {
@@ -141,7 +140,7 @@ fn gl_latency_flat_in_core_count() {
 /// the flat (4×8) and the clustered (16×16) network, on both engines.
 #[test]
 fn gl_episodes_counted_on_slow_lines() {
-    fn report<B: BarrierHw>(mut sys: System<B>, active_set: bool) -> SystemReport {
+    fn report(mut sys: System, active_set: bool) -> SystemReport {
         sys.set_active_set_enabled(active_set);
         sys.run(1_000_000).unwrap();
         sys.report()
@@ -155,15 +154,7 @@ fn gl_episodes_counted_on_slow_lines() {
         for line_latency in 1..=4 {
             let mut c = cfg(n);
             c.gline.line_latency = line_latency;
-            let run = |active_set| {
-                let progs = vec![prog.clone(); n];
-                if c.needs_clustered_gline() {
-                    let hw = ClusteredBarrierNetwork::new(c.mesh, c.gline);
-                    report(System::with_barrier_hw(c, progs, hw), active_set)
-                } else {
-                    report(System::new(c, progs), active_set)
-                }
-            };
+            let run = |active_set| report(System::new(c, vec![prog.clone(); n]), active_set);
             let (default, dense) = (run(true), run(false));
             let at = format!("{n} cores, line_latency {line_latency}");
             assert_eq!(default.gl_barriers, 20, "{at}");
@@ -177,14 +168,8 @@ fn gl_episodes_counted_on_slow_lines() {
 fn scaled_cycles_per_barrier(n: usize, kind: BarrierKind) -> f64 {
     let iters = 2;
     let w = synthetic::build(n, kind, iters);
-    let c = cfg(n);
-    let cycles = if c.needs_clustered_gline() {
-        let hw = ClusteredBarrierNetwork::new(c.mesh, c.gline);
-        w.into_system_with_hw(c, hw).run(20_000_000_000)
-    } else {
-        w.into_system(c).run(20_000_000_000)
-    };
-    synthetic::cycles_per_barrier(cycles.unwrap(), iters)
+    let cycles = w.into_system(cfg(n)).run(20_000_000_000).unwrap();
+    synthetic::cycles_per_barrier(cycles, iters)
 }
 
 /// Figure 5 pushed past the paper's 32 cores (its §5 future work): per

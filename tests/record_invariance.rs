@@ -11,9 +11,7 @@
 //! oracle; the default engine must really jump and park, or the
 //! comparison would prove nothing.
 
-use gline_core::{BarrierHw, BarrierNetwork, ClusteredBarrierNetwork};
 use sim_base::config::CmpConfig;
-use sim_base::trace::Tracer;
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
@@ -45,16 +43,15 @@ const fn sized(full: u64, quick: u64) -> u64 {
 /// back-to-back G-line barriers, where all cores stay live for the few
 /// hundred cycles the run lasts): the default engine must then have
 /// parked cores and jumped the clock.
-fn assert_recording_invariant<B: BarrierHw>(
+fn assert_recording_invariant(
     what: &str,
     cfg: CmpConfig,
     progs: &[Program],
     pokes: &[(u64, u64)],
     waits: bool,
-    hw: impl Fn() -> B,
 ) {
     let build = || {
-        let mut sys = System::with_barrier_hw(cfg, progs.to_vec(), hw());
+        let mut sys = System::new(cfg, progs.to_vec());
         for &(addr, value) in pokes {
             sys.poke_word(addr, value);
         }
@@ -99,7 +96,7 @@ fn assert_recording_invariant<B: BarrierHw>(
         pokes: pokes.to_vec(),
         workload: what.to_string(),
     };
-    let mut replay = System::replay_traced_with_barrier_hw(cfg, &set, hw(), Tracer::default());
+    let mut replay = System::replay(cfg, &set);
     assert_eq!(replay.run(MAX_CYCLES), Ok(cycles), "{what}: replay");
     assert_eq!(replay.report(), report, "{what}: replay report");
 }
@@ -107,9 +104,7 @@ fn assert_recording_invariant<B: BarrierHw>(
 fn assert_workload_invariant(what: &str, w: &Workload) {
     let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
     let waits = w.kind != BarrierKind::Gl || w.name.contains("imbalanced");
-    assert_recording_invariant(what, cfg, &w.progs, &w.pokes, waits, || {
-        BarrierNetwork::new(cfg.mesh, cfg.gline)
-    });
+    assert_recording_invariant(what, cfg, &w.progs, &w.pokes, waits);
 }
 
 #[test]
@@ -163,14 +158,6 @@ fn random_programs_recording_invariant() {
             random_sync_programs(n, kind, rng)
         };
         let what = format!("{rows}x{cols} staggered_gl={staggered_gl}");
-        if cfg.needs_clustered_gline() {
-            assert_recording_invariant(&what, cfg, &progs, &[], true, || {
-                ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline)
-            });
-        } else {
-            assert_recording_invariant(&what, cfg, &progs, &[], true, || {
-                BarrierNetwork::new(cfg.mesh, cfg.gline)
-            });
-        }
+        assert_recording_invariant(&what, cfg, &progs, &[], true);
     });
 }

@@ -7,7 +7,7 @@
 
 use gline_cmp::base::check::forall;
 use gline_cmp::base::config::CmpConfig;
-use gline_cmp::base::trace::{ChromeTraceSink, RingSink, Tracer};
+use gline_cmp::base::trace::{ChromeTraceSink, Event, RingSink, Tracer};
 use gline_cmp::cmp::runtime::{BarrierEnv, BarrierKind};
 use gline_cmp::cmp::{System, SystemReport};
 use gline_cmp::isa::{ProgBuilder, Program};
@@ -78,4 +78,63 @@ fn chrome_sink_never_changes_the_report() {
     );
     traced.run(100_000_000).unwrap();
     assert_eq!(baseline, traced.report());
+}
+
+/// A 16×16 machine exceeds the flat G-line budget, so its barriers run
+/// on the clustered network. Traced, a G-line loop with staggered
+/// arrivals must give the untraced report, and every episode of its
+/// stream must hold one arrival and one release per core, global ids
+/// 0..256, closed by one completion at the report's latency.
+#[test]
+fn clustered_gline_trace_matches_the_report() {
+    let (n, iters) = (256, 3);
+    let cfg = CmpConfig::icpp2010_with_cores(n);
+    let env = BarrierEnv::new(BarrierKind::Gl, n, 0x1_0000);
+    let progs: Vec<Program> = (0..n)
+        .map(|c| {
+            let mut b = ProgBuilder::new();
+            for it in 0..iters {
+                b.busy(1 + (c as u32 * 7 + it as u32 * 13) % 40);
+                env.emit(&mut b, c);
+            }
+            b.halt();
+            b.build()
+        })
+        .collect();
+    let mut plain = System::new(cfg, progs.clone());
+    plain.run(1_000_000).unwrap();
+    let rep = plain.report();
+    assert_eq!(rep.gl_barriers, iters);
+
+    let tracer = Tracer::new(ChromeTraceSink::new());
+    let mut traced = System::traced(cfg, progs, tracer.clone());
+    traced.run(1_000_000).unwrap();
+    assert_eq!(traced.report(), rep, "tracing changed the 16x16 run");
+
+    let (mut arrived, mut released) = (Vec::new(), Vec::new());
+    let mut episodes = 0;
+    tracer.with_sink(|s| {
+        for (_, e) in s.events() {
+            match e {
+                Event::BarrierArrive { core, .. } => arrived.push(core.index()),
+                Event::BarrierRelease { core, .. } => released.push(core.index()),
+                Event::BarrierComplete { latency, .. } => {
+                    episodes += 1;
+                    assert_eq!(*latency as f64, rep.gl_mean_latency, "episode {episodes}");
+                    for (what, ids) in [("arrive", &mut arrived), ("release", &mut released)] {
+                        ids.sort_unstable();
+                        let want: Vec<usize> = (0..n).collect();
+                        assert_eq!(*ids, want, "episode {episodes}: barrier.{what} ids");
+                        ids.clear();
+                    }
+                }
+                _ => {}
+            }
+        }
+    });
+    assert_eq!(episodes, iters);
+    assert!(
+        arrived.is_empty() && released.is_empty(),
+        "events after the last episode"
+    );
 }

@@ -17,7 +17,6 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
-use gline_core::{BarrierHw, ClusteredBarrierNetwork};
 use sim_base::config::CacheConfig;
 use sim_base::config::CmpConfig;
 use sim_base::CoreId;
@@ -145,8 +144,8 @@ fn steady_state_ticks_do_not_allocate() {
 /// next `measured` cycles allocate nothing. Returns the clock jumps
 /// taken and the flits the NoC passed through idle routers while
 /// measuring.
-fn assert_system_ticks_allocation_free<B: BarrierHw>(
-    mut sys: System<B>,
+fn assert_system_ticks_allocation_free(
+    mut sys: System,
     warm: u64,
     measured: u64,
     what: &str,
@@ -183,8 +182,7 @@ fn steady_state_system_ticks_do_not_allocate() {
     );
     let big = CmpConfig::icpp2010_with_cores(256);
     assert_system_ticks_allocation_free(
-        synthetic::build(256, BarrierKind::Gl, 100_000)
-            .into_system_with_hw(big, ClusteredBarrierNetwork::new(big.mesh, big.gline)),
+        synthetic::build(256, BarrierKind::Gl, 100_000).into_system(big),
         1_000,
         3_000,
         "GL loop, clustered 16x16",
@@ -241,10 +239,7 @@ fn memory_system_construction_allocates_per_tile_not_per_set() {
 #[test]
 fn workload_instantiation_shares_programs() {
     let cfg = CmpConfig::icpp2010_with_cores(1024);
-    let instantiate = |w: &Workload| {
-        let hw = ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline);
-        count_allocs(|| drop(w.into_system_with_hw(cfg, hw)))
-    };
+    let instantiate = |w: &Workload| count_allocs(|| drop(w.into_system(cfg)));
     let dsw = |iters| instantiate(&synthetic::build(1024, BarrierKind::Dsw, iters));
     let (short, long) = (dsw(8), dsw(64));
     assert_eq!(short, long, "allocations grew with the iteration count");
