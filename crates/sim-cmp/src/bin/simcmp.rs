@@ -13,8 +13,7 @@
 //!                      core count is R*C; combined with --cores the two
 //!                      must agree). Meshes beyond the flat G-line budget
 //!                      automatically use the two-level clustered barrier
-//!                      network, on every path: tracing, recording and
-//!                      replay included
+//!                      network, traced or not
 //!   --gl-transmitters N  transmitters per G-line (default 7; sets the
 //!                      flat-network limit and the clustered network's
 //!                      cluster dimension N+1)
@@ -24,15 +23,17 @@
 //!                      its mesh stands unless --cores or --mesh is
 //!                      given, and --gl-transmitters still overrides
 //!   --max-cycles N     deadlock guard (default 100_000_000)
-//!   --poke ADDR=VAL    pre-load a memory word (repeatable; hex or dec)
-//!   --peek ADDR        print a memory word after the run (repeatable)
+//!   --poke ADDR=VAL    pre-load a memory word (repeatable; hex or dec;
+//!                      ADDR 8-byte aligned)
+//!   --peek ADDR        print a memory word after the run (repeatable;
+//!                      ADDR 8-byte aligned)
 //!   --json             print the full report as JSON
 //!   --breakdown        print the per-category cycle breakdown
 //!   --progress N       print a status line every N cycles
 //!   --no-active-set    run the dense reference engine: visit every
 //!                      router/home/core every cycle and never jump the
-//!                      clock (the report is bit-identical either way;
-//!                      traced runs never jump either)
+//!                      clock (the report, --peek output and --trace
+//!                      file are bit-identical either way)
 //!   --sched-stats      print scheduler diagnostics after the run:
 //!                      clock jumps evaluated/taken, the mean
 //!                      active-set occupancy per subsystem, the core
@@ -43,34 +44,22 @@
 //!                      or Perfetto)
 //!   --trace-last N     keep the last N events in a ring and print them
 //!                      to stderr after the run
-//!   --record-trace DIR record every core's issue groups while the
-//!                      program runs (on the default engine or, with
-//!                      --no-active-set, the dense one) and write the
-//!                      trace set (manifest.json + core<i>.trace) into
-//!                      DIR; the traces are the same on both
-//!   --replay DIR       drive the cores from the trace set in DIR
-//!                      instead of program files (no PROGRAM.s
-//!                      arguments; --cores, if given, must match the
-//!                      set). The replayed run's report, memory and
-//!                      events are bit-identical to the recorded one
 //! ```
 //!
-//! Exit code 0 on success, 1 on usage, assembly, config or trace
-//! errors, 2 on a run that does not halt: a program fault (`barw` of
-//! zero, `barctx` past the network's contexts, a jump outside the
-//! program, an unaligned `ld`/`st`/`amo*` — named with the faulting core
-//! and pc) or the `--max-cycles` deadlock guard.
+//! Exit code 0 on success, 1 on usage, assembly or config errors, 2 on
+//! a run that does not halt: a program fault (`barw` of zero, `barctx`
+//! past the network's contexts, a jump outside the program, an
+//! unaligned `ld`/`st`/`amo*` — named with the faulting core and pc) or
+//! the `--max-cycles` deadlock guard.
 
 use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::json::ToJson;
 use sim_base::stats::TimeCat;
-use sim_base::trace::{ChromeTraceSink, NullSink, RingSink, TraceSink, Tracer};
+use sim_base::trace::{ChromeTraceSink, RingSink, TraceSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::System;
 use sim_isa::{assemble, Program};
-use sim_trace::TraceSet;
-use std::path::Path;
 
 fn parse_num(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -78,6 +67,16 @@ fn parse_num(s: &str) -> Option<u64> {
     } else {
         s.parse().ok()
     }
+}
+
+/// Parses a `--poke`/`--peek` address: a number on an 8-byte boundary,
+/// the machine's word size.
+fn parse_addr(flag: &str, s: &str) -> u64 {
+    let a = parse_num(s).unwrap_or_else(|| die(&format!("bad {flag} address {s}")));
+    if !a.is_multiple_of(8) {
+        die(&format!("{flag} address {s} is not 8-byte aligned"));
+    }
+    a
 }
 
 fn die(msg: &str) -> ! {
@@ -146,12 +145,6 @@ struct Opts {
     sched_stats: bool,
 }
 
-/// What the cores run: program files, or a recorded trace set.
-enum Input {
-    Exec(Vec<Program>),
-    Replay(TraceSet),
-}
-
 /// Where the events of the run go: nowhere, a Chrome trace file
 /// (`--trace`) or a ring printed after the run (`--trace-last`).
 enum Sink {
@@ -160,30 +153,21 @@ enum Sink {
     Ring(usize),
 }
 
-/// Builds the machine for `input` with every layer emitting into
-/// `tracer`.
-fn build<S: TraceSink>(cfg: CmpConfig, input: Input, tracer: Tracer<S>) -> System<GlineHw<S>, S> {
-    match input {
-        Input::Exec(progs) => System::traced(cfg, progs, tracer),
-        Input::Replay(set) => System::replay_traced(cfg, &set, tracer),
-    }
-}
-
 /// Builds and runs the machine over the requested sink, then writes or
 /// prints the events.
-fn run(cfg: CmpConfig, input: Input, sink: Sink, opts: &Opts) {
+fn run(cfg: CmpConfig, progs: Vec<Program>, sink: Sink, opts: &Opts) {
     match sink {
-        Sink::None => run_system(build(cfg, input, Tracer::<NullSink>::default()), opts),
+        Sink::None => run_system(System::new(cfg, progs), opts),
         Sink::Chrome(path) => {
             let tracer = Tracer::new(ChromeTraceSink::new());
-            run_system(build(cfg, input, tracer.clone()), opts);
+            run_system(System::traced(cfg, progs, tracer.clone()), opts);
             let (count, out) = tracer.with_sink(|s| (s.events().len(), s.to_json_string()));
             std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("{path}: {e}")));
             eprintln!("wrote {count} events to {path}");
         }
         Sink::Ring(last) => {
             let tracer = Tracer::new(RingSink::new(last));
-            run_system(build(cfg, input, tracer.clone()), opts);
+            run_system(System::traced(cfg, progs, tracer.clone()), opts);
             tracer.with_sink(|s| {
                 eprintln!(
                     "--- last {} of {} events ---\n{}",
@@ -216,31 +200,6 @@ fn run_system<S: TraceSink>(mut sys: System<GlineHw<S>, S>, opts: &Opts) {
         None => sys.run(opts.max_cycles),
     };
     finish(&sys, outcome, opts);
-}
-
-/// Runs the system while recording every core's issue groups, prints
-/// the usual report, and writes the trace set into `dir`.
-fn record_system(mut sys: System, opts: &Opts, dir: &str, workload: String) {
-    sys.set_active_set_enabled(!opts.no_active_set);
-    if opts.progress.is_some() {
-        eprintln!("simcmp: --record-trace ignores --progress");
-    }
-    for &(a, v) in &opts.pokes {
-        sys.poke_word(a, v);
-    }
-    let (outcome, traces) = match sys.run_recorded(opts.max_cycles) {
-        Ok((cycles, traces)) => (Ok(cycles), traces),
-        Err(e) => (Err(e), Vec::new()),
-    };
-    finish(&sys, outcome, opts); // exits on a run that did not halt
-    let set = TraceSet {
-        cores: traces,
-        pokes: opts.pokes.clone(),
-        workload,
-    };
-    sim_trace::write_dir(Path::new(dir), &set)
-        .unwrap_or_else(|e| die(&format!("--record-trace {dir}: {e}")));
-    eprintln!("wrote {} core traces to {dir}", set.cores.len());
 }
 
 /// Prints the report (or the deadlock diagnostic) for a finished run.
@@ -316,7 +275,6 @@ fn main() {
         eprintln!("              [--poke ADDR=VAL]… [--peek ADDR]… [--json] [--breakdown]");
         eprintln!("              [--progress N] [--no-active-set] [--sched-stats]");
         eprintln!("              [--trace FILE] [--trace-last N]");
-        eprintln!("              [--record-trace DIR | --replay DIR]");
         std::process::exit(if args.is_empty() { 1 } else { 0 });
     }
 
@@ -336,8 +294,6 @@ fn main() {
     let mut base: Option<CmpConfig> = None;
     let mut trace_file: Option<String> = None;
     let mut trace_last: Option<usize> = None;
-    let mut record_dir: Option<String> = None;
-    let mut replay_dir: Option<String> = None;
 
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -383,13 +339,13 @@ fn main() {
                     .split_once('=')
                     .unwrap_or_else(|| die("--poke needs ADDR=VAL"));
                 pokes.push((
-                    parse_num(a).unwrap_or_else(|| die("bad poke address")),
+                    parse_addr("--poke", a),
                     parse_num(v).unwrap_or_else(|| die("bad poke value")),
                 ));
             }
             "--peek" => {
                 let a = it.next().unwrap_or_else(|| die("--peek needs ADDR"));
-                peeks.push(parse_num(&a).unwrap_or_else(|| die("bad peek address")));
+                peeks.push(parse_addr("--peek", &a));
             }
             "--json" => json = true,
             "--breakdown" => breakdown = true,
@@ -416,64 +372,18 @@ fn main() {
                         .unwrap_or_else(|| die("--trace-last needs an event count")),
                 );
             }
-            "--record-trace" => {
-                record_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--record-trace needs a directory")),
-                );
-            }
-            "--replay" => {
-                replay_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--replay needs a directory")),
-                );
-            }
             f if !f.starts_with("--") => files.push(f.to_string()),
             other => die(&format!("unknown option {other}")),
         }
     }
-    if record_dir.is_some() && replay_dir.is_some() {
-        die("--record-trace and --replay are mutually exclusive");
-    }
     if trace_file.is_some() && trace_last.is_some() {
         die("--trace and --trace-last are mutually exclusive");
-    }
-    if record_dir.is_some() && (trace_file.is_some() || trace_last.is_some()) {
-        die("--record-trace cannot be combined with --trace/--trace-last");
     }
     let sink = match (trace_file, trace_last) {
         (Some(path), _) => Sink::Chrome(path),
         (None, Some(last)) => Sink::Ring(last),
         (None, None) => Sink::None,
     };
-
-    if let Some(dir) = replay_dir {
-        if !files.is_empty() {
-            die("--replay takes no program files");
-        }
-        let set = sim_trace::read_dir(Path::new(&dir))
-            .unwrap_or_else(|e| die(&format!("--replay {dir}: {e}")));
-        let n = set.cores.len();
-        if cores_explicit && cores != n {
-            die(&format!(
-                "--cores {cores} but the trace set holds {n} cores"
-            ));
-        }
-        let cfg = build_config(base, n, true, mesh, gl_transmitters);
-        let opts = Opts {
-            max_cycles,
-            pokes,
-            peeks,
-            json,
-            breakdown,
-            progress,
-            cores: n,
-            no_active_set,
-            sched_stats,
-        };
-        run(cfg, Input::Replay(set), sink, &opts);
-        return;
-    }
 
     if files.is_empty() {
         die("no program files given");
@@ -517,9 +427,5 @@ fn main() {
         sched_stats,
     };
 
-    if let Some(dir) = record_dir {
-        record_system(System::new(cfg, progs), &opts, &dir, files.join(" "));
-    } else {
-        run(cfg, Input::Exec(progs), sink, &opts);
-    }
+    run(cfg, progs, sink, &opts);
 }

@@ -13,7 +13,6 @@
 //! * otherwise: stalled on a load → `Read`, on a store/atomic → `Write`,
 //!   else `Busy`.
 
-use crate::replay::CoreProg;
 use gline_core::BarrierHw;
 use sim_base::stats::{TimeBreakdown, TimeCat};
 use sim_base::trace::{Event, TraceSink, Tracer};
@@ -22,8 +21,7 @@ use sim_isa::inst::{Inst, Region};
 use sim_isa::interp::ExecError;
 use sim_isa::reg::{Reg, NUM_REGS};
 use sim_isa::Program;
-use sim_mem::{CoreMem, CoreReq, CoreResp};
-use sim_trace::{CoreTrace, Effect, TraceOp};
+use sim_mem::{CoreReq, CoreResp, MemorySystem};
 use std::fmt;
 
 /// The Figure-6 category a region's cycles default to when not stalled.
@@ -67,60 +65,18 @@ pub struct SpinPlan {
 }
 
 impl SpinPlan {
-    /// The latest cycle a spin on this plan, running since `now`, may be
-    /// replayed to in closed form — where a park on it ends by itself
-    /// and a clock jump must stop. Exec-mode spins impose no bound of
-    /// their own (their probed value is frozen until their wake
-    /// trigger fires); replay-mode spins carry a recorded iteration
-    /// budget, after which the exit group must execute densely. For
-    /// genuine recordings the trigger always fires first, so the bound
-    /// never binds — it exists so a hand-built trace file cannot drive
-    /// the replay cursor past its op.
-    pub(crate) fn max_target(&self, now: Cycle) -> Option<Cycle> {
-        match self.kind {
-            SpinKind::Gline { .. } | SpinKind::Mem { .. } => None,
-            SpinKind::RGline { left } => Some(now + left),
-            SpinKind::RMem { phase_b, left, .. } => Some(now + 2 * left - phase_b as u64),
-        }
-    }
-
-    /// True when a park on this plan since `anchor` has used up its
-    /// recorded iteration budget by `now`: the core must be woken to
-    /// execute the spin's exit group.
-    pub(crate) fn expired(&self, anchor: Cycle, now: Cycle) -> bool {
-        self.max_target(anchor).is_some_and(|t| now >= t)
-    }
-
     /// True for a spin on the core's own `bar_reg` (ended by a barrier
     /// release), false for a memory-probing one (ended by an L1
     /// delivery).
     pub(crate) fn on_bar_reg(&self) -> bool {
-        matches!(self.kind, SpinKind::Gline { .. } | SpinKind::RGline { .. })
+        matches!(self.kind, SpinKind::Gline { .. })
     }
 
-    /// Program counter of the first loop-body instruction.
+    /// Program counter of the first loop-body instruction (the debug
+    /// cross-check of a clock jump re-matches it).
+    #[cfg(debug_assertions)]
     pub(crate) fn top(&self) -> usize {
         self.top
-    }
-
-    /// For a memory-probing spin, what the trace recorder needs to fold
-    /// a span of it: `(addr, iter_retires, phase_b)`.
-    pub(crate) fn mem_probe(&self) -> Option<(u64, u8, bool)> {
-        match self.kind {
-            SpinKind::Gline { .. } | SpinKind::RGline { .. } => None,
-            SpinKind::Mem {
-                addr,
-                iter_retires,
-                phase_b,
-                ..
-            }
-            | SpinKind::RMem {
-                addr,
-                iter_retires,
-                phase_b,
-                ..
-            } => Some((addr, iter_retires as u8, phase_b)),
-        }
     }
 }
 
@@ -143,24 +99,6 @@ enum SpinKind {
         phase_b: bool,
         /// The (frozen) value every iteration loads.
         value: u64,
-    },
-    /// Replay-mode G-line spin: the core sits on a
-    /// [`TraceOp::GlineSpin`] op with `left` iterations remaining at
-    /// capture — one cycle and two retires each, no machine
-    /// interaction.
-    RGline { left: u64 },
-    /// Replay-mode memory flag spin: the core sits on a
-    /// [`TraceOp::MemSpin`] op — the same two-cycle iteration structure
-    /// as `Mem`, with the iteration budget recorded instead of derived
-    /// from a frozen value.
-    RMem {
-        addr: u64,
-        /// Dynamic instructions retired by one full iteration.
-        iter_retires: u64,
-        /// Captured mid-iteration (resolve/branch phase pending).
-        phase_b: bool,
-        /// Iterations remaining at capture.
-        left: u64,
     },
 }
 
@@ -203,12 +141,6 @@ pub struct Core {
     bar_ctx: usize,
     /// Cycle the current memory stall began (tracing only).
     wait_since: Cycle,
-    /// Replay cursor: index of the current trace op (replay mode only).
-    rp_op: usize,
-    /// Iterations left on the current compressed spin op.
-    rp_spin: u64,
-    /// Mid mem-spin iteration: the resolve/branch phase is pending.
-    rp_phase_b: bool,
     /// Set, and the core halted, by a program fault at `pc`.
     fault: Option<ExecError>,
 }
@@ -229,34 +161,11 @@ impl Core {
             gl_barriers: 0,
             bar_ctx: 0,
             wait_since: 0,
-            rp_op: 0,
-            rp_spin: 0,
-            rp_phase_b: false,
             fault: None,
         }
     }
 
-    /// Current program counter (recording snapshot).
-    pub(crate) fn pc(&self) -> usize {
-        self.pc
-    }
-
-    /// Current architectural region (recording snapshot).
-    pub(crate) fn cur_region(&self) -> Region {
-        self.region
-    }
-
-    /// End of the current `busy` block, if the core is inside one.
-    pub(crate) fn busy_until(&self) -> Option<Cycle> {
-        match self.status {
-            Status::BusyUntil { until } => Some(until),
-            _ => None,
-        }
-    }
-
-    /// Barrier context the core's `barw`/`barr` address (execution
-    /// mode; a replay-driven core never leaves context 0 here, its
-    /// recorded writes carry their own).
+    /// Barrier context the core's `barw`/`barr` address.
     pub(crate) fn bar_ctx(&self) -> usize {
         self.bar_ctx
     }
@@ -344,15 +253,14 @@ impl Core {
         }
     }
 
-    /// Runs one cycle. Interacts with the memory hierarchy (the
-    /// [`sim_mem::MemorySystem`], or the trace recorder's view of it —
-    /// anything implementing [`CoreMem`]) and the G-line barrier
-    /// hardware (flat, clustered or TDM — anything implementing
-    /// [`BarrierHw`]); must be called before their `tick`s.
-    pub fn step<B: BarrierHw + ?Sized, M: CoreMem, S: TraceSink>(
+    /// Runs one cycle. Interacts with the memory hierarchy and the
+    /// G-line barrier hardware (flat or clustered — anything
+    /// implementing [`BarrierHw`]); must be called before their
+    /// `tick`s.
+    pub fn step<B: BarrierHw + ?Sized, S: TraceSink>(
         &mut self,
-        prog: &CoreProg,
-        mem: &mut M,
+        prog: &Program,
+        mem: &mut MemorySystem<S>,
         gline: &mut B,
         now: Cycle,
         tracer: &Tracer<S>,
@@ -361,10 +269,7 @@ impl Core {
             return;
         }
         let (retired_before, pc_before, region_before) = (self.retired, self.pc, self.region);
-        match prog {
-            CoreProg::Exec(p) => self.step_inner(p, mem, gline, now, tracer),
-            CoreProg::Replay(t) => self.replay_inner(t, mem, gline, now, tracer),
-        }
+        self.step_inner(prog, mem, gline, now, tracer);
         if S::ENABLED {
             let id = self.id;
             let n = self.retired - retired_before;
@@ -382,10 +287,10 @@ impl Core {
         }
     }
 
-    fn step_inner<B: BarrierHw + ?Sized, M: CoreMem, S: TraceSink>(
+    fn step_inner<B: BarrierHw + ?Sized, S: TraceSink>(
         &mut self,
         prog: &Program,
-        mem: &mut M,
+        mem: &mut MemorySystem<S>,
         gline: &mut B,
         now: Cycle,
         tracer: &Tracer<S>,
@@ -577,180 +482,6 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Trace-driven replay (`DESIGN.md` §11): consume recorded issue
-    // groups against the live memory hierarchy and barrier network.
-    // The status machine — stall resolution, busy blocks, the
-    // one-cycle-one-charge accounting — mirrors `step_inner` exactly;
-    // only the "what does this cycle execute" question is answered by
-    // the trace cursor instead of fetch/decode.
-    // ------------------------------------------------------------------
-
-    /// Points the replay cursor's derived state (pc, spin budget) at
-    /// the current op. Called at construction and whenever the cursor
-    /// advances with the trace in hand.
-    fn set_cursor(&mut self, trace: &CoreTrace) {
-        match trace.ops.get(self.rp_op) {
-            Some(TraceOp::Step(s)) => {
-                self.pc = s.pc as usize;
-                self.rp_spin = 0;
-            }
-            Some(TraceOp::GlineSpin { pc, iters }) => {
-                self.pc = *pc as usize;
-                self.rp_spin = *iters;
-            }
-            Some(TraceOp::MemSpin { pc, iters, .. }) => {
-                self.pc = *pc as usize;
-                self.rp_spin = *iters;
-            }
-            None => self.rp_spin = 0,
-        }
-        self.rp_phase_b = false;
-    }
-
-    /// Initializes the replay cursor on op 0 (replay-mode construction).
-    pub(crate) fn prime_replay(&mut self, trace: &CoreTrace) {
-        self.set_cursor(trace);
-    }
-
-    fn advance_op(&mut self, trace: &CoreTrace) {
-        self.rp_op += 1;
-        self.set_cursor(trace);
-    }
-
-    /// One replay-mode cycle — the trace-driven mirror of
-    /// [`step_inner`](Self::step_inner).
-    fn replay_inner<B: BarrierHw + ?Sized, M: CoreMem, S: TraceSink>(
-        &mut self,
-        trace: &CoreTrace,
-        mem: &mut M,
-        gline: &mut B,
-        now: Cycle,
-        tracer: &Tracer<S>,
-    ) {
-        self.breakdown.add(self.category(), 1);
-        if let Status::WaitMem { rd: _, cat } = self.status {
-            if mem.poll(self.id).is_some() {
-                self.status = Status::Ready;
-                if S::ENABLED {
-                    let id = self.id;
-                    let since = self.wait_since;
-                    tracer.emit(now, || Event::Stall {
-                        core: id,
-                        cat,
-                        cycles: now.saturating_sub(since),
-                    });
-                }
-            }
-        }
-        if let Status::BusyUntil { until } = self.status {
-            if now >= until {
-                self.status = Status::Ready;
-            }
-        }
-        if self.status != Status::Ready {
-            return;
-        }
-
-        // Mid mem-spin: the pending resolve/branch phase retires the
-        // back-branch and completes the iteration.
-        if self.rp_phase_b {
-            if let Some(TraceOp::MemSpin { pc, .. }) = trace.ops.get(self.rp_op) {
-                self.retired += 1;
-                self.pc = *pc as usize;
-                self.rp_phase_b = false;
-                self.rp_spin = self.rp_spin.saturating_sub(1);
-                if self.rp_spin == 0 {
-                    self.advance_op(trace);
-                }
-                return;
-            }
-            self.rp_phase_b = false;
-        }
-        let Some(op) = trace.ops.get(self.rp_op) else {
-            // Ran off the end without a halt op (hand-built trace):
-            // treat as halted rather than livelocking the machine.
-            self.status = Status::Halted;
-            return;
-        };
-        match op {
-            TraceOp::GlineSpin { pc, .. } => {
-                // One full iteration (barr + taken branch) per cycle.
-                self.retired += 2;
-                self.pc = *pc as usize;
-                self.rp_spin = self.rp_spin.saturating_sub(1);
-                if self.rp_spin == 0 {
-                    self.advance_op(trace);
-                }
-            }
-            TraceOp::MemSpin {
-                pc,
-                addr,
-                iter_retires,
-                ..
-            } => {
-                // Issue phase: the probing load goes to the hierarchy;
-                // the resolve phase runs when it answers (next cycle on
-                // the L1 hit every recorded iteration was).
-                mem.request(self.id, CoreReq::Load { addr: *addr });
-                self.status = Status::WaitMem {
-                    rd: Reg::ZERO,
-                    cat: TimeCat::Read,
-                };
-                self.wait_since = now;
-                self.retired += *iter_retires as u64 - 1;
-                self.pc = *pc as usize + *iter_retires as usize - 1;
-                self.rp_phase_b = true;
-            }
-            TraceOp::Step(s) => {
-                self.retired += s.retires as u64;
-                if let Some(r) = s.region {
-                    self.region = r;
-                }
-                for &(ctx, v) in &s.bar_writes {
-                    self.gl_barriers += 1;
-                    gline.write_bar_reg(self.id, ctx as usize, v);
-                }
-                match s.effect {
-                    Effect::None => {}
-                    Effect::Load { addr } => {
-                        mem.request(self.id, CoreReq::Load { addr });
-                        self.status = Status::WaitMem {
-                            rd: Reg::ZERO,
-                            cat: TimeCat::Read,
-                        };
-                        self.wait_since = now;
-                    }
-                    Effect::Store { addr, value } => {
-                        mem.request(self.id, CoreReq::Store { addr, value });
-                        self.status = Status::WaitMem {
-                            rd: Reg::ZERO,
-                            cat: TimeCat::Write,
-                        };
-                        self.wait_since = now;
-                    }
-                    Effect::Amo { addr, op, operand } => {
-                        mem.request(self.id, CoreReq::Amo { addr, op, operand });
-                        self.status = Status::WaitMem {
-                            rd: Reg::ZERO,
-                            cat: TimeCat::Write,
-                        };
-                        self.wait_since = now;
-                    }
-                    Effect::Busy { cycles } => {
-                        self.status = Status::BusyUntil {
-                            until: now + cycles as u64,
-                        };
-                    }
-                    Effect::Halt => {
-                        self.status = Status::Halted;
-                    }
-                }
-                self.advance_op(trace);
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Fast-forward support (quiescence-aware cycle skipping).
     //
     // The skip scheduler may only jump over cycles whose effects it can
@@ -761,76 +492,6 @@ impl Core {
     // blocks skipping.
     // ------------------------------------------------------------------
 
-    /// Replay-mode spin plan with the core `Ready` at a compressed
-    /// spin's loop top; `on_mem` / `on_bar` select which kinds of spin
-    /// the caller can use (see [`park_spin`](Self::park_spin)).
-    fn replay_spin_a<M: CoreMem>(
-        &self,
-        trace: &CoreTrace,
-        mem: &M,
-        on_mem: bool,
-        on_bar: bool,
-    ) -> Option<SpinPlan> {
-        if self.rp_spin == 0 || self.rp_phase_b {
-            return None;
-        }
-        match trace.ops.get(self.rp_op)? {
-            TraceOp::GlineSpin { pc, .. } if on_bar => Some(SpinPlan {
-                top: *pc as usize,
-                kind: SpinKind::RGline { left: self.rp_spin },
-            }),
-            TraceOp::MemSpin {
-                pc,
-                addr,
-                iter_retires,
-                ..
-            } if on_mem => {
-                // Future iterations must hit in the L1, exactly as the
-                // recorded ones did.
-                mem.spin_probe_load(self.id, *addr)?;
-                Some(SpinPlan {
-                    top: *pc as usize,
-                    kind: SpinKind::RMem {
-                        addr: *addr,
-                        iter_retires: *iter_retires as u64,
-                        phase_b: false,
-                        left: self.rp_spin,
-                    },
-                })
-            }
-            _ => None,
-        }
-    }
-
-    /// Replay-mode spin plan captured mid-iteration: the core is in
-    /// `WaitMem` on a compressed mem-spin's probing load, with the
-    /// response pending.
-    fn replay_spin_b<M: CoreMem>(&self, trace: &CoreTrace, mem: &M) -> Option<SpinPlan> {
-        if !self.rp_phase_b || self.rp_spin == 0 || mem.l1_busy(self.id) {
-            return None;
-        }
-        let TraceOp::MemSpin {
-            pc,
-            addr,
-            iter_retires,
-            ..
-        } = trace.ops.get(self.rp_op)?
-        else {
-            return None;
-        };
-        mem.peek_resp_load(self.id)?;
-        mem.spin_line_value(self.id, *addr)?;
-        Some(SpinPlan {
-            top: *pc as usize,
-            kind: SpinKind::RMem {
-                addr: *addr,
-                iter_retires: *iter_retires as u64,
-                phase_b: true,
-                left: self.rp_spin,
-            },
-        })
-    }
-
     /// The per-tick park decision of the active-set scheduler: is this
     /// core inside a spin it can be parked on? `on_mem` admits the
     /// memory-probing shapes (the caller sees no delivery inbound for
@@ -838,33 +499,26 @@ impl Core {
     /// release can land this cycle); a spin whose wake trigger may fire
     /// this cycle is not worth matching. One fetch decides which
     /// matcher, if any, runs.
-    pub(crate) fn park_spin<B: BarrierHw + ?Sized, M: CoreMem>(
+    pub(crate) fn park_spin<B: BarrierHw + ?Sized, S: TraceSink>(
         &self,
-        prog: &CoreProg,
-        mem: &M,
+        prog: &Program,
+        mem: &MemorySystem<S>,
         gline: &B,
         now: Cycle,
         on_mem: bool,
         on_bar: bool,
     ) -> Option<SpinPlan> {
         let resolves_now = || mem.resp_ready_at(self.id).is_some_and(|r| r <= now);
-        match (prog, self.status) {
-            (CoreProg::Exec(p), Status::Ready) => match p.fetch(self.pc)? {
-                Inst::Ld { .. } | Inst::Li { .. } if on_mem => self.match_phase_a_mem(p, mem),
-                Inst::BarRead { .. } if on_bar => self.match_phase_a_bar(p, gline),
+        match self.status {
+            Status::Ready => match prog.fetch(self.pc)? {
+                Inst::Ld { .. } | Inst::Li { .. } if on_mem => self.match_phase_a_mem(prog, mem),
+                Inst::BarRead { .. } if on_bar => self.match_phase_a_bar(prog, gline),
                 _ => None,
             },
-            (CoreProg::Replay(t), Status::Ready) => self.replay_spin_a(t, mem, on_mem, on_bar),
-            (
-                _,
-                Status::WaitMem {
-                    rd,
-                    cat: TimeCat::Read,
-                },
-            ) if on_mem && resolves_now() => match prog {
-                CoreProg::Exec(p) => self.match_phase_b(p, mem, rd),
-                CoreProg::Replay(t) => self.replay_spin_b(t, mem),
-            },
+            Status::WaitMem {
+                rd,
+                cat: TimeCat::Read,
+            } if on_mem && resolves_now() => self.match_phase_b(prog, mem, rd),
             _ => None,
         }
     }
@@ -914,7 +568,11 @@ impl Core {
 
     /// Recognizes a memory-probing spin with the core `Ready` at the
     /// loop top: flag-wait loops whose every iteration hits in the L1.
-    fn match_phase_a_mem<M: CoreMem>(&self, prog: &Program, mem: &M) -> Option<SpinPlan> {
+    fn match_phase_a_mem<S: TraceSink>(
+        &self,
+        prog: &Program,
+        mem: &MemorySystem<S>,
+    ) -> Option<SpinPlan> {
         let top = self.pc;
         match prog.fetch(top)? {
             // `top: ld rd, off(ra) ; b<cond> …, top` — two cycles per
@@ -1018,7 +676,12 @@ impl Core {
     /// `WaitMem` with a load response pending, `pc` points at the loop's
     /// back-branch, and the branch (with the pending value) jumps back to
     /// a loop body this core would keep spinning in.
-    fn match_phase_b<M: CoreMem>(&self, prog: &Program, mem: &M, rd: Reg) -> Option<SpinPlan> {
+    fn match_phase_b<S: TraceSink>(
+        &self,
+        prog: &Program,
+        mem: &MemorySystem<S>,
+        rd: Reg,
+    ) -> Option<SpinPlan> {
         if mem.l1_busy(self.id) {
             return None;
         }
@@ -1102,7 +765,7 @@ impl Core {
     /// wake-up (via [`ff_stall`](Self::ff_stall)), which is
     /// bit-identical because the status — and with it the charged
     /// category — cannot change while the core is parked.
-    pub(crate) fn park_until<M: CoreMem>(&self, mem: &M) -> Option<Cycle> {
+    pub(crate) fn park_until<S: TraceSink>(&self, mem: &MemorySystem<S>) -> Option<Cycle> {
         match self.status {
             Status::BusyUntil { until } => Some(until),
             Status::WaitMem { .. } => mem.resp_ready_at(self.id),
@@ -1117,7 +780,7 @@ impl Core {
     /// because only a delivery can install the response (or service a
     /// deferred coherence message) — so the active-set scheduler parks
     /// the core on the delivery trigger instead of a wake cycle.
-    pub(crate) fn waiting_on_unscheduled_resp<M: CoreMem>(&self, mem: &M) -> bool {
+    pub(crate) fn waiting_on_unscheduled_resp<S: TraceSink>(&self, mem: &MemorySystem<S>) -> bool {
         matches!(self.status, Status::WaitMem { .. }) && mem.resp_ready_at(self.id).is_none()
     }
 
@@ -1140,12 +803,12 @@ impl Core {
     /// state `k` normal `step`s would have produced.
     /// Callers guarantee the run is untraced (a traced run never parks
     /// a spinner, the only route here).
-    pub fn ff_replay<M: CoreMem>(
+    pub fn ff_replay<S: TraceSink>(
         &mut self,
         plan: SpinPlan,
         target: Cycle,
         now: Cycle,
-        mem: &mut M,
+        mem: &mut MemorySystem<S>,
     ) {
         let k = target - now;
         // A spin park may be woken by an L1 delivery after a single
@@ -1221,78 +884,6 @@ impl Core {
                     mem.spin_replay(self.id, addr, a_cycles, None);
                 }
             }
-            SpinKind::RGline { left } => {
-                // Replay-mode G-line spin: one compressed iteration per
-                // cycle, no registers to update — the trace's exit step
-                // carries everything the machine observes afterwards.
-                debug_assert_eq!(self.pc, plan.top);
-                debug_assert!(k <= left, "skip past a replay spin's budget");
-                let _ = left;
-                self.breakdown.add(self.category(), k);
-                self.retired += 2 * k;
-                self.rp_spin = self.rp_spin.saturating_sub(k);
-                if self.rp_spin == 0 {
-                    // `CoreTrace::validate` guarantees the op after a
-                    // spin is a plain `Step` at this same pc, so the
-                    // cursor can advance without the trace in hand.
-                    self.rp_op += 1;
-                }
-            }
-            SpinKind::RMem {
-                addr,
-                iter_retires,
-                phase_b,
-                left,
-            } => {
-                // Same phase alternation as the exec-mode `Mem` arm,
-                // with the iteration budget bounding the skip instead
-                // of a frozen register value.
-                let (a_cycles, b_cycles) = if phase_b {
-                    (k / 2, k.div_ceil(2))
-                } else {
-                    (k.div_ceil(2), k / 2)
-                };
-                let ends_waiting = if phase_b {
-                    k.is_multiple_of(2)
-                } else {
-                    !k.is_multiple_of(2)
-                };
-                debug_assert!(b_cycles <= left, "skip past a replay spin's budget");
-                let _ = left;
-                let cat_a = region_cat(self.region);
-                let cat_b = match self.region {
-                    Region::Normal => TimeCat::Read,
-                    r => region_cat(r),
-                };
-                self.breakdown.add(cat_a, a_cycles);
-                self.breakdown.add(cat_b, b_cycles);
-                self.retired += a_cycles * (iter_retires - 1) + b_cycles;
-                if phase_b {
-                    let _ = mem.take_resp_for_replay(self.id);
-                }
-                self.rp_spin = self.rp_spin.saturating_sub(b_cycles);
-                if ends_waiting {
-                    self.status = Status::WaitMem {
-                        rd: Reg::ZERO,
-                        cat: TimeCat::Read,
-                    };
-                    self.wait_since = target - 1;
-                    self.pc = plan.top + iter_retires as usize - 1;
-                    self.rp_phase_b = true;
-                    mem.spin_replay(self.id, addr, a_cycles, Some(target));
-                } else {
-                    self.status = Status::Ready;
-                    if a_cycles > 0 {
-                        self.wait_since = target - 2;
-                    }
-                    self.pc = plan.top;
-                    self.rp_phase_b = false;
-                    mem.spin_replay(self.id, addr, a_cycles, None);
-                    if self.rp_spin == 0 {
-                        self.rp_op += 1;
-                    }
-                }
-            }
         }
     }
 
@@ -1314,13 +905,8 @@ impl Core {
                 phase_b,
                 ..
             } => (iter_retires, phase_b),
-            SpinKind::RMem {
-                iter_retires,
-                phase_b,
-                ..
-            } => (iter_retires, phase_b),
             // One `barr` + taken branch per cycle, no memory access.
-            SpinKind::Gline { .. } | SpinKind::RGline { .. } => {
+            SpinKind::Gline { .. } => {
                 let cat = self.category();
                 return (cat, k, cat, 0, 2 * k, 0);
             }
@@ -1362,7 +948,7 @@ mod tests {
     }
 
     fn run_one(src: &str, max: u64) -> (Core, MemorySystem) {
-        let prog = CoreProg::Exec(assemble(src).unwrap());
+        let prog = assemble(src).unwrap();
         let (mut mem, mut gl) = machine();
         let mut core = Core::new(CoreId(0), 2);
         let tracer = Tracer::default();
@@ -1451,9 +1037,8 @@ mod tests {
         let cfg = CmpConfig::icpp2010_with_cores(1);
         let mut mem = MemorySystem::new(&cfg);
         let mut gl = gline_core::BarrierNetwork::new(cfg.mesh, GlineConfig::default());
-        let prog = CoreProg::Exec(
-            assemble(
-                "
+        let prog = assemble(
+            "
             region barrier
             li r1, 1
             barw r1
@@ -1462,9 +1047,8 @@ mod tests {
             region normal
             halt
             ",
-            )
-            .unwrap(),
-        );
+        )
+        .unwrap();
         let mut core = Core::new(CoreId(0), 2);
         let tracer = Tracer::default();
         let mut now = 0;

@@ -20,14 +20,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod core;
-pub mod replay;
 pub mod runtime;
 mod sched;
 pub mod stats;
 pub mod system;
 
 pub use crate::core::{Core, Fault};
-pub use replay::CoreProg;
 pub use runtime::BarrierKind;
 pub use stats::SystemReport;
 pub use system::{CoreSchedStats, SkipStats, System};

@@ -4,12 +4,12 @@
 //! when none can (`DESIGN.md` §9, §10).
 
 use crate::core::{Core, SpinPlan};
-use crate::replay::{CoreProg, CoreRec};
 use crate::system::CoreSchedStats;
 use gline_core::BarrierHw;
 use sim_base::trace::{TraceSink, Tracer};
 use sim_base::Cycle;
-use sim_mem::CoreMem;
+use sim_isa::Program;
+use sim_mem::MemorySystem;
 
 /// One core's park state under active-set scheduling. A parked core's
 /// steps are elided and settled in closed form at wake-up;
@@ -43,14 +43,12 @@ pub(crate) enum Park {
 }
 
 impl Park {
-    /// The cycle at which the park ends by itself, whatever its wake
-    /// trigger does: a stall's wake, or the cycle a replay-mode spin
-    /// has used up its recorded iteration budget.
+    /// The cycle at which the park ends by itself: a stall's wake. The
+    /// other parks end only on their wake triggers.
     pub(crate) fn wake_at(&self) -> Option<Cycle> {
         match *self {
-            Park::None | Park::Miss { .. } => None,
             Park::Stall { wake, .. } => Some(wake),
-            Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => plan.max_target(anchor),
+            _ => None,
         }
     }
 
@@ -58,13 +56,12 @@ impl Park {
     /// for a core in this state — the membership predicate of the
     /// sparse tick's visit set (a halted core is never visited).
     pub(crate) fn visits(&self, halted: bool, delivery: bool, release: bool, now: Cycle) -> bool {
-        let triggered = match *self {
+        match *self {
             Park::None => !halted,
-            Park::Stall { .. } => false,
+            Park::Stall { wake, .. } => now >= wake,
             Park::Spin { .. } | Park::Miss { .. } => delivery,
             Park::Bar { .. } => release,
-        };
-        triggered || self.wake_at().is_some_and(|t| now >= t)
+        }
     }
 }
 
@@ -88,25 +85,21 @@ impl std::fmt::Display for Park {
 /// `delivery` must be the tile's exact delivery predicate for `now`: a
 /// protocol message reaches the tile this cycle iff it is true.
 /// `release` must be true unless no `bar_reg` can clear in this cycle's
-/// barrier-network tick. `rec` is the core's trace recorder when the
-/// run is being recorded: it watches the step, if one runs, and is told
-/// of every spin span settled in closed form — the only elided cycles
-/// that retire anything. Returns whether the core is still live
+/// barrier-network tick. Returns whether the core is still live
 /// (neither parked nor halted).
 #[inline]
-#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates, counters and recorder
-pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
+#[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates and counters
+pub(crate) fn step_core<G: BarrierHw + ?Sized, S: TraceSink>(
     core: &mut Core,
-    prog: &CoreProg,
+    prog: &Program,
     park: &mut Park,
-    mem: &mut M,
+    mem: &mut MemorySystem<S>,
     gline: &mut G,
     delivery: bool,
     release: bool,
     now: Cycle,
     tracer: &Tracer<S>,
     sched: &mut CoreSchedStats,
-    mut rec: Option<&mut CoreRec>,
 ) -> bool {
     match *park {
         Park::None => {}
@@ -123,7 +116,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
             // reaches this tile, and deliveries for this cycle were
             // queued by the previous cycle's NoC tick — so the check is
             // exact and runs one cycle ahead of the mutation.
-            if !delivery && !plan.expired(anchor, now) {
+            if !delivery {
                 sched.spin_parked_steps += 1;
                 return false;
             }
@@ -131,7 +124,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
             // as it would have in a dense run): replay the elided span
             // against the still-frozen line, then step this cycle live.
             *park = Park::None;
-            settle_spin(core, prog, plan, now, anchor, mem, rec.as_deref_mut());
+            core.ff_replay(plan, now, anchor, mem);
         }
         Park::Miss { anchor } => {
             if !delivery {
@@ -146,12 +139,12 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         Park::Bar { plan, anchor } => {
             // Only the core itself (parked) and a release (ruled out
             // for this cycle's network tick) write its `bar_reg`.
-            if !release && !plan.expired(anchor, now) {
+            if !release {
                 sched.spin_parked_steps += 1;
                 return false;
             }
             *park = Park::None;
-            settle_spin(core, prog, plan, now, anchor, mem, rec.as_deref_mut());
+            core.ff_replay(plan, now, anchor, mem);
         }
     }
     if core.halted() {
@@ -180,7 +173,7 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
         }
     }
     sched.core_steps += 1;
-    step_observed(core, prog, mem, gline, now, tracer, rec);
+    core.step(prog, mem, gline, now, tracer);
     // Park the core if its next state change is provably more than one
     // cycle out; its skipped steps are pure stall charges, applied at
     // wake-up.
@@ -196,47 +189,11 @@ pub(crate) fn step_core<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
     !core.halted()
 }
 
-/// [`Core::step`], watched by the core's trace recorder if there is one.
-#[inline]
-pub(crate) fn step_observed<M: CoreMem, G: BarrierHw + ?Sized, S: TraceSink>(
-    core: &mut Core,
-    prog: &CoreProg,
-    mem: &mut M,
-    gline: &mut G,
-    now: Cycle,
-    tracer: &Tracer<S>,
-    rec: Option<&mut CoreRec>,
-) {
-    match rec {
-        None => core.step(prog, mem, gline, now, tracer),
-        Some(rec) => rec.step(core, prog, mem, gline, now, tracer),
-    }
-}
-
-/// Settles the span `[anchor, target)` a core spent in `plan`'s spin
-/// loop without being stepped — [`Core::ff_replay`], with the same span
-/// folded into the core's trace recorder if there is one.
-#[inline]
-pub(crate) fn settle_spin<M: CoreMem>(
-    core: &mut Core,
-    prog: &CoreProg,
-    plan: SpinPlan,
-    target: Cycle,
-    anchor: Cycle,
-    mem: &mut M,
-    rec: Option<&mut CoreRec>,
-) {
-    if let Some(rec) = rec {
-        rec.fold_spin(prog, &plan, target - anchor);
-    }
-    core.ff_replay(plan, target, anchor, mem);
-}
-
 /// The wake index: one bit per core in exactly one of five sets — or in
 /// none once it has halted — mirroring the park array, which stays the
 /// single source of truth. The sparse tick reads it to visit
 /// only `live | ((spin | miss) & delivery_tiles) | (bar if a release
-/// may land)` plus the timed parks that are due, and counts everyone
+/// may land)` plus the stalls that are due, and counts everyone
 /// else's elided steps by popcount; `advance` reads it to
 /// see that nobody is live and how far the clock may jump.
 ///
@@ -256,9 +213,9 @@ pub(crate) struct WakeIndex {
     live: usize,
     /// Cores in the `bar` set.
     bar: usize,
-    /// Lower bound on the earliest [`Park::wake_at`] of any park: no
-    /// timed park is due while `now < next_wake`, so those ticks never
-    /// look at the timed sets' members.
+    /// Lower bound on the earliest stall wake: no stall is due while
+    /// `now < next_wake`, so those ticks never look at the stall set's
+    /// members.
     next_wake: Cycle,
     fresh: bool,
 }
@@ -272,10 +229,6 @@ pub(crate) struct IndexWord {
     pub(crate) spin: u64,
     pub(crate) miss: u64,
     pub(crate) bar: u64,
-    /// The parks that have a [`Park::wake_at`]: every member of
-    /// `stall`, and the members of `spin | bar` whose plan carries a
-    /// replay iteration budget.
-    timed: u64,
 }
 
 impl IndexWord {
@@ -321,7 +274,7 @@ impl WakeIndex {
         self.bar != 0
     }
 
-    /// Lower bound on the first cycle a timed park is due.
+    /// Lower bound on the first cycle a stall is due.
     pub(crate) fn next_wake(&self) -> Cycle {
         self.next_wake
     }
@@ -358,7 +311,6 @@ impl WakeIndex {
             &mut word.spin,
             &mut word.miss,
             &mut word.bar,
-            &mut word.timed,
         ] {
             *set &= !bit;
         }
@@ -368,17 +320,16 @@ impl WakeIndex {
                 word.live |= bit;
                 self.live += 1;
             }
-            Park::Stall { .. } => word.stall |= bit,
+            Park::Stall { wake, .. } => {
+                word.stall |= bit;
+                self.next_wake = self.next_wake.min(wake);
+            }
             Park::Spin { .. } => word.spin |= bit,
             Park::Miss { .. } => word.miss |= bit,
             Park::Bar { .. } => {
                 word.bar |= bit;
                 self.bar += 1;
             }
-        }
-        if let Some(wake) = park.wake_at() {
-            word.timed |= bit;
-            self.next_wake = self.next_wake.min(wake);
         }
         self.members += 1;
     }
@@ -396,8 +347,8 @@ impl WakeIndex {
         self.fresh = true;
     }
 
-    /// Opens a tick: true when a timed park may be due at `now`, in
-    /// which case the caller must run [`due_wakes`](Self::due_wakes)
+    /// Opens a tick: true when a stall may be due at `now`, in which
+    /// case the caller must run [`due_wakes`](Self::due_wakes)
     /// over every word this tick (`next_wake` is re-derived from it).
     pub(crate) fn begin_wake_scan(&mut self, now: Cycle) -> bool {
         let scan = now >= self.next_wake;
@@ -407,18 +358,18 @@ impl WakeIndex {
         scan
     }
 
-    /// The timed parks of word `w` that are due at `now`, as a bit
-    /// mask; the wakes of the others are folded into `next_wake`.
+    /// The stalls of word `w` that are due at `now`, as a bit mask; the
+    /// wakes of the others are folded into `next_wake`.
     pub(crate) fn due_wakes(&mut self, w: usize, parks: &[Park], now: Cycle) -> u64 {
         let mut due = 0;
-        let mut bits = self.words[w].timed;
+        let mut bits = self.words[w].stall;
         while bits != 0 {
             let b = bits.trailing_zeros();
             bits &= bits - 1;
             match parks[w * 64 + b as usize].wake_at() {
                 Some(wake) if wake <= now => due |= 1 << b,
                 Some(wake) => self.next_wake = self.next_wake.min(wake),
-                None => unreachable!("timed bit set for a park that has no wake cycle"),
+                None => unreachable!("stall bit set for a park that is not a stall"),
             }
         }
         due
@@ -426,7 +377,8 @@ impl WakeIndex {
 
     /// True when every bit agrees with the park array and `halted()`,
     /// `members`, `live` and `bar` count the cores in a set, in the
-    /// live one and in the `bar` one, and `next_wake` bounds every timed park's wake from below.
+    /// live one and in the `bar` one, and `next_wake` bounds every
+    /// stall's wake from below.
     pub(crate) fn is_consistent(&self, cores: &[Core], parks: &[Park]) -> bool {
         let bits_agree = cores
             .iter()
@@ -443,10 +395,7 @@ impl WakeIndex {
                     Park::Miss { .. } => [false, false, false, true, false],
                     Park::Bar { .. } => [false, false, false, false, true],
                 };
-                let timed = park.wake_at();
-                got == want
-                    && (word.timed & bit != 0) == timed.is_some()
-                    && timed.is_none_or(|wake| wake >= self.next_wake)
+                got == want && park.wake_at().is_none_or(|wake| wake >= self.next_wake)
             });
         let count = |set: fn(&IndexWord) -> u64| -> usize {
             self.words

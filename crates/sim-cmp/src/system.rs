@@ -1,8 +1,7 @@
 //! The assembled machine.
 
 use crate::core::{Core, Fault};
-use crate::replay::{CoreProg, Recorder};
-use crate::sched::{settle_spin, step_core, step_observed, Park, WakeIndex};
+use crate::sched::{step_core, Park, WakeIndex};
 use crate::stats::SystemReport;
 use gline_core::{BarrierHw, GlineHw};
 use sim_base::config::CmpConfig;
@@ -28,7 +27,7 @@ use sim_trace::{CoreTrace, TraceSet};
 pub struct System<B: BarrierHw = GlineHw, S: TraceSink = NullSink> {
     cfg: CmpConfig,
     cores: Vec<Core>,
-    progs: Vec<CoreProg>,
+    progs: Vec<Program>,
     mem: MemorySystem<S>,
     gline: B,
     tracer: Tracer<S>,
@@ -48,10 +47,6 @@ pub struct System<B: BarrierHw = GlineHw, S: TraceSink = NullSink> {
     index: WakeIndex,
     /// Core-scheduler occupancy counters (diagnostics only).
     sched: CoreSchedStats,
-    /// The trace recorder, installed for the length of a
-    /// [`run_recorded`](Self::run_recorded): consulted wherever a core
-    /// steps and wherever a spin span is settled in closed form.
-    recorder: Option<Recorder>,
     /// The first program fault (lowest core of the first faulting
     /// cycle); every run entry point stops on it.
     fault: Option<Fault>,
@@ -119,27 +114,21 @@ impl<B: BarrierHw> System<B> {
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
     pub fn with_barrier_hw(cfg: CmpConfig, progs: Vec<Program>, hw: B) -> System<B> {
-        let progs = progs.into_iter().map(CoreProg::Exec).collect();
         System::assemble(cfg, progs, hw, Tracer::default())
     }
 }
 
 impl<B: BarrierHw, S: TraceSink> System<B, S> {
-    fn assemble(cfg: CmpConfig, progs: Vec<CoreProg>, hw: B, tracer: Tracer<S>) -> System<B, S> {
+    fn assemble(cfg: CmpConfig, progs: Vec<Program>, hw: B, tracer: Tracer<S>) -> System<B, S> {
         assert_eq!(progs.len(), cfg.num_cores(), "one program per core");
         assert_eq!(
             hw.num_cores(),
             cfg.num_cores(),
             "barrier hardware core count mismatch"
         );
-        let mut cores: Vec<Core> = (0..cfg.num_cores())
+        let cores = (0..cfg.num_cores())
             .map(|i| Core::new(CoreId::from(i), cfg.core.issue_width))
             .collect();
-        for (core, prog) in cores.iter_mut().zip(&progs) {
-            if let CoreProg::Replay(t) = prog {
-                core.prime_replay(t);
-            }
-        }
         System {
             cfg,
             cores,
@@ -153,7 +142,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             parks: vec![Park::None; cfg.num_cores()],
             index: WakeIndex::new(cfg.num_cores()),
             sched: CoreSchedStats::default(),
-            recorder: None,
             fault: None,
         }
     }
@@ -174,15 +162,20 @@ impl System {
         System::new(cfg, progs)
     }
 
-    /// Builds a replay-mode machine: every core is driven by its
-    /// recorded trace from `set` (see [`Self::run_recorded`]), and the
-    /// initial memory image is `set.pokes`.
+    /// Builds the machine a recorded image describes: [`System::new`]
+    /// on its programs, with its pokes applied. Its one reason to exist
+    /// is the `trace_replay` workload of `benchmark/src/sut.rs`; it goes
+    /// with that workload.
     ///
     /// # Panics
-    /// Panics unless `set` holds one valid trace per core (see
-    /// [`sim_trace::CoreTrace::validate`]) and the core counts agree.
+    /// Panics unless `set` holds one program per core.
     pub fn replay(cfg: CmpConfig, set: &TraceSet) -> System {
-        System::replay_traced(cfg, set, Tracer::default())
+        let progs = set.cores.iter().map(|t| t.prog.clone()).collect();
+        let mut sys = System::new(cfg, progs);
+        for &(addr, value) in &set.pokes {
+            sys.poke_word(addr, value);
+        }
+        sys
     }
 }
 
@@ -195,32 +188,7 @@ impl<S: TraceSink> System<GlineHw<S>, S> {
     /// Panics unless `progs.len() == cfg.num_cores()`.
     pub fn traced(cfg: CmpConfig, progs: Vec<Program>, tracer: Tracer<S>) -> System<GlineHw<S>, S> {
         let hw = GlineHw::traced(&cfg, tracer.clone());
-        let progs = progs.into_iter().map(CoreProg::Exec).collect();
         System::assemble(cfg, progs, hw, tracer)
-    }
-
-    /// Replay-mode [`traced`](Self::traced): every layer emits into
-    /// `tracer` while the cores are driven by recorded traces.
-    ///
-    /// # Panics
-    /// Panics unless `set` holds one valid trace per core and the core
-    /// counts agree.
-    pub fn replay_traced(
-        cfg: CmpConfig,
-        set: &TraceSet,
-        tracer: Tracer<S>,
-    ) -> System<GlineHw<S>, S> {
-        for t in &set.cores {
-            t.validate()
-                .unwrap_or_else(|e| panic!("core {}: invalid trace: {e}", t.core));
-        }
-        let hw = GlineHw::traced(&cfg, tracer.clone());
-        let progs = set.cores.iter().cloned().map(CoreProg::Replay).collect();
-        let mut sys = System::assemble(cfg, progs, hw, tracer);
-        for &(addr, value) in &set.pokes {
-            sys.mem.poke_word(addr, value);
-        }
-        sys
     }
 }
 
@@ -275,20 +243,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             // Turning active sets off flushed the parks, which left the
             // index stale; it stays so while cores halt behind its back.
             debug_assert!(!self.index.is_fresh());
-            for (i, (core, prog)) in self.cores.iter_mut().zip(&self.progs).enumerate() {
+            for (core, prog) in self.cores.iter_mut().zip(&self.progs) {
                 if !core.halted() {
                     self.sched.core_steps += 1;
                 }
-                let rec = self.recorder.as_mut().map(|r| r.core(i));
-                step_observed(
-                    core,
-                    prog,
-                    &mut self.mem,
-                    &mut self.gline,
-                    now,
-                    &self.tracer,
-                    rec,
-                );
+                core.step(prog, &mut self.mem, &mut self.gline, now, &self.tracer);
                 if let Some(f) = core.fault() {
                     self.fault.get_or_insert(f);
                 }
@@ -355,7 +314,6 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                     now,
                     &self.tracer,
                     &mut self.sched,
-                    self.recorder.as_mut().map(|r| r.core(i)),
                 );
                 // A core that was live and still is keeps its bit.
                 if !(live && set.live & bit != 0) {
@@ -389,23 +347,14 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// dense loop steps every core).
     fn flush_parks(&mut self) {
         self.index.mark_stale();
-        for (i, (core, park)) in self.cores.iter_mut().zip(&mut self.parks).enumerate() {
+        for (core, park) in self.cores.iter_mut().zip(&mut self.parks) {
             match std::mem::take(park) {
                 Park::None => {}
                 Park::Stall { anchor, .. } | Park::Miss { anchor } => {
                     core.ff_stall(self.now - anchor)
                 }
                 Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
-                    let rec = self.recorder.as_mut().map(|r| r.core(i));
-                    settle_spin(
-                        core,
-                        &self.progs[i],
-                        plan,
-                        self.now,
-                        anchor,
-                        &mut self.mem,
-                        rec,
-                    )
+                    core.ff_replay(plan, self.now, anchor, &mut self.mem)
                 }
             }
         }
@@ -462,10 +411,12 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// jump is read off the wake index
     /// ([`jump_target`](Self::jump_target)); the dense
     /// `--no-active-set` tick keeps no index, so it never jumps — it is
-    /// the every-component, every-cycle oracle — and a traced run ticks
-    /// every cycle so no event is elided.
+    /// the every-component, every-cycle oracle. A traced run jumps too:
+    /// a jump spans only cycles in which no core is live and neither the
+    /// memory system nor the barrier network has an event, so no event
+    /// is elided.
     fn advance(&mut self, horizon: Cycle) {
-        if S::ENABLED || !self.active_set_enabled || horizon <= self.now + 1 {
+        if !self.active_set_enabled || horizon <= self.now + 1 {
             self.tick();
         } else if let Some(target) = self.jump_target(horizon) {
             self.jump_to(target);
@@ -477,12 +428,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// The cycle the sparse engine may jump the clock to, or `None`
     /// when this cycle must be ticked. Every core the index does not
     /// hold live is parked on a wake trigger, so the machine is
-    /// quiescent until the earliest of: a timed park's wake (a stall's
-    /// end or a replay spin's budget, lower-bounded by the index), the
-    /// memory system's next event (a pending delivery — the trigger of
-    /// the spin and miss parks — reads as "now"), and the barrier
-    /// network's (it is frozen until a core writes a `bar_reg`, so the
-    /// release predicate holds its value across the span). The index
+    /// quiescent until the earliest of: a stall's wake (lower-bounded by
+    /// the index), the memory system's next event (a pending delivery —
+    /// the trigger of the spin and miss parks — reads as "now"), and the
+    /// barrier network's (it is frozen until a core writes a `bar_reg`,
+    /// so the release predicate holds its value across the span). The index
     /// tests are O(1) (member counts) and so is `mem.next_event()` (the
     /// NoC reads its arrival queues' fronts, the home banks' earliest
     /// timer is cached); the barrier network walks its contexts, so a
@@ -531,7 +481,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// Debug cross-check of a jump, independent of the index: the
     /// per-core visit predicate agrees that nobody steps this cycle;
     /// `target` is no later than the component clocks' next events and
-    /// every timed park's wake, recomputed core by core from the park
+    /// every stall's wake, recomputed core by core from the park
     /// array; and every parked spinner still sits in the spin it was
     /// parked on (re-matched from the machine, not from its park).
     #[cfg(debug_assertions)]
@@ -600,15 +550,14 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// `stall until <cycle>`, `spin` (on a memory flag that no inbound
     /// message can change), `miss` (on an access whose response is
     /// still in flight) or `spin on bar_reg, ctx <n>` (in a barrier
-    /// some member has not reached; a replay-driven core's trace does
-    /// not say which context it reads).
+    /// some member has not reached).
     fn deadlock_error(&self, max_cycles: u64) -> String {
         let stuck: Vec<String> = (0..self.cores.len())
             .filter(|&i| !self.cores[i].halted())
             .map(|i| {
                 let (core, state) = (&self.cores[i], self.wait_state(i));
-                match (state, &self.progs[i]) {
-                    (Park::Bar { .. }, CoreProg::Exec(_)) => {
+                match state {
+                    Park::Bar { .. } => {
                         format!("{:?} ({state}, ctx {})", core.id(), core.bar_ctx())
                     }
                     _ => format!("{:?} ({state})", core.id()),
@@ -654,34 +603,22 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         Ok(self.now - start)
     }
 
-    /// Like [`run`](Self::run), but records every core's executed issue
-    /// groups into a [`CoreTrace`] stream as it goes, returning the
-    /// cycle count and one trace per core. Recording observes the run,
-    /// it does not drive it: the machine advances exactly as
-    /// [`run`](Self::run) would — parking cores and jumping the clock,
-    /// or stepping every core under the dense oracle
-    /// ([`set_active_set_enabled`](Self::set_active_set_enabled)) — and
-    /// the traces are the same either way. A machine
-    /// replaying those traces (see [`System::replay`]) reproduces this
-    /// run's [`SystemReport`], architectural memory and event stream
-    /// bit-identically.
+    /// [`run`](Self::run), returning each core's [`Program`] beside the
+    /// cycle count: the machine's input image, which with the pokes
+    /// applied before the run is all [`System::replay`] needs to repeat
+    /// it. Its one reason to exist is the `trace_replay` workload of
+    /// `benchmark/src/sut.rs`; it goes with that workload.
     ///
     /// # Errors
     /// Same fault and deadlock errors as [`run`](Self::run).
-    ///
-    /// # Panics
-    /// Panics if the machine has already advanced (`now() != 0`) or if
-    /// any core is itself replay-driven.
     pub fn run_recorded(&mut self, max_cycles: u64) -> Result<(Cycle, Vec<CoreTrace>), String> {
-        assert_eq!(self.now, 0, "recording must start from a fresh machine");
-        assert!(
-            !self.progs.iter().any(CoreProg::is_replay),
-            "cannot re-record a replay-mode system"
-        );
-        self.recorder = Some(Recorder::new(self.cores.len()));
-        let outcome = self.run(max_cycles);
-        let rec = self.recorder.take().expect("installed above");
-        outcome.map(|cycles| (cycles, rec.finish()))
+        let cycles = self.run(max_cycles)?;
+        let cores = self.progs.iter().enumerate();
+        let image = cores.map(|(i, prog)| CoreTrace {
+            core: i as u32,
+            prog: prog.clone(),
+        });
+        Ok((cycles, image.collect()))
     }
 
     /// Advances the machine until every core halts or the clock reaches
@@ -1130,73 +1067,6 @@ mod tests {
                      core2 (spin on bar_reg, ctx 1), core3 (spin)"
                 ),
                 "{err}"
-            );
-        }
-    }
-
-    #[test]
-    fn record_then_replay_is_bit_identical() {
-        // In-crate smoke across all three barrier kinds; the exhaustive
-        // workload × engine sweep lives in tests/replay_lockstep.rs.
-        for kind in BarrierKind::ALL {
-            let n = 8;
-            let build = || {
-                let env = BarrierEnv::new(kind, n, 4096);
-                let progs: Vec<Program> = (0..n)
-                    .map(|c| {
-                        let mut b = ProgBuilder::new();
-                        for it in 0..3 {
-                            b.li(Reg(1), (0x4000 + c * 64) as i64)
-                                .li(Reg(2), it as i64 + 1)
-                                .st(Reg(2), 0, Reg(1));
-                            env.emit(&mut b, c);
-                        }
-                        b.halt();
-                        b.build()
-                    })
-                    .collect();
-                System::new(cfg(n), progs)
-            };
-            let mut exec = build();
-            let t0 = exec.run(10_000_000).unwrap();
-            let (rec_cycles, traces) = build().run_recorded(10_000_000).unwrap();
-            assert_eq!(t0, rec_cycles, "{kind:?}: recording run diverged");
-            let set = TraceSet {
-                cores: traces,
-                pokes: vec![],
-                workload: format!("{kind:?}"),
-            };
-            let mut rp = System::replay(cfg(n), &set);
-            let t1 = rp.run(10_000_000).unwrap();
-            assert_eq!(t0, t1, "{kind:?}: replay cycle count diverged");
-            assert_eq!(exec.report(), rp.report(), "{kind:?}: reports diverged");
-            for c in 0..n as u64 {
-                assert_eq!(
-                    exec.peek_word(0x4000 + c * 64),
-                    rp.peek_word(0x4000 + c * 64),
-                    "{kind:?}: memory diverged at core {c}'s slot"
-                );
-            }
-            // Compressed spins must actually appear (the traces would be
-            // huge otherwise) and replay must also hold on the dense
-            // oracle.
-            let compressed = set.cores.iter().any(|t| {
-                t.ops.iter().any(|op| {
-                    matches!(
-                        op,
-                        sim_trace::TraceOp::GlineSpin { .. } | sim_trace::TraceOp::MemSpin { .. }
-                    )
-                })
-            });
-            assert!(compressed, "{kind:?}: no spin was run-length compressed");
-            let mut dense = System::replay(cfg(n), &set);
-            dense.set_active_set_enabled(false);
-            let t2 = dense.run(10_000_000).unwrap();
-            assert_eq!(t0, t2, "{kind:?}: dense replay diverged");
-            assert_eq!(
-                exec.report(),
-                dense.report(),
-                "{kind:?}: dense replay report"
             );
         }
     }

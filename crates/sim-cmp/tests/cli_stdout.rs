@@ -86,12 +86,17 @@ fn json_with_sched_stats_keeps_stdout_pure() {
     );
 }
 
-/// The multi-worker engine and the never-jumping sparse tick are gone
-/// and so are their flags: asking for either is a usage error, not a
-/// silently default run.
+/// The multi-worker engine, the never-jumping sparse tick and the
+/// trace-driven engine are gone and so are their flags: asking for any
+/// of them is a usage error, not a silently default run.
 #[test]
-fn removed_worker_flag_is_an_unknown_option() {
-    for removed in [&["--workers", "4"][..], &["--no-skip"]] {
+fn removed_engine_flags_are_unknown_options() {
+    for removed in [
+        &["--workers", "4"][..],
+        &["--no-skip"],
+        &["--record-trace", "traces"],
+        &["--replay", "traces"],
+    ] {
         let mut args = vec!["--cores", "8", "--json"];
         args.extend(removed);
         let out = simcmp(&args);
@@ -115,6 +120,29 @@ fn out_of_range_cores_and_progress_are_named_usage_errors() {
         assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{flag} {value}: {stderr}");
     }
+}
+
+/// Memory is word-addressed: a `--poke` or `--peek` address off an
+/// 8-byte boundary used to reach the memory system's `unaligned poke` /
+/// `unaligned peek` assertions (after printing the report, for a peek).
+/// Each is a usage error naming the flag and the address, before any
+/// run.
+#[test]
+fn unaligned_poke_and_peek_are_named_usage_errors() {
+    for (args, named) in [
+        (&["--poke", "0x7=1"][..], "--poke address 0x7"),
+        (&["--peek", "0x7"], "--peek address 0x7"),
+        (&["--peek", "12"], "--peek address 12"),
+    ] {
+        let out = simcmp(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: a report was printed");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let (stdout, _) = run(&["--poke", "0x9008=5", "--peek", "0x9008"]);
+    assert_eq!(stdout, "[0x9008] = 5\n");
 }
 
 /// A `--config` file is the whole machine: its mesh sets the core

@@ -45,10 +45,8 @@
 pub mod cache;
 pub mod home;
 pub mod l1;
-pub mod lane;
 pub mod proto;
 pub mod system;
 
-pub use lane::CoreMem;
 pub use proto::{CoreReq, CoreResp, ProtoMsg};
 pub use system::{MemSchedStats, MemorySystem};

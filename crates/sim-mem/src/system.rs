@@ -3,7 +3,6 @@
 
 use crate::home::{DirState, HomeCtrl, HomeStats, Memory};
 use crate::l1::{L1Ctrl, L1Stats, OutMsg};
-use crate::lane::CoreMem;
 use crate::proto::{CoreReq, CoreResp, ProtoMsg};
 use sim_base::active::ActiveSet;
 use sim_base::config::CmpConfig;
@@ -457,39 +456,6 @@ impl<S: TraceSink> MemorySystem<S> {
             return data[w];
         }
         self.mems[home].get(&line).map_or(0, |d| d[w])
-    }
-}
-
-/// Cores are driven straight against the whole memory system; every
-/// operation forwards to the inherent method of the same name
-/// (requests flush to the NoC immediately).
-impl<S: TraceSink> CoreMem for MemorySystem<S> {
-    fn request(&mut self, core: CoreId, req: CoreReq) {
-        MemorySystem::request(self, core, req);
-    }
-    fn poll(&mut self, core: CoreId) -> Option<CoreResp> {
-        MemorySystem::poll(self, core)
-    }
-    fn resp_ready_at(&self, core: CoreId) -> Option<Cycle> {
-        MemorySystem::resp_ready_at(self, core)
-    }
-    fn l1_busy(&self, core: CoreId) -> bool {
-        MemorySystem::l1_busy(self, core)
-    }
-    fn peek_resp_load(&self, core: CoreId) -> Option<(Cycle, u64)> {
-        MemorySystem::peek_resp_load(self, core)
-    }
-    fn spin_probe_load(&self, core: CoreId, addr: u64) -> Option<u64> {
-        MemorySystem::spin_probe_load(self, core, addr)
-    }
-    fn spin_line_value(&self, core: CoreId, addr: u64) -> Option<u64> {
-        MemorySystem::spin_line_value(self, core, addr)
-    }
-    fn spin_replay(&mut self, core: CoreId, addr: u64, hits: u64, final_ready: Option<Cycle>) {
-        MemorySystem::spin_replay(self, core, addr, hits, final_ready);
-    }
-    fn take_resp_for_replay(&mut self, core: CoreId) -> Option<CoreResp> {
-        MemorySystem::take_resp_for_replay(self, core)
     }
 }
 

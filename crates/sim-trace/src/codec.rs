@@ -1,4 +1,4 @@
-//! Length-prefixed binary encoding of one core's trace.
+//! Binary framing of one core's program.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -6,113 +6,27 @@
 //! magic    b"GLTR"
 //! version  u32
 //! core     u32
-//! op_count u64
-//! op_count × op:
-//!   tag u8:
-//!     1 = Step:      pc u32, retires u8, region u8 (0 none / 1 normal /
-//!                    2 barrier / 3 lock), n_bar_writes u8,
-//!                    n × (ctx u8, value u64), effect u8 + payload
-//!     2 = GlineSpin: pc u32, iters u64
-//!     3 = MemSpin:   pc u32, addr u64, iter_retires u8, iters u64
-//!   effect u8:
-//!     0 = None | 1 = Load (addr u64) | 2 = Store (addr u64, value u64)
-//!     3 = Amo (op u8, addr u64, operand u64) | 4 = Busy (cycles u32)
-//!     5 = Halt
+//! text_len u64
+//! text     text_len bytes of UTF-8: sim_isa::disassemble(prog)
 //! ```
 //!
-//! No trailing bytes are tolerated; every read is bounds-checked, so a
-//! truncated or bit-flipped file decodes to a [`TraceError`], never a
-//! panic.
+//! No trailing bytes are tolerated and every read is bounds-checked, so
+//! a truncated or bit-flipped file decodes to a [`TraceError`], never a
+//! panic; the text goes through [`sim_isa::assemble`], which names the
+//! line of any error.
 
-use crate::format::{CoreTrace, Effect, Step, TraceOp};
-use crate::{TraceError, FORMAT_VERSION, MAGIC};
-use sim_isa::inst::{AmoOp, Region};
+use crate::{CoreTrace, TraceError, FORMAT_VERSION, MAGIC};
+use sim_isa::{assemble, disassemble};
 
-const TAG_STEP: u8 = 1;
-const TAG_GLINE_SPIN: u8 = 2;
-const TAG_MEM_SPIN: u8 = 3;
-
-const FX_NONE: u8 = 0;
-const FX_LOAD: u8 = 1;
-const FX_STORE: u8 = 2;
-const FX_AMO: u8 = 3;
-const FX_BUSY: u8 = 4;
-const FX_HALT: u8 = 5;
-
-fn region_byte(r: Option<Region>) -> u8 {
-    match r {
-        None => 0,
-        Some(Region::Normal) => 1,
-        Some(Region::Barrier) => 2,
-        Some(Region::Lock) => 3,
-    }
-}
-
-/// Encodes one core's trace into the versioned binary layout.
+/// Encodes one core's program into the versioned layout.
 pub fn encode_core(t: &CoreTrace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + t.ops.len() * 8);
+    let text = disassemble(&t.prog);
+    let mut out = Vec::with_capacity(20 + text.len());
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&t.core.to_le_bytes());
-    out.extend_from_slice(&(t.ops.len() as u64).to_le_bytes());
-    for op in &t.ops {
-        match op {
-            TraceOp::Step(s) => {
-                out.push(TAG_STEP);
-                out.extend_from_slice(&s.pc.to_le_bytes());
-                out.push(s.retires);
-                out.push(region_byte(s.region));
-                out.push(s.bar_writes.len() as u8);
-                for &(ctx, v) in &s.bar_writes {
-                    out.push(ctx);
-                    out.extend_from_slice(&v.to_le_bytes());
-                }
-                match s.effect {
-                    Effect::None => out.push(FX_NONE),
-                    Effect::Load { addr } => {
-                        out.push(FX_LOAD);
-                        out.extend_from_slice(&addr.to_le_bytes());
-                    }
-                    Effect::Store { addr, value } => {
-                        out.push(FX_STORE);
-                        out.extend_from_slice(&addr.to_le_bytes());
-                        out.extend_from_slice(&value.to_le_bytes());
-                    }
-                    Effect::Amo { addr, op, operand } => {
-                        out.push(FX_AMO);
-                        out.push(match op {
-                            AmoOp::Add => 0,
-                            AmoOp::Swap => 1,
-                        });
-                        out.extend_from_slice(&addr.to_le_bytes());
-                        out.extend_from_slice(&operand.to_le_bytes());
-                    }
-                    Effect::Busy { cycles } => {
-                        out.push(FX_BUSY);
-                        out.extend_from_slice(&cycles.to_le_bytes());
-                    }
-                    Effect::Halt => out.push(FX_HALT),
-                }
-            }
-            TraceOp::GlineSpin { pc, iters } => {
-                out.push(TAG_GLINE_SPIN);
-                out.extend_from_slice(&pc.to_le_bytes());
-                out.extend_from_slice(&iters.to_le_bytes());
-            }
-            TraceOp::MemSpin {
-                pc,
-                addr,
-                iter_retires,
-                iters,
-            } => {
-                out.push(TAG_MEM_SPIN);
-                out.extend_from_slice(&pc.to_le_bytes());
-                out.extend_from_slice(&addr.to_le_bytes());
-                out.push(*iter_retires);
-                out.extend_from_slice(&iters.to_le_bytes());
-            }
-        }
-    }
+    out.extend_from_slice(&(text.len() as u64).to_le_bytes());
+    out.extend_from_slice(text.as_bytes());
     out
 }
 
@@ -138,10 +52,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn u8(&mut self, reading: &'static str) -> Result<u8, TraceError> {
-        Ok(self.take(1, reading)?[0])
-    }
-
     fn u32(&mut self, reading: &'static str) -> Result<u32, TraceError> {
         Ok(u32::from_le_bytes(
             self.take(4, reading)?.try_into().expect("4 bytes"),
@@ -154,19 +64,19 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    fn corrupt(&self, what: impl Into<String>) -> TraceError {
+    fn corrupt(&self, offset: usize, what: impl Into<String>) -> TraceError {
         TraceError::Corrupt {
-            offset: self.pos,
+            offset,
             what: what.into(),
         }
     }
 }
 
-/// Decodes one core's trace, rejecting malformed input gracefully.
+/// Decodes one core's program, rejecting malformed input gracefully.
 ///
 /// # Errors
-/// [`TraceError`] on bad magic, unknown version, truncation, impossible
-/// field values, or trailing bytes.
+/// [`TraceError`] on bad magic, unknown version, truncation, text that
+/// is not UTF-8 or does not assemble, or trailing bytes.
 pub fn decode_core(bytes: &[u8]) -> Result<CoreTrace, TraceError> {
     let mut r = Reader { buf: bytes, pos: 0 };
     if r.take(4, "magic")? != MAGIC {
@@ -177,118 +87,18 @@ pub fn decode_core(bytes: &[u8]) -> Result<CoreTrace, TraceError> {
         return Err(TraceError::BadVersion(version));
     }
     let core = r.u32("core id")?;
-    let op_count = r.u64("op count")?;
-    // A trace op is at least 2 bytes, so `op_count` beyond the byte
-    // budget is corrupt — checking up front keeps a hostile count from
-    // provoking a huge allocation.
-    if op_count > (bytes.len() as u64) / 2 {
-        return Err(r.corrupt(format!("op count {op_count} exceeds file size")));
-    }
-    let mut ops = Vec::with_capacity(op_count as usize);
-    for _ in 0..op_count {
-        let tag = r.u8("op tag")?;
-        let op = match tag {
-            TAG_STEP => {
-                let pc = r.u32("step pc")?;
-                let retires = r.u8("step retires")?;
-                let region = match r.u8("step region")? {
-                    0 => None,
-                    1 => Some(Region::Normal),
-                    2 => Some(Region::Barrier),
-                    3 => Some(Region::Lock),
-                    b => return Err(r.corrupt(format!("region byte {b}"))),
-                };
-                let n_bar = r.u8("bar-write count")?;
-                let mut bar_writes = Vec::with_capacity(n_bar as usize);
-                for _ in 0..n_bar {
-                    let ctx = r.u8("bar-write ctx")?;
-                    let v = r.u64("bar-write value")?;
-                    if v == 0 {
-                        return Err(r.corrupt("zero bar-write value"));
-                    }
-                    bar_writes.push((ctx, v));
-                }
-                let effect = match r.u8("effect tag")? {
-                    FX_NONE => Effect::None,
-                    FX_LOAD => Effect::Load {
-                        addr: r.u64("load addr")?,
-                    },
-                    FX_STORE => Effect::Store {
-                        addr: r.u64("store addr")?,
-                        value: r.u64("store value")?,
-                    },
-                    FX_AMO => {
-                        let op = match r.u8("amo op")? {
-                            0 => AmoOp::Add,
-                            1 => AmoOp::Swap,
-                            b => return Err(r.corrupt(format!("amo op byte {b}"))),
-                        };
-                        Effect::Amo {
-                            op,
-                            addr: r.u64("amo addr")?,
-                            operand: r.u64("amo operand")?,
-                        }
-                    }
-                    FX_BUSY => {
-                        let cycles = r.u32("busy cycles")?;
-                        if cycles < 2 {
-                            return Err(r.corrupt(format!("busy block of {cycles} cycles")));
-                        }
-                        Effect::Busy { cycles }
-                    }
-                    FX_HALT => Effect::Halt,
-                    b => return Err(r.corrupt(format!("effect tag {b}"))),
-                };
-                TraceOp::Step(Step {
-                    pc,
-                    retires,
-                    region,
-                    bar_writes,
-                    effect,
-                })
-            }
-            TAG_GLINE_SPIN => {
-                let pc = r.u32("gline-spin pc")?;
-                let iters = r.u64("gline-spin iters")?;
-                if iters == 0 {
-                    return Err(r.corrupt("empty gline spin"));
-                }
-                TraceOp::GlineSpin { pc, iters }
-            }
-            TAG_MEM_SPIN => {
-                let pc = r.u32("mem-spin pc")?;
-                let addr = r.u64("mem-spin addr")?;
-                let iter_retires = r.u8("mem-spin iter retires")?;
-                if !(2..=3).contains(&iter_retires) {
-                    return Err(r.corrupt(format!("mem-spin iteration of {iter_retires} retires")));
-                }
-                let iters = r.u64("mem-spin iters")?;
-                if iters == 0 {
-                    return Err(r.corrupt("empty mem spin"));
-                }
-                TraceOp::MemSpin {
-                    pc,
-                    addr,
-                    iter_retires,
-                    iters,
-                }
-            }
-            b => return Err(r.corrupt(format!("op tag {b}"))),
-        };
-        ops.push(op);
-    }
+    let len = r.u64("text length")?;
+    let start = r.pos;
+    // `take` bounds the length by the bytes present, so a hostile
+    // length allocates nothing.
+    let text = r.take(usize::try_from(len).unwrap_or(usize::MAX), "program text")?;
     if r.pos != bytes.len() {
-        return Err(r.corrupt(format!("{} trailing bytes", bytes.len() - r.pos)));
+        return Err(r.corrupt(r.pos, format!("{} trailing bytes", bytes.len() - r.pos)));
     }
-    let t = CoreTrace { core, ops };
-    // Cross-op invariants (spin ops carry their exit step, the stream
-    // ends in exactly one halt) so the replay engine can trust any
-    // decoded trace.
-    t.validate().map_err(|what| TraceError::Corrupt {
-        offset: r.pos,
-        what,
-    })?;
-    Ok(t)
+    let text = std::str::from_utf8(text)
+        .map_err(|e| r.corrupt(start + e.valid_up_to(), "program text is not UTF-8"))?;
+    let prog = assemble(text).map_err(|e| r.corrupt(start, format!("program text: {e}")))?;
+    Ok(CoreTrace { core, prog })
 }
 
 #[cfg(test)]
@@ -296,42 +106,11 @@ mod tests {
     use super::*;
 
     fn sample() -> CoreTrace {
-        CoreTrace {
-            core: 3,
-            ops: vec![
-                TraceOp::Step(Step {
-                    pc: 0,
-                    retires: 2,
-                    region: Some(Region::Barrier),
-                    bar_writes: vec![(0, 1)],
-                    effect: Effect::None,
-                }),
-                TraceOp::GlineSpin { pc: 2, iters: 17 },
-                TraceOp::Step(Step {
-                    pc: 2,
-                    retires: 2,
-                    region: Some(Region::Normal),
-                    bar_writes: vec![],
-                    effect: Effect::Store {
-                        addr: 0x1_0040,
-                        value: 9,
-                    },
-                }),
-                TraceOp::MemSpin {
-                    pc: 5,
-                    addr: 0x1_0000,
-                    iter_retires: 3,
-                    iters: 250,
-                },
-                TraceOp::Step(Step {
-                    pc: 9,
-                    retires: 1,
-                    region: None,
-                    bar_writes: vec![],
-                    effect: Effect::Halt,
-                }),
-            ],
-        }
+        let prog = assemble(
+            "li r1, 1\nbarw r1\nspin: barr r2\nbne r2, r0, spin\nli r3, 0x8000\nst r1, 0(r3)\nhalt",
+        )
+        .unwrap();
+        CoreTrace { core: 3, prog }
     }
 
     #[test]
@@ -348,10 +127,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_future_version() {
+    fn rejects_other_versions() {
         let mut b = encode_core(&sample());
-        b[4] = 0xEE;
-        assert!(matches!(decode_core(&b), Err(TraceError::BadVersion(_))));
+        b[4] = 1;
+        assert!(matches!(decode_core(&b), Err(TraceError::BadVersion(1))));
     }
 
     #[test]
@@ -368,62 +147,28 @@ mod tests {
     #[test]
     fn rejects_trailing_bytes() {
         let mut b = encode_core(&sample());
-        b.push(0);
+        b.push(b'\n');
         assert!(matches!(decode_core(&b), Err(TraceError::Corrupt { .. })));
     }
 
     #[test]
-    fn rejects_semantically_broken_streams() {
-        let halt = TraceOp::Step(Step {
-            pc: 1,
-            retires: 1,
-            region: None,
-            bar_writes: vec![],
-            effect: Effect::Halt,
-        });
-        // A spin with no exit step behind it.
-        let t = CoreTrace {
-            core: 0,
-            ops: vec![TraceOp::GlineSpin { pc: 0, iters: 3 }],
-        };
-        assert!(matches!(
-            decode_core(&encode_core(&t)),
-            Err(TraceError::Corrupt { .. })
-        ));
-        // A stream that never halts.
-        let t = CoreTrace {
-            core: 0,
-            ops: vec![TraceOp::Step(Step {
-                pc: 0,
-                retires: 1,
-                region: None,
-                bar_writes: vec![],
-                effect: Effect::None,
-            })],
-        };
-        assert!(matches!(
-            decode_core(&encode_core(&t)),
-            Err(TraceError::Corrupt { .. })
-        ));
-        // A halt that is not the final op.
-        let t = CoreTrace {
-            core: 0,
-            ops: vec![halt.clone(), halt],
-        };
-        assert!(matches!(
-            decode_core(&encode_core(&t)),
-            Err(TraceError::Corrupt { .. })
-        ));
+    fn rejects_text_that_does_not_assemble() {
+        let mut b = encode_core(&sample());
+        let at = b.len() - 2;
+        b[at] = 0xff;
+        assert!(matches!(decode_core(&b), Err(TraceError::Corrupt { .. })));
+        let mut b = encode_core(&sample());
+        let at = b.len() - 3;
+        b[at] = b'X';
+        let err = decode_core(&b).unwrap_err().to_string();
+        assert!(err.contains("program text"), "{err}");
     }
 
     #[test]
-    fn rejects_huge_op_count_without_allocating() {
-        let mut b = encode_core(&CoreTrace {
-            core: 0,
-            ops: vec![],
-        });
-        // op_count sits at bytes 12..20.
+    fn rejects_huge_text_length_without_allocating() {
+        let mut b = encode_core(&sample());
+        // text_len sits at bytes 12..20.
         b[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(decode_core(&b), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(decode_core(&b), Err(TraceError::Truncated { .. })));
     }
 }

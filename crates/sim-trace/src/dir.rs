@@ -1,5 +1,5 @@
-//! Trace-set directory layout: `manifest.json` plus one binary
-//! `core<i>.trace` file per core.
+//! Image directory layout: `manifest.json` plus one `core<i>.trace`
+//! file per core.
 //!
 //! The manifest carries the format version, the core count, the
 //! workload label and the initial memory image (addresses and values as
@@ -7,8 +7,7 @@
 //! representation). Everything cross-file — core count vs. trace files,
 //! each file's embedded core id — is validated on read.
 
-use crate::format::TraceSet;
-use crate::{decode_core, encode_core, TraceError, FORMAT_VERSION};
+use crate::{decode_core, encode_core, TraceError, TraceSet, FORMAT_VERSION};
 use sim_base::json::{parse, Json};
 use std::path::Path;
 
@@ -67,12 +66,13 @@ fn parse_poke(entry: &Json) -> Result<(u64, u64), TraceError> {
     Ok((num(&pair[0])?, num(&pair[1])?))
 }
 
-/// Reads a trace set back from `dir`, validating the manifest against
-/// the per-core files.
+/// Reads an image back from `dir`, validating the manifest against the
+/// per-core files.
 ///
 /// # Errors
-/// [`TraceError`] on filesystem failures, malformed JSON or binary
-/// content, version mismatches, or manifest/file disagreements.
+/// [`TraceError`] on filesystem failures, malformed JSON, malformed or
+/// unassemblable core files, version mismatches, or manifest/file
+/// disagreements.
 pub fn read_dir(dir: &Path) -> Result<TraceSet, TraceError> {
     let mpath = dir.join("manifest.json");
     let text = std::fs::read_to_string(&mpath).map_err(|e| io_err(&mpath, e))?;
@@ -129,7 +129,7 @@ pub fn read_dir(dir: &Path) -> Result<TraceSet, TraceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::{CoreTrace, Effect, Step, TraceOp};
+    use crate::CoreTrace;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("sim-trace-{tag}-{}", std::process::id()));
@@ -138,15 +138,10 @@ mod tests {
     }
 
     fn sample_set() -> TraceSet {
+        let prog = sim_isa::assemble("busy 5\nhalt").unwrap();
         let core = |i: u32| CoreTrace {
             core: i,
-            ops: vec![TraceOp::Step(Step {
-                pc: 0,
-                retires: 1,
-                region: None,
-                bar_writes: vec![],
-                effect: Effect::Halt,
-            })],
+            prog: prog.clone(),
         };
         TraceSet {
             cores: (0..2).map(core).collect(),

@@ -1,23 +1,23 @@
-//! # sim-trace — on-disk execution traces for trace-driven replay
+//! # sim-trace — a machine's input image on disk
 //!
-//! The exec-driven simulator interprets ISA programs every run. For
-//! large sweeps that cost is pure overhead: the timing-relevant
-//! behaviour of a core is fully described by the sequence of *issue
-//! groups* it executes — how many instructions retired, which memory
-//! request (if any) the group issued, which barrier writes it performed
-//! — because everything between issue groups is a pure stall whose
-//! length the memory hierarchy and barrier network reproduce on their
-//! own. This crate defines that sequence as a compact, versioned
-//! on-disk format (`DESIGN.md` §11):
+//! A recording of a run is the machine's input: one [`Program`] per
+//! core and the memory words poked before cycle 0. Re-running that
+//! image on the exec-driven simulator reproduces the run exactly, so
+//! nothing else needs storing (`DESIGN.md` §11 has the ruling that
+//! replaced the old trace-driven engine with this).
 //!
-//! * [`TraceOp`] — one issue group ([`Step`]) or a run-length
-//!   compressed spin loop ([`TraceOp::GlineSpin`], [`TraceOp::MemSpin`]).
-//! * [`CoreTrace`] — one core's op sequence; encoded to a
-//!   length-prefixed binary file (`core<i>.trace`) by [`encode_core`] /
-//!   [`decode_core`].
-//! * [`TraceSet`] — a whole machine's traces plus the initial memory
-//!   image, written to / read from a directory by [`write_dir`] /
-//!   [`read_dir`] (`manifest.json` + one trace file per core).
+//! The crate exists for one client: the `trace_replay` workload of the
+//! repository benchmark (`benchmark/`), which records, writes, reads
+//! and re-runs images through `System::run_recorded` /
+//! `System::replay`. It goes together with that workload.
+//!
+//! * [`CoreTrace`] — one core's program, encoded by [`encode_core`] /
+//!   [`decode_core`] as a `GLTR` header (magic, [`FORMAT_VERSION`], core
+//!   id, text length) followed by the program's
+//!   [`sim_isa::disassemble`] text, read back with [`sim_isa::assemble`].
+//! * [`TraceSet`] — a whole machine's image, written to / read from a
+//!   directory by [`write_dir`] / [`read_dir`] (`manifest.json` + one
+//!   `core<i>.trace` file per core).
 //!
 //! Decoding never panics on hostile input: truncated, corrupted and
 //! wrong-version files all come back as a structured [`TraceError`]
@@ -29,20 +29,42 @@
 
 mod codec;
 mod dir;
-mod format;
 
 pub use codec::{decode_core, encode_core};
 pub use dir::{read_dir, write_dir};
-pub use format::{CoreTrace, Effect, Step, TraceOp, TraceSet};
+
+use sim_isa::Program;
 
 /// Format version written by this crate (bumped on any layout change).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
-/// Magic bytes opening every per-core trace file.
+/// Magic bytes opening every per-core file.
 pub const MAGIC: [u8; 4] = *b"GLTR";
 
-/// Why a trace could not be read. Every variant is a graceful rejection
-/// — hostile bytes never panic the decoder.
+/// One core's share of a machine image: the program it runs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CoreTrace {
+    /// The core this program belongs to.
+    pub core: u32,
+    /// The program the core runs from cycle 0.
+    pub prog: Program,
+}
+
+/// A whole machine's input image: one [`CoreTrace`] per core plus the
+/// memory words poked before cycle 0.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceSet {
+    /// Per-core programs, indexed by core id.
+    pub cores: Vec<CoreTrace>,
+    /// Initial memory image: (byte address, value) pairs poked before
+    /// cycle 0.
+    pub pokes: Vec<(u64, u64)>,
+    /// Free-form provenance label (workload name).
+    pub workload: String,
+}
+
+/// Why an image could not be read. Every variant is a graceful
+/// rejection — hostile bytes never panic the decoder.
 #[derive(Debug)]
 pub enum TraceError {
     /// Filesystem error (annotated with the path involved).

@@ -1,107 +1,93 @@
-//! Property tests for the trace format: round-trip fidelity over
-//! generated traces, and graceful rejection — an `Err`, never a panic —
-//! of truncated, bit-flipped, and wrong-version files.
+//! Property tests for the image format: round-trip fidelity over
+//! generated programs, and graceful rejection — an `Err`, never a panic
+//! — of truncated, bit-flipped, wrong-magic and wrong-version files and
+//! of corrupt manifests. [`read_dir`] reads input from outside the
+//! program, so none of it may panic.
 //!
-//! The generators build arbitrary *valid* traces (anything
-//! [`CoreTrace::validate`] accepts, not just what the recorder emits),
-//! so the codec is held to its full contract, then attack the encoded
-//! bytes. Decoding attacked bytes may still succeed (flipping a stored
-//! value yields a different valid trace), but whatever comes back must
-//! itself pass validation — the decoder never launders a broken stream.
+//! The generator builds arbitrary programs (any instruction mix, branch
+//! targets anywhere up to one past the end), so the codec is held to its
+//! full contract, then attacks the encoded bytes. Decoding attacked
+//! bytes may still succeed (flipping a digit of an immediate yields a
+//! different valid program), but whatever comes back must itself be a
+//! fixpoint of the codec — the decoder never hands back a program it
+//! could not write again.
 
 use sim_base::check::{forall, forall_cases};
 use sim_base::rng::SplitMix64;
-use sim_isa::inst::{AmoOp, Region};
-use sim_trace::{
-    decode_core, encode_core, read_dir, write_dir, CoreTrace, Effect, Step, TraceError, TraceOp,
-    TraceSet,
-};
+use sim_isa::inst::{AluOp, AmoOp, BranchCond, Inst, Region};
+use sim_isa::{Program, Reg};
+use sim_trace::{decode_core, encode_core, read_dir, write_dir, CoreTrace, TraceError, TraceSet};
 
-fn gen_effect(rng: &mut SplitMix64) -> Effect {
-    match rng.next_below(5) {
-        0 => Effect::None,
-        1 => Effect::Load {
-            addr: rng.next_u64() & 0xffff_fff8,
+fn reg(rng: &mut SplitMix64) -> Reg {
+    Reg(rng.next_below(32) as u8)
+}
+
+/// Any instruction with branch targets within `len`.
+fn gen_inst(rng: &mut SplitMix64, len: usize) -> Inst {
+    let target = rng.next_below(len as u64 + 1) as usize;
+    let off = (rng.next_below(8192) as i64 - 4096) * 8;
+    match rng.next_below(12) {
+        0 => Inst::Li {
+            rd: reg(rng),
+            imm: rng.next_u64() as i64,
         },
-        2 => Effect::Store {
-            addr: rng.next_u64() & 0xffff_fff8,
-            value: rng.next_u64(),
+        1 => Inst::AluI {
+            op: [AluOp::Add, AluOp::Sll, AluOp::Sltu][rng.next_below(3) as usize],
+            rd: reg(rng),
+            rs1: reg(rng),
+            imm: rng.next_u64() as i64,
         },
-        3 => Effect::Amo {
-            addr: rng.next_u64() & 0xffff_fff8,
-            op: if rng.chance(0.5) {
-                AmoOp::Add
-            } else {
-                AmoOp::Swap
-            },
-            operand: rng.next_u64(),
+        2 => Inst::Ld {
+            rd: reg(rng),
+            rs1: reg(rng),
+            off,
         },
-        _ => Effect::Busy {
-            cycles: 2 + rng.next_below(1000) as u32,
+        3 => Inst::St {
+            rs2: reg(rng),
+            rs1: reg(rng),
+            off,
         },
+        4 => Inst::Amo {
+            op: [AmoOp::Add, AmoOp::Swap][rng.next_below(2) as usize],
+            rd: reg(rng),
+            rs1: reg(rng),
+            rs2: reg(rng),
+        },
+        5 => Inst::Branch {
+            cond: [BranchCond::Eq, BranchCond::Ne, BranchCond::Lt][rng.next_below(3) as usize],
+            rs1: reg(rng),
+            rs2: reg(rng),
+            target,
+        },
+        6 => Inst::Jal {
+            rd: reg(rng),
+            target,
+        },
+        7 => Inst::Busy {
+            cycles: rng.next_below(1000) as u32,
+        },
+        8 => Inst::BarWrite { rs1: reg(rng) },
+        9 => Inst::BarRead { rd: reg(rng) },
+        10 => Inst::SetRegion {
+            region: [Region::Normal, Region::Barrier, Region::Lock][rng.next_below(3) as usize],
+        },
+        _ => Inst::Halt,
     }
 }
 
-fn gen_step(rng: &mut SplitMix64, effect: Effect) -> Step {
-    let n_bar = rng.next_below(3) as usize;
-    Step {
-        pc: rng.next_below(1 << 20) as u32,
-        retires: 1 + rng.next_below(4) as u8,
-        region: match rng.next_below(4) {
-            0 => Some(Region::Normal),
-            1 => Some(Region::Barrier),
-            2 => Some(Region::Lock),
-            _ => None,
-        },
-        bar_writes: (0..n_bar)
-            .map(|_| (rng.next_below(8) as u8, rng.next_u64()))
-            .collect(),
-        effect,
-    }
-}
-
-/// An arbitrary trace satisfying [`CoreTrace::validate`]: any op mix,
-/// every spin chased by its exit step, one final halting step.
 fn gen_trace(rng: &mut SplitMix64) -> CoreTrace {
-    let mut ops = Vec::new();
-    for _ in 0..rng.next_below(40) {
-        match rng.next_below(3) {
-            0 => {
-                let e = gen_effect(rng);
-                ops.push(TraceOp::Step(gen_step(rng, e)));
-            }
-            1 => {
-                ops.push(TraceOp::GlineSpin {
-                    pc: rng.next_below(1 << 20) as u32,
-                    iters: 1 + rng.next_below(1 << 20),
-                });
-                let e = gen_effect(rng);
-                ops.push(TraceOp::Step(gen_step(rng, e)));
-            }
-            _ => {
-                ops.push(TraceOp::MemSpin {
-                    pc: rng.next_below(1 << 20) as u32,
-                    addr: rng.next_u64() & 0xffff_fff8,
-                    iter_retires: 2 + rng.next_below(2) as u8,
-                    iters: 1 + rng.next_below(1 << 20),
-                });
-                let e = gen_effect(rng);
-                ops.push(TraceOp::Step(gen_step(rng, e)));
-            }
-        }
-    }
-    ops.push(TraceOp::Step(gen_step(rng, Effect::Halt)));
+    let len = rng.next_below(40) as usize;
+    let insts = (0..len).map(|_| gen_inst(rng, len)).collect();
     CoreTrace {
         core: rng.next_below(4096) as u32,
-        ops,
+        prog: Program::from_insts(insts),
     }
 }
 
 #[test]
-fn round_trip_preserves_any_valid_trace() {
+fn round_trip_preserves_any_program() {
     forall("trace_round_trip", |rng| {
         let t = gen_trace(rng);
-        t.validate().expect("generator emits valid traces");
         let bytes = encode_core(&t);
         let back = decode_core(&bytes).expect("round trip decodes");
         assert_eq!(t, back, "decode(encode(t)) != t");
@@ -124,9 +110,9 @@ fn truncation_at_any_point_is_rejected_without_panic() {
             match decode_core(&bytes[..cut]) {
                 Err(_) => {}
                 Ok(back) => panic!(
-                    "decoding a {cut}/{} byte prefix produced a trace of {} ops",
+                    "decoding a {cut}/{} byte prefix produced a program of {} instructions",
                     bytes.len(),
-                    back.ops.len()
+                    back.prog.len()
                 ),
             }
         }
@@ -147,7 +133,7 @@ fn trailing_garbage_is_rejected() {
 }
 
 #[test]
-fn corruption_never_panics_and_never_launders_invalid_traces() {
+fn corruption_never_panics_and_decodes_only_fixpoints() {
     forall("trace_corruption", |rng| {
         let t = gen_trace(rng);
         let mut bytes = encode_core(&t);
@@ -156,12 +142,12 @@ fn corruption_never_panics_and_never_launders_invalid_traces() {
             let i = rng.next_below(bytes.len() as u64) as usize;
             bytes[i] ^= 1 << rng.next_below(8);
         }
-        // A flip in payload bytes can legitimately decode (to a
-        // different trace); what must never happen is a panic or an
-        // `Ok` carrying a trace that fails validation.
+        // A flip in the text can legitimately decode (to a different
+        // program); what must never happen is a panic or an `Ok`
+        // carrying a program the codec cannot carry again.
         if let Ok(back) = decode_core(&bytes) {
-            back.validate()
-                .expect("decoder accepted a trace that fails validation");
+            let again = decode_core(&encode_core(&back)).expect("a decoded program re-encodes");
+            assert_eq!(back, again, "decode is not a fixpoint after corruption");
         }
     });
 }
@@ -180,11 +166,11 @@ fn wrong_magic_and_version_are_structured_errors() {
         );
 
         let mut bad_version = good.clone();
-        let v = 2 + rng.next_below(1 << 30) as u32;
+        let v = 3 + rng.next_below(1 << 30) as u32;
         bad_version[4..8].copy_from_slice(&v.to_le_bytes());
         assert!(
             matches!(decode_core(&bad_version), Err(TraceError::BadVersion(got)) if got == v),
-            "future version must be BadVersion"
+            "another version must be BadVersion"
         );
     });
 }

@@ -20,8 +20,9 @@
 //! * [`mem`] ([`sim_mem`]) — L1s + distributed L2 with directory MESI.
 //! * [`cmp`] ([`sim_cmp`]) — the assembled machine, runtime library
 //!   (GL/CSW/DSW barriers, locks) and reporting.
-//! * [`trace`] ([`sim_trace`]) — the on-disk per-core execution trace
-//!   format behind `simcmp --record-trace` / `--replay`.
+//! * [`trace`] ([`sim_trace`]) — a machine's input image on disk
+//!   (per-core programs plus initial memory), kept for the repository
+//!   benchmark's `trace_replay` workload.
 //! * [`bench_workloads`] ([`workloads`]) — Table-2 benchmark generators.
 //! * [`threads`] ([`swbarrier`]) — software barrier algorithms for real
 //!   Rust threads.

@@ -182,10 +182,12 @@ fn architectural_memory_identical_with_active_set() {
     }
 }
 
-/// Traced runs keep active sets enabled (parked cores are in known
-/// wait states and emit no events, so parking is trace-transparent,
-/// unlike clock jumps, which tracing disables). The full event
-/// stream must still be identical to a `--no-active-set` traced run.
+/// Traced runs keep active sets enabled and jump the clock: parked
+/// cores are in known wait states and emit no events, and a jump spans
+/// only cycles in which no core is live and no component has an event.
+/// The full event stream must still be identical to a `--no-active-set`
+/// traced run, and the software barriers' waits must really have been
+/// jumped over, or the comparison would prove nothing.
 #[test]
 fn event_trace_identical_with_active_set() {
     for (kind, n, iters) in [
@@ -203,11 +205,14 @@ fn event_trace_identical_with_active_set() {
             sys.run(50_000_000).expect("traced run completes");
             let rep = sys.report();
             let events = tracer.with_sink(|s| s.events().to_vec());
-            (rep, events)
+            (rep, events, sys.skip_stats().skips)
         };
 
-        let (rep_on, ev_on) = run_traced(true);
-        let (rep_off, ev_off) = run_traced(false);
+        let (rep_on, ev_on, skips) = run_traced(true);
+        let (rep_off, ev_off, _) = run_traced(false);
+        if kind != BarrierKind::Gl {
+            assert!(skips > 0, "{kind:?}: the traced run never jumped the clock");
+        }
         assert_eq!(rep_on, rep_off, "{kind:?}: traced reports diverge");
         assert!(!ev_on.is_empty(), "{kind:?}: traced run recorded no events");
         assert_eq!(
