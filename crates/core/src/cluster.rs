@@ -104,7 +104,7 @@ impl<S: TraceSink> ClusteredBarrierNetwork<S> {
                 let rows = (mesh.rows - g.row * dim).min(dim);
                 let cols = (mesh.cols - g.col * dim).min(dim);
                 Cluster {
-                    net: BarrierNetwork::with_gated_root(Mesh2D::new(rows, cols), cfg, true),
+                    net: BarrierNetwork::gated(Mesh2D::new(rows, cols), cfg),
                     forwarded: vec![false; cfg.contexts as usize],
                 }
             })

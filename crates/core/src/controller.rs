@@ -123,9 +123,6 @@ pub struct MasterH {
     scnt_max: u32,
     /// Local core arrived (Mcnt).
     mcnt: bool,
-    /// Whether the local core participates (false in masked contexts
-    /// where the column-0 core of this row is not a member).
-    mcnt_needed: bool,
     /// Row-complete flag read by the co-located vertical controller.
     flag: bool,
     /// Release command latched for this cycle's transmit.
@@ -135,16 +132,14 @@ pub struct MasterH {
 }
 
 impl MasterH {
-    /// A master expecting `scnt_max` slave pulses (the member slaves in
-    /// the row). `mcnt_needed` is false when the master's own core is
-    /// not a barrier member.
-    pub fn new(scnt_max: u32, mcnt_needed: bool) -> MasterH {
+    /// A master expecting `scnt_max` slave pulses (the slaves in the
+    /// row) besides its own core's arrival.
+    pub fn new(scnt_max: u32) -> MasterH {
         MasterH {
             state: MasterHState::Accounting,
             scnt: 0,
             scnt_max,
-            mcnt: !mcnt_needed,
-            mcnt_needed,
+            mcnt: false,
             flag: false,
             release_pending: false,
             release_next: false,
@@ -167,7 +162,7 @@ impl MasterH {
         self.scnt
     }
 
-    /// Pulses expected (the member slaves in the row).
+    /// Pulses expected (the slaves in the row).
     pub fn scnt_max(&self) -> u32 {
         self.scnt_max
     }
@@ -202,7 +197,7 @@ impl MasterH {
             self.release_pending = false;
             self.state = MasterHState::Accounting;
             self.scnt = 0;
-            self.mcnt = !self.mcnt_needed;
+            self.mcnt = false;
             self.flag = false;
             true
         } else {
@@ -221,10 +216,6 @@ impl MasterH {
         debug_assert!(
             self.scnt <= self.scnt_max,
             "more pulses than slaves in the row"
-        );
-        debug_assert!(
-            self.scnt_max > 0 || self.mcnt_needed,
-            "a row with no members must not have an active MasterH"
         );
         if core_arrived {
             self.mcnt = true;
@@ -378,9 +369,6 @@ pub struct MasterV {
     scnt_max: u32,
     /// Row 0 complete (its MasterH flagged) — the paper's Mcnt.
     mcnt: bool,
-    /// Whether row 0 participates (false in masked contexts with no
-    /// members in row 0).
-    mcnt_needed: bool,
     /// Gate the release for hierarchical composition.
     root_gated: bool,
     release_pending: bool,
@@ -388,16 +376,14 @@ pub struct MasterV {
 }
 
 impl MasterV {
-    /// A vertical master expecting `scnt_max` pulses (the member rows
-    /// other than row 0). `mcnt_needed` is false when row 0 has no
-    /// barrier members.
-    pub fn new(scnt_max: u32, root_gated: bool, mcnt_needed: bool) -> MasterV {
+    /// A vertical master expecting `scnt_max` pulses (the rows other
+    /// than row 0) besides row 0's flag.
+    pub fn new(scnt_max: u32, root_gated: bool) -> MasterV {
         MasterV {
             state: MasterVState::Accounting,
             scnt: 0,
             scnt_max,
-            mcnt: !mcnt_needed,
-            mcnt_needed,
+            mcnt: false,
             root_gated,
             release_pending: false,
             release_next: false,
@@ -414,7 +400,7 @@ impl MasterV {
         self.scnt
     }
 
-    /// Pulses expected (the member rows other than row 0).
+    /// Pulses expected (the rows other than row 0).
     pub fn scnt_max(&self) -> u32 {
         self.scnt_max
     }
@@ -456,7 +442,7 @@ impl MasterV {
             self.release_pending = false;
             self.state = MasterVState::Draining;
             self.scnt = 0;
-            self.mcnt = !self.mcnt_needed;
+            self.mcnt = false;
             true
         } else {
             false
@@ -543,7 +529,7 @@ mod tests {
 
     #[test]
     fn master_h_counts_scsma_and_own_core() {
-        let mut m = MasterH::new(3, true);
+        let mut m = MasterH::new(3);
         m.receive(on(2), false); // two slaves pulse together (S-CSMA)
         assert_eq!(m.scnt(), 2);
         assert!(!m.flag());
@@ -557,7 +543,7 @@ mod tests {
 
     #[test]
     fn master_h_own_core_first() {
-        let mut m = MasterH::new(1, true);
+        let mut m = MasterH::new(1);
         m.receive(off(), true);
         assert!(m.mcnt());
         assert!(!m.flag());
@@ -567,7 +553,7 @@ mod tests {
 
     #[test]
     fn master_h_release_cycle() {
-        let mut m = MasterH::new(0, true);
+        let mut m = MasterH::new(0);
         m.receive(off(), true); // single-column row: flag immediately
         assert!(m.flag());
         m.command_release();
@@ -602,7 +588,7 @@ mod tests {
 
     #[test]
     fn master_v_completes_and_releases() {
-        let mut m = MasterV::new(2, false, true);
+        let mut m = MasterV::new(2, false);
         assert!(!m.receive(on(1), false));
         assert!(!m.receive(off(), true), "row 0 flag alone is not enough");
         assert!(m.receive(on(1), true), "all rows in → complete");
@@ -619,7 +605,7 @@ mod tests {
 
     #[test]
     fn master_v_gated_waits_for_trigger() {
-        let mut m = MasterV::new(0, true, true);
+        let mut m = MasterV::new(0, true);
         assert!(m.receive(off(), true));
         assert!(m.root_ready());
         assert!(!m.transmit(), "gated root must not release on its own");
@@ -633,37 +619,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "trigger_release")]
     fn premature_trigger_panics() {
-        let mut m = MasterV::new(1, true, true);
+        let mut m = MasterV::new(1, true);
         m.trigger_release();
-    }
-
-    #[test]
-    fn master_h_without_local_member() {
-        // A masked row whose column-0 core does not participate: the row
-        // completes on the slaves alone.
-        let mut m = MasterH::new(2, false);
-        assert!(m.mcnt(), "mcnt auto-satisfied");
-        m.receive(on(2), false);
-        assert!(m.flag());
-        // And the reset keeps the auto-mcnt.
-        m.command_release();
-        m.latch();
-        assert!(m.transmit());
-        assert!(m.mcnt());
-    }
-
-    #[test]
-    fn master_v_without_row0_member() {
-        let mut m = MasterV::new(2, false, false);
-        assert!(!m.receive(on(1), false));
-        assert!(m.receive(on(1), false), "completes without row 0");
-        assert_eq!(m.state(), MasterVState::Releasing);
     }
 
     #[test]
     fn master_v_simultaneous_rows() {
         // All three vertical slaves pulse in the same cycle: S-CSMA counts 3.
-        let mut m = MasterV::new(3, false, true);
+        let mut m = MasterV::new(3, false);
         assert!(m.receive(on(3), true));
         assert_eq!(m.state(), MasterVState::Releasing);
     }

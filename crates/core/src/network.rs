@@ -59,15 +59,10 @@ struct RowNet {
 struct Context<S: TraceSink> {
     /// Index of this context within the network (for trace events).
     ctx_id: u32,
-    /// Participation mask (the §5 "several barrier executions coexist"
-    /// extension: a context may synchronize only a subset of cores).
-    members: Vec<bool>,
-    /// Rows containing at least one member (only their controllers run).
-    row_active: Vec<bool>,
     bar_reg: Vec<u64>,
     /// Horizontal slave controllers, indexed by core: row `r`'s slaves
-    /// are cores `r * cols + 1 .. (r + 1) * cols`. Only the member tiles
-    /// outside column 0 ever leave `Signaling`.
+    /// are cores `r * cols + 1 .. (r + 1) * cols`. Column 0's entries
+    /// are never used.
     slave_h: Vec<SlaveH>,
     /// The signalling set: the slaves in `Signaling` whose `bar_reg` is
     /// set — arrivals whose gather pulse the next transmit sends. Every
@@ -102,28 +97,9 @@ impl<S: TraceSink> Context<S> {
         mesh: Mesh2D,
         cfg: GlineConfig,
         root_gated: bool,
-        members: Vec<bool>,
         ctx_id: u32,
         tracer: Tracer<S>,
     ) -> Context<S> {
-        assert_eq!(
-            members.len(),
-            mesh.num_tiles(),
-            "one membership bit per core"
-        );
-        let num_members = members.iter().filter(|&&m| m).count() as u32;
-        assert!(
-            num_members >= 1,
-            "a barrier context needs at least one member"
-        );
-        let row_active: Vec<bool> = (0..mesh.rows)
-            .map(|r| (0..mesh.cols).any(|c| members[mesh.id_of(Coord::new(r, c)).index()]))
-            .collect();
-        let member_slaves_in_row = |r: u16| -> u32 {
-            (1..mesh.cols)
-                .filter(|&c| members[mesh.id_of(Coord::new(r, c)).index()])
-                .count() as u32
-        };
         let (rows, cols) = (mesh.rows as u32, mesh.cols as u32);
         let budget = |transmitters: u32| -> u32 {
             if transmitters <= cfg.max_transmitters {
@@ -147,29 +123,19 @@ impl<S: TraceSink> Context<S> {
             })
             .collect();
         let num_cores = mesh.num_tiles();
-        let active_upper_rows = (1..mesh.rows).filter(|&r| row_active[r as usize]).count() as u32;
         let mut ctx = Context {
             ctx_id,
             bar_reg: vec![0; num_cores],
             slave_h: vec![SlaveH::new(); num_cores],
             signalling: ActiveSet::new(num_cores),
-            master_h: (0..mesh.rows)
-                .map(|r| {
-                    MasterH::new(
-                        member_slaves_in_row(r),
-                        members[mesh.id_of(Coord::new(r, 0)).index()],
-                    )
-                })
-                .collect(),
+            master_h: (0..rows).map(|_| MasterH::new(cols - 1)).collect(),
             slave_v: (1..rows).map(|_| SlaveV::new()).collect(),
-            master_v: MasterV::new(active_upper_rows, root_gated, row_active[0]),
+            master_v: MasterV::new(rows - 1, root_gated),
             rows: row_nets,
-            members,
-            row_active,
             v_gather: GLine::new(budget(rows.saturating_sub(1)), cfg.line_latency),
             v_release: GLine::new(budget(1), cfg.line_latency),
             outstanding: 0,
-            episodes: Episodes::new(num_members),
+            episodes: Episodes::new(num_cores as u32),
             stats: GlineStats::default(),
             tracer,
             quiescent: false,
@@ -183,10 +149,6 @@ impl<S: TraceSink> Context<S> {
         assert!(
             value != 0,
             "bar_reg arrival writes must be nonzero (paper §3.3)"
-        );
-        assert!(
-            self.members[core.index()],
-            "{core:?} is not a member of this barrier context"
         );
         let ctx = self.ctx_id;
         let i = core.index();
@@ -257,9 +219,6 @@ impl<S: TraceSink> Context<S> {
             }
         }
         for r in 0..nrows {
-            if !self.row_active[r] {
-                continue;
-            }
             let before = self.master_h[r].state();
             if self.master_h[r].transmit() {
                 let count = self.rows[r].release.assert_tx();
@@ -269,12 +228,8 @@ impl<S: TraceSink> Context<S> {
                     row: r as u16,
                     count,
                 });
-                // The row master's own core is released by the master itself
-                // (if it participates).
-                let own = mesh.id_of(Coord::new(r as u16, 0));
-                if self.members[own.index()] {
-                    self.clear_bar_reg(own, now);
-                }
+                // The row master's own core is released by the master itself.
+                self.clear_bar_reg(mesh.id_of(Coord::new(r as u16, 0)), now);
             }
             let after = self.master_h[r].state();
             if S::ENABLED && after != before {
@@ -289,9 +244,6 @@ impl<S: TraceSink> Context<S> {
             }
         }
         for r in 1..nrows {
-            if !self.row_active[r] {
-                continue;
-            }
             let before = self.slave_v[r - 1].state();
             if self.slave_v[r - 1].transmit(self.mh_flags[r]) {
                 let count = self.v_gather.assert_tx();
@@ -326,9 +278,7 @@ impl<S: TraceSink> Context<S> {
                 });
                 // Row 0's master is co-located with the vertical master: it is
                 // commanded through a register, not through a G-line.
-                if self.row_active[0] {
-                    self.master_h[0].command_release();
-                }
+                self.master_h[0].command_release();
             }
             let after = self.master_v.state();
             if S::ENABLED && after != before {
@@ -421,11 +371,8 @@ impl<S: TraceSink> Context<S> {
             }
         }
         for r in 0..nrows {
-            if !self.row_active[r] {
-                continue;
-            }
             let own = mesh.id_of(Coord::new(r as u16, 0));
-            let arrived = self.members[own.index()] && self.bar_reg[own.index()] != 0;
+            let arrived = self.bar_reg[own.index()] != 0;
             let sensed = self.rows[r].gather.sensed();
             let before = self.master_h[r].state();
             self.master_h[r].receive(sensed, arrived);
@@ -441,9 +388,6 @@ impl<S: TraceSink> Context<S> {
             }
         }
         for r in 1..nrows {
-            if !self.row_active[r] {
-                continue;
-            }
             let before = self.slave_v[r - 1].state();
             let fire = self.slave_v[r - 1].receive(self.v_release.sensed());
             let after = self.slave_v[r - 1].state();
@@ -530,11 +474,8 @@ impl<S: TraceSink> Context<S> {
             return false;
         }
         for r in 0..mesh.rows as usize {
-            if !self.row_active[r] {
-                continue;
-            }
             let own = mesh.id_of(Coord::new(r as u16, 0));
-            let arrived = self.members[own.index()] && self.bar_reg[own.index()] != 0;
+            let arrived = self.bar_reg[own.index()] != 0;
             if !self.master_h[r].is_stable(arrived) {
                 return false;
             }
@@ -673,17 +614,8 @@ impl BarrierNetwork {
     /// once all cores arrive the network parks in *root-ready* and waits
     /// for [`trigger_release`](Self::trigger_release). Building block for
     /// hierarchical composition.
-    pub fn with_gated_root(mesh: Mesh2D, cfg: GlineConfig, gated: bool) -> BarrierNetwork {
-        let everyone = vec![vec![true; mesh.num_tiles()]; cfg.contexts as usize];
-        BarrierNetwork::build(mesh, cfg, gated, everyone, Tracer::default())
-    }
-
-    /// Builds the network with an explicit participation mask per
-    /// context (the paper's §5 coexisting-barriers extension: each
-    /// context synchronizes only its member cores). `masks.len()` must
-    /// equal `cfg.contexts`; every mask needs at least one member.
-    pub fn with_members(mesh: Mesh2D, cfg: GlineConfig, masks: Vec<Vec<bool>>) -> BarrierNetwork {
-        BarrierNetwork::build(mesh, cfg, false, masks, Tracer::default())
+    pub fn gated(mesh: Mesh2D, cfg: GlineConfig) -> BarrierNetwork {
+        BarrierNetwork::build(mesh, cfg, true, Tracer::default())
     }
 }
 
@@ -691,23 +623,13 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// Builds a traced network: every G-line assert/sense, controller
     /// transition and barrier event is emitted into `tracer`.
     pub fn traced(mesh: Mesh2D, cfg: GlineConfig, tracer: Tracer<S>) -> BarrierNetwork<S> {
-        let everyone = vec![vec![true; mesh.num_tiles()]; cfg.contexts as usize];
-        BarrierNetwork::build(mesh, cfg, false, everyone, tracer)
+        BarrierNetwork::build(mesh, cfg, false, tracer)
     }
 
-    fn build(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        gated: bool,
-        masks: Vec<Vec<bool>>,
-        tracer: Tracer<S>,
-    ) -> BarrierNetwork<S> {
+    fn build(mesh: Mesh2D, cfg: GlineConfig, gated: bool, tracer: Tracer<S>) -> BarrierNetwork<S> {
         assert!(cfg.contexts >= 1, "at least one barrier context");
-        assert_eq!(masks.len(), cfg.contexts as usize, "one mask per context");
-        let contexts = masks
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| Context::new(mesh, cfg, gated, m, i as u32, tracer.clone()))
+        let contexts = (0..cfg.contexts)
+            .map(|i| Context::new(mesh, cfg, gated, i, tracer.clone()))
             .collect();
         BarrierNetwork {
             mesh,
@@ -721,11 +643,6 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// The tracer shared by every context of this network.
     pub fn tracer(&self) -> &Tracer<S> {
         &self.tracer
-    }
-
-    /// The participation mask of a context.
-    pub fn members(&self, ctx: CtxId) -> &[bool] {
-        &self.contexts[ctx].members
     }
 
     /// Mesh this network spans.
@@ -902,33 +819,27 @@ pub trait BarrierHw {
 
     /// Earliest future cycle at which this hardware can change state
     /// without further external input, or `None` if it is quiescent and
-    /// will stay frozen until a `write_bar_reg`. The conservative default
-    /// — "something may happen next cycle" — is always correct; it simply
-    /// never lets a simulator skip over this hardware.
-    fn next_event(&self) -> Option<Cycle> {
-        Some(self.now() + 1)
-    }
+    /// will stay frozen until a `write_bar_reg`. "Something may happen
+    /// next cycle" is always correct, but never lets a simulator skip
+    /// over this hardware.
+    fn next_event(&self) -> Option<Cycle>;
 
-    /// Advances the clock to cycle `t`. Implementations whose
-    /// [`next_event`](Self::next_event) reports quiescence may jump
-    /// directly; the default just ticks, which is always equivalent.
-    fn skip_to(&mut self, t: Cycle) {
-        while self.now() < t {
-            self.tick();
-        }
-    }
+    /// Advances the clock to cycle `t`. Only legal while
+    /// [`next_event`](Self::next_event) reports no event before `t`:
+    /// the jump must leave the hardware exactly as `t - now` ticks
+    /// would.
+    fn skip_to(&mut self, t: Cycle);
 
     /// Lower bound on the number of cycles before *any* core's set
     /// `bar_reg` can clear, as of now. A simulator parks `bar_reg`
     /// spinners on it: while the bound exceeds 1, no clear can land in
     /// this cycle's tick. While a context still misses arrivals, a
     /// release is at least the hardware's propagation floor away even
-    /// if the last arrival happens immediately; once every member has
+    /// if the last arrival happens immediately; once every core has
     /// arrived the release wave may already be in flight, so the bound
-    /// collapses to 1. The conservative default is 1.
-    fn release_bound(&self) -> u64 {
-        1
-    }
+    /// collapses to 1. A bound of 1 is always correct, but never lets
+    /// a spinner park.
+    fn release_bound(&self) -> u64;
 
     /// Convenience driver for tests and benchmarks: runs one complete
     /// barrier on context 0 where core `i` arrives at `arrivals[i]`
@@ -997,7 +908,7 @@ impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
         BarrierNetwork::skip_to(self, t);
     }
     fn release_bound(&self) -> u64 {
-        // Per context: once every member has arrived the release wave
+        // Per context: once every core has arrived the release wave
         // may complete on any cycle (1). Before that, the wave cannot
         // even start until the last arrival, and then takes one cycle
         // on the column G-line, one in the row controller, one on the
@@ -1168,103 +1079,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_context_synchronizes_only_members() {
-        // 2×4 mesh: context 0 = left half, context 1 = right half.
-        let mesh = Mesh2D::new(2, 4);
-        let gcfg = GlineConfig {
-            contexts: 2,
-            ..cfg()
-        };
-        let left: Vec<bool> = mesh.coords().map(|c| c.col < 2).collect();
-        let right: Vec<bool> = mesh.coords().map(|c| c.col >= 2).collect();
-        let mut net = BarrierNetwork::with_members(mesh, gcfg, vec![left.clone(), right]);
-        // All left members arrive in ctx 0; ctx 1 untouched.
-        for (i, &m) in left.iter().enumerate() {
-            if m {
-                net.write_bar_reg(CoreId::from(i), 0, 1);
-            }
-        }
-        for _ in 0..4 {
-            net.tick();
-        }
-        assert!(
-            net.all_released(0),
-            "left-half barrier must complete in 4 cycles"
-        );
-        assert_eq!(net.stats(0).barriers_completed, 1);
-        assert_eq!(net.stats(0).latency.max(), Some(4));
-        assert_eq!(net.stats(1).barriers_completed, 0);
-    }
-
-    #[test]
-    fn masked_context_with_empty_rows() {
-        // Members only in the bottom row: row 0 is inactive, the
-        // vertical master must complete without it.
-        let mesh = Mesh2D::new(3, 3);
-        let gcfg = GlineConfig {
-            contexts: 1,
-            ..cfg()
-        };
-        let mask: Vec<bool> = mesh.coords().map(|c| c.row == 2).collect();
-        let mut net = BarrierNetwork::with_members(mesh, gcfg, vec![mask.clone()]);
-        for (i, &m) in mask.iter().enumerate() {
-            if m {
-                net.write_bar_reg(CoreId::from(i), 0, 1);
-            }
-        }
-        for _ in 0..4 {
-            net.tick();
-        }
-        assert!(net.all_released(0));
-        assert_eq!(net.stats(0).barriers_completed, 1);
-    }
-
-    #[test]
-    fn masked_single_member_context() {
-        let mesh = Mesh2D::new(2, 2);
-        let mut mask = vec![false; 4];
-        mask[3] = true;
-        let mut net = BarrierNetwork::with_members(mesh, cfg(), vec![mask]);
-        net.write_bar_reg(CoreId(3), 0, 1);
-        for _ in 0..4 {
-            net.tick();
-        }
-        assert!(net.all_released(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "not a member")]
-    fn non_member_arrival_rejected() {
-        let mesh = Mesh2D::new(2, 2);
-        let mut mask = vec![true; 4];
-        mask[2] = false;
-        let mut net = BarrierNetwork::with_members(mesh, cfg(), vec![mask]);
-        net.write_bar_reg(CoreId(2), 0, 1);
-    }
-
-    #[test]
-    fn masked_back_to_back_episodes() {
-        let mesh = Mesh2D::new(2, 4);
-        let mask: Vec<bool> = mesh.coords().map(|c| (c.row + c.col) % 2 == 0).collect();
-        let mut net = BarrierNetwork::with_members(mesh, cfg(), vec![mask.clone()]);
-        for _ in 0..5 {
-            for (i, &m) in mask.iter().enumerate() {
-                if m {
-                    net.write_bar_reg(CoreId::from(i), 0, 1);
-                }
-            }
-            let mut guard = 0;
-            while !net.all_released(0) {
-                net.tick();
-                guard += 1;
-                assert!(guard < 10);
-            }
-        }
-        assert_eq!(net.stats(0).barriers_completed, 5);
-        assert_eq!(net.stats(0).mean_latency(), 4.0);
-    }
-
-    #[test]
     fn gline_count_formula() {
         let net = BarrierNetwork::new(Mesh2D::new(4, 4), cfg());
         assert_eq!(net.num_glines(), 10); // paper: 10 for a 16-core CMP
@@ -1334,7 +1148,7 @@ mod tests {
     #[test]
     fn gated_root_holds_until_triggered() {
         let mesh = Mesh2D::new(2, 2);
-        let mut net = BarrierNetwork::with_gated_root(mesh, cfg(), true);
+        let mut net = BarrierNetwork::gated(mesh, cfg());
         for i in 0..4 {
             net.write_bar_reg(CoreId(i), 0, 1);
         }
@@ -1544,14 +1358,14 @@ mod tests {
     }
 
     /// One lockstep case: a random mesh (up to 8×8, or 10×10 on slow
-    /// lines), line latency, context count, participation masks and
-    /// gating; members arrive at random, re-arrive a random delay after
-    /// their release and now and then rewrite a set `bar_reg`; gated
-    /// roots are triggered a random delay after they report ready; and
-    /// while both networks are quiescent the event network may jump its
-    /// clock where the reference ticks through. After every tick each
-    /// context has counted exactly the episodes whose members have all
-    /// been released, a count the driver keeps itself.
+    /// lines), line latency, context count and gating; cores arrive at
+    /// random, re-arrive a random delay after their release and now and
+    /// then rewrite a set `bar_reg`; gated roots are triggered a random
+    /// delay after they report ready; and while both networks are
+    /// quiescent the event network may jump its clock where the
+    /// reference ticks through. After every tick each context has
+    /// counted exactly the episodes whose cores have all been released,
+    /// a count the driver keeps itself.
     fn lockstep_case(rng: &mut SplitMix64) {
         let (mesh, line_latency) = if rng.chance(0.1) {
             (Mesh2D::new(10, 10), 2 + rng.next_below(2) as u32)
@@ -1569,37 +1383,22 @@ mod tests {
             line_latency,
             ..cfg()
         };
-        let everyone = rng.chance(0.5);
-        let masks: Vec<Vec<bool>> = (0..contexts)
-            .map(|_| {
-                let mut mask: Vec<bool> = (0..n).map(|_| everyone || rng.chance(0.5)).collect();
-                if !mask.contains(&true) {
-                    mask[rng.next_below(n as u64) as usize] = true;
-                }
-                mask
-            })
-            .collect();
         let gated = rng.chance(0.3);
         let (t_net, t_ref) = (
             Tracer::new(RingSink::new(usize::MAX)),
             Tracer::new(RingSink::new(usize::MAX)),
         );
-        let mut net = BarrierNetwork::build(mesh, gcfg, gated, masks.clone(), t_net);
-        let mut reference = RefNetwork::new(mesh, gcfg, gated, masks.clone(), t_ref);
+        let mut net = BarrierNetwork::build(mesh, gcfg, gated, t_net);
+        let mut reference = RefNetwork::new(mesh, gcfg, gated, t_ref);
         let spread = rng.next_below(40);
         // Per (context, core): the cycle of the next arrival, `None`
-        // for non-members and while waiting for a release.
-        let mut next: Vec<Vec<Option<Cycle>>> = masks
-            .iter()
-            .map(|m| {
-                m.iter()
-                    .map(|&member| member.then(|| rng.next_below(spread + 1)))
-                    .collect()
-            })
+        // while waiting for a release.
+        let mut next: Vec<Vec<Option<Cycle>>> = (0..contexts)
+            .map(|_| (0..n).map(|_| Some(rng.next_below(spread + 1))).collect())
             .collect();
         let mut trigger_at: Vec<Option<Cycle>> = vec![None; contexts];
         // Per (context, core): releases seen. Episode k is complete once
-        // every member has been released k + 1 times.
+        // every core has been released k + 1 times.
         let mut releases = vec![vec![0u64; n]; contexts];
         let horizon = 150 + rng.next_below(250);
         let mut seen = 0;
@@ -1660,13 +1459,9 @@ mod tests {
                         next[ctx][i] = Some(net.now() + rng.next_below(spread + 1));
                     }
                 }
-                let complete = (0..n)
-                    .filter(|&i| masks[ctx][i])
-                    .map(|i| releases[ctx][i])
-                    .min();
                 assert_eq!(
                     Some(net.stats(ctx).barriers_completed),
-                    complete,
+                    releases[ctx].iter().copied().min(),
                     "cycle {now}: episodes counted in ctx {ctx}"
                 );
             }

@@ -66,12 +66,10 @@ struct Episode {
 
 struct Context<S: TraceSink> {
     ctx_id: u32,
-    members: Vec<bool>,
-    row_active: Vec<bool>,
-    num_members: u32,
+    num_cores: u32,
     bar_reg: Vec<u64>,
-    /// `(controller, core, row)` for every member tile outside column 0,
-    /// in ascending core order.
+    /// `(controller, core, row)` for every tile outside column 0, in
+    /// ascending core order.
     slave_h: Vec<(SlaveH, CoreId, u16)>,
     master_h: Vec<MasterH>,
     slave_v: Vec<SlaveV>,
@@ -98,40 +96,29 @@ impl<S: TraceSink> Context<S> {
         mesh: Mesh2D,
         cfg: GlineConfig,
         gated: bool,
-        members: Vec<bool>,
         ctx_id: u32,
         tracer: Tracer<S>,
     ) -> Context<S> {
-        let member = |r: u16, c: u16| members[mesh.id_of(Coord::new(r, c)).index()];
-        let row_active: Vec<bool> = (0..mesh.rows)
-            .map(|r| (0..mesh.cols).any(|c| member(r, c)))
-            .collect();
-        let active_upper_rows = row_active.iter().skip(1).filter(|&&a| a).count() as u32;
         let lat = cfg.line_latency;
         Context {
             ctx_id,
-            num_members: members.iter().filter(|&&m| m).count() as u32,
+            num_cores: mesh.num_tiles() as u32,
             bar_reg: vec![0; mesh.num_tiles()],
             slave_h: mesh
                 .coords()
-                .filter(|&c| c.col > 0 && member(c.row, c.col))
+                .filter(|&c| c.col > 0)
                 .map(|c| (SlaveH::new(), mesh.id_of(c), c.row))
                 .collect(),
             master_h: (0..mesh.rows)
-                .map(|r| {
-                    let slaves = (1..mesh.cols).filter(|&c| member(r, c)).count() as u32;
-                    MasterH::new(slaves, member(r, 0))
-                })
+                .map(|_| MasterH::new(mesh.cols as u32 - 1))
                 .collect(),
             slave_v: (1..mesh.rows).map(|_| SlaveV::new()).collect(),
-            master_v: MasterV::new(active_upper_rows, gated, row_active[0]),
+            master_v: MasterV::new(mesh.rows as u32 - 1, gated),
             rows: (0..mesh.rows)
                 .map(|_| (Line::new(lat), Line::new(lat)))
                 .collect(),
             v_gather: Line::new(lat),
             v_release: Line::new(lat),
-            members,
-            row_active,
             outstanding: 0,
             arrivals: vec![0; mesh.num_tiles()],
             releases: vec![0; mesh.num_tiles()],
@@ -188,7 +175,7 @@ impl<S: TraceSink> Context<S> {
     fn complete(&self) -> Option<&Episode> {
         self.episodes
             .front()
-            .filter(|e| e.released == self.num_members)
+            .filter(|e| e.released == self.num_cores)
     }
 
     fn arrive(&mut self, core: CoreId, now: Cycle) {
@@ -230,7 +217,7 @@ impl<S: TraceSink> Context<S> {
         self.master_v.latch();
         let flags: Vec<bool> = self.master_h.iter().map(MasterH::flag).collect();
 
-        // Transmit: every slave, every active row, the column.
+        // Transmit: every slave, every row, the column.
         for k in 0..self.slave_h.len() {
             let (core, row) = (self.slave_h[k].1, self.slave_h[k].2);
             let before = self.slave_h[k].0.state().label();
@@ -242,23 +229,18 @@ impl<S: TraceSink> Context<S> {
             self.transition(now, core, CtrlKind::SlaveH, before, after);
         }
         for r in 0..nrows {
-            if !self.row_active[r] {
-                continue;
-            }
             let before = self.master_h[r].state().label();
             if self.master_h[r].transmit() {
                 let count = self.rows[r].1.assert_tx();
                 self.assert_event(now, GlineKind::RowRelease, r as u16, count);
-                if self.members[head(r).index()] {
-                    self.clear_bar_reg(head(r), now);
-                }
+                self.clear_bar_reg(head(r), now);
             }
             let after = self.master_h[r].state().label();
             self.transition(now, head(r), CtrlKind::MasterH, before, after);
         }
-        for r in (1..nrows).filter(|&r| self.row_active[r]) {
+        for (r, &flag) in flags.iter().enumerate().skip(1) {
             let before = self.slave_v[r - 1].state().label();
-            if self.slave_v[r - 1].transmit(flags[r]) {
+            if self.slave_v[r - 1].transmit(flag) {
                 let count = self.v_gather.assert_tx();
                 self.assert_event(now, GlineKind::ColGather, 0, count);
             }
@@ -269,9 +251,7 @@ impl<S: TraceSink> Context<S> {
         if self.master_v.transmit() {
             let count = self.v_release.assert_tx();
             self.assert_event(now, GlineKind::ColRelease, 0, count);
-            if self.row_active[0] {
-                self.master_h[0].command_release();
-            }
+            self.master_h[0].command_release();
         }
         let after = self.master_v.state().label();
         self.transition(now, head(0), CtrlKind::MasterV, before, after);
@@ -290,7 +270,7 @@ impl<S: TraceSink> Context<S> {
         self.sense_event(now, GlineKind::ColGather, 0, self.v_gather.sensed);
         self.sense_event(now, GlineKind::ColRelease, 0, self.v_release.sensed);
 
-        // Receive: every slave, every active row, the column.
+        // Receive: every slave, every row, the column.
         for k in 0..self.slave_h.len() {
             let (core, row) = (self.slave_h[k].1, self.slave_h[k].2);
             let before = self.slave_h[k].0.state().label();
@@ -300,15 +280,15 @@ impl<S: TraceSink> Context<S> {
             let after = self.slave_h[k].0.state().label();
             self.transition(now, core, CtrlKind::SlaveH, before, after);
         }
-        for r in (0..nrows).filter(|&r| self.row_active[r]) {
+        for r in 0..nrows {
             let own = head(r);
-            let arrived = self.members[own.index()] && self.bar_reg[own.index()] != 0;
+            let arrived = self.bar_reg[own.index()] != 0;
             let before = self.master_h[r].state().label();
             self.master_h[r].receive(self.rows[r].0.sensed, arrived);
             let after = self.master_h[r].state().label();
             self.transition(now, own, CtrlKind::MasterH, before, after);
         }
-        for r in (1..nrows).filter(|&r| self.row_active[r]) {
+        for r in 1..nrows {
             let before = self.slave_v[r - 1].state().label();
             if self.slave_v[r - 1].receive(self.v_release.sensed) {
                 self.master_h[r].command_release();
@@ -339,14 +319,11 @@ impl<S: TraceSink> Context<S> {
             .slave_h
             .iter()
             .all(|(sh, core, _)| sh.is_stable(self.bar_reg[core.index()] != 0));
-        let rows_stable = (0..mesh.rows as usize)
-            .filter(|&r| self.row_active[r])
-            .all(|r| {
-                let own = mesh.id_of(Coord::new(r as u16, 0)).index();
-                let arrived = self.members[own] && self.bar_reg[own] != 0;
-                self.master_h[r].is_stable(arrived)
-                    && (r == 0 || self.slave_v[r - 1].is_stable(self.master_h[r].flag()))
-            });
+        let rows_stable = (0..mesh.rows as usize).all(|r| {
+            let own = mesh.id_of(Coord::new(r as u16, 0)).index();
+            self.master_h[r].is_stable(self.bar_reg[own] != 0)
+                && (r == 0 || self.slave_v[r - 1].is_stable(self.master_h[r].flag()))
+        });
         lines_idle
             && slaves_stable
             && rows_stable
@@ -373,13 +350,10 @@ impl<S: TraceSink> RefNetwork<S> {
         mesh: Mesh2D,
         cfg: GlineConfig,
         gated: bool,
-        masks: Vec<Vec<bool>>,
         tracer: Tracer<S>,
     ) -> RefNetwork<S> {
-        let contexts = masks
-            .into_iter()
-            .enumerate()
-            .map(|(i, m)| Context::new(mesh, cfg, gated, m, i as u32, tracer.clone()))
+        let contexts = (0..cfg.contexts)
+            .map(|i| Context::new(mesh, cfg, gated, i, tracer.clone()))
             .collect();
         RefNetwork {
             mesh,
@@ -447,11 +421,10 @@ impl<S: TraceSink> RefNetwork<S> {
     }
 
     pub(crate) fn release_bound(&self) -> u64 {
-        let all_in = self.contexts.iter().any(|c| {
-            c.episodes
-                .front()
-                .is_some_and(|e| e.arrived == c.num_members)
-        });
+        let all_in = self
+            .contexts
+            .iter()
+            .any(|c| c.episodes.front().is_some_and(|e| e.arrived == c.num_cores));
         if all_in {
             1
         } else {

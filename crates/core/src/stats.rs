@@ -63,7 +63,7 @@ impl Arrivals {
 
 /// Episode bookkeeping of one barrier context, shared by the networks.
 ///
-/// An arrival joins the open episode until every member has arrived.
+/// An arrival joins the open episode until every core has arrived.
 /// After that it is early: a core the release wave reached first (on
 /// slow lines, row 0's and column 0's cores are released up to
 /// `line_latency - 1` cycles before the rest) arriving again while the
@@ -72,7 +72,8 @@ impl Arrivals {
 /// early arrivals open the next one.
 #[derive(Clone, Debug)]
 pub(crate) struct Episodes {
-    members: u32,
+    /// Cores the context synchronizes.
+    cores: u32,
     open: Arrivals,
     /// Arrivals of the open episode released so far.
     released: u32,
@@ -80,9 +81,9 @@ pub(crate) struct Episodes {
 }
 
 impl Episodes {
-    pub(crate) fn new(members: u32) -> Episodes {
+    pub(crate) fn new(cores: u32) -> Episodes {
         Episodes {
-            members,
+            cores,
             open: Arrivals::default(),
             released: 0,
             early: Arrivals::default(),
@@ -103,15 +104,15 @@ impl Episodes {
         self.released += n;
     }
 
-    /// Every member has arrived in the open episode, so its release wave
+    /// Every core has arrived in the open episode, so its release wave
     /// may be under way.
     pub(crate) fn all_arrived(&self) -> bool {
-        self.open.count == self.members
+        self.open.count == self.cores
     }
 
     /// Every arrival of the open episode has been released.
     pub(crate) fn complete(&self) -> bool {
-        self.all_arrived() && self.released == self.members
+        self.all_arrived() && self.released == self.cores
     }
 
     /// At the end of the cycle `now`: records the open episode in `stats`

@@ -108,56 +108,6 @@ fn clustered_network_constant_latency() {
 }
 
 #[test]
-fn masked_contexts_release_members_in_4_cycles() {
-    forall("masked_contexts_release_members_in_4_cycles", |rng| {
-        let rows = 1 + rng.next_below(6) as u16;
-        let cols = 1 + rng.next_below(6) as u16;
-        let mesh = Mesh2D::new(rows, cols);
-        let n = mesh.num_tiles();
-        let mut mask: Vec<bool> = (0..n).map(|_| rng.chance(0.5)).collect();
-        if !mask.iter().any(|&m| m) {
-            mask[rng.next_below(n as u64) as usize] = true;
-        }
-        let cfg = GlineConfig {
-            contexts: 1,
-            ..GlineConfig::default()
-        };
-        let mut net = BarrierNetwork::with_members(mesh, cfg, vec![mask.clone()]);
-        // Stagger the member arrivals.
-        let arrivals: Vec<u64> = (0..n).map(|_| rng.next_below(20)).collect();
-        let last = (0..n)
-            .filter(|&i| mask[i])
-            .map(|i| arrivals[i])
-            .max()
-            .unwrap();
-        for cycle in 0..(last + 10) {
-            for i in 0..n {
-                if mask[i] && arrivals[i] == cycle {
-                    net.write_bar_reg(CoreId::from(i), 0, 1);
-                }
-            }
-            // Nobody escapes early.
-            if cycle <= last {
-                for i in 0..n {
-                    if mask[i] && arrivals[i] < cycle {
-                        assert_ne!(net.bar_reg(CoreId::from(i), 0), 0, "core {i} escaped");
-                    }
-                }
-            }
-            net.tick();
-        }
-        assert!(net.all_released(0), "mask {mask:?} arrivals {arrivals:?}");
-        assert_eq!(net.stats(0).latency.max(), Some(4));
-        // Non-members were never disturbed.
-        for i in 0..n {
-            if !mask[i] {
-                assert_eq!(net.bar_reg(CoreId::from(i), 0), 0);
-            }
-        }
-    });
-}
-
-#[test]
 fn contexts_do_not_interfere() {
     forall("contexts_do_not_interfere", |rng| {
         let mesh = Mesh2D::new(3, 3);
@@ -189,7 +139,7 @@ fn contexts_do_not_interfere() {
     });
 }
 
-/// Drives `net` through several episodes per context, every member
+/// Drives `net` through several episodes per context, every core
 /// re-arriving a random delay after it saw its own release, and checks
 /// the [`BarrierHw::release_bound`] contract a simulator parks `bar_reg`
 /// spinners on, cycle by cycle:
@@ -197,60 +147,49 @@ fn contexts_do_not_interfere() {
 /// * read at the top of a cycle — before that cycle's arrivals — a
 ///   bound of 2 or more means no `bar_reg` clears in that cycle's
 ///   `tick()`, whoever arrives in between;
-/// * the bound is 1 from the cycle after a context's last member
+/// * the bound is 1 from the cycle after a context's last core
 ///   arrived until that context is `all_released`, and the hardware's
 ///   propagation `floor` (so a spinner can park at all) whenever no
 ///   context is in that window.
-fn check_release_bound<H: BarrierHw>(
-    net: &mut H,
-    masks: &[Vec<bool>],
-    floor: u64,
-    rng: &mut sim_base::rng::SplitMix64,
-) {
-    let n = net.num_cores();
+fn check_release_bound<H: BarrierHw>(net: &mut H, floor: u64, rng: &mut sim_base::rng::SplitMix64) {
+    let (n, contexts) = (net.num_cores(), net.num_contexts());
     let episodes = 2 + rng.next_below(3);
     let spread = rng.next_below(60);
     let mut delay = || rng.next_below(spread + 1);
-    // Per (context, member): episodes left to enter, and the cycle of
-    // its next arrival (`None` while it waits for its release).
-    let mut left: Vec<Vec<u64>> = masks.iter().map(|_| vec![episodes; n]).collect();
-    let mut next: Vec<Vec<Option<u64>>> = masks
-        .iter()
-        .map(|m| m.iter().map(|&member| member.then(&mut delay)).collect())
+    // Per (context, core): episodes left to enter, and the cycle of its
+    // next arrival (`None` while it waits for its release).
+    let mut left = vec![vec![episodes; n]; contexts];
+    let mut next: Vec<Vec<Option<u64>>> = (0..contexts)
+        .map(|_| (0..n).map(|_| Some(delay())).collect())
         .collect();
-    let mut releasing = vec![false; masks.len()];
+    let mut releasing = vec![false; contexts];
     let set = |net: &H, ctx: usize, i: usize| net.bar_reg(CoreId::from(i), ctx) != 0;
     let mut cycle = 0u64;
-    while left
-        .iter()
-        .zip(masks)
-        .any(|(l, m)| l.iter().zip(m).any(|(&l, &member)| member && l > 0))
-        || releasing.iter().any(|&r| r)
-    {
+    while left.iter().flatten().any(|&l| l > 0) || releasing.iter().any(|&r| r) {
         let bound = net.release_bound();
         if releasing.iter().any(|&r| r) {
             assert_eq!(bound, 1, "cycle {cycle}: a release is in flight");
         } else {
-            assert_eq!(bound, floor, "cycle {cycle}: some member is still missing");
+            assert_eq!(bound, floor, "cycle {cycle}: some core is still missing");
         }
-        for (ctx, mask) in masks.iter().enumerate() {
-            for i in (0..n).filter(|&i| mask[i]) {
+        for ctx in 0..contexts {
+            for i in 0..n {
                 if next[ctx][i] == Some(cycle) {
                     net.write_bar_reg(CoreId::from(i), ctx, 1);
                     next[ctx][i] = None;
                     left[ctx][i] -= 1;
                 }
             }
-            if (0..n).all(|i| !mask[i] || set(net, ctx, i)) {
+            if (0..n).all(|i| set(net, ctx, i)) {
                 releasing[ctx] = true;
             }
         }
-        let before: Vec<Vec<bool>> = (0..masks.len())
+        let before: Vec<Vec<bool>> = (0..contexts)
             .map(|ctx| (0..n).map(|i| set(net, ctx, i)).collect())
             .collect();
         net.tick();
-        for (ctx, mask) in masks.iter().enumerate() {
-            for i in (0..n).filter(|&i| mask[i]) {
+        for ctx in 0..contexts {
+            for i in 0..n {
                 if before[ctx][i] && !set(net, ctx, i) {
                     assert!(
                         bound <= 1,
@@ -269,7 +208,7 @@ fn check_release_bound<H: BarrierHw>(
         cycle += 1;
         assert!(cycle < 100_000, "episodes never completed");
     }
-    for ctx in 0..masks.len() {
+    for ctx in 0..contexts {
         assert_eq!(net.stats(ctx).barriers_completed, episodes, "ctx {ctx}");
     }
 }
@@ -279,27 +218,12 @@ fn release_bound_rules_out_clears_on_flat_networks() {
     forall("release_bound_rules_out_clears_on_flat_networks", |rng| {
         let rows = 1 + rng.next_below(8) as u16;
         let cols = 1 + rng.next_below(8) as u16;
-        let mesh = Mesh2D::new(rows, cols);
-        let n = mesh.num_tiles();
-        let contexts = 1 + rng.next_below(3) as u32;
-        // Half the cases synchronize every core in every context, the
-        // rest draw a random participation mask per context.
-        let everyone = rng.chance(0.5);
-        let masks: Vec<Vec<bool>> = (0..contexts)
-            .map(|_| {
-                let mut mask: Vec<bool> = (0..n).map(|_| everyone || rng.chance(0.5)).collect();
-                if !mask.iter().any(|&m| m) {
-                    mask[rng.next_below(n as u64) as usize] = true;
-                }
-                mask
-            })
-            .collect();
         let cfg = GlineConfig {
-            contexts,
+            contexts: 1 + rng.next_below(3) as u32,
             ..GlineConfig::default()
         };
-        let mut net = BarrierNetwork::with_members(mesh, cfg, masks.clone());
-        check_release_bound(&mut net, &masks, 4, rng);
+        let mut net = BarrierNetwork::new(Mesh2D::new(rows, cols), cfg);
+        check_release_bound(&mut net, 4, rng);
     });
 }
 
@@ -312,8 +236,7 @@ fn release_bound_rules_out_clears_on_clustered_networks() {
             let dim = if rng.chance(0.5) { 16 } else { 32 };
             let mesh = Mesh2D::new(dim, dim);
             let mut net = ClusteredBarrierNetwork::new(mesh, GlineConfig::default());
-            let everyone = vec![vec![true; mesh.num_tiles()]];
-            check_release_bound(&mut net, &everyone, 7, rng);
+            check_release_bound(&mut net, 7, rng);
         },
     );
 }

@@ -90,6 +90,18 @@ impl CacheConfig {
 /// input-VC rings with bytes.
 pub const MAX_VC_BUFFER_FLITS: u32 = u8::MAX as u32;
 
+/// Largest [`GlineConfig::contexts`]: `barctx` names a context with a
+/// byte, so no program can select a context past 256.
+pub const MAX_GLINE_CONTEXTS: u32 = u8::MAX as u32 + 1;
+
+/// Largest [`GlineConfig::line_latency`]. Each G-line holds a ring of
+/// `line_latency - 1` in-flight entries, so the bound is what keeps a
+/// typo from allocating without limit. A line that took one cycle per
+/// tile it crosses would need at most 8 on a flat network (8 tiles
+/// wide at the default budget); 64 leaves room for slower wires and
+/// caps a line's ring at 63 entries (504 bytes).
+pub const MAX_GLINE_LATENCY: u32 = 64;
+
 /// Network-on-chip parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NocConfig {
@@ -281,14 +293,20 @@ impl CmpConfig {
                 self.noc.vc_buffer_flits
             ));
         }
-        if self.gline.line_latency == 0 {
-            return Err("gline.line_latency must be at least 1".into());
+        if !(1..=MAX_GLINE_LATENCY).contains(&self.gline.line_latency) {
+            return Err(format!(
+                "gline.line_latency must be between 1 and {MAX_GLINE_LATENCY} (got {})",
+                self.gline.line_latency
+            ));
         }
         if self.gline.max_transmitters == 0 {
             return Err("gline.max_transmitters must be at least 1".into());
         }
-        if self.gline.contexts == 0 {
-            return Err("gline.contexts must be at least 1".into());
+        if !(1..=MAX_GLINE_CONTEXTS).contains(&self.gline.contexts) {
+            return Err(format!(
+                "gline.contexts must be between 1 and {MAX_GLINE_CONTEXTS} (got {})",
+                self.gline.contexts
+            ));
         }
         // Two G-line levels span at most (max_transmitters + 1)² tiles
         // per dimension; beyond that a third level would be required.
@@ -567,6 +585,43 @@ mod tests {
         c = CmpConfig::icpp2010();
         c.l2.size_bytes = 100;
         assert!(c.validate().unwrap_err().contains("l2.size_bytes"));
+    }
+
+    #[test]
+    fn gline_fields_past_what_the_network_can_build_are_named() {
+        // Unbounded, either asks the allocator for tens of GB: a
+        // context each, or a ring entry per cycle of every line.
+        let json_with = |old: &str, new: &str| {
+            let s = CmpConfig::icpp2010().to_json().pretty();
+            assert!(s.contains(old), "{s}");
+            CmpConfig::from_json(&crate::json::parse(&s.replace(old, new)).unwrap())
+        };
+        for (old, field, bad, max) in [
+            (
+                "\"contexts\": 1",
+                "contexts",
+                4_000_000_000,
+                MAX_GLINE_CONTEXTS,
+            ),
+            (
+                "\"line_latency\": 1",
+                "line_latency",
+                4_000_000_000,
+                MAX_GLINE_LATENCY,
+            ),
+        ] {
+            for bad in [bad, max + 1] {
+                let e = json_with(old, &format!("\"{field}\": {bad}")).unwrap_err();
+                assert!(
+                    e.contains(&format!("gline.{field}")),
+                    "{field} = {bad}: {e}"
+                );
+            }
+            assert!(
+                json_with(old, &format!("\"{field}\": {max}")).is_ok(),
+                "{field} = {max}"
+            );
+        }
     }
 
     #[test]

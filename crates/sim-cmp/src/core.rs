@@ -812,14 +812,15 @@ impl Core {
     ) {
         let k = target - now;
         // A spin park may be woken by an L1 delivery after a single
-        // elided cycle; the arithmetic below is exact for k = 1 too
-        // (one phase-A or phase-B cycle).
+        // elided cycle; the arithmetic is exact for k = 1 too (one
+        // phase-A or phase-B cycle).
         debug_assert!(k >= 1, "replay of an empty span");
+        let span = self.spin_span(&plan, k);
+        self.breakdown.add(span.cat_a, span.a_cycles);
+        self.breakdown.add(span.cat_b, span.b_cycles);
+        self.retired += span.retired;
         match plan.kind {
             SpinKind::Gline { rd, value } => {
-                // One full iteration (barr + taken branch) per cycle.
-                self.breakdown.add(self.category(), k);
-                self.retired += 2 * k;
                 self.set_reg(rd, value);
                 debug_assert_eq!(self.pc, plan.top);
             }
@@ -831,31 +832,13 @@ impl Core {
                 phase_b,
                 value,
             } => {
-                // Cycles alternate between the issue phase (A: entered
-                // `Ready`, performs the L1 hit) and the resolve phase
-                // (B: entered `WaitMem`, retires the back-branch).
-                let (a_cycles, b_cycles) = if phase_b {
-                    (k / 2, k.div_ceil(2))
-                } else {
-                    (k.div_ceil(2), k / 2)
-                };
-                let ends_waiting = if phase_b {
-                    k.is_multiple_of(2)
-                } else {
-                    !k.is_multiple_of(2)
-                };
-                let cat_a = region_cat(self.region);
-                let cat_b = match self.region {
-                    Region::Normal => TimeCat::Read,
-                    r => region_cat(r),
-                };
-                self.breakdown.add(cat_a, a_cycles);
-                self.breakdown.add(cat_b, b_cycles);
-                self.retired += a_cycles * (iter_retires - 1) + b_cycles;
                 if phase_b {
                     // Consume the response that was pending at capture.
                     let _ = mem.take_resp_for_replay(self.id);
                 }
+                // The span ends in phase B (waiting on the load) when it
+                // started in B and is even, or started in A and is odd.
+                let ends_waiting = phase_b == k.is_multiple_of(2);
                 if ends_waiting {
                     // Last skipped cycle issued the load; the branch is
                     // next, with the response arriving at `target`.
@@ -869,7 +852,7 @@ impl Core {
                     };
                     self.wait_since = target - 1;
                     self.pc = plan.top + iter_retires as usize - 1;
-                    mem.spin_replay(self.id, addr, a_cycles, Some(target));
+                    mem.spin_replay(self.id, addr, span.a_cycles, Some(target));
                 } else {
                     // Last skipped cycle retired the back-branch.
                     if let Some((a, imm)) = li {
@@ -877,59 +860,74 @@ impl Core {
                     }
                     self.set_reg(rd, value);
                     self.status = Status::Ready;
-                    if a_cycles > 0 {
+                    if span.a_cycles > 0 {
                         self.wait_since = target - 2;
                     }
                     self.pc = plan.top;
-                    mem.spin_replay(self.id, addr, a_cycles, None);
+                    mem.spin_replay(self.id, addr, span.a_cycles, None);
                 }
             }
         }
     }
 
-    /// Pure preview of what [`ff_replay`](Self::ff_replay) would charge
-    /// for `k` elided cycles of `plan`: `(category_a, a_cycles,
-    /// category_b, b_cycles, retired, l1_hits)`. Used by
-    /// `System::report` to fold a spin-parked core's pending span into
-    /// a mid-run report without mutating anything; the numbers match
-    /// the eventual replay exactly because the core's region and the
-    /// plan are frozen while parked.
-    pub(crate) fn spin_pending_stats(
-        &self,
-        plan: &SpinPlan,
-        k: u64,
-    ) -> (TimeCat, u64, TimeCat, u64, u64, u64) {
-        let (iter_retires, phase_b) = match plan.kind {
+    /// What `k` elided cycles of `plan` charge. The one copy of that
+    /// arithmetic: [`ff_replay`](Self::ff_replay) applies it, and
+    /// `System::report` folds a spin-parked core's pending span into a
+    /// mid-run report with it, without mutating anything. The two agree
+    /// because the core's region and the plan are frozen while parked.
+    pub(crate) fn spin_span(&self, plan: &SpinPlan, k: u64) -> SpinSpan {
+        match plan.kind {
+            // One `barr` + taken branch per cycle, no memory access.
+            SpinKind::Gline { .. } => {
+                let cat = self.category();
+                SpinSpan {
+                    cat_a: cat,
+                    a_cycles: k,
+                    cat_b: cat,
+                    b_cycles: 0,
+                    retired: 2 * k,
+                    l1_hits: 0,
+                }
+            }
             SpinKind::Mem {
                 iter_retires,
                 phase_b,
                 ..
-            } => (iter_retires, phase_b),
-            // One `barr` + taken branch per cycle, no memory access.
-            SpinKind::Gline { .. } => {
-                let cat = self.category();
-                return (cat, k, cat, 0, 2 * k, 0);
+            } => {
+                // Cycles alternate between the issue phase (A: entered
+                // `Ready`, performs the L1 hit) and the resolve phase
+                // (B: entered `WaitMem`, retires the back-branch).
+                let (a_cycles, b_cycles) = if phase_b {
+                    (k / 2, k.div_ceil(2))
+                } else {
+                    (k.div_ceil(2), k / 2)
+                };
+                SpinSpan {
+                    cat_a: region_cat(self.region),
+                    a_cycles,
+                    cat_b: match self.region {
+                        Region::Normal => TimeCat::Read,
+                        r => region_cat(r),
+                    },
+                    b_cycles,
+                    retired: a_cycles * (iter_retires - 1) + b_cycles,
+                    l1_hits: a_cycles,
+                }
             }
-        };
-        let (a_cycles, b_cycles) = if phase_b {
-            (k / 2, k.div_ceil(2))
-        } else {
-            (k.div_ceil(2), k / 2)
-        };
-        let cat_a = region_cat(self.region);
-        let cat_b = match self.region {
-            Region::Normal => TimeCat::Read,
-            r => region_cat(r),
-        };
-        (
-            cat_a,
-            a_cycles,
-            cat_b,
-            b_cycles,
-            a_cycles * (iter_retires - 1) + b_cycles,
-            a_cycles,
-        )
+        }
     }
+}
+
+/// The effects of a span of elided spin cycles ([`Core::spin_span`]):
+/// `a_cycles` charged to `cat_a`, `b_cycles` to `cat_b`, and the
+/// instructions retired and L1 hits made over the span.
+pub(crate) struct SpinSpan {
+    pub(crate) cat_a: TimeCat,
+    pub(crate) a_cycles: u64,
+    pub(crate) cat_b: TimeCat,
+    pub(crate) b_cycles: u64,
+    pub(crate) retired: u64,
+    pub(crate) l1_hits: u64,
 }
 
 #[cfg(test)]

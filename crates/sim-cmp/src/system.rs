@@ -105,11 +105,11 @@ impl CoreSchedStats {
 
 impl<B: BarrierHw> System<B> {
     /// Builds the machine around explicit barrier hardware. Kept only
-    /// because `benchmark/src/sut.rs` names
-    /// `System<ClusteredBarrierNetwork>`; elsewhere it serves only tests
-    /// of participation masks ([`gline_core::BarrierNetwork::with_members`]).
-    /// Every other machine builds through [`System::new`], whose
-    /// hardware the configuration picks.
+    /// for `benchmark/src/sut.rs`, which names
+    /// `System<ClusteredBarrierNetwork>` through
+    /// `Workload::into_system_with_hw`. Every other machine gets the
+    /// [`GlineHw`] its configuration picks: through [`System::new`], or
+    /// through `Workload::into_system`, which hands it to this method.
     ///
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
@@ -550,7 +550,7 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// `stall until <cycle>`, `spin` (on a memory flag that no inbound
     /// message can change), `miss` (on an access whose response is
     /// still in flight) or `spin on bar_reg, ctx <n>` (in a barrier
-    /// some member has not reached).
+    /// some core has not reached).
     fn deadlock_error(&self, max_cycles: u64) -> String {
         let stuck: Vec<String> = (0..self.cores.len())
             .filter(|&i| !self.cores[i].halted())
@@ -643,8 +643,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
         // pending `[anchor, now)` span in so a mid-run report is
         // bit-identical to the dense path's (the charged category is
         // frozen while parked). A spin park's span also carries retires
-        // and L1 hits; `spin_pending_stats` previews exactly what the
-        // eventual replay will charge.
+        // and L1 hits; `spin_span` is what the eventual replay will
+        // charge.
         let mut pending_retired = 0;
         let mut pending_l1_hits = 0;
         for (i, park) in self.parks.iter().enumerate() {
@@ -654,12 +654,11 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
                     per_core[i].add(self.cores[i].category(), self.now - anchor);
                 }
                 Park::Spin { plan, anchor } | Park::Bar { plan, anchor } => {
-                    let (cat_a, a, cat_b, b, retired, hits) =
-                        self.cores[i].spin_pending_stats(plan, self.now - anchor);
-                    per_core[i].add(cat_a, a);
-                    per_core[i].add(cat_b, b);
-                    pending_retired += retired;
-                    pending_l1_hits += hits;
+                    let span = self.cores[i].spin_span(plan, self.now - anchor);
+                    per_core[i].add(span.cat_a, span.a_cycles);
+                    per_core[i].add(span.cat_b, span.b_cycles);
+                    pending_retired += span.retired;
+                    pending_l1_hits += span.l1_hits;
                 }
             }
         }
@@ -950,23 +949,20 @@ mod tests {
     }
 
     #[test]
-    fn group_barriers_via_contexts() {
-        // Two independent 4-core groups on an 8-core machine, each
-        // synchronizing through its own barrier context: group 0 runs
-        // many short episodes while group 1 runs few long ones — neither
-        // may block the other.
+    fn barriers_alternate_between_contexts() {
+        // Every core alternates `barctx 0` and `barctx 1` episode by
+        // episode, with per-core work so the arrivals are staggered.
+        // Each context counts its own episodes; the report sums them.
         let n = 8;
+        let episodes = 10;
         let mut c = cfg(n);
         c.gline.contexts = 2;
         let progs: Vec<Program> = (0..n)
             .map(|core| {
-                let group = core / 4;
                 let mut b = ProgBuilder::new();
-                b.barctx(group as u8);
-                let (episodes, work) = if group == 0 { (20, 5) } else { (2, 400) };
-                for _ in 0..episodes {
-                    b.busy(work);
-                    // Arrive and spin, group-local.
+                for e in 0..episodes {
+                    b.barctx((e % 2) as u8);
+                    b.busy(5 + 40 * ((core + e) % 3) as u32);
                     let spin = b.new_label();
                     b.li(Reg(1), 1).barw(Reg(1)).bind(spin).barr(Reg(2)).bne(
                         Reg(2),
@@ -978,19 +974,13 @@ mod tests {
                 b.build()
             })
             .collect();
-        let masks: Vec<Vec<bool>> = vec![
-            (0..n).map(|i| i < 4).collect(),
-            (0..n).map(|i| i >= 4).collect(),
-        ];
-        let hw = gline_core::BarrierNetwork::with_members(c.mesh, c.gline, masks);
-        let mut sys = System::with_barrier_hw(c, progs, hw);
+        let mut sys = System::new(c, progs);
         sys.run(1_000_000).unwrap();
-        // 20 episodes in ctx 0 (by 4 cores) + 2 in ctx 1: the gl_barriers
-        // counter counts per-core arrivals-episodes entered.
-        assert_eq!(sys.core(CoreId(0)).gl_barriers(), 20);
-        assert_eq!(sys.core(CoreId(7)).gl_barriers(), 2);
-        // The report counts the episodes of every context.
-        assert_eq!(sys.report().gl_barriers, 22);
+        for ctx in 0..2 {
+            assert_eq!(sys.gline.stats(ctx).barriers_completed, episodes as u64 / 2);
+        }
+        assert_eq!(sys.core(CoreId(0)).gl_barriers(), episodes as u64);
+        assert_eq!(sys.report().gl_barriers, episodes as u64);
     }
 
     #[test]
@@ -1047,7 +1037,7 @@ mod tests {
                 "{err}"
             );
         }
-        // A G-line barrier whose last member never arrives: the cores
+        // A G-line barrier whose last core never arrives: the cores
         // that did arrive are named as `bar_reg` spinners with the
         // context they wait in, not as live.
         let n = 4;

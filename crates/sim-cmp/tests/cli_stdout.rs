@@ -152,10 +152,10 @@ fn unaligned_poke_and_peek_are_named_usage_errors() {
 /// constructor, a zero router latency (a stale-arrival panic in debug
 /// builds, silently one cycle in release ones), router and link
 /// latencies whose sum overflows 32 bits, an `issue_width` that used to
-/// saturate to 255, line
-/// sizes other than the protocol's 64 bytes (128-byte L1 lines used to
-/// index past `LineData`), and nesting deep enough to overflow the
-/// parser's stack.
+/// saturate to 255, line sizes other than the protocol's 64 bytes
+/// (128-byte L1 lines used to index past `LineData`), G-line context
+/// counts and line latencies large enough to abort on allocation, and
+/// nesting deep enough to overflow the parser's stack.
 #[test]
 fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
     use sim_base::config::CmpConfig;
@@ -190,6 +190,11 @@ fn config_file_sets_the_machine_and_bad_noc_fields_are_named() {
         (issue_300, "core.issue_width"),
         (with(|c| c.l1.line_bytes = 128), "l1.line_bytes"),
         (with(|c| c.l2.line_bytes = 32), "l2.line_bytes"),
+        (with(|c| c.gline.contexts = 4_000_000_000), "gline.contexts"),
+        (
+            with(|c| c.gline.line_latency = 4_000_000_000),
+            "gline.line_latency",
+        ),
         ("[".repeat(50_000), "nesting"),
     ] {
         std::fs::write(&path, &text).unwrap();

@@ -37,8 +37,9 @@ impl Workload {
     }
 
     /// [`into_system`](Self::into_system) on explicit barrier hardware.
-    /// Kept only because `benchmark/src/sut.rs` builds
-    /// `System<ClusteredBarrierNetwork>` through it.
+    /// Kept only for `benchmark/src/sut.rs`, its one caller besides
+    /// `into_system`, which builds `System<ClusteredBarrierNetwork>`
+    /// through it.
     pub fn into_system_with_hw<B: BarrierHw>(&self, cfg: CmpConfig, hw: B) -> System<B> {
         assert_eq!(
             cfg.num_cores(),

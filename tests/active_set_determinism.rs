@@ -19,7 +19,7 @@ use sim_base::trace::{ChromeTraceSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::{SkipStats, System, SystemReport};
-use sim_isa::Program;
+use sim_isa::{ProgBuilder, Program, Reg};
 use workloads::common::Workload;
 use workloads::random::{
     random_sync_programs, staggered_gl_programs, COUNTER_BASE, LOCKS, LOCK_BASE, SLOT_BASE,
@@ -30,7 +30,12 @@ use workloads::{em3d, livermore, ocean, synthetic, unstructured};
 /// bit-identical reports: the sparse run composes parking with clock
 /// jumps, the dense run must never jump.
 fn assert_active_set_invariant(w: &Workload) {
-    let cfg = CmpConfig::icpp2010_with_cores(w.progs.len());
+    assert_active_set_invariant_on(w, CmpConfig::icpp2010_with_cores(w.progs.len()));
+}
+
+/// [`assert_active_set_invariant`] on the machine `cfg`; returns the
+/// report both runs agree on.
+fn assert_active_set_invariant_on(w: &Workload, cfg: CmpConfig) -> SystemReport {
     let (mut fast, mut slow) = (w.into_system(cfg), w.into_system(cfg));
     slow.set_active_set_enabled(false);
     assert!(fast.active_set_enabled() && !slow.active_set_enabled());
@@ -59,6 +64,7 @@ fn assert_active_set_invariant(w: &Workload) {
     );
     assert_core_cycles_accounted(&fast, &format!("{} sparse", w.name));
     assert_core_cycles_accounted(&slow, &format!("{} dense", w.name));
+    rf
 }
 
 /// The scheduler counters account for every core-cycle the report
@@ -130,6 +136,48 @@ fn clustered_256_core_active_set_invariant() {
         "16x16 must exceed the flat G-line budget"
     );
     assert_active_set_invariant(&w);
+}
+
+/// Two barrier contexts taking turns: every core alternates `barctx 0`
+/// and `barctx 1` episode by episode, each after a staggered `busy`
+/// block, so one context's spinners park while the other context is
+/// idle. On the flat (4×8) and the clustered (16×16) network the
+/// default engine must match the oracle, and the report must count the
+/// episodes of both contexts.
+#[test]
+fn alternating_contexts_active_set_invariant() {
+    let episodes = 6;
+    for (rows, cols) in [(4, 8), (16, 16)] {
+        let mut cfg = CmpConfig::icpp2010();
+        cfg.mesh = Mesh2D::new(rows, cols);
+        cfg.gline.contexts = 2;
+        let progs = (0..cfg.num_cores())
+            .map(|c| {
+                let mut b = ProgBuilder::new();
+                for e in 0..episodes {
+                    let spin = b.new_label();
+                    b.barctx((e % 2) as u8)
+                        .busy(1 + ((c * 7 + e * 13) % 50) as u32 * 4)
+                        .li(Reg(1), 1)
+                        .barw(Reg(1))
+                        .bind(spin)
+                        .barr(Reg(2))
+                        .bne(Reg(2), Reg::ZERO, spin);
+                }
+                b.halt();
+                b.build()
+            })
+            .collect();
+        let w = Workload {
+            name: format!("alternating contexts {rows}x{cols}"),
+            progs,
+            pokes: Vec::new(),
+            barriers_per_core: episodes as u64,
+            kind: BarrierKind::Gl,
+        };
+        let rep = assert_active_set_invariant_on(&w, cfg);
+        assert_eq!(rep.gl_barriers, episodes as u64, "{}", w.name);
+    }
 }
 
 #[test]

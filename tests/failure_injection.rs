@@ -49,7 +49,7 @@ fn zero_bar_reg_write_rejected() {
 #[test]
 #[should_panic(expected = "trigger_release")]
 fn premature_gated_release_rejected() {
-    let mut net = BarrierNetwork::with_gated_root(Mesh2D::new(2, 2), GlineConfig::default(), true);
+    let mut net = BarrierNetwork::gated(Mesh2D::new(2, 2), GlineConfig::default());
     net.trigger_release(0);
 }
 
