@@ -243,16 +243,22 @@ type ModelEntry = (u64, u8, u64);
 
 /// `SetAssoc` against a per-set `VecDeque` true-LRU model (front = MRU):
 /// random probe/lookup/insert/remove/set_full/pick_victim sequences with
-/// random `evictable` predicates, 1–8 ways, 1–16 sets, and a line pool
-/// three times the capacity, so sets fill, overflow, empty and refill.
-/// After every operation the resident entries must match the model in
-/// `iter()` order (sets ascending, MRU first), and exactly the sets ever
-/// filled must hold a chunk.
+/// random `evictable` predicates, 1–8 ways and 1–1,024 sets. Arrays of
+/// up to 16 sets (one partial index page) draw from every set; larger
+/// ones, up to 32 index pages, from a few sets picked anywhere, so that
+/// far-apart pages are carved out of order. Each touched set sees three
+/// times its ways in lines, so sets fill, overflow, empty and refill,
+/// and removals of resident lines free entries for later inserts to
+/// reuse. After every operation the resident entries must match the
+/// model in `iter()` order (sets ascending, MRU first), exactly the sets
+/// ever filled must hold a chunk, and the entry pool must hold exactly
+/// the most lines ever resident at once.
 #[test]
 fn set_assoc_matches_true_lru_model() {
-    forall_cases("set_assoc_matches_true_lru_model", 64, |rng| {
+    let mut reused = 0;
+    forall_cases("set_assoc_matches_true_lru_model", 96, |rng| {
         let ways = 1 + rng.next_below(8) as usize;
-        let sets = 1usize << rng.next_below(5);
+        let sets = 1usize << rng.next_below(11);
         let cfg = CacheConfig {
             size_bytes: (sets * ways) as u64 * LINE_BYTES,
             ways: ways as u32,
@@ -260,12 +266,27 @@ fn set_assoc_matches_true_lru_model() {
             hit_latency: 1,
             extra_data_latency: 0,
         };
+        let hot: Vec<u64> = if sets <= 16 {
+            (0..sets as u64).collect()
+        } else {
+            (0..1 + rng.next_below(6))
+                .map(|_| rng.next_below(sets as u64))
+                .collect()
+        };
         let mut cache: SetAssoc<u8> = SetAssoc::new(&cfg);
         let mut model: Vec<VecDeque<ModelEntry>> = vec![VecDeque::new(); sets];
         let mut filled = vec![false; sets];
-        let pool = 3 * (sets * ways) as u64;
-        for step in 0..300u64 {
-            let l = rng.next_below(pool);
+        let mut peak = 0;
+        for step in 0..400u64 {
+            let s = hot[rng.next_below(hot.len() as u64) as usize];
+            let mut l = s + sets as u64 * rng.next_below(3 * ways as u64);
+            if rng.chance(0.1) {
+                // A resident line anywhere, so that removals free entries.
+                let resident: Vec<u64> = model.iter().flatten().map(|e| e.0).collect();
+                if !resident.is_empty() {
+                    l = resident[rng.next_below(resident.len() as u64) as usize];
+                }
+            }
             let s = (l % sets as u64) as usize;
             let set = &mut model[s];
             let pos = set.iter().position(|e| e.0 == l);
@@ -311,6 +332,9 @@ fn set_assoc_matches_true_lru_model() {
                         assert_eq!(cache.remove(victim).map(|e| view(&e)), Some(lru));
                     }
                     let state = rng.next_below(256) as u8;
+                    if cache.len() < cache.pooled() {
+                        reused += 1;
+                    }
                     cache.insert(line, state, [step; 8]);
                     set.push_front((l, state, step));
                     filled[s] = true;
@@ -324,8 +348,15 @@ fn set_assoc_matches_true_lru_model() {
             assert_eq!(cache.is_empty(), want.is_empty());
             let ever = filled.iter().filter(|&&f| f).count();
             assert_eq!(cache.filled_sets(), ever, "one chunk per set ever filled");
+            peak = peak.max(want.len());
+            assert_eq!(
+                cache.pooled(),
+                peak,
+                "entries pooled past the peak resident count"
+            );
         }
     });
+    assert!(reused > 1000, "only {reused} inserts reused a freed entry");
 }
 
 fn view(e: &Entry<u8>) -> ModelEntry {

@@ -20,9 +20,11 @@ pub struct Message<T> {
     pub payload: T,
 }
 
-/// Internal per-packet bookkeeping while its flits are in the network.
-/// Parked in the packet slab next to the message, which supplies source,
-/// destination and class.
+/// Internal per-message bookkeeping, parked in the packet slab next to
+/// the message (which supplies source, destination and class) from send
+/// to receipt. A packet has a flit in the network while `flits_arrived <
+/// flits_total`; a same-tile message that bypasses the mesh has no
+/// flit, so both counts stay 0 and its `pkt` is unused.
 #[derive(Clone, Debug)]
 pub(crate) struct PacketInfo {
     pub pkt: u64,

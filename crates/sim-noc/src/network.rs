@@ -85,20 +85,22 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     wire: VecDeque<WireEntry>,
     /// Flits crossing the final router toward delivery.
     eject: VecDeque<EjectEntry>,
-    /// Slab of packets whose flits are in the network, indexed by
-    /// [`Flit::slot`]: bookkeeping plus the parked message. `None`
-    /// entries are on `free_slots`, so the slab never outgrows the peak
-    /// in-flight count.
+    /// Slab of messages sent and not yet received, indexed by
+    /// [`Flit::slot`]: bookkeeping plus the message, parked from
+    /// [`send`](Noc::send) until [`recv`](Noc::recv) moves it out.
+    /// `None` entries are on `free_slots`, so the slab never outgrows
+    /// the peak count of messages in flight or waiting.
     packets: Vec<Option<(PacketInfo, Message<T>)>>,
     free_slots: Vec<u32>,
     /// `neighbors[r][d]`: the tile across mesh port `d` of router `r`.
     neighbors: Vec<[u32; 4]>,
     /// `(row, col)` of every tile, so that routing a hop divides nothing.
     coords: Vec<Coord>,
-    /// Same-tile messages bypassing the mesh: (deliver_at, message).
-    bypass: VecDeque<(Cycle, Message<T>)>,
-    /// Delivered messages per tile.
-    delivered: Vec<VecDeque<Message<T>>>,
+    /// Same-tile messages bypassing the mesh, by slab slot, in send
+    /// order: (deliver_at, slot).
+    bypass: VecDeque<(Cycle, u32)>,
+    /// Delivered messages per tile, by slab slot, oldest first.
+    delivered: Vec<VecDeque<u32>>,
     next_pkt: u64,
     now: Cycle,
     /// Flits anywhere in the system (fast-path check).
@@ -110,7 +112,7 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     /// Tiles with undelivered messages (exact: maintained by
     /// delivery-queue push/pop edges).
     delivery_tiles: ActiveSet,
-    /// Total undelivered messages across all tiles.
+    /// Messages delivered and not yet received, across all tiles.
     delivered_count: usize,
     /// Gate for the sparse tick paths (`--no-active-set` escape hatch).
     active_set_enabled: bool,
@@ -229,9 +231,10 @@ impl<T, S: TraceSink> Noc<T, S> {
         self.active_flits == 0 && self.bypass.is_empty()
     }
 
-    /// Messages currently in flight (including bypass).
+    /// Messages currently in flight (including bypass). A delivered
+    /// message waiting for [`recv`](Self::recv) is not in flight.
     pub fn in_flight(&self) -> usize {
-        self.packets.len() - self.free_slots.len() + self.bypass.len()
+        self.packets.len() - self.free_slots.len() - self.delivered_count
     }
 
     /// Read-only view of `tile`'s router, for tests and inspection.
@@ -248,6 +251,11 @@ impl<T, S: TraceSink> Noc<T, S> {
     /// * the flit count equals the flits buffered, on wires, in ejection
     ///   and queued at network interfaces;
     /// * every packet-slab slot is live or on the free list, never both;
+    /// * the delivery queues hold `delivered_count` slots, each live and
+    ///   complete (every flit arrived), and the delivery work list is
+    ///   exactly the tiles with a non-empty queue;
+    /// * every other live slot is a bypass message or a packet with a
+    ///   flit in the network;
     /// * every router's request masks and requested-outputs byte match
     ///   its buffer fronts;
     /// * the router work list holds every router that buffers a flit,
@@ -323,6 +331,45 @@ impl<T, S: TraceSink> Noc<T, S> {
                 ));
             }
         }
+        let mut waiting = 0;
+        for (tile, q) in self.delivered.iter().enumerate() {
+            if q.is_empty() == self.delivery_tiles.contains(tile) {
+                return Err(format!(
+                    "tile {tile}: {} delivered messages but {} the delivery work list",
+                    q.len(),
+                    if q.is_empty() { "on" } else { "not on" },
+                ));
+            }
+            for &slot in q {
+                match &self.packets[slot as usize] {
+                    Some((info, _)) if info.flits_arrived == info.flits_total => {}
+                    _ => {
+                        return Err(format!(
+                            "tile {tile}: delivered slot {slot} is free or incomplete"
+                        ))
+                    }
+                }
+            }
+            waiting += q.len();
+        }
+        if waiting != self.delivered_count {
+            return Err(format!(
+                "deliveries: {waiting} queued, {} counted",
+                self.delivered_count
+            ));
+        }
+        let live = self.packets.len() - self.free_slots.len();
+        let in_mesh = self.packets.iter().flatten();
+        let in_mesh = in_mesh.filter(|(info, _)| info.flits_arrived < info.flits_total);
+        let moving = self.bypass.len() + in_mesh.count();
+        if moving + waiting != live {
+            return Err(format!(
+                "packet slab: {live} live slots, but {} bypassing + {} in the mesh + \
+                 {waiting} delivered",
+                self.bypass.len(),
+                moving - self.bypass.len()
+            ));
+        }
         for (r, router) in self.routers.iter().enumerate() {
             if !router.req_is_consistent() {
                 return Err(format!(
@@ -362,11 +409,28 @@ impl<T, S: TraceSink> Noc<T, S> {
             "bad dst {:?}",
             msg.dst
         );
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.packets.push(None);
+            // Room for every slot to be free at once, so that freeing
+            // one never allocates.
+            self.free_slots.reserve(self.packets.len());
+            u32::try_from(self.packets.len() - 1).expect("packet slab outgrew u32 slots")
+        });
         if msg.src == msg.dst {
             self.stats.local_bypass += 1;
             // Delivered by this cycle's tick, i.e. visible to the
-            // receiver on the next cycle — one cycle of NI latency.
-            self.bypass.push_back((self.now, msg));
+            // receiver on the next cycle — one cycle of NI latency. No
+            // flit, so the watchdog passes it by.
+            self.bypass.push_back((self.now, slot));
+            self.packets[slot as usize] = Some((
+                PacketInfo {
+                    pkt: u64::MAX,
+                    injected_at: self.now,
+                    flits_total: 0,
+                    flits_arrived: 0,
+                },
+                msg,
+            ));
             return;
         }
         self.stats.sent.add(msg.class, 1);
@@ -377,13 +441,6 @@ impl<T, S: TraceSink> Noc<T, S> {
         );
         let pkt = self.next_pkt;
         self.next_pkt += 1;
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
-            self.packets.push(None);
-            // Room for every slot to be free at once, so that freeing
-            // one never allocates.
-            self.free_slots.reserve(self.packets.len());
-            u32::try_from(self.packets.len() - 1).expect("packet slab outgrew u32 slots")
-        });
         self.tracer.emit(self.now, || Event::NocSend {
             pkt,
             src: msg.src,
@@ -422,18 +479,21 @@ impl<T, S: TraceSink> Noc<T, S> {
         ));
     }
 
-    /// Pops one delivered message for `tile`, if any.
+    /// Pops one delivered message for `tile`, if any, moving it out of
+    /// the packet slab and freeing its slot.
     #[inline]
     pub fn recv(&mut self, tile: CoreId) -> Option<Message<T>> {
         let q = &mut self.delivered[tile.index()];
-        let msg = q.pop_front();
-        if msg.is_some() {
-            self.delivered_count -= 1;
-            if q.is_empty() {
-                self.delivery_tiles.remove(tile.index());
-            }
+        let slot = q.pop_front()?;
+        if q.is_empty() {
+            self.delivery_tiles.remove(tile.index());
         }
-        msg
+        self.delivered_count -= 1;
+        self.free_slots.push(slot);
+        let (_, msg) = self.packets[slot as usize]
+            .take()
+            .expect("a delivered message waits in its slot");
+        Some(msg)
     }
 
     /// True when any delivered message is waiting to be received.
@@ -460,9 +520,10 @@ impl<T, S: TraceSink> Noc<T, S> {
         &self.delivery_tiles
     }
 
-    /// Records a message delivery to `tile`'s queue bookkeeping.
+    /// Queues the message in `slot` for `tile`'s receiver.
     #[inline]
-    fn note_delivery(&mut self, tile: usize) {
+    fn deliver(&mut self, tile: usize, slot: u32) {
+        self.delivered[tile].push_back(slot);
         self.delivered_count += 1;
         self.delivery_tiles.insert(tile);
     }
@@ -547,10 +608,11 @@ impl<T, S: TraceSink> Noc<T, S> {
 
         // Phase 1: bypass + wire + ejection arrivals scheduled for `now`.
         while self.bypass.front().is_some_and(|(t, _)| *t <= now) {
-            let (_, msg) = self.bypass.pop_front().expect("checked non-empty");
-            let dst = msg.dst.index();
-            self.delivered[dst].push_back(msg);
-            self.note_delivery(dst);
+            let (_, slot) = self.bypass.pop_front().expect("checked non-empty");
+            let (_, msg) = self.packets[slot as usize]
+                .as_ref()
+                .expect("a bypass message waits in its slot");
+            self.deliver(msg.dst.index(), slot);
         }
         // A traced NoC buffers every flit, so that its events keep the
         // dense tick's in-cycle order.
@@ -592,7 +654,11 @@ impl<T, S: TraceSink> Noc<T, S> {
         // Deadlock watchdog and, in debug builds, the conservation check
         // (amortized).
         if now.is_multiple_of(4096) {
-            for (info, msg) in self.packets.iter().flatten() {
+            // Only packets with a flit in the network age: a bypass
+            // message has none, and a delivered one waits for its
+            // receiver, not for the network.
+            let in_mesh = self.packets.iter().flatten();
+            for (info, msg) in in_mesh.filter(|(i, _)| i.flits_arrived < i.flits_total) {
                 assert!(
                     now - info.injected_at <= self.watchdog,
                     "NoC watchdog: packet {} ({:?} → {:?}, class {:?}) stuck for {} cycles",
@@ -811,19 +877,19 @@ impl<T, S: TraceSink> Noc<T, S> {
         info.pkt
     }
 
-    /// Accounts an ejected flit; on the tail, reassembles and delivers.
+    /// Accounts an ejected flit; on the tail, delivers the packet's
+    /// message, which stays in its slot until received.
     fn finish_flit(&mut self, flit: Flit, now: Cycle) {
         self.active_flits -= 1;
-        let entry = &mut self.packets[flit.slot as usize];
-        let (info, _) = entry.as_mut().expect("packet state exists");
+        let (info, msg) = self.packets[flit.slot as usize]
+            .as_mut()
+            .expect("packet state exists");
         info.flits_arrived += 1;
         if flit.is_tail() {
             debug_assert_eq!(
                 info.flits_arrived, info.flits_total,
                 "tail arrived before body"
             );
-            let (info, msg) = entry.take().expect("checked above");
-            self.free_slots.push(flit.slot);
             let latency = now - info.injected_at;
             self.stats.delivered.add(msg.class, 1);
             self.stats.latency[msg.class.index()].record(latency);
@@ -834,8 +900,7 @@ impl<T, S: TraceSink> Noc<T, S> {
                 latency,
             });
             let dst = msg.dst.index();
-            self.delivered[dst].push_back(msg);
-            self.note_delivery(dst);
+            self.deliver(dst, flit.slot);
         }
     }
 }
@@ -1041,8 +1106,9 @@ mod tests {
     #[test]
     fn packet_slab_recycles_slots() {
         // 100 k messages in bursts with the network draining in between:
-        // the slab must stop growing at the peak in-flight count and end
-        // with every slot back on the free list.
+        // the slab must stop growing at the peak count of messages sent
+        // and not yet received, and end with every slot back on the free
+        // list once the last of them is received.
         let mut n = noc(4, 8);
         let mut rng = sim_base::rng::SplitMix64::new(12);
         let classes = [Request, Reply, Coherence];
@@ -1066,6 +1132,10 @@ mod tests {
         run_until_idle(&mut n, 100_000);
         assert_eq!(n.stats().delivered.total(), sent as u64);
         assert_eq!(n.in_flight(), 0);
+        assert!(n.packets.iter().any(Option::is_some), "nothing waits");
+        for tile in 0..32 {
+            while n.recv(CoreId::from(tile)).is_some() {}
+        }
         assert!(n.packets.iter().all(Option::is_none));
         assert_eq!(n.free_slots.len(), n.packets.len());
         assert!(

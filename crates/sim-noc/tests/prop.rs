@@ -4,7 +4,9 @@
 //! must grant what a scan of all fifteen slots grants — output by
 //! output and over a whole router visit — the flat input rings must
 //! behave as fifteen `VecDeque`s, and the sparse tick (work lists,
-//! direct injection) must move in lockstep with the dense one.
+//! direct injection) must move in lockstep with the dense one. A
+//! delivered message waits in its packet-slab slot until received, and
+//! how long it waits changes nothing the network does.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
@@ -526,4 +528,142 @@ fn sparse_tick_matches_dense_tick_in_lockstep() {
     });
     assert!(direct > 0, "no send was injected directly");
     assert!(transits > 0, "no flit passed through an idle router");
+}
+
+/// A receiver that lets delivered messages wait changes nothing: random
+/// traffic, a fifth of it same-tile (bypassing the mesh) and much of it
+/// multi-flit, goes into two networks, one received from every cycle
+/// and one only every few dozen cycles. Each tile must receive the same
+/// messages in the same order from both, so per-tile FIFO order holds
+/// across interleaved bypass and mesh deliveries; between ticks both
+/// must agree on `in_flight`, `is_idle` and the statistics, pass
+/// `check_conservation`, and the lazy one must report exactly the
+/// messages it holds back.
+#[test]
+fn waiting_deliveries_keep_order_and_counts() {
+    let mut most_waiting = 0;
+    forall_cases("waiting_deliveries_keep_order_and_counts", 32, |rng| {
+        let mesh = Mesh2D::new(1 + rng.next_below(4) as u16, 1 + rng.next_below(5) as u16);
+        let tiles = mesh.num_tiles();
+        let cfg = NocConfig {
+            link_bytes: [16, 75][rng.next_below(2) as usize],
+            vc_buffer_flits: 1 + rng.next_below(4) as u32,
+            ..NocConfig::default()
+        };
+        let mut eager: Noc<usize> = Noc::new(mesh, cfg);
+        let mut lazy: Noc<usize> = Noc::new(mesh, cfg);
+        let every = 1 + rng.next_below(64);
+        let mut got: Vec<Vec<usize>> = vec![Vec::new(); tiles];
+        let mut want: Vec<Vec<usize>> = vec![Vec::new(); tiles];
+        let mut waiting = 0;
+        let mut cycle = 0;
+        while cycle < 300 || !eager.is_idle() || waiting > 0 {
+            if cycle < 300 && rng.chance(0.5) {
+                let mut t = arb_traffic(rng, tiles);
+                if rng.chance(0.2) {
+                    t.dst = t.src;
+                }
+                for noc in [&mut eager, &mut lazy] {
+                    noc.send(Message {
+                        src: CoreId::from(t.src),
+                        dst: CoreId::from(t.dst),
+                        class: t.class,
+                        payload_bytes: t.bytes,
+                        payload: cycle as usize,
+                    });
+                }
+            }
+            eager.tick();
+            lazy.tick();
+            for tile in mesh.tiles() {
+                while let Some(m) = eager.recv(tile) {
+                    want[tile.index()].push(m.payload);
+                    waiting += 1;
+                }
+            }
+            if cycle % every == 0 || cycle >= 300 {
+                for tile in mesh.tiles() {
+                    while let Some(m) = lazy.recv(tile) {
+                        got[tile.index()].push(m.payload);
+                        waiting -= 1;
+                    }
+                }
+            }
+            most_waiting = most_waiting.max(waiting);
+            for noc in [&eager, &lazy] {
+                if let Err(e) = noc.check_conservation() {
+                    panic!("cycle {cycle}: {e}");
+                }
+            }
+            assert_eq!(lazy.in_flight(), eager.in_flight(), "cycle {cycle}");
+            assert_eq!(lazy.is_idle(), eager.is_idle(), "cycle {cycle}");
+            assert_eq!(lazy.stats(), eager.stats(), "cycle {cycle}");
+            assert_eq!(lazy.has_deliveries(), waiting > 0, "cycle {cycle}");
+            cycle += 1;
+            assert!(cycle < 200_000, "network failed to drain");
+        }
+        assert_eq!(got, want);
+        assert_eq!(lazy.in_flight(), 0);
+        assert_eq!(lazy.next_event(), None);
+    });
+    assert!(most_waiting > 10, "at most {most_waiting} messages waited");
+}
+
+/// A delivered message is waiting for its receiver, not stuck in the
+/// network: one mesh and one bypass message wait unreceived for three
+/// watchdog checks (4,096 cycles apart), far past a watchdog of 64
+/// cycles, while fresh traffic keeps the network loaded. Meanwhile they
+/// count as waiting, not in flight, the network is idle whenever no
+/// fresh packet is in it, and `next_event` reports work now.
+#[test]
+fn waiting_deliveries_do_not_trip_the_watchdog() {
+    let mut noc: Noc<u32> = Noc::new(Mesh2D::new(2, 2), NocConfig::default());
+    noc.set_watchdog(64);
+    for (src, dst) in [(0, 1), (2, 2)] {
+        noc.send(Message {
+            src: CoreId(src),
+            dst: CoreId(dst),
+            class: MsgClass::Reply,
+            payload_bytes: 64,
+            payload: 7,
+        });
+    }
+    assert_eq!(noc.in_flight(), 2);
+    while noc.in_flight() > 0 {
+        noc.tick();
+        assert!(noc.now() < 100, "two messages still in flight");
+    }
+    assert!(noc.is_idle());
+    assert!(noc.has_delivery_for(CoreId(1)) && noc.has_delivery_for(CoreId(2)));
+    assert_eq!(noc.next_event(), Some(noc.now()));
+    assert_eq!(noc.check_conservation(), Ok(()));
+    let mut fresh = 0;
+    while noc.now() < 3 * 4096 + 100 {
+        if noc.now().is_multiple_of(8) {
+            noc.send(Message {
+                src: CoreId(0),
+                dst: CoreId(3),
+                class: MsgClass::Request,
+                payload_bytes: 0,
+                payload: 0,
+            });
+        }
+        noc.tick();
+        while noc.recv(CoreId(3)).is_some() {
+            fresh += 1;
+        }
+        assert!(noc.in_flight() <= 2, "cycle {}", noc.now());
+        assert_eq!(noc.is_idle(), noc.in_flight() == 0);
+    }
+    assert!(fresh > 1000, "only {fresh} fresh messages");
+    assert_eq!(noc.check_conservation(), Ok(()));
+    for dst in [1, 2] {
+        assert_eq!(noc.recv(CoreId(dst)).map(|m| m.payload), Some(7));
+    }
+    while !noc.is_idle() {
+        noc.tick();
+    }
+    while noc.recv(CoreId(3)).is_some() {}
+    assert_eq!((noc.in_flight(), noc.next_event()), (0, None));
+    assert_eq!(noc.check_conservation(), Ok(()));
 }

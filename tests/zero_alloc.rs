@@ -9,10 +9,11 @@
 //! counting global allocator: after a warm-up pass that sizes every
 //! buffer, an identical traffic pattern must run allocation-free.
 //!
-//! The same allocator pins what construction costs: a machine allocates
-//! per tile, not per cache set, per-core programs are shared rather than
-//! copied, and a workload's programs are built per program, not per
-//! label.
+//! The same allocator, which also sums the bytes each call requests,
+//! pins what construction costs: a machine allocates per tile, in calls
+//! and in bytes, never per cache set; per-core programs are shared
+//! rather than copied, and a workload's programs are built per program,
+//! not per label.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
@@ -30,22 +31,29 @@ use workloads::{synthetic, Workload};
 struct CountingAlloc;
 
 thread_local! {
-    /// This thread's allocation count while it is measuring (`None`
-    /// otherwise). Per thread, so the tests of this file can run side
-    /// by side; const-initialized and without a destructor, so reading
-    /// it from the allocator never allocates.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+    /// This thread's allocation count and requested bytes while it is
+    /// measuring (`None` otherwise). Per thread, so the tests of this
+    /// file can run side by side; const-initialized and without a
+    /// destructor, so reading it from the allocator never allocates.
+    static ALLOCS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-fn note_alloc() {
-    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|n| n + 1)));
+/// Counts one allocation or reallocation that requests `bytes`.
+fn note_alloc(bytes: usize) {
+    let _ = ALLOCS.try_with(|a| a.set(a.get().map(|(n, b)| (n + 1, b + bytes as u64))));
+}
+
+/// Runs `f` and returns how many heap allocations this thread made and
+/// how many bytes they requested (a reallocation counts its new size).
+fn measure_allocs(f: impl FnOnce()) -> (u64, u64) {
+    ALLOCS.with(|a| a.set(Some((0, 0))));
+    f();
+    ALLOCS.with(|a| a.replace(None)).expect("still measuring")
 }
 
 /// Runs `f` and returns how many heap allocations this thread made.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|a| a.set(Some(0)));
-    f();
-    ALLOCS.with(|a| a.replace(None)).expect("still measuring")
+    measure_allocs(f).0
 }
 
 // SAFETY: pure pass-through to the system allocator; the counter bump
@@ -53,7 +61,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: caller obligations are exactly `System.alloc`'s.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
+        note_alloc(layout.size());
         // SAFETY: `layout` is forwarded verbatim from our caller.
         unsafe { SystemAlloc.alloc(layout) }
     }
@@ -64,7 +72,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     // SAFETY: caller obligations are exactly `System.realloc`'s.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
+        note_alloc(new_size);
         // SAFETY: arguments are forwarded verbatim from our caller.
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
@@ -206,11 +214,9 @@ fn steady_state_system_ticks_do_not_allocate() {
     assert!(jumps > 100, "imbalanced GL loop: only {jumps} clock jumps");
 }
 
-/// Building the memory system allocates per tile, never per cache set:
-/// quadrupling every L2 bank (1,024 → 4,096 sets) adds no allocation,
-/// because a set's storage is carved only on its first fill.
-#[test]
-fn memory_system_construction_allocates_per_tile_not_per_set() {
+/// The 32x32 machine of the Table-1 configuration, and the same machine
+/// with every L2 bank quadrupled to 1 MB (1,024 → 4,096 sets).
+fn machines_1024_with_l2_banks_of_256k_and_1m() -> (CmpConfig, CmpConfig) {
     let cfg = CmpConfig::icpp2010_with_cores(1024);
     let big_l2 = CmpConfig {
         l2: CacheConfig {
@@ -221,6 +227,16 @@ fn memory_system_construction_allocates_per_tile_not_per_set() {
     };
     assert_eq!(big_l2.validate(), Ok(()));
     assert_eq!(big_l2.l2.num_sets(), 4 * cfg.l2.num_sets());
+    (cfg, big_l2)
+}
+
+/// Building the memory system allocates per tile, never per cache set:
+/// quadrupling every L2 bank adds no allocation, because a cache
+/// allocates nothing until its first fill, which carves the storage of
+/// its set and of the set's index page.
+#[test]
+fn memory_system_construction_allocates_per_tile_not_per_set() {
+    let (cfg, big_l2) = machines_1024_with_l2_banks_of_256k_and_1m();
     let build = |cfg: &CmpConfig| count_allocs(|| drop(MemorySystem::new(cfg)));
     let (small, big) = (build(&cfg), build(&big_l2));
     assert_eq!(small, big, "allocations grew with the L2 set count");
@@ -228,6 +244,25 @@ fn memory_system_construction_allocates_per_tile_not_per_set() {
     assert!(
         per_tile <= 8.0,
         "{small} allocations for {} tiles ({per_tile:.1} per tile)",
+        cfg.num_cores()
+    );
+}
+
+/// Building the memory system requests bytes per tile, never per cache
+/// set: with 1 MB L2 banks it requests exactly what it does with 256 KB
+/// ones, under 2 KB per tile. Measured: 1,744 bytes per tile. A `u32`
+/// index slot per set would add 4 KB per 256 KB bank (4.7 MB in all
+/// with the L1s') and four times that with 1 MB banks.
+#[test]
+fn memory_system_construction_bytes_do_not_grow_with_sets() {
+    let (cfg, big_l2) = machines_1024_with_l2_banks_of_256k_and_1m();
+    let build = |cfg: &CmpConfig| measure_allocs(|| drop(MemorySystem::new(cfg))).1;
+    let (small, big) = (build(&cfg), build(&big_l2));
+    assert_eq!(small, big, "requested bytes grew with the L2 set count");
+    let per_tile = small as f64 / cfg.num_cores() as f64;
+    assert!(
+        per_tile <= 2048.0,
+        "{small} bytes requested for {} tiles ({per_tile:.0} per tile)",
         cfg.num_cores()
     );
 }
