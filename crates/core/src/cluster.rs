@@ -22,8 +22,9 @@
 //!
 //! # Tracing
 //!
-//! Generic over a [`TraceSink`] like the flat network, but it traces
-//! only what a core sees: `BarrierArrive` and `BarrierRelease` per core
+//! Off until [`BarrierHw::set_tracer`] switches it on, like the flat
+//! network, but it traces only what a core sees: `BarrierArrive` and
+//! `BarrierRelease` per core
 //! with global core ids, and one `BarrierComplete` per episode. The
 //! sub-networks and the second level stay untraced, because their core
 //! ids and rows are cluster-local.
@@ -31,7 +32,7 @@
 use crate::network::{BarrierHw, BarrierNetwork, CtxId};
 use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
-use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
+use sim_base::trace::{Event, Tracer};
 use sim_base::{ActiveSet, Coord, CoreId, Cycle, Mesh2D};
 
 /// A cluster's place in the picture: its sub-network and its geometry.
@@ -48,7 +49,7 @@ struct Cluster {
 /// Implements the same [`BarrierHw`] interface as the flat network, so it
 /// is a drop-in replacement for meshes the flat network cannot span.
 #[derive(Clone, Debug)]
-pub struct ClusteredBarrierNetwork<S: TraceSink = NullSink> {
+pub struct ClusteredBarrierNetwork {
     mesh: Mesh2D,
     grid: Mesh2D,
     cluster_dim: u16,
@@ -66,10 +67,10 @@ pub struct ClusteredBarrierNetwork<S: TraceSink = NullSink> {
     /// the early-out in `tick` never skips work.
     idle: bool,
     /// Per context, the global cores whose `bar_reg` is set: where a
-    /// traced tick looks for the cores it released. Kept only when
-    /// `S::ENABLED`.
+    /// traced tick looks for the cores it released. Kept only while the
+    /// tracer is on (empty otherwise).
     held: Vec<ActiveSet>,
-    tracer: Tracer<S>,
+    tracer: Tracer,
 }
 
 impl ClusteredBarrierNetwork {
@@ -81,14 +82,6 @@ impl ClusteredBarrierNetwork {
     /// would need a third level; at the default budget this allows up to
     /// 4096 cores).
     pub fn new(mesh: Mesh2D, cfg: GlineConfig) -> ClusteredBarrierNetwork {
-        ClusteredBarrierNetwork::traced(mesh, cfg, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> ClusteredBarrierNetwork<S> {
-    /// Builds a traced clustered network: every arrival, release and
-    /// completed episode is emitted into `tracer` (see the module doc).
-    pub fn traced(mesh: Mesh2D, cfg: GlineConfig, tracer: Tracer<S>) -> ClusteredBarrierNetwork<S> {
         let dim = (cfg.max_transmitters + 1) as u16;
         assert!(dim >= 1);
         let grid = Mesh2D::new(mesh.rows.div_ceil(dim), mesh.cols.div_ceil(dim));
@@ -122,8 +115,8 @@ impl<S: TraceSink> ClusteredBarrierNetwork<S> {
             episodes: vec![Episodes::new(mesh.num_tiles() as u32); n_ctx],
             stats: vec![GlineStats::default(); n_ctx],
             idle: false,
-            held: vec![ActiveSet::new(if S::ENABLED { mesh.num_tiles() } else { 0 }); n_ctx],
-            tracer,
+            held: Vec::new(),
+            tracer: Tracer::default(),
         }
     }
 
@@ -186,7 +179,7 @@ impl<S: TraceSink> ClusteredBarrierNetwork<S> {
     }
 }
 
-impl<S: TraceSink> BarrierHw for ClusteredBarrierNetwork<S> {
+impl BarrierHw for ClusteredBarrierNetwork {
     fn num_cores(&self) -> usize {
         self.mesh.num_tiles()
     }
@@ -207,7 +200,7 @@ impl<S: TraceSink> BarrierHw for ClusteredBarrierNetwork<S> {
         if was_zero {
             self.episodes[ctx].arrive(self.now);
             self.outstanding[ctx] += 1;
-            if S::ENABLED {
+            if self.tracer.on() {
                 self.held[ctx].insert(core.index());
                 let ctx = ctx as u32;
                 self.tracer
@@ -277,7 +270,7 @@ impl<S: TraceSink> BarrierHw for ClusteredBarrierNetwork<S> {
             let released = self.outstanding[ctx] - outstanding;
             self.episodes[ctx].release(released);
             self.outstanding[ctx] = outstanding;
-            if S::ENABLED && released > 0 {
+            if self.tracer.on() && released > 0 {
                 self.trace_releases(ctx);
             }
             if let Some(latency) = self.episodes[ctx].close(self.now, &mut self.stats[ctx]) {
@@ -329,6 +322,25 @@ impl<S: TraceSink> BarrierHw for ClusteredBarrierNetwork<S> {
         }
         self.level2.skip_to(t);
         self.now = t;
+    }
+
+    /// Traces every arrival, release and completed episode (see the
+    /// module doc). Switching on rebuilds the held sets from the set
+    /// `bar_reg`s.
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        self.tracer = tracer.clone();
+        self.held.clear();
+        if tracer.on() {
+            for ctx in 0..self.num_contexts {
+                let mut held = ActiveSet::new(self.mesh.num_tiles());
+                for i in 0..self.mesh.num_tiles() {
+                    if self.bar_reg(CoreId::from(i), ctx) != 0 {
+                        held.insert(i);
+                    }
+                }
+                self.held.push(held);
+            }
+        }
     }
 
     fn release_bound(&self) -> u64 {
@@ -538,14 +550,15 @@ mod tests {
 
     #[test]
     fn traced_network_reports_global_core_events() {
-        use sim_base::trace::ChromeTraceSink;
-        let tracer = Tracer::new(ChromeTraceSink::new());
+        use sim_base::trace::ChromeSink;
+        let tracer = Tracer::new(ChromeSink::new());
         let mesh = Mesh2D::new(9, 9);
-        let mut net = ClusteredBarrierNetwork::traced(mesh, cfg(), tracer.clone());
+        let mut net = ClusteredBarrierNetwork::new(mesh, cfg());
+        net.set_tracer(&tracer);
         for _ in 0..2 {
             assert_eq!(net.run_single_barrier(&vec![0; 81]), 7);
         }
-        let events = tracer.with_sink(|s| s.events().to_vec());
+        let events = tracer.with_sink(|s: &mut ChromeSink| s.events().to_vec());
         for name in ["barrier.arrive", "barrier.release"] {
             let mut cores: Vec<usize> = events
                 .iter()

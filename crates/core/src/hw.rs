@@ -7,34 +7,27 @@ use crate::cluster::ClusteredBarrierNetwork;
 use crate::network::{BarrierHw, BarrierNetwork, CtxId};
 use crate::stats::GlineStats;
 use sim_base::config::CmpConfig;
-use sim_base::trace::{NullSink, TraceSink, Tracer};
+use sim_base::trace::Tracer;
 use sim_base::{CoreId, Cycle};
 
 /// The G-line barrier network of a [`CmpConfig`]: flat up to the
 /// transmitter budget (8×8 at the default budget), clustered beyond
 /// ([`CmpConfig::needs_clustered_gline`]).
 #[derive(Clone, Debug)]
-pub enum GlineHw<S: TraceSink = NullSink> {
+pub enum GlineHw {
     /// One flat network spans the mesh.
-    Flat(BarrierNetwork<S>),
+    Flat(BarrierNetwork),
     /// The mesh exceeds the budget: clusters under a second level.
-    Clustered(ClusteredBarrierNetwork<S>),
+    Clustered(ClusteredBarrierNetwork),
 }
 
 impl GlineHw {
     /// The untraced network for `cfg`'s mesh and G-line parameters.
     pub fn new(cfg: &CmpConfig) -> GlineHw {
-        GlineHw::traced(cfg, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> GlineHw<S> {
-    /// The network for `cfg`, emitting into `tracer`.
-    pub fn traced(cfg: &CmpConfig, tracer: Tracer<S>) -> GlineHw<S> {
         if cfg.needs_clustered_gline() {
-            GlineHw::Clustered(ClusteredBarrierNetwork::traced(cfg.mesh, cfg.gline, tracer))
+            GlineHw::Clustered(ClusteredBarrierNetwork::new(cfg.mesh, cfg.gline))
         } else {
-            GlineHw::Flat(BarrierNetwork::traced(cfg.mesh, cfg.gline, tracer))
+            GlineHw::Flat(BarrierNetwork::new(cfg.mesh, cfg.gline))
         }
     }
 }
@@ -49,7 +42,7 @@ macro_rules! delegate {
     };
 }
 
-impl<S: TraceSink> BarrierHw for GlineHw<S> {
+impl BarrierHw for GlineHw {
     #[inline]
     fn num_cores(&self) -> usize {
         delegate!(self, n => n.num_cores())
@@ -93,6 +86,9 @@ impl<S: TraceSink> BarrierHw for GlineHw<S> {
     #[inline]
     fn release_bound(&self) -> u64 {
         delegate!(self, n => n.release_bound())
+    }
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        delegate!(self, n => n.set_tracer(tracer))
     }
 }
 

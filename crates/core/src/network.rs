@@ -22,9 +22,8 @@
 //!
 //! # Tracing
 //!
-//! The network is generic over a [`TraceSink`]; the default [`NullSink`]
-//! monomorphizes every trace site away, so untraced simulation pays
-//! nothing. A traced network (see [`BarrierNetwork::traced`]) emits the
+//! Tracing is off until [`BarrierNetwork::set_tracer`] installs a tracer
+//! that is on; the network then emits the
 //! full cycle-level story of Figure 2: G-line asserts and senses,
 //! Figure-4 controller transitions, per-core arrivals/releases and the
 //! episode-completion event.
@@ -33,7 +32,7 @@ use crate::controller::{MasterH, MasterV, SlaveH, SlaveHState, SlaveV};
 use crate::line::GLine;
 use crate::stats::{Episodes, GlineStats};
 use sim_base::config::GlineConfig;
-use sim_base::trace::{CtrlKind, Event, GlineKind, NullSink, TraceSink, Tracer};
+use sim_base::trace::{CtrlKind, Event, GlineKind, Tracer};
 use sim_base::{ActiveSet, Coord, CoreId, Cycle, Mesh2D};
 
 /// Identifier of a barrier context (0-based). The baseline design of the
@@ -56,7 +55,7 @@ struct RowNet {
 /// pulse, and the rest — lines, row and column controllers — is
 /// O(rows).
 #[derive(Clone, Debug)]
-struct Context<S: TraceSink> {
+struct Context {
     /// Index of this context within the network (for trace events).
     ctx_id: u32,
     bar_reg: Vec<u64>,
@@ -81,7 +80,7 @@ struct Context<S: TraceSink> {
     outstanding: u32,
     episodes: Episodes,
     stats: GlineStats,
-    tracer: Tracer<S>,
+    tracer: Tracer,
     /// Memoized [`is_quiescent`](Self::is_quiescent), recomputed at
     /// every mutation point (end of tick, arrival, gated release) so it
     /// is always *exact* — `next_event` through the memo answers
@@ -92,14 +91,8 @@ struct Context<S: TraceSink> {
     mh_flags: Vec<bool>,
 }
 
-impl<S: TraceSink> Context<S> {
-    fn new(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        root_gated: bool,
-        ctx_id: u32,
-        tracer: Tracer<S>,
-    ) -> Context<S> {
+impl Context {
+    fn new(mesh: Mesh2D, cfg: GlineConfig, root_gated: bool, ctx_id: u32) -> Context {
         let (rows, cols) = (mesh.rows as u32, mesh.cols as u32);
         let budget = |transmitters: u32| -> u32 {
             if transmitters <= cfg.max_transmitters {
@@ -137,7 +130,7 @@ impl<S: TraceSink> Context<S> {
             outstanding: 0,
             episodes: Episodes::new(num_cores as u32),
             stats: GlineStats::default(),
-            tracer,
+            tracer: Tracer::default(),
             quiescent: false,
             mh_flags: Vec::with_capacity(mesh.rows as usize),
         };
@@ -145,6 +138,7 @@ impl<S: TraceSink> Context<S> {
         ctx
     }
 
+    #[inline]
     fn write_bar_reg(&mut self, mesh: Mesh2D, core: CoreId, value: u64, now: Cycle) {
         assert!(
             value != 0,
@@ -165,6 +159,7 @@ impl<S: TraceSink> Context<S> {
         self.bar_reg[i] = value;
     }
 
+    #[inline]
     fn tick(&mut self, mesh: Mesh2D, now: Cycle) {
         if self.quiescent {
             // A quiescent tick is a provable no-op: every G-line is
@@ -176,7 +171,7 @@ impl<S: TraceSink> Context<S> {
             return;
         }
         let (nrows, cols) = (mesh.rows as usize, mesh.cols as usize);
-        let ctx = self.ctx_id;
+        let (ctx, traced) = (self.ctx_id, self.tracer.on());
 
         // --- latch: registered cross-controller commands become visible.
         for mh in &mut self.master_h {
@@ -207,7 +202,7 @@ impl<S: TraceSink> Context<S> {
                     });
                 }
                 let after = sh.state();
-                if S::ENABLED && after != before {
+                if traced && after != before {
                     self.tracer.emit(now, || Event::CtrlTransition {
                         ctx,
                         core,
@@ -232,7 +227,7 @@ impl<S: TraceSink> Context<S> {
                 self.clear_bar_reg(mesh.id_of(Coord::new(r as u16, 0)), now);
             }
             let after = self.master_h[r].state();
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 let core = mesh.id_of(Coord::new(r as u16, 0));
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
@@ -255,7 +250,7 @@ impl<S: TraceSink> Context<S> {
                 });
             }
             let after = self.slave_v[r - 1].state();
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 let core = mesh.id_of(Coord::new(r as u16, 0));
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
@@ -281,7 +276,7 @@ impl<S: TraceSink> Context<S> {
                 self.master_h[0].command_release();
             }
             let after = self.master_v.state();
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 let core = mesh.id_of(Coord::new(0, 0));
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
@@ -303,7 +298,7 @@ impl<S: TraceSink> Context<S> {
 
         // What each receiver observes this cycle, before the controllers
         // consume it.
-        if S::ENABLED {
+        if traced {
             for (r, rn) in self.rows.iter().enumerate() {
                 let g = rn.gather.sensed();
                 if g.value {
@@ -359,7 +354,7 @@ impl<S: TraceSink> Context<S> {
                 if clear {
                     self.clear_bar_reg(core, now);
                 }
-                if S::ENABLED && after != before {
+                if traced && after != before {
                     self.tracer.emit(now, || Event::CtrlTransition {
                         ctx,
                         core,
@@ -377,7 +372,7 @@ impl<S: TraceSink> Context<S> {
             let before = self.master_h[r].state();
             self.master_h[r].receive(sensed, arrived);
             let after = self.master_h[r].state();
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
                     core: own,
@@ -394,7 +389,7 @@ impl<S: TraceSink> Context<S> {
             if fire {
                 self.master_h[r].command_release();
             }
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 let core = mesh.id_of(Coord::new(r as u16, 0));
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
@@ -410,7 +405,7 @@ impl<S: TraceSink> Context<S> {
             self.master_v
                 .receive(self.v_gather.sensed(), self.mh_flags[0]);
             let after = self.master_v.state();
-            if S::ENABLED && after != before {
+            if traced && after != before {
                 let core = mesh.id_of(Coord::new(0, 0));
                 self.tracer.emit(now, || Event::CtrlTransition {
                     ctx,
@@ -591,15 +586,13 @@ impl<S: TraceSink> Context<S> {
 /// 2. at the end of every cycle the simulator calls [`tick`](Self::tick)
 ///    exactly once.
 ///
-/// The `S` parameter selects the trace sink; the default [`NullSink`]
-/// compiles all tracing away.
+/// Tracing is off until [`set_tracer`](Self::set_tracer) switches it on.
 #[derive(Clone, Debug)]
-pub struct BarrierNetwork<S: TraceSink = NullSink> {
+pub struct BarrierNetwork {
     mesh: Mesh2D,
     cfg: GlineConfig,
-    contexts: Vec<Context<S>>,
+    contexts: Vec<Context>,
     now: Cycle,
-    tracer: Tracer<S>,
 }
 
 impl BarrierNetwork {
@@ -607,7 +600,7 @@ impl BarrierNetwork {
     /// transmitter budget at 1-cycle latency (8×8 at the default budget) — use
     /// [`crate::ClusteredBarrierNetwork`] or a higher `line_latency`.
     pub fn new(mesh: Mesh2D, cfg: GlineConfig) -> BarrierNetwork {
-        BarrierNetwork::traced(mesh, cfg, Tracer::default())
+        BarrierNetwork::build(mesh, cfg, false)
     }
 
     /// Like [`BarrierNetwork::new`], but the release is gated at the root:
@@ -615,34 +608,29 @@ impl BarrierNetwork {
     /// for [`trigger_release`](Self::trigger_release). Building block for
     /// hierarchical composition.
     pub fn gated(mesh: Mesh2D, cfg: GlineConfig) -> BarrierNetwork {
-        BarrierNetwork::build(mesh, cfg, true, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> BarrierNetwork<S> {
-    /// Builds a traced network: every G-line assert/sense, controller
-    /// transition and barrier event is emitted into `tracer`.
-    pub fn traced(mesh: Mesh2D, cfg: GlineConfig, tracer: Tracer<S>) -> BarrierNetwork<S> {
-        BarrierNetwork::build(mesh, cfg, false, tracer)
+        BarrierNetwork::build(mesh, cfg, true)
     }
 
-    fn build(mesh: Mesh2D, cfg: GlineConfig, gated: bool, tracer: Tracer<S>) -> BarrierNetwork<S> {
+    fn build(mesh: Mesh2D, cfg: GlineConfig, gated: bool) -> BarrierNetwork {
         assert!(cfg.contexts >= 1, "at least one barrier context");
         let contexts = (0..cfg.contexts)
-            .map(|i| Context::new(mesh, cfg, gated, i, tracer.clone()))
+            .map(|i| Context::new(mesh, cfg, gated, i))
             .collect();
         BarrierNetwork {
             mesh,
             cfg,
             contexts,
             now: 0,
-            tracer,
         }
     }
 
-    /// The tracer shared by every context of this network.
-    pub fn tracer(&self) -> &Tracer<S> {
-        &self.tracer
+    /// Routes every G-line assert/sense, controller transition and
+    /// barrier event of every context into `tracer` from now on; an off
+    /// tracer stops tracing.
+    pub fn set_tracer(&mut self, tracer: &Tracer) {
+        for c in &mut self.contexts {
+            c.tracer = tracer.clone();
+        }
     }
 
     /// Mesh this network spans.
@@ -665,13 +653,20 @@ impl<S: TraceSink> BarrierNetwork<S> {
         self.contexts.len() as u32 * 2 * (self.mesh.rows as u32 + 1)
     }
 
+    // `#[inline]` on the per-cycle entry points (here, in `Context` and
+    // in the `BarrierHw` impl) lets a simulator inline them across the
+    // crate boundary; without it a wait-dominated run is measurably
+    // slower.
+
     /// The current cycle (number of [`tick`](Self::tick)s performed).
+    #[inline]
     pub fn now(&self) -> Cycle {
         self.now
     }
 
     /// Core `core` announces arrival at barrier context `ctx` by writing a
     /// nonzero value into its `bar_reg`.
+    #[inline]
     pub fn write_bar_reg(&mut self, core: CoreId, ctx: CtxId, value: u64) {
         let now = self.now;
         let c = &mut self.contexts[ctx];
@@ -683,6 +678,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
 
     /// Reads core `core`'s `bar_reg` for context `ctx`. Cores spin on this
     /// until it returns 0.
+    #[inline]
     pub fn bar_reg(&self, core: CoreId, ctx: CtxId) -> u64 {
         self.contexts[ctx].bar_reg[core.index()]
     }
@@ -692,6 +688,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// register is set only through [`write_bar_reg`](Self::write_bar_reg)
     /// and cleared only through the release wave, both of which maintain
     /// the counter).
+    #[inline]
     pub fn all_released(&self, ctx: CtxId) -> bool {
         self.contexts[ctx].outstanding == 0
     }
@@ -717,7 +714,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
         let before = c.master_v.state();
         c.master_v.trigger_release();
         let after = c.master_v.state();
-        if S::ENABLED && after != before {
+        if after != before {
             let ctx_id = c.ctx_id;
             c.tracer.emit(now, || Event::CtrlTransition {
                 ctx: ctx_id,
@@ -749,6 +746,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
     }
 
     /// Advances the network by one clock cycle.
+    #[inline]
     pub fn tick(&mut self) {
         let now = self.now;
         for ctx in &mut self.contexts {
@@ -772,6 +770,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// no-op until some core writes a `bar_reg` (or triggers a gated
     /// release). Otherwise a barrier episode is in flight and every cycle
     /// matters, so the answer is the very next one.
+    #[inline]
     pub fn next_event(&self) -> Option<Cycle> {
         if self.contexts.iter().all(|c| c.quiescent) {
             None
@@ -785,6 +784,7 @@ impl<S: TraceSink> BarrierNetwork<S> {
     /// then provably a state no-op, so all observable state (controller
     /// states, `bar_reg`s, stats, energy) is bit-identical to having
     /// ticked `t - now` times.
+    #[inline]
     pub fn skip_to(&mut self, t: Cycle) {
         debug_assert!(t >= self.now, "cannot skip backwards");
         debug_assert!(
@@ -841,6 +841,10 @@ pub trait BarrierHw {
     /// a spinner park.
     fn release_bound(&self) -> u64;
 
+    /// Emits this hardware's events into `tracer` from now on (an off
+    /// tracer stops tracing). Called between ticks.
+    fn set_tracer(&mut self, tracer: &Tracer);
+
     /// Convenience driver for tests and benchmarks: runs one complete
     /// barrier on context 0 where core `i` arrives at `arrivals[i]`
     /// (relative to the current cycle), and returns the cycle count from
@@ -876,7 +880,7 @@ pub trait BarrierHw {
     }
 }
 
-impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
+impl BarrierHw for BarrierNetwork {
     fn num_cores(&self) -> usize {
         self.mesh.num_tiles()
     }
@@ -886,27 +890,38 @@ impl<S: TraceSink> BarrierHw for BarrierNetwork<S> {
     fn stats(&self, ctx: CtxId) -> GlineStats {
         BarrierNetwork::stats(self, ctx)
     }
+    #[inline]
     fn write_bar_reg(&mut self, core: CoreId, ctx: CtxId, value: u64) {
         BarrierNetwork::write_bar_reg(self, core, ctx, value);
     }
+    #[inline]
     fn bar_reg(&self, core: CoreId, ctx: CtxId) -> u64 {
         BarrierNetwork::bar_reg(self, core, ctx)
     }
+    #[inline]
     fn all_released(&self, ctx: CtxId) -> bool {
         BarrierNetwork::all_released(self, ctx)
     }
+    #[inline]
     fn tick(&mut self) {
         BarrierNetwork::tick(self);
     }
+    #[inline]
     fn now(&self) -> Cycle {
         BarrierNetwork::now(self)
     }
+    #[inline]
     fn next_event(&self) -> Option<Cycle> {
         BarrierNetwork::next_event(self)
     }
+    #[inline]
     fn skip_to(&mut self, t: Cycle) {
         BarrierNetwork::skip_to(self, t);
     }
+    fn set_tracer(&mut self, tracer: &Tracer) {
+        BarrierNetwork::set_tracer(self, tracer);
+    }
+    #[inline]
     fn release_bound(&self) -> u64 {
         // Per context: once every core has arrived the release wave
         // may complete on any cycle (1). Before that, the wave cannot
@@ -1185,9 +1200,11 @@ mod tests {
         // the complete Figure-2 story: 4 arrivals, the gather and release
         // waves on the G-lines, 4 releases, completion at latency 4.
         let tracer = Tracer::new(RingSink::new(256));
-        let mut net = BarrierNetwork::traced(Mesh2D::new(2, 2), cfg(), tracer.clone());
+        let mut net = BarrierNetwork::new(Mesh2D::new(2, 2), cfg());
+        net.set_tracer(&tracer);
         assert_eq!(net.run_single_barrier(&all_zero(4)), 4);
-        let events: Vec<(Cycle, Event)> = tracer.with_sink(|s| s.events().cloned().collect());
+        let events: Vec<(Cycle, Event)> =
+            tracer.with_sink(|s: &mut RingSink| s.events().cloned().collect());
         let count = |pred: &dyn Fn(&Event) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
         assert_eq!(count(&|e| matches!(e, Event::BarrierArrive { .. })), 4);
         assert_eq!(count(&|e| matches!(e, Event::BarrierRelease { .. })), 4);
@@ -1232,7 +1249,8 @@ mod tests {
         let mesh = Mesh2D::new(2, 4);
         let arrivals: Vec<Cycle> = (0..mesh.num_tiles() as u64).map(|i| i * 3 % 7).collect();
         let mut plain = BarrierNetwork::new(mesh, cfg());
-        let mut traced = BarrierNetwork::traced(mesh, cfg(), Tracer::new(RingSink::new(64)));
+        let mut traced = BarrierNetwork::new(mesh, cfg());
+        traced.set_tracer(&Tracer::new(RingSink::new(64)));
         assert_eq!(
             plain.run_single_barrier(&arrivals),
             traced.run_single_barrier(&arrivals)
@@ -1321,12 +1339,7 @@ mod tests {
 
     /// Every observable of the event-driven network and the full-scan
     /// reference must agree, and the event network's invariants hold.
-    fn assert_lockstep(
-        net: &BarrierNetwork<RingSink>,
-        reference: &RefNetwork<RingSink>,
-        seen: &mut usize,
-        when: &str,
-    ) {
+    fn assert_lockstep(net: &BarrierNetwork, reference: &RefNetwork, seen: &mut usize, when: &str) {
         net.check_invariants()
             .unwrap_or_else(|e| panic!("{when}: {e}"));
         assert_eq!(net.now(), reference.now(), "{when}");
@@ -1349,10 +1362,10 @@ mod tests {
             reference.release_bound(),
             "{when}"
         );
-        let events = |t: &Tracer<RingSink>| -> Vec<(Cycle, Event)> {
-            t.with_sink(|s| s.events().skip(*seen).cloned().collect())
+        let events = |t: &Tracer| -> Vec<(Cycle, Event)> {
+            t.with_sink(|s: &mut RingSink| s.events().skip(*seen).cloned().collect())
         };
-        let got = events(net.tracer());
+        let got = events(&net.contexts[0].tracer);
         assert_eq!(got, events(reference.tracer()), "{when}: event streams");
         *seen += got.len();
     }
@@ -1388,7 +1401,8 @@ mod tests {
             Tracer::new(RingSink::new(usize::MAX)),
             Tracer::new(RingSink::new(usize::MAX)),
         );
-        let mut net = BarrierNetwork::build(mesh, gcfg, gated, t_net);
+        let mut net = BarrierNetwork::build(mesh, gcfg, gated);
+        net.set_tracer(&t_net);
         let mut reference = RefNetwork::new(mesh, gcfg, gated, t_ref);
         let spread = rng.next_below(40);
         // Per (context, core): the cycle of the next arrival, `None`

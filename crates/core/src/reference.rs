@@ -13,7 +13,7 @@ use crate::controller::{MasterH, MasterV, SlaveH, SlaveV};
 use crate::line::Sensed;
 use crate::stats::GlineStats;
 use sim_base::config::GlineConfig;
-use sim_base::trace::{CtrlKind, Event, GlineKind, TraceSink, Tracer};
+use sim_base::trace::{CtrlKind, Event, GlineKind, Tracer};
 use sim_base::{Coord, CoreId, Cycle, Mesh2D};
 use std::collections::VecDeque;
 
@@ -64,7 +64,7 @@ struct Episode {
     last: Cycle,
 }
 
-struct Context<S: TraceSink> {
+struct Context {
     ctx_id: u32,
     num_cores: u32,
     bar_reg: Vec<u64>,
@@ -88,17 +88,11 @@ struct Context<S: TraceSink> {
     episodes: VecDeque<Episode>,
     closed: u64,
     stats: GlineStats,
-    tracer: Tracer<S>,
+    tracer: Tracer,
 }
 
-impl<S: TraceSink> Context<S> {
-    fn new(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        gated: bool,
-        ctx_id: u32,
-        tracer: Tracer<S>,
-    ) -> Context<S> {
+impl Context {
+    fn new(mesh: Mesh2D, cfg: GlineConfig, gated: bool, ctx_id: u32, tracer: Tracer) -> Context {
         let lat = cfg.line_latency;
         Context {
             ctx_id,
@@ -137,7 +131,7 @@ impl<S: TraceSink> Context<S> {
         from: &'static str,
         to: &'static str,
     ) {
-        if S::ENABLED && from != to {
+        if from != to {
             let ctx = self.ctx_id;
             self.tracer.emit(now, || Event::CtrlTransition {
                 ctx,
@@ -339,19 +333,14 @@ impl<S: TraceSink> Context<S> {
 
 /// The full-scan reference network: the observable surface of
 /// [`crate::BarrierNetwork`] that the lockstep property compares.
-pub(crate) struct RefNetwork<S: TraceSink> {
+pub(crate) struct RefNetwork {
     mesh: Mesh2D,
-    contexts: Vec<Context<S>>,
+    contexts: Vec<Context>,
     now: Cycle,
 }
 
-impl<S: TraceSink> RefNetwork<S> {
-    pub(crate) fn new(
-        mesh: Mesh2D,
-        cfg: GlineConfig,
-        gated: bool,
-        tracer: Tracer<S>,
-    ) -> RefNetwork<S> {
+impl RefNetwork {
+    pub(crate) fn new(mesh: Mesh2D, cfg: GlineConfig, gated: bool, tracer: Tracer) -> RefNetwork {
         let contexts = (0..cfg.contexts)
             .map(|i| Context::new(mesh, cfg, gated, i, tracer.clone()))
             .collect();
@@ -375,7 +364,7 @@ impl<S: TraceSink> RefNetwork<S> {
         self.now
     }
 
-    pub(crate) fn tracer(&self) -> &Tracer<S> {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.contexts[0].tracer
     }
 

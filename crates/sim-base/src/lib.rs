@@ -15,7 +15,8 @@
 //! * [`rng`] — a tiny deterministic SplitMix64 generator so that core
 //!   simulator crates do not need an external RNG dependency.
 //! * [`trace`] — the cycle-level event tracing subsystem: typed events,
-//!   zero-cost-when-disabled sinks, Chrome `trace_event` export.
+//!   a tracer switched on and off at run time, Chrome `trace_event`
+//!   export.
 //! * [`json`] — a dependency-free JSON tree, writer and parser used for
 //!   reports and traces.
 //! * [`check`] — a deterministic seed-sweep property-testing loop.
@@ -48,4 +49,4 @@ pub use config::CmpConfig;
 pub use fxmap::{FxHashMap, FxHashSet};
 pub use geom::{Coord, Mesh2D};
 pub use ids::{Addr, CoreId, LineAddr};
-pub use trace::{Event, NullSink, RingSink, TraceSink, Tracer};
+pub use trace::{Event, RingSink, Tracer};

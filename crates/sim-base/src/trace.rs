@@ -1,29 +1,29 @@
 //! Cycle-level event tracing.
 //!
 //! Every layer of the simulator (G-lines, controller FSMs, NoC, caches,
-//! cores) can emit typed [`Event`]s into
-//! a [`TraceSink`]. The sink is chosen *at compile time* through a generic
-//! parameter, so the default [`NullSink`] configuration monomorphizes to
-//! literally nothing: [`Tracer::emit`] takes the event as a closure and
-//! only calls it when `S::ENABLED` is true, which lets the optimizer
-//! delete both the event construction and the call for `NullSink`.
+//! cores) can emit typed [`Event`]s into a [`TraceSink`]. Tracing is a
+//! run-time switch: each layer holds a [`Tracer`], which is off unless a
+//! sink is installed, and [`Tracer::emit`] takes the event as a closure
+//! that it calls only when the tracer is on. An untraced run pays one
+//! field test per trace site and builds no event.
 //!
-//! Three sinks are provided:
+//! Two sinks are provided:
 //!
-//! * [`NullSink`] — the zero-cost default; tracing compiled out.
 //! * [`RingSink`] — keeps the last *N* events for post-mortem dumps when
 //!   a differential test diverges or a run wedges.
-//! * [`ChromeTraceSink`] — records everything and exports Chrome
+//! * [`ChromeSink`] — records everything and exports Chrome
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
-//! Components hold a [`Tracer`] (a shared handle, cheap to clone) so one
-//! sink observes the whole system in a single time-ordered stream.
+//! Components hold clones of one [`Tracer`] (a shared handle, cheap to
+//! clone), so one sink observes the whole system in a single stream, in
+//! the order the layers emit.
 
 use crate::clock::Cycle;
 use crate::geom::Dir;
 use crate::ids::CoreId;
 use crate::json::Json;
 use crate::stats::{MsgClass, TimeCat};
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
@@ -531,27 +531,11 @@ impl fmt::Display for Event {
     }
 }
 
-/// Destination of traced events.
-///
-/// `ENABLED` is an associated constant so the compiler can remove every
-/// trace site when a disabled sink ([`NullSink`]) is monomorphized in.
-pub trait TraceSink {
-    /// Whether [`Tracer::emit`] should construct and forward events.
-    const ENABLED: bool = true;
-
+/// Destination of traced events: a [`RingSink`], a [`ChromeSink`]
+/// or any other recorder a [`Tracer`] is built around.
+pub trait TraceSink: Any {
     /// Records one event at `cycle`.
     fn emit(&mut self, cycle: Cycle, ev: Event);
-}
-
-/// The zero-cost default sink: tracing compiled out entirely.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    const ENABLED: bool = false;
-
-    #[inline(always)]
-    fn emit(&mut self, _cycle: Cycle, _ev: Event) {}
 }
 
 /// Keeps the most recent `capacity` events for post-mortem dumps.
@@ -622,14 +606,14 @@ impl TraceSink for RingSink {
 
 /// Records every event and exports Chrome `trace_event` JSON.
 #[derive(Clone, Debug, Default)]
-pub struct ChromeTraceSink {
+pub struct ChromeSink {
     events: Vec<(Cycle, Event)>,
 }
 
-impl ChromeTraceSink {
+impl ChromeSink {
     /// An empty sink.
-    pub fn new() -> ChromeTraceSink {
-        ChromeTraceSink::default()
+    pub fn new() -> ChromeSink {
+        ChromeSink::default()
     }
 
     /// All recorded events in emission order.
@@ -690,65 +674,66 @@ fn category_of(ev: &Event) -> &'static str {
     }
 }
 
-impl TraceSink for ChromeTraceSink {
+impl TraceSink for ChromeSink {
     fn emit(&mut self, cycle: Cycle, ev: Event) {
         self.events.push((cycle, ev));
     }
 }
 
 /// A shared handle to a sink, held by every component of one simulated
-/// system. Cloning shares the underlying sink.
-pub struct Tracer<S: TraceSink> {
-    sink: Rc<RefCell<S>>,
+/// system, or no sink at all: the default tracer is off. Cloning shares
+/// the underlying sink.
+#[derive(Clone, Default)]
+pub struct Tracer {
+    /// The sink; `None` switches tracing off.
+    sink: Option<Rc<RefCell<dyn TraceSink>>>,
 }
 
-impl<S: TraceSink> Tracer<S> {
-    /// Wraps a sink.
-    pub fn new(sink: S) -> Tracer<S> {
+impl Tracer {
+    /// A tracer that is on, recording into `sink`.
+    pub fn new(sink: impl TraceSink) -> Tracer {
         Tracer {
-            sink: Rc::new(RefCell::new(sink)),
+            sink: Some(Rc::new(RefCell::new(sink))),
         }
     }
 
-    /// True when this tracer's sink type records events.
+    /// True when this tracer records events.
     #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        S::ENABLED
+    pub fn on(&self) -> bool {
+        self.sink.is_some()
     }
 
-    /// Emits an event. The closure is only evaluated when the sink type is
-    /// enabled, so with [`NullSink`] the whole call compiles away.
+    /// Emits an event. The closure is only evaluated when the tracer is
+    /// on, so an untraced call builds nothing.
     #[inline(always)]
     pub fn emit(&self, cycle: Cycle, ev: impl FnOnce() -> Event) {
-        if S::ENABLED {
-            self.sink.borrow_mut().emit(cycle, ev());
+        if let Some(sink) = &self.sink {
+            sink.borrow_mut().emit(cycle, ev());
         }
     }
 
     /// Runs `f` with exclusive access to the sink (to read a ring buffer
     /// back out, export a Chrome trace, …).
-    pub fn with_sink<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.sink.borrow_mut())
+    ///
+    /// # Panics
+    /// Panics if the tracer is off or its sink is not an `S`.
+    pub fn with_sink<S: TraceSink, R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
+        let sink = self.sink.as_ref().expect("the tracer is off");
+        let mut sink = sink.borrow_mut();
+        let sink: &mut dyn Any = &mut *sink;
+        f(sink
+            .downcast_mut()
+            .expect("the tracer's sink is of another type"))
     }
 }
 
-impl<S: TraceSink> Clone for Tracer<S> {
-    fn clone(&self) -> Self {
-        Tracer {
-            sink: Rc::clone(&self.sink),
-        }
-    }
-}
-
-impl<S: TraceSink> fmt::Debug for Tracer<S> {
+impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tracer<{}>", std::any::type_name::<S>())
-    }
-}
-
-impl Default for Tracer<NullSink> {
-    fn default() -> Self {
-        Tracer::new(NullSink)
+        f.write_str(if self.on() {
+            "Tracer(on)"
+        } else {
+            "Tracer(off)"
+        })
     }
 }
 
@@ -765,15 +750,19 @@ mod tests {
     }
 
     #[test]
-    fn null_sink_is_disabled_and_skips_event_construction() {
-        let t = Tracer::new(NullSink);
-        assert!(!t.enabled());
+    fn an_off_tracer_skips_event_construction() {
+        let t = Tracer::default();
+        assert!(!t.on());
         let mut constructed = false;
         t.emit(0, || {
             constructed = true;
             ev(0)
         });
-        assert!(!constructed, "NullSink must not evaluate the event closure");
+        assert!(
+            !constructed,
+            "an off tracer must not evaluate the event closure"
+        );
+        assert!(Tracer::new(RingSink::new(1)).on());
     }
 
     #[test]
@@ -782,7 +771,7 @@ mod tests {
         for i in 0..10u16 {
             t.emit(i as Cycle, || ev(i));
         }
-        t.with_sink(|s| {
+        t.with_sink(|s: &mut RingSink| {
             assert_eq!(s.len(), 3);
             assert_eq!(s.total_seen(), 10);
             let kept: Vec<Cycle> = s.events().map(|(c, _)| *c).collect();
@@ -805,15 +794,15 @@ mod tests {
         let t2 = t.clone();
         t.emit(1, || ev(1));
         t2.emit(2, || ev(2));
-        t.with_sink(|s| assert_eq!(s.len(), 2));
+        t.with_sink(|s: &mut RingSink| assert_eq!(s.len(), 2));
     }
 
     #[test]
     fn chrome_export_is_valid_json_with_trace_events() {
-        let t = Tracer::new(ChromeTraceSink::new());
+        let t = Tracer::new(ChromeSink::new());
         t.emit(0, || ev(3));
         t.emit(4, || Event::BarrierComplete { ctx: 0, latency: 4 });
-        let text = t.with_sink(|s| s.to_json_string());
+        let text = t.with_sink(|s: &mut ChromeSink| s.to_json_string());
         let parsed = json::parse(&text).expect("chrome trace must be valid JSON");
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 2);

@@ -41,9 +41,10 @@
 //!                      visits vs. flits passed through idle routers
 //!   --trace FILE       record every event and write a Chrome
 //!                      trace_event JSON file (open in about://tracing
-//!                      or Perfetto)
+//!                      or Perfetto); the file is opened before the run
+//!                      and written whether or not the run halts
 //!   --trace-last N     keep the last N events in a ring and print them
-//!                      to stderr after the run
+//!                      to stderr after the run, whether or not it halts
 //! ```
 //!
 //! Exit code 0 on success, 1 on usage, assembly or config errors, 2 on
@@ -52,14 +53,14 @@
 //! unaligned `ld`/`st`/`amo*` — named with the faulting core and pc) or
 //! the `--max-cycles` deadlock guard.
 
-use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::json::ToJson;
 use sim_base::stats::TimeCat;
-use sim_base::trace::{ChromeTraceSink, RingSink, TraceSink, Tracer};
+use sim_base::trace::{ChromeSink, RingSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::System;
 use sim_isa::{assemble, Program};
+use std::io::Write;
 
 fn parse_num(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -153,37 +154,26 @@ enum Sink {
     Ring(usize),
 }
 
-/// Builds and runs the machine over the requested sink, then writes or
-/// prints the events.
+/// Builds and runs the machine, prints the report (or why the run did
+/// not halt), then writes or prints the events — on every outcome, so
+/// a deadlocked or faulting run keeps its trace. Exits 2 when the run
+/// did not halt.
 fn run(cfg: CmpConfig, progs: Vec<Program>, sink: Sink, opts: &Opts) {
-    match sink {
-        Sink::None => run_system(System::new(cfg, progs), opts),
+    // Open the trace file first: an unwritable path fails before the
+    // run, not after it.
+    let mut file = match &sink {
         Sink::Chrome(path) => {
-            let tracer = Tracer::new(ChromeTraceSink::new());
-            run_system(System::traced(cfg, progs, tracer.clone()), opts);
-            let (count, out) = tracer.with_sink(|s| (s.events().len(), s.to_json_string()));
-            std::fs::write(&path, out).unwrap_or_else(|e| die(&format!("{path}: {e}")));
-            eprintln!("wrote {count} events to {path}");
+            Some(std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}"))))
         }
-        Sink::Ring(last) => {
-            let tracer = Tracer::new(RingSink::new(last));
-            run_system(System::traced(cfg, progs, tracer.clone()), opts);
-            tracer.with_sink(|s| {
-                eprintln!(
-                    "--- last {} of {} events ---\n{}",
-                    s.len(),
-                    s.total_seen(),
-                    s.dump()
-                );
-            });
-        }
-    }
-}
-
-/// Runs the system to completion and prints the report. Monomorphized
-/// per trace sink so the untraced path stays zero-cost.
-fn run_system<S: TraceSink>(mut sys: System<GlineHw<S>, S>, opts: &Opts) {
+        _ => None,
+    };
+    let mut sys = System::new(cfg, progs);
     sys.set_active_set_enabled(!opts.no_active_set);
+    match sink {
+        Sink::None => {}
+        Sink::Chrome(_) => sys.set_trace(Tracer::new(ChromeSink::new())),
+        Sink::Ring(last) => sys.set_trace(Tracer::new(RingSink::new(last))),
+    }
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
     }
@@ -199,11 +189,35 @@ fn run_system<S: TraceSink>(mut sys: System<GlineHw<S>, S>, opts: &Opts) {
         }),
         None => sys.run(opts.max_cycles),
     };
-    finish(&sys, outcome, opts);
+    let halted = finish(&sys, outcome, opts);
+    let tracer = sys.take_trace();
+    match sink {
+        Sink::None => {}
+        Sink::Chrome(path) => {
+            let (count, out) =
+                tracer.with_sink(|s: &mut ChromeSink| (s.events().len(), s.to_json_string()));
+            let file = file.as_mut().expect("opened before the run");
+            file.write_all(out.as_bytes())
+                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            eprintln!("wrote {count} events to {path}");
+        }
+        Sink::Ring(_) => tracer.with_sink(|s: &mut RingSink| {
+            eprintln!(
+                "--- last {} of {} events ---\n{}",
+                s.len(),
+                s.total_seen(),
+                s.dump()
+            );
+        }),
+    }
+    if !halted {
+        std::process::exit(2);
+    }
 }
 
 /// Prints the report (or the deadlock diagnostic) for a finished run.
-fn finish<S: TraceSink>(sys: &System<GlineHw<S>, S>, outcome: Result<u64, String>, opts: &Opts) {
+/// Returns whether the run halted.
+fn finish(sys: &System, outcome: Result<u64, String>, opts: &Opts) -> bool {
     match outcome {
         Ok(cycles) => {
             let rep = sys.report();
@@ -259,10 +273,11 @@ fn finish<S: TraceSink>(sys: &System<GlineHw<S>, S>, outcome: Result<u64, String
             for &a in &opts.peeks {
                 println!("[0x{a:x}] = {}", sys.peek_word(a));
             }
+            true
         }
         Err(e) => {
             eprintln!("simcmp: {e}");
-            std::process::exit(2);
+            false
         }
     }
 }

@@ -15,7 +15,7 @@
 
 use gline_core::BarrierHw;
 use sim_base::stats::{TimeBreakdown, TimeCat};
-use sim_base::trace::{Event, TraceSink, Tracer};
+use sim_base::trace::{Event, Tracer};
 use sim_base::{CoreId, Cycle};
 use sim_isa::inst::{Inst, Region};
 use sim_isa::interp::ExecError;
@@ -257,20 +257,20 @@ impl Core {
     /// G-line barrier hardware (flat or clustered — anything
     /// implementing [`BarrierHw`]); must be called before their
     /// `tick`s.
-    pub fn step<B: BarrierHw + ?Sized, S: TraceSink>(
+    pub fn step<B: BarrierHw + ?Sized>(
         &mut self,
         prog: &Program,
-        mem: &mut MemorySystem<S>,
+        mem: &mut MemorySystem,
         gline: &mut B,
         now: Cycle,
-        tracer: &Tracer<S>,
+        tracer: &Tracer,
     ) {
         if self.halted() {
             return;
         }
         let (retired_before, pc_before, region_before) = (self.retired, self.pc, self.region);
         self.step_inner(prog, mem, gline, now, tracer);
-        if S::ENABLED {
+        if tracer.on() {
             let id = self.id;
             let n = self.retired - retired_before;
             if n > 0 {
@@ -287,13 +287,13 @@ impl Core {
         }
     }
 
-    fn step_inner<B: BarrierHw + ?Sized, S: TraceSink>(
+    fn step_inner<B: BarrierHw + ?Sized>(
         &mut self,
         prog: &Program,
-        mem: &mut MemorySystem<S>,
+        mem: &mut MemorySystem,
         gline: &mut B,
         now: Cycle,
-        tracer: &Tracer<S>,
+        tracer: &Tracer,
     ) {
         // Charge this cycle by the status it *enters* with, so a 1-cycle
         // L1 hit still attributes one cycle to Read/Write.
@@ -309,15 +309,12 @@ impl Core {
                 };
                 self.set_reg(rd, v);
                 self.status = Status::Ready;
-                if S::ENABLED {
-                    let id = self.id;
-                    let since = self.wait_since;
-                    tracer.emit(now, || Event::Stall {
-                        core: id,
-                        cat,
-                        cycles: now.saturating_sub(since),
-                    });
-                }
+                let (id, since) = (self.id, self.wait_since);
+                tracer.emit(now, || Event::Stall {
+                    core: id,
+                    cat,
+                    cycles: now.saturating_sub(since),
+                });
             }
         }
         if let Status::BusyUntil { until } = self.status {
@@ -499,10 +496,10 @@ impl Core {
     /// release can land this cycle); a spin whose wake trigger may fire
     /// this cycle is not worth matching. One fetch decides which
     /// matcher, if any, runs.
-    pub(crate) fn park_spin<B: BarrierHw + ?Sized, S: TraceSink>(
+    pub(crate) fn park_spin<B: BarrierHw + ?Sized>(
         &self,
         prog: &Program,
-        mem: &MemorySystem<S>,
+        mem: &MemorySystem,
         gline: &B,
         now: Cycle,
         on_mem: bool,
@@ -568,11 +565,7 @@ impl Core {
 
     /// Recognizes a memory-probing spin with the core `Ready` at the
     /// loop top: flag-wait loops whose every iteration hits in the L1.
-    fn match_phase_a_mem<S: TraceSink>(
-        &self,
-        prog: &Program,
-        mem: &MemorySystem<S>,
-    ) -> Option<SpinPlan> {
+    fn match_phase_a_mem(&self, prog: &Program, mem: &MemorySystem) -> Option<SpinPlan> {
         let top = self.pc;
         match prog.fetch(top)? {
             // `top: ld rd, off(ra) ; b<cond> …, top` — two cycles per
@@ -676,12 +669,7 @@ impl Core {
     /// `WaitMem` with a load response pending, `pc` points at the loop's
     /// back-branch, and the branch (with the pending value) jumps back to
     /// a loop body this core would keep spinning in.
-    fn match_phase_b<S: TraceSink>(
-        &self,
-        prog: &Program,
-        mem: &MemorySystem<S>,
-        rd: Reg,
-    ) -> Option<SpinPlan> {
+    fn match_phase_b(&self, prog: &Program, mem: &MemorySystem, rd: Reg) -> Option<SpinPlan> {
         if mem.l1_busy(self.id) {
             return None;
         }
@@ -765,7 +753,7 @@ impl Core {
     /// wake-up (via [`ff_stall`](Self::ff_stall)), which is
     /// bit-identical because the status — and with it the charged
     /// category — cannot change while the core is parked.
-    pub(crate) fn park_until<S: TraceSink>(&self, mem: &MemorySystem<S>) -> Option<Cycle> {
+    pub(crate) fn park_until(&self, mem: &MemorySystem) -> Option<Cycle> {
         match self.status {
             Status::BusyUntil { until } => Some(until),
             Status::WaitMem { .. } => mem.resp_ready_at(self.id),
@@ -780,7 +768,7 @@ impl Core {
     /// because only a delivery can install the response (or service a
     /// deferred coherence message) — so the active-set scheduler parks
     /// the core on the delivery trigger instead of a wake cycle.
-    pub(crate) fn waiting_on_unscheduled_resp<S: TraceSink>(&self, mem: &MemorySystem<S>) -> bool {
+    pub(crate) fn waiting_on_unscheduled_resp(&self, mem: &MemorySystem) -> bool {
         matches!(self.status, Status::WaitMem { .. }) && mem.resp_ready_at(self.id).is_none()
     }
 
@@ -801,15 +789,9 @@ impl Core {
     /// Replays `k = target - now` cycles of a recognized spin loop in
     /// O(1), leaving the core (and its L1, via `mem`) in exactly the
     /// state `k` normal `step`s would have produced.
-    /// Callers guarantee the run is untraced (a traced run never parks
-    /// a spinner, the only route here).
-    pub fn ff_replay<S: TraceSink>(
-        &mut self,
-        plan: SpinPlan,
-        target: Cycle,
-        now: Cycle,
-        mem: &mut MemorySystem<S>,
-    ) {
+    /// Callers guarantee tracing is off (a traced run never parks a
+    /// spinner, the only route here).
+    pub fn ff_replay(&mut self, plan: SpinPlan, target: Cycle, now: Cycle, mem: &mut MemorySystem) {
         let k = target - now;
         // A spin park may be woken by an L1 delivery after a single
         // elided cycle; the arithmetic is exact for k = 1 too (one

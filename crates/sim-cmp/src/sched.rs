@@ -6,7 +6,7 @@
 use crate::core::{Core, SpinPlan};
 use crate::system::CoreSchedStats;
 use gline_core::BarrierHw;
-use sim_base::trace::{TraceSink, Tracer};
+use sim_base::trace::Tracer;
 use sim_base::Cycle;
 use sim_isa::Program;
 use sim_mem::MemorySystem;
@@ -89,16 +89,16 @@ impl std::fmt::Display for Park {
 /// (neither parked nor halted).
 #[inline]
 #[allow(clippy::too_many_arguments)] // the step() signature plus the park slot, predicates and counters
-pub(crate) fn step_core<G: BarrierHw + ?Sized, S: TraceSink>(
+pub(crate) fn step_core<G: BarrierHw + ?Sized>(
     core: &mut Core,
     prog: &Program,
     park: &mut Park,
-    mem: &mut MemorySystem<S>,
+    mem: &mut MemorySystem,
     gline: &mut G,
     delivery: bool,
     release: bool,
     now: Cycle,
-    tracer: &Tracer<S>,
+    tracer: &Tracer,
     sched: &mut CoreSchedStats,
 ) -> bool {
     match *park {
@@ -161,7 +161,7 @@ pub(crate) fn step_core<G: BarrierHw + ?Sized, S: TraceSink>(
     // Park instead of stepping when the core sits at a recognized spin
     // whose wake trigger cannot fire this cycle: every elided step is a
     // closed-form replay at wake-up. (A traced run must emit them.)
-    if !S::ENABLED {
+    if !tracer.on() {
         if let Some(plan) = core.park_spin(prog, mem, gline, now, !delivery, !release) {
             *park = if plan.on_bar_reg() {
                 Park::Bar { plan, anchor: now }

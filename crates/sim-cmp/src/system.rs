@@ -6,7 +6,7 @@ use crate::stats::SystemReport;
 use gline_core::{BarrierHw, GlineHw};
 use sim_base::config::CmpConfig;
 use sim_base::stats::TimeBreakdown;
-use sim_base::trace::{NullSink, TraceSink, Tracer};
+use sim_base::trace::Tracer;
 use sim_base::{CoreId, Cycle};
 use sim_isa::Program;
 use sim_mem::MemorySystem;
@@ -16,21 +16,21 @@ use sim_trace::{CoreTrace, TraceSet};
 /// hardware. The barrier hardware is the [`GlineHw`] the configuration
 /// calls for — the flat network within the G-line transmitter budget,
 /// the clustered one beyond it — so every constructor serves every
-/// mesh. Generic over the trace sink (disabled by default; see
-/// [`sim_base::trace`]), which every layer shares, the barrier network
-/// included.
+/// mesh. Tracing is off until [`set_trace`](System::set_trace)
+/// installs a tracer, which every layer then shares, the barrier
+/// network included (see [`sim_base::trace`]).
 ///
 /// `B` stays for [`with_barrier_hw`](System::with_barrier_hw), whose one
 /// reason to exist is that `benchmark/src/sut.rs` names
 /// `System<ClusteredBarrierNetwork>`.
 #[derive(Debug)]
-pub struct System<B: BarrierHw = GlineHw, S: TraceSink = NullSink> {
+pub struct System<B: BarrierHw = GlineHw> {
     cfg: CmpConfig,
     cores: Vec<Core>,
     progs: Vec<Program>,
-    mem: MemorySystem<S>,
+    mem: MemorySystem,
     gline: B,
-    tracer: Tracer<S>,
+    tracer: Tracer,
     now: Cycle,
     /// Clock-jump effectiveness counters (diagnostics only; not part
     /// of [`SystemReport`], so default and dense reports stay
@@ -108,18 +108,12 @@ impl<B: BarrierHw> System<B> {
     /// for `benchmark/src/sut.rs`, which names
     /// `System<ClusteredBarrierNetwork>` through
     /// `Workload::into_system_with_hw`. Every other machine gets the
-    /// [`GlineHw`] its configuration picks: through [`System::new`], or
-    /// through `Workload::into_system`, which hands it to this method.
+    /// [`GlineHw`] its configuration picks: through [`System::new`] or
+    /// `Workload::into_system`, which both hand it to this method.
     ///
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores() == hw.num_cores()`.
     pub fn with_barrier_hw(cfg: CmpConfig, progs: Vec<Program>, hw: B) -> System<B> {
-        System::assemble(cfg, progs, hw, Tracer::default())
-    }
-}
-
-impl<B: BarrierHw, S: TraceSink> System<B, S> {
-    fn assemble(cfg: CmpConfig, progs: Vec<Program>, hw: B, tracer: Tracer<S>) -> System<B, S> {
         assert_eq!(progs.len(), cfg.num_cores(), "one program per core");
         assert_eq!(
             hw.num_cores(),
@@ -133,9 +127,9 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
             cfg,
             cores,
             progs,
-            mem: MemorySystem::traced(&cfg, tracer.clone()),
+            mem: MemorySystem::new(&cfg),
             gline: hw,
-            tracer,
+            tracer: Tracer::default(),
             now: 0,
             skip_stats: SkipStats::default(),
             active_set_enabled: true,
@@ -153,7 +147,8 @@ impl System {
     /// # Panics
     /// Panics unless `progs.len() == cfg.num_cores()`.
     pub fn new(cfg: CmpConfig, progs: Vec<Program>) -> System {
-        System::traced(cfg, progs, Tracer::default())
+        let hw = GlineHw::new(&cfg);
+        System::with_barrier_hw(cfg, progs, hw)
     }
 
     /// Convenience: every core runs the same program.
@@ -179,23 +174,29 @@ impl System {
     }
 }
 
-impl<S: TraceSink> System<GlineHw<S>, S> {
-    /// Builds the fully traced machine: every layer — cores, caches,
-    /// directory, NoC and the G-line barrier network — emits into
-    /// (clones of) `tracer`.
-    ///
-    /// # Panics
-    /// Panics unless `progs.len() == cfg.num_cores()`.
-    pub fn traced(cfg: CmpConfig, progs: Vec<Program>, tracer: Tracer<S>) -> System<GlineHw<S>, S> {
-        let hw = GlineHw::traced(&cfg, tracer.clone());
-        System::assemble(cfg, progs, hw, tracer)
+impl<B: BarrierHw> System<B> {
+    /// Switches tracing on (a tracer with a sink) or off
+    /// ([`Tracer::default`]) between steps: every layer — cores, caches,
+    /// directory, NoC and the barrier network — emits into (clones of)
+    /// `tracer` from the next step on. Every park is settled first, the
+    /// way [`set_active_set_enabled`](Self::set_active_set_enabled)
+    /// settles them, because a traced core steps where an untraced one
+    /// is parked; so a run switched on at cycle `X` emits exactly the
+    /// events a run traced from cycle 0 emits from `X` on, and the
+    /// report does not change.
+    pub fn set_trace(&mut self, tracer: Tracer) {
+        self.flush_parks();
+        self.mem.set_tracer(&tracer);
+        self.gline.set_tracer(&tracer);
+        self.tracer = tracer;
     }
-}
 
-impl<B: BarrierHw, S: TraceSink> System<B, S> {
-    /// The tracer shared by the machine's components.
-    pub fn tracer(&self) -> &Tracer<S> {
-        &self.tracer
+    /// Switches tracing off and hands back the tracer that was
+    /// installed, with everything its sink recorded.
+    pub fn take_trace(&mut self) -> Tracer {
+        let tracer = self.tracer.clone();
+        self.set_trace(Tracer::default());
+        tracer
     }
 
     /// The configuration in use.
@@ -344,7 +345,8 @@ impl<B: BarrierHw, S: TraceSink> System<B, S> {
     /// release that may land, unparks the core before either can
     /// change), so the closed-form replay is exact.
     /// Called when active-set scheduling is turned off mid-run (the
-    /// dense loop steps every core).
+    /// dense loop steps every core) and when tracing is switched (a
+    /// traced core emits the steps a spin park would elide).
     fn flush_parks(&mut self) {
         self.index.mark_stale();
         for (core, park) in self.cores.iter_mut().zip(&mut self.parks) {

@@ -254,3 +254,46 @@ fn program_faults_are_named_errors() {
         assert_eq!(stderrs[0], stderrs[1], "{source:?}: the engines disagree");
     }
 }
+
+/// A run that does not halt — the `--max-cycles` guard or a fault — is
+/// the run a trace exists for: it still writes the `--trace` file and
+/// prints the `--trace-last` ring before exiting 2.
+#[test]
+fn a_run_that_does_not_halt_keeps_its_trace() {
+    let file = tmp("overrun_trace.json");
+    let out = simcmp(&["--max-cycles", "2", "--trace", file.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2));
+    let text = std::fs::read_to_string(&file).expect("the trace file was written");
+    let _ = std::fs::remove_file(&file);
+    let events = parse(&text)
+        .ok()
+        .and_then(|t| t.get("traceEvents").cloned());
+    assert!(
+        events.is_some_and(|e| e.as_arr().is_some_and(|e| !e.is_empty())),
+        "{text}"
+    );
+    for (source, args) in [
+        (PROGRAM, &["--max-cycles", "2"][..]),
+        ("li r1, 3\nld r2, 0(r1)\n", &[]),
+    ] {
+        let out = simcmp_on(source, &[&["--trace-last", "8"], args].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(2), "{source:?}: {stderr}");
+        assert!(
+            stderr.contains("--- last ") && stderr.contains("core.retire"),
+            "{stderr}"
+        );
+    }
+}
+
+/// An unwritable `--trace` path is a usage error before the run, not
+/// after a whole simulation and its report.
+#[test]
+fn an_unwritable_trace_file_fails_before_the_run() {
+    let file = tmp("no_such_dir/trace.json");
+    let out = simcmp(&["--json", "--trace", file.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no_such_dir/trace.json"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the run printed its report first");
+}

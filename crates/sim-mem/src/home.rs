@@ -17,7 +17,7 @@ use crate::proto::{Grant, LineData, ProtoMsg};
 use sim_base::config::CacheConfig;
 use sim_base::fxmap::FxHashMap;
 use sim_base::ids::LineAddr;
-use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
+use sim_base::trace::{Event, Tracer};
 use sim_base::{CoreId, Cycle};
 use std::collections::VecDeque;
 
@@ -408,7 +408,7 @@ pub struct HomeStats {
 
 /// The home controller of one tile.
 #[derive(Clone, Debug)]
-pub struct HomeCtrl<S: TraceSink = NullSink> {
+pub struct HomeCtrl {
     tile: CoreId,
     /// Cores in the machine — bounds the fan-out of a coarse-granule
     /// invalidation expansion.
@@ -429,25 +429,13 @@ pub struct HomeCtrl<S: TraceSink = NullSink> {
     /// Reused per-tick buffer of matured lines (avoids a per-cycle
     /// allocation on the tick hot path).
     ready_scratch: Vec<LineAddr>,
-    tracer: Tracer<S>,
+    /// Set by [`MemorySystem::set_tracer`](crate::MemorySystem::set_tracer).
+    pub(crate) tracer: Tracer,
 }
 
 impl HomeCtrl {
     /// Builds the home bank of `tile` in a `num_tiles` CMP.
     pub fn new(tile: CoreId, num_tiles: usize, l2_cfg: &CacheConfig, mem_latency: u32) -> HomeCtrl {
-        HomeCtrl::traced(tile, num_tiles, l2_cfg, mem_latency, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> HomeCtrl<S> {
-    /// Builds the home bank of `tile`, emitting events into `tracer`.
-    pub fn traced(
-        tile: CoreId,
-        num_tiles: usize,
-        l2_cfg: &CacheConfig,
-        mem_latency: u32,
-        tracer: Tracer<S>,
-    ) -> HomeCtrl<S> {
         HomeCtrl {
             tile,
             num_tiles,
@@ -460,7 +448,7 @@ impl<S: TraceSink> HomeCtrl<S> {
             mem_latency: mem_latency as u64,
             stats: HomeStats::default(),
             ready_scratch: Vec::new(),
-            tracer,
+            tracer: Tracer::default(),
         }
     }
 
@@ -469,7 +457,7 @@ impl<S: TraceSink> HomeCtrl<S> {
     /// Owner/sharer churn within the same label is visible through the
     /// surrounding protocol events instead.
     fn set_dir(&mut self, line: LineAddr, new: Option<DirState>, now: Cycle) {
-        if S::ENABLED {
+        if self.tracer.on() {
             let from = dir_label(self.dir.get(&line).copied());
             let to = dir_label(new);
             if from != to {

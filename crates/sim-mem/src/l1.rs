@@ -11,7 +11,7 @@ use crate::proto::{CoreReq, CoreResp, Grant, LineData, ProtoMsg};
 use sim_base::config::CacheConfig;
 use sim_base::fxmap::FxHashMap;
 use sim_base::ids::LineAddr;
-use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
+use sim_base::trace::{Event, Tracer};
 use sim_base::{CoreId, Cycle};
 
 /// MESI states of a resident L1 line (Invalid = not resident).
@@ -82,7 +82,7 @@ pub struct L1Stats {
 
 /// The L1 controller of one tile.
 #[derive(Clone, Debug)]
-pub struct L1Ctrl<S: TraceSink = NullSink> {
+pub struct L1Ctrl {
     tile: CoreId,
     num_tiles: usize,
     line_bytes: u64,
@@ -107,24 +107,13 @@ pub struct L1Ctrl<S: TraceSink = NullSink> {
     /// Completed response with its ready cycle.
     resp: Option<(Cycle, CoreResp)>,
     stats: L1Stats,
-    tracer: Tracer<S>,
+    /// Set by [`MemorySystem::set_tracer`](crate::MemorySystem::set_tracer).
+    pub(crate) tracer: Tracer,
 }
 
 impl L1Ctrl {
     /// Builds the controller for `tile` in a `num_tiles` CMP.
     pub fn new(tile: CoreId, num_tiles: usize, cfg: &CacheConfig) -> L1Ctrl {
-        L1Ctrl::traced(tile, num_tiles, cfg, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> L1Ctrl<S> {
-    /// Builds the controller for `tile`, emitting events into `tracer`.
-    pub fn traced(
-        tile: CoreId,
-        num_tiles: usize,
-        cfg: &CacheConfig,
-        tracer: Tracer<S>,
-    ) -> L1Ctrl<S> {
         L1Ctrl {
             tile,
             num_tiles,
@@ -137,7 +126,7 @@ impl<S: TraceSink> L1Ctrl<S> {
             pending_inv: false,
             resp: None,
             stats: L1Stats::default(),
-            tracer,
+            tracer: Tracer::default(),
         }
     }
 
@@ -147,6 +136,7 @@ impl<S: TraceSink> L1Ctrl<S> {
     }
 
     /// True when the controller can accept a new core request.
+    #[inline]
     pub fn ready(&self) -> bool {
         self.mshr.is_none() && self.resp.is_none()
     }
@@ -193,7 +183,7 @@ impl<S: TraceSink> L1Ctrl<S> {
         let w = self.word_index(addr);
         let tile = self.tile;
         let is_write = !matches!(req, CoreReq::Load { .. });
-        let prev_state = if S::ENABLED {
+        let prev_state = if self.tracer.on() {
             self.cache.probe(line).map(|e| e.state)
         } else {
             None
@@ -228,7 +218,7 @@ impl<S: TraceSink> L1Ctrl<S> {
         });
         if let Some(r) = hit {
             // A write hit on an E line silently took it to M.
-            if S::ENABLED && is_write && prev_state == Some(L1State::E) {
+            if is_write && prev_state == Some(L1State::E) {
                 self.tracer.emit(now, || Event::L1Transition {
                     core: tile,
                     line: line.0,
@@ -594,6 +584,7 @@ impl<S: TraceSink> L1Ctrl<S> {
     }
 
     /// Returns the completed response once its ready cycle has passed.
+    #[inline]
     pub fn poll(&mut self, now: Cycle) -> Option<CoreResp> {
         if let Some((ready, _)) = self.resp {
             if ready <= now {
@@ -622,11 +613,13 @@ impl<S: TraceSink> L1Ctrl<S> {
     }
 
     /// The ready cycle of the pending core response, if any.
+    #[inline]
     pub fn resp_ready_at(&self) -> Option<Cycle> {
         self.resp.map(|(r, _)| r)
     }
 
     /// The pending response if it is a load: `(ready_cycle, value)`.
+    #[inline]
     pub fn peek_resp_load(&self) -> Option<(Cycle, u64)> {
         match self.resp {
             Some((r, CoreResp::LoadValue(v))) => Some((r, v)),
@@ -640,6 +633,7 @@ impl<S: TraceSink> L1Ctrl<S> {
     /// or the line is not resident in the cache array — in either case
     /// the access would not be a hit-and-nothing-else, so the caller
     /// must not fast-forward through it.
+    #[inline]
     pub fn spin_probe_load(&self, addr: u64) -> Option<u64> {
         if self.mshr.is_some() || self.deferred.is_some() || self.resp.is_some() {
             return None;
@@ -651,6 +645,7 @@ impl<S: TraceSink> L1Ctrl<S> {
     /// state. Used when a spin is captured mid-iteration: the pending
     /// response makes [`spin_probe_load`](Self::spin_probe_load) bail,
     /// but the next iteration's value is still the resident line's word.
+    #[inline]
     pub fn line_value(&self, addr: u64) -> Option<u64> {
         let line = LineAddr(addr / self.line_bytes);
         let w = self.word_index(addr);
@@ -664,10 +659,10 @@ impl<S: TraceSink> L1Ctrl<S> {
     /// pending at `final_ready`.
     ///
     /// Only legal while the controller holds the line and has nothing
-    /// else in flight; only used on untraced runs (the per-cycle path
-    /// emits `L1Access` events this replay does not).
+    /// else in flight; only used while tracing is off (the per-cycle
+    /// path emits `L1Access` events this replay does not).
     pub fn spin_replay(&mut self, addr: u64, hits: u64, final_ready: Option<Cycle>) {
-        debug_assert!(!S::ENABLED, "spin replay is only legal untraced");
+        debug_assert!(!self.tracer.on(), "spin replay is only legal untraced");
         debug_assert!(self.mshr.is_none() && self.deferred.is_none());
         if hits == 0 {
             debug_assert!(final_ready.is_none());

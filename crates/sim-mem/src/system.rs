@@ -7,7 +7,7 @@ use crate::proto::{CoreReq, CoreResp, ProtoMsg};
 use sim_base::active::ActiveSet;
 use sim_base::config::CmpConfig;
 use sim_base::ids::LineAddr;
-use sim_base::trace::{NullSink, TraceSink, Tracer};
+use sim_base::trace::Tracer;
 use sim_base::{CoreId, Cycle};
 use sim_noc::{Message, Noc, NocSchedStats, NocStats};
 
@@ -46,11 +46,11 @@ impl MemSchedStats {
 /// [`poll`](Self::poll); the simulator calls [`tick`](Self::tick) once
 /// per cycle.
 #[derive(Debug)]
-pub struct MemorySystem<S: TraceSink = NullSink> {
+pub struct MemorySystem {
     cfg: CmpConfig,
-    l1s: Vec<L1Ctrl<S>>,
-    homes: Vec<HomeCtrl<S>>,
-    noc: Noc<ProtoMsg, S>,
+    l1s: Vec<L1Ctrl>,
+    homes: Vec<HomeCtrl>,
+    noc: Noc<ProtoMsg>,
     /// Backing memory, banked per home: `mems[i]` holds exactly the
     /// lines homed at tile `i` (a bank is only ever touched together
     /// with its home controller, or via `poke_word`/`peek_word` which
@@ -78,26 +78,16 @@ pub struct MemorySystem<S: TraceSink = NullSink> {
 impl MemorySystem {
     /// Builds the hierarchy from a [`CmpConfig`].
     pub fn new(cfg: &CmpConfig) -> MemorySystem {
-        MemorySystem::traced(cfg, Tracer::default())
-    }
-}
-
-impl<S: TraceSink> MemorySystem<S> {
-    /// Builds the hierarchy, with every controller and the NoC emitting
-    /// events into (clones of) `tracer`.
-    pub fn traced(cfg: &CmpConfig, tracer: Tracer<S>) -> MemorySystem<S> {
         let n = cfg.num_cores();
         MemorySystem {
             cfg: *cfg,
             l1s: (0..n)
-                .map(|i| L1Ctrl::traced(CoreId::from(i), n, &cfg.l1, tracer.clone()))
+                .map(|i| L1Ctrl::new(CoreId::from(i), n, &cfg.l1))
                 .collect(),
             homes: (0..n)
-                .map(|i| {
-                    HomeCtrl::traced(CoreId::from(i), n, &cfg.l2, cfg.mem.latency, tracer.clone())
-                })
+                .map(|i| HomeCtrl::new(CoreId::from(i), n, &cfg.l2, cfg.mem.latency))
                 .collect(),
-            noc: Noc::traced(cfg.mesh, cfg.noc, tracer),
+            noc: Noc::new(cfg.mesh, cfg.noc),
             mems: (0..n).map(|_| Memory::default()).collect(),
             now: 0,
             out_scratch: Vec::new(),
@@ -106,6 +96,19 @@ impl<S: TraceSink> MemorySystem<S> {
             active_set_enabled: true,
             sched: MemSchedStats::default(),
         }
+    }
+
+    /// Emits every controller's and the NoC's events into (clones of)
+    /// `tracer` from now on; an off tracer stops tracing. Called
+    /// between ticks.
+    pub fn set_tracer(&mut self, tracer: &Tracer) {
+        for l1 in &mut self.l1s {
+            l1.tracer = tracer.clone();
+        }
+        for home in &mut self.homes {
+            home.tracer = tracer.clone();
+        }
+        self.noc.set_tracer(tracer);
     }
 
     /// The configuration in use.
@@ -143,7 +146,13 @@ impl<S: TraceSink> MemorySystem<S> {
         acc
     }
 
+    // `#[inline]` on the small entry points a core and the scheduler
+    // call every cycle (and on the `L1Ctrl` ones they wrap) lets
+    // `sim-cmp` inline them across the crate boundary; without it a
+    // wait-dominated run is measurably slower.
+
     /// True when core `core` can issue a new request.
+    #[inline]
     pub fn ready(&self, core: CoreId) -> bool {
         self.l1s[core.index()].ready()
     }
@@ -156,6 +165,7 @@ impl<S: TraceSink> MemorySystem<S> {
     }
 
     /// Returns `core`'s completed response, if ready.
+    #[inline]
     pub fn poll(&mut self, core: CoreId) -> Option<CoreResp> {
         self.l1s[core.index()].poll(self.now)
     }
@@ -281,6 +291,7 @@ impl<S: TraceSink> MemorySystem<S> {
     /// earliest timer is kept in `home_due`, so a *failed* skip attempt
     /// costs the same on any machine size with any number of
     /// transactions in flight.
+    #[inline]
     pub fn next_event(&self) -> Option<Cycle> {
         debug_assert_eq!(self.home_due, self.earliest_home_timer());
         let due = (self.home_due != Cycle::MAX).then_some(self.home_due);
@@ -317,6 +328,7 @@ impl<S: TraceSink> MemorySystem<S> {
     /// ticking the cycles in between. Only legal when
     /// [`next_event`](Self::next_event) reports nothing strictly
     /// before `t`.
+    #[inline]
     pub fn skip_to(&mut self, t: Cycle) {
         debug_assert!(t >= self.now);
         debug_assert!(
@@ -332,6 +344,7 @@ impl<S: TraceSink> MemorySystem<S> {
     /// mutating the tile's L1 or home bank. The per-core spin-parking
     /// scheduler uses this as its (exact) wake trigger: a parked core's
     /// probed line cannot change until this returns true.
+    #[inline]
     pub fn has_delivery_for(&self, tile: CoreId) -> bool {
         self.noc.has_delivery_for(tile)
     }
@@ -340,6 +353,7 @@ impl<S: TraceSink> MemorySystem<S> {
     /// once, as bitset words (tile `i` at bit `i % 64` of word `i / 64`).
     /// Frozen while the cores step: delivery queues only change in
     /// [`tick`](Self::tick).
+    #[inline]
     pub fn delivery_words(&self) -> &[u64] {
         self.noc.delivery_tiles().words()
     }
@@ -348,37 +362,44 @@ impl<S: TraceSink> MemorySystem<S> {
 
     /// True when `core`'s L1 has protocol work in flight (outstanding
     /// miss or a deferred coherence message).
+    #[inline]
     pub fn l1_busy(&self, core: CoreId) -> bool {
         let l1 = &self.l1s[core.index()];
         l1.miss_outstanding() || l1.has_deferred()
     }
 
     /// The ready cycle of `core`'s pending response, if any.
+    #[inline]
     pub fn resp_ready_at(&self, core: CoreId) -> Option<Cycle> {
         self.l1s[core.index()].resp_ready_at()
     }
 
     /// `core`'s pending response if it is a load: `(ready, value)`.
+    #[inline]
     pub fn peek_resp_load(&self, core: CoreId) -> Option<(Cycle, u64)> {
         self.l1s[core.index()].peek_resp_load()
     }
 
     /// See [`L1Ctrl::spin_probe_load`].
+    #[inline]
     pub fn spin_probe_load(&self, core: CoreId, addr: u64) -> Option<u64> {
         self.l1s[core.index()].spin_probe_load(addr)
     }
 
     /// See [`L1Ctrl::line_value`].
+    #[inline]
     pub fn spin_line_value(&self, core: CoreId, addr: u64) -> Option<u64> {
         self.l1s[core.index()].line_value(addr)
     }
 
     /// See [`L1Ctrl::spin_replay`].
+    #[inline]
     pub fn spin_replay(&mut self, core: CoreId, addr: u64, hits: u64, final_ready: Option<Cycle>) {
         self.l1s[core.index()].spin_replay(addr, hits, final_ready);
     }
 
     /// See [`L1Ctrl::take_resp_for_replay`].
+    #[inline]
     pub fn take_resp_for_replay(&mut self, core: CoreId) -> Option<CoreResp> {
         self.l1s[core.index()].take_resp_for_replay()
     }
@@ -696,7 +717,8 @@ mod tests {
         use sim_base::trace::{Event, RingSink, Tracer};
         let tracer = Tracer::new(RingSink::new(4096));
         let cfg = CmpConfig::icpp2010_with_cores(4);
-        let mut s = MemorySystem::traced(&cfg, tracer.clone());
+        let mut s = MemorySystem::new(&cfg);
+        s.set_tracer(&tracer);
         // Core 0 writes a line; core 1 then reads it (forward + downgrade).
         let c0 = CoreId(0);
         let c1 = CoreId(1);
@@ -719,7 +741,8 @@ mod tests {
             guard += 1;
             assert!(guard < 100_000);
         }
-        let recs: Vec<(u64, Event)> = tracer.with_sink(|s| s.events().cloned().collect());
+        let recs: Vec<(u64, Event)> =
+            tracer.with_sink(|s: &mut RingSink| s.events().cloned().collect());
         let events: Vec<Event> = recs.iter().map(|(_, e)| e.clone()).collect();
         // The write: an L1 miss, a directory I→E claim, an L2 access, and
         // a fill installing the line in M.

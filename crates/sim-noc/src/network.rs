@@ -6,7 +6,7 @@ use crate::stats::NocStats;
 use sim_base::active::ActiveSet;
 use sim_base::config::NocConfig;
 use sim_base::geom::{Coord, Dir};
-use sim_base::trace::{Event, NullSink, TraceSink, Tracer};
+use sim_base::trace::{Event, Tracer};
 use sim_base::{CoreId, Cycle, Mesh2D};
 use std::collections::VecDeque;
 
@@ -66,15 +66,15 @@ impl NocSchedStats {
     }
 }
 
-/// The cycle-level mesh NoC, generic over the payload type `T` and a
-/// [`TraceSink`] (the default [`NullSink`] compiles tracing away).
+/// The cycle-level mesh NoC, generic over the payload type `T`. Tracing
+/// is off until [`set_tracer`](Noc::set_tracer) switches it on.
 ///
 /// Driving contract (same as the other hardware models in this project):
 /// during a cycle, clients may [`send`](Noc::send) and
 /// [`recv`](Noc::recv); the simulator then calls [`tick`](Noc::tick)
 /// exactly once per cycle.
 #[derive(Debug)]
-pub struct Noc<T, S: TraceSink = NullSink> {
+pub struct Noc<T> {
     mesh: Mesh2D,
     cfg: NocConfig,
     routers: Vec<Router>,
@@ -119,20 +119,12 @@ pub struct Noc<T, S: TraceSink = NullSink> {
     sched: NocSchedStats,
     watchdog: u64,
     stats: NocStats,
-    tracer: Tracer<S>,
+    tracer: Tracer,
 }
 
 impl<T> Noc<T> {
     /// Builds the NoC for a mesh.
     pub fn new(mesh: Mesh2D, cfg: NocConfig) -> Noc<T> {
-        Noc::traced(mesh, cfg, Tracer::default())
-    }
-}
-
-impl<T, S: TraceSink> Noc<T, S> {
-    /// Builds a traced NoC: sends, per-flit link hops and deliveries are
-    /// emitted into `tracer`.
-    pub fn traced(mesh: Mesh2D, cfg: NocConfig, tracer: Tracer<S>) -> Noc<T, S> {
         assert!(cfg.link_bytes >= 1, "links are at least one byte wide");
         // An arrival is handled in a later tick than the one that sent
         // it; a zero-cycle router would make it stale.
@@ -171,13 +163,14 @@ impl<T, S: TraceSink> Noc<T, S> {
             sched: NocSchedStats::default(),
             watchdog: DEFAULT_WATCHDOG,
             stats: NocStats::default(),
-            tracer,
+            tracer: Tracer::default(),
         }
     }
 
-    /// The tracer this NoC emits into.
-    pub fn tracer(&self) -> &Tracer<S> {
-        &self.tracer
+    /// Emits sends, per-flit link hops and deliveries into `tracer` from
+    /// now on; an off tracer stops tracing. Called between ticks.
+    pub fn set_tracer(&mut self, tracer: &Tracer) {
+        self.tracer = tracer.clone();
     }
 
     /// The mesh this network spans.
@@ -616,7 +609,7 @@ impl<T, S: TraceSink> Noc<T, S> {
         }
         // A traced NoC buffers every flit, so that its events keep the
         // dense tick's in-cycle order.
-        let transit = !S::ENABLED && self.active_set_enabled;
+        let transit = !self.tracer.on() && self.active_set_enabled;
         if transit {
             // Rule 2 of `try_transit`: count every landing of this cycle
             // before granting any.
@@ -924,7 +917,7 @@ mod tests {
         }
     }
 
-    fn run_until_idle<S: TraceSink>(n: &mut Noc<u32, S>, max: u64) {
+    fn run_until_idle(n: &mut Noc<u32>, max: u64) {
         let mut c = 0;
         while !n.is_idle() {
             n.tick();
@@ -1184,11 +1177,12 @@ mod tests {
     fn traced_noc_reports_send_hops_and_delivery() {
         use sim_base::trace::{Event, RingSink, Tracer};
         let tracer = Tracer::new(RingSink::new(128));
-        let mut n: Noc<u32, RingSink> =
-            Noc::traced(Mesh2D::new(1, 3), NocConfig::default(), tracer.clone());
+        let mut n: Noc<u32> = Noc::new(Mesh2D::new(1, 3), NocConfig::default());
+        n.set_tracer(&tracer);
         n.send(msg(0, 2, Request, 0, 5));
         run_until_idle(&mut n, 100);
-        let events: Vec<Event> = tracer.with_sink(|s| s.events().map(|(_, e)| e.clone()).collect());
+        let events: Vec<Event> =
+            tracer.with_sink(|s: &mut RingSink| s.events().map(|(_, e)| e.clone()).collect());
         let sends: Vec<&Event> = events
             .iter()
             .filter(|e| matches!(e, Event::NocSend { .. }))

@@ -15,7 +15,7 @@
 use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::rng::SplitMix64;
-use sim_base::trace::{ChromeTraceSink, Tracer};
+use sim_base::trace::{ChromeSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::{SkipStats, System, SystemReport};
@@ -247,12 +247,13 @@ fn event_trace_identical_with_active_set() {
         let cfg = CmpConfig::icpp2010_with_cores(n);
 
         let run_traced = |active: bool| {
-            let tracer = Tracer::new(ChromeTraceSink::new());
-            let mut sys = System::traced(cfg, w.progs.clone(), tracer.clone());
+            let tracer = Tracer::new(ChromeSink::new());
+            let mut sys = System::new(cfg, w.progs.clone());
+            sys.set_trace(tracer.clone());
             sys.set_active_set_enabled(active);
             sys.run(50_000_000).expect("traced run completes");
             let rep = sys.report();
-            let events = tracer.with_sink(|s| s.events().to_vec());
+            let events = tracer.with_sink(|s: &mut ChromeSink| s.events().to_vec());
             (rep, events, sys.skip_stats().skips)
         };
 

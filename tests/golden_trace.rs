@@ -23,7 +23,8 @@ use std::path::PathBuf;
 /// cycles past the release so post-release quiescence is pinned too.
 fn episode_trace(rows: u16, cols: u16, cfg: GlineConfig, ticks: u64) -> String {
     let tracer = Tracer::new(RingSink::new(1 << 16));
-    let mut net = BarrierNetwork::traced(Mesh2D::new(rows, cols), cfg, tracer.clone());
+    let mut net = BarrierNetwork::new(Mesh2D::new(rows, cols), cfg);
+    net.set_tracer(&tracer);
     for i in 0..rows * cols {
         net.write_bar_reg(CoreId(i), 0, 1);
     }
@@ -34,7 +35,7 @@ fn episode_trace(rows: u16, cols: u16, cfg: GlineConfig, ticks: u64) -> String {
         net.all_released(0),
         "barrier did not complete in {ticks} cycles"
     );
-    tracer.with_sink(|s| {
+    tracer.with_sink(|s: &mut RingSink| {
         s.events()
             .map(|(cycle, ev)| format!("{cycle:>8} {ev}\n"))
             .collect()

@@ -126,11 +126,8 @@ fn run_seed(seed: u64) {
     // Cycle-accurate machine, recording the last events so a mismatch
     // comes with the end of the run attached.
     let tracer = Tracer::new(RingSink::new(TRACE_TAIL));
-    let mut sys = System::traced(
-        CmpConfig::icpp2010_with_cores(N_CORES),
-        progs,
-        tracer.clone(),
-    );
+    let mut sys = System::new(CmpConfig::icpp2010_with_cores(N_CORES), progs);
+    sys.set_trace(tracer.clone());
     sys.run(100_000_000).expect("simulated run completes");
 
     // Compare: accumulators, private slots, shared counters.
@@ -164,7 +161,7 @@ fn run_seed(seed: u64) {
         );
     }
     if !mismatches.is_empty() {
-        let tail = tracer.with_sink(|s| {
+        let tail = tracer.with_sink(|s: &mut RingSink| {
             format!(
                 "--- last {} of {} events ---\n{}",
                 s.len(),

@@ -20,6 +20,7 @@ use std::cell::Cell;
 
 use sim_base::config::CacheConfig;
 use sim_base::config::CmpConfig;
+use sim_base::trace::{RingSink, Tracer};
 use sim_base::CoreId;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::System;
@@ -212,6 +213,41 @@ fn steady_state_system_ticks_do_not_allocate() {
         "imbalanced GL loop, 4x8",
     );
     assert!(jumps > 100, "imbalanced GL loop: only {jumps} clock jumps");
+}
+
+/// `sys` traced into a ring from cycle 0 to `off`, then switched off.
+fn traced_until(mut sys: System, off: u64) -> System {
+    sys.set_trace(Tracer::new(RingSink::new(64)));
+    sys.advance_until(off).unwrap();
+    drop(sys.take_trace());
+    sys
+}
+
+/// A machine traced for its first cycles and then switched off ticks as
+/// allocation-free as one never traced: from the switch on, the cores
+/// park again, flits pass through idle routers again and the clustered
+/// network drops its held sets, and none of that allocates.
+#[test]
+fn ticks_after_tracing_is_switched_off_do_not_allocate() {
+    let dsw = synthetic::build(32, BarrierKind::Dsw, 100_000).into_system(CmpConfig::icpp2010());
+    let (_, transits) = assert_system_ticks_allocation_free(
+        traced_until(dsw, 20_000),
+        20_000,
+        20_000,
+        "DSW loop, 4x8, traced until cycle 20,000",
+    );
+    assert!(
+        transits > 100,
+        "DSW loop: only {transits} flits passed through idle routers after the switch"
+    );
+    let big = CmpConfig::icpp2010_with_cores(256);
+    let gl = synthetic::build(256, BarrierKind::Gl, 100_000).into_system(big);
+    assert_system_ticks_allocation_free(
+        traced_until(gl, 1_000),
+        1_000,
+        3_000,
+        "GL loop, clustered 16x16, traced until cycle 1,000",
+    );
 }
 
 /// The 32x32 machine of the Table-1 configuration, and the same machine
