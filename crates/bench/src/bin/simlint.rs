@@ -1,5 +1,5 @@
 //! Workspace determinism/safety linter — see `bench::lint` for the
-//! rules and `DESIGN.md` §12 for the rationale.
+//! rules and `DESIGN.md` §11 for the rationale.
 //!
 //! Usage: `cargo run -p bench --bin simlint -- [--deny] [ROOT]`
 //!

@@ -31,7 +31,7 @@
 //!
 //! The `simlint` binary (`cargo run -p bench --bin simlint -- --deny`)
 //! walks the workspace and reports findings; CI runs it as a hard gate.
-//! See `DESIGN.md` §12 for the rationale.
+//! See `DESIGN.md` §11 for the rationale.
 
 use std::fmt;
 use std::fs;

@@ -1,5 +1,5 @@
 //! Two-level G-line barrier network for meshes beyond the electrical
-//! limit of a single G-line (the paper's §5 future work: *"design
+//! limit of a single G-line (paper §5's future work: *"design
 //! efficient and scalable schemes to interconnect G-line-based networks,
 //! in order to overcome the limitation in the number of cores supported by
 //! this technology (a many-core CMP with more than 7×7 2D-mesh)"*).
@@ -550,15 +550,15 @@ mod tests {
 
     #[test]
     fn traced_network_reports_global_core_events() {
-        use sim_base::trace::ChromeSink;
-        let tracer = Tracer::new(ChromeSink::new());
+        use sim_base::trace::RingSink;
+        let tracer = Tracer::new(RingSink::new(usize::MAX));
         let mesh = Mesh2D::new(9, 9);
         let mut net = ClusteredBarrierNetwork::new(mesh, cfg());
         net.set_tracer(&tracer);
         for _ in 0..2 {
             assert_eq!(net.run_single_barrier(&vec![0; 81]), 7);
         }
-        let events = tracer.with_sink(|s: &mut ChromeSink| s.events().to_vec());
+        let events: Vec<_> = tracer.with_sink(|s: &mut RingSink| s.events().cloned().collect());
         for name in ["barrier.arrive", "barrier.release"] {
             let mut cores: Vec<usize> = events
                 .iter()

@@ -7,7 +7,7 @@
 //! costs zero per-tick work even while its neighbours are busy.
 //!
 //! The contract that makes active-set iteration bit-identical to a
-//! dense scan (see DESIGN.md §10) is:
+//! dense scan (see DESIGN.md §8 "Active sets") is:
 //!
 //! 1. **Superset invariant**: a component that can transition this
 //!    cycle is in the set. The converse need not hold — stale members

@@ -11,7 +11,7 @@
 //!
 //! * [`RingSink`] — keeps the last *N* events for post-mortem dumps when
 //!   a differential test diverges or a run wedges.
-//! * [`ChromeSink`] — records everything and exports Chrome
+//! * [`ChromeSink`] — streams every event to a writer as Chrome
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto.
 //!
 //! Components hold clones of one [`Tracer`] (a shared handle, cheap to
@@ -27,6 +27,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::rc::Rc;
 
 /// Which G-line of a barrier context an event refers to (the paper's
@@ -604,79 +605,71 @@ impl TraceSink for RingSink {
     }
 }
 
-/// Records every event and exports Chrome `trace_event` JSON.
-#[derive(Clone, Debug, Default)]
-pub struct ChromeSink {
-    events: Vec<(Cycle, Event)>,
+/// Streams Chrome `trace_event` JSON to a writer: the header when built,
+/// each event as it arrives (compact, one per line, one microsecond per
+/// simulated cycle) and the footer on [`finish`](Self::finish). It keeps
+/// no events, so a trace of any length costs a write buffer. A write
+/// error stops the stream and is kept until `finish` reports it.
+pub struct ChromeSink<W: Write> {
+    out: BufWriter<W>,
+    written: u64,
+    result: io::Result<()>,
 }
 
-impl ChromeSink {
-    /// An empty sink.
-    pub fn new() -> ChromeSink {
-        ChromeSink::default()
+impl<W: Write> ChromeSink<W> {
+    /// A sink that has written the header of the trace object to `out`.
+    pub fn new(out: W) -> ChromeSink<W> {
+        let mut sink = ChromeSink {
+            out: BufWriter::new(out),
+            written: 0,
+            result: Ok(()),
+        };
+        sink.put(format_args!(
+            "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"clock\":\"simulated-cycles\"}},\"traceEvents\":["
+        ));
+        sink
     }
 
-    /// All recorded events in emission order.
-    pub fn events(&self) -> &[(Cycle, Event)] {
-        &self.events
+    /// Writes the footer and flushes. Returns the number of events
+    /// written, or the first write error.
+    pub fn finish(&mut self) -> io::Result<u64> {
+        self.put(format_args!("\n]}}\n"));
+        std::mem::replace(&mut self.result, Ok(()))?;
+        self.out.flush()?;
+        Ok(self.written)
     }
 
-    /// The trace as a Chrome `trace_event` JSON tree: an object with a
-    /// `traceEvents` array of instant events, one microsecond per
-    /// simulated cycle.
-    pub fn to_chrome_json(&self) -> Json {
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|(cycle, ev)| {
-                Json::obj([
-                    ("name", Json::from(ev.name())),
-                    ("cat", Json::from(category_of(ev))),
-                    ("ph", Json::from("i")),
-                    ("s", Json::from("t")),
-                    ("ts", Json::from(*cycle)),
-                    ("pid", Json::from(0u64)),
-                    ("tid", Json::from(ev.lane())),
-                    ("args", ev.args_json()),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("traceEvents", Json::Arr(events)),
-            ("displayTimeUnit", Json::from("ms")),
-            (
-                "otherData",
-                Json::obj([("clock", Json::from("simulated-cycles"))]),
-            ),
-        ])
-    }
-
-    /// Serializes the trace to a Chrome-loadable JSON string.
-    pub fn to_json_string(&self) -> String {
-        self.to_chrome_json().pretty()
+    fn put(&mut self, text: fmt::Arguments<'_>) {
+        if self.result.is_ok() {
+            self.result = self.out.write_fmt(text);
+        }
     }
 }
 
+/// The trace category of an event: the layer its name starts with.
 fn category_of(ev: &Event) -> &'static str {
-    match ev {
-        Event::GlineAssert { .. }
-        | Event::GlineSense { .. }
-        | Event::CtrlTransition { .. }
-        | Event::BarrierArrive { .. }
-        | Event::BarrierRelease { .. }
-        | Event::BarrierComplete { .. } => "gline",
-        Event::NocSend { .. } | Event::NocFlitHop { .. } | Event::NocDeliver { .. } => "noc",
-        Event::L1Access { .. }
-        | Event::L1Transition { .. }
-        | Event::DirTransition { .. }
-        | Event::L2Access { .. } => "mem",
-        Event::Retire { .. } | Event::Stall { .. } | Event::Region { .. } => "core",
+    match ev.name().split_once('.').map_or("", |(layer, _)| layer) {
+        "gline" | "ctrl" | "barrier" => "gline",
+        "l1" | "l2" | "dir" => "mem",
+        layer => layer,
     }
 }
 
-impl TraceSink for ChromeSink {
+impl<W: Write + 'static> TraceSink for ChromeSink<W> {
     fn emit(&mut self, cycle: Cycle, ev: Event) {
-        self.events.push((cycle, ev));
+        let event = Json::obj([
+            ("name", Json::from(ev.name())),
+            ("cat", Json::from(category_of(&ev))),
+            ("ph", Json::from("i")),
+            ("s", Json::from("t")),
+            ("ts", Json::from(cycle)),
+            ("pid", Json::from(0u64)),
+            ("tid", Json::from(ev.lane())),
+            ("args", ev.args_json()),
+        ]);
+        let sep = if self.written == 0 { "" } else { "," };
+        self.put(format_args!("{sep}\n{event}"));
+        self.written += 1;
     }
 }
 
@@ -713,7 +706,7 @@ impl Tracer {
     }
 
     /// Runs `f` with exclusive access to the sink (to read a ring buffer
-    /// back out, export a Chrome trace, …).
+    /// back out, finish a Chrome trace, …).
     ///
     /// # Panics
     /// Panics if the tracer is off or its sink is not an `S`.
@@ -798,11 +791,19 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_valid_json_with_trace_events() {
-        let t = Tracer::new(ChromeSink::new());
+    fn chrome_stream_is_valid_json_with_trace_events() {
+        let t = Tracer::new(ChromeSink::new(Vec::new()));
         t.emit(0, || ev(3));
         t.emit(4, || Event::BarrierComplete { ctx: 0, latency: 4 });
-        let text = t.with_sink(|s: &mut ChromeSink| s.to_json_string());
+        let text = t.with_sink(|s: &mut ChromeSink<Vec<u8>>| {
+            assert_eq!(s.finish().unwrap(), 2);
+            String::from_utf8(s.out.get_ref().clone()).unwrap()
+        });
+        assert_eq!(
+            text.lines().count(),
+            4,
+            "header, one line per event, footer"
+        );
         let parsed = json::parse(&text).expect("chrome trace must be valid JSON");
         let events = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
         assert_eq!(events.len(), 2);
@@ -814,6 +815,34 @@ mod tests {
             assert!(e.get("tid").and_then(Json::as_u64).is_some());
         }
         assert_eq!(events[1].get("ts").and_then(Json::as_u64), Some(4));
+        let empty = ChromeSink::new(Vec::new()).finish();
+        assert_eq!(empty.unwrap(), 0);
+    }
+
+    /// A writer that fails on its second write.
+    struct FailSecond(u32);
+
+    impl Write for FailSecond {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0 += 1;
+            match self.0 {
+                1 => Ok(buf.len()),
+                _ => Err(io::Error::other("disk full")),
+            }
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn chrome_write_error_is_kept_for_finish() {
+        let mut s = ChromeSink::new(FailSecond(0));
+        s.out.flush().unwrap();
+        for c in 0..10_000 {
+            s.emit(c, ev(1));
+        }
+        assert_eq!(s.finish().unwrap_err().to_string(), "disk full");
     }
 
     #[test]

@@ -39,19 +39,19 @@
 //!                      active-set occupancy per subsystem, the core
 //!                      steps run vs. elided, and the NoC's router
 //!                      visits vs. flits passed through idle routers
-//!   --trace FILE       record every event and write a Chrome
-//!                      trace_event JSON file (open in about://tracing
-//!                      or Perfetto); the file is opened before the run
-//!                      and written whether or not the run halts
+//!   --trace FILE       stream every event to a Chrome trace_event
+//!                      JSON file (open in about://tracing or Perfetto);
+//!                      the file is opened before the run and finished
+//!                      whether or not the run halts
 //!   --trace-last N     keep the last N events in a ring and print them
 //!                      to stderr after the run, whether or not it halts
 //! ```
 //!
-//! Exit code 0 on success, 1 on usage, assembly or config errors, 2 on
-//! a run that does not halt: a program fault (`barw` of zero, `barctx`
-//! past the network's contexts, a jump outside the program, an
-//! unaligned `ld`/`st`/`amo*` — named with the faulting core and pc) or
-//! the `--max-cycles` deadlock guard.
+//! Exit code 0 on success, 1 on usage, assembly or config errors or a
+//! failed `--trace` write, 2 on a run that does not halt: a program
+//! fault (`barw` of zero, `barctx` past the network's contexts, a jump
+//! outside the program, an unaligned `ld`/`st`/`amo*` — named with the
+//! faulting core and pc) or the `--max-cycles` deadlock guard.
 
 use sim_base::config::CmpConfig;
 use sim_base::json::ToJson;
@@ -60,7 +60,7 @@ use sim_base::trace::{ChromeSink, RingSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::System;
 use sim_isa::{assemble, Program};
-use std::io::Write;
+use std::fs::File;
 
 fn parse_num(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x") {
@@ -161,19 +161,17 @@ enum Sink {
 fn run(cfg: CmpConfig, progs: Vec<Program>, sink: Sink, opts: &Opts) {
     // Open the trace file first: an unwritable path fails before the
     // run, not after it.
-    let mut file = match &sink {
+    let tracer = match &sink {
+        Sink::None => Tracer::default(),
         Sink::Chrome(path) => {
-            Some(std::fs::File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}"))))
+            let file = File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            Tracer::new(ChromeSink::new(file))
         }
-        _ => None,
+        Sink::Ring(last) => Tracer::new(RingSink::new(*last)),
     };
     let mut sys = System::new(cfg, progs);
     sys.set_active_set_enabled(!opts.no_active_set);
-    match sink {
-        Sink::None => {}
-        Sink::Chrome(_) => sys.set_trace(Tracer::new(ChromeSink::new())),
-        Sink::Ring(last) => sys.set_trace(Tracer::new(RingSink::new(last))),
-    }
+    sys.set_trace(tracer);
     for &(a, v) in &opts.pokes {
         sys.poke_word(a, v);
     }
@@ -194,11 +192,9 @@ fn run(cfg: CmpConfig, progs: Vec<Program>, sink: Sink, opts: &Opts) {
     match sink {
         Sink::None => {}
         Sink::Chrome(path) => {
-            let (count, out) =
-                tracer.with_sink(|s: &mut ChromeSink| (s.events().len(), s.to_json_string()));
-            let file = file.as_mut().expect("opened before the run");
-            file.write_all(out.as_bytes())
-                .unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            let count = tracer
+                .with_sink(|s: &mut ChromeSink<File>| s.finish())
+                .unwrap_or_else(|e| die(&format!("--trace {path}: {e}")));
             eprintln!("wrote {count} events to {path}");
         }
         Sink::Ring(_) => tracer.with_sink(|s: &mut RingSink| {

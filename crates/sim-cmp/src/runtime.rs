@@ -1,6 +1,6 @@
 //! The runtime library: synchronization routines emitted as ISA code.
 //!
-//! Three barrier implementations, matching the paper's §4.3 taxonomy:
+//! Three barrier implementations, matching paper §4.3's taxonomy:
 //!
 //! * **GL** — the proposed hardware barrier: write `bar_reg`, spin on it
 //!   (Figure 3 of the paper). All the work happens in the G-line network.

@@ -1,7 +1,7 @@
 //! Core-layer scheduling: the per-core park state, the per-core step
 //! body of the sparse tick, and the wake index that lets that tick
 //! visit only the cores that can act — and the engine jump the clock
-//! when none can (`DESIGN.md` §9, §10).
+//! when none can (`DESIGN.md` §8).
 
 use crate::core::{Core, SpinPlan};
 use crate::system::CoreSchedStats;

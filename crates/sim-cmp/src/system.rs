@@ -514,16 +514,39 @@ impl<B: BarrierHw> System<B> {
     ///
     /// # Errors
     /// Returns the [`Fault`] (core, pc and fault) as soon as a core
-    /// faults, and an error naming the stuck cores if `max_cycles`
-    /// elapses first (deadlock / livelock guard).
+    /// faults, and an error naming the cores still running if they have
+    /// not all halted after `max_cycles` cycles (deadlock / livelock
+    /// guard).
     pub fn run(&mut self, max_cycles: u64) -> Result<Cycle, String> {
+        self.run_loop::<false>(max_cycles, Cycle::MAX, |_| {})
+    }
+
+    /// The drive loop of [`run`](Self::run) (`OBSERVED` false compiles
+    /// the observer out) and [`run_with_progress`](Self::run_with_progress).
+    /// It tests for halt before the limit, so the limit's error names a
+    /// running core.
+    fn run_loop<const OBSERVED: bool>(
+        &mut self,
+        max_cycles: u64,
+        every: u64,
+        mut observer: impl FnMut(&SystemReport),
+    ) -> Result<Cycle, String> {
         let start = self.now;
+        let deadline = start.saturating_add(max_cycles);
+        let mut next = start.saturating_add(every);
         self.check_fault()?;
         while !self.all_halted() {
-            self.advance(start + max_cycles + 1);
-            self.check_fault()?;
-            if self.now - start > max_cycles {
+            if self.now >= deadline {
                 return Err(self.deadlock_error(max_cycles));
+            }
+            // Clamp jumps to the observer boundary so the observer fires
+            // at every `every`-cycle mark with the report as of exactly
+            // that cycle, even when a jump would have crossed it.
+            self.advance(next.min(deadline));
+            self.check_fault()?;
+            if OBSERVED && self.now >= next {
+                observer(&self.report());
+                next = next.saturating_add(every);
             }
         }
         Ok(self.now - start)
@@ -536,8 +559,12 @@ impl<B: BarrierHw> System<B> {
         let (core, now) = (&self.cores[i], self.now);
         let spin = || core.park_spin(&self.progs[i], &self.mem, &self.gline, now, true, true);
         match self.parks[i] {
-            Park::None if core.waiting_on_unscheduled_resp(&self.mem) => Park::Miss { anchor: now },
-            Park::None => match (spin(), core.park_until(&self.mem)) {
+            park @ Park::Stall { wake, .. } if wake > now => park,
+            // A stall due now steps this cycle, as on the dense tick.
+            Park::None | Park::Stall { .. } if core.waiting_on_unscheduled_resp(&self.mem) => {
+                Park::Miss { anchor: now }
+            }
+            Park::None | Park::Stall { .. } => match (spin(), core.park_until(&self.mem)) {
                 (Some(plan), _) if plan.on_bar_reg() => Park::Bar { plan, anchor: now },
                 (Some(plan), _) => Park::Spin { plan, anchor: now },
                 (None, Some(wake)) if wake > now => Park::Stall { wake, anchor: now },
@@ -582,27 +609,10 @@ impl<B: BarrierHw> System<B> {
         &mut self,
         max_cycles: u64,
         every: u64,
-        mut observer: impl FnMut(&SystemReport),
+        observer: impl FnMut(&SystemReport),
     ) -> Result<Cycle, String> {
         assert!(every > 0);
-        let start = self.now;
-        let mut next = self.now + every;
-        self.check_fault()?;
-        while !self.all_halted() {
-            // Clamp skips to the observer boundary so the observer fires
-            // at every `every`-cycle mark with the report as of exactly
-            // that cycle, even when a jump would have crossed it.
-            self.advance(next.min(start + max_cycles + 1));
-            self.check_fault()?;
-            if self.now >= next {
-                observer(&self.report());
-                next += every;
-            }
-            if self.now - start > max_cycles {
-                return Err(self.deadlock_error(max_cycles));
-            }
-        }
-        Ok(self.now - start)
+        self.run_loop::<true>(max_cycles, every, observer)
     }
 
     /// [`run`](Self::run), returning each core's [`Program`] beside the

@@ -286,6 +286,46 @@ fn a_run_that_does_not_halt_keeps_its_trace() {
     }
 }
 
+/// `--max-cycles` is exact: `busy 5` / `halt` takes 6 cycles, so 6 and
+/// 7 halt, and 5 exits 2 naming both cores, on both engines and with
+/// `--progress` as well.
+#[test]
+fn max_cycles_boundary_halts_or_names_running_cores() {
+    for max in ["5", "6", "7"] {
+        for extra in [&[][..], &["--no-active-set"], &["--progress", "3"]] {
+            let args = [&["--cores", "2", "--max-cycles", max], extra].concat();
+            let out = simcmp_on("busy 5\nhalt\n", &args);
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            if max == "5" {
+                assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains("still running: core0 (live), core1 (live)"),
+                    "{args:?}: {stderr}"
+                );
+            } else {
+                assert!(out.status.success(), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains("halted after 6 cycles"),
+                    "{args:?}: {stderr}"
+                );
+            }
+        }
+    }
+}
+
+/// A `--trace` write that fails during or after the run is an exit-1
+/// error naming the flag, the path and the cause.
+#[test]
+fn a_failed_trace_write_is_a_named_error() {
+    let out = simcmp(&["--trace", "/dev/full"]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("simcmp: --trace /dev/full: No space left on device"),
+        "{stderr}"
+    );
+}
+
 /// An unwritable `--trace` path is a usage error before the run, not
 /// after a whole simulation and its report.
 #[test]

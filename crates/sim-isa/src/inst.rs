@@ -288,8 +288,8 @@ pub enum Inst {
         rd: Reg,
     },
     /// `barctx imm` — select which barrier context subsequent
-    /// `barw`/`barr` use (hardware with several contexts only; see the
-    /// paper's §5 space/time multiplexing).
+    /// `barw`/`barr` use (hardware with several contexts only; see
+    /// paper §5's space multiplexing).
     BarCtx {
         /// Context index.
         ctx: u8,

@@ -31,7 +31,7 @@ pub enum ExecError {
         pc: usize,
     },
     /// `barw` of a zero value: arrival at a barrier is a nonzero
-    /// `bar_reg` write (the paper's §3.3), so zero would announce
+    /// `bar_reg` write (paper §3.3), so zero would announce
     /// nothing.
     ZeroBarrierWrite,
     /// `barctx` named a barrier context the hardware does not have.

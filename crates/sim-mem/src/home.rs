@@ -40,7 +40,7 @@ const PTR_CAP: usize = 7;
 /// * [`Coarse`](SharerSet::Coarse) — coarse bit vector: bit `g` covers
 ///   the core-id range `[g << granule_log2, (g + 1) << granule_log2)`.
 ///   A **superset** of the true sharers; invalidations fanned out from
-///   it may over-invalidate but never miss a sharer (DESIGN.md §13).
+///   it may over-invalidate but never miss a sharer (DESIGN.md §7).
 ///
 /// The exact representations are canonical (a pure function of the
 /// member set), so derived equality is set equality for them. `remove`

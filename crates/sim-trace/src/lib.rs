@@ -3,7 +3,7 @@
 //! A recording of a run is the machine's input: one [`Program`] per
 //! core and the memory words poked before cycle 0. Re-running that
 //! image on the exec-driven simulator reproduces the run exactly, so
-//! nothing else needs storing (`DESIGN.md` §11 has the ruling that
+//! nothing else needs storing (`DESIGN.md` §12 has the ruling that
 //! replaced the old trace-driven engine with this).
 //!
 //! The crate exists for one client: the `trace_replay` workload of the

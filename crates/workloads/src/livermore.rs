@@ -1,4 +1,4 @@
-//! Livermore loops 2, 3 and 6 (the paper's §4.2 selection, following
+//! Livermore loops 2, 3 and 6 (paper §4.2's selection, following
 //! Sampson et al.).
 //!
 //! * **Kernel 2** — excerpt from an incomplete Cholesky conjugate

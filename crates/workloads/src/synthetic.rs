@@ -1,4 +1,4 @@
-//! The synthetic barrier-latency benchmark of §4.2 / Figure 5.
+//! The synthetic barrier-latency benchmark of paper §4.2 / Figure 5.
 //!
 //! Following the methodology the paper borrows from Culler, Singh &
 //! Gupta: *"performance is measured as average time per barrier over a

@@ -1,6 +1,6 @@
 //! Determinism of the engine: default vs. oracle.
 //!
-//! The default engine (see `DESIGN.md` §9, §10) visits only routers
+//! The default engine (see `DESIGN.md` §8) visits only routers
 //! with buffered flits, home banks with live transactions, and cores
 //! that are not parked on a known wake cycle, and jumps the clock when
 //! nothing can act — instead of scanning every component every cycle.
@@ -15,7 +15,7 @@
 use gline_core::GlineHw;
 use sim_base::config::CmpConfig;
 use sim_base::rng::SplitMix64;
-use sim_base::trace::{ChromeSink, Tracer};
+use sim_base::trace::{RingSink, Tracer};
 use sim_base::Mesh2D;
 use sim_cmp::runtime::BarrierKind;
 use sim_cmp::{SkipStats, System, SystemReport};
@@ -247,13 +247,13 @@ fn event_trace_identical_with_active_set() {
         let cfg = CmpConfig::icpp2010_with_cores(n);
 
         let run_traced = |active: bool| {
-            let tracer = Tracer::new(ChromeSink::new());
+            let tracer = Tracer::new(RingSink::new(usize::MAX));
             let mut sys = System::new(cfg, w.progs.clone());
             sys.set_trace(tracer.clone());
             sys.set_active_set_enabled(active);
             sys.run(50_000_000).expect("traced run completes");
             let rep = sys.report();
-            let events = tracer.with_sink(|s: &mut ChromeSink| s.events().to_vec());
+            let events: Vec<_> = tracer.with_sink(|s: &mut RingSink| s.events().cloned().collect());
             (rep, events, sys.skip_stats().skips)
         };
 

@@ -68,6 +68,45 @@ fn missing_participant_reported_by_deadlock_guard() {
     assert!(!err.contains("core3"), "the defector halted fine: {err}");
 }
 
+/// The cycle limit is exact: a program that halts after `c` cycles
+/// returns `Ok(c)` under a limit of `c` or `c + 1`, and under `c - 1`
+/// the error names the cores still running, the same on both engines,
+/// through `run` and `run_with_progress`.
+#[test]
+fn cycle_limit_boundary_halts_or_names_running_cores() {
+    let cfg = CmpConfig::icpp2010_with_cores(2);
+    for source in ["busy 5\nhalt", "li r1, 1\nhalt"] {
+        let prog = assemble(source).unwrap();
+        let fresh = |active: bool| {
+            let mut sys = System::homogeneous(cfg, prog.clone());
+            sys.set_active_set_enabled(active);
+            sys
+        };
+        let c = fresh(true).run(1_000).unwrap();
+        for max in [c - 1, c, c + 1] {
+            let runs = [true, false].map(|active| {
+                let run = fresh(active).run(max);
+                for every in [1, 3] {
+                    let observed = fresh(active).run_with_progress(max, every, |_| {});
+                    assert_eq!(observed, run, "{source:?}, max {max}, every {every}");
+                }
+                run
+            });
+            assert_eq!(
+                runs[0], runs[1],
+                "{source:?}, max {max}: the engines differ"
+            );
+            match &runs[0] {
+                Ok(cycles) => assert!(max >= c && *cycles == c, "{source:?}, max {max}"),
+                Err(e) => assert!(
+                    max < c && e.contains("still running: core0 ("),
+                    "{source:?}, max {max}: {e}"
+                ),
+            }
+        }
+    }
+}
+
 /// The NoC watchdog names the stuck packet instead of hanging silently.
 #[test]
 #[should_panic(expected = "watchdog")]

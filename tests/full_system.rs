@@ -172,7 +172,7 @@ fn scaled_cycles_per_barrier(n: usize, kind: BarrierKind) -> f64 {
     synthetic::cycles_per_barrier(cycles, iters)
 }
 
-/// Figure 5 pushed past the paper's 32 cores (its §5 future work): per
+/// Figure 5 pushed past the paper's 32 cores (paper §5's future work): per
 /// barrier, GL may grow at most 3x from 32 to 1024 cores and across any
 /// step on the way — the clustered network's extra release latency —
 /// where the hierarchical software barrier pays orders of magnitude.

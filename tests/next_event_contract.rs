@@ -1,7 +1,7 @@
 //! The component contract the clock jumps rest on: `next_event` never
 //! under-reports.
 //!
-//! The default engine (see `DESIGN.md` §9) jumps the clock to the
+//! The default engine (see `DESIGN.md` §8) jumps the clock to the
 //! earliest `next_event` its components report, so a component must not
 //! change observable state before the cycle its `next_event` names —
 //! otherwise a jump could cross the change. One property test per

@@ -6,7 +6,7 @@
 //! default engine and on the dense `--no-active-set` oracle. Each re-run
 //! must reproduce the reference [`SystemReport`] **and** the final
 //! architectural memory exactly (compared word by word, so a failure
-//! names the address). `DESIGN.md` §11 says why an image, not a trace,
+//! names the address). `DESIGN.md` §12 says why an image, not a trace,
 //! is what a recording holds.
 
 use gline_cmp::base::config::CmpConfig;

@@ -8,10 +8,14 @@
 
 use gline_cmp::base::check::forall;
 use gline_cmp::base::config::CmpConfig;
+use gline_cmp::base::json::{self, Json};
 use gline_cmp::base::trace::{ChromeSink, Event, RingSink, Tracer};
 use gline_cmp::cmp::runtime::{BarrierEnv, BarrierKind};
 use gline_cmp::cmp::{System, SystemReport};
 use gline_cmp::isa::{ProgBuilder, Program};
+use std::cell::RefCell;
+use std::io::Write;
+use std::rc::Rc;
 
 /// Builds a small mixed workload: barriers + shared-memory traffic.
 fn progs(kind: BarrierKind, n: usize, iters: u64) -> Vec<Program> {
@@ -79,7 +83,7 @@ fn ring_sink_never_changes_the_report() {
 #[test]
 fn chrome_sink_never_changes_the_report() {
     let baseline = report_with_null(BarrierKind::Gl, 4, 5);
-    let tracer = Tracer::new(ChromeSink::new());
+    let tracer = Tracer::new(ChromeSink::new(std::io::sink()));
     let mut traced = System::new(
         CmpConfig::icpp2010_with_cores(4),
         progs(BarrierKind::Gl, 4, 5),
@@ -87,6 +91,61 @@ fn chrome_sink_never_changes_the_report() {
     traced.set_trace(tracer);
     traced.run(100_000_000).unwrap();
     assert_eq!(baseline, traced.report());
+}
+
+/// A writer whose bytes the test can read after the sink is done.
+#[derive(Clone, Default)]
+struct Shared(Rc<RefCell<Vec<u8>>>);
+
+impl Write for Shared {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.borrow_mut().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The streamed Chrome trace of a contended 4x8 CSW run parses, and its
+/// `traceEvents` are the same run's events, in order, as (name, ts,
+/// tid, args).
+#[test]
+fn chrome_stream_parses_to_the_ring_events() {
+    let cfg = CmpConfig::icpp2010_with_cores(32);
+    let progs = contended(BarrierKind::Csw, 32, 1, |_, c| c as u64 % 4);
+    let out = Shared::default();
+    let mut streamed = System::new(cfg, progs.clone());
+    streamed.set_trace(Tracer::new(ChromeSink::new(out.clone())));
+    streamed.run(10_000_000).unwrap();
+    let written = streamed.take_trace();
+    let written = written.with_sink(|s: &mut ChromeSink<Shared>| s.finish().unwrap());
+    let mut ring = System::new(cfg, progs);
+    ring.set_trace(Tracer::new(RingSink::new(usize::MAX)));
+    ring.run(10_000_000).unwrap();
+    assert_eq!(streamed.report(), ring.report());
+
+    let text = String::from_utf8(out.0.take()).unwrap();
+    let parsed = json::parse(&text).expect("the stream is one JSON object");
+    let got = parsed.get("traceEvents").and_then(Json::as_arr).unwrap();
+    let ring = ring.take_trace();
+    let want: Vec<(Json, Json, Json, Json)> = ring.with_sink(|s: &mut RingSink| {
+        let want = s.events().map(|(cycle, e)| {
+            let (name, ts, tid) = (e.name().into(), (*cycle).into(), e.lane().into());
+            (name, ts, tid, e.args_json())
+        });
+        want.collect()
+    });
+    let got: Vec<(Json, Json, Json, Json)> = got
+        .iter()
+        .map(|e| {
+            let field = |k| e.get(k).cloned().unwrap_or(Json::Null);
+            (field("name"), field("ts"), field("tid"), field("args"))
+        })
+        .collect();
+    assert!(want.len() > 1000, "{} events", want.len());
+    assert_eq!(written, want.len() as u64);
+    assert!(got == want, "the streamed events differ from the ring's");
 }
 
 /// A 16×16 machine exceeds the flat G-line budget, so its barriers run
@@ -115,7 +174,7 @@ fn clustered_gline_trace_matches_the_report() {
     let rep = plain.report();
     assert_eq!(rep.gl_barriers, iters);
 
-    let tracer = Tracer::new(ChromeSink::new());
+    let tracer = Tracer::new(RingSink::new(usize::MAX));
     let mut traced = System::new(cfg, progs);
     traced.set_trace(tracer.clone());
     traced.run(1_000_000).unwrap();
@@ -123,7 +182,7 @@ fn clustered_gline_trace_matches_the_report() {
 
     let (mut arrived, mut released) = (Vec::new(), Vec::new());
     let mut episodes = 0;
-    tracer.with_sink(|s: &mut ChromeSink| {
+    tracer.with_sink(|s: &mut RingSink| {
         for (_, e) in s.events() {
             match e {
                 Event::BarrierArrive { core, .. } => arrived.push(core.index()),
@@ -169,7 +228,7 @@ fn parked_and_passing_through(cfg: CmpConfig, progs: &[Program], from: u64) -> S
     panic!("no tick from cycle {from} on parks a spinner and passes a flit through");
 }
 
-/// Switches a Chrome sink on at a cycle `x` where the default engine
+/// Switches a recording sink on at a cycle `x` where the default engine
 /// has parked spinners and passes flits through idle routers, on both
 /// engines, and off again at the end of the run or at `x + 400`. The
 /// stream must be the events of that span in a run traced from cycle 0,
@@ -179,11 +238,11 @@ fn switch_tracing_mid_run(what: &str, cfg: CmpConfig, progs: Vec<Program>) {
     let cycles = plain.run(10_000_000).unwrap();
     let rep = plain.report();
     let mut traced = System::new(cfg, progs.clone());
-    traced.set_trace(Tracer::new(ChromeSink::new()));
+    traced.set_trace(Tracer::new(RingSink::new(usize::MAX)));
     traced.run(10_000_000).unwrap();
     assert_eq!(traced.report(), rep, "{what}: tracing changed the run");
     let full = traced.take_trace();
-    let full = full.with_sink(|s: &mut ChromeSink| s.events().to_vec());
+    let full: Vec<_> = full.with_sink(|s: &mut RingSink| s.events().cloned().collect());
 
     let x = parked_and_passing_through(cfg, &progs, cycles / 3).now();
     assert!(x + 400 < cycles, "{what}: the run ends before {x} + 400");
@@ -201,10 +260,10 @@ fn switch_tracing_mid_run(what: &str, cfg: CmpConfig, progs: Vec<Program>) {
             dense.advance_until(x).unwrap();
             dense
         };
-        sys.set_trace(Tracer::new(ChromeSink::new()));
+        sys.set_trace(Tracer::new(RingSink::new(usize::MAX)));
         sys.advance_until(y).unwrap();
         let got = sys.take_trace();
-        let got = got.with_sink(|s: &mut ChromeSink| s.events().to_vec());
+        let got: Vec<_> = got.with_sink(|s: &mut RingSink| s.events().cloned().collect());
         let want = full.iter().filter(|(c, _)| (x..y).contains(c));
         assert!(
             got.iter().eq(want),
