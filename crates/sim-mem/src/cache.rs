@@ -294,7 +294,8 @@ impl<S: Clone> SetAssoc<S> {
         c
     }
 
-    /// Iterates over all resident entries (set by set, MRU first).
+    /// Iterates over all resident entries (set by set, MRU first),
+    /// walking the set index only as far as the last of them.
     pub fn iter(&self) -> impl Iterator<Item = &Entry<S>> {
         self.pages
             .iter()
@@ -306,6 +307,7 @@ impl<S: Clone> SetAssoc<S> {
                 &self.ways[base..base + n]
             })
             .map(|w| &self.pool[w.entry as usize])
+            .take(self.len())
     }
 }
 

@@ -24,326 +24,85 @@ use std::collections::VecDeque;
 /// Sparse line-granular memory backend (absent lines read as zero).
 pub type Memory = FxHashMap<LineAddr, LineData>;
 
-/// Capacity of the limited-pointer sharer representation.
-const PTR_CAP: usize = 7;
-
-/// A scalable sharer set.
-///
-/// Three representations, picked automatically:
-///
-/// * [`Bits`](SharerSet::Bits) — exact 64-bit full map. The **only**
-///   reachable mode while every member id is `< 64`, so machines of up
-///   to 64 cores behave bit-identically to the original `u64` full map.
-/// * [`Ptrs`](SharerSet::Ptrs) — exact limited-pointer list of up to
-///   [`PTR_CAP`] arbitrary core ids, kept sorted ascending. Entered
-///   when a small set gains a member `>= 64`.
-/// * [`Coarse`](SharerSet::Coarse) — coarse bit vector: bit `g` covers
-///   the core-id range `[g << granule_log2, (g + 1) << granule_log2)`.
-///   A **superset** of the true sharers; invalidations fanned out from
-///   it may over-invalidate but never miss a sharer (DESIGN.md §7).
-///
-/// The exact representations are canonical (a pure function of the
-/// member set), so derived equality is set equality for them. `remove`
-/// on a coarse set is a no-op — the superset invariant keeps the
-/// departed member covered until the whole entry is rebuilt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SharerSet {
-    /// Exact full map over core ids `0..64`.
-    Bits(u64),
-    /// Exact sorted list of `n` arbitrary core ids.
-    Ptrs {
-        /// Number of live entries in `ids`.
-        n: u8,
-        /// Member ids, ascending; entries past `n` are zero.
-        ids: [u16; PTR_CAP],
-    },
-    /// Coarse superset vector over id granules of `1 << granule_log2`.
-    Coarse {
-        /// log2 of the ids each bit covers (always `>= 1`).
-        granule_log2: u8,
-        /// Granule occupancy bits.
-        bits: u64,
-    },
-}
-
-impl Default for SharerSet {
-    fn default() -> SharerSet {
-        SharerSet::Bits(0)
-    }
-}
-
-impl SharerSet {
-    /// The empty set.
-    pub fn empty() -> SharerSet {
-        SharerSet::Bits(0)
-    }
-
-    /// Singleton set.
-    pub fn only(c: CoreId) -> SharerSet {
-        let mut s = SharerSet::empty();
-        s.insert(c);
-        s
-    }
-
-    /// Smallest granule that lets `max_id` index a 64-bit vector.
-    fn granule_for(max_id: u16) -> u8 {
-        let mut g = 1u8;
-        while (max_id >> g) >= 64 {
-            g += 1;
-        }
-        g
-    }
-
-    /// Collapses `self` into a coarse vector that also covers `extra`.
-    fn coarsen_with(&mut self, extra: CoreId) {
-        let max_id = self.iter().map(|c| c.0).max().unwrap_or(0).max(extra.0);
-        let g = Self::granule_for(max_id);
-        let mut bits = 1u64 << (extra.0 >> g);
-        for c in self.iter() {
-            bits |= 1u64 << (c.0 >> g);
-        }
-        *self = SharerSet::Coarse {
-            granule_log2: g,
-            bits,
-        };
-    }
-
-    /// Inserts a core.
-    pub fn insert(&mut self, c: CoreId) {
-        let id = c.0;
-        match self {
-            SharerSet::Bits(b) => {
-                if (id as usize) < 64 {
-                    *b |= 1u64 << id;
-                } else if (b.count_ones() as usize) < PTR_CAP {
-                    // Spill the small map into pointers; the new id is
-                    // larger than every bit index, so the list stays
-                    // sorted by appending.
-                    let mut ids = [0u16; PTR_CAP];
-                    let mut n = 0;
-                    let mut bits = *b;
-                    while bits != 0 {
-                        ids[n] = bits.trailing_zeros() as u16;
-                        n += 1;
-                        bits &= bits - 1;
-                    }
-                    ids[n] = id;
-                    n += 1;
-                    *self = SharerSet::Ptrs { n: n as u8, ids };
-                } else {
-                    self.coarsen_with(c);
-                }
-            }
-            SharerSet::Ptrs { n, ids } => {
-                let live = &ids[..*n as usize];
-                let Err(pos) = live.binary_search(&id) else {
-                    return;
-                };
-                if (*n as usize) < PTR_CAP {
-                    ids.copy_within(pos..*n as usize, pos + 1);
-                    ids[pos] = id;
-                    *n += 1;
-                } else {
-                    self.coarsen_with(c);
-                }
-            }
-            SharerSet::Coarse { granule_log2, bits } => {
-                while (id >> *granule_log2) >= 64 {
-                    // Double the granule: bit j of the new vector covers
-                    // old bits 2j and 2j+1.
-                    let mut folded = 0u64;
-                    for j in 0..32 {
-                        if *bits & (0b11 << (2 * j)) != 0 {
-                            folded |= 1 << j;
-                        }
-                    }
-                    *bits = folded;
-                    *granule_log2 += 1;
-                }
-                *bits |= 1u64 << (id >> *granule_log2);
-            }
-        }
-    }
-
-    /// Removes a core. On a coarse set this is a no-op: the vector stays
-    /// a superset, which is the representation's correctness contract.
-    pub fn remove(&mut self, c: CoreId) {
-        let id = c.0;
-        match self {
-            SharerSet::Bits(b) => {
-                if (id as usize) < 64 {
-                    *b &= !(1u64 << id);
-                }
-            }
-            SharerSet::Ptrs { n, ids } => {
-                let live = &ids[..*n as usize];
-                let Ok(pos) = live.binary_search(&id) else {
-                    return;
-                };
-                ids.copy_within(pos + 1..*n as usize, pos);
-                *n -= 1;
-                ids[*n as usize] = 0;
-                // Canonical form: a pointer list whose ids all fit the
-                // full map collapses back to it.
-                if ids[..*n as usize].iter().all(|&i| (i as usize) < 64) {
-                    let mut b = 0u64;
-                    for &i in &ids[..*n as usize] {
-                        b |= 1u64 << i;
-                    }
-                    *self = SharerSet::Bits(b);
-                }
-            }
-            SharerSet::Coarse { .. } => {}
-        }
-    }
-
-    /// Membership test. May report false positives on a coarse set (a
-    /// granule-mate of a member is indistinguishable from the member).
-    pub fn contains(&self, c: CoreId) -> bool {
-        let id = c.0;
-        match self {
-            SharerSet::Bits(b) => (id as usize) < 64 && b & (1u64 << id) != 0,
-            SharerSet::Ptrs { n, ids } => ids[..*n as usize].binary_search(&id).is_ok(),
-            SharerSet::Coarse { granule_log2, bits } => {
-                (id >> *granule_log2) < 64 && bits & (1u64 << (id >> *granule_log2)) != 0
-            }
-        }
-    }
-
-    /// True when membership is tracked exactly (no coarse overshoot) —
-    /// the precondition for treating [`contains`](Self::contains) and
-    /// [`len`](Self::len) as authoritative.
-    pub fn is_exact(&self) -> bool {
-        !matches!(self, SharerSet::Coarse { .. })
-    }
-
-    /// Number of members (an upper bound on a coarse set).
-    pub fn len(&self) -> u32 {
-        match self {
-            SharerSet::Bits(b) => b.count_ones(),
-            SharerSet::Ptrs { n, .. } => *n as u32,
-            SharerSet::Coarse { granule_log2, bits } => bits.count_ones() << *granule_log2,
-        }
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            SharerSet::Bits(b) => *b == 0,
-            SharerSet::Ptrs { n, .. } => *n == 0,
-            SharerSet::Coarse { bits, .. } => *bits == 0,
-        }
-    }
-
-    /// Iterates the member cores in ascending id order (every id a
-    /// coarse set covers, member or not).
-    pub fn iter(&self) -> SharerIter {
-        self.iter_within(u64::MAX)
-    }
-
-    /// Like [`iter`](Self::iter), but stops at ids `>= limit` — a
-    /// coarse granule may cover ids past the machine's last core.
-    pub fn iter_within(&self, limit: u64) -> SharerIter {
-        match *self {
-            SharerSet::Bits(b) => SharerIter::Bits(b),
-            SharerSet::Ptrs { n, ids } => SharerIter::Ptrs { ids, next: 0, n },
-            SharerSet::Coarse { granule_log2, bits } => SharerIter::Coarse {
-                bits,
-                shift: granule_log2 as u32,
-                cur: 0,
-                end: 0,
-                limit,
-            },
-        }
-    }
-}
-
-/// Iterator over a [`SharerSet`]'s members, ascending.
+/// The sharer maps of one home's `Shared` directory entries: one exact
+/// bit map per entry, core `c` at bit `c % 64` of word `c / 64`, in a
+/// slot of `words` = ⌈n/64⌉ words for an n-core machine. A slot is
+/// taken when an entry enters `Shared` and freed, cleared, when it
+/// leaves, so the pool holds the most entries ever shared at once and,
+/// once it has grown that far, no directory transition allocates.
 #[derive(Clone, Debug)]
-pub enum SharerIter {
-    /// Remaining full-map bits (consumed by bit-scan).
-    Bits(u64),
-    /// Pointer-list cursor.
-    Ptrs {
-        /// The (sorted) id list.
-        ids: [u16; PTR_CAP],
-        /// Next index to yield.
-        next: u8,
-        /// Live entries.
-        n: u8,
-    },
-    /// Coarse-granule expansion cursor.
-    Coarse {
-        /// Remaining granule bits.
-        bits: u64,
-        /// `granule_log2`.
-        shift: u32,
-        /// Next id within the current granule.
-        cur: u64,
-        /// One past the current granule's last id.
-        end: u64,
-        /// Ids `>= limit` are not yielded.
-        limit: u64,
-    },
+struct SharerPool {
+    /// Words per slot.
+    words: usize,
+    /// The slots' words, back to back.
+    bits: Vec<u64>,
+    /// Slots not in use; their words are zero.
+    free: Vec<u32>,
 }
 
-impl Iterator for SharerIter {
-    type Item = CoreId;
-
-    fn next(&mut self) -> Option<CoreId> {
-        match self {
-            SharerIter::Bits(b) => {
-                if *b == 0 {
-                    return None;
-                }
-                let i = b.trailing_zeros();
-                *b &= *b - 1;
-                Some(CoreId(i as u16))
-            }
-            SharerIter::Ptrs { ids, next, n } => {
-                if next < n {
-                    let c = ids[*next as usize];
-                    *next += 1;
-                    Some(CoreId(c))
-                } else {
-                    None
-                }
-            }
-            SharerIter::Coarse {
-                bits,
-                shift,
-                cur,
-                end,
-                limit,
-            } => loop {
-                if cur < end {
-                    let c = *cur;
-                    if c >= *limit {
-                        // Granules ascend, so nothing later fits either.
-                        *bits = 0;
-                        *cur = *end;
-                        return None;
-                    }
-                    *cur += 1;
-                    return Some(CoreId(c as u16));
-                }
-                if *bits == 0 {
-                    return None;
-                }
-                let g = bits.trailing_zeros() as u64;
-                *bits &= *bits - 1;
-                *cur = g << *shift;
-                *end = *cur + (1u64 << *shift);
-            },
+impl SharerPool {
+    fn new(num_tiles: usize) -> SharerPool {
+        SharerPool {
+            words: num_tiles.div_ceil(64),
+            bits: Vec::new(),
+            free: Vec::new(),
         }
+    }
+
+    /// An empty map's slot.
+    fn take(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let slot = self.bits.len() / self.words;
+            self.bits.resize(self.bits.len() + self.words, 0);
+            slot as u32
+        })
+    }
+
+    /// Clears `slot` and returns it to the free list.
+    fn release(&mut self, slot: u32) {
+        self.map_mut(slot).fill(0);
+        self.free.push(slot);
+    }
+
+    fn map(&self, slot: u32) -> &[u64] {
+        let at = slot as usize * self.words;
+        &self.bits[at..at + self.words]
+    }
+
+    fn map_mut(&mut self, slot: u32) -> &mut [u64] {
+        let at = slot as usize * self.words;
+        &mut self.bits[at..at + self.words]
+    }
+
+    fn insert(&mut self, slot: u32, c: CoreId) {
+        self.map_mut(slot)[c.index() / 64] |= 1 << (c.index() % 64);
+    }
+
+    fn contains(&self, slot: u32, c: CoreId) -> bool {
+        self.map(slot)[c.index() / 64] >> (c.index() % 64) & 1 == 1
+    }
+
+    /// The members of `slot`, ascending.
+    fn iter(&self, slot: u32) -> impl Iterator<Item = CoreId> + '_ {
+        self.map(slot).iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let i = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    CoreId::from(w * 64 + i)
+                })
+            })
+        })
     }
 }
 
 /// Directory state of a line at its home.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DirState {
-    /// Cached read-only by these L1s.
-    Shared(SharerSet),
+    /// Cached read-only by the L1s of the sharer map in this slot of
+    /// the home's pool ([`HomeCtrl::sharers`] lists them).
+    Shared(u32),
     /// Owned (E or M) by this L1; the home's copy may be stale.
     Exclusive(CoreId),
 }
@@ -410,11 +169,10 @@ pub struct HomeStats {
 #[derive(Clone, Debug)]
 pub struct HomeCtrl {
     tile: CoreId,
-    /// Cores in the machine — bounds the fan-out of a coarse-granule
-    /// invalidation expansion.
-    num_tiles: usize,
     l2: SetAssoc<bool>, // state = dirty-vs-memory
     dir: FxHashMap<LineAddr, DirState>,
+    /// The sharer maps of the `Shared` entries in `dir`.
+    sharers: SharerPool,
     active: FxHashMap<LineAddr, HomeTx>,
     /// The earliest `until` of an `L2Wait`/`MemWait` phase in `active`
     /// (`Cycle::MAX` when there is none): a tick before it has nothing
@@ -438,9 +196,9 @@ impl HomeCtrl {
     pub fn new(tile: CoreId, num_tiles: usize, l2_cfg: &CacheConfig, mem_latency: u32) -> HomeCtrl {
         HomeCtrl {
             tile,
-            num_tiles,
             l2: SetAssoc::new(l2_cfg),
             dir: FxHashMap::default(),
+            sharers: SharerPool::new(num_tiles),
             active: FxHashMap::default(),
             next_timer: Cycle::MAX,
             queue: FxHashMap::default(),
@@ -453,31 +211,53 @@ impl HomeCtrl {
     }
 
     /// Replaces the directory entry of `line` (None = uncached), emitting
-    /// a [`Event::DirTransition`] when the stable-state label changes.
+    /// a [`Event::DirTransition`] when the stable-state label changes,
+    /// and frees the sharer map of a `Shared` entry it replaces.
     /// Owner/sharer churn within the same label is visible through the
     /// surrounding protocol events instead.
     fn set_dir(&mut self, line: LineAddr, new: Option<DirState>, now: Cycle) {
-        if self.tracer.on() {
-            let from = dir_label(self.dir.get(&line).copied());
-            let to = dir_label(new);
-            if from != to {
-                let home = self.tile;
-                self.tracer.emit(now, || Event::DirTransition {
-                    home,
-                    line: line.0,
-                    from,
-                    to,
-                });
-            }
+        let old = match new {
+            Some(d) => self.dir.insert(line, d),
+            None => self.dir.remove(&line),
+        };
+        if let Some(DirState::Shared(slot)) = old {
+            debug_assert_ne!(new, old, "a shared entry replaced by itself");
+            self.sharers.release(slot);
         }
-        match new {
-            Some(d) => {
-                self.dir.insert(line, d);
-            }
-            None => {
-                self.dir.remove(&line);
-            }
+        let (from, to) = (dir_label(old), dir_label(new));
+        if from != to {
+            let home = self.tile;
+            self.tracer.emit(now, || Event::DirTransition {
+                home,
+                line: line.0,
+                from,
+                to,
+            });
         }
+    }
+
+    /// Sends `Inv(line)` to every member of the sharer map in `slot`
+    /// but `except`, in ascending core order; returns how many it sent.
+    fn invalidate_sharers(
+        &mut self,
+        line: LineAddr,
+        slot: u32,
+        except: CoreId,
+        out: &mut Vec<OutMsg>,
+    ) -> u32 {
+        let before = out.len();
+        out.extend(
+            self.sharers
+                .iter(slot)
+                .filter(|&s| s != except)
+                .map(|dst| OutMsg {
+                    dst,
+                    msg: ProtoMsg::Inv(line),
+                }),
+        );
+        let sent = (out.len() - before) as u32;
+        self.stats.invalidations_sent += sent as u64;
+        sent
     }
 
     /// Statistics so far.
@@ -488,6 +268,21 @@ impl HomeCtrl {
     /// Directory state of a line (None = uncached).
     pub fn dir_state(&self, line: LineAddr) -> Option<DirState> {
         self.dir.get(&line).copied()
+    }
+
+    /// The sharers the directory records for `line`, ascending (none
+    /// unless it is `Shared`).
+    pub fn sharers(&self, line: LineAddr) -> impl Iterator<Item = CoreId> + '_ {
+        let slot = match self.dir.get(&line) {
+            Some(&DirState::Shared(slot)) => Some(slot),
+            _ => None,
+        };
+        slot.into_iter().flat_map(|slot| self.sharers.iter(slot))
+    }
+
+    /// True while a transaction on `line` is in flight here.
+    pub fn in_transaction(&self, line: LineAddr) -> bool {
+        self.active.contains_key(&line)
     }
 
     /// Debug view of the L2 copy of a line.
@@ -603,11 +398,12 @@ impl HomeCtrl {
                     TxKind::Read { requester } => {
                         let d = data.expect("read-forward returns data");
                         self.absorb_data(line, d, mem);
-                        let mut sharers = SharerSet::only(requester);
+                        let slot = self.sharers.take();
+                        self.sharers.insert(slot, requester);
                         if *retained {
-                            sharers.insert(old_owner);
+                            self.sharers.insert(slot, old_owner);
                         }
-                        self.set_dir(line, Some(DirState::Shared(sharers)), now);
+                        self.set_dir(line, Some(DirState::Shared(slot)), now);
                     }
                     TxKind::Write { requester } => {
                         debug_assert!(data.is_none());
@@ -660,38 +456,16 @@ impl HomeCtrl {
             },
             ProtoMsg::GetX(_) => self.write_path(line, src, now, mem, out),
             ProtoMsg::Upgrade(_) => match self.dir.get(&line).copied() {
-                // A coarse entry's `contains` can false-positive on a
-                // granule-mate whose copy is long gone — granting an
-                // UpgradeAck then would leave the requester without
-                // data. Coarse upgrades take the full write path (the
-                // L1 already handles Data(M) in place of UpgradeAck).
-                Some(DirState::Shared(sharers)) if sharers.is_exact() && sharers.contains(src) => {
-                    let mut others = sharers;
-                    others.remove(src);
-                    if others.is_empty() {
+                Some(DirState::Shared(slot)) if self.sharers.contains(slot, src) => {
+                    let phase = match self.invalidate_sharers(line, slot, src, out) {
                         // Only the requester shares it: grant after the
                         // directory/tag access.
-                        self.insert_tx(
-                            line,
-                            TxKind::Upgrade { requester: src },
-                            TxPhase::L2Wait {
-                                until: now + self.l2_latency,
-                            },
-                        );
-                    } else {
-                        for s in others.iter() {
-                            self.stats.invalidations_sent += 1;
-                            out.push(OutMsg {
-                                dst: s,
-                                msg: ProtoMsg::Inv(line),
-                            });
-                        }
-                        self.insert_tx(
-                            line,
-                            TxKind::Upgrade { requester: src },
-                            TxPhase::WaitInvAcks { left: others.len() },
-                        );
-                    }
+                        0 => TxPhase::L2Wait {
+                            until: now + self.l2_latency,
+                        },
+                        left => TxPhase::WaitInvAcks { left },
+                    };
+                    self.insert_tx(line, TxKind::Upgrade { requester: src }, phase);
                 }
                 // The requester lost its copy to a race: full write path.
                 _ => self.write_path(line, src, now, mem, out),
@@ -746,54 +520,15 @@ impl HomeCtrl {
                 });
                 self.insert_tx(line, TxKind::Write { requester: src }, TxPhase::WaitFwdDone);
             }
-            Some(DirState::Shared(sharers)) if sharers.is_exact() => {
-                let mut others = sharers;
-                others.remove(src); // tolerate a stale self-bit
-                if others.is_empty() {
-                    self.data_path(line, TxKind::Write { requester: src }, now, mem);
-                } else {
-                    for s in others.iter() {
-                        self.stats.invalidations_sent += 1;
-                        out.push(OutMsg {
-                            dst: s,
-                            msg: ProtoMsg::Inv(line),
-                        });
-                    }
-                    self.insert_tx(
-                        line,
-                        TxKind::Write { requester: src },
-                        TxPhase::WaitInvAcks { left: others.len() },
-                    );
-                }
-            }
-            Some(DirState::Shared(sharers)) => {
-                // Coarse superset: invalidate every covered core on the
-                // machine except the writer. `CoarseInv` (unlike `Inv`)
-                // may land on a non-sharer, which acks it immediately —
-                // every recipient answers exactly once, so counting the
-                // messages sent is an exact ack count.
-                let mut left = 0u32;
-                for s in sharers.iter_within(self.num_tiles as u64) {
-                    if s == src {
-                        continue;
-                    }
-                    self.stats.invalidations_sent += 1;
-                    left += 1;
-                    out.push(OutMsg {
-                        dst: s,
-                        msg: ProtoMsg::CoarseInv(line),
-                    });
-                }
-                if left == 0 {
-                    self.data_path(line, TxKind::Write { requester: src }, now, mem);
-                } else {
-                    self.insert_tx(
-                        line,
-                        TxKind::Write { requester: src },
-                        TxPhase::WaitInvAcks { left },
-                    );
-                }
-            }
+            // The writer's own bit may be stale (a silent S eviction).
+            Some(DirState::Shared(slot)) => match self.invalidate_sharers(line, slot, src, out) {
+                0 => self.data_path(line, TxKind::Write { requester: src }, now, mem),
+                left => self.insert_tx(
+                    line,
+                    TxKind::Write { requester: src },
+                    TxPhase::WaitInvAcks { left },
+                ),
+            },
             None => self.data_path(line, TxKind::Write { requester: src }, now, mem),
         }
     }
@@ -911,9 +646,8 @@ impl HomeCtrl {
                             self.set_dir(line, Some(DirState::Exclusive(requester)), now);
                             Grant::E
                         }
-                        Some(DirState::Shared(mut s)) => {
-                            s.insert(requester);
-                            self.set_dir(line, Some(DirState::Shared(s)), now);
+                        Some(DirState::Shared(slot)) => {
+                            self.sharers.insert(slot, requester);
                             Grant::S
                         }
                         Some(DirState::Exclusive(_)) => {
@@ -1082,13 +816,14 @@ mod tests {
             &mut mem,
             &mut out,
         );
-        match h.dir_state(LineAddr(0)) {
-            Some(DirState::Shared(s)) => {
-                assert!(s.contains(CoreId(1)) && s.contains(CoreId(2)));
-                assert_eq!(s.len(), 2);
-            }
-            d => panic!("{d:?}"),
-        }
+        assert!(matches!(
+            h.dir_state(LineAddr(0)),
+            Some(DirState::Shared(_))
+        ));
+        assert_eq!(
+            h.sharers(LineAddr(0)).collect::<Vec<_>>(),
+            [CoreId(1), CoreId(2)]
+        );
         assert_eq!(h.peek_l2(LineAddr(0)).unwrap()[0], 7, "dirty data absorbed");
     }
 
@@ -1354,186 +1089,57 @@ mod tests {
         let _ = out.pop();
     }
 
-    #[test]
-    fn sharer_set_operations() {
-        let mut s = SharerSet::empty();
-        assert!(s.is_empty());
-        s.insert(CoreId(3));
-        s.insert(CoreId(31));
-        assert!(s.contains(CoreId(3)));
-        assert!(!s.contains(CoreId(4)));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![CoreId(3), CoreId(31)]);
-        s.remove(CoreId(3));
-        assert_eq!(s, SharerSet::only(CoreId(31)));
-        assert!(s.is_exact());
-    }
-
-    #[test]
-    fn sharer_set_small_ids_never_leave_the_bit_map() {
-        // The ≤64-core bit-identity guarantee: any operation sequence
-        // over ids < 64 stays in (canonical) Bits mode.
-        let mut s = SharerSet::empty();
-        for i in (0..64).step_by(3) {
-            s.insert(CoreId(i));
-        }
-        for i in (0..64).step_by(6) {
-            s.remove(CoreId(i));
-        }
-        assert!(matches!(s, SharerSet::Bits(_)));
-        assert!(s.is_exact());
-    }
-
-    #[test]
-    fn sharer_set_spills_to_pointers_then_coarse() {
-        // A small set gaining a large id becomes an exact pointer list.
-        let mut s = SharerSet::only(CoreId(2));
-        s.insert(CoreId(100));
-        assert!(s.is_exact());
-        assert!(s.contains(CoreId(100)) && s.contains(CoreId(2)));
-        assert!(!s.contains(CoreId(101)));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![CoreId(2), CoreId(100)]);
-        // Dropping the large id collapses back to the canonical bit map.
-        s.remove(CoreId(100));
-        assert_eq!(s, SharerSet::only(CoreId(2)));
-        // Overflowing the pointer capacity enters coarse mode.
-        let mut s = SharerSet::empty();
-        for i in 0..8u16 {
-            s.insert(CoreId(64 + 8 * i));
-        }
-        assert!(!s.is_exact());
-        for i in 0..8u16 {
-            assert!(s.contains(CoreId(64 + 8 * i)), "member {i} lost");
-        }
-        assert!(s.len() >= 8, "coarse len is an upper bound");
-    }
-
-    #[test]
-    fn sharer_set_coarse_iteration_respects_limit() {
-        let mut s = SharerSet::empty();
-        for i in 0..PTR_CAP as u16 {
-            s.insert(CoreId(i));
-        }
-        s.insert(CoreId(1000)); // Bits is full past PTR_CAP → coarse
-        s.insert(CoreId(1023));
-        assert!(!s.is_exact());
-        let ids: Vec<u64> = s.iter_within(1024).map(|c| c.0 as u64).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "ascending");
-        assert!(ids.iter().all(|&i| i < 1024));
-        for i in 0..PTR_CAP as u16 {
-            assert!(s.contains(CoreId(i)));
-        }
-        assert!(s.contains(CoreId(1000)) && s.contains(CoreId(1023)));
-        // The covered expansion includes every member.
-        for m in [1000u64, 1023] {
-            assert!(ids.contains(&m), "member {m} missing from expansion");
-        }
-    }
-
-    /// Deterministic xorshift for the property tests (no external dep).
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
-    #[test]
-    fn sharer_set_matches_reference_model_up_to_1024() {
-        use sim_base::fxmap::FxHashSet;
-        // Random insert/remove interleavings over id ranges spanning the
-        // Bits / Ptrs / Coarse regimes. Exact modes must match the
-        // reference set exactly; coarse mode must stay a superset.
-        for (seed, max_id) in [
-            (1u64, 8u16),
-            (2, 63),
-            (3, 64),
-            (4, 200),
-            (5, 1024),
-            (6, 1024),
-        ] {
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) + 1;
-            let mut s = SharerSet::empty();
-            let mut model: FxHashSet<u16> = FxHashSet::default();
-            for step in 0..600 {
-                let id = (xorshift(&mut rng) % max_id as u64) as u16;
-                if !xorshift(&mut rng).is_multiple_of(3) {
-                    s.insert(CoreId(id));
-                    model.insert(id);
-                } else {
-                    s.remove(CoreId(id));
-                    model.remove(&id);
-                }
-                // Superset invariant holds unconditionally.
-                for &m in &model {
-                    assert!(
-                        s.contains(CoreId(m)),
-                        "seed {seed} step {step}: member {m} lost"
-                    );
-                }
-                assert!(s.len() as usize >= model.len());
-                if s.is_exact() {
-                    let got: Vec<u16> = s.iter().map(|c| c.0).collect();
-                    let mut want: Vec<u16> = model.iter().copied().collect();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "seed {seed} step {step}: exact-mode drift");
-                } else {
-                    // Every covered id is within one granule of a member
-                    // past or present; here just check the expansion is
-                    // a superset within the machine.
-                    let got: FxHashSet<u16> = s.iter_within(max_id as u64).map(|c| c.0).collect();
-                    assert!(
-                        model.iter().all(|m| got.contains(m)),
-                        "seed {seed} step {step}: coarse expansion misses a member"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coarse_write_invalidates_superset_and_completes() {
-        // A >64-core home: build a coarse sharer set, then write. Every
-        // covered core (except the writer) must get a CoarseInv, and the
-        // write must complete once they all ack.
-        let n = 256usize;
-        let mut h = HomeCtrl::new(CoreId(0), n, &l2_cfg(), 400);
-        let mut mem = Memory::default();
+    /// Makes `line` `Shared` by `cores` (two at least) through the
+    /// protocol: the first reads it exclusive, the second's read is
+    /// forwarded, the rest read it from the bank.
+    fn share_via_reads(
+        h: &mut HomeCtrl,
+        mem: &mut Memory,
+        now: &mut Cycle,
+        line: LineAddr,
+        cores: &[u16],
+    ) {
         let mut out = Vec::new();
-        let mut now = 0;
+        h.handle(CoreId(cores[0]), ProtoMsg::GetS(line), *now, mem, &mut out);
+        run_until(h, mem, &mut out, now, 1000);
+        h.handle(CoreId(cores[1]), ProtoMsg::GetS(line), *now, mem, &mut out);
+        let fwd_done = ProtoMsg::FwdDone {
+            line,
+            data: Some([0; 8]),
+            retained: true,
+        };
+        h.handle(CoreId(cores[0]), fwd_done, *now, mem, &mut out);
+        for &c in &cores[2..] {
+            out.clear();
+            h.handle(CoreId(c), ProtoMsg::GetS(line), *now, mem, &mut out);
+            run_until(h, mem, &mut out, now, 100);
+        }
+    }
+
+    #[test]
+    fn wide_sharer_map_names_only_the_sharers_past_64_cores() {
+        // A 256-core home: sharers on every word of the map, then a
+        // write from one of them invalidates exactly the others, in
+        // ascending core order, and completes on their acks.
+        let mut h = HomeCtrl::new(CoreId(0), 256, &l2_cfg(), 400);
+        let (mut mem, mut out, mut now) = (Memory::default(), Vec::new(), 0);
         let line = LineAddr(0);
-        // Seed a coarse directory entry directly (reaching it through
-        // the protocol needs dozens of round trips).
-        let mut sharers = SharerSet::empty();
-        for i in 0..10u16 {
-            sharers.insert(CoreId(i * 24 + 1));
-        }
-        assert!(!sharers.is_exact(), "construction must overflow to coarse");
-        h.set_dir(line, Some(DirState::Shared(sharers)), now);
-        h.handle(CoreId(1), ProtoMsg::GetX(line), now, &mut mem, &mut out);
-        let invs: Vec<CoreId> = out
-            .iter()
-            .filter(|m| matches!(m.msg, ProtoMsg::CoarseInv(_)))
-            .map(|m| m.dst)
-            .collect();
-        assert_eq!(invs.len(), out.len(), "only CoarseInv fan-out expected");
-        assert!(
-            !invs.contains(&CoreId(1)),
-            "writer must not invalidate itself"
+        let cores = [200, 3, 64, 255, 127, 128];
+        share_via_reads(&mut h, &mut mem, &mut now, line, &cores);
+        assert_eq!(
+            h.sharers(line).map(|c| c.0).collect::<Vec<_>>(),
+            [3, 64, 127, 128, 200, 255]
         );
-        assert!(invs.iter().all(|c| c.index() < n));
-        for i in 0..10u16 {
-            let c = CoreId(i * 24 + 1);
-            if c != CoreId(1) {
-                assert!(invs.contains(&c), "true sharer {c:?} missed");
-            }
-        }
+        h.handle(CoreId(127), ProtoMsg::GetX(line), now, &mut mem, &mut out);
+        let invs: Vec<u16> = out.iter().map(|m| m.dst.0).collect();
+        assert_eq!(invs, [3, 64, 128, 200, 255]);
+        assert!(out.iter().all(|m| m.msg == ProtoMsg::Inv(line)));
+        assert_eq!(h.stats().invalidations_sent, 5);
         out.clear();
-        // Ack them all; the write then proceeds to the data path.
         for c in invs {
-            h.handle(c, ProtoMsg::InvAck(line), now, &mut mem, &mut out);
+            h.handle(CoreId(c), ProtoMsg::InvAck(line), now, &mut mem, &mut out);
         }
-        run_until(&mut h, &mut mem, &mut out, &mut now, 1000);
+        run_until(&mut h, &mut mem, &mut out, &mut now, 100);
         assert!(matches!(
             out[0].msg,
             ProtoMsg::Data {
@@ -1541,43 +1147,45 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(h.dir_state(line), Some(DirState::Exclusive(CoreId(1))));
+        assert_eq!(h.dir_state(line), Some(DirState::Exclusive(CoreId(127))));
+        assert_eq!(h.sharers(line).count(), 0);
     }
 
     #[test]
-    fn coarse_upgrade_takes_full_write_path() {
-        // An Upgrade against a coarse entry must NOT be acked in place —
-        // `contains` may false-positive, so the home replies with full
-        // data via the write path instead.
-        let n = 256usize;
-        let mut h = HomeCtrl::new(CoreId(0), n, &l2_cfg(), 400);
-        let mut mem = Memory::default();
-        let mut out = Vec::new();
-        let mut now = 0;
-        let line = LineAddr(0);
-        let mut sharers = SharerSet::empty();
-        for i in 0..9u16 {
-            sharers.insert(CoreId(i * 28 + 3));
-        }
-        assert!(!sharers.is_exact());
-        h.set_dir(line, Some(DirState::Shared(sharers)), now);
-        h.handle(CoreId(3), ProtoMsg::Upgrade(line), now, &mut mem, &mut out);
-        assert!(
-            out.iter().all(|m| matches!(m.msg, ProtoMsg::CoarseInv(_))),
-            "coarse upgrade must fan out CoarseInv, not UpgradeAck"
-        );
-        let acks: Vec<CoreId> = out.iter().map(|m| m.dst).collect();
-        out.clear();
-        for c in acks {
-            h.handle(c, ProtoMsg::InvAck(line), now, &mut mem, &mut out);
-        }
-        run_until(&mut h, &mut mem, &mut out, &mut now, 1000);
-        assert!(matches!(
-            out[0].msg,
-            ProtoMsg::Data {
-                grant: Grant::M,
-                ..
+    fn sharer_slots_are_reused_and_cleared() {
+        // Two lines shared at once take two slots; once both are written,
+        // sharing them again takes the same two slots, cleared.
+        let mut h = HomeCtrl::new(CoreId(0), 130, &l2_cfg(), 400);
+        let (mut mem, mut out, mut now) = (Memory::default(), Vec::new(), 0);
+        let (a, b) = (LineAddr(0), LineAddr(130));
+        share_via_reads(&mut h, &mut mem, &mut now, a, &[1, 129]);
+        share_via_reads(&mut h, &mut mem, &mut now, b, &[2, 65]);
+        assert_eq!(h.sharers.bits.len(), 2 * 3, "two slots of three words");
+        for line in [a, b] {
+            h.handle(CoreId(7), ProtoMsg::GetX(line), now, &mut mem, &mut out);
+            for m in std::mem::take(&mut out) {
+                h.handle(m.dst, ProtoMsg::InvAck(line), now, &mut mem, &mut out);
             }
-        ));
+            run_until(&mut h, &mut mem, &mut out, &mut now, 100);
+            out.clear();
+            h.handle(
+                CoreId(7),
+                ProtoMsg::PutM(line, [0; 8]),
+                now,
+                &mut mem,
+                &mut out,
+            );
+            run_until(&mut h, &mut mem, &mut out, &mut now, 100);
+            out.clear();
+        }
+        assert_eq!(h.sharers.free.len(), 2);
+        assert!(
+            h.sharers.bits.iter().all(|&w| w == 0),
+            "freed maps are clear"
+        );
+        share_via_reads(&mut h, &mut mem, &mut now, b, &[3, 4, 100]);
+        assert_eq!(h.sharers.bits.len(), 2 * 3, "no slot was added");
+        assert_eq!(h.sharers(a).count(), 0);
+        assert_eq!(h.sharers(b).map(|c| c.0).collect::<Vec<_>>(), [3, 4, 100]);
     }
 }

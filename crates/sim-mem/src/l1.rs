@@ -97,13 +97,6 @@ pub struct L1Ctrl {
     /// right after the fill installs — the hardware transient state
     /// IM_AD/IS_AD with a pending forward.
     deferred: Option<ProtoMsg>,
-    /// A `CoarseInv` hit our issued-but-unfilled miss. `CoarseInv` is
-    /// acked immediately (deferring would deadlock the write waiting on
-    /// the ack), so this poison bit records that a `Data(S)` fill racing
-    /// behind it is already invalidated: the response still completes
-    /// (its value is from before the write's serialization point) but
-    /// the line is not installed. Cleared by the fill.
-    pending_inv: bool,
     /// Completed response with its ready cycle.
     resp: Option<(Cycle, CoreResp)>,
     stats: L1Stats,
@@ -123,7 +116,6 @@ impl L1Ctrl {
             mshr: None,
             wb_buf: FxHashMap::default(),
             deferred: None,
-            pending_inv: false,
             resp: None,
             stats: L1Stats::default(),
             tracer: Tracer::default(),
@@ -167,6 +159,17 @@ impl L1Ctrl {
     /// Debug view of the writeback buffer only.
     pub fn peek_wb_line(&self, line: LineAddr) -> Option<&LineData> {
         self.wb_buf.get(&line)
+    }
+
+    /// The lines of the cache array (no writeback buffer) with their
+    /// states.
+    pub fn cache_lines(&self) -> impl Iterator<Item = (LineAddr, L1State)> + '_ {
+        self.cache.iter().map(|e| (e.line, e.state))
+    }
+
+    /// The line of the outstanding miss, if any.
+    pub fn miss_line(&self) -> Option<LineAddr> {
+        self.mshr.as_ref().map(|m| m.line)
     }
 
     /// Accepts a core request. Hits complete after the L1 latency;
@@ -275,8 +278,8 @@ impl L1Ctrl {
                     msg: ProtoMsg::PutM(victim, e.data),
                 });
             }
-            // S victims are dropped silently; the directory tolerates the
-            // stale sharer bit.
+            // S victims are dropped silently: the directory keeps the
+            // stale sharer bit, which a later `Inv` finds gone.
         }
         let msg = match kind {
             MissKind::Read => ProtoMsg::GetS(line),
@@ -361,15 +364,12 @@ impl L1Ctrl {
                     .as_ref()
                     .expect("Data without an outstanding miss");
                 assert_eq!(m.line, line, "Data for the wrong line");
-                // An upgrade that lost its S copy to a racing writer comes
-                // back as full data; drop the stale resident copy first.
-                let from = if self.cache.probe(line).is_some() {
-                    let e = self.cache.remove(line).expect("resident");
-                    debug_assert_eq!(e.state, L1State::S, "data reply over a non-S copy");
-                    "S"
-                } else {
-                    "I"
-                };
+                // An upgrade answered with data lost its S copy to the
+                // racing writer's `Inv` first: the directory is exact.
+                debug_assert!(
+                    self.cache.probe(line).is_none(),
+                    "data reply over a resident copy"
+                );
                 let state = match grant {
                     Grant::S => L1State::S,
                     Grant::E => {
@@ -383,25 +383,14 @@ impl L1Ctrl {
                     Grant::M => L1State::M,
                 };
                 let tile = self.tile;
-                // A CoarseInv overtook this fill: the grant is already
-                // revoked if it was shared. The response still completes
-                // (the data is valid at its serialization point), but an
-                // S copy must not stay resident — dropping a clean S
-                // line is always legal (the directory tolerates silent
-                // S evictions). E/M grants are serialized *after* the
-                // poisoning write's completion and are kept.
-                let drop_fill =
-                    std::mem::replace(&mut self.pending_inv, false) && grant == Grant::S;
                 self.tracer.emit(now, || Event::L1Transition {
                     core: tile,
                     line: line.0,
-                    from,
-                    to: if drop_fill { "I" } else { state.label() },
+                    from: "I",
+                    to: state.label(),
                 });
                 self.finish_miss(&mut data, state, now);
-                if !drop_fill {
-                    self.cache.insert(line, state, data);
-                }
+                self.cache.insert(line, state, data);
                 self.service_deferred(now, out);
             }
             ProtoMsg::UpgradeAck(line) => {
@@ -411,10 +400,6 @@ impl L1Ctrl {
                     .expect("UpgradeAck without an outstanding miss");
                 assert_eq!(m.line, line);
                 assert_eq!(m.kind, MissKind::Upgrade);
-                // A home only acks an upgrade against an *exact* Shared
-                // entry containing us, which a CoarseInv can never have
-                // raced (coarse entries take the full-data write path).
-                debug_assert!(!self.pending_inv, "UpgradeAck over a poisoned fill");
                 let e = self.cache.remove(line).expect("upgrade keeps its S copy");
                 debug_assert_eq!(e.state, L1State::S);
                 let tile = self.tile;
@@ -445,37 +430,6 @@ impl L1Ctrl {
                     !self.wb_buf.contains_key(&line),
                     "Inv races only with S copies"
                 );
-                out.push(OutMsg {
-                    dst: self.home(line),
-                    msg: ProtoMsg::InvAck(line),
-                });
-            }
-            ProtoMsg::CoarseInv(line) => {
-                // Imprecise invalidation from a coarse directory entry:
-                // we may or may not hold the line. Always ack right away
-                // — the write transaction is counting on exactly one
-                // InvAck from us, and deferring behind our own fill (as
-                // a precise Inv would) deadlocks: the fill is queued at
-                // the home behind the very write waiting for this ack.
-                self.stats.invalidations += 1;
-                if let Some(e) = self.cache.remove(line) {
-                    debug_assert_eq!(e.state, L1State::S, "CoarseInv of a non-shared line");
-                    let tile = self.tile;
-                    self.tracer.emit(now, || Event::L1Transition {
-                        core: tile,
-                        line: line.0,
-                        from: "S",
-                        to: "I",
-                    });
-                } else if self
-                    .mshr
-                    .as_ref()
-                    .is_some_and(|m| m.issued && m.line == line)
-                {
-                    // Our fill may race behind this invalidation: poison
-                    // it so a Data(S) is not installed stale.
-                    self.pending_inv = true;
-                }
                 out.push(OutMsg {
                     dst: self.home(line),
                     msg: ProtoMsg::InvAck(line),
@@ -1116,77 +1070,6 @@ mod tests {
         assert_eq!(st, L1State::M);
         assert_eq!(data[0], 2, "store applied over the fresh copy");
         assert_eq!(data[1], 9, "rest of the line from the racing writer");
-    }
-
-    #[test]
-    fn coarse_inv_acks_immediately_and_poisons_shared_fill() {
-        let mut c = l1();
-        let mut out = Vec::new();
-        // A read miss is outstanding; a CoarseInv for the same line must
-        // ack at once (no deferral) and keep the racing Data(S) fill
-        // from installing, while the load still completes.
-        c.request(CoreReq::Load { addr: 0 }, 0, &mut out);
-        out.clear();
-        c.handle(ProtoMsg::CoarseInv(LineAddr(0)), 1, &mut out);
-        let msgs = drain(&mut out);
-        assert_eq!(msgs.len(), 1, "CoarseInv must not defer");
-        assert_eq!(msgs[0].msg, ProtoMsg::InvAck(LineAddr(0)));
-        c.handle(
-            ProtoMsg::Data {
-                line: LineAddr(0),
-                data: [5; 8],
-                grant: Grant::S,
-            },
-            3,
-            &mut out,
-        );
-        assert_eq!(c.poll(4), Some(CoreResp::LoadValue(5)));
-        assert!(
-            c.peek_line(LineAddr(0)).is_none(),
-            "poisoned shared fill must not stay resident"
-        );
-        assert_eq!(c.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn coarse_inv_spurious_and_resident_cases() {
-        let mut c = l1();
-        let mut out = Vec::new();
-        // Spurious (nothing resident, nothing outstanding): just an ack.
-        c.handle(ProtoMsg::CoarseInv(LineAddr(9)), 0, &mut out);
-        assert_eq!(drain(&mut out)[0].msg, ProtoMsg::InvAck(LineAddr(9)));
-        // Resident S copy: behaves exactly like a precise Inv.
-        c.request(CoreReq::Load { addr: 0 }, 1, &mut out);
-        c.handle(
-            ProtoMsg::Data {
-                line: LineAddr(0),
-                data: [3; 8],
-                grant: Grant::S,
-            },
-            2,
-            &mut out,
-        );
-        assert!(c.poll(3).is_some());
-        out.clear();
-        c.handle(ProtoMsg::CoarseInv(LineAddr(0)), 4, &mut out);
-        assert_eq!(drain(&mut out)[0].msg, ProtoMsg::InvAck(LineAddr(0)));
-        assert!(c.peek_line(LineAddr(0)).is_none());
-        // A poisoned fill granted M is kept (serialized after the write).
-        c.request(CoreReq::Store { addr: 64, value: 7 }, 5, &mut out);
-        out.clear();
-        c.handle(ProtoMsg::CoarseInv(LineAddr(1)), 6, &mut out);
-        assert_eq!(drain(&mut out)[0].msg, ProtoMsg::InvAck(LineAddr(1)));
-        c.handle(
-            ProtoMsg::Data {
-                line: LineAddr(1),
-                data: [0; 8],
-                grant: Grant::M,
-            },
-            7,
-            &mut out,
-        );
-        assert_eq!(c.poll(8), Some(CoreResp::StoreDone));
-        assert_eq!(c.peek_line(LineAddr(1)).unwrap().0, L1State::M);
     }
 
     #[test]

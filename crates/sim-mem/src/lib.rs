@@ -24,6 +24,13 @@
 //! * Clean-shared evictions are silent; the directory tolerates stale
 //!   sharers (they simply `InvAck` without having the line).
 //!
+//! The directory is an exact full map at every machine size: a line's
+//! sharers are a bit map of ⌈n/64⌉ words for n cores, pooled per home,
+//! so an invalidation goes only to cores the map names. What holds at
+//! every cycle is [`MemorySystem::check_coherence`]'s: one writer per
+//! line, and a directory whose record covers every L1 copy (a superset,
+//! not an equal, because of the silent evictions).
+//!
 //! Traffic classes map to the paper's Figure 7: `GetS/GetX/Upgrade` are
 //! *Request*, data and acks to the requester are *Reply*, and all
 //! protocol-generated messages (`Inv`, `InvAck`, `FwdGetS`, `FwdGetX`,

@@ -1,4 +1,5 @@
-//! Protocol message and core-interface types.
+//! Protocol message and core-interface types. Invalidations are exact:
+//! an `Inv` goes only to a core that the line's sharer map names.
 
 use sim_base::config::LINE_BYTES;
 use sim_base::ids::LineAddr;
@@ -51,17 +52,10 @@ pub enum ProtoMsg {
     /// home → L1: writeback acknowledged (possibly stale; either way the
     /// writeback buffer entry can be dropped).
     WbAck(LineAddr),
-    /// home → sharer L1: invalidate.
+    /// home → sharer L1: invalidate. The directory's map is exact, so
+    /// the recipient holds the line, dropped it silently, or awaits its
+    /// fill (and then applies the `Inv` right after it lands).
     Inv(LineAddr),
-    /// home → *possibly sharing* L1: invalidate-if-present, fanned out
-    /// from a coarse (superset) directory entry on machines past 64
-    /// cores. Unlike [`Inv`](ProtoMsg::Inv) the recipient may not hold
-    /// the line at all; it answers [`InvAck`](ProtoMsg::InvAck)
-    /// immediately in every case (never deferring behind its own fill,
-    /// which would deadlock against the write transaction waiting for
-    /// this ack) and instead poisons an in-flight shared fill so a
-    /// racing `Data(S)` is not installed stale.
-    CoarseInv(LineAddr),
     /// sharer L1 → home: invalidation done.
     InvAck(LineAddr),
     /// home → owner L1: another core wants to read; downgrade to S and
@@ -105,7 +99,6 @@ impl ProtoMsg {
             | ProtoMsg::UpgradeAck(l)
             | ProtoMsg::WbAck(l)
             | ProtoMsg::Inv(l)
-            | ProtoMsg::CoarseInv(l)
             | ProtoMsg::InvAck(l) => l,
             ProtoMsg::Data { line, .. }
             | ProtoMsg::FwdGetS { line, .. }
@@ -121,7 +114,6 @@ impl ProtoMsg {
             ProtoMsg::Data { .. } | ProtoMsg::UpgradeAck(_) | ProtoMsg::WbAck(_) => MsgClass::Reply,
             ProtoMsg::PutM(..)
             | ProtoMsg::Inv(_)
-            | ProtoMsg::CoarseInv(_)
             | ProtoMsg::InvAck(_)
             | ProtoMsg::FwdGetS { .. }
             | ProtoMsg::FwdGetX { .. }
@@ -222,7 +214,6 @@ mod tests {
         assert_eq!(ProtoMsg::UpgradeAck(l).class(), MsgClass::Reply);
         assert_eq!(ProtoMsg::WbAck(l).class(), MsgClass::Reply);
         assert_eq!(ProtoMsg::Inv(l).class(), MsgClass::Coherence);
-        assert_eq!(ProtoMsg::CoarseInv(l).class(), MsgClass::Coherence);
         assert_eq!(ProtoMsg::InvAck(l).class(), MsgClass::Coherence);
         assert_eq!(ProtoMsg::PutM(l, [0; 8]).class(), MsgClass::Coherence);
         assert_eq!(
@@ -239,7 +230,6 @@ mod tests {
     fn payload_sizes() {
         let l = LineAddr(0);
         assert_eq!(ProtoMsg::GetS(l).payload_bytes(), 0);
-        assert_eq!(ProtoMsg::CoarseInv(l).payload_bytes(), 0);
         assert_eq!(
             ProtoMsg::Data {
                 line: l,
@@ -276,7 +266,6 @@ mod tests {
         assert!(ProtoMsg::GetS(l).for_home());
         assert!(ProtoMsg::InvAck(l).for_home());
         assert!(!ProtoMsg::Inv(l).for_home());
-        assert!(!ProtoMsg::CoarseInv(l).for_home());
         assert!(!ProtoMsg::Data {
             line: l,
             data: [0; 8],

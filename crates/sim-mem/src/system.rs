@@ -2,10 +2,11 @@
 //! NoC, plus the flat memory backend.
 
 use crate::home::{DirState, HomeCtrl, HomeStats, Memory};
-use crate::l1::{L1Ctrl, L1Stats, OutMsg};
+use crate::l1::{L1Ctrl, L1State, L1Stats, OutMsg};
 use crate::proto::{CoreReq, CoreResp, ProtoMsg};
 use sim_base::active::ActiveSet;
 use sim_base::config::CmpConfig;
+use sim_base::fxmap::FxHashMap;
 use sim_base::ids::LineAddr;
 use sim_base::trace::Tracer;
 use sim_base::{CoreId, Cycle};
@@ -422,6 +423,65 @@ impl MemorySystem {
         self.noc.is_idle() && self.homes.iter().all(|h| h.is_idle())
     }
 
+    /// Checks the coherence invariants that hold at every cycle and
+    /// names the first line that breaks one:
+    ///
+    /// * single writer: when an L1 *cache* holds a line in E or M, no
+    ///   other L1 cache holds it at all (writeback-buffer copies are on
+    ///   their way home and do not count);
+    /// * the directory covers the holders of every line with no
+    ///   transaction in flight at its home: an S holder is in the line's
+    ///   `Shared` map, or is the `Exclusive` owner whose upgrade ack is
+    ///   still on its way, and an E or M holder is the `Exclusive` owner.
+    ///
+    /// Covers, not equals: S copies are evicted silently, so a map may
+    /// still name a core that dropped the line, at every machine size.
+    pub fn check_coherence(&self) -> Result<(), String> {
+        // Per line: cache copies seen, and an E/M holder among them.
+        let mut holders: FxHashMap<LineAddr, (u32, Option<CoreId>)> = FxHashMap::default();
+        for (i, l1) in self.l1s.iter().enumerate() {
+            let core = CoreId::from(i);
+            for (line, state) in l1.cache_lines() {
+                let (copies, writer) = holders.entry(line).or_default();
+                *copies += 1;
+                if state != L1State::S {
+                    *writer = writer.or(Some(core));
+                }
+                if *copies > 1 {
+                    if let Some(w) = writer {
+                        return Err(format!(
+                            "{line:?}: {w:?} holds it in E or M beside another cache copy"
+                        ));
+                    }
+                }
+                let home = &self.homes[self.home_of(line)];
+                if home.in_transaction(line) {
+                    continue;
+                }
+                let dir = home.dir_state(line);
+                let covered = match (state, dir) {
+                    (L1State::S, Some(DirState::Shared(_))) => {
+                        home.sharers(line).any(|c| c == core)
+                    }
+                    (L1State::S, Some(DirState::Exclusive(owner))) => {
+                        owner == core && l1.miss_line() == Some(line)
+                    }
+                    (_, Some(DirState::Exclusive(owner))) => owner == core,
+                    _ => false,
+                };
+                if !covered {
+                    let sharers: Vec<CoreId> = home.sharers(line).collect();
+                    return Err(format!(
+                        "{line:?}: {core:?} holds it in {}, but the idle directory has {dir:?} \
+                         with sharers {sharers:?}",
+                        state.label()
+                    ));
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn home_of(&self, line: LineAddr) -> usize {
         (line.0 % self.l1s.len() as u64) as usize
     }
@@ -462,7 +522,7 @@ impl MemorySystem {
         // just-completed write whose FwdDone has not reached the home).
         for l1 in &self.l1s {
             if let Some((state, data)) = l1.peek_cache_line(line) {
-                if state != crate::l1::L1State::S {
+                if state != L1State::S {
                     return data[w];
                 }
             }
@@ -816,7 +876,7 @@ mod tests {
     /// must have named that cycle or an earlier one (`<= now + 1`, the
     /// bound under which the scheduler ticks instead of jumping).
     #[test]
-    fn home_due_is_exact_and_next_event_never_late_under_toggles() {
+    fn home_due_matches_its_scan_and_next_event_never_late_under_toggles() {
         use sim_base::check::forall_cases;
         let (mut matured, mut quiet) = (0u64, 0u64);
         forall_cases("home_due_exact_under_toggles", 12, |rng| {

@@ -1,9 +1,10 @@
 //! Property tests for the memory hierarchy: the coherent system must be
 //! indistinguishable from a flat memory under serialized access, atomics
-//! must never lose updates under concurrency, and the directory must
-//! keep single-writer/multi-reader invariants. Below them, the cache
-//! array must match a true-LRU model set for set; above them, no config
-//! file, however mangled, may make building the hierarchy panic.
+//! must never lose updates under concurrency, and every cycle must keep
+//! the single-writer invariant with a directory that covers the holders
+//! (`MemorySystem::check_coherence`). Below them, the cache array must
+//! match a true-LRU model set for set; above them, no config file,
+//! however mangled, may make building the hierarchy panic.
 //!
 //! Runs on the in-repo seed-sweep harness ([`sim_base::check`]) instead of
 //! an external property-testing crate, so the suite builds fully offline.
@@ -67,13 +68,21 @@ fn addr(slot: usize) -> u64 {
     (slot as u64 / 3) * 64 + (slot as u64 % 3) * 8
 }
 
+/// Checks the coherence invariants of `sys`, then ticks it.
+fn checked_tick(sys: &mut MemorySystem) {
+    if let Err(e) = sys.check_coherence() {
+        panic!("cycle {}: {e}", sys.now());
+    }
+    sys.tick();
+}
+
 fn complete(sys: &mut MemorySystem, core: CoreId) -> CoreResp {
     let mut guard = 0;
     loop {
         if let Some(r) = sys.poll(core) {
             return r;
         }
-        sys.tick();
+        checked_tick(sys);
         guard += 1;
         assert!(guard < 100_000, "request never completed");
     }
@@ -172,7 +181,7 @@ fn concurrent_amoadds_are_linearizable() {
             if remaining.iter().all(|&r| r == 0) {
                 break;
             }
-            sys.tick();
+            checked_tick(&mut sys);
             guard += 1;
             assert!(guard < 1_000_000, "increments never finished");
         }
@@ -226,7 +235,7 @@ fn disjoint_concurrent_writes_all_land() {
             if done {
                 break;
             }
-            sys.tick();
+            checked_tick(&mut sys);
             guard += 1;
             assert!(guard < 1_000_000);
         }

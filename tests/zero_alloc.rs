@@ -148,6 +148,50 @@ fn steady_state_ticks_do_not_allocate() {
     );
 }
 
+/// Ticks `mem` until each of `cores` has taken its response, then
+/// until nothing is in flight.
+fn complete_and_drain(mem: &mut MemorySystem, cores: &[CoreId]) {
+    let mut waiting = cores.len();
+    let mut guard = 0;
+    while waiting > 0 || mem.next_event().is_some() {
+        mem.tick();
+        waiting -= cores.iter().filter(|&&c| mem.poll(c).is_some()).count();
+        guard += 1;
+        assert!(guard < 100_000, "{waiting} requests never completed");
+    }
+}
+
+/// Wide sharing reuses the directory's sharer maps: on the 16x16
+/// machine, rounds in which the 128 odd cores read a line and core 0
+/// then writes it (128 invalidations a round) allocate nothing after a
+/// warm-up, because each time the line enters `Shared` it takes the
+/// slot its home's sharer pool freed when the line last left it.
+#[test]
+fn wide_sharing_rounds_do_not_allocate() {
+    let mut mem = MemorySystem::new(&CmpConfig::icpp2010_with_cores(256));
+    let readers: Vec<CoreId> = (1..256).step_by(2).map(CoreId::from).collect();
+    let addr = 0x8000;
+    let round = |mem: &mut MemorySystem, value: u64| {
+        for &c in &readers {
+            mem.request(c, CoreReq::Load { addr });
+        }
+        complete_and_drain(mem, &readers);
+        mem.request(CoreId(0), CoreReq::Store { addr, value });
+        complete_and_drain(mem, &[CoreId(0)]);
+    };
+    for value in 0..3 {
+        round(&mut mem, value);
+    }
+    let before = mem.home_stats().invalidations_sent;
+    let n = count_allocs(|| {
+        for value in 3..6 {
+            round(&mut mem, value);
+        }
+    });
+    assert_eq!(n, 0, "wide-sharing rounds performed {n} heap allocations");
+    assert_eq!(mem.home_stats().invalidations_sent - before, 3 * 128);
+}
+
 /// Advances `sys` through `warm` cycles of its barrier loop on the
 /// default engine (sparse ticks and clock jumps), then demands that the
 /// next `measured` cycles allocate nothing. Returns the clock jumps
