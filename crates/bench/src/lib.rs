@@ -5,12 +5,8 @@
 //! either scale of `workloads::eval`'s benchmark table. The
 //! [`experiments`] module holds one function per artifact and backs the
 //! `figures` binary; [`sweep`] fans its independent simulations across
-//! host threads. [`lint`] is the `simlint` determinism linter. Host cost
-//! is measured by the `glbench` package under `benchmark/`, not here.
-
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
+//! host threads. Host cost is measured by the `glbench` package under
+//! `benchmark/`, not here.
 
 pub mod experiments;
-pub mod lint;
 pub mod sweep;

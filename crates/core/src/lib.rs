@@ -73,8 +73,6 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod cluster;
 pub mod controller;

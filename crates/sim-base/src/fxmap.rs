@@ -20,8 +20,9 @@
 //! This is *not* a DoS-resistant hash; the simulator only ever hashes
 //! its own trusted keys.
 
-// simlint: allow(std-hashmap) — this module IS the sanctioned wrapper:
-// the std containers are re-hashed with the seedless FxHasher below.
+// This module IS the sanctioned wrapper: the std containers are
+// re-hashed with the seedless FxHasher below.
+#[allow(clippy::disallowed_types)]
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -93,11 +94,11 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using the fast deterministic [`FxHasher`].
-// simlint: allow(std-hashmap) — the wrapper definition itself.
+#[allow(clippy::disallowed_types)] // the wrapper definition itself
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` using the fast deterministic [`FxHasher`].
-// simlint: allow(std-hashmap) — the wrapper definition itself.
+#[allow(clippy::disallowed_types)] // the wrapper definition itself
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
@@ -138,8 +139,8 @@ mod tests {
     fn distinct_keys_rarely_collide() {
         use std::hash::BuildHasher;
         let bh = FxBuildHasher::default();
-        // simlint: allow(std-hashmap) — collision test on raw hash
-        // values; iteration order is never observed.
+        // Collision test on raw hashes; iteration order is never observed.
+        #[allow(clippy::disallowed_types)]
         let mut seen = std::collections::HashSet::new();
         for i in 0..10_000u64 {
             seen.insert(bh.hash_one(LineAddr(i)));

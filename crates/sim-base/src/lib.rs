@@ -28,8 +28,6 @@
 //!   hierarchy and the core scheduler.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod active;
 pub mod check;

@@ -16,8 +16,6 @@
 //!   inspect the [`report`](system::System::report).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod core;
 pub mod runtime;

@@ -34,8 +34,6 @@
 //! [`assemble`]); the builder's labels are nameless [`Label`] handles.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod asm;
 pub mod builder;

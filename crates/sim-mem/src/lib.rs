@@ -46,8 +46,6 @@
 //!   blocking), plus any number of in-flight writebacks.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod cache;
 pub mod home;

@@ -149,7 +149,9 @@ fn serialized_accesses_match_flat_memory() {
 }
 
 /// Fully concurrent atomic increments never lose updates and return
-/// distinct old values — the linearizability core of fetch&add.
+/// distinct old values — the linearizability core of fetch&add. Cores
+/// also read the counter between their increments, so the line is
+/// shared between writes and every increment must invalidate the readers.
 #[test]
 fn concurrent_amoadds_are_linearizable() {
     forall_cases("concurrent_amoadds_are_linearizable", 32, |rng| {
@@ -164,14 +166,16 @@ fn concurrent_amoadds_are_linearizable() {
         loop {
             for c in 0..cores {
                 if remaining[c] > 0 && sys.ready(CoreId::from(c)) {
-                    sys.request(
-                        CoreId::from(c),
+                    let req = if rng.chance(0.5) {
+                        CoreReq::Load { addr: a }
+                    } else {
                         CoreReq::Amo {
                             addr: a,
                             op: AmoOp::Add,
                             operand: 1,
-                        },
-                    );
+                        }
+                    };
+                    sys.request(CoreId::from(c), req);
                 }
                 if let Some(CoreResp::AmoOld(v)) = sys.poll(CoreId::from(c)) {
                     olds.push(v);
@@ -196,7 +200,8 @@ fn concurrent_amoadds_are_linearizable() {
     });
 }
 
-/// Concurrent writers to disjoint addresses never interfere.
+/// Concurrent writers to disjoint addresses never interfere, while
+/// each core also reads its neighbour's column between its own writes.
 #[test]
 fn disjoint_concurrent_writes_all_land() {
     forall_cases("disjoint_concurrent_writes_all_land", 32, |rng| {
@@ -219,13 +224,22 @@ fn disjoint_concurrent_writes_all_land() {
         loop {
             let mut done = true;
             for c in 0..cores {
-                if pending[c] && sys.poll(CoreId::from(c)).is_some() {
-                    pending[c] = false;
-                    idx[c] += 1;
+                if pending[c] {
+                    if let Some(r) = sys.poll(CoreId::from(c)) {
+                        pending[c] = false;
+                        idx[c] += usize::from(r == CoreResp::StoreDone);
+                    }
                 }
                 if !pending[c] && idx[c] < writes_per_core {
-                    let (a, v) = plan[c][idx[c]];
-                    sys.request(CoreId::from(c), CoreReq::Store { addr: a, value: v });
+                    let req = if rng.chance(0.5) {
+                        let peer = &plan[(c + 1) % cores];
+                        let a = peer[rng.next_below(peer.len() as u64) as usize].0;
+                        CoreReq::Load { addr: a }
+                    } else {
+                        let (a, v) = plan[c][idx[c]];
+                        CoreReq::Store { addr: a, value: v }
+                    };
+                    sys.request(CoreId::from(c), req);
                     pending[c] = true;
                 }
                 if pending[c] || idx[c] < writes_per_core {

@@ -47,8 +47,6 @@
 //! network".
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod msg;
 pub mod network;

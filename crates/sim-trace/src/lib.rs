@@ -24,8 +24,6 @@
 //! (property-tested in `tests/prop.rs`).
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 mod codec;
 mod dir;

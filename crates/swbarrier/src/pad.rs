@@ -54,12 +54,11 @@ mod tests {
         assert!(std::mem::align_of::<CachePadded<u8>>() >= 128);
         assert!(std::mem::size_of::<CachePadded<u8>>() >= 128);
         let v: Vec<CachePadded<u8>> = vec![CachePadded::new(1), CachePadded::new(2)];
-        // simlint: allow(ptr-order) — layout assertion: only the
-        // *distance* between adjacent elements is checked, which is a
-        // pure function of the type's size, not of the load address.
-        let a = &*v[0] as *const u8 as usize;
-        // simlint: allow(ptr-order) — see above.
-        let b = &*v[1] as *const u8 as usize;
+        // Layout assertion: only the *distance* between adjacent
+        // elements is checked, which is a pure function of the type's
+        // size, not of the load address.
+        let a = &*v[0] as *const u8 as usize; // allow(ptr-order)
+        let b = &*v[1] as *const u8 as usize; // allow(ptr-order)
         assert!(b - a >= 128, "elements {a:#x} and {b:#x} share a line");
     }
 

@@ -18,8 +18,6 @@
 //! Figures 5–7 measure. [`eval`] holds the evaluation's benchmark table.
 
 #![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
 
 pub mod common;
 pub mod em3d;

@@ -31,8 +31,9 @@ fn bench<B: ThreadBarrier>(name: &'static str, bar: B) {
             std::process::exit(1);
         }
     });
-    // simlint: allow(wall-clock) — this example times real OS threads;
-    // nothing here feeds the deterministic simulation.
+    // This example times real OS threads; nothing here feeds the
+    // deterministic simulation.
+    #[allow(clippy::disallowed_methods)]
     let start = Instant::now();
     scoped::run(bar, |tid, bar| {
         for _ in 0..EPISODES {
